@@ -1,12 +1,12 @@
 // Package gossip provides the anti-entropy replication engine that keeps
-// CRDT state converging across replicas: periodic push-pull state
+// CRDT state converging across replicas: periodic push-pull delta
 // exchange with randomly chosen peers (paper refs [24,25]). It is the
 // availability mechanism §V-C calls for — replicas accept updates locally
 // at all times and reconcile when connectivity allows.
 package gossip
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -31,13 +31,22 @@ type Messenger interface {
 	Peers() []string
 }
 
-// State is the replicated object the engine synchronizes: a state-based
-// CRDT snapshot/merge pair.
+// State is the replicated object the engine synchronizes, as a
+// summary/delta/merge triple: a summary says what a replica holds, a
+// delta is what one replica holds beyond another's summary, and merging
+// a delta is commutative, associative and idempotent. A state-based
+// CRDT with no cheaper description of itself is the degenerate case:
+// empty summary, whole state as the delta.
 type State interface {
-	// Snapshot serializes the current local state.
-	Snapshot() ([]byte, error)
-	// Merge folds a remote snapshot into local state.
-	Merge(remote []byte) error
+	// Summary appends a description of the local state, sufficient for
+	// a peer to work out what this side is missing.
+	Summary(dst []byte) []byte
+	// Delta appends what the local state holds beyond the peer's
+	// summary, and nothing when the peer is missing nothing.
+	Delta(dst, summary []byte) ([]byte, error)
+	// Merge folds a peer's delta into the local state. A delta that
+	// does not parse must leave the state untouched.
+	Merge(delta []byte) error
 }
 
 // Config tunes the engine.
@@ -62,10 +71,47 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// envelope is the wire format.
-type envelope struct {
-	Kind  string `json:"kind"` // "push" or "reply"
-	State []byte `json:"state"`
+// The wire format. One exchange is up to three frames, all sent inside
+// the initiator's round (no timers, no retained per-peer state):
+//
+//	syn  A -> B  A's summary
+//	ack  B -> A  B's summary, and what B holds beyond A's
+//	fin  A -> B  what A holds beyond B's (omitted when nothing)
+//
+//	frame := frameMagic kind body
+//	syn body := summary
+//	ack body := uvarint(len(summary)) summary delta
+//	fin body := delta
+//
+// Every frame stands alone: a lost, duplicated or reordered one costs
+// at most a round, because the next syn restates what is still missing.
+const frameMagic = 0xA7
+
+const (
+	kindSyn = 1 + iota
+	kindAck
+	kindFin
+)
+
+// parseFrame splits a frame into its parts; the slices alias data.
+func parseFrame(data []byte) (kind byte, summary, delta []byte, err error) {
+	if len(data) < 2 || data[0] != frameMagic {
+		return 0, nil, nil, fmt.Errorf("gossip: not a gossip frame")
+	}
+	kind, body := data[1], data[2:]
+	switch kind {
+	case kindSyn:
+		return kind, body, nil, nil
+	case kindAck:
+		n, used := binary.Uvarint(body)
+		if used <= 0 || n > uint64(len(body)-used) {
+			return 0, nil, nil, fmt.Errorf("gossip: truncated ack summary")
+		}
+		return kind, body[used : used+int(n)], body[used+int(n):], nil
+	case kindFin:
+		return kind, nil, body, nil
+	}
+	return 0, nil, nil, fmt.Errorf("gossip: unknown frame kind %d", kind)
 }
 
 // Engine runs anti-entropy rounds for one replica.
@@ -80,9 +126,13 @@ type Engine struct {
 	stop    clock.CancelFunc
 	running bool
 
-	// RoundsRun and BytesSent instrument convergence cost (E9).
+	// RoundsRun and BytesSent instrument convergence cost (E9); BytesSent
+	// counts every frame handed to Messenger.Send. Rejected counts
+	// inbound frames dropped because they, their summary or their delta
+	// did not parse.
 	RoundsRun int
 	BytesSent int
+	Rejected  int
 }
 
 // New creates an engine; call Start to begin rounds.
@@ -134,7 +184,7 @@ func (e *Engine) Stop() {
 	}
 }
 
-// round performs one push-pull exchange with Fanout random peers.
+// round opens one exchange with each of Fanout random peers.
 func (e *Engine) round() {
 	peers := e.msg.Peers()
 	if len(peers) == 0 {
@@ -150,42 +200,56 @@ func (e *Engine) round() {
 	targets := append([]string(nil), peers[:n]...)
 	e.mu.Unlock()
 
-	snap, err := e.state.Snapshot()
-	if err != nil {
-		return
-	}
-	data, err := json.Marshal(envelope{Kind: "push", State: snap})
-	if err != nil {
-		return
-	}
+	syn := e.state.Summary([]byte{frameMagic, kindSyn})
 	for _, p := range targets {
-		e.mu.Lock()
-		e.BytesSent += len(data)
-		e.mu.Unlock()
-		_ = e.msg.Send(p, data)
+		e.send(p, syn)
 	}
 }
 
+func (e *Engine) send(peer string, frame []byte) {
+	e.mu.Lock()
+	e.BytesSent += len(frame)
+	e.mu.Unlock()
+	_ = e.msg.Send(peer, frame) // best effort: the next round restates what is missing
+}
+
+func (e *Engine) reject() {
+	e.mu.Lock()
+	e.Rejected++
+	e.mu.Unlock()
+}
+
 func (e *Engine) onMessage(from string, data []byte) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	kind, summary, delta, err := parseFrame(data)
+	if err != nil {
+		e.reject()
 		return
 	}
-	_ = e.state.Merge(env.State)
-	if env.Kind == "push" {
-		// Pull half: reply with our (merged) state.
-		snap, err := e.state.Snapshot()
-		if err != nil {
+	if len(delta) > 0 {
+		if err := e.state.Merge(delta); err != nil {
+			e.reject()
 			return
 		}
-		reply, err := json.Marshal(envelope{Kind: "reply", State: snap})
-		if err != nil {
+	}
+	switch kind {
+	case kindSyn:
+		own := e.state.Summary(nil)
+		ack := binary.AppendUvarint([]byte{frameMagic, kindAck}, uint64(len(own)))
+		ack = append(ack, own...)
+		if ack, err = e.state.Delta(ack, summary); err != nil {
+			e.reject()
 			return
 		}
-		e.mu.Lock()
-		e.BytesSent += len(reply)
-		e.mu.Unlock()
-		_ = e.msg.Send(from, reply)
+		e.send(from, ack)
+	case kindAck:
+		fin, err := e.state.Delta([]byte{frameMagic, kindFin}, summary)
+		if err != nil {
+			e.reject()
+			return
+		}
+		if len(fin) > 2 {
+			e.send(from, fin)
+		}
 	}
 }
 

@@ -95,17 +95,49 @@ func newLogState() *logState { return &logState{logs: make(map[string][]int)} }
 
 func (s *logState) write(origin string, v int) { s.logs[origin] = append(s.logs[origin], v) }
 
-func (s *logState) Snapshot() ([]byte, error) { return json.Marshal(s.logs) }
+// Summary is the per-origin log lengths.
+func (s *logState) Summary(dst []byte) []byte {
+	lens := make(map[string]int, len(s.logs))
+	for origin, log := range s.logs {
+		lens[origin] = len(log)
+	}
+	data, _ := json.Marshal(lens)
+	return append(dst, data...)
+}
+
+// logDelta is the suffix of one origin's log starting at element From.
+type logDelta struct {
+	From int
+	Log  []int
+}
+
+func (s *logState) Delta(dst, summary []byte) ([]byte, error) {
+	var lens map[string]int
+	if err := json.Unmarshal(summary, &lens); err != nil {
+		return dst, err
+	}
+	delta := make(map[string]logDelta)
+	for origin, log := range s.logs {
+		if have := lens[origin]; have < len(log) {
+			delta[origin] = logDelta{From: have, Log: log[have:]}
+		}
+	}
+	if len(delta) == 0 {
+		return dst, nil
+	}
+	data, err := json.Marshal(delta)
+	return append(dst, data...), err
+}
 
 func (s *logState) Merge(remote []byte) error {
-	var other map[string][]int
-	if err := json.Unmarshal(remote, &other); err != nil {
+	var delta map[string]logDelta
+	if err := json.Unmarshal(remote, &delta); err != nil {
 		return err
 	}
-	for origin, log := range other {
-		if local := s.logs[origin]; len(log) > len(local) {
-			s.logs[origin] = append(local, log[len(local):]...)
-			s.adopted += len(log) - len(local)
+	for origin, d := range delta {
+		if skip := len(s.logs[origin]) - d.From; skip >= 0 && skip < len(d.Log) {
+			s.logs[origin] = append(s.logs[origin], d.Log[skip:]...)
+			s.adopted += len(d.Log) - skip
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -10,12 +9,17 @@ import (
 	"iiotds/internal/sim"
 )
 
-// counterState wraps a PNCounter as a gossip.State.
+// counterState wraps a PNCounter as a gossip.State — the degenerate
+// state-based case: nothing to summarize, the whole counter is the delta.
 type counterState struct {
 	c *crdt.PNCounter
 }
 
-func (s *counterState) Snapshot() ([]byte, error) { return s.c.Marshal() }
+func (s *counterState) Summary(dst []byte) []byte { return dst }
+func (s *counterState) Delta(dst, _ []byte) ([]byte, error) {
+	data, err := s.c.Marshal()
+	return append(dst, data...), err
+}
 func (s *counterState) Merge(remote []byte) error {
 	other, err := crdt.UnmarshalPNCounter(remote)
 	if err != nil {
@@ -114,20 +118,28 @@ func TestMalformedGossipIgnored(t *testing.T) {
 	k := sim.New(8)
 	net := NewNetwork()
 	s := &counterState{c: crdt.NewPNCounter()}
-	New(net.Attach("a"), clock.Kernel{K: k}, s, Config{Interval: time.Second}).Start()
+	e := New(net.Attach("a"), clock.Kernel{K: k}, s, Config{Interval: time.Second})
+	e.Start()
 	rogue := net.Attach("rogue")
 	rogue.SetReceiver(func(string, []byte) {})
-	if err := rogue.Send("a", []byte("not json")); err != nil {
-		t.Fatal(err)
-	}
-	// A valid envelope with garbage state must also be harmless.
-	env, _ := json.Marshal(envelope{Kind: "push", State: []byte("garbage")})
-	if err := rogue.Send("a", env); err != nil {
-		t.Fatal(err)
+	// Not a frame; a truncated ack; well-formed fin and ack frames whose
+	// delta is garbage: all must be harmless, and all must be counted.
+	for _, frame := range [][]byte{
+		[]byte("not a frame"),
+		{frameMagic, kindAck, 9, 'x'},
+		append([]byte{frameMagic, kindFin}, "garbage"...),
+		append([]byte{frameMagic, kindAck, 0}, "garbage"...),
+	} {
+		if err := rogue.Send("a", frame); err != nil {
+			t.Fatal(err)
+		}
 	}
 	k.RunFor(5 * time.Second)
 	if s.c.Value() != 0 {
 		t.Fatal("garbage mutated state")
+	}
+	if e.Rejected != 4 {
+		t.Fatalf("Rejected = %d, want 4", e.Rejected)
 	}
 }
 

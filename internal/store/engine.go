@@ -9,12 +9,14 @@ import (
 )
 
 // SeriesEngine is the append-optimized storage engine for one series:
-// an open head of raw points that absorbs appends allocation-free, and
-// a list of immutable closed Segments (delta-of-delta encoded) behind
-// it. When the head fills it is sorted (repairing any out-of-order
-// arrivals), encoded, and closed; compaction merges closed segments
-// into larger ones so long-retention series stay O(log) segments
-// instead of O(points/segSize).
+// an open head of raw points and a list of immutable closed Segments
+// (delta-of-delta encoded) behind it. The head starts empty and doubles
+// up to segSize, so a series costs what it holds until its first
+// segment closes; from then on the full-size head is reused and absorbs
+// appends allocation-free. When the head fills it is sorted (repairing
+// any out-of-order arrivals), encoded, and closed; compaction merges
+// closed segments into larger ones so long-retention series stay O(log)
+// segments instead of O(points/segSize).
 //
 // Range semantics: AppendRange returns every retained point with
 // from <= T < to in non-decreasing timestamp order; arrival order is
@@ -67,10 +69,16 @@ func NewSeriesEngine(segSize int) *SeriesEngine {
 	if segSize == 0 {
 		segSize = DefaultSegmentSize
 	}
-	return &SeriesEngine{
-		segSize: segSize,
-		head:    make([]Point, 0, segSize),
+	return &SeriesEngine{segSize: segSize}
+}
+
+// growHead makes room for the head to hold need (<= segSize) points.
+func (e *SeriesEngine) growHead(need int) {
+	if need <= cap(e.head) {
+		return
 	}
+	c := min(max(2*cap(e.head), need), e.segSize)
+	e.head = append(make([]Point, 0, c), e.head...)
 }
 
 // SetRetention bounds the closed segments retained; the oldest segment
@@ -104,9 +112,8 @@ func (e *SeriesEngine) AppendBatch(pts []Point) {
 		if room := e.segSize - len(e.head); len(chunk) > room {
 			chunk = pts[:room]
 		}
-		n := len(e.head)
-		e.head = e.head[:n+len(chunk)] // head is preallocated to segSize
-		copy(e.head[n:], chunk)
+		e.growHead(len(e.head) + len(chunk))
+		e.head = append(e.head, chunk...)
 		lastT, seen := e.lastT, e.seenAny
 		for i := range chunk {
 			if seen && chunk[i].T < lastT {
@@ -137,6 +144,7 @@ func (e *SeriesEngine) append(p Point) {
 	}
 	e.seenAny = true
 	e.last = p
+	e.growHead(len(e.head) + 1)
 	e.head = append(e.head, p)
 	e.total++
 	if len(e.head) >= e.segSize {
@@ -209,7 +217,7 @@ func (e *SeriesEngine) enforceRetention() {
 }
 
 // Flush closes the open head early so its points reach encoded form
-// (and, via snapshots, other replicas) without waiting for a fill.
+// without waiting for a fill.
 func (e *SeriesEngine) Flush() {
 	e.mu.Lock()
 	e.closeHead()
@@ -271,10 +279,15 @@ func (e *SeriesEngine) AppendRange(dst []Point, from, to time.Duration) []Point 
 		}
 	}
 	// Closed segments are internally sorted but may overlap each other
-	// (and the head) when arrivals were out of order; one stable sort
-	// restores the global contract and is a near-no-op when sorted.
+	// (and the head) when arrivals were out of order; only then does a
+	// stable sort have to restore the global contract.
 	tail := dst[start:]
-	sort.SliceStable(tail, func(i, j int) bool { return tail[i].T < tail[j].T })
+	for i := 1; i < len(tail); i++ {
+		if tail[i].T < tail[i-1].T {
+			sort.SliceStable(tail, func(i, j int) bool { return tail[i].T < tail[j].T })
+			break
+		}
+	}
 	return dst
 }
 

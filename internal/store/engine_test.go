@@ -151,26 +151,35 @@ func TestEngineDigestSegmentationIndependent(t *testing.T) {
 }
 
 // TestBatchedAppendZeroAllocs is the CI allocation gate for the ingest
-// hot path: appending batches into an open head (no segment close in
-// the measured window) must not allocate. Closing a segment is the
-// amortized slow path — encode buffer and segment bytes — exactly like
-// the netbuf pool refill.
+// hot path. A head grows with its contents until its first segment
+// closes and is reused at full size from then on, so the engine is first
+// warmed to that working state — one segment filled and closed at the
+// default size — and then appending batches into the open head must not
+// allocate at all. The measured window stays inside one segment: closing
+// one is the amortized slow path — encode buffer and segment bytes —
+// exactly like the netbuf pool refill.
 func TestBatchedAppendZeroAllocs(t *testing.T) {
-	e := NewSeriesEngine(1 << 20)
+	e := NewSeriesEngine(0)
 	batch := make([]Point, 16)
 	var tm time.Duration
-	fill := func() {
+	appendBatch := func() {
 		for i := range batch {
 			tm += time.Millisecond
 			batch[i] = Point{T: tm, V: float64(i)}
 		}
-	}
-	fill()
-	e.AppendBatch(batch) // touch once so the head exists
-	allocs := testing.AllocsPerRun(1000, func() {
-		fill()
 		e.AppendBatch(batch)
-	})
+	}
+	for e.Stats().SegsClosed == 0 {
+		appendBatch()
+	}
+	if st := e.Stats(); st.OpenPoints != 0 {
+		t.Fatalf("warm-up left %d points in the head", st.OpenPoints)
+	}
+	runs := DefaultSegmentSize/len(batch) - 2 // AllocsPerRun adds a run of its own
+	allocs := testing.AllocsPerRun(runs, appendBatch)
+	if st := e.Stats(); st.SegsClosed != 1 {
+		t.Fatalf("%d segments closed: the measured window left the head", st.SegsClosed)
+	}
 	if allocs != 0 {
 		t.Fatalf("AppendBatch allocs/op = %v, want 0", allocs)
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -121,136 +120,6 @@ func (op *pendingOp) complete(err error) {
 	op.done(op.bestVal, err)
 }
 
-// apState is the AP-mode CRDT state; it implements gossip.State. KV
-// keys are LWW registers (as before); time series are per-origin
-// grow-only append logs — each origin's log is an immutable-prefix
-// sequence, so anti-entropy merge is "adopt the remote suffix when the
-// remote log is longer", which is commutative, associative, and
-// idempotent (re-delivered snapshots add nothing). A per-series
-// SeriesEngine holds the merged view for range queries.
-type apState struct {
-	mu      sync.Mutex
-	regs    map[string]*crdt.LWWRegister
-	logs    map[string]map[crdt.ReplicaID][]Point
-	eng     map[string]*SeriesEngine
-	segSize int
-	onMerge func(series string, added int)
-}
-
-// apSnapshot is the anti-entropy wire shape.
-type apSnapshot struct {
-	Regs   map[string]*crdt.LWWRegister         `json:"regs"`
-	Series map[string]map[crdt.ReplicaID][]byte `json:"series,omitempty"`
-}
-
-func (s *apState) engineLocked(name string) *SeriesEngine {
-	eng, ok := s.eng[name]
-	if !ok {
-		eng = NewSeriesEngine(s.segSize)
-		s.eng[name] = eng
-	}
-	return eng
-}
-
-func (s *apState) appendLocal(origin crdt.ReplicaID, series string, pts []Point) {
-	s.mu.Lock()
-	origins, ok := s.logs[series]
-	if !ok {
-		origins = make(map[crdt.ReplicaID][]Point)
-		s.logs[series] = origins
-	}
-	origins[origin] = append(origins[origin], pts...)
-	s.engineLocked(series).AppendBatch(pts)
-	s.mu.Unlock()
-}
-
-// Snapshot implements gossip.State.
-func (s *apState) Snapshot() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := apSnapshot{Regs: s.regs}
-	if len(s.logs) > 0 {
-		snap.Series = make(map[string]map[crdt.ReplicaID][]byte, len(s.logs))
-		for name, origins := range s.logs {
-			m := make(map[crdt.ReplicaID][]byte, len(origins))
-			for id, pts := range origins {
-				m[id] = appendPoints(nil, pts)
-			}
-			snap.Series[name] = m
-		}
-	}
-	return json.Marshal(snap)
-}
-
-// Merge implements gossip.State. Series and origins are merged in
-// sorted order so the merged engines — and everything derived from
-// them — are deterministic run to run.
-func (s *apState) Merge(remote []byte) error {
-	var in apSnapshot
-	if err := json.Unmarshal(remote, &in); err != nil {
-		return err
-	}
-	type mergeNote struct {
-		series string
-		added  int
-	}
-	var notes []mergeNote
-	s.mu.Lock()
-	for k, r := range in.Regs {
-		cur, ok := s.regs[k]
-		if !ok {
-			cur = crdt.NewLWWRegister()
-			s.regs[k] = cur
-		}
-		cur.Merge(r)
-	}
-	names := make([]string, 0, len(in.Series))
-	for name := range in.Series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		remOrigins := in.Series[name]
-		ids := make([]string, 0, len(remOrigins))
-		for id := range remOrigins {
-			ids = append(ids, string(id))
-		}
-		sort.Strings(ids)
-		added := 0
-		for _, ids := range ids {
-			id := crdt.ReplicaID(ids)
-			pts, _, err := decodePoints(nil, remOrigins[id])
-			if err != nil {
-				continue // corrupt origin stream: skip, keep the rest
-			}
-			local := s.logs[name][id]
-			if len(pts) <= len(local) {
-				continue // prefix already known — idempotent re-delivery
-			}
-			suffix := pts[len(local):]
-			origins, ok := s.logs[name]
-			if !ok {
-				origins = make(map[crdt.ReplicaID][]Point)
-				s.logs[name] = origins
-			}
-			origins[id] = append(local, suffix...)
-			s.engineLocked(name).AppendBatch(suffix)
-			added += len(suffix)
-		}
-		if added > 0 {
-			notes = append(notes, mergeNote{series: name, added: added})
-		}
-	}
-	hook := s.onMerge
-	s.mu.Unlock()
-	if hook != nil {
-		for _, n := range notes {
-			hook(n.series, n.added)
-		}
-	}
-	return nil
-}
-
 // Replica is one node of the replicated store: a key-value map (the
 // original E9 surface) plus the partitioned time-series ingest surface
 // (AppendPoints/RangeSeries) the sharded store builds on.
@@ -277,18 +146,13 @@ type Replica struct {
 func NewReplica(msg gossip.Messenger, sched clock.Scheduler, cfg ReplicaConfig) *Replica {
 	cfg.applyDefaults()
 	r := &Replica{
-		cfg:   cfg,
-		msg:   msg,
-		sched: sched,
-		id:    crdt.ReplicaID(msg.Self()),
-		cp:    make(map[string]versioned),
-		cpTS:  make(map[string]*cpSeries),
-		ap: &apState{
-			regs:    make(map[string]*crdt.LWWRegister),
-			logs:    make(map[string]map[crdt.ReplicaID][]Point),
-			eng:     make(map[string]*SeriesEngine),
-			segSize: cfg.SegmentSize,
-		},
+		cfg:     cfg,
+		msg:     msg,
+		sched:   sched,
+		id:      crdt.ReplicaID(msg.Self()),
+		cp:      make(map[string]versioned),
+		cpTS:    make(map[string]*cpSeries),
+		ap:      newAPState(cfg.SegmentSize),
 		pending: make(map[uint64]*pendingOp),
 	}
 	if cfg.Mode == ModeAP {
@@ -350,14 +214,7 @@ func (r *Replica) send(to string, m *rpc) {
 // Put stores key=val. done receives nil on success or ErrUnavailable.
 func (r *Replica) Put(key string, val []byte, done func(err error)) {
 	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		reg, ok := r.ap.regs[key]
-		if !ok {
-			reg = crdt.NewLWWRegister()
-			r.ap.regs[key] = reg
-		}
-		reg.Set(int64(r.sched.Now()), r.id, val)
-		r.ap.mu.Unlock()
+		r.ap.setLocal(r.id, key, int64(r.sched.Now()), val)
 		r.mu.Lock()
 		r.OpsOK++
 		r.mu.Unlock()
@@ -508,8 +365,8 @@ func (r *Replica) RangeSeries(series string, from, to time.Duration, done func(p
 	if r.cfg.Mode == ModeAP {
 		r.ap.mu.Lock()
 		var pts []Point
-		if eng, ok := r.ap.eng[series]; ok {
-			pts = eng.Range(from, to)
+		if ser, ok := r.ap.series[series]; ok {
+			pts = ser.eng.Range(from, to)
 		}
 		r.ap.mu.Unlock()
 		r.mu.Lock()
@@ -713,8 +570,8 @@ func (r *Replica) LocalSeriesRange(series string, from, to time.Duration) []Poin
 	if r.cfg.Mode == ModeAP {
 		r.ap.mu.Lock()
 		defer r.ap.mu.Unlock()
-		if eng, ok := r.ap.eng[series]; ok {
-			return eng.Range(from, to)
+		if ser, ok := r.ap.series[series]; ok {
+			return ser.eng.Range(from, to)
 		}
 		return nil
 	}
@@ -731,7 +588,7 @@ func (r *Replica) SeriesNames() []string {
 	var names []string
 	if r.cfg.Mode == ModeAP {
 		r.ap.mu.Lock()
-		for name := range r.ap.logs {
+		for name := range r.ap.series {
 			names = append(names, name)
 		}
 		r.ap.mu.Unlock()
@@ -755,27 +612,7 @@ func (r *Replica) SeriesNames() []string {
 func (r *Replica) SeriesDigest() uint64 {
 	h := uint64(fnvOffset)
 	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		defer r.ap.mu.Unlock()
-		names := make([]string, 0, len(r.ap.logs))
-		for name := range r.ap.logs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			h = digestString(h, name)
-			origins := r.ap.logs[name]
-			ids := make([]string, 0, len(origins))
-			for id := range origins {
-				ids = append(ids, string(id))
-			}
-			sort.Strings(ids)
-			for _, id := range ids {
-				h = digestString(h, id)
-				h = digestPoints(h, origins[crdt.ReplicaID(id)])
-			}
-		}
-		return h
+		return r.ap.digest(h)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -832,9 +669,9 @@ func (r *Replica) seriesEngines() []*SeriesEngine {
 	byName := make(map[string]*SeriesEngine)
 	if r.cfg.Mode == ModeAP {
 		r.ap.mu.Lock()
-		for name, eng := range r.ap.eng {
+		for name, ser := range r.ap.series {
 			names = append(names, name)
-			byName[name] = eng
+			byName[name] = ser.eng
 		}
 		r.ap.mu.Unlock()
 	} else {

@@ -129,47 +129,24 @@ func parseRPC(data []byte) (rpc, error) {
 	m.Kind = kind
 	flags := data[2]
 	m.OK = flags&rpcFlagOK != 0
-	off := 3
-	uv := func() uint64 {
-		if off < 0 {
-			return 0
-		}
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			off = -1
-			return 0
-		}
-		off += n
-		return v
-	}
-	m.ReqID = uv()
-	m.Ver = uv()
-	klen := uv()
-	if off < 0 || klen > uint64(len(data)-off) {
-		return rpc{}, fmt.Errorf("store: truncated rpc frame")
-	}
-	m.Key = string(data[off : off+int(klen)])
-	off += int(klen)
+	r := wireReader{data: data[3:]}
+	m.ReqID = r.uvarint("rpc frame")
+	m.Ver = r.uvarint("rpc frame")
+	m.Key = string(r.str("rpc key"))
 	if flags&rpcFlagHasVal != 0 {
-		vlen := uv()
-		if off < 0 || vlen > uint64(len(data)-off) {
-			return rpc{}, fmt.Errorf("store: truncated rpc value")
-		}
-		m.Val = append([]byte(nil), data[off:off+int(vlen)]...)
-		off += int(vlen)
+		m.Val = append([]byte(nil), r.str("rpc value")...)
 	}
-	m.From = time.Duration(unzigzag(uv()))
-	m.To = time.Duration(unzigzag(uv()))
-	if off < 0 {
-		return rpc{}, fmt.Errorf("store: truncated rpc frame")
+	m.From = time.Duration(unzigzag(r.uvarint("rpc frame")))
+	m.To = time.Duration(unzigzag(r.uvarint("rpc frame")))
+	if r.err != nil {
+		return rpc{}, r.err
 	}
-	pts, used, err := decodePoints(nil, data[off:])
+	pts, used, err := decodePoints(nil, r.data)
 	if err != nil {
 		return rpc{}, err
 	}
-	off += used
-	if off != len(data) {
-		return rpc{}, fmt.Errorf("store: %d trailing bytes in rpc frame", len(data)-off)
+	if used != len(r.data) {
+		return rpc{}, fmt.Errorf("store: %d trailing bytes in rpc frame", len(r.data)-used)
 	}
 	m.Pts = pts
 	return m, nil

@@ -19,9 +19,8 @@ import (
 // high bytes the varint then drops.
 //
 // The same point-stream encoding carries ingest batches on the CP
-// replication wire (rpc.go) and per-origin logs in AP anti-entropy
-// snapshots (replica.go), so a reading is encoded the same way at rest
-// and in flight.
+// replication wire (rpc.go) and series ops in AP anti-entropy deltas
+// (ap.go), so a reading is encoded the same way at rest and in flight.
 
 // zigzag folds a signed delta into an unsigned varint-friendly value.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -30,7 +29,7 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendPoints encodes pts onto dst with a leading count: the shared
-// point-stream format of segments, RPC batches, and gossip snapshots.
+// point-stream format of segments, RPC batches, and gossip deltas.
 func appendPoints(dst []byte, pts []Point) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(pts)))
 	var prevT, prevDelta int64
@@ -59,42 +58,66 @@ func appendPoints(dst []byte, pts []Point) []byte {
 	return dst
 }
 
+// pointReader walks one encoded point stream.
+type pointReader struct {
+	data             []byte
+	off              int    // bytes consumed
+	left             uint64 // points not yet read
+	first            bool
+	prevT, prevDelta int64
+	prevBits         uint64
+}
+
+// newPointReader reads the leading count of the stream at data.
+func newPointReader(data []byte) (pointReader, error) {
+	n, used := binary.Uvarint(data)
+	if used <= 0 {
+		return pointReader{}, fmt.Errorf("store: truncated point count")
+	}
+	if n > uint64(len(data)) { // every point takes >= 2 bytes
+		return pointReader{}, fmt.Errorf("store: point count %d exceeds payload", n)
+	}
+	return pointReader{data: data, off: used, left: n, first: true}, nil
+}
+
+// next reads one point; call it only while left > 0.
+func (r *pointReader) next() (Point, error) {
+	u, used := binary.Uvarint(r.data[r.off:])
+	if used <= 0 {
+		return Point{}, fmt.Errorf("store: truncated timestamp")
+	}
+	r.off += used
+	if r.first {
+		r.prevT, r.first = unzigzag(u), false
+	} else {
+		r.prevDelta += unzigzag(u)
+		r.prevT += r.prevDelta
+	}
+	x, used := binary.Uvarint(r.data[r.off:])
+	if used <= 0 {
+		return Point{}, fmt.Errorf("store: truncated value")
+	}
+	r.off += used
+	r.left--
+	r.prevBits ^= bits.ReverseBytes64(x)
+	return Point{T: time.Duration(r.prevT), V: math.Float64frombits(r.prevBits)}, nil
+}
+
 // decodePoints appends the points encoded at data onto dst and returns
 // the extended slice plus the number of bytes consumed.
 func decodePoints(dst []Point, data []byte) ([]Point, int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return dst, 0, fmt.Errorf("store: truncated point count")
+	r, err := newPointReader(data)
+	if err != nil {
+		return dst, 0, err
 	}
-	if n > uint64(len(data)) { // every point takes >= 2 bytes
-		return dst, 0, fmt.Errorf("store: point count %d exceeds payload", n)
+	for r.left > 0 {
+		p, err := r.next()
+		if err != nil {
+			return dst, 0, err
+		}
+		dst = append(dst, p)
 	}
-	off := used
-	var prevT, prevDelta int64
-	var prevBits uint64
-	for i := uint64(0); i < n; i++ {
-		u, used := binary.Uvarint(data[off:])
-		if used <= 0 {
-			return dst, 0, fmt.Errorf("store: truncated timestamp")
-		}
-		off += used
-		var t int64
-		if i == 0 {
-			t = unzigzag(u)
-		} else {
-			prevDelta += unzigzag(u)
-			t = prevT + prevDelta
-		}
-		prevT = t
-		x, used := binary.Uvarint(data[off:])
-		if used <= 0 {
-			return dst, 0, fmt.Errorf("store: truncated value")
-		}
-		off += used
-		prevBits ^= bits.ReverseBytes64(x)
-		dst = append(dst, Point{T: time.Duration(t), V: math.Float64frombits(prevBits)})
-	}
-	return dst, off, nil
+	return dst, r.off, nil
 }
 
 // Segment is one immutable closed run of a series: points encoded with
@@ -154,15 +177,20 @@ func (s *Segment) AppendRange(dst []Point, from, to time.Duration) []Point {
 	if to <= s.minT || from > s.maxT {
 		return dst
 	}
-	start := len(dst)
-	dst = s.AppendAll(dst)
-	kept := dst[:start]
-	for _, p := range dst[start:] {
-		if p.T >= from && p.T < to {
-			kept = append(kept, p)
+	r, err := newPointReader(s.data)
+	for err == nil && r.left > 0 {
+		var p Point
+		if p, err = r.next(); err != nil || p.T >= to {
+			break
+		}
+		if p.T >= from {
+			dst = append(dst, p)
 		}
 	}
-	return kept
+	if err != nil {
+		panic(fmt.Sprintf("store: corrupt segment: %v", err)) // encode/decode are a closed pair
+	}
+	return dst
 }
 
 // mergeSegments decodes and re-encodes segs into one segment, stable

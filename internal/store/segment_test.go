@@ -96,6 +96,34 @@ func TestSegmentRange(t *testing.T) {
 	}
 }
 
+// TestSegmentRangeStopsAtTo: a range read decodes no further than the
+// first point at or past to — the bytes behind it, here overwritten
+// with what no varint decodes from, are never looked at.
+func TestSegmentRangeStopsAtTo(t *testing.T) {
+	pts := make([]Point, 100)
+	for i := range pts {
+		pts[i] = Point{T: secs(i), V: float64(i)}
+	}
+	seg, _ := newSegment(pts, nil)
+	want := seg.AppendRange(nil, secs(3), secs(10))
+	if len(want) != 7 || want[0].V != 3 || want[6].V != 9 {
+		t.Fatalf("range = %+v", want)
+	}
+	ten := len(appendPoints(nil, pts[:11])) // the stream is a prefix code: points 0..10 end here
+	for i := ten; i < len(seg.data); i++ {
+		seg.data[i] = 0xff
+	}
+	if got := seg.AppendRange(nil, secs(3), secs(10)); !samePoints(got, want) {
+		t.Fatalf("range over a segment unreadable after point 10 = %+v", got)
+	}
+	// Equal stamps at the boundary: every point at to is excluded, every
+	// point at from included.
+	dup, _ := newSegment([]Point{{T: 1, V: 1}, {T: 2, V: 2}, {T: 2, V: 3}, {T: 3, V: 4}, {T: 3, V: 5}}, nil)
+	if got := dup.AppendRange(nil, 2, 3); len(got) != 2 || got[0].V != 2 || got[1].V != 3 {
+		t.Fatalf("boundary range = %+v", got)
+	}
+}
+
 func TestMergeSegmentsSortsAcross(t *testing.T) {
 	a, _ := newSegment([]Point{{T: secs(5), V: 5}, {T: secs(7), V: 7}}, nil)
 	b, _ := newSegment([]Point{{T: secs(1), V: 1}, {T: secs(6), V: 6}}, nil)

@@ -264,15 +264,15 @@ func TestAppenderBatchesAndFlushOrder(t *testing.T) {
 // TestAppenderZeroAllocs is the CI gate for the full batched ingest
 // path: Appender.Append → Sharded.Ingest → coordinator AppendPoints →
 // engine AppendBatch, on a single-replica shard (no quorum round). At
-// steady state — batches recycled, head within capacity — the path
+// steady state — batches recycled, the series' first segment closed and
+// its full-size head reused (see TestBatchedAppendZeroAllocs) — the path
 // must not allocate.
 func TestAppenderZeroAllocs(t *testing.T) {
 	k := sim.New(3)
 	s := NewSharded(clock.Kernel{K: k}, ShardedConfig{
-		Shards:      1,
-		Policy:      ShardPolicy{Mode: ModeCP, Replicas: 1},
-		SegmentSize: 1 << 20, // no segment close inside the measured window
-		Node:        -1,
+		Shards: 1,
+		Policy: ShardPolicy{Mode: ModeCP, Replicas: 1},
+		Node:   -1,
 	})
 	defer s.Stop()
 	a := s.NewAppender()
@@ -283,8 +283,15 @@ func TestAppenderZeroAllocs(t *testing.T) {
 			a.Append("plant/temp", Point{T: tm, V: 1.5})
 		}
 	}
-	append64() // warm: create the batch, the series, the engine head
-	allocs := testing.AllocsPerRun(2000, append64)
+	closed := func() uint64 { return s.Stats().Shards[0].Engine.SegsClosed }
+	for closed() == 0 { // warm: the batch, the series, a head grown to a full segment
+		append64()
+	}
+	runs := DefaultSegmentSize/64 - 2 // AllocsPerRun adds a run of its own
+	allocs := testing.AllocsPerRun(runs, append64)
+	if closed() != 1 {
+		t.Fatalf("%d segments closed: the measured window left the head", closed())
+	}
 	if allocs != 0 {
 		t.Fatalf("batched ingest allocs per 64-point batch = %v, want 0", allocs)
 	}
