@@ -54,7 +54,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit a JSON report (tables + kernel stats + wall times)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "trial worker goroutines per experiment (<=1 = sequential)")
 	shards := flag.Int("shards", 0, "worker threads the sharded experiments (E15) fan one deployment's stripes across (<=0 = one per stripe); tables are byte-identical at every setting")
-	spatial := flag.Bool("spatial", true, "use the cell-grid spatial index for radio fan-out; false selects the brute-force O(N) baseline (identical tables, different wall time)")
 	storeShards := flag.Int("store-shards", 0, "shard count P for the storage-tier experiment's (E16) sharded rows (<=0 = default 8); a model parameter — rows change with it, deterministically")
 	storeMode := flag.String("store-mode", "", "restrict the storage-tier experiment (E16) to one replication mode (cp or ap); empty = both")
 	events := flag.String("events", "", "enable the flight recorder and write every trial's events (JSONL) to this file")
@@ -62,22 +61,7 @@ func run() int {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	gwMode := flag.Bool("gateway", false, "run the synthetic observer-swarm gateway benchmark instead of the experiment suite")
-	gwObservers := flag.Int("gw-observers", 1_000_000, "gateway swarm: concurrent observer population")
-	gwResources := flag.Int("gw-resources", 16, "gateway swarm: observable resources the population spreads over")
-	gwRounds := flag.Int("gw-rounds", 4, "gateway swarm: notification fan-out rounds")
-	gwPayload := flag.Int("gw-payload", 16, "gateway swarm: representation payload bytes")
-	gwQueue := flag.Int("gw-queue", 0, "gateway swarm: per-shard notify queue length (0 = default)")
-	gwConfirm := flag.Int("gw-confirm", 0, "gateway swarm: CON cadence (0 = all NON)")
-	gwP99Max := flag.Float64("gw-p99-max", 0, "gateway swarm: fail if p99 notification latency exceeds this many ms (0 = no gate)")
-	gwOut := flag.String("gw-out", "BENCH_gateway.json", "gateway swarm: result file (- for stdout)")
-	gwQuiet := flag.Bool("gw-quiet", false, "gateway swarm: suppress progress lines")
 	flag.Parse()
-
-	if *gwMode {
-		return runGatewayBench(*gwObservers, *gwResources, *gwRounds, *gwPayload,
-			*gwQueue, *gwConfirm, *gwP99Max, *gwOut, *gwQuiet)
-	}
 
 	scale := exp.Quick
 	switch *scaleFlag {
@@ -91,7 +75,6 @@ func run() int {
 
 	exp.SetParallelism(*parallel)
 	exp.SetShardWorkers(*shards)
-	exp.SetSpatialIndex(*spatial)
 	if *storeMode != "" && *storeMode != "cp" && *storeMode != "ap" {
 		fmt.Fprintf(os.Stderr, "iiotbench: unknown store mode %q (want cp or ap)\n", *storeMode)
 		return 2

@@ -102,16 +102,18 @@ func main() {
 	// Run one factory shift (compressed).
 	for i := 0; i < 6; i++ {
 		d.K.RunFor(time.Minute)
-		time.Sleep(10 * time.Millisecond) // let the bus goroutines drain
 	}
 
 	fmt.Println("\n--- shift report ---")
-	for _, name := range d.TSDB.Names() {
-		s := d.TSDB.Series(name)
-		if mean, ok := s.Mean(); ok {
-			last, _ := s.Last()
-			fmt.Printf("%-28s samples=%-4d mean=%7.2f last=%7.2f\n", name, s.Len(), mean, last.V)
+	for _, name := range d.SeriesNames() {
+		s := d.Series(name)
+		pts := s.Range(0, d.K.Now()+1)
+		sum := 0.0
+		for _, p := range pts {
+			sum += p.V
 		}
+		last, _ := s.Last()
+		fmt.Printf("%-28s samples=%-4d mean=%7.2f last=%7.2f\n", name, len(pts), sum/float64(len(pts)), last.V)
 	}
 	fmt.Printf("alerts raised: %d\n", alerts)
 	fmt.Printf("network energy: mean %.2f J/node\n", d.M.Energy().MeanTotalJoules())

@@ -2,8 +2,9 @@
 // application-logic tier: the middleware through which sensing-layer
 // observations reach rules, storage, and operator dashboards (§III-B).
 // Topics are "/"-separated; subscriptions support MQTT-style "+" (one
-// level) and "#" (rest) wildcards, retained messages, and per-subscriber
-// queues so one slow consumer cannot block the rest.
+// level) and "#" (rest) wildcards and retained messages. Delivery is
+// inline on the publisher's goroutine, so a deployment on the
+// single-threaded event kernel stays deterministic.
 package bus
 
 import (
@@ -25,10 +26,10 @@ type Message struct {
 	Retained bool
 }
 
-// Handler consumes messages for one subscription. In sync mode the
-// payload may be a view into the publisher's buffer (often a pooled
-// packet buffer from the network stack), valid only for the duration of
-// the call: copy with netbuf.CloneBytes to retain it.
+// Handler consumes messages for one subscription. The payload may be a
+// view into the publisher's buffer (often a pooled packet buffer from
+// the network stack), valid only for the duration of the call: copy
+// with netbuf.CloneBytes to retain it.
 type Handler func(m Message)
 
 // ErrClosed is returned by operations on a closed broker.
@@ -39,8 +40,6 @@ type subscription struct {
 	id      uint64
 	pattern []string
 	handler Handler
-	queue   chan Message
-	done    chan struct{}
 }
 
 // Broker routes messages from publishers to subscribers.
@@ -50,21 +49,20 @@ type Broker struct {
 	retained map[string]Message
 	nextID   uint64
 	closed   bool
-	sync     bool
-	wg       sync.WaitGroup
 
 	published *metrics.Counter
 	delivered *metrics.Counter
 
-	// rec, when set, receives publish/deliver trace events. Only sync
-	// brokers may carry a recorder: async delivery runs on subscriber
-	// goroutines and the recorder is not concurrency-safe.
+	// rec, when set, receives publish/deliver trace events.
 	rec *trace.Recorder
 }
 
-// NewBroker returns a running broker. Each subscriber gets a dedicated
-// delivery goroutine with a bounded queue (production semantics: one
-// slow consumer cannot block the rest).
+// NewBroker returns a broker that delivers every message inline on the
+// publisher's goroutine, in subscription order, before Publish returns.
+// Handlers run on the caller's thread — in a simulated deployment the
+// simulation thread, so they may touch the (single-threaded) event
+// kernel — and delivery order is deterministic. Handlers may publish
+// recursively; no queues exist, so nothing is ever dropped.
 func NewBroker() *Broker {
 	b := &Broker{
 		subs:     make(map[uint64]*subscription),
@@ -82,32 +80,16 @@ func (b *Broker) UseRegistry(reg *metrics.Registry) {
 	b.delivered = reg.Counter("bus.delivered")
 }
 
-// SetTrace installs a flight recorder. Panics on an async broker, whose
-// delivery goroutines would race on the single-threaded recorder.
-func (b *Broker) SetTrace(rec *trace.Recorder) {
-	if rec != nil && !b.sync {
-		panic("bus: SetTrace on an async broker")
-	}
-	b.rec = rec
-}
+// SetTrace installs a flight recorder. The recorder is not
+// concurrency-safe: a traced broker must be published to from one
+// goroutine.
+func (b *Broker) SetTrace(rec *trace.Recorder) { b.rec = rec }
 
 // Published returns how many messages have been accepted for routing.
 func (b *Broker) Published() uint64 { return uint64(b.published.Value()) }
 
 // Delivered returns how many messages have been handed to subscribers.
 func (b *Broker) Delivered() uint64 { return uint64(b.delivered.Value()) }
-
-// NewSyncBroker returns a broker that delivers every message inline on
-// the publisher's goroutine, in subscription order, before Publish
-// returns. This is the mode simulated deployments use: handlers run on
-// the simulation thread, so they may touch the (single-threaded) event
-// kernel, and delivery order is deterministic. Handlers may publish
-// recursively; no queues exist, so nothing is ever dropped.
-func NewSyncBroker() *Broker {
-	b := NewBroker()
-	b.sync = true
-	return b
-}
 
 // Subscription identifies an active subscription for cancellation.
 type Subscription struct {
@@ -118,18 +100,12 @@ type Subscription struct {
 // Cancel removes the subscription. Idempotent.
 func (s *Subscription) Cancel() {
 	s.broker.mu.Lock()
-	sub, ok := s.broker.subs[s.id]
-	if ok {
-		delete(s.broker.subs, s.id)
-		close(sub.done)
-	}
+	delete(s.broker.subs, s.id)
 	s.broker.mu.Unlock()
 }
 
 // Subscribe registers handler for all topics matching pattern. Matching
-// retained messages are delivered immediately. The handler runs on a
-// dedicated goroutine with a bounded queue; overflow drops the oldest
-// message (telemetry semantics: newest wins).
+// retained messages are delivered, in topic order, before it returns.
 func (b *Broker) Subscribe(pattern string, handler Handler) (*Subscription, error) {
 	if err := validatePattern(pattern); err != nil {
 		return nil, err
@@ -144,8 +120,6 @@ func (b *Broker) Subscribe(pattern string, handler Handler) (*Subscription, erro
 		id:      b.nextID,
 		pattern: strings.Split(pattern, "/"),
 		handler: handler,
-		queue:   make(chan Message, 128),
-		done:    make(chan struct{}),
 	}
 	b.subs[sub.id] = sub
 	// Replay retained messages that match, in deterministic topic order.
@@ -160,10 +134,6 @@ func (b *Broker) Subscribe(pattern string, handler Handler) (*Subscription, erro
 	for _, topic := range topics {
 		replay = append(replay, b.retained[topic])
 	}
-	if !b.sync {
-		b.wg.Add(1)
-		go b.pump(sub)
-	}
 	b.mu.Unlock()
 
 	for _, m := range replay {
@@ -172,53 +142,11 @@ func (b *Broker) Subscribe(pattern string, handler Handler) (*Subscription, erro
 	return &Subscription{id: sub.id, broker: b}, nil
 }
 
-// deliver hands m to sub via the broker's delivery discipline: inline on
-// the caller in sync mode, through the bounded queue otherwise.
+// deliver runs sub's handler on m, on the caller's goroutine.
 func (b *Broker) deliver(sub *subscription, m Message) {
-	if b.sync {
-		b.rec.Emit(-1, trace.BusDeliver, int64(sub.id), int64(len(m.Payload)), 0, 0)
-		sub.handler(m)
-		b.delivered.Inc()
-		return
-	}
-	b.enqueue(sub, m)
-}
-
-func (b *Broker) pump(sub *subscription) {
-	defer b.wg.Done()
-	for {
-		select {
-		case m := <-sub.queue:
-			sub.handler(m)
-			b.delivered.Inc()
-		case <-sub.done:
-			// Drain whatever is already queued, then exit.
-			for {
-				select {
-				case m := <-sub.queue:
-					sub.handler(m)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (b *Broker) enqueue(sub *subscription, m Message) {
-	for {
-		select {
-		case sub.queue <- m:
-			return
-		default:
-			// Bounded queue full: drop the oldest so fresh telemetry
-			// is not delayed by a slow consumer.
-			select {
-			case <-sub.queue:
-			default:
-			}
-		}
-	}
+	b.rec.Emit(-1, trace.BusDeliver, int64(sub.id), int64(len(m.Payload)), 0, 0)
+	sub.handler(m)
+	b.delivered.Inc()
 }
 
 // Publish routes m to all matching subscriptions. With retain, the
@@ -251,8 +179,8 @@ func (b *Broker) Publish(topic string, payload []byte, retain bool) error {
 			targets = append(targets, sub)
 		}
 	}
-	// Deliver in subscription order so inline (sync) delivery is
-	// deterministic regardless of map iteration.
+	// Deliver in subscription order so delivery is deterministic
+	// regardless of map iteration.
 	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
 	b.mu.Unlock()
 	for _, sub := range targets {
@@ -261,23 +189,16 @@ func (b *Broker) Publish(topic string, payload []byte, retain bool) error {
 	return nil
 }
 
-// Close shuts the broker down and waits for handler goroutines to exit.
+// Close shuts the broker down: every subscription is removed, and
+// Publish and Subscribe return ErrClosed from now on. Idempotent.
 func (b *Broker) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.closed = true
-	for id, sub := range b.subs {
-		delete(b.subs, id)
-		close(sub.done)
-	}
+	clear(b.subs)
 	b.mu.Unlock()
-	b.wg.Wait()
 }
 
-// RetainedTopics returns the topics with retained messages.
+// RetainedTopics returns the topics with retained messages, sorted.
 func (b *Broker) RetainedTopics() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -285,6 +206,7 @@ func (b *Broker) RetainedTopics() []string {
 	for t := range b.retained {
 		out = append(out, t)
 	}
+	sort.Strings(out)
 	return out
 }
 

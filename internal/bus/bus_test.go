@@ -1,83 +1,58 @@
 package bus
 
 import (
-	"sync"
+	"reflect"
 	"testing"
-	"time"
 )
 
-// collect subscribes and returns a function that waits for n messages.
-func collect(t *testing.T, b *Broker, pattern string) (waitFor func(n int) []Message) {
+// collect subscribes and returns the slice delivered messages land in;
+// delivery is inline, so there is nothing to wait for.
+func collect(t *testing.T, b *Broker, pattern string) *[]Message {
 	t.Helper()
-	var mu sync.Mutex
-	var got []Message
-	if _, err := b.Subscribe(pattern, func(m Message) {
-		mu.Lock()
-		got = append(got, m)
-		mu.Unlock()
-	}); err != nil {
+	var msgs []Message
+	if _, err := b.Subscribe(pattern, func(m Message) { msgs = append(msgs, m) }); err != nil {
 		t.Fatalf("Subscribe(%q): %v", pattern, err)
 	}
-	return func(n int) []Message {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			mu.Lock()
-			if len(got) >= n {
-				out := append([]Message(nil), got...)
-				mu.Unlock()
-				return out
-			}
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("timed out waiting for %d messages on %q, have %d", n, pattern, len(got))
-		return nil
-	}
+	return &msgs
 }
 
 func TestExactTopicDelivery(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	wait := collect(t, b, "obs/dev1/temp")
+	got := collect(t, b, "obs/dev1/temp")
 	if err := b.Publish("obs/dev1/temp", []byte("21"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Publish("obs/dev2/temp", []byte("99"), false); err != nil {
 		t.Fatal(err)
 	}
-	got := wait(1)
-	time.Sleep(10 * time.Millisecond)
-	if len(got) != 1 || string(got[0].Payload) != "21" {
-		t.Fatalf("got %v", got)
+	if len(*got) != 1 || string((*got)[0].Payload) != "21" {
+		t.Fatalf("got %v", *got)
 	}
 }
 
 func TestPlusWildcard(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	wait := collect(t, b, "obs/+/temp")
+	got := collect(t, b, "obs/+/temp")
 	b.Publish("obs/a/temp", []byte("1"), false)
 	b.Publish("obs/b/temp", []byte("2"), false)
 	b.Publish("obs/a/rpm", []byte("3"), false)    // no match
 	b.Publish("obs/a/b/temp", []byte("4"), false) // no match: + is one level
-	got := wait(2)
-	if len(got) != 2 {
-		t.Fatalf("got %d messages", len(got))
+	if len(*got) != 2 {
+		t.Fatalf("got %d messages", len(*got))
 	}
 }
 
 func TestHashWildcard(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	wait := collect(t, b, "obs/#")
+	got := collect(t, b, "obs/#")
 	b.Publish("obs/a/temp", nil, false)
 	b.Publish("obs/a/b/c/d", nil, false)
 	b.Publish("cmd/a", nil, false) // no match
-	got := wait(2)
-	if len(got) != 2 {
-		t.Fatalf("got %d messages", len(got))
+	if len(*got) != 2 {
+		t.Fatalf("got %d messages", len(*got))
 	}
 }
 
@@ -85,9 +60,8 @@ func TestRetainedReplay(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
 	b.Publish("state/valve", []byte("open"), true)
-	wait := collect(t, b, "state/valve")
-	got := wait(1)
-	if string(got[0].Payload) != "open" || !got[0].Retained {
+	got := *collect(t, b, "state/valve")
+	if len(got) != 1 || string(got[0].Payload) != "open" || !got[0].Retained {
 		t.Fatalf("retained replay = %+v", got[0])
 	}
 	if topics := b.RetainedTopics(); len(topics) != 1 || topics[0] != "state/valve" {
@@ -98,24 +72,15 @@ func TestRetainedReplay(t *testing.T) {
 func TestCancelStopsDelivery(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	var mu sync.Mutex
 	count := 0
-	sub, err := b.Subscribe("t", func(Message) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
+	sub, err := b.Subscribe("t", func(Message) { count++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Publish("t", nil, false)
-	time.Sleep(50 * time.Millisecond)
 	sub.Cancel()
 	sub.Cancel() // idempotent
 	b.Publish("t", nil, false)
-	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
 	}
@@ -149,49 +114,6 @@ func TestClosedBroker(t *testing.T) {
 	if _, err := b.Subscribe("t", func(Message) {}); err != ErrClosed {
 		t.Fatalf("Subscribe err = %v", err)
 	}
-}
-
-func TestSlowConsumerDoesNotBlockOthers(t *testing.T) {
-	b := NewBroker()
-	block := make(chan struct{})
-	defer b.Close()    // runs last (after the handler is unblocked)
-	defer close(block) // LIFO: unblocks the slow handler first
-	if _, err := b.Subscribe("t", func(Message) { <-block }); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var last []byte
-	count := 0
-	if _, err := b.Subscribe("t", func(m Message) {
-		mu.Lock()
-		count++
-		last = m.Payload
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Burst past the slow consumer's queue; drop-oldest may shed some
-	// of the burst for any consumer, but the fabric must keep moving:
-	// a message published after the burst must still arrive.
-	for i := 0; i < 300; i++ {
-		b.Publish("t", []byte("burst"), false)
-	}
-	b.Publish("t", []byte("final"), false)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		done := string(last) == "final"
-		n := count
-		mu.Unlock()
-		if done {
-			if n < 128 {
-				t.Fatalf("fast consumer got only %d messages", n)
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("final message never reached the fast consumer")
 }
 
 func TestTopicMatchesTable(t *testing.T) {
@@ -228,10 +150,10 @@ func splitPat(s string) []string {
 	return out
 }
 
-// --- synchronous (inline-delivery) mode ---
+// --- inline delivery: order, recursion, replay ---
 
 func TestSyncDeliveryInline(t *testing.T) {
-	b := NewSyncBroker()
+	b := NewBroker()
 	defer b.Close()
 	var got []string
 	if _, err := b.Subscribe("a/#", func(m Message) {
@@ -239,8 +161,8 @@ func TestSyncDeliveryInline(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Inline mode: the handler has run before Publish returns, so no
-	// synchronization or waiting is needed.
+	// The handler has run before Publish returns, so no synchronization
+	// or waiting is needed.
 	if err := b.Publish("a/b", []byte("1"), false); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +178,7 @@ func TestSyncDeliveryInline(t *testing.T) {
 }
 
 func TestSyncSubscriptionOrder(t *testing.T) {
-	b := NewSyncBroker()
+	b := NewBroker()
 	defer b.Close()
 	var order []int
 	for i := 0; i < 5; i++ {
@@ -276,7 +198,7 @@ func TestSyncSubscriptionOrder(t *testing.T) {
 }
 
 func TestSyncRecursivePublish(t *testing.T) {
-	b := NewSyncBroker()
+	b := NewBroker()
 	defer b.Close()
 	var got []string
 	if _, err := b.Subscribe("chain/+", func(m Message) {
@@ -299,7 +221,7 @@ func TestSyncRecursivePublish(t *testing.T) {
 }
 
 func TestSyncRetainedReplayInline(t *testing.T) {
-	b := NewSyncBroker()
+	b := NewBroker()
 	defer b.Close()
 	if err := b.Publish("r/b", []byte("2"), true); err != nil {
 		t.Fatal(err)
@@ -326,7 +248,7 @@ func TestSyncRetainedReplayInline(t *testing.T) {
 // the broker must own the retained payload, so a publisher reusing (or a
 // pooled packet path recycling) its slice cannot corrupt later replays.
 func TestRetainedCopiesPayload(t *testing.T) {
-	b := NewSyncBroker()
+	b := NewBroker()
 	defer b.Close()
 	payload := []byte("v1")
 	if err := b.Publish("plant/temp", payload, true); err != nil {
@@ -339,5 +261,21 @@ func TestRetainedCopiesPayload(t *testing.T) {
 	}
 	if got != "v1" {
 		t.Fatalf("retained replay saw %q, want %q (payload not copied)", got, "v1")
+	}
+}
+
+// RetainedTopics is a listing like any other in the repo: sorted, not
+// in map order.
+func TestRetainedTopicsSorted(t *testing.T) {
+	b := NewBroker()
+	defer b.Close()
+	want := []string{"a", "b/x", "b/y", "c", "d", "e", "f", "g"}
+	for i := len(want) - 1; i >= 0; i-- {
+		if err := b.Publish(want[i], nil, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.RetainedTopics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RetainedTopics = %v, want %v", got, want)
 	}
 }

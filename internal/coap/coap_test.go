@@ -352,7 +352,9 @@ func TestNonRequestTimeout(t *testing.T) {
 
 func TestObserveNotifications(t *testing.T) {
 	w := newWorld()
-	srvConn, _ := w.endpoint("srv", ConnConfig{})
+	// The server's notifications leave in the encoder's reused buffer:
+	// nothing past Send may keep them.
+	srvConn := NewConn(scribbleTransport{w.board.Attach("srv")}, KernelScheduler{K: w.k}, ConnConfig{})
 	srv := NewServer()
 	temp := srv.Resource("temp").Observable().Get(func(from string, req *Message) *Message {
 		return TextResponse("20.0")

@@ -3,10 +3,13 @@ package coap
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"iiotds/internal/sim"
 )
 
 // rawClient is a hand-driven CoAP endpoint: it records every inbound
@@ -282,6 +285,95 @@ func (s *sinkTransport) Send(addr string, data []byte) error {
 func (s *sinkTransport) SetReceiver(func(from string, data []byte)) {}
 func (s *sinkTransport) LocalAddr() string                          { return "sink" }
 func (s *sinkTransport) Close() error                               { return nil }
+
+// scribbleTransport enforces the Transport.Send contract from the
+// sender's side: the wrapped transport gets a private copy of each
+// datagram, overwritten the moment its Send returns — as a sender
+// reusing its buffer would — so anything downstream that kept the slice
+// reads garbage.
+type scribbleTransport struct{ Transport }
+
+func (s scribbleTransport) Send(addr string, data []byte) error {
+	tmp := append([]byte(nil), data...)
+	err := s.Transport.Send(addr, tmp)
+	for i := range tmp {
+		tmp[i] = 0xA5
+	}
+	return err
+}
+
+// captureTransport keeps a copy of every outbound datagram.
+type captureTransport struct {
+	sinkTransport
+	log []sentDatagram
+}
+
+type sentDatagram struct {
+	addr string
+	data []byte
+}
+
+func (c *captureTransport) Send(addr string, data []byte) error {
+	c.log = append(c.log, sentDatagram{addr, append([]byte(nil), data...)})
+	return nil
+}
+
+// TestNotifyInlineOrderTwoTokensOneAddress pins the inline fan-out order
+// to (address, token): a client holding several registrations on one
+// resource (legal under RFC 7641) must get its notifications — and so
+// their message IDs — in the same order every round and every run,
+// whatever the observer maps' iteration order. Every 8th round is
+// confirmable, so both kinds of send are covered.
+func TestNotifyInlineOrderTwoTokensOneAddress(t *testing.T) {
+	const rounds, tokens = 50, 40 // 40 tokens over 16 shards: several share a map
+	type reg struct {
+		addr  string
+		token byte
+	}
+	want := []reg{{"a", 9}}
+	for tok := 0; tok < tokens; tok++ {
+		want = append(want, reg{"b", byte(tok)})
+	}
+	want = append(want, reg{"c", 0})
+	run := func() []sentDatagram {
+		tr := &captureTransport{}
+		conn := NewConn(tr, KernelScheduler{K: sim.New(1)}, ConnConfig{Seed: 7})
+		srv := NewServer()
+		temp := srv.Resource("temp").Observable()
+		conn.Serve(srv)
+		for i := len(want) - 1; i >= 0; i-- { // registration order is not send order
+			if err := temp.addObserver(want[i].addr, []byte{want[i].token}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < rounds; i++ {
+			temp.Notify(FormatText, []byte{byte('0' + i%10)})
+		}
+		return tr.log
+	}
+	first := run()
+	if len(first) != rounds*len(want) {
+		t.Fatalf("%d datagrams, want %d", len(first), rounds*len(want))
+	}
+	var prevMID uint16
+	for i, sent := range first {
+		m, err := Unmarshal(sent.data)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		w := want[i%len(want)]
+		if sent.addr != w.addr || len(m.Token) != 1 || m.Token[0] != w.token {
+			t.Fatalf("round %d: datagram %d went to %s token %x, want %s token %02x", i/len(want), i%len(want), sent.addr, m.Token, w.addr, w.token)
+		}
+		if i > 0 && m.MessageID != prevMID+1 {
+			t.Fatalf("datagram %d: MID %d after %d, want one block in send order", i, m.MessageID, prevMID)
+		}
+		prevMID = m.MessageID
+	}
+	if second := run(); !reflect.DeepEqual(first, second) {
+		t.Fatal("two identical runs sent different byte sequences")
+	}
+}
 
 // TestLastMIDRaceNotifyVsRST is the -race regression for the
 // observer.lastMID data race: Notify used to write lastMID after

@@ -1,6 +1,7 @@
 package coap
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -212,7 +213,7 @@ func shardOf(k string) int {
 
 // Notify pushes a new representation to every observer. Without a notify
 // pool (Server.StartNotifyPool) the fan-out runs inline on the caller —
-// deterministic, in ascending observer-address order, which is what the
+// deterministic, in ascending (address, token) order, which is what the
 // simulation relies on. With a pool, each observer shard is dispatched to
 // its own worker through a bounded queue; a full queue drops that shard's
 // push (backpressure — the next notification carries the newer state).
@@ -230,9 +231,9 @@ func (r *Resource) Notify(contentFormat uint32, payload []byte) {
 }
 
 // notifyAll is the inline (deterministic) fan-out: observers across all
-// shards, sorted by address, one message-ID block for the whole batch.
+// shards, sorted by (address, token), one message-ID block for the whole
+// batch.
 func (r *Resource) notifyAll(seq, contentFormat uint32, payload []byte) {
-	c := r.server.conn
 	var obs []*observer
 	for i := range r.shards {
 		sh := &r.shards[i]
@@ -242,56 +243,41 @@ func (r *Resource) notifyAll(seq, contentFormat uint32, payload []byte) {
 		}
 		sh.mu.Unlock()
 	}
-	if len(obs) == 0 {
-		return
-	}
-	sort.Slice(obs, func(i, j int) bool { return obs[i].addr < obs[j].addr })
-	mid := c.allocMIDs(len(obs))
-	con := false
-	if ce := r.server.confirmEveryVal(); ce > 0 {
-		con = seq%ce == 0
-	}
-	for i, o := range obs {
-		m := &Message{Code: CodeContent, Token: o.token, Payload: payload}
-		m.AddUintOption(OptObserve, seq)
-		m.AddUintOption(OptContentFormat, contentFormat)
-		m.MessageID = mid + uint16(i)
-		o.lastMID.Store(uint32(m.MessageID))
-		if con {
-			m.Type = Confirmable
-			addr, token := o.addr, o.token
-			c.send(addr, m, func(error) {
-				// Unreachable observer: drop the registration.
-				r.removeObserver(addr, token)
-			})
-		} else {
-			m.Type = NonConfirmable
-			data, err := m.Marshal()
-			if err == nil {
-				_ = c.tr.Send(o.addr, data)
-			}
+	sort.Slice(obs, func(i, j int) bool {
+		if obs[i].addr != obs[j].addr {
+			return obs[i].addr < obs[j].addr
 		}
-	}
+		return bytes.Compare(obs[i].token, obs[j].token) < 0
+	})
+	var enc notifyEncoder
+	r.fanOut(obs, seq, contentFormat, payload, &enc)
 }
 
-// notifyShard fans one notification out to one observer shard. It is the
-// gateway hot path: the message body (options + payload) is encoded once
-// per shard, per-observer packets are assembled in a reused buffer, and
-// message IDs come from a single batched allocation — zero allocations
-// per observer at steady state (CI-gated). scratch is the caller's reused
-// observer slice; the (possibly grown) slice is returned for reuse.
+// notifyShard fans one notification out to one observer shard — the
+// gateway hot path, zero allocations per observer at steady state
+// (CI-gated). scratch is the caller's reused observer slice; the
+// (possibly grown) slice is returned for reuse.
 func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte, enc *notifyEncoder, scratch []*observer) []*observer {
-	c := r.server.conn
 	sh := &r.shards[si]
 	sh.mu.Lock()
 	for _, o := range sh.m {
 		scratch = append(scratch, o)
 	}
 	sh.mu.Unlock()
-	if len(scratch) == 0 {
-		return scratch
+	r.fanOut(scratch, seq, contentFormat, payload, enc)
+	return scratch
+}
+
+// fanOut sends one notification to obs, in order: message IDs come from
+// a single batched allocation, and for a NON round the message body
+// (options + payload) is encoded once and per-observer packets are
+// assembled in enc's reused buffer.
+func (r *Resource) fanOut(obs []*observer, seq, contentFormat uint32, payload []byte, enc *notifyEncoder) {
+	if len(obs) == 0 {
+		return
 	}
-	mid := c.allocMIDs(len(scratch))
+	c := r.server.conn
+	mid := c.allocMIDs(len(obs))
 	con := false
 	if ce := r.server.confirmEveryVal(); ce > 0 {
 		con = seq%ce == 0
@@ -299,7 +285,7 @@ func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte
 	if !con {
 		enc.prepare(seq, contentFormat, payload)
 	}
-	for i, o := range scratch {
+	for i, o := range obs {
 		m := mid + uint16(i)
 		o.lastMID.Store(uint32(m))
 		if con {
@@ -308,13 +294,13 @@ func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte
 			msg.AddUintOption(OptContentFormat, contentFormat)
 			addr, token := o.addr, o.token
 			c.send(addr, msg, func(error) {
+				// Unreachable observer: drop the registration.
 				r.removeObserver(addr, token)
 			})
 		} else {
 			_ = c.tr.Send(o.addr, enc.packet(m, o.token))
 		}
 	}
-	return scratch
 }
 
 // notifyEncoder assembles NON notification datagrams without allocating:
@@ -384,8 +370,8 @@ type notifyPool struct {
 
 // StartNotifyPool switches Notify to parallel per-shard fan-out (one
 // worker and one bounded queue per observer shard). Use on gateways over
-// real transports; the inline path stays the default because only it is
-// deterministic. queueLen <= 0 selects 256.
+// real transports; the inline path stays the default because only it
+// sends in a deterministic order. queueLen <= 0 selects 256.
 func (s *Server) StartNotifyPool(queueLen int) {
 	if queueLen <= 0 {
 		queueLen = 256

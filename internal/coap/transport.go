@@ -14,7 +14,10 @@ import (
 // the emulated RPL mesh (internal/core), which is what lets the same
 // middleware code run in both worlds.
 type Transport interface {
-	// Send transmits one datagram to addr.
+	// Send transmits one datagram to addr. It must not retain data past
+	// the call — senders reuse the buffer for the next datagram — so a
+	// transport that delivers later, or hands data to a receiver that
+	// keeps it, copies first.
 	Send(addr string, data []byte) error
 	// SetReceiver installs the inbound datagram callback. It must be
 	// called exactly once, before any datagram arrives.

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -42,42 +43,6 @@ const (
 	MACLPL
 	MACRIMAC
 )
-
-// Config describes a homogeneous deployment: every node gets the same
-// MAC, radio, channel, and tenant. It is a thin shim over the layered
-// Stack/Profile builder (profile.go) — Stack() expands it to a single
-// profile bound to every position — kept because most experiments and
-// tests study one device class at a time.
-type Config struct {
-	// Seed drives all simulation randomness.
-	Seed int64
-	// Topology gives node positions; index 0 is the border router.
-	Topology radio.Topology
-	// Radio parameterizes the medium (zero value = DefaultParams).
-	Radio radio.Params
-	// MAC selects the discipline; LPL/CSMA/RIMAC tune it.
-	MAC   MACKind
-	LPL   mac.LPLConfig
-	CSMA  mac.CSMAConfig
-	RIMAC mac.RIMACConfig
-	// Router tunes RPL. Reasonable fast-converging defaults are applied
-	// when zero.
-	Router rpl.Config
-	// Tenant tags all frames (§IV-C); Channel tunes all radios.
-	Tenant  string
-	Channel uint8
-	// RNFD, when non-nil, attaches the root-failure detector to every
-	// non-root node.
-	RNFD *rpl.RNFDConfig
-	// WithCoAP attaches a CoAP endpoint (server+client) to every node.
-	WithCoAP bool
-	// WithBackend creates the broker and time-series store tiers.
-	WithBackend bool
-	// TraceCapacity sizes the deployment's flight-recorder ring buffer
-	// (events retained). Zero uses trace.DefaultCapacity(); a negative
-	// value disables tracing entirely (zero-allocation emit paths).
-	TraceCapacity int
-}
 
 // Node is one emulated field device with its full protocol stack.
 type Node struct {
@@ -123,41 +88,8 @@ type Deployment struct {
 
 	// Application and storage tiers (nil unless Stack.WithBackend).
 	Bus      *bus.Broker
-	TSDB     *store.TSDB
 	Registry *registry.Registry
-}
-
-// Stack expands the flat homogeneous Config into the layered description
-// NewStack consumes: one profile, bound to every position.
-func (c Config) Stack() Stack {
-	return Stack{
-		Seed:   c.Seed,
-		Radio:  c.Radio,
-		Router: c.Router,
-		Profiles: []Profile{{
-			Name:     DefaultProfile,
-			MAC:      c.MAC,
-			CSMA:     c.CSMA,
-			LPL:      c.LPL,
-			RIMAC:    c.RIMAC,
-			Channel:  c.Channel,
-			Tenant:   c.Tenant,
-			RNFD:     c.RNFD,
-			WithCoAP: c.WithCoAP,
-		}},
-		Topology:      Uniform(DefaultProfile, c.Topology),
-		WithBackend:   c.WithBackend,
-		TraceCapacity: c.TraceCapacity,
-	}
-}
-
-// NewDeployment builds and starts the full stack for a homogeneous
-// fleet. It is Config.Stack followed by NewStack.
-func NewDeployment(cfg Config) *Deployment {
-	if len(cfg.Topology) == 0 {
-		panic("core: Config.Topology is empty")
-	}
-	return NewStack(cfg.Stack())
+	series   map[string]*store.SeriesEngine // storage tier, by topic
 }
 
 // Root returns the border-router node.
@@ -264,8 +196,31 @@ func (d *Deployment) PublishObservation(o registry.Observation) error {
 	if err := d.Bus.Publish(o.Topic(), payload, true); err != nil {
 		return err
 	}
-	d.TSDB.Series(o.Topic()).Append(store.Point{T: o.At, V: o.Value})
+	d.Series(o.Topic()).Append(store.Point{T: o.At, V: o.Value})
 	return nil
+}
+
+// Series returns (creating if needed) the storage tier's series for a
+// topic. Each keeps at most 4096/DefaultSegmentSize closed segments, so
+// a long-running deployment's memory stays bounded.
+func (d *Deployment) Series(topic string) *store.SeriesEngine {
+	e, ok := d.series[topic]
+	if !ok {
+		e = store.NewSeriesEngine(0)
+		e.SetRetention(4096 / store.DefaultSegmentSize)
+		d.series[topic] = e
+	}
+	return e
+}
+
+// SeriesNames returns the topics the storage tier holds, sorted.
+func (d *Deployment) SeriesNames() []string {
+	names := make([]string, 0, len(d.series))
+	for name := range d.series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Close releases backend resources.

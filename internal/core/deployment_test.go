@@ -2,35 +2,36 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
 	"iiotds/internal/agg"
 	"iiotds/internal/bus"
+	"iiotds/internal/clock"
 	"iiotds/internal/coap"
 	"iiotds/internal/fault"
 	"iiotds/internal/link"
 	"iiotds/internal/lowpan"
+	"iiotds/internal/mac"
 	"iiotds/internal/radio"
 	"iiotds/internal/registry"
 	"iiotds/internal/rpl"
-	"iiotds/internal/store"
 )
 
-func smallGrid(t *testing.T, n int, opts func(*Config)) *Deployment {
-	t.Helper()
-	cfg := Config{
-		Seed:     11,
-		Topology: radio.GridTopology(n, 15),
-	}
-	if opts != nil {
-		opts(&cfg)
-	}
-	return NewDeployment(cfg)
+// uniformStack describes a one-class fleet: p, as DefaultProfile, bound
+// to every position.
+func uniformStack(seed int64, pos radio.Topology, p Profile) Stack {
+	p.Name = DefaultProfile
+	return Stack{Seed: seed, Profiles: []Profile{p}, Topology: Uniform(DefaultProfile, pos)}
+}
+
+func smallGrid(n int, p Profile) *Deployment {
+	return NewStack(uniformStack(11, radio.GridTopology(n, 15), p))
 }
 
 func TestDeploymentConverges(t *testing.T) {
-	d := smallGrid(t, 16, nil)
+	d := smallGrid(16, Profile{})
 	ok, took := d.RunUntilConverged(2 * time.Minute)
 	if !ok {
 		t.Fatal("deployment did not converge")
@@ -41,7 +42,7 @@ func TestDeploymentConverges(t *testing.T) {
 }
 
 func TestAggregationQueryOverDeployment(t *testing.T) {
-	d := smallGrid(t, 9, nil)
+	d := smallGrid(9, Profile{})
 	for i := 1; i < 9; i++ {
 		i := i
 		d.Nodes[i].SetSampler(func(attr string) (float64, bool) {
@@ -84,7 +85,7 @@ func TestAggregationQueryOverDeployment(t *testing.T) {
 }
 
 func TestCoAPOverMesh(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) { c.WithCoAP = true })
+	d := smallGrid(9, Profile{WithCoAP: true})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -111,29 +112,76 @@ func TestCoAPOverMesh(t *testing.T) {
 	}
 }
 
+// scribbleTransport enforces the coap.Transport.Send contract from the
+// sender's side: the mesh gets a private copy of each datagram,
+// overwritten the moment Send returns — as a sender reusing its buffer
+// would — so a layer or receiver that kept the slice reads garbage.
+type scribbleTransport struct{ coap.Transport }
+
+func (s scribbleTransport) Send(addr string, data []byte) error {
+	tmp := append([]byte(nil), data...)
+	err := s.Transport.Send(addr, tmp)
+	for i := range tmp {
+		tmp[i] = 0xA5
+	}
+	return err
+}
+
 func TestCoAPObserveOverMesh(t *testing.T) {
-	d := smallGrid(t, 4, func(c *Config) { c.WithCoAP = true })
+	// Node 3 is built without an endpoint and given one here, wired as
+	// buildNode does but over a scribbling transport: its notifications
+	// cross meshTransport → Router.SendTo → lowpan.Encode, or the
+	// Dst == self deliver branch, in a buffer that is garbage once Send
+	// has returned.
+	stack := uniformStack(11, radio.GridTopology(4, 15), Profile{WithCoAP: true})
+	stack.Profiles = append(stack.Profiles, Profile{Name: "bare"})
+	stack.Topology[3].Profile = "bare"
+	d := NewStack(stack)
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
-	res := d.Nodes[3].Server.Resource("sensors/level").Observable().Get(
+	n := d.Nodes[3]
+	tr := &meshTransport{node: n}
+	n.Router.Handle(lowpan.ProtoCoAP, func(src radio.NodeID, payload []byte) {
+		tr.deliver(strconv.Itoa(int(src)), payload)
+	})
+	n.CoAP = coap.NewConn(scribbleTransport{tr}, clock.Kernel{K: d.K}, coap.ConnConfig{Seed: 4, AckTimeout: 4 * time.Second})
+	n.Server = coap.NewServer()
+	n.CoAP.Serve(n.Server)
+
+	res := n.Server.Resource("sensors/level").Observable().Get(
 		func(string, *coap.Message) *coap.Message { return coap.TextResponse("0") })
-	var notes []string
-	d.Root().CoAP.Observe(d.Nodes[3].Addr(), "sensors/level", func(m *coap.Message, err error) {
+	// The observers keep the messages, not copies of the payloads, so a
+	// receiver aliasing the sender's buffer shows up at the end.
+	var remote, local []*coap.Message
+	d.Root().CoAP.Observe(n.Addr(), "sensors/level", func(m *coap.Message, err error) {
 		if err == nil {
-			notes = append(notes, string(m.Payload))
+			remote = append(remote, m)
+		}
+	})
+	n.CoAP.Observe(n.Addr(), "sensors/level", func(m *coap.Message, err error) {
+		if err == nil {
+			local = append(local, m)
 		}
 	})
 	d.K.RunFor(15 * time.Second)
 	res.Notify(coap.FormatText, []byte("42"))
 	d.K.RunFor(15 * time.Second)
-	if len(notes) < 2 || notes[len(notes)-1] != "42" {
-		t.Fatalf("notifications = %v", notes)
+	res.Notify(coap.FormatText, []byte("43"))
+	d.K.RunFor(15 * time.Second)
+	for name, notes := range map[string][]*coap.Message{"remote": remote, "local": local} {
+		var got []string
+		for _, m := range notes {
+			got = append(got, string(m.Payload))
+		}
+		if len(got) != 3 || got[0] != "0" || got[1] != "42" || got[2] != "43" {
+			t.Fatalf("%s observer saw %q, want [0 42 43]", name, got)
+		}
 	}
 }
 
 func TestCrashRecoverCycle(t *testing.T) {
-	d := smallGrid(t, 9, nil)
+	d := smallGrid(9, Profile{})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -169,7 +217,7 @@ func TestCrashRecoverCycle(t *testing.T) {
 // sequence numbering can be silently deduped (see the mac conformance
 // reboot tests for the frame-level mechanism).
 func TestRecoverResetsNeighborState(t *testing.T) {
-	d := smallGrid(t, 9, nil)
+	d := smallGrid(9, Profile{})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -235,7 +283,7 @@ func TestRecoverResetsNeighborState(t *testing.T) {
 // time, and the endpoint holds no pending/awaiting entries across the
 // reboot.
 func TestCrashResetsCoAPExchanges(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) { c.WithCoAP = true })
+	d := smallGrid(9, Profile{WithCoAP: true})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -288,7 +336,7 @@ func TestCrashResetsCoAPExchanges(t *testing.T) {
 // after the retransmission budget — it neither hangs nor leaks a pending
 // entry at the sender.
 func TestPendingCONToCrashedNodeTimesOutCleanly(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) { c.WithCoAP = true })
+	d := smallGrid(9, Profile{WithCoAP: true})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -313,7 +361,7 @@ func TestPendingCONToCrashedNodeTimesOutCleanly(t *testing.T) {
 }
 
 func TestFaultInjectorIntegration(t *testing.T) {
-	d := smallGrid(t, 4, nil)
+	d := smallGrid(4, Profile{})
 	ledger := fault.NewLedger(0)
 	inj := fault.NewInjector(d.K, d.M, d, ledger)
 	inj.CrashAt(30*time.Second, 2)
@@ -329,9 +377,7 @@ func TestFaultInjectorIntegration(t *testing.T) {
 }
 
 func TestRNFDIntegration(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) {
-		c.RNFD = &rpl.RNFDConfig{SuspectTimeout: 25 * time.Second, Quorum: 2}
-	})
+	d := smallGrid(9, Profile{RNFD: &rpl.RNFDConfig{SuspectTimeout: 25 * time.Second, Quorum: 2}})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -352,20 +398,29 @@ func TestRNFDIntegration(t *testing.T) {
 }
 
 func TestBackendPublish(t *testing.T) {
-	d := smallGrid(t, 4, func(c *Config) { c.WithBackend = true })
+	stack := uniformStack(11, radio.GridTopology(4, 15), Profile{})
+	stack.WithBackend = true
+	d := NewStack(stack)
 	defer d.Close()
 	obs := observationFixture()
 	if err := d.PublishObservation(obs); err != nil {
 		t.Fatal(err)
 	}
-	// Storage tier.
-	s := d.TSDB.Series("obs/press-1/temp")
-	if s.Len() != 1 {
-		t.Fatalf("series len = %d", s.Len())
+	// Storage tier: one series per topic, listed in sorted order.
+	s := d.Series("obs/press-1/temp")
+	if s.Len() != 1 || s != d.Series("obs/press-1/temp") {
+		t.Fatalf("series len = %d, or its identity is unstable", s.Len())
 	}
 	p, _ := s.Last()
 	if p.V != 36.5 {
 		t.Fatalf("stored %v", p.V)
+	}
+	obs.Cap = "rpm"
+	if err := d.PublishObservation(obs); err != nil {
+		t.Fatal(err)
+	}
+	if names := d.SeriesNames(); len(names) != 2 || names[0] != "obs/press-1/rpm" || names[1] != "obs/press-1/temp" {
+		t.Fatalf("SeriesNames = %v", names)
 	}
 	// Application tier: retained message replays to a late subscriber.
 	got := make(chan string, 1)
@@ -388,20 +443,15 @@ func TestBackendPublish(t *testing.T) {
 }
 
 func TestDeploymentWithoutBackendRejectsPublish(t *testing.T) {
-	d := smallGrid(t, 4, nil)
+	d := smallGrid(4, Profile{})
 	if err := d.PublishObservation(observationFixture()); err == nil {
 		t.Fatal("publish without backend accepted")
 	}
 }
 
 func TestLPLDeploymentConverges(t *testing.T) {
-	cfg := Config{
-		Seed:     13,
-		Topology: radio.GridTopology(9, 15),
-		MAC:      MACLPL,
-	}
-	cfg.LPL.WakeInterval = 250 * time.Millisecond
-	d := NewDeployment(cfg)
+	d := NewStack(uniformStack(13, radio.GridTopology(9, 15),
+		Profile{MAC: MACLPL, LPL: mac.LPLConfig{WakeInterval: 250 * time.Millisecond}}))
 	ok, _ := d.RunUntilConverged(5 * time.Minute)
 	if !ok {
 		for i, n := range d.Nodes {
@@ -422,13 +472,8 @@ func TestLPLDeploymentConverges(t *testing.T) {
 }
 
 func TestRIMACDeploymentConverges(t *testing.T) {
-	cfg := Config{
-		Seed:     17,
-		Topology: radio.GridTopology(9, 15),
-		MAC:      MACRIMAC,
-	}
-	cfg.RIMAC.BeaconInterval = 250 * time.Millisecond
-	d := NewDeployment(cfg)
+	d := NewStack(uniformStack(17, radio.GridTopology(9, 15),
+		Profile{MAC: MACRIMAC, RIMAC: mac.RIMACConfig{BeaconInterval: 250 * time.Millisecond}}))
 	ok, _ := d.RunUntilConverged(5 * time.Minute)
 	if !ok {
 		for i, n := range d.Nodes {
@@ -458,7 +503,7 @@ func TestEmptyTopologyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDeployment(Config{})
+	NewStack(uniformStack(1, nil, Profile{}))
 }
 
 func observationFixture() registry.Observation {
@@ -472,10 +517,12 @@ func observationFixture() registry.Observation {
 }
 
 func ExampleDeployment() {
-	d := NewDeployment(Config{Seed: 1, Topology: radio.GridTopology(4, 10)})
+	d := NewStack(Stack{
+		Seed:     1,
+		Profiles: []Profile{{Name: DefaultProfile}},
+		Topology: Uniform(DefaultProfile, radio.GridTopology(4, 10)),
+	})
 	ok, _ := d.RunUntilConverged(time.Minute)
 	fmt.Println("converged:", ok)
 	// Output: converged: true
 }
-
-var _ = store.Point{} // storage-tier type used via the TSDB assertions

@@ -5,8 +5,7 @@
 // builder that makes such fleets expressible: a Profile describes one
 // device class, a Topology binds every node position to a profile, and
 // NewStack composes each node's per-layer stack (radio → MAC → link →
-// RPL → agg/CoAP) through replaceable Factories. The flat single-class
-// Config in deployment.go is a thin shim over this builder.
+// RPL → agg/CoAP) through replaceable Factories.
 package core
 
 import (
@@ -30,8 +29,8 @@ import (
 	"iiotds/internal/trace"
 )
 
-// DefaultProfile is the name Config.Stack gives its single expanded
-// profile.
+// DefaultProfile is the conventional name for the single profile of a
+// homogeneous stack (one Profile, bound to every position by Uniform).
 const DefaultProfile = "default"
 
 // Profile describes one device class: the MAC discipline and its tuning,
@@ -76,7 +75,7 @@ type NodeSpec struct {
 type Topology []NodeSpec
 
 // Uniform binds every position to the same profile — the homogeneous
-// special case the flat Config expands to.
+// special case.
 func Uniform(profile string, positions radio.Topology) Topology {
 	t := make(Topology, len(positions))
 	for i, pos := range positions {
@@ -339,10 +338,10 @@ func NewStack(cfg Stack) *Deployment {
 		// read the virtual clock), which is single-threaded by
 		// construction, and inline delivery keeps the whole deployment
 		// deterministic (DESIGN.md §5).
-		d.Bus = bus.NewSyncBroker()
+		d.Bus = bus.NewBroker()
 		d.Bus.UseRegistry(reg)
 		d.Bus.SetTrace(d.Trace)
-		d.TSDB = store.NewTSDB(4096)
+		d.series = make(map[string]*store.SeriesEngine)
 		d.Registry = registry.New()
 	}
 

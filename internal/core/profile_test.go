@@ -111,39 +111,6 @@ func TestFactoriesInterpose(t *testing.T) {
 	}
 }
 
-// TestConfigStackExpansion checks the compat shim: a flat Config expands
-// to exactly one profile bound uniformly to the topology.
-func TestConfigStackExpansion(t *testing.T) {
-	cfg := Config{
-		Seed:     3,
-		Topology: radio.GridTopology(4, 15),
-		MAC:      MACLPL,
-		LPL:      mac.LPLConfig{WakeInterval: time.Second},
-		Tenant:   "acme",
-		Channel:  4,
-		WithCoAP: true,
-	}
-	s := cfg.Stack()
-	if len(s.Profiles) != 1 || s.Profiles[0].Name != DefaultProfile {
-		t.Fatalf("expanded to %d profiles (first %q)", len(s.Profiles), s.Profiles[0].Name)
-	}
-	p := s.Profiles[0]
-	if p.MAC != MACLPL || p.Tenant != "acme" || p.Channel != 4 || !p.WithCoAP {
-		t.Fatalf("profile dropped Config fields: %+v", p)
-	}
-	if len(s.Topology) != 4 {
-		t.Fatalf("topology has %d specs, want 4", len(s.Topology))
-	}
-	for i, spec := range s.Topology {
-		if spec.Profile != DefaultProfile {
-			t.Fatalf("spec %d bound to %q", i, spec.Profile)
-		}
-		if spec.Pos != cfg.Topology[i] {
-			t.Fatalf("spec %d lost its position", i)
-		}
-	}
-}
-
 func TestTopologyPositionsRoundTrip(t *testing.T) {
 	pos := radio.GridTopology(9, 10)
 	topo := Uniform("x", pos)

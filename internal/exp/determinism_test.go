@@ -153,8 +153,10 @@ func TestChurnDeterminism(t *testing.T) {
 	// with two churn engines that differ only in seed and compare the
 	// crash timelines from the fault-layer trace events.
 	schedule := func(seed int64) []string {
-		d := core.NewDeployment(core.Config{
-			Seed: 42, Topology: radio.GridTopology(9, 15),
+		d := core.NewStack(core.Stack{
+			Seed:          42,
+			Profiles:      []core.Profile{{Name: core.DefaultProfile}},
+			Topology:      core.Uniform(core.DefaultProfile, radio.GridTopology(9, 15)),
 			TraceCapacity: 1 << 14,
 		})
 		d.RunUntilConverged(3 * time.Minute)
@@ -238,9 +240,9 @@ func TestShardWorkerInvariance(t *testing.T) {
 	if seq != par {
 		t.Fatalf("E15 at 4 shard workers differs from 1:\n--- 1 ---\n%s\n--- 4 ---\n%s", seq, par)
 	}
-	SetSpatialIndex(false)
+	e15BruteForce = true
 	brute := render(r.Run(Quick))
-	SetSpatialIndex(true)
+	e15BruteForce = false
 	if brute != seq {
 		t.Fatalf("E15 with brute-force fan-out differs from indexed:\n--- indexed ---\n%s\n--- brute ---\n%s", seq, brute)
 	}

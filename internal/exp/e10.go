@@ -22,9 +22,12 @@ type e10Run struct {
 // overhead, kills `kills` non-root nodes at once, and measures the time
 // until every survivor is joined again.
 func runE10(tr *Trial, n int, seed int64, trickle rpl.TrickleConfig, kills []int, observe time.Duration) e10Run {
-	cfg := core.Config{Seed: seed, Topology: radio.GridTopology(n, 15)}
-	cfg.Router.Trickle = trickle
-	d := core.NewDeployment(cfg)
+	d := core.NewStack(core.Stack{
+		Seed:     seed,
+		Router:   rpl.Config{Trickle: trickle},
+		Profiles: []core.Profile{{Name: core.DefaultProfile}},
+		Topology: core.Uniform(core.DefaultProfile, radio.GridTopology(n, 15)),
+	})
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
 	d.RunUntilConverged(3 * time.Minute)

@@ -13,32 +13,24 @@ import (
 )
 
 // E15 runs one deployment across several simulation kernels (the
-// DESIGN.md §9 sharded engine) instead of fanning trials. Two
-// process-wide knobs configure the engine without touching results:
+// DESIGN.md §9 sharded engine) instead of fanning trials. One
+// process-wide knob configures the engine without touching results:
 // the worker count is pure execution policy (byte-identical tables at
-// any setting — the CI shards-1-vs-4 gate), and the spatial-index
-// switch selects the O(neighbors) cell-grid fan-out or the O(N)
-// brute-force scan (identical results, different wall time — the
-// BENCH_spatial.json baseline).
+// any setting — the CI shards-1-vs-4 gate).
 
 // shardWorkers is the worker-thread count for sharded experiments;
 // <= 0 means one worker per stripe.
 var shardWorkers = 0
 
-// spatialIndex selects the cell-grid fan-out (true, default) or the
-// brute-force O(N) scan.
-var spatialIndex = true
+// e15BruteForce runs E15 on the radio's reference O(N) scan instead of
+// the cell grid. Only the determinism test sets it, to check the table
+// against the oracle.
+var e15BruteForce = false
 
 // SetShardWorkers sets how many OS threads a sharded experiment fans
 // its stripes across. n <= 0 restores the default (one per stripe).
 // Execution policy only: tables are byte-identical at any setting.
 func SetShardWorkers(n int) { shardWorkers = n }
-
-// SetSpatialIndex selects the radio fan-out implementation: the
-// cell-grid index (true, default) or the brute-force O(N) scan used as
-// the before/after benchmark baseline. Results are identical either
-// way; only nodes-simulated-per-wall-second changes.
-func SetSpatialIndex(on bool) { spatialIndex = on }
 
 // e15Stripes is the stripe count — a MODEL parameter (it decides which
 // frames cross a shard barrier), fixed so every E15 row names one
@@ -90,7 +82,7 @@ func runE15(tr *Trial, p e15Params) e15Run {
 	}, e15Stripes)
 	sd := b.D
 	sd.G.SetWorkers(e15Workers())
-	if !spatialIndex {
+	if e15BruteForce {
 		for _, sh := range sd.Shards {
 			sh.M.SetBruteForce(true)
 		}
@@ -207,7 +199,7 @@ func E15CityScale(s Scale) *Table {
 		return runE15(tr, p)
 	})
 	t.Stats = rs
-	t.Note("engine", fmt.Sprintf("stripes=%d workers=%d spatial_index=%v", e15Stripes, e15Workers(), spatialIndex))
+	t.Note("engine", fmt.Sprintf("stripes=%d workers=%d", e15Stripes, e15Workers()))
 	for _, r := range rows {
 		t.AddRow(di(r.nodes), di(e15Stripes),
 			fmt.Sprintf("%v", r.converged),

@@ -24,11 +24,15 @@ type e5Result struct {
 // runE5 builds an n-node grid, kills the root at killAt, and measures how
 // the chosen detector spreads awareness.
 func runE5(tr *Trial, n int, seed int64, useRNFD bool, probeEvery time.Duration, suspectTimeout time.Duration, observe time.Duration) e5Result {
-	cfg := core.Config{Seed: seed, Topology: radio.GridTopology(n, 15)}
+	p := core.Profile{Name: core.DefaultProfile}
 	if useRNFD {
-		cfg.RNFD = &rpl.RNFDConfig{SuspectTimeout: suspectTimeout, Quorum: 2}
+		p.RNFD = &rpl.RNFDConfig{SuspectTimeout: suspectTimeout, Quorum: 2}
 	}
-	d := core.NewDeployment(cfg)
+	d := core.NewStack(core.Stack{
+		Seed:     seed,
+		Profiles: []core.Profile{p},
+		Topology: core.Uniform(core.DefaultProfile, radio.GridTopology(n, 15)),
+	})
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
 	d.RunUntilConverged(3 * time.Minute)

@@ -10,7 +10,6 @@ import (
 	"iiotds/internal/core"
 	"iiotds/internal/radio"
 	"iiotds/internal/registry"
-	"iiotds/internal/store"
 )
 
 // F1ThreeTier exercises Fig. 1 end to end as one coherent system: a
@@ -37,10 +36,10 @@ func F1ThreeTier(s Scale) *Table {
 }
 
 func runF1(tr *Trial, rounds int) *Table {
-	d := core.NewDeployment(core.Config{
+	d := core.NewStack(core.Stack{
 		Seed:        1201,
-		Topology:    radio.GridTopology(16, 15),
-		WithCoAP:    true,
+		Profiles:    []core.Profile{{Name: core.DefaultProfile, WithCoAP: true}},
+		Topology:    core.Uniform(core.DefaultProfile, radio.GridTopology(16, 15)),
 		WithBackend: true,
 	})
 	tr.Observe(d.K)
@@ -142,7 +141,7 @@ func runF1(tr *Trial, rounds int) *Table {
 			fmt.Sprintf("%.2f s", lat.Seconds()))
 	}
 
-	series := d.TSDB.Series("obs/leaf-15/temp")
+	series := d.Series("obs/leaf-15/temp")
 	mean := time.Duration(0)
 	if okRounds > 0 {
 		mean = latSum / time.Duration(okRounds)
@@ -150,6 +149,5 @@ func runF1(tr *Trial, rounds int) *Table {
 	t.Finding = fmt.Sprintf(
 		"%d/%d closed loops completed across all three tiers, mean sense→actuate latency %.2f s (virtual); storage tier recorded %d samples",
 		okRounds, rounds, mean.Seconds(), series.Len())
-	_ = store.Point{}
 	return t
 }

@@ -19,6 +19,22 @@ func (t *sinkTransport) SetReceiver(fn func(from string, data []byte)) { t.recv 
 func (t *sinkTransport) LocalAddr() string                             { return "gw" }
 func (t *sinkTransport) Close() error                                  { return nil }
 
+// observeDatagram is one registration (Observe=0) GET for path. Every
+// observer shares its token: registry keys are (address, token), so
+// distinct addresses alone keep observers distinct.
+func observeDatagram(path string) []byte {
+	m := &coap.Message{Type: coap.NonConfirmable, Code: coap.CodeGET, Token: []byte{0x5e, 0xed}, MessageID: 0x5e5e}
+	m.AddUintOption(coap.OptObserve, 0)
+	m.SetPath(path)
+	data, err := m.Marshal()
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+func observerAddr(i int) string { return "o" + fmt.Sprint(i) }
+
 // benchGateway builds a gateway with n registered observers on one
 // resource, using the inline (synchronous) notify path so the benchmark
 // measures fan-out work, not goroutine scheduling.
@@ -29,7 +45,7 @@ func benchGateway(b *testing.B, n int, inline bool) *Gateway {
 	gw := New(conn, Config{MaxObservers: n, ConfirmEvery: -1, Inline: inline})
 	gw.AddResource("bench", "bench", nil)
 	gw.Publish("bench", coap.FormatText, []byte("warm"))
-	reg := observeDatagram("bench", true)
+	reg := observeDatagram("bench")
 	for i := 0; i < n; i++ {
 		tr.recv(observerAddr(i), reg)
 	}
@@ -47,7 +63,8 @@ func benchGateway(b *testing.B, n int, inline bool) *Gateway {
 // iteration across observer populations, on the inline (deterministic)
 // path — the sim's sequential gather-sort-send loop. The pooled path's
 // per-observer cost is gated separately (the coap package's zero-alloc
-// hot-path test) and measured end to end by the swarm benchmark.
+// hot-path test) and measured end to end by the gw-fanout workload of
+// ./benchmark.
 func BenchmarkNotifyFanOut(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("observers=%d", n), func(b *testing.B) {
@@ -73,7 +90,7 @@ func BenchmarkObserverRegistration(b *testing.B) {
 	defer gw.Close()
 	gw.AddResource("bench", "bench", nil)
 	gw.Publish("bench", coap.FormatText, []byte("warm"))
-	reg := observeDatagram("bench", true)
+	reg := observeDatagram("bench")
 	addrs := make([]string, 1<<16)
 	for i := range addrs {
 		addrs[i] = observerAddr(i)

@@ -309,50 +309,3 @@ func TestHTTPServerHasTimeouts(t *testing.T) {
 		t.Fatalf("missing timeouts: %+v", s)
 	}
 }
-
-// TestSwarmLifecycle runs a small swarm end to end: register, notify,
-// deregister, and the leak check. This is the scaled-down version of the
-// BENCH_gateway.json run and the CI smoke.
-func TestSwarmLifecycle(t *testing.T) {
-	res, err := RunSwarm(SwarmConfig{
-		Observers:    2000,
-		Resources:    4,
-		NotifyRounds: 3,
-	})
-	if err != nil {
-		t.Fatalf("swarm: %v (result %+v)", err, res)
-	}
-	if res.Registered != 2000 {
-		t.Fatalf("registered = %d", res.Registered)
-	}
-	if want := int64(2000 * 3); res.Delivered != want {
-		t.Fatalf("delivered = %d, want %d", res.Delivered, want)
-	}
-	if res.NotifyDrops != 0 {
-		t.Fatalf("drops = %d", res.NotifyDrops)
-	}
-	if res.LeakedObservers != 0 {
-		t.Fatalf("leaked observers after deregister storm = %d", res.LeakedObservers)
-	}
-	if res.P99ms <= 0 || res.MaxMs < res.P99ms || res.P99ms < res.P50ms {
-		t.Fatalf("implausible latencies: %+v", res)
-	}
-}
-
-// TestSwarmConfirmableRounds drives the CON cadence through the swarm:
-// every notification is confirmable and the transport ACKs each one, so
-// no observer may be dropped as dead.
-func TestSwarmConfirmableRounds(t *testing.T) {
-	res, err := RunSwarm(SwarmConfig{
-		Observers:    300,
-		Resources:    2,
-		NotifyRounds: 2,
-		ConfirmEvery: 1,
-	})
-	if err != nil {
-		t.Fatalf("swarm: %v", err)
-	}
-	if res.LeakedObservers != 0 || res.Delivered != 600 {
-		t.Fatalf("CON swarm result: %+v", res)
-	}
-}

@@ -1,3 +1,8 @@
+// Package store is the data-storage tier of the three-layer architecture
+// (Fig. 1): a segment-encoded time-series engine for telemetry and a
+// hash-partitioned replicated store over it that runs each shard in CP
+// (quorum) or AP (CRDT) mode — the two ends of the CAP trade-off §V-C
+// analyzes for always-on industrial systems.
 package store
 
 import (
@@ -7,6 +12,12 @@ import (
 	"sync"
 	"time"
 )
+
+// Point is one telemetry sample.
+type Point struct {
+	T time.Duration // virtual or wall time since start
+	V float64
+}
 
 // SeriesEngine is the append-optimized storage engine for one series:
 // an open head of raw points and a list of immutable closed Segments
@@ -23,9 +34,9 @@ import (
 // preserved among equal timestamps. Out-of-order arrivals are counted
 // (OutOfOrder) and placed by timestamp, not arrival.
 //
-// Concurrency: guarded by a mutex like Series, so the engine is safe
-// under the CoAP/socket paths; in the single-kernel emulation the lock
-// is uncontended.
+// Concurrency: guarded by a mutex, so the engine is safe under the
+// CoAP/socket paths; in the single-kernel emulation the lock is
+// uncontended.
 type SeriesEngine struct {
 	mu      sync.Mutex
 	segSize int

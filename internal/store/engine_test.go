@@ -5,6 +5,36 @@ import (
 	"time"
 )
 
+func TestSeriesAppendAndLast(t *testing.T) {
+	e := NewSeriesEngine(2) // the second append closes a segment: Last must not depend on the head
+	if _, ok := e.Last(); ok {
+		t.Fatal("empty series has a last point")
+	}
+	for i := 1; i <= 3; i++ {
+		e.Append(Point{T: secs(i), V: float64(i)})
+		if last, ok := e.Last(); !ok || last.V != float64(i) {
+			t.Fatalf("after %d appends Last = %+v, %v", i, last, ok)
+		}
+	}
+	if e.Len() != 3 || e.Total() != 3 {
+		t.Fatalf("Len/Total = %d/%d", e.Len(), e.Total())
+	}
+}
+
+func TestSeriesOutOfOrderDetected(t *testing.T) {
+	e := NewSeriesEngine(0)
+	e.Append(Point{T: secs(1), V: 1})
+	e.Append(Point{T: secs(3), V: 3})
+	e.Append(Point{T: secs(2), V: 2}) // late
+	e.Append(Point{T: secs(3), V: 3.5})
+	if e.OutOfOrder() != 1 {
+		t.Fatalf("OutOfOrder = %d, want 1 (equal timestamps are in order)", e.OutOfOrder())
+	}
+	if e.Total() != 4 || e.Len() != 4 {
+		t.Fatalf("late sample dropped: Total=%d Len=%d", e.Total(), e.Len())
+	}
+}
+
 func TestEngineAppendRangeAcrossSegments(t *testing.T) {
 	e := NewSeriesEngine(4) // tiny segments: closes every 4 points
 	for i := 0; i < 10; i++ {

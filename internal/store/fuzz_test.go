@@ -73,6 +73,7 @@ func FuzzParseRPC(f *testing.F) {
 	}
 	extreme, _ := appendRPC(nil, &rpc{Kind: kindAppend, Key: "x", From: minTime, To: maxTime, Pts: extremePoints})
 	f.Add(extreme)
+	f.Add([]byte(jsonRPCFrame))                                                     // the retired JSON encoding: no magic byte
 	f.Add([]byte{rpcMagic, 5, 0, 1, 1, 0xff, 0xff, 0xff, 0x7f})                     // key length beyond the frame
 	f.Add([]byte{rpcMagic, 5, rpcFlagHasVal, 1, 1, 1, 'k', 0xff, 0xff, 0xff, 0x7f}) // value length beyond the frame
 	f.Add([]byte{rpcMagic, 5, 0, 1, 1, 1, 'k', 0, 0, 0xff, 0xff, 0x7f})             // point count beyond the frame

@@ -60,9 +60,6 @@ type ReplicaConfig struct {
 	QuorumTimeout time.Duration
 	// Gossip tunes AP anti-entropy.
 	Gossip gossip.Config
-	// Codec selects the CP wire encoding (default CodecBinary;
-	// CodecJSON is the debug option).
-	Codec Codec
 	// SegmentSize is the series-engine points-per-segment
 	// (0 = DefaultSegmentSize).
 	SegmentSize int
@@ -86,8 +83,8 @@ const (
 
 // versioned is a CP-mode stored value.
 type versioned struct {
-	Val []byte `json:"val"`
-	Ver uint64 `json:"ver"`
+	Val []byte
+	Ver uint64
 }
 
 // cpSeries is one CP-mode time series: version = accepted append
@@ -189,9 +186,9 @@ func (r *Replica) SetMergeHook(fn func(series string, added int)) {
 // quorum returns the majority size for the configured cluster.
 func (r *Replica) quorum() int { return r.cfg.ClusterSize/2 + 1 }
 
-// broadcast sends m to every peer under the configured codec.
+// broadcast sends m to every peer.
 func (r *Replica) broadcast(m *rpc) {
-	data, release, err := marshalRPC(r.cfg.Codec, m)
+	data, release, err := marshalRPC(m)
 	if err != nil {
 		return
 	}
@@ -201,9 +198,9 @@ func (r *Replica) broadcast(m *rpc) {
 	release()
 }
 
-// send sends m to one peer under the configured codec.
+// send sends m to one peer.
 func (r *Replica) send(to string, m *rpc) {
-	data, release, err := marshalRPC(r.cfg.Codec, m)
+	data, release, err := marshalRPC(m)
 	if err != nil {
 		return
 	}
@@ -458,7 +455,7 @@ func (r *Replica) timeoutOp(reqID uint64) {
 }
 
 func (r *Replica) onCPMessage(from string, data []byte) {
-	m, err := unmarshalRPC(data)
+	m, err := parseRPC(data)
 	if err != nil {
 		return
 	}

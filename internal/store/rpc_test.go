@@ -24,123 +24,116 @@ func rpcFixtures() []rpc {
 	}
 }
 
-func TestRPCRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		for _, m := range rpcFixtures() {
-			data, release, err := marshalRPC(codec, &m)
-			if err != nil {
-				t.Fatalf("%s %s: marshal: %v", codec, m.Kind, err)
-			}
-			got, err := unmarshalRPC(data)
-			release()
-			if err != nil {
-				t.Fatalf("%s %s: unmarshal: %v", codec, m.Kind, err)
-			}
-			// Normalize zero-length slices: JSON turns them into nil.
-			if len(m.Val) == 0 {
-				m.Val, got.Val = nil, nil
-			}
-			if len(m.Pts) == 0 {
-				m.Pts, got.Pts = nil, nil
-			}
-			if !reflect.DeepEqual(got, m) {
-				t.Fatalf("%s %s round-trip:\n got %+v\nwant %+v", codec, m.Kind, got, m)
-			}
+func TestRPCRoundTrip(t *testing.T) {
+	for _, m := range rpcFixtures() {
+		data, release, err := marshalRPC(&m)
+		if err != nil {
+			t.Fatalf("kind %d: marshal: %v", m.Kind, err)
+		}
+		got, err := parseRPC(data)
+		release()
+		if err != nil {
+			t.Fatalf("kind %d: parse: %v", m.Kind, err)
+		}
+		// Normalize zero-length slices: the parser returns them as nil.
+		if len(m.Val) == 0 {
+			m.Val, got.Val = nil, nil
+		}
+		if len(m.Pts) == 0 {
+			m.Pts, got.Pts = nil, nil
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("kind %d round-trip:\n got %+v\nwant %+v", m.Kind, got, m)
 		}
 	}
 }
 
+// Every frame is tagged with rpcMagic, and one that is not is rejected,
+// whatever else it may be — including a well-formed JSON rendering of
+// an RPC.
 func TestRPCBinaryFramesAreTagged(t *testing.T) {
 	m := rpc{Kind: kindWrite, ReqID: 1, Key: "k", Val: []byte("v")}
-	data, release, err := marshalRPC(CodecBinary, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] != rpcMagic {
-		t.Fatalf("binary frame starts with %#x, want %#x", data[0], rpcMagic)
-	}
-	release()
-	// JSON frames never start with the magic byte, so a mixed-codec
-	// cluster (debug session) still decodes every message.
-	data, release, err = marshalRPC(CodecJSON, &m)
+	data, release, err := marshalRPC(&m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	if data[0] == rpcMagic {
-		t.Fatal("JSON frame collides with the binary magic byte")
+	if data[0] != rpcMagic {
+		t.Fatalf("frame starts with %#x, want %#x", data[0], rpcMagic)
 	}
-	if _, err := unmarshalRPC(data); err != nil {
-		t.Fatalf("JSON frame rejected: %v", err)
+	for _, frame := range [][]byte{
+		nil,
+		[]byte(jsonRPCFrame),
+		append([]byte{rpcMagic ^ 0xff}, data[1:]...),
+	} {
+		if _, err := parseRPC(frame); err == nil {
+			t.Fatalf("frame %q accepted", frame)
+		}
 	}
 }
 
+// jsonRPCFrame is a write RPC in the JSON encoding replicas once also
+// accepted.
+const jsonRPCFrame = `{"kind":"write","req_id":1,"key":"k","val":"dg==","ver":3,"ok":false}`
+
 func TestRPCBinaryRejectsCorruptFrames(t *testing.T) {
 	m := rpc{Kind: kindAppend, ReqID: 3, Key: "s", Ver: 1, Pts: []Point{{T: 1, V: 1}}}
-	data, release, err := marshalRPC(CodecBinary, &m)
+	data, release, err := marshalRPC(&m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc := append([]byte(nil), data...)
 	release()
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := unmarshalRPC(enc[:cut]); err == nil {
+		if _, err := parseRPC(enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
-	if _, err := unmarshalRPC(append(enc, 0)); err == nil {
+	if _, err := parseRPC(append(enc, 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 	bad := append([]byte(nil), enc...)
 	bad[1] = 0xEE // unknown kind code
-	if _, err := unmarshalRPC(bad); err == nil {
+	if _, err := parseRPC(bad); err == nil {
 		t.Fatal("unknown kind code accepted")
 	}
 }
 
-// BenchmarkRPCCodec is the satellite before/after: the binary codec vs
-// the JSON marshalling the CP hot path used before this refactor.
+// BenchmarkRPCCodec times one encode + parse round trip of a 64-point
+// append.
 func BenchmarkRPCCodec(b *testing.B) {
-	pts := make([]Point, 64)
-	for i := range pts {
-		pts[i] = Point{T: time.Duration(i) * 50 * time.Millisecond, V: 20 + float64(i%5)*0.25}
-	}
-	m := rpc{Kind: kindAppend, ReqID: 42, Key: "plant/line3/temp", Ver: 900, Pts: pts}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		b.Run(codec.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, release, err := marshalRPC(codec, &m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := unmarshalRPC(data); err != nil {
-					b.Fatal(err)
-				}
-				release()
-			}
-		})
+	m := rpcBenchMessage()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		data, release, err := marshalRPC(&m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := parseRPC(data); err != nil {
+			b.Fatal(err)
+		}
+		release()
 	}
 }
 
 // BenchmarkRPCEncode isolates the send-side cost (the part the pooled
 // buffers eliminate).
 func BenchmarkRPCEncode(b *testing.B) {
+	m := rpcBenchMessage()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		data, release, err := marshalRPC(&m)
+		if err != nil || len(data) == 0 {
+			b.Fatal(err)
+		}
+		release()
+	}
+}
+
+func rpcBenchMessage() rpc {
 	pts := make([]Point, 64)
 	for i := range pts {
 		pts[i] = Point{T: time.Duration(i) * 50 * time.Millisecond, V: 20 + float64(i%5)*0.25}
 	}
-	m := rpc{Kind: kindAppend, ReqID: 42, Key: "plant/line3/temp", Ver: 900, Pts: pts}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		b.Run(codec.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, release, err := marshalRPC(codec, &m)
-				if err != nil || len(data) == 0 {
-					b.Fatal(err)
-				}
-				release()
-			}
-		})
-	}
+	return rpc{Kind: kindAppend, ReqID: 42, Key: "plant/line3/temp", Ver: 900, Pts: pts}
 }

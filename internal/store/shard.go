@@ -66,8 +66,6 @@ type ShardedConfig struct {
 	GossipInterval time.Duration
 	// Seed derives the per-replica gossip jitter seeds.
 	Seed int64
-	// Codec selects the replication wire encoding (default CodecBinary).
-	Codec Codec
 	// Rec, when set, receives LayerStore trace events.
 	Rec *trace.Recorder
 	// Metrics, when set, receives the store_* counters.
@@ -147,7 +145,6 @@ func NewSharded(sched clock.Scheduler, cfg ShardedConfig) *Sharded {
 			Mode:          policy.Mode,
 			ClusterSize:   policy.Replicas,
 			QuorumTimeout: cfg.QuorumTimeout,
-			Codec:         cfg.Codec,
 			SegmentSize:   cfg.SegmentSize,
 		}
 		for j := 0; j < policy.Replicas; j++ {

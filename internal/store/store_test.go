@@ -9,76 +9,6 @@ import (
 	"iiotds/internal/sim"
 )
 
-// --- time series ---
-
-func TestSeriesAppendAndLast(t *testing.T) {
-	s := NewSeries(4)
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series has a last point")
-	}
-	for i := 1; i <= 3; i++ {
-		s.Append(Point{T: time.Duration(i) * time.Second, V: float64(i)})
-	}
-	last, ok := s.Last()
-	if !ok || last.V != 3 {
-		t.Fatalf("Last = %+v", last)
-	}
-	if s.Len() != 3 || s.Total() != 3 {
-		t.Fatalf("Len/Total = %d/%d", s.Len(), s.Total())
-	}
-}
-
-func TestSeriesRingEviction(t *testing.T) {
-	s := NewSeries(3)
-	for i := 1; i <= 5; i++ {
-		s.Append(Point{T: time.Duration(i) * time.Second, V: float64(i)})
-	}
-	if s.Len() != 3 || s.Total() != 5 {
-		t.Fatalf("Len/Total = %d/%d", s.Len(), s.Total())
-	}
-	pts := s.Range(0, time.Hour)
-	if len(pts) != 3 || pts[0].V != 3 || pts[2].V != 5 {
-		t.Fatalf("Range = %+v", pts)
-	}
-	mean, ok := s.Mean()
-	if !ok || mean != 4 {
-		t.Fatalf("Mean = %v", mean)
-	}
-}
-
-func TestSeriesRangeBounds(t *testing.T) {
-	s := NewSeries(10)
-	for i := 0; i < 10; i++ {
-		s.Append(Point{T: time.Duration(i) * time.Second, V: float64(i)})
-	}
-	got := s.Range(3*time.Second, 6*time.Second)
-	if len(got) != 3 || got[0].V != 3 || got[2].V != 5 {
-		t.Fatalf("Range = %+v", got)
-	}
-}
-
-func TestSeriesZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSeries(0)
-}
-
-func TestTSDB(t *testing.T) {
-	db := NewTSDB(8)
-	db.Series("plant/temp").Append(Point{V: 20})
-	db.Series("plant/rpm").Append(Point{V: 900})
-	if db.Series("plant/temp") != db.Series("plant/temp") {
-		t.Fatal("series identity unstable")
-	}
-	names := db.Names()
-	if len(names) != 2 || names[0] != "plant/rpm" || names[1] != "plant/temp" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
 // --- replicated KV ---
 
 type cluster struct {

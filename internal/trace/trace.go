@@ -510,7 +510,7 @@ func (r *Recorder) Count(t Type) uint64 {
 }
 
 // defaultCapacity is the process-wide fallback ring capacity applied by
-// components (e.g. core.NewDeployment) whose configuration leaves the
+// components (e.g. core.NewStack) whose configuration leaves the
 // recorder capacity unset. 0 means tracing is off by default.
 var defaultCapacity atomic.Int64
 

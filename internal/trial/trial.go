@@ -76,7 +76,7 @@ func (t *Trial) ObserveTrace(rec *trace.Recorder) {
 // ObserveMedium attaches a flight recorder to a hand-built radio medium
 // and registers it with the trial, sized by trace.DefaultCapacity().
 // Experiments that assemble their own stack (rather than going through
-// core.NewDeployment) call this right after radio.NewMedium so their
+// core.NewStack) call this right after radio.NewMedium so their
 // MAC/radio events land in the sweep's trace summary. Returns nil — and
 // records nothing — when tracing is disabled, so the emit fast paths
 // stay allocation-free.
