@@ -54,8 +54,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit a JSON report (tables + kernel stats + wall times)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "trial worker goroutines per experiment (<=1 = sequential)")
 	shards := flag.Int("shards", 0, "worker threads the sharded experiments (E15) fan one deployment's stripes across (<=0 = one per stripe); tables are byte-identical at every setting")
-	storeShards := flag.Int("store-shards", 0, "shard count P for the storage-tier experiment's (E16) sharded rows (<=0 = default 8); a model parameter — rows change with it, deterministically")
-	storeMode := flag.String("store-mode", "", "restrict the storage-tier experiment (E16) to one replication mode (cp or ap); empty = both")
 	events := flag.String("events", "", "enable the flight recorder and write every trial's events (JSONL) to this file")
 	eventsCap := flag.Int("events-capacity", 1<<16, "flight-recorder ring capacity per trial (giving it explicitly turns recording on even without -events)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -75,12 +73,6 @@ func run() int {
 
 	exp.SetParallelism(*parallel)
 	exp.SetShardWorkers(*shards)
-	if *storeMode != "" && *storeMode != "cp" && *storeMode != "ap" {
-		fmt.Fprintf(os.Stderr, "iiotbench: unknown store mode %q (want cp or ap)\n", *storeMode)
-		return 2
-	}
-	exp.SetStoreShards(*storeShards)
-	exp.SetStoreMode(*storeMode)
 
 	var runners []exp.Runner
 	if *only == "" {

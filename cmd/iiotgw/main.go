@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"iiotds/internal/adapter"
+	"iiotds/internal/clock"
 	"iiotds/internal/coap"
 	"iiotds/internal/gateway"
 	"iiotds/internal/metrics"
@@ -121,7 +122,7 @@ func runGateway(o gwOptions) {
 		fmt.Fprintf(os.Stderr, "iiotgw: %v\n", err)
 		os.Exit(1)
 	}
-	conn := coap.NewConn(tr, &coap.SystemScheduler{}, coap.ConnConfig{})
+	conn := coap.NewConn(tr, &clock.System{}, coap.ConnConfig{})
 	defer conn.Close()
 
 	mreg := metrics.NewRegistry()
@@ -261,7 +262,7 @@ func runProbe(addr string) {
 		fmt.Fprintf(os.Stderr, "iiotgw: %v\n", err)
 		os.Exit(1)
 	}
-	conn := coap.NewConn(tr, &coap.SystemScheduler{}, coap.ConnConfig{})
+	conn := coap.NewConn(tr, &clock.System{}, coap.ConnConfig{})
 	defer conn.Close()
 
 	get := func(path string) string {

@@ -128,23 +128,19 @@ func main() {
 	}
 
 	if *shards > 1 {
-		if *traceOut != "" || *query {
-			fmt.Fprintln(os.Stderr, "iiotsim: -shards does not support -trace-out or -query (run with -query=false)")
+		if *traceOut != "" || *metricsOut != "" || *query {
+			fmt.Fprintln(os.Stderr, "iiotsim: -shards does not support -trace-out, -metrics-out or -query (run with -query=false)")
 			os.Exit(2)
 		}
 		if *storeShards > 0 {
 			fmt.Fprintln(os.Stderr, "iiotsim: -store-shards needs the single-kernel engine (drop -shards)")
 			os.Exit(2)
 		}
-		runSharded(stack, *shards, *nodes, *kills, *duration)
-		return
 	}
-
 	if *traceOut != "" {
 		stack.TraceCapacity = *traceCap
 	}
 
-	d := core.NewStack(stack)
 	if *profiles != "" {
 		fmt.Printf("deployment: %d nodes, %s topology, profiles %s (cycled), seed %d\n",
 			*nodes, *topology, strings.Join(classes, ","), *seed)
@@ -153,33 +149,56 @@ func main() {
 			*nodes, *topology, *macKind, *seed)
 	}
 
-	ok, took := d.RunUntilConverged(5 * time.Minute)
+	// One fleet on either engine: d on a single kernel, or sd with the
+	// plane cut into vertical slabs, each simulated by its own kernel and
+	// synchronized at lookahead barriers (DESIGN.md §9). The run below is
+	// written once against what the two share; it names d only for the
+	// options the checks above restrict to the single-kernel engine.
+	var (
+		d     *core.Deployment
+		sd    *core.ShardedDeployment
+		fleet interface {
+			fault.Target
+			RunUntilConverged(time.Duration) (bool, time.Duration)
+			ConvergedFraction() float64
+		}
+		fleetNodes []*core.Node
+		clk        interface { // the time driver
+			fault.Sched
+			RunFor(sim.Time)
+		}
+		ctl     fault.MediumCtl
+		stripes []*core.Shard // per-stripe substrates; a single kernel is one stripe
+	)
+	if *shards > 1 {
+		sd = core.NewShardedStack(stack, *shards)
+		fleet, fleetNodes, clk, ctl, stripes = sd, sd.Nodes, sd.G, sd, sd.Shards
+		fmt.Printf("engine: %s\n", sd)
+	} else {
+		d = core.NewStack(stack)
+		fleet, fleetNodes, clk, ctl = d, d.Nodes, d.K, d.M
+		stripes = []*core.Shard{{K: d.K, M: d.M, Reg: d.Reg}}
+	}
+
+	ok, took := fleet.RunUntilConverged(5 * time.Minute)
 	if !ok {
-		fmt.Println("WARNING: DODAG did not fully converge within 5 virtual minutes")
+		fmt.Printf("WARNING: DODAG did not fully converge within 5 virtual minutes (%.1f%% joined)\n",
+			100*fleet.ConvergedFraction())
 	} else {
 		fmt.Printf("DODAG converged in %v (virtual)\n", took)
 	}
 
-	// Fault schedule.
+	// Fault schedule. On the sharded engine the crashes run on the
+	// group's control timeline, so -kill works across stripe boundaries.
 	if *kills != "" {
-		inj := fault.NewInjector(d.K, d.M, d, fault.NewLedger(d.K.Now()))
+		inj := fault.NewInjector(clk, ctl, fleet, fault.NewLedger(clk.Now()))
 		for _, spec := range strings.Split(*kills, ",") {
-			parts := strings.SplitN(strings.TrimSpace(spec), "@", 2)
-			if len(parts) != 2 {
-				fmt.Fprintf(os.Stderr, "iiotsim: bad kill spec %q (want node@time)\n", spec)
-				os.Exit(2)
-			}
-			id, err := strconv.Atoi(parts[0])
-			if err != nil || id <= 0 || id >= *nodes {
-				fmt.Fprintf(os.Stderr, "iiotsim: bad node in %q\n", spec)
-				os.Exit(2)
-			}
-			at, err := time.ParseDuration(parts[1])
+			id, at, err := parseKill(spec, *nodes)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "iiotsim: bad time in %q\n", spec)
+				fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
 				os.Exit(2)
 			}
-			inj.CrashAt(d.K.Now()+at, radio.NodeID(id))
+			inj.CrashAt(clk.Now()+at, id)
 			fmt.Printf("fault: node %d crashes at +%v\n", id, at)
 		}
 	}
@@ -257,29 +276,43 @@ func main() {
 			*storeShards, mode, *nodes-1, *epoch)
 	}
 
-	d.K.RunFor(*duration)
+	clk.RunFor(*duration)
 
-	// Report.
+	// Report: one census for both engines, counters summed over stripes.
 	fmt.Println("\n--- summary ---")
 	joined := 0
-	for _, n := range d.Nodes {
+	for _, n := range fleetNodes {
 		if n.Up() && !n.Router.Partitioned() {
 			joined++
 		}
 	}
 	fmt.Printf("nodes joined at end: %d/%d\n", joined, *nodes)
+	total := func(counter string) (sum float64) {
+		for _, sh := range stripes {
+			sum += sh.Reg.Counter(counter).Value()
+		}
+		return sum
+	}
 	fmt.Printf("radio: tx=%0.f frames, rx=%0.f frames, collisions=%0.f\n",
-		d.Reg.Counter("radio.tx_frames").Value(),
-		d.Reg.Counter("radio.rx_frames").Value(),
-		d.Reg.Counter("radio.collisions").Value())
+		total("radio.tx_frames"), total("radio.rx_frames"), total("radio.collisions"))
 	fmt.Printf("routing: %0.f DIOs, %0.f DAOs, %0.f parent switches, %0.f datagrams forwarded\n",
-		d.Reg.Counter("rpl.dio_sent").Value(),
-		d.Reg.Counter("rpl.dao_sent").Value(),
-		d.Reg.Counter("rpl.parent_switches").Value(),
-		d.Reg.Counter("rpl.datagrams_forwarded").Value())
-	worst, joules := d.M.Energy().MaxTotalJoules()
+		total("rpl.dio_sent"), total("rpl.dao_sent"), total("rpl.parent_switches"), total("rpl.datagrams_forwarded"))
+	joules, worstJoules := 0.0, -1.0
+	var worst radio.NodeID
+	for _, sh := range stripes {
+		for _, id := range sh.M.NodeIDs() {
+			j := sh.M.Energy().Ledger(int(id)).TotalJoules()
+			joules += j
+			if j > worstJoules {
+				worst, worstJoules = id, j
+			}
+		}
+	}
 	fmt.Printf("energy: mean %.2f J/node, worst node %d at %.2f J\n",
-		d.M.Energy().MeanTotalJoules(), worst, joules)
+		joules/float64(*nodes), worst, worstJoules)
+	if sd != nil {
+		fmt.Printf("sync: %d windows, %d cross-stripe handoffs\n", sd.G.Windows(), sd.G.Handoffs())
+	}
 	if st != nil {
 		// Stop producing, then let in-flight frames land, the final batch
 		// ack, and AP anti-entropy finish a round.
@@ -312,56 +345,6 @@ func main() {
 		}
 		fmt.Printf("metrics: Prometheus-text snapshot in %s\n", *metricsOut)
 	}
-}
-
-// runSharded runs the flag-built deployment on the sharded multi-kernel
-// engine: the plane is cut into vertical slabs, each slab simulated by
-// its own kernel, synchronized at lookahead barriers (DESIGN.md §9).
-// Faults are injected through the group's control timeline, so -kill
-// works across stripe boundaries.
-func runSharded(stack core.Stack, stripes, nodes int, kills string, duration time.Duration) {
-	sd := core.NewShardedStack(stack, stripes)
-	fmt.Printf("engine: %s\n", sd)
-
-	ok, took := sd.RunUntilConverged(5 * time.Minute)
-	if !ok {
-		fmt.Printf("WARNING: DODAG did not fully converge within 5 virtual minutes (%.1f%% joined)\n",
-			100*sd.ConvergedFraction())
-	} else {
-		fmt.Printf("DODAG converged in %v (virtual)\n", took)
-	}
-
-	if kills != "" {
-		inj := fault.NewInjector(sd.G, sd, sd, fault.NewLedger(sd.G.Now()))
-		for _, spec := range strings.Split(kills, ",") {
-			id, at, err := parseKill(spec, nodes)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
-				os.Exit(2)
-			}
-			inj.CrashAt(sd.G.Now()+at, id)
-			fmt.Printf("fault: node %d crashes at +%v\n", id, at)
-		}
-	}
-
-	sd.G.RunFor(duration)
-
-	fmt.Println("\n--- summary ---")
-	joined := 0
-	for _, n := range sd.Nodes {
-		if n.Up() && !n.Router.Partitioned() {
-			joined++
-		}
-	}
-	fmt.Printf("nodes joined at end: %d/%d\n", joined, nodes)
-	var tx, rx, coll float64
-	for _, sh := range sd.Shards {
-		tx += sh.Reg.Counter("radio.tx_frames").Value()
-		rx += sh.Reg.Counter("radio.rx_frames").Value()
-		coll += sh.Reg.Counter("radio.collisions").Value()
-	}
-	fmt.Printf("radio (all stripes): tx=%0.f frames, rx=%0.f frames, collisions=%0.f\n", tx, rx, coll)
-	fmt.Printf("sync: %d windows, %d cross-stripe handoffs\n", sd.G.Windows(), sd.G.Handoffs())
 }
 
 // parseKill parses one node@time fault spec.

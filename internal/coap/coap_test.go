@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"iiotds/internal/clock"
 	"iiotds/internal/sim"
 )
 
@@ -182,7 +183,7 @@ func newWorld() *world {
 
 func (w *world) endpoint(addr string, cfg ConnConfig) (*Conn, *LoopTransport) {
 	tr := w.board.Attach(addr)
-	return NewConn(tr, KernelScheduler{K: w.k}, cfg), tr
+	return NewConn(tr, clock.Kernel{K: w.k}, cfg), tr
 }
 
 func newServerConn(w *world, addr string) (*Conn, *Server) {
@@ -354,7 +355,7 @@ func TestObserveNotifications(t *testing.T) {
 	w := newWorld()
 	// The server's notifications leave in the encoder's reused buffer:
 	// nothing past Send may keep them.
-	srvConn := NewConn(scribbleTransport{w.board.Attach("srv")}, KernelScheduler{K: w.k}, ConnConfig{})
+	srvConn := NewConn(scribbleTransport{w.board.Attach("srv")}, clock.Kernel{K: w.k}, ConnConfig{})
 	srv := NewServer()
 	temp := srv.Resource("temp").Observable().Get(func(from string, req *Message) *Message {
 		return TextResponse("20.0")
@@ -425,7 +426,7 @@ func TestObserverDroppedOnRST(t *testing.T) {
 	cli2, _ := w.endpoint("cli2", ConnConfig{})
 	_ = cli2
 	// Replace the address: simulate by re-attaching "cli".
-	fresh := NewConn(w.board.Attach("cli"), KernelScheduler{K: w.k}, ConnConfig{})
+	fresh := NewConn(w.board.Attach("cli"), clock.Kernel{K: w.k}, ConnConfig{})
 	_ = fresh
 	temp.Notify(FormatText, []byte("y"))
 	w.k.RunFor(time.Second)
@@ -530,7 +531,7 @@ func TestUDPTransportEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Skipf("no loopback UDP: %v", err)
 	}
-	srvConn := NewConn(srvTr, &SystemScheduler{}, ConnConfig{})
+	srvConn := NewConn(srvTr, &clock.System{}, ConnConfig{})
 	defer srvConn.Close()
 	srv := NewServer()
 	srv.Resource("ping").Get(func(string, *Message) *Message { return TextResponse("pong") })
@@ -540,7 +541,7 @@ func TestUDPTransportEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewConn(cliTr, &SystemScheduler{}, ConnConfig{})
+	cli := NewConn(cliTr, &clock.System{}, ConnConfig{})
 	defer cli.Close()
 
 	done := make(chan string, 1)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"iiotds/internal/clock"
 	"iiotds/internal/sim"
 )
 
@@ -337,7 +338,7 @@ func TestNotifyInlineOrderTwoTokensOneAddress(t *testing.T) {
 	want = append(want, reg{"c", 0})
 	run := func() []sentDatagram {
 		tr := &captureTransport{}
-		conn := NewConn(tr, KernelScheduler{K: sim.New(1)}, ConnConfig{Seed: 7})
+		conn := NewConn(tr, clock.Kernel{K: sim.New(1)}, ConnConfig{Seed: 7})
 		srv := NewServer()
 		temp := srv.Resource("temp").Observable()
 		conn.Serve(srv)
@@ -380,7 +381,7 @@ func TestNotifyInlineOrderTwoTokensOneAddress(t *testing.T) {
 // dropping the resource lock while removeObserverByMID read it under the
 // lock. Run with -race; the atomic field keeps this quiet.
 func TestLastMIDRaceNotifyVsRST(t *testing.T) {
-	conn := NewConn(&sinkTransport{}, &SystemScheduler{}, ConnConfig{})
+	conn := NewConn(&sinkTransport{}, &clock.System{}, ConnConfig{})
 	defer conn.Close()
 	srv := NewServer()
 	srv.SetObserverLimit(1024)
@@ -443,7 +444,7 @@ func TestNotifyEncoderMatchesMarshal(t *testing.T) {
 // hot path: per-shard fan-out with the reused encoder and scratch slice
 // must not allocate per observer (or per shard) at steady state.
 func TestNotifyNONHotPathZeroAllocs(t *testing.T) {
-	conn := NewConn(&sinkTransport{}, &SystemScheduler{}, ConnConfig{})
+	conn := NewConn(&sinkTransport{}, &clock.System{}, ConnConfig{})
 	defer conn.Close()
 	srv := NewServer()
 	srv.SetObserverLimit(1 << 20)
@@ -473,7 +474,7 @@ func TestNotifyNONHotPathZeroAllocs(t *testing.T) {
 // all observers receive the notification and the pool drains cleanly.
 func TestNotifyPoolDelivers(t *testing.T) {
 	sink := &sinkTransport{}
-	conn := NewConn(sink, &SystemScheduler{}, ConnConfig{})
+	conn := NewConn(sink, &clock.System{}, ConnConfig{})
 	defer conn.Close()
 	srv := NewServer()
 	srv.SetObserverLimit(1 << 20)
@@ -523,7 +524,7 @@ func (b *blockingTransport) Close() error                               { return
 // instead of blocking the publisher.
 func TestNotifyPoolBackpressure(t *testing.T) {
 	bt := &blockingTransport{release: make(chan struct{})}
-	conn := NewConn(bt, &SystemScheduler{}, ConnConfig{})
+	conn := NewConn(bt, &clock.System{}, ConnConfig{})
 	srv := NewServer()
 	srv.SetConfirmEvery(-1)
 	temp := srv.Resource("temp").Observable()

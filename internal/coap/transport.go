@@ -36,9 +36,6 @@ type CancelFunc = clock.CancelFunc
 // and on the wall clock over UDP.
 type Scheduler = clock.Scheduler
 
-// SystemScheduler implements Scheduler on the wall clock.
-type SystemScheduler = clock.System
-
 // UDPTransport is a Transport over a real UDP socket.
 type UDPTransport struct {
 	conn *net.UDPConn

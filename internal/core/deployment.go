@@ -61,7 +61,6 @@ type Node struct {
 	profile *Profile
 	sampler agg.Sampler
 	up      bool
-	d       *Deployment
 }
 
 // Profile returns the device class this node was built from.
@@ -77,99 +76,19 @@ func (n *Node) Up() bool { return n.up }
 // sensor readings for aggregation queries.
 func (n *Node) SetSampler(s agg.Sampler) { n.sampler = s }
 
-// Deployment is a full three-tier system under emulation.
+// Deployment is a full three-tier system under emulation: a fleet on
+// one kernel and one medium, plus the optional backend tiers.
 type Deployment struct {
+	fleet
 	K     *sim.Kernel
 	M     *radio.Medium
 	Reg   *metrics.Registry
 	Trace *trace.Recorder // nil when tracing is disabled
-	Nodes []*Node
-	stack Stack
 
 	// Application and storage tiers (nil unless Stack.WithBackend).
 	Bus      *bus.Broker
 	Registry *registry.Registry
 	series   map[string]*store.SeriesEngine // storage tier, by topic
-}
-
-// Root returns the border-router node.
-func (d *Deployment) Root() *Node { return d.Nodes[0] }
-
-// Crash stops a node's whole stack (fault.Target).
-func (d *Deployment) Crash(id radio.NodeID) {
-	n := d.Nodes[int(id)]
-	if !n.up {
-		return
-	}
-	n.up = false
-	n.Router.Stop()
-	if n.RNFD != nil {
-		n.RNFD.Stop()
-	}
-	n.MAC.Stop()
-	if n.CoAP != nil {
-		// A crash loses exchange state: pending CONs stop retransmitting
-		// and fail now instead of leaking in `pending` until a timeout
-		// that would fire mid-reboot.
-		n.CoAP.Reset()
-	}
-	d.M.SetDown(id, true)
-}
-
-// Recover restarts a crashed node with empty volatile state
-// (fault.Target).
-func (d *Deployment) Recover(id radio.NodeID) {
-	n := d.Nodes[int(id)]
-	if n.up {
-		return
-	}
-	n.up = true
-	d.M.SetDown(id, false)
-	// The reboot clears the node's own volatile link/MAC state (fresh
-	// sequence numbers, empty neighbor table) before the radio comes
-	// back up...
-	n.Link.Reboot()
-	// ...and peers must drop what they held about the old incarnation:
-	// a retained dedup entry can match the rebooted node's restarted
-	// sequence numbering and silently discard its first unicast as an
-	// ARQ duplicate, and stale ETX estimates would steer routing on
-	// link quality the reboot invalidated.
-	for _, p := range d.Nodes {
-		if p.ID != id {
-			p.Link.ForgetNeighbor(id)
-		}
-	}
-	n.MAC.Start()
-	n.Router.Restart()
-	if n.profile.RNFD != nil && id != 0 {
-		n.RNFD = n.Router.AttachRNFD(*n.profile.RNFD)
-	}
-}
-
-// RetuneTenant implements spectrum.Retuner: every node whose profile
-// belongs to the named tenant moves to ch.
-func (d *Deployment) RetuneTenant(tenant string, ch uint8) {
-	for _, n := range d.Nodes {
-		if n.profile.Tenant == tenant {
-			n.MAC.Retune(ch)
-		}
-	}
-}
-
-// Converged reports whether every running node has joined the DODAG.
-func (d *Deployment) Converged() bool {
-	for _, n := range d.Nodes {
-		if !n.up {
-			continue
-		}
-		if n.Router.Partitioned() {
-			return false
-		}
-		if joined, _ := n.Router.Joined(); !joined {
-			return false
-		}
-	}
-	return true
 }
 
 // RunUntilConverged advances virtual time until the DODAG is complete or

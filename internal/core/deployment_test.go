@@ -11,7 +11,6 @@ import (
 	"iiotds/internal/clock"
 	"iiotds/internal/coap"
 	"iiotds/internal/fault"
-	"iiotds/internal/link"
 	"iiotds/internal/lowpan"
 	"iiotds/internal/mac"
 	"iiotds/internal/radio"
@@ -28,17 +27,6 @@ func uniformStack(seed int64, pos radio.Topology, p Profile) Stack {
 
 func smallGrid(n int, p Profile) *Deployment {
 	return NewStack(uniformStack(11, radio.GridTopology(n, 15), p))
-}
-
-func TestDeploymentConverges(t *testing.T) {
-	d := smallGrid(16, Profile{})
-	ok, took := d.RunUntilConverged(2 * time.Minute)
-	if !ok {
-		t.Fatal("deployment did not converge")
-	}
-	if took > time.Minute {
-		t.Fatalf("convergence took %v", took)
-	}
 }
 
 func TestAggregationQueryOverDeployment(t *testing.T) {
@@ -177,186 +165,6 @@ func TestCoAPObserveOverMesh(t *testing.T) {
 		if len(got) != 3 || got[0] != "0" || got[1] != "42" || got[2] != "43" {
 			t.Fatalf("%s observer saw %q, want [0 42 43]", name, got)
 		}
-	}
-}
-
-func TestCrashRecoverCycle(t *testing.T) {
-	d := smallGrid(9, Profile{})
-	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
-		t.Fatal("no convergence")
-	}
-	victim := radio.NodeID(4) // grid center: a likely forwarder
-	d.Crash(victim)
-	d.Crash(victim) // idempotent
-	if d.Nodes[4].Up() {
-		t.Fatal("node still up after crash")
-	}
-	d.K.RunFor(2 * time.Minute)
-	// The rest of the network must have healed around the crash.
-	for i, n := range d.Nodes {
-		if i == 4 || !n.up {
-			continue
-		}
-		if n.Router.Partitioned() {
-			t.Fatalf("node %d partitioned after center crash", i)
-		}
-	}
-	d.Recover(victim)
-	d.Recover(victim) // idempotent
-	ok, _ := d.RunUntilConverged(2 * time.Minute)
-	if !ok {
-		t.Fatal("recovered node did not rejoin")
-	}
-}
-
-// TestRecoverResetsNeighborState is the deployment-level regression test
-// for the stale-state recovery bug: a rebooted node must come back with
-// an empty neighbor table (its RAM is gone), and its peers must drop the
-// ETX estimate and MAC dedup entry they held for the old incarnation —
-// otherwise routing leans on dead link quality and the restarted
-// sequence numbering can be silently deduped (see the mac conformance
-// reboot tests for the frame-level mechanism).
-func TestRecoverResetsNeighborState(t *testing.T) {
-	d := smallGrid(9, Profile{})
-	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
-		t.Fatal("no convergence")
-	}
-	d.K.RunFor(time.Minute) // accumulate link-quality history
-	victim := radio.NodeID(4)
-	withEntry := 0
-	for i, n := range d.Nodes {
-		if radio.NodeID(i) != victim && n.Link.Neighbors().Lookup(victim) != nil {
-			withEntry++
-		}
-	}
-	if withEntry == 0 {
-		t.Fatal("no peer ever learned about the victim; test premise broken")
-	}
-	if d.Nodes[victim].Link.Neighbors().Len() == 0 {
-		t.Fatal("victim has no neighbors pre-crash; test premise broken")
-	}
-
-	d.Crash(victim)
-	d.K.RunFor(30 * time.Second)
-	d.Recover(victim)
-
-	// Immediately after Recover, before any new traffic: the victim's own
-	// table is empty and every peer forgot the old incarnation.
-	if n := d.Nodes[victim].Link.Neighbors().Len(); n != 0 {
-		t.Fatalf("victim rebooted with %d retained neighbors", n)
-	}
-	for i, n := range d.Nodes {
-		if radio.NodeID(i) == victim {
-			continue
-		}
-		if e := n.Link.Neighbors().Lookup(victim); e != nil {
-			t.Fatalf("peer %d retained ETX state for rebooted node: %+v", i, e)
-		}
-	}
-
-	// The first post-reboot unicast must be delivered, not deduped: a
-	// peer handler sees the payload.
-	peer := radio.NodeID(1)
-	var got []string
-	d.Nodes[peer].Link.Handle(link.ProtoApp, func(from radio.NodeID, p []byte) {
-		if from == victim {
-			got = append(got, string(p))
-		}
-	})
-	delivered := false
-	d.Nodes[victim].Link.Send(peer, link.ProtoApp, []byte("post-reboot"), func(ok bool) { delivered = ok })
-	d.K.RunFor(10 * time.Second)
-	if !delivered {
-		t.Fatal("first post-reboot unicast not acknowledged")
-	}
-	if len(got) == 0 || got[0] != "post-reboot" {
-		t.Fatalf("first post-reboot unicast not delivered to handler: %v", got)
-	}
-	if ok, _ := d.RunUntilConverged(2 * time.Minute); !ok {
-		t.Fatal("recovered node did not rejoin")
-	}
-}
-
-// TestCrashResetsCoAPExchanges covers the other half of the recovery
-// bug: Deployment.Crash must drop the victim's CoAP exchange state. An
-// outstanding request from the victim fails with ErrClosed at crash
-// time, and the endpoint holds no pending/awaiting entries across the
-// reboot.
-func TestCrashResetsCoAPExchanges(t *testing.T) {
-	d := smallGrid(9, Profile{WithCoAP: true})
-	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
-		t.Fatal("no convergence")
-	}
-	d.Root().Server.Resource("cfg").Get(func(string, *coap.Message) *coap.Message {
-		return coap.TextResponse("v1")
-	})
-	victim := radio.NodeID(8)
-	// Make the root unreachable first so the victim's GET stays pending,
-	// then crash the victim with the exchange in flight.
-	var gotErr error
-	done := false
-	d.M.SetDown(0, true)
-	d.Nodes[victim].CoAP.Get(d.Root().Addr(), "cfg", func(m *coap.Message, err error) {
-		done, gotErr = true, err
-	})
-	d.K.RunFor(5 * time.Second)
-	if done {
-		t.Fatalf("request resolved before crash (err=%v); premise broken", gotErr)
-	}
-	if p, a := d.Nodes[victim].CoAP.Exchanges(); p == 0 && a == 0 {
-		t.Fatal("no in-flight exchange state; premise broken")
-	}
-	d.Crash(victim)
-	if !done || gotErr == nil {
-		t.Fatal("crash did not fail the in-flight request")
-	}
-	if p, a := d.Nodes[victim].CoAP.Exchanges(); p != 0 || a != 0 {
-		t.Fatalf("crashed node leaked exchange state: pending=%d awaiting=%d", p, a)
-	}
-	d.M.SetDown(0, false)
-	d.Recover(victim)
-	if ok, _ := d.RunUntilConverged(2 * time.Minute); !ok {
-		t.Fatal("recovered node did not rejoin")
-	}
-	// The rebooted endpoint is usable: a fresh request round-trips.
-	var got string
-	d.Nodes[victim].CoAP.Get(d.Root().Addr(), "cfg", func(m *coap.Message, err error) {
-		if err == nil {
-			got = string(m.Payload)
-		}
-	})
-	d.K.RunFor(2 * time.Minute)
-	if got != "v1" {
-		t.Fatalf("post-reboot request failed, got %q", got)
-	}
-}
-
-// TestPendingCONToCrashedNodeTimesOutCleanly pins the sender side: a CON
-// addressed to a node that crashes mid-exchange fails with ErrTimeout
-// after the retransmission budget — it neither hangs nor leaks a pending
-// entry at the sender.
-func TestPendingCONToCrashedNodeTimesOutCleanly(t *testing.T) {
-	d := smallGrid(9, Profile{WithCoAP: true})
-	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
-		t.Fatal("no convergence")
-	}
-	victim := radio.NodeID(8)
-	d.Crash(victim)
-	var gotErr error
-	done := false
-	d.Root().CoAP.Get(d.Nodes[victim].Addr(), "anything", func(m *coap.Message, err error) {
-		done, gotErr = true, err
-	})
-	// Retransmission budget: up to ~31 × AckTimeout(4 s) × 1.5 ≈ 186 s.
-	d.K.RunFor(4 * time.Minute)
-	if !done {
-		t.Fatal("CON to crashed node never resolved")
-	}
-	if gotErr != coap.ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", gotErr)
-	}
-	if p, a := d.Root().CoAP.Exchanges(); p != 0 || a != 0 {
-		t.Fatalf("sender leaked exchange state: pending=%d awaiting=%d", p, a)
 	}
 }
 

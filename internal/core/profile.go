@@ -110,22 +110,20 @@ type Factories struct {
 // dispatches on the profile's MAC kind, stamping the class's
 // channel and tenant into the discipline config.
 func DefaultMAC(m *radio.Medium, id radio.NodeID, p *Profile) mac.MAC {
+	stamp := func(c *mac.Config) { c.Channel, c.Tenant = p.Channel, p.Tenant }
 	switch p.MAC {
 	case MACLPL:
-		lcfg := p.LPL
-		lcfg.Channel = p.Channel
-		lcfg.Tenant = p.Tenant
-		return mac.NewLPL(m, id, lcfg)
+		cfg := p.LPL
+		stamp(&cfg.Config)
+		return mac.NewLPL(m, id, cfg)
 	case MACRIMAC:
-		rcfg := p.RIMAC
-		rcfg.Channel = p.Channel
-		rcfg.Tenant = p.Tenant
-		return mac.NewRIMAC(m, id, rcfg)
+		cfg := p.RIMAC
+		stamp(&cfg.Config)
+		return mac.NewRIMAC(m, id, cfg)
 	default:
-		ccfg := p.CSMA
-		ccfg.Channel = p.Channel
-		ccfg.Tenant = p.Tenant
-		return mac.NewCSMA(m, id, ccfg)
+		cfg := p.CSMA
+		stamp(&cfg.Config)
+		return mac.NewCSMA(m, id, cfg)
 	}
 }
 
@@ -244,11 +242,6 @@ func profileIn(s *Stack, name string) *Profile {
 	panic(fmt.Sprintf("core: unknown profile %q", name))
 }
 
-// profileOf returns the named profile from d's stored stack.
-func (d *Deployment) profileOf(name string) *Profile {
-	return profileIn(&d.stack, name)
-}
-
 // nodeEnv is the substrate one node's stack is composed on. For a flat
 // deployment every node shares one env; in a sharded deployment each
 // stripe has its own kernel, medium, and registry (sharded.go).
@@ -321,7 +314,9 @@ func NewStack(cfg Stack) *Deployment {
 	k := sim.New(cfg.Seed)
 	reg := metrics.NewRegistry()
 	m := radio.NewMedium(k, cfg.Radio, reg)
-	d := &Deployment{K: k, M: m, Reg: reg, stack: cfg}
+	d := &Deployment{K: k, M: m, Reg: reg}
+	d.stack = cfg
+	d.mediumOf = func(radio.NodeID) *radio.Medium { return m }
 	traceCap := cfg.TraceCapacity
 	if traceCap == 0 {
 		traceCap = trace.DefaultCapacity()
@@ -356,21 +351,7 @@ func NewStack(cfg Stack) *Deployment {
 	}
 	for i := range d.stack.Topology {
 		ns := d.stack.Topology[i]
-		n := buildNode(env, i, ns.Pos, d.profileOf(ns.Profile))
-		n.d = d
-		d.Nodes = append(d.Nodes, n)
+		d.Nodes = append(d.Nodes, buildNode(env, i, ns.Pos, profileIn(&d.stack, ns.Profile)))
 	}
 	return d
-}
-
-// NodesByProfile returns the nodes instantiated from the named profile,
-// in node-ID order.
-func (d *Deployment) NodesByProfile(name string) []*Node {
-	var out []*Node
-	for _, n := range d.Nodes {
-		if n.profile.Name == name {
-			out = append(out, n)
-		}
-	}
-	return out
 }

@@ -60,23 +60,6 @@ func TestHeterogeneousStackConverges(t *testing.T) {
 	}
 }
 
-func TestNodesByProfile(t *testing.T) {
-	d := NewStack(twoClassStack(nil))
-	backbone := d.NodesByProfile("backbone")
-	leaves := d.NodesByProfile("leaf")
-	if len(backbone) != 2 || len(leaves) != 2 {
-		t.Fatalf("NodesByProfile split %d/%d, want 2/2", len(backbone), len(leaves))
-	}
-	for _, n := range leaves {
-		if n.Profile().Name != "leaf" {
-			t.Fatalf("node %d grouped as leaf but profiled %q", n.ID, n.Profile().Name)
-		}
-	}
-	if got := d.NodesByProfile("no-such-class"); len(got) != 0 {
-		t.Fatalf("unknown profile returned %d nodes", len(got))
-	}
-}
-
 // TestFactoriesInterpose proves the per-layer seams: a custom MAC factory
 // can wrap/observe construction per profile, and the deployment still
 // runs on what it returns.
@@ -187,25 +170,5 @@ func TestPerProfileRouterOverride(t *testing.T) {
 	backbone := d.NodesByProfile("backbone")[0]
 	if backbone.Profile().Router != nil {
 		t.Fatal("backbone profile grew a Router override it was never given")
-	}
-}
-
-func TestRetuneTenantByProfile(t *testing.T) {
-	s := twoClassStack(func(s *Stack) {
-		s.Profiles[1].Tenant = "plant-b" // leaves belong to another tenant
-	})
-	d := NewStack(s)
-	d.RetuneTenant("plant-b", 9)
-	// Retuning one tenant must not touch the other class's channel: the
-	// backbone keeps delivering on channel 0 while the leaves moved.
-	for _, n := range d.NodesByProfile("leaf") {
-		if got := d.M.ChannelOf(n.ID); got != 9 {
-			t.Fatalf("leaf %d on channel %d after retune, want 9", n.ID, got)
-		}
-	}
-	for _, n := range d.NodesByProfile("backbone") {
-		if got := d.M.ChannelOf(n.ID); got != 0 {
-			t.Fatalf("backbone %d moved to channel %d, want 0", n.ID, got)
-		}
 	}
 }

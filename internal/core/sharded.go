@@ -33,15 +33,15 @@ type Shard struct {
 }
 
 // ShardedDeployment is a fleet running across several stripes under one
-// ShardGroup. It implements the same fault-injection surfaces as a flat
-// Deployment (fault.Target, fault.MediumCtl), with control operations
-// fanned to the owning stripe(s).
+// ShardGroup. The fleet's node-level operations (fault.Target among
+// them) are the ones a flat Deployment has; what this type adds is the
+// stripes, the cross-stripe announcements, and medium control
+// (fault.MediumCtl) fanned to the owning stripe(s).
 type ShardedDeployment struct {
+	fleet
 	G      *sim.ShardGroup
 	Shards []*Shard
-	Nodes  []*Node // node ID order, across all stripes
 
-	stack    Stack
 	stripeOf []int // node index -> stripe index
 	stripes  int
 	minX     float64
@@ -71,7 +71,9 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 		panic("core: sharded stacks do not support tracing")
 	}
 
-	sd := &ShardedDeployment{stack: cfg, stripes: stripes}
+	sd := &ShardedDeployment{stripes: stripes}
+	sd.stack = cfg
+	sd.mediumOf = func(id radio.NodeID) *radio.Medium { return sd.Shards[sd.StripeOf(id)].M }
 
 	// Slab geometry over the topology's X extent. Nodes are assigned by
 	// clamped slab index, so outliers land in the edge stripes.
@@ -177,60 +179,10 @@ func (sd *ShardedDeployment) Stripes() int { return len(sd.Shards) }
 // StripeOf returns the stripe that owns node id.
 func (sd *ShardedDeployment) StripeOf(id radio.NodeID) int { return sd.stripeOf[int(id)] }
 
-// Root returns the border-router node.
-func (sd *ShardedDeployment) Root() *Node { return sd.Nodes[0] }
-
-// shardOfNode returns the substrate of the stripe owning id.
-func (sd *ShardedDeployment) shardOfNode(id radio.NodeID) *Shard {
-	return sd.Shards[sd.stripeOf[int(id)]]
-}
-
-// Crash stops a node's whole stack (fault.Target). Must run at a group
-// barrier (control timeline), like all cross-stripe mutation.
-func (sd *ShardedDeployment) Crash(id radio.NodeID) {
-	n := sd.Nodes[int(id)]
-	if !n.up {
-		return
-	}
-	n.up = false
-	n.Router.Stop()
-	if n.RNFD != nil {
-		n.RNFD.Stop()
-	}
-	n.MAC.Stop()
-	if n.CoAP != nil {
-		n.CoAP.Reset()
-	}
-	sd.shardOfNode(id).M.SetDown(id, true)
-}
-
-// Recover restarts a crashed node with empty volatile state
-// (fault.Target). Peer state about the old incarnation is dropped
-// across every stripe.
-func (sd *ShardedDeployment) Recover(id radio.NodeID) {
-	n := sd.Nodes[int(id)]
-	if n.up {
-		return
-	}
-	n.up = true
-	sd.shardOfNode(id).M.SetDown(id, false)
-	n.Link.Reboot()
-	for _, p := range sd.Nodes {
-		if p.ID != id {
-			p.Link.ForgetNeighbor(id)
-		}
-	}
-	n.MAC.Start()
-	n.Router.Restart()
-	if n.profile.RNFD != nil && id != 0 {
-		n.RNFD = n.Router.AttachRNFD(*n.profile.RNFD)
-	}
-}
-
 // SetDown marks a node crashed/recovered on its owning stripe's medium
 // (fault.MediumCtl).
 func (sd *ShardedDeployment) SetDown(id radio.NodeID, down bool) {
-	sd.shardOfNode(id).M.SetDown(id, down)
+	sd.mediumOf(id).SetDown(id, down)
 }
 
 // SetLinkFilter installs a delivery veto on every stripe
@@ -270,53 +222,6 @@ func (sd *ShardedDeployment) SetLinkPRR(from, to radio.NodeID, prr float64) {
 			sd.extraAnnounce[ss][ts]++
 		}
 	}
-}
-
-// RetuneTenant implements spectrum.Retuner across all stripes.
-func (sd *ShardedDeployment) RetuneTenant(tenant string, ch uint8) {
-	for _, n := range sd.Nodes {
-		if n.profile.Tenant == tenant {
-			n.MAC.Retune(ch)
-		}
-	}
-}
-
-// Converged reports whether every running node has joined the DODAG.
-// Safe only at a group barrier.
-func (sd *ShardedDeployment) Converged() bool {
-	for _, n := range sd.Nodes {
-		if !n.up {
-			continue
-		}
-		if n.Router.Partitioned() {
-			return false
-		}
-		if joined, _ := n.Router.Joined(); !joined {
-			return false
-		}
-	}
-	return true
-}
-
-// ConvergedFraction returns the fraction of running nodes that have
-// joined the DODAG — the city-scale metric: at 10k+ nodes the question
-// is how much of the fleet is routable, not whether the last straggler
-// made it.
-func (sd *ShardedDeployment) ConvergedFraction() float64 {
-	up, joined := 0, 0
-	for _, n := range sd.Nodes {
-		if !n.up {
-			continue
-		}
-		up++
-		if j, _ := n.Router.Joined(); j && !n.Router.Partitioned() {
-			joined++
-		}
-	}
-	if up == 0 {
-		return 0
-	}
-	return float64(joined) / float64(up)
 }
 
 // RunUntilConverged advances the group until the DODAG is complete or

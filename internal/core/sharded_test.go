@@ -137,10 +137,14 @@ func TestShardedCrossStripeOverride(t *testing.T) {
 		return sd.Shards[sd.StripeOf(2)].Reg.Counter("radio.rx_frames").Value()
 	}
 
+	// The frames are sent from the sender's own stripe kernel: a
+	// transmission (and the sim.ShardGroup.Post it triggers) belongs to
+	// a stripe's execution inside a window, not to the control timeline.
+	tx := sd.Shards[sd.StripeOf(1)]
+	send := func() { tx.M.Send(radio.Frame{From: 1, To: 2, Size: 20}) }
+
 	sd.SetLinkPRR(1, 2, 1.0)
-	sd.G.At(time.Millisecond, func() {
-		sd.Shards[sd.StripeOf(1)].M.Send(radio.Frame{From: 1, To: 2, Size: 20})
-	})
+	tx.K.At(time.Millisecond, send)
 	sd.G.RunUntil(time.Second)
 	if got := rxFrames(); got != 1 {
 		t.Fatalf("cross-stripe override delivered %v frames, want 1", got)
@@ -148,9 +152,7 @@ func TestShardedCrossStripeOverride(t *testing.T) {
 
 	// Removing the override stops the mirroring.
 	sd.SetLinkPRR(1, 2, -1)
-	sd.G.At(sd.G.Now(), func() {
-		sd.Shards[sd.StripeOf(1)].M.Send(radio.Frame{From: 1, To: 2, Size: 20})
-	})
+	tx.K.At(sd.G.Now(), send)
 	sd.G.RunFor(time.Second)
 	if got := rxFrames(); got != 1 {
 		t.Fatalf("override removal leaked announcements: rx = %v, want still 1", got)

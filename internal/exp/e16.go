@@ -13,45 +13,11 @@ import (
 // a coordinator partition and measures the CAP differential the paper's
 // storage discussion predicts: AP shards keep acking every write and
 // reconverge by anti-entropy alone, while CP shards refuse writes for
-// the duration of the episode and need the post-heal repair push. Two
-// process-wide knobs (-store-shards / -store-mode on iiotbench) resize
-// the sharded rows; they are MODEL parameters — the table changes with
-// them, deterministically — unlike E15's execution-only worker knob.
+// the duration of the episode and need the post-heal repair push. Every
+// mode runs unsharded and at e16Shards partitions.
 
-// storeShards is the partition count for the sharded rows; <= 0 means
-// the default 8.
-var storeShards = 0
-
-// storeMode restricts E16 to one replication mode ("cp" or "ap");
-// empty means both.
-var storeMode = ""
-
-// SetStoreShards sets the shard count P for E16's sharded rows. n <= 0
-// restores the default (8). A model parameter: rows change with it.
-func SetStoreShards(n int) { storeShards = n }
-
-// SetStoreMode restricts E16 to one replication mode ("cp" or "ap");
-// "" restores the default (both modes).
-func SetStoreMode(mode string) { storeMode = mode }
-
-// e16Shards resolves the shard knob.
-func e16Shards() int {
-	if storeShards <= 0 {
-		return 8
-	}
-	return storeShards
-}
-
-// e16Modes resolves the mode knob to the row set.
-func e16Modes() []store.Mode {
-	switch storeMode {
-	case "cp":
-		return []store.Mode{store.ModeCP}
-	case "ap":
-		return []store.Mode{store.ModeAP}
-	}
-	return []store.Mode{store.ModeCP, store.ModeAP}
-}
+// e16Shards is the partition count P of the sharded rows.
+const e16Shards = 8
 
 // e16Replicas is the replica-group size R for every row. Fixed at 3 so
 // a single isolated replica cannot break CP quorum by itself — the
@@ -168,8 +134,8 @@ func E16StoreIngest(s Scale) *Table {
 
 	var params []e16Params
 	seed := int64(1701)
-	for _, mode := range e16Modes() {
-		for _, shards := range []int{1, e16Shards()} {
+	for _, mode := range []store.Mode{store.ModeCP, store.ModeAP} {
+		for _, shards := range []int{1, e16Shards} {
 			p := base
 			p.mode, p.shards, p.seed = mode, shards, seed
 			seed++
@@ -188,7 +154,7 @@ func E16StoreIngest(s Scale) *Table {
 		return runE16(tr, p)
 	})
 	t.Stats = rs
-	t.Note("engine", fmt.Sprintf("shards=%d modes=%s replicas=%d", e16Shards(), storeMode, e16Replicas))
+	t.Note("engine", fmt.Sprintf("shards=%d replicas=%d", e16Shards, e16Replicas))
 
 	var apFailed, cpFailed uint64
 	var apConv, cpConv time.Duration

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestE16CAPDifferential pins E16's shape: every row recovers after the
 // heal, AP rows ack every batch, and CP rows lose writes for the span
@@ -31,36 +28,5 @@ func TestE16CAPDifferential(t *testing.T) {
 		default:
 			t.Errorf("unknown mode cell %q", mode)
 		}
-	}
-}
-
-// TestE16Knobs exercises the -store-shards / -store-mode seams: the
-// shard knob renames the sharded rows, the mode knob halves the table,
-// and both are model parameters — each configuration reproduces itself
-// byte-identically.
-func TestE16Knobs(t *testing.T) {
-	SetStoreShards(4)
-	SetStoreMode("ap")
-	defer func() {
-		SetStoreShards(0)
-		SetStoreMode("")
-	}()
-	tab := E16StoreIngest(Quick)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("mode knob: expected 2 AP rows, got %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[0] != "AP" {
-			t.Errorf("mode knob leaked a %s row", row[0])
-		}
-	}
-	if tab.Rows[1][1] != "4×3" {
-		t.Errorf("shard knob: sharded row is %q, want 4×3", tab.Rows[1][1])
-	}
-	if again := E16StoreIngest(Quick); tab.String() != again.String() {
-		t.Error("knobbed table is not reproducible")
-	}
-	if !strings.Contains(tab.Notes["engine"], "shards=4") {
-		t.Errorf("engine note %q missing knob state", tab.Notes["engine"])
 	}
 }

@@ -1,0 +1,161 @@
+package mac
+
+import (
+	"iiotds/internal/netbuf"
+	"iiotds/internal/radio"
+	"iiotds/internal/sim"
+)
+
+// chassis is the part of a MAC that is the same under every discipline:
+// identity, the send queue, sequence numbering, the awaited-ACK match,
+// and the receive half of ARQ (link-layer ACK, duplicate suppression,
+// delivery inside the packet's journey). Each discipline embeds one by
+// value and adds only its timers, its Start/Stop and its transmit state
+// machine; nothing here asks which discipline it serves.
+type chassis struct {
+	m      *radio.Medium
+	k      *sim.Kernel
+	id     radio.NodeID
+	name   string
+	common *Config // the discipline config's embedded Config (Channel, Tenant)
+
+	handler Handler
+	q       sendq
+	seq     uint16
+	dedup   *dedup
+
+	started bool
+	stopped bool
+	sending bool // the head of q is in flight
+
+	// The unicast in flight: the ACK that completes it carries this
+	// sequence number and comes from this neighbor.
+	awaitAckSeq uint16
+	awaitAckTo  radio.NodeID
+
+	// next is the discipline's "start on the head of the queue", called
+	// when a send is queued and nothing is in flight. Prebuilt by the
+	// constructor so the send path does not allocate; nil when queued
+	// items simply wait for their turn.
+	next func()
+}
+
+func (c *chassis) init(m *radio.Medium, id radio.NodeID, name string, common *Config) {
+	c.m, c.k, c.id, c.name, c.common = m, m.Kernel(), id, name, common
+	c.dedup = newDedup()
+}
+
+// Name implements MAC.
+func (c *chassis) Name() string { return c.name }
+
+// OnReceive implements MAC.
+func (c *chassis) OnReceive(h Handler) { c.handler = h }
+
+// QueueLen implements MAC.
+func (c *chassis) QueueLen() int { return c.q.len() }
+
+// Buffers implements MAC.
+func (c *chassis) Buffers() *netbuf.Pool { return c.m.Buffers() }
+
+// Retune implements MAC.
+func (c *chassis) Retune(ch uint8) {
+	c.common.Channel = ch
+	if c.started {
+		c.m.SetChannel(c.id, ch)
+	}
+}
+
+// Reboot implements MAC.
+func (c *chassis) Reboot() {
+	c.seq = 0
+	c.dedup.reset()
+}
+
+// ForgetNeighbor implements MAC.
+func (c *chassis) ForgetNeighbor(id radio.NodeID) { c.dedup.forget(id) }
+
+// Send implements MAC.
+func (c *chassis) Send(to radio.NodeID, payload []byte, done DoneFunc) {
+	if !c.started {
+		if done != nil {
+			done(false)
+		}
+		return
+	}
+	c.enqueue(to, copyIn(c.m.Buffers(), payload), done)
+}
+
+// SendBuf implements MAC.
+func (c *chassis) SendBuf(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
+	if !c.started {
+		b.Release()
+		if done != nil {
+			done(false)
+		}
+		return
+	}
+	c.enqueue(to, b, done)
+}
+
+func (c *chassis) enqueue(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
+	c.q.push(outItem{to: to, buf: b, done: done})
+	if c.next != nil && !c.sending {
+		c.next()
+	}
+}
+
+// transmit puts b on the air from this node, on its channel and under
+// its tenant tag, and returns the airtime.
+func (c *chassis) transmit(to radio.NodeID, b *netbuf.Buffer) sim.Time {
+	return c.m.Send(radio.Frame{
+		From: c.id, To: to, Channel: c.common.Channel, Tenant: c.common.Tenant,
+		Size: b.Len(), Payload: b,
+	})
+}
+
+// sendAck acknowledges the unicast data frame seq from neighbor to.
+func (c *chassis) sendAck(to radio.NodeID, seq uint16) {
+	ack := control(c.m.Buffers(), KindAck, seq)
+	c.transmit(to, ack)
+	ack.Release()
+}
+
+// open decodes an arriving frame's MAC header. ok is false when the MAC
+// is not running or the frame is malformed.
+func (c *chassis) open(f radio.Frame) (kind Kind, seq uint16, payload []byte, ok bool) {
+	if !c.started || f.Payload == nil {
+		return 0, 0, nil, false
+	}
+	kind, seq, payload, err := decode(f.Payload.Bytes())
+	return kind, seq, payload, err == nil
+}
+
+// receiveData is the receive half of ARQ for one data frame. It reports
+// false for an overheard unicast addressed to someone else. A unicast to
+// this node is ACKed even when it is a duplicate — the sender may have
+// missed the first ACK — and a frame that is not a retransmission of the
+// previous one from that neighbor reaches the handler.
+func (c *chassis) receiveData(f radio.Frame, seq uint16, payload []byte) bool {
+	if f.To != c.id && f.To != radio.Broadcast {
+		return false
+	}
+	if f.To == c.id {
+		c.sendAck(f.From, seq)
+	}
+	if c.dedup.fresh(f.From, seq) && c.handler != nil {
+		// Upper layers run in the context of this packet's journey;
+		// anything they send synchronously continues it.
+		js := c.m.Buffers().Journeys()
+		prev := js.SetCurrent(f.Payload.Journey())
+		c.handler(f.From, payload)
+		js.SetCurrent(prev)
+	}
+	return true
+}
+
+// ackedBy reports whether f is the ACK the in-flight unicast waits for:
+// addressed to this node, carrying the awaited sequence number, and sent
+// by the neighbor the data went to.
+func (c *chassis) ackedBy(f radio.Frame, seq uint16) bool {
+	return f.To == c.id && seq == c.awaitAckSeq && f.From == c.awaitAckTo
+}

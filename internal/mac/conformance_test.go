@@ -2,10 +2,13 @@ package mac
 
 // Conformance suite: every discipline behind the MAC interface shares one
 // observable contract — idempotent Start/Stop, immediate done(false) when
-// not started, failed queued sends on Stop, FIFO delivery, duplicate
-// suppression under ACK loss, and channel retuning. Each test body runs
-// once per discipline so a new MAC gets the whole contract checked by
-// adding one table entry.
+// not started, failed queued sends on Stop, a restart that leaves no
+// timer of the old run behind, FIFO delivery, duplicate suppression
+// under ACK loss, an ACK match that names the neighbor, reboot state
+// reset, and channel retuning. Each test body runs once per discipline,
+// and all four disciplines are in the table: the contract is what the
+// shared chassis (chassis.go) promises, so it is checked on everything
+// that embeds it.
 
 import (
 	"testing"
@@ -51,6 +54,20 @@ func conformanceCases() []conformanceCase {
 			},
 			settle: time.Second,
 			window: 3 * time.Second,
+		},
+		{
+			// Two-slot epoch: node 1 owns slot 0 and listens in slot 1,
+			// node 2 is the mirror image.
+			name: "tdma",
+			mk: func(m *radio.Medium, id radio.NodeID) MAC {
+				tx := int(id+1) % 2
+				return NewTDMA(m, id, TDMAConfig{
+					SlotsPerEpoch: 2, TxSlot: tx, RxSlots: []int{1 - tx},
+					Config: Config{MaxRetries: 10},
+				})
+			},
+			settle: 100 * time.Millisecond,
+			window: time.Second,
 		},
 	}
 }
@@ -169,6 +186,120 @@ func TestConformanceRestartDelivers(t *testing.T) {
 		sendAfterSettle(k, c, a, []byte("again"), func(r bool) { ok = r })
 		if !ok {
 			t.Fatal("stop/start cycle broke delivery")
+		}
+	})
+}
+
+// restartRun drives one pair through the case's settle time and then
+// sends "new" from node 1 to `to`. With restart set, the sender first
+// puts "old" in flight and is stopped and started again at that same
+// instant — the tightest restart there is, inside every discipline's
+// first backoff, strobe gap or rendezvous. The kernel RNG is re-seeded
+// just before the new send so both variants draw the same backoffs and
+// turnarounds from there on. frames counts transmissions on the medium
+// between the new send and its completion.
+type restartResult struct {
+	oldDone, newDone []bool
+	got              []string
+	frames           float64
+}
+
+func restartRun(c conformanceCase, to radio.NodeID, restart bool) restartResult {
+	k, m, a, b := buildPair(c.mk)
+	var r restartResult
+	b.OnReceive(func(_ radio.NodeID, p []byte) { r.got = append(r.got, string(p)) })
+	tx := m.Registry().Counter("radio.tx_frames")
+	k.Schedule(c.settle, func() {
+		if restart {
+			a.Send(2, []byte("old"), func(ok bool) { r.oldDone = append(r.oldDone, ok) })
+			a.Stop()
+			a.Start()
+		}
+		k.Rand().Seed(99)
+		before := tx.Value()
+		a.Send(to, []byte("new"), func(ok bool) {
+			r.newDone = append(r.newDone, ok)
+			r.frames = tx.Value() - before
+		})
+	})
+	k.RunFor(c.settle + c.window)
+	return r
+}
+
+// TestConformanceRestartWithSendInFlight pins that Stop disarms every
+// timer the discipline scheduled: a send in flight when the MAC stops
+// fails exactly once, and a send after the restart behaves — payload
+// delivered once, done(true), same number of frames on the air — as if
+// the MAC had never been restarted. A timer that survives Stop runs a
+// second transmit chain over the new item (LPL strobed it twice over,
+// interleaved, and the peer decoded neither).
+func TestConformanceRestartWithSendInFlight(t *testing.T) {
+	forEachMAC(t, func(t *testing.T, c conformanceCase) {
+		for _, to := range []radio.NodeID{2, radio.Broadcast} {
+			want := restartRun(c, to, false)
+			got := restartRun(c, to, true)
+			if len(want.newDone) != 1 || !want.newDone[0] || len(want.got) != 1 {
+				t.Fatalf("to=%d: reference pair broken: %+v", to, want)
+			}
+			if len(got.oldDone) != 1 || got.oldDone[0] {
+				t.Fatalf("to=%d: in-flight send completed %v on Stop, want [false]", to, got.oldDone)
+			}
+			if len(got.newDone) != 1 || !got.newDone[0] {
+				t.Fatalf("to=%d: send after restart completed %v, want [true]", to, got.newDone)
+			}
+			if len(got.got) != 1 || got.got[0] != "new" {
+				t.Fatalf("to=%d: peer received %q after restart, want [new]", to, got.got)
+			}
+			if got.frames != want.frames {
+				t.Fatalf("to=%d: %v frames after restart, %v on a never-restarted pair", to, got.frames, want.frames)
+			}
+		}
+	})
+}
+
+// TestConformanceAckFromWrongNeighborIgnored pins the ACK match: an ACK
+// completes the in-flight unicast only if it comes from the neighbor
+// the data went to. Node 2 is a bare radio that never ACKs (it beacons,
+// so a receiver-initiated sender transmits at all); node 3 answers every
+// data frame 1→2 with an ACK carrying the awaited sequence number, from
+// `forger`. Forged as node 2 the ACK is accepted — the control that the
+// forgery reaches the sender — and from node 3 it is not.
+func TestConformanceAckFromWrongNeighborIgnored(t *testing.T) {
+	forEachMAC(t, func(t *testing.T, c conformanceCase) {
+		for _, forger := range []radio.NodeID{2, 3} {
+			k := sim.New(7)
+			m := radio.NewMedium(k, radio.DefaultParams(), nil)
+			var a MAC
+			m.Attach(1, radio.Position{X: 0}, radio.ReceiverFunc(func(f radio.Frame) { a.(radio.Receiver).RadioReceive(f) }))
+			m.Attach(2, radio.Position{X: 10}, radio.ReceiverFunc(func(radio.Frame) {}))
+			m.Attach(3, radio.Position{X: 5}, radio.ReceiverFunc(func(f radio.Frame) {
+				kind, seq, _, err := decode(f.Payload.Bytes())
+				if err != nil || kind != KindData || f.From != 1 || f.To != 2 {
+					return
+				}
+				ack := m.Buffers().Get()
+				frame(ack, KindAck, seq)
+				m.Send(radio.Frame{From: forger, To: 1, Size: ack.Len(), Payload: ack})
+				ack.Release()
+			}))
+			m.SetListening(3, true)
+			a = c.mk(m, 1)
+			a.Start()
+			k.Every(50*time.Millisecond, 0, func() {
+				bcn := m.Buffers().Get()
+				frame(bcn, KindBeacon, 0)
+				m.Send(radio.Frame{From: 2, To: radio.Broadcast, Size: bcn.Len(), Payload: bcn})
+				bcn.Release()
+			})
+			done, result := false, false
+			k.Schedule(c.settle, func() { a.Send(2, []byte("x"), func(ok bool) { done, result = true, ok }) })
+			k.RunFor(c.settle + 15*c.window)
+			if !done {
+				t.Fatalf("forger=%d: send never resolved", forger)
+			}
+			if want := forger == 2; result != want {
+				t.Fatalf("forger=%d: send completed %v, want %v", forger, result, want)
+			}
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"iiotds/internal/metrics"
-	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
 	"iiotds/internal/trace"
@@ -35,26 +34,16 @@ func (c *CSMAConfig) applyDefaults() {
 // backoff and unicast ACKs. It provides the lowest latency and the highest
 // energy cost: the baseline the duty-cycled MACs are compared against.
 type CSMA struct {
-	m   *radio.Medium
-	k   *sim.Kernel
-	id  radio.NodeID
+	chassis
 	cfg CSMAConfig
 
-	handler Handler
-	q       sendq
-	sending bool
-	seq     uint16
-	dedup   *dedup
+	attempt int
+	// txEv is the one pending event of the transmit state machine: the
+	// backoff before a carrier sense, the end of a broadcast's airtime,
+	// or the ACK timeout.
+	txEv sim.Event
 
-	// In-flight unicast state.
-	awaitAckSeq uint16
-	awaitAckTo  radio.NodeID
-	ackTimer    sim.Event
-	attempt     int
-
-	started bool
 	accrual *sim.Repeater
-	stopped bool
 
 	// Prebuilt hot-path closures: creating these per send would put an
 	// allocation on the zero-alloc path.
@@ -70,41 +59,14 @@ var _ MAC = (*CSMA)(nil)
 // medium by the caller with this MAC as receiver, or use Attach.
 func NewCSMA(m *radio.Medium, id radio.NodeID, cfg CSMAConfig) *CSMA {
 	cfg.applyDefaults()
-	c := &CSMA{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	c := &CSMA{cfg: cfg}
+	c.init(m, id, "csma", &c.cfg.Config)
+	c.next = c.startNext
 	c.firstTryFn = func() { c.tryTransmit(1) }
 	c.ackTimeoutFn = c.onAckTimeout
 	c.bcastDoneFn = func() { c.finish(true) }
 	return c
 }
-
-// Name implements MAC.
-func (c *CSMA) Name() string { return "csma" }
-
-// OnReceive implements MAC.
-func (c *CSMA) OnReceive(h Handler) { c.handler = h }
-
-// QueueLen implements MAC.
-func (c *CSMA) QueueLen() int { return c.q.len() }
-
-// Buffers implements MAC.
-func (c *CSMA) Buffers() *netbuf.Pool { return c.m.Buffers() }
-
-// Retune implements MAC.
-func (c *CSMA) Retune(ch uint8) {
-	c.cfg.Channel = ch
-	if c.started {
-		c.m.SetChannel(c.id, ch)
-	}
-}
-
-// Reboot implements MAC.
-func (c *CSMA) Reboot() {
-	c.seq = 0
-	c.dedup.reset()
-}
-
-// ForgetNeighbor implements MAC.
-func (c *CSMA) ForgetNeighbor(id radio.NodeID) { c.dedup.forget(id) }
 
 // Start turns the radio on permanently.
 func (c *CSMA) Start() {
@@ -132,39 +94,9 @@ func (c *CSMA) Stop() {
 	if c.accrual != nil {
 		c.accrual.Stop()
 	}
-	c.ackTimer.Cancel()
+	c.txEv.Cancel()
 	c.q.drain()
 	c.sending = false
-}
-
-// Send implements MAC.
-func (c *CSMA) Send(to radio.NodeID, payload []byte, done DoneFunc) {
-	if !c.started {
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	c.enqueue(to, copyIn(c.m.Buffers(), payload), done)
-}
-
-// SendBuf implements MAC.
-func (c *CSMA) SendBuf(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
-	if !c.started {
-		b.Release()
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	c.enqueue(to, b, done)
-}
-
-func (c *CSMA) enqueue(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
-	c.q.push(outItem{to: to, buf: b, done: done})
-	if !c.sending {
-		c.startNext()
-	}
 }
 
 func (c *CSMA) startNext() {
@@ -186,7 +118,7 @@ func (c *CSMA) startNext() {
 
 func (c *CSMA) initialBackoff() {
 	slots := c.k.Rand().Int63n(8) + 1
-	c.k.Schedule(time.Duration(slots)*c.cfg.BackoffSlot, c.firstTryFn)
+	c.txEv = c.k.Schedule(time.Duration(slots)*c.cfg.BackoffSlot, c.firstTryFn)
 }
 
 // tryTransmit performs carrier sense with exponential backoff, then puts
@@ -202,25 +134,22 @@ func (c *CSMA) tryTransmit(backoffExp int) {
 		}
 		slots := c.k.Rand().Int63n(1 << uint(exp))
 		c.m.Recorder().Emit(int32(c.id), trace.MACBackoff, slots+1, int64(exp), 0, c.q.front().buf.Journey())
-		c.k.Schedule(time.Duration(slots+1)*c.cfg.BackoffSlot, func() {
+		c.txEv = c.k.Schedule(time.Duration(slots+1)*c.cfg.BackoffSlot, func() {
 			c.tryTransmit(exp)
 		})
 		return
 	}
 	it := c.q.front()
 	c.m.Recorder().Emit(int32(c.id), trace.MACTx, int64(it.to), int64(c.attempt), 0, it.buf.Journey())
-	air := c.m.Send(radio.Frame{
-		From: c.id, To: it.to, Channel: c.cfg.Channel, Tenant: c.cfg.Tenant,
-		Size: it.buf.Len(), Payload: it.buf,
-	})
+	air := c.transmit(it.to, it.buf)
 	if it.to == radio.Broadcast {
 		// No ACK for broadcast: complete after airtime.
-		c.k.Schedule(air, c.bcastDoneFn)
+		c.txEv = c.k.Schedule(air, c.bcastDoneFn)
 		return
 	}
 	c.awaitAckSeq = c.seq
 	c.awaitAckTo = it.to
-	c.ackTimer = c.k.Schedule(air+c.cfg.AckTimeout, c.ackTimeoutFn)
+	c.txEv = c.k.Schedule(air+c.cfg.AckTimeout, c.ackTimeoutFn)
 }
 
 func (c *CSMA) onAckTimeout() {
@@ -254,38 +183,16 @@ func (c *CSMA) finish(ok bool) {
 
 // RadioReceive implements radio.Receiver.
 func (c *CSMA) RadioReceive(f radio.Frame) {
-	if !c.started || f.Payload == nil {
-		return
-	}
-	kind, seq, payload, err := decode(f.Payload.Bytes())
-	if err != nil {
+	kind, seq, payload, ok := c.open(f)
+	if !ok {
 		return
 	}
 	switch kind {
 	case KindData:
-		if f.To != c.id && f.To != radio.Broadcast {
-			return // overheard unicast for someone else
-		}
-		if f.To == c.id {
-			// ACK even duplicates: the sender may have missed our ACK.
-			ack := control(c.m.Buffers(), KindAck, seq)
-			c.m.Send(radio.Frame{
-				From: c.id, To: f.From, Channel: c.cfg.Channel,
-				Tenant: c.cfg.Tenant, Size: ack.Len(), Payload: ack,
-			})
-			ack.Release()
-		}
-		if c.dedup.fresh(f.From, seq) && c.handler != nil {
-			// Upper layers run in the context of this packet's journey;
-			// anything they send synchronously continues it.
-			js := c.m.Buffers().Journeys()
-			prev := js.SetCurrent(f.Payload.Journey())
-			c.handler(f.From, payload)
-			js.SetCurrent(prev)
-		}
+		c.receiveData(f, seq, payload)
 	case KindAck:
-		if f.To == c.id && c.sending && seq == c.awaitAckSeq && f.From == c.awaitAckTo {
-			c.ackTimer.Cancel()
+		if c.sending && c.ackedBy(f, seq) {
+			c.txEv.Cancel()
 			c.finish(true)
 		}
 	}

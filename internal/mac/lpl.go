@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"iiotds/internal/metrics"
-	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
 	"iiotds/internal/trace"
@@ -50,30 +49,19 @@ func (c *LPLConfig) applyDefaults() {
 // latency per hop is therefore ~WakeInterval/2 on average, and the radio
 // duty cycle is ~CheckDuration/WakeInterval.
 type LPL struct {
-	m   *radio.Medium
-	k   *sim.Kernel
-	id  radio.NodeID
+	chassis
 	cfg LPLConfig
 
-	handler Handler
-	q       sendq
-	sending bool
-	seq     uint16
-	dedup   *dedup
-
-	started   bool
-	stopped   bool
 	wake      *sim.Repeater
 	sleepEv   sim.Event
 	awake     bool
 	lastAwake sim.Time
 
 	// Strobing state.
-	strobing    bool
-	strobeEnd   sim.Time
-	awaitAckSeq uint16
-	awaitAckTo  radio.NodeID
-	gotAck      bool
+	strobing  bool
+	strobeEnd sim.Time
+	gotAck    bool
+	strobeEv  sim.Event // the pending strobeFn, if any
 
 	strobeFn func() // prebuilt strobeOnce closure
 }
@@ -83,39 +71,12 @@ var _ MAC = (*LPL)(nil)
 // NewLPL creates an LPL MAC for node id on medium m.
 func NewLPL(m *radio.Medium, id radio.NodeID, cfg LPLConfig) *LPL {
 	cfg.applyDefaults()
-	l := &LPL{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	l := &LPL{cfg: cfg}
+	l.init(m, id, "lpl", &l.cfg.Config)
+	l.next = l.startNext
 	l.strobeFn = l.strobeOnce
 	return l
 }
-
-// Name implements MAC.
-func (l *LPL) Name() string { return "lpl" }
-
-// OnReceive implements MAC.
-func (l *LPL) OnReceive(h Handler) { l.handler = h }
-
-// QueueLen implements MAC.
-func (l *LPL) QueueLen() int { return l.q.len() }
-
-// Buffers implements MAC.
-func (l *LPL) Buffers() *netbuf.Pool { return l.m.Buffers() }
-
-// Retune implements MAC.
-func (l *LPL) Retune(ch uint8) {
-	l.cfg.Channel = ch
-	if l.started {
-		l.m.SetChannel(l.id, ch)
-	}
-}
-
-// Reboot implements MAC.
-func (l *LPL) Reboot() {
-	l.seq = 0
-	l.dedup.reset()
-}
-
-// ForgetNeighbor implements MAC.
-func (l *LPL) ForgetNeighbor(id radio.NodeID) { l.dedup.forget(id) }
 
 // Start begins the periodic channel checks.
 func (l *LPL) Start() {
@@ -141,6 +102,7 @@ func (l *LPL) Stop() {
 		l.wake.Stop()
 	}
 	l.sleepEv.Cancel()
+	l.strobeEv.Cancel()
 	l.setAwake(false)
 	l.q.drain()
 	l.sending = false
@@ -188,36 +150,6 @@ func (l *LPL) scheduleSleep(d time.Duration) {
 	})
 }
 
-// Send implements MAC.
-func (l *LPL) Send(to radio.NodeID, payload []byte, done DoneFunc) {
-	if !l.started {
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	l.enqueue(to, copyIn(l.m.Buffers(), payload), done)
-}
-
-// SendBuf implements MAC.
-func (l *LPL) SendBuf(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
-	if !l.started {
-		b.Release()
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	l.enqueue(to, b, done)
-}
-
-func (l *LPL) enqueue(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
-	l.q.push(outItem{to: to, buf: b, done: done})
-	if !l.sending {
-		l.startNext()
-	}
-}
-
 func (l *LPL) startNext() {
 	if l.q.len() == 0 || l.stopped {
 		l.sending = false
@@ -242,7 +174,7 @@ func (l *LPL) startNext() {
 	// own link-layer ACK is still in the air.
 	turnaround := l.cfg.StrobeGap + time.Duration(l.k.Rand().Int63n(int64(2*time.Millisecond)))
 	l.strobeEnd = l.k.Now() + turnaround + l.cfg.WakeInterval + 2*(air+l.cfg.StrobeGap)
-	l.k.Schedule(turnaround, l.strobeFn)
+	l.strobeEv = l.k.Schedule(turnaround, l.strobeFn)
 }
 
 func (l *LPL) strobeOnce() {
@@ -260,13 +192,10 @@ func (l *LPL) strobeOnce() {
 		l.endStrobe(it.to == radio.Broadcast)
 		return
 	}
-	air := l.m.Send(radio.Frame{
-		From: l.id, To: it.to, Channel: l.cfg.Channel, Tenant: l.cfg.Tenant,
-		Size: it.buf.Len(), Payload: it.buf,
-	})
+	air := l.transmit(it.to, it.buf)
 	l.m.Registry().CounterWith("mac.strobes", metrics.L("mac", "lpl")).Inc()
 	l.m.Recorder().Emit(int32(l.id), trace.MACStrobe, int64(it.to), 0, 0, it.buf.Journey())
-	l.k.Schedule(air+l.cfg.StrobeGap, l.strobeFn)
+	l.strobeEv = l.k.Schedule(air+l.cfg.StrobeGap, l.strobeFn)
 }
 
 func (l *LPL) endStrobe(ok bool) {
@@ -288,35 +217,16 @@ func (l *LPL) endStrobe(ok bool) {
 
 // RadioReceive implements radio.Receiver.
 func (l *LPL) RadioReceive(f radio.Frame) {
-	if !l.started || f.Payload == nil {
-		return
-	}
-	kind, seq, payload, err := decode(f.Payload.Bytes())
-	if err != nil {
+	kind, seq, payload, ok := l.open(f)
+	if !ok {
 		return
 	}
 	switch kind {
 	case KindData:
-		if f.To != l.id && f.To != radio.Broadcast {
+		if !l.receiveData(f, seq, payload) {
 			// Overheard strobe for someone else: go back to sleep soon.
 			l.scheduleSleep(l.cfg.CheckDuration)
 			return
-		}
-		if f.To == l.id {
-			ack := control(l.m.Buffers(), KindAck, seq)
-			l.m.Send(radio.Frame{
-				From: l.id, To: f.From, Channel: l.cfg.Channel,
-				Tenant: l.cfg.Tenant, Size: ack.Len(), Payload: ack,
-			})
-			ack.Release()
-		}
-		if l.dedup.fresh(f.From, seq) && l.handler != nil {
-			// Upper layers run in the context of this packet's journey;
-			// anything they send synchronously continues it.
-			js := l.m.Buffers().Journeys()
-			prev := js.SetCurrent(f.Payload.Journey())
-			l.handler(f.From, payload)
-			js.SetCurrent(prev)
 		}
 		// Stay up briefly in case more traffic follows (e.g., we are a
 		// forwarding hop), then sleep.
@@ -325,7 +235,7 @@ func (l *LPL) RadioReceive(f radio.Frame) {
 			l.scheduleSleep(l.cfg.IdleTimeout)
 		}
 	case KindAck:
-		if f.To == l.id && l.strobing && seq == l.awaitAckSeq && f.From == l.awaitAckTo {
+		if l.strobing && l.ackedBy(f, seq) {
 			l.gotAck = true
 		}
 	}

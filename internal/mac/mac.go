@@ -1,5 +1,5 @@
 // Package mac implements medium-access control disciplines for the
-// sensing-and-actuation layer. Three MACs cover the design space the paper
+// sensing-and-actuation layer. Four MACs cover the design space the paper
 // discusses in §IV-B:
 //
 //   - CSMA: an always-on carrier-sense MAC — the latency baseline with no
@@ -7,14 +7,19 @@
 //   - LPL: low-power listening with sender strobing and early ACK
 //     (X-MAC-style, paper refs [26,27]) — receivers wake briefly every
 //     interval, so multi-hop latency is dominated by wake intervals.
+//   - RIMAC: receiver-initiated rendezvous (paper ref [27]) — the same
+//     duty cycle with short beacons on the air instead of strobe trains.
 //   - TDMA: a synchronized transmission pipeline (Dozer/Koala-style,
 //     paper refs [28-30]) — staggered slots let a packet traverse many
 //     hops within one epoch, which is the paper's "highly synchronous
 //     end-to-end communication" point.
 //
-// All MACs speak the same tiny header (kind, sequence number), perform
-// unicast ACKs with bounded retries, deduplicate consecutive
-// retransmissions, and account idle-listening energy so duty cycles are
+// They are four disciplines over one chassis (chassis.go): the same tiny
+// header (kind, sequence number), the same send queue, unicast ACKs
+// matched by sequence number and neighbor, suppression of consecutive
+// retransmissions, and delivery inside the packet's journey. A discipline
+// file holds only what differs: timers, Start/Stop, the transmit state
+// machine, and idle-listening energy accounting, so duty cycles are
 // measurable.
 package mac
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"iiotds/internal/metrics"
-	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
 	"iiotds/internal/trace"
@@ -45,32 +44,21 @@ func (c *RIMACConfig) applyDefaults() {
 // the medium is occupied only by short beacons instead of long strobe
 // trains, which behaves much better under contention.
 type RIMAC struct {
-	m   *radio.Medium
-	k   *sim.Kernel
-	id  radio.NodeID
+	chassis
 	cfg RIMACConfig
 
-	handler Handler
-	q       sendq
-	sending bool
-	seq     uint16
-	dedup   *dedup
-
-	started   bool
-	stopped   bool
 	beacons   *sim.Repeater
 	sleepEv   sim.Event
 	awake     bool
 	lastAwake sim.Time
 
 	// Sender rendezvous state.
-	waiting     bool
-	waitTarget  radio.NodeID
-	waitExpire  sim.Event
-	attempt     int
-	awaitAckSeq uint16
-	gotAck      bool
-	bcastUntil  sim.Time
+	waiting    bool
+	waitExpire sim.Event
+	contendEv  sim.Event // the pending post-beacon contention backoff, if any
+	attempt    int
+	gotAck     bool
+	bcastUntil sim.Time
 }
 
 var _ MAC = (*RIMAC)(nil)
@@ -78,37 +66,11 @@ var _ MAC = (*RIMAC)(nil)
 // NewRIMAC creates a receiver-initiated MAC for node id on medium m.
 func NewRIMAC(m *radio.Medium, id radio.NodeID, cfg RIMACConfig) *RIMAC {
 	cfg.applyDefaults()
-	return &RIMAC{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	r := &RIMAC{cfg: cfg}
+	r.init(m, id, "rimac", &r.cfg.Config)
+	r.next = r.startNext
+	return r
 }
-
-// Name implements MAC.
-func (r *RIMAC) Name() string { return "rimac" }
-
-// OnReceive implements MAC.
-func (r *RIMAC) OnReceive(h Handler) { r.handler = h }
-
-// QueueLen implements MAC.
-func (r *RIMAC) QueueLen() int { return r.q.len() }
-
-// Buffers implements MAC.
-func (r *RIMAC) Buffers() *netbuf.Pool { return r.m.Buffers() }
-
-// Retune implements MAC.
-func (r *RIMAC) Retune(ch uint8) {
-	r.cfg.Channel = ch
-	if r.started {
-		r.m.SetChannel(r.id, ch)
-	}
-}
-
-// Reboot implements MAC.
-func (r *RIMAC) Reboot() {
-	r.seq = 0
-	r.dedup.reset()
-}
-
-// ForgetNeighbor implements MAC.
-func (r *RIMAC) ForgetNeighbor(id radio.NodeID) { r.dedup.forget(id) }
 
 // Start begins the beacon schedule.
 func (r *RIMAC) Start() {
@@ -134,6 +96,7 @@ func (r *RIMAC) Stop() {
 	}
 	r.sleepEv.Cancel()
 	r.waitExpire.Cancel()
+	r.contendEv.Cancel()
 	r.setAwake(false)
 	r.q.drain()
 	r.sending = false
@@ -160,10 +123,7 @@ func (r *RIMAC) beacon() {
 	}
 	r.setAwake(true)
 	bcn := control(r.m.Buffers(), KindBeacon, 0)
-	r.m.Send(radio.Frame{
-		From: r.id, To: radio.Broadcast, Channel: r.cfg.Channel,
-		Tenant: r.cfg.Tenant, Size: bcn.Len(), Payload: bcn,
-	})
+	r.transmit(radio.Broadcast, bcn)
 	bcn.Release()
 	r.m.Registry().CounterWith("mac.beacons", metrics.L("mac", "rimac")).Inc()
 	r.m.Recorder().Emit(int32(r.id), trace.MACBeacon, 0, 0, 0, 0)
@@ -184,36 +144,6 @@ func (r *RIMAC) scheduleSleep(d time.Duration) {
 	})
 }
 
-// Send implements MAC.
-func (r *RIMAC) Send(to radio.NodeID, payload []byte, done DoneFunc) {
-	if !r.started {
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	r.enqueue(to, copyIn(r.m.Buffers(), payload), done)
-}
-
-// SendBuf implements MAC.
-func (r *RIMAC) SendBuf(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
-	if !r.started {
-		b.Release()
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	r.enqueue(to, b, done)
-}
-
-func (r *RIMAC) enqueue(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
-	r.q.push(outItem{to: to, buf: b, done: done})
-	if !r.sending {
-		r.startNext()
-	}
-}
-
 func (r *RIMAC) startNext() {
 	if r.q.len() == 0 || r.stopped {
 		r.sending = false
@@ -230,7 +160,6 @@ func (r *RIMAC) startNext() {
 	// Rendezvous: stay awake until the target's next beacon (or, for
 	// broadcast, for one full beacon interval answering every beacon).
 	r.waiting = true
-	r.waitTarget = it.to
 	r.setAwake(true)
 	window := r.cfg.BeaconInterval + r.cfg.BeaconInterval/4
 	if it.to == radio.Broadcast {
@@ -279,11 +208,8 @@ func (r *RIMAC) finish(ok bool) {
 
 // RadioReceive implements radio.Receiver.
 func (r *RIMAC) RadioReceive(f radio.Frame) {
-	if !r.started || f.Payload == nil {
-		return
-	}
-	kind, seq, payload, err := decode(f.Payload.Bytes())
-	if err != nil {
+	kind, seq, payload, ok := r.open(f)
+	if !ok {
 		return
 	}
 	switch kind {
@@ -296,10 +222,7 @@ func (r *RIMAC) RadioReceive(f radio.Frame) {
 			if r.k.Now() < r.bcastUntil {
 				// The queued buffer was framed in startNext; every beacon
 				// answered within the window reuses it.
-				r.m.Send(radio.Frame{
-					From: r.id, To: radio.Broadcast, Channel: r.cfg.Channel,
-					Tenant: r.cfg.Tenant, Size: it.buf.Len(), Payload: it.buf,
-				})
+				r.transmit(radio.Broadcast, it.buf)
 			}
 			return
 		}
@@ -314,7 +237,7 @@ func (r *RIMAC) RadioReceive(f radio.Frame) {
 		seq := r.seq
 		to, buf := it.to, it.buf
 		backoff := time.Duration(r.k.Rand().Int63n(int64(r.cfg.Dwell * 4 / 5)))
-		r.k.Schedule(backoff, func() {
+		r.contendEv = r.k.Schedule(backoff, func() {
 			// The r.seq and r.waiting guards ensure buf is still the
 			// queued (framed, unreleased) head item when we transmit.
 			if r.stopped || !r.waiting || r.seq != seq || r.gotAck {
@@ -324,37 +247,16 @@ func (r *RIMAC) RadioReceive(f radio.Frame) {
 				return // another sender won this rendezvous
 			}
 			r.awaitAckSeq = seq
-			r.m.Send(radio.Frame{
-				From: r.id, To: to, Channel: r.cfg.Channel,
-				Tenant: r.cfg.Tenant, Size: buf.Len(), Payload: buf,
-			})
+			r.awaitAckTo = to
+			r.transmit(to, buf)
 		})
 	case KindData:
-		if f.To != r.id && f.To != radio.Broadcast {
-			return
-		}
-		if f.To == r.id {
-			ack := control(r.m.Buffers(), KindAck, seq)
-			r.m.Send(radio.Frame{
-				From: r.id, To: f.From, Channel: r.cfg.Channel,
-				Tenant: r.cfg.Tenant, Size: ack.Len(), Payload: ack,
-			})
-			ack.Release()
-		}
-		if r.dedup.fresh(f.From, seq) && r.handler != nil {
-			// Upper layers run in the context of this packet's journey;
-			// anything they send synchronously continues it.
-			js := r.m.Buffers().Journeys()
-			prev := js.SetCurrent(f.Payload.Journey())
-			r.handler(f.From, payload)
-			js.SetCurrent(prev)
-		}
-		if !r.waiting {
+		if r.receiveData(f, seq, payload) && !r.waiting {
 			r.setAwake(true)
 			r.scheduleSleep(r.cfg.IdleTimeout)
 		}
 	case KindAck:
-		if f.To == r.id && r.waiting && seq == r.awaitAckSeq {
+		if r.waiting && r.ackedBy(f, seq) {
 			r.gotAck = true
 			r.finish(true)
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"iiotds/internal/metrics"
-	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
 	"iiotds/internal/trace"
@@ -47,23 +46,13 @@ func (c *TDMAConfig) applyDefaults() {
 // coordination of multiple devices" (§IV-B). Latency is hops×slot instead
 // of hops×(wake interval/2), and the radio is on only during owned slots.
 type TDMA struct {
-	m   *radio.Medium
-	k   *sim.Kernel
-	id  radio.NodeID
+	chassis
 	cfg TDMAConfig
 
-	handler Handler
-	q       sendq
-	seq     uint16
 	attempt int
-	dedup   *dedup
+	pending []sim.Event // this epoch's slot events and the next epoch's re-arm
+	rxEnd   sim.Event   // the pending end of an rx slot, if any
 
-	started bool
-	stopped bool
-	pending []sim.Event
-
-	awaitAckSeq uint16
-	awaitAckTo  radio.NodeID
 	gotAck      bool
 	seqAssigned bool
 
@@ -83,40 +72,23 @@ func NewTDMA(m *radio.Medium, id radio.NodeID, cfg TDMAConfig) *TDMA {
 			panic(fmt.Sprintf("mac: RxSlot %d outside epoch of %d slots", s, cfg.SlotsPerEpoch))
 		}
 	}
-	t := &TDMA{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	t := &TDMA{cfg: cfg}
+	t.init(m, id, "tdma", &t.cfg.Config)
+	// A queued send starts nothing, its slot will come — unless the node
+	// has no transmit slot (e.g. the root): then the send is refused,
+	// failing the item that was just queued.
+	if cfg.TxSlot < 0 {
+		t.next = t.q.drain
+	}
 	t.endTxFn = t.endTxSlot
 	return t
 }
 
-// Name implements MAC.
-func (t *TDMA) Name() string { return "tdma" }
-
-// OnReceive implements MAC.
-func (t *TDMA) OnReceive(h Handler) { t.handler = h }
-
-// QueueLen implements MAC.
-func (t *TDMA) QueueLen() int { return t.q.len() }
-
-// Buffers implements MAC.
-func (t *TDMA) Buffers() *netbuf.Pool { return t.m.Buffers() }
-
-// Retune implements MAC.
-func (t *TDMA) Retune(ch uint8) {
-	t.cfg.Channel = ch
-	if t.started {
-		t.m.SetChannel(t.id, ch)
-	}
-}
-
 // Reboot implements MAC.
 func (t *TDMA) Reboot() {
-	t.seq = 0
+	t.chassis.Reboot()
 	t.seqAssigned = false
-	t.dedup.reset()
 }
-
-// ForgetNeighbor implements MAC.
-func (t *TDMA) ForgetNeighbor(id radio.NodeID) { t.dedup.forget(id) }
 
 // Epoch returns the epoch length.
 func (t *TDMA) Epoch() time.Duration {
@@ -149,32 +121,10 @@ func (t *TDMA) Stop() {
 		e.Cancel()
 	}
 	t.pending = nil
+	t.rxEnd.Cancel()
 	t.m.SetListening(t.id, false)
 	t.q.drain()
 	t.seqAssigned = false
-}
-
-// Send implements MAC.
-func (t *TDMA) Send(to radio.NodeID, payload []byte, done DoneFunc) {
-	if !t.started || t.cfg.TxSlot < 0 {
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	t.q.push(outItem{to: to, buf: copyIn(t.m.Buffers(), payload), done: done})
-}
-
-// SendBuf implements MAC.
-func (t *TDMA) SendBuf(to radio.NodeID, b *netbuf.Buffer, done DoneFunc) {
-	if !t.started || t.cfg.TxSlot < 0 {
-		b.Release()
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	t.q.push(outItem{to: to, buf: b, done: done})
 }
 
 func (t *TDMA) scheduleEpoch() {
@@ -209,7 +159,7 @@ func (t *TDMA) rxSlot() {
 	}
 	t.m.SetListening(t.id, true)
 	t.m.Energy().Ledger(int(t.id)).Spend(metrics.StateListen, t.cfg.SlotDuration)
-	t.k.Schedule(t.cfg.SlotDuration, func() {
+	t.rxEnd = t.k.Schedule(t.cfg.SlotDuration, func() {
 		// Another slot may have turned the radio on again; only sleep
 		// if no rx slot is in progress. Slots are non-overlapping by
 		// construction, so unconditional off is correct here.
@@ -237,10 +187,7 @@ func (t *TDMA) txSlot() {
 	t.m.Recorder().Emit(int32(t.id), trace.MACTx, int64(it.to), int64(t.attempt), 0, it.buf.Journey())
 	// Listen after transmitting to catch the in-slot ACK.
 	t.m.SetListening(t.id, true)
-	air := t.m.Send(radio.Frame{
-		From: t.id, To: it.to, Channel: t.cfg.Channel, Tenant: t.cfg.Tenant,
-		Size: it.buf.Len(), Payload: it.buf,
-	})
+	air := t.transmit(it.to, it.buf)
 	t.m.Energy().Ledger(int(t.id)).Spend(metrics.StateListen, t.cfg.SlotDuration-t.guard()-air)
 	t.pending = append(t.pending, t.k.Schedule(t.cfg.SlotDuration-t.guard()-time.Nanosecond, t.endTxFn))
 }
@@ -272,36 +219,15 @@ func (t *TDMA) endTxSlot() {
 
 // RadioReceive implements radio.Receiver.
 func (t *TDMA) RadioReceive(f radio.Frame) {
-	if !t.started || f.Payload == nil {
-		return
-	}
-	kind, seq, payload, err := decode(f.Payload.Bytes())
-	if err != nil {
+	kind, seq, payload, ok := t.open(f)
+	if !ok {
 		return
 	}
 	switch kind {
 	case KindData:
-		if f.To != t.id && f.To != radio.Broadcast {
-			return
-		}
-		if f.To == t.id {
-			ack := control(t.m.Buffers(), KindAck, seq)
-			t.m.Send(radio.Frame{
-				From: t.id, To: f.From, Channel: t.cfg.Channel,
-				Tenant: t.cfg.Tenant, Size: ack.Len(), Payload: ack,
-			})
-			ack.Release()
-		}
-		if t.dedup.fresh(f.From, seq) && t.handler != nil {
-			// Upper layers run in the context of this packet's journey;
-			// anything they send synchronously continues it.
-			js := t.m.Buffers().Journeys()
-			prev := js.SetCurrent(f.Payload.Journey())
-			t.handler(f.From, payload)
-			js.SetCurrent(prev)
-		}
+		t.receiveData(f, seq, payload)
 	case KindAck:
-		if f.To == t.id && seq == t.awaitAckSeq && f.From == t.awaitAckTo {
+		if t.ackedBy(f, seq) {
 			t.gotAck = true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"iiotds/internal/core"
 	"iiotds/internal/fault"
 	"iiotds/internal/radio"
+	"iiotds/internal/trace"
 )
 
 // Built is a deployment constructed from a Spec, plus the fault
@@ -13,11 +14,29 @@ import (
 type Built struct {
 	Spec Spec
 	D    *core.Deployment
+	faults
+}
 
-	// Ledger, Inj, and Churn are created by ArmFaults; nil before.
+// faults is the fault machinery of a built deployment, flat or sharded:
+// all nil until ArmFaults.
+type faults struct {
 	Ledger *fault.Ledger
 	Inj    *fault.Injector
 	Churn  *fault.Churn
+}
+
+// arm creates the reliability ledger, fault injector, and churn engine
+// at sched's current virtual time; faults are traced into rec (nil on
+// the sharded engine, which has no recorder). No-op when the spec
+// schedules no faults or they are already armed.
+func (f *faults) arm(spec Spec, sched fault.Sched, ctl fault.MediumCtl, target fault.Target, rec *trace.Recorder) {
+	if !spec.Faults.enabled() || f.Churn != nil {
+		return
+	}
+	f.Ledger = fault.NewLedger(sched.Now())
+	f.Inj = fault.NewInjector(sched, ctl, target, f.Ledger)
+	f.Inj.SetRecorder(rec)
+	f.Churn = fault.NewChurn(f.Inj, ChurnSeed(spec.Seed), spec.Faults.ChurnConfig(spec.Topo.Nodes()))
 }
 
 // ChurnSeed derives the churn engine's generator seed from the scenario
@@ -37,24 +56,29 @@ func ChurnSeed(seed int64) int64 { return seed*7919 + 13 }
 // the reliability ledger must start at convergence, not construction:
 // availability is measured over the operational phase.
 func Build(spec Spec) *Built {
+	stack := stackOf(&spec)
+	return &Built{Spec: spec, D: core.NewStack(stack)}
+}
+
+// stackOf canonicalizes the spec in place and expands it into the core
+// stack description — the shared front half of Build and BuildSharded.
+func stackOf(spec *Spec) core.Stack {
 	spec.applyDefaults()
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	profiles, topo := expand(spec)
-	d := core.NewStack(core.Stack{
+	profiles, topo := expand(*spec)
+	return core.Stack{
 		Seed:          spec.Seed,
 		Profiles:      profiles,
 		Topology:      topo,
 		TraceCapacity: spec.TraceCapacity,
 		Factories:     spec.Factories,
-	})
-	return &Built{Spec: spec, D: d}
+	}
 }
 
-// expand generates the spec's topology and binds every node to a
-// profile — the shared front half of Build and BuildSharded. The spec
-// must already be canonical.
+// expand generates the canonical spec's topology and binds every node
+// to a profile.
 func expand(spec Spec) ([]core.Profile, core.Topology) {
 	positions := spec.Topo.Generate(spec.Seed)
 	labels := spec.Topo.Labels()
@@ -116,10 +140,7 @@ func classProfiles(spec Spec, positions radio.Topology, labels []string) ([]core
 type BuiltSharded struct {
 	Spec Spec
 	D    *core.ShardedDeployment
-
-	Ledger *fault.Ledger
-	Inj    *fault.Injector
-	Churn  *fault.Churn
+	faults
 }
 
 // BuildSharded expands the spec like Build, but stripes the fleet over
@@ -129,44 +150,17 @@ type BuiltSharded struct {
 // on the sharded engine, so specs carrying TraceCapacity panic in
 // core.NewShardedStack.
 func BuildSharded(spec Spec, stripes int) *BuiltSharded {
-	spec.applyDefaults()
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
-	profiles, topo := expand(spec)
-	sd := core.NewShardedStack(core.Stack{
-		Seed:          spec.Seed,
-		Profiles:      profiles,
-		Topology:      topo,
-		TraceCapacity: spec.TraceCapacity,
-		Factories:     spec.Factories,
-	}, stripes)
-	return &BuiltSharded{Spec: spec, D: sd}
+	stack := stackOf(&spec)
+	return &BuiltSharded{Spec: spec, D: core.NewShardedStack(stack, stripes)}
 }
 
-// ArmFaults mirrors Built.ArmFaults on the sharded engine: ledger time
-// and fault scheduling come from the shard group, and the injector's
-// medium control fans to the owning stripe(s) through the deployment.
-func (b *BuiltSharded) ArmFaults() {
-	if !b.Spec.Faults.enabled() || b.Churn != nil {
-		return
-	}
-	b.Ledger = fault.NewLedger(b.D.G.Now())
-	b.Inj = fault.NewInjector(b.D.G, b.D, b.D, b.Ledger)
-	b.Churn = fault.NewChurn(b.Inj, ChurnSeed(b.Spec.Seed), b.Spec.Faults.ChurnConfig(b.Spec.Topo.Nodes()))
-}
+// ArmFaults arms the spec's faults at the deployment's current virtual
+// time. Call it after convergence (on the kernel goroutine contract of
+// the injector) and before starting the soak; the churn engine itself
+// still needs Churn.Start.
+func (b *Built) ArmFaults() { b.arm(b.Spec, b.D.K, b.D.M, b.D, b.D.Trace) }
 
-// ArmFaults creates the reliability ledger, fault injector, and churn
-// engine at the deployment's current virtual time. Call it after
-// convergence (on the kernel goroutine contract of the injector) and
-// before starting the soak; the churn engine itself still needs
-// Churn.Start. No-op when the spec schedules no faults.
-func (b *Built) ArmFaults() {
-	if !b.Spec.Faults.enabled() || b.Churn != nil {
-		return
-	}
-	b.Ledger = fault.NewLedger(b.D.K.Now())
-	b.Inj = fault.NewInjector(b.D.K, b.D.M, b.D, b.Ledger)
-	b.Inj.SetRecorder(b.D.Trace)
-	b.Churn = fault.NewChurn(b.Inj, ChurnSeed(b.Spec.Seed), b.Spec.Faults.ChurnConfig(b.Spec.Topo.Nodes()))
-}
+// ArmFaults is Built.ArmFaults on the sharded engine: ledger time and
+// fault scheduling come from the shard group, and the injector's medium
+// control fans to the owning stripe(s) through the deployment.
+func (b *BuiltSharded) ArmFaults() { b.arm(b.Spec, b.D.G, b.D, b.D, nil) }
