@@ -20,10 +20,8 @@ import (
 	"time"
 
 	"iiotds/internal/agg"
-	"iiotds/internal/clock"
 	"iiotds/internal/core"
 	"iiotds/internal/fault"
-	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
 	"iiotds/internal/scenario"
 	"iiotds/internal/sim"
@@ -49,7 +47,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the deployment's flight-recorder events (JSONL) to this file")
 	traceCap := flag.Int("trace-capacity", 1<<16, "flight-recorder ring capacity (with -trace-out)")
 	traceNode := flag.Int("trace-node", unsetNode, "restrict -trace-out to one node ID (-1 = network-wide events)")
-	traceLayer := flag.String("trace-layer", "", "restrict -trace-out to a comma-separated set of layers: radio, mac, link, rpl, coap, bus, fault, store")
+	traceLayer := flag.String("trace-layer", "", "restrict -trace-out to a comma-separated set of layers: radio, mac, link, rpl, coap, fault, store")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at the end")
 	scenarioSpec := flag.String("scenario", "", "replay a scenario reproducer string (scn1;...) instead of building from flags; exits 1 if an invariant is violated")
 	shards := flag.Int("shards", 1, "stripe the deployment over this many simulation kernels (DESIGN.md §9) and run them in parallel; the stripe count is a model parameter, so results are pinned per value")
@@ -127,15 +125,9 @@ func main() {
 		})
 	}
 
-	if *shards > 1 {
-		if *traceOut != "" || *metricsOut != "" || *query {
-			fmt.Fprintln(os.Stderr, "iiotsim: -shards does not support -trace-out, -metrics-out or -query (run with -query=false)")
-			os.Exit(2)
-		}
-		if *storeShards > 0 {
-			fmt.Fprintln(os.Stderr, "iiotsim: -store-shards needs the single-kernel engine (drop -shards)")
-			os.Exit(2)
-		}
+	if *shards > 1 && (*traceOut != "" || *metricsOut != "" || *query) {
+		fmt.Fprintln(os.Stderr, "iiotsim: -shards does not support -trace-out, -metrics-out or -query (run with -query=false)")
+		os.Exit(2)
 	}
 	if *traceOut != "" {
 		stack.TraceCapacity = *traceCap
@@ -161,6 +153,7 @@ func main() {
 			fault.Target
 			RunUntilConverged(time.Duration) (bool, time.Duration)
 			ConvergedFraction() float64
+			AttachBackend(store.ShardedConfig) *core.Backend
 		}
 		fleetNodes []*core.Node
 		clk        interface { // the time driver
@@ -218,60 +211,24 @@ func main() {
 		d.Root().Agg.RunQuery(agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: *epoch, MaxDepth: 12})
 	}
 
-	// Storage tier: the border router fronts a partitioned store and every
-	// node pushes its reading up the DODAG each epoch (lowpan.ProtoIngest),
-	// batched into the shards through one appender — the same pipeline the
-	// scenario ingest workload and E16 drive.
-	var st *store.Sharded
-	var app *store.Appender
-	var ingestReps []*sim.Repeater
-	var ingestSent, ingestDelivered int
+	// Storage tier: the border router fronts a partitioned store and an
+	// observe gateway, and every node pushes its reading up the DODAG
+	// each epoch — the same hand-off (core.Backend) the scenario ingest
+	// workload and F1 drive, on either engine.
+	var be *core.Backend
+	var stopFeed func()
 	if *storeShards > 0 {
 		mode, err := store.ParseMode(*storeModeFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
 			os.Exit(2)
 		}
-		if *nodes > 256 {
-			fmt.Fprintln(os.Stderr, "iiotsim: -store-shards ingest addresses nodes in one byte (max 256 nodes)")
-			os.Exit(2)
-		}
-		st = store.NewSharded(clock.Kernel{K: d.K}, store.ShardedConfig{
-			Shards:  *storeShards,
-			Policy:  store.ShardPolicy{Mode: mode, Replicas: 3},
-			Seed:    *seed,
-			Rec:     d.Trace,
-			Metrics: d.Reg,
-			Node:    -1,
+		be = fleet.AttachBackend(store.ShardedConfig{
+			Shards: *storeShards,
+			Policy: store.ShardPolicy{Mode: mode, Replicas: 3},
 		})
-		defer st.Stop()
-		app = st.NewAppender()
-		names := make([]string, *nodes)
-		for i := range names {
-			names[i] = fmt.Sprintf("node/%d/temp", i)
-		}
-		d.Root().Router.Handle(lowpan.ProtoIngest, func(from radio.NodeID, payload []byte) {
-			if len(payload) != 2 || payload[0] != 0x16 {
-				return
-			}
-			i := int(payload[1])
-			if i <= 0 || i >= *nodes {
-				return
-			}
-			ingestDelivered++
-			app.Append(names[i], store.Point{T: time.Duration(d.K.Now()), V: 20 + float64(i%7)})
-		})
-		for i := 1; i < *nodes; i++ {
-			n := d.Nodes[i]
-			ingestReps = append(ingestReps, d.K.Every(*epoch, *epoch/4, func() {
-				if !n.Up() {
-					return
-				}
-				ingestSent++
-				_ = n.Router.SendUp(lowpan.ProtoIngest, []byte{0x16, byte(n.ID)})
-			}))
-		}
-		ingestReps = append(ingestReps, d.K.Every(*epoch, 0, func() { app.Flush() }))
+		defer be.Close()
+		stopFeed = be.Feed(*epoch, *epoch)
 		fmt.Printf("store: %d shards × 3 replicas, %s mode, fed by %d nodes every %v\n",
 			*storeShards, mode, *nodes-1, *epoch)
 	}
@@ -313,17 +270,16 @@ func main() {
 	if sd != nil {
 		fmt.Printf("sync: %d windows, %d cross-stripe handoffs\n", sd.G.Windows(), sd.G.Handoffs())
 	}
-	if st != nil {
+	if be != nil {
 		// Stop producing, then let in-flight frames land, the final batch
 		// ack, and AP anti-entropy finish a round.
-		for _, r := range ingestReps {
-			r.Stop()
-		}
-		d.K.RunFor(2 * time.Second)
-		app.Flush()
-		d.K.RunFor(5 * time.Second)
+		stopFeed()
+		clk.RunFor(2 * time.Second)
+		be.Flush()
+		clk.RunFor(5 * time.Second)
+		acked, failed := be.Batches()
 		fmt.Printf("store: %d/%d readings delivered, %d points ingested, batches acked=%d failed=%d, converged=%v\n",
-			ingestDelivered, ingestSent, st.Stats().TotalPoints(), app.Acked(), app.Failed(), st.Converged())
+			be.Delivered(), be.Sent(), be.Store.Stats().TotalPoints(), acked, failed, be.Store.Converged())
 	}
 
 	if *traceOut != "" {
@@ -418,7 +374,7 @@ func parseLayers(spec string) ([]trace.Layer, error) {
 		}
 		l, ok := trace.ParseLayer(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown layer %q (want radio, mac, link, rpl, coap, bus, fault, or store)", name)
+			return nil, fmt.Errorf("unknown layer %q (want radio, mac, link, rpl, coap, fault, or store)", name)
 		}
 		layers = append(layers, l)
 	}

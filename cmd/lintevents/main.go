@@ -11,7 +11,7 @@
 // ID from a function with a packet buffer in scope has almost certainly
 // dropped the correlation ID — the regression that silently punches
 // holes in reconstructed journeys. Control-plane types (beacons, DIOs,
-// bus traffic, faults) legitimately carry journey 0 and are exempt.
+// store events, faults) legitimately carry journey 0 and are exempt.
 //
 //	lintevents            # lint the default protocol-layer packages
 //	lintevents ./foo ...  # lint the named directories instead
@@ -37,7 +37,6 @@ var protocolLayers = []string{
 	"internal/lowpan",
 	"internal/rpl",
 	"internal/coap",
-	"internal/bus",
 	"internal/agg",
 	"internal/trace",
 	"internal/fault",
@@ -76,7 +75,7 @@ func main() {
 // journeyDataTypes are the trace event types tied to a specific packet:
 // an Emit of one of these must thread the packet's journey ID through,
 // never a literal 0. The control-plane types (wakeups, beacons, DIOs,
-// DAOs, RNFD, bus, fault) are journey-less by design and absent here.
+// DAOs, RNFD, store, fault) are journey-less by design and absent here.
 var journeyDataTypes = map[string]bool{
 	"RadioTx": true, "RadioDeliver": true, "RadioLoss": true, "RadioCollision": true,
 	"MACTx": true, "MACBackoff": true, "MACRetry": true, "MACTxFail": true, "MACStrobe": true,

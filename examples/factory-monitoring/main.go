@@ -1,8 +1,9 @@
 // Factory monitoring: a plant telemetry scenario exercising the three-
 // tier architecture (Fig. 1) — heterogeneous legacy devices behind
 // protocol adapters at the edge, a mesh carrying merged aggregates to
-// the border router, a pub/sub application tier with an alerting rule,
-// and a time-series storage tier.
+// the border router, an alerting rule subscribed through the observe
+// gateway, a replicated time-series storage tier, and automated
+// diagnosis (§V-D) replayed over the stored series.
 //
 //	go run ./examples/factory-monitoring
 package main
@@ -13,22 +14,36 @@ import (
 
 	"iiotds/internal/adapter"
 	"iiotds/internal/agg"
-	"iiotds/internal/bus"
 	"iiotds/internal/core"
+	"iiotds/internal/diag"
 	"iiotds/internal/radio"
 	"iiotds/internal/registry"
+	"iiotds/internal/store"
 )
+
+// monitored lists the series the plant stores, in report order, each
+// with its physically plausible range; a reading outside it is a
+// component fault, not a process condition.
+var monitored = []struct {
+	series   string
+	min, max float64
+}{
+	{"obs/mesh/vibration_max", 0, 5},
+	{"obs/press-7/bearing_temp", 0, 120},
+	{"obs/press-7/rpm", 0, 1500},
+}
 
 func main() {
 	// The plant floor: 25 mesh nodes monitoring presses and conveyors,
-	// all one device class, plus the broker/storage backend tiers.
+	// all one device class, with the store and gateway tiers behind the
+	// border router.
 	d := core.NewStack(core.Stack{
-		Seed:        7,
-		Profiles:    []core.Profile{{Name: "zone-sensor"}},
-		Topology:    core.Uniform("zone-sensor", radio.GridTopology(25, 15)),
-		WithBackend: true,
+		Seed:     7,
+		Profiles: []core.Profile{{Name: "zone-sensor"}},
+		Topology: core.Uniform("zone-sensor", radio.GridTopology(25, 15)),
 	})
-	defer d.Close()
+	be := d.AttachBackend(store.ShardedConfig{})
+	defer be.Close()
 
 	// Legacy integration at the gateway: a Modbus press controller is
 	// decoded through its adapter into canonical observations.
@@ -43,9 +58,6 @@ func main() {
 		Protocol: adapter.ProtocolModbus, Tenant: "plant-a",
 	}
 	pressEmu := adapter.NewModbusEmulator(press, mbMap)
-	if err := d.Registry.Register(press); err != nil {
-		panic(err)
-	}
 
 	// Mesh sensors: vibration per zone.
 	for i := 1; i < 25; i++ {
@@ -67,22 +79,16 @@ func main() {
 
 	// Application tier: alert when zone vibration exceeds threshold.
 	alerts := 0
-	if _, err := d.Bus.Subscribe("obs/mesh/vibration_max", func(m bus.Message) {
-		var v float64
-		fmt.Sscanf(string(m.Payload), "%f", &v)
+	be.Observe("obs/mesh/vibration_max", func(v float64) {
 		if v > 4 {
 			alerts++
 			fmt.Printf("ALERT: plant vibration max %.2f g — dispatch maintenance\n", v)
 		}
-	}); err != nil {
-		panic(err)
-	}
+	})
 
 	// Border router lifts each epoch's MAX(vibration) into the backend.
 	d.Root().Agg.OnResult = func(r agg.Result) {
-		_ = d.PublishObservation(registry.Observation{
-			Device: "mesh", Cap: "vibration_max", Value: r.Value, Unit: "g", At: d.K.Now(),
-		})
+		be.Publish("obs/mesh/vibration_max", store.Point{T: d.K.Now(), V: r.Value})
 	}
 	d.Root().Agg.RunQuery(agg.Query{ID: 9, Fn: agg.Max, Attr: "vibration", Epoch: 15 * time.Second, MaxDepth: 10})
 
@@ -95,7 +101,7 @@ func main() {
 			return
 		}
 		for _, o := range obs {
-			_ = d.PublishObservation(o)
+			be.Publish(o.Topic(), store.Point{T: o.At, V: o.Value})
 		}
 	})
 
@@ -104,17 +110,35 @@ func main() {
 		d.K.RunFor(time.Minute)
 	}
 
+	// Range completes inside the call on the in-memory fabric.
+	be.Flush()
+	var findings []diag.Finding
 	fmt.Println("\n--- shift report ---")
-	for _, name := range d.SeriesNames() {
-		s := d.Series(name)
-		pts := s.Range(0, d.K.Now()+1)
-		sum := 0.0
-		for _, p := range pts {
-			sum += p.V
-		}
-		last, _ := s.Last()
-		fmt.Printf("%-28s samples=%-4d mean=%7.2f last=%7.2f\n", name, len(pts), sum/float64(len(pts)), last.V)
+	for _, m := range monitored {
+		be.Store.Range(m.series, 0, d.K.Now()+1, func(pts []store.Point, err error) {
+			if err != nil {
+				panic(err) // AP reads are local and cannot fail
+			}
+			sum := 0.0
+			for _, p := range pts {
+				sum += p.V
+			}
+			fmt.Printf("%-28s samples=%-4d mean=%7.2f last=%7.2f\n", m.series, len(pts), sum/float64(len(pts)), pts[len(pts)-1].V)
+			// Diagnosis (§V-D) replays the stored series: out-of-range
+			// and stuck-at detectors, one engine per physical range.
+			eng := diag.NewEngine(m.min, m.max)
+			for _, p := range pts {
+				eng.Observe(m.series, p.T, p.V, nil)
+			}
+			findings = append(findings, eng.Findings...)
+		})
 	}
 	fmt.Printf("alerts raised: %d\n", alerts)
 	fmt.Printf("network energy: mean %.2f J/node\n", d.M.Energy().MeanTotalJoules())
+
+	fmt.Println("\n--- diagnosis ---")
+	for _, f := range findings {
+		fmt.Printf("%-28s %-12s at %-6v %s\n", f.Sensor, f.Type, f.At.Truncate(time.Second), f.Detail)
+	}
+	fmt.Printf("findings: %d\n", len(findings))
 }

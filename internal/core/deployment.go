@@ -4,33 +4,31 @@
 //   - sensing-and-actuation layer: emulated nodes, each with a radio,
 //     a MAC (CSMA or LPL), a link layer, an RPL router, the aggregation
 //     service, and a CoAP endpoint reachable over the mesh;
-//   - application-logic layer: a pub/sub broker plus whatever rules the
-//     application wires to it;
-//   - data-storage layer: a time-series store fed from the broker.
+//   - application-logic layer: whatever rules the application
+//     subscribes through the border router's observe gateway
+//     (Backend.Observe) or runs over stored series (Backend.Store);
+//   - data-storage layer: a sharded, replicated time-series store.
 //
-// A Deployment owns the whole stack and exposes the operations the
-// experiments and examples need: build, run, sample, observe, crash,
-// recover, retune.
+// A Deployment owns the sensing layer and exposes the operations the
+// experiments and examples need: build, run, sample, crash, recover,
+// retune. The two tiers behind the border router are a Backend,
+// attached explicitly (AttachBackend) and fed through one hand-off.
 package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
 	"iiotds/internal/agg"
-	"iiotds/internal/bus"
 	"iiotds/internal/coap"
 	"iiotds/internal/link"
 	"iiotds/internal/lowpan"
 	"iiotds/internal/mac"
 	"iiotds/internal/metrics"
 	"iiotds/internal/radio"
-	"iiotds/internal/registry"
 	"iiotds/internal/rpl"
 	"iiotds/internal/sim"
-	"iiotds/internal/store"
 	"iiotds/internal/trace"
 )
 
@@ -76,19 +74,14 @@ func (n *Node) Up() bool { return n.up }
 // sensor readings for aggregation queries.
 func (n *Node) SetSampler(s agg.Sampler) { n.sampler = s }
 
-// Deployment is a full three-tier system under emulation: a fleet on
-// one kernel and one medium, plus the optional backend tiers.
+// Deployment is a fleet under emulation on one kernel and one medium;
+// AttachBackend puts Fig. 1's other two tiers behind its border router.
 type Deployment struct {
 	fleet
 	K     *sim.Kernel
 	M     *radio.Medium
 	Reg   *metrics.Registry
 	Trace *trace.Recorder // nil when tracing is disabled
-
-	// Application and storage tiers (nil unless Stack.WithBackend).
-	Bus      *bus.Broker
-	Registry *registry.Registry
-	series   map[string]*store.SeriesEngine // storage tier, by topic
 }
 
 // RunUntilConverged advances virtual time until the DODAG is complete or
@@ -103,50 +96,6 @@ func (d *Deployment) RunUntilConverged(maxSim time.Duration) (bool, time.Duratio
 		d.K.RunFor(time.Second)
 	}
 	return d.Converged(), d.K.Now() - start
-}
-
-// PublishObservation routes a canonical observation into the backend
-// tiers: broker topic obs/<device>/<cap> and the time-series store.
-func (d *Deployment) PublishObservation(o registry.Observation) error {
-	if d.Bus == nil {
-		return fmt.Errorf("core: deployment has no backend")
-	}
-	payload := []byte(fmt.Sprintf("%g", o.Value))
-	if err := d.Bus.Publish(o.Topic(), payload, true); err != nil {
-		return err
-	}
-	d.Series(o.Topic()).Append(store.Point{T: o.At, V: o.Value})
-	return nil
-}
-
-// Series returns (creating if needed) the storage tier's series for a
-// topic. Each keeps at most 4096/DefaultSegmentSize closed segments, so
-// a long-running deployment's memory stays bounded.
-func (d *Deployment) Series(topic string) *store.SeriesEngine {
-	e, ok := d.series[topic]
-	if !ok {
-		e = store.NewSeriesEngine(0)
-		e.SetRetention(4096 / store.DefaultSegmentSize)
-		d.series[topic] = e
-	}
-	return e
-}
-
-// SeriesNames returns the topics the storage tier holds, sorted.
-func (d *Deployment) SeriesNames() []string {
-	names := make([]string, 0, len(d.series))
-	for name := range d.series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Close releases backend resources.
-func (d *Deployment) Close() {
-	if d.Bus != nil {
-		d.Bus.Close()
-	}
 }
 
 // meshTransport adapts the RPL data plane to coap.Transport. Addresses

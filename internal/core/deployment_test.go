@@ -7,14 +7,12 @@ import (
 	"time"
 
 	"iiotds/internal/agg"
-	"iiotds/internal/bus"
 	"iiotds/internal/clock"
 	"iiotds/internal/coap"
 	"iiotds/internal/fault"
 	"iiotds/internal/lowpan"
 	"iiotds/internal/mac"
 	"iiotds/internal/radio"
-	"iiotds/internal/registry"
 	"iiotds/internal/rpl"
 )
 
@@ -205,58 +203,6 @@ func TestRNFDIntegration(t *testing.T) {
 	}
 }
 
-func TestBackendPublish(t *testing.T) {
-	stack := uniformStack(11, radio.GridTopology(4, 15), Profile{})
-	stack.WithBackend = true
-	d := NewStack(stack)
-	defer d.Close()
-	obs := observationFixture()
-	if err := d.PublishObservation(obs); err != nil {
-		t.Fatal(err)
-	}
-	// Storage tier: one series per topic, listed in sorted order.
-	s := d.Series("obs/press-1/temp")
-	if s.Len() != 1 || s != d.Series("obs/press-1/temp") {
-		t.Fatalf("series len = %d, or its identity is unstable", s.Len())
-	}
-	p, _ := s.Last()
-	if p.V != 36.5 {
-		t.Fatalf("stored %v", p.V)
-	}
-	obs.Cap = "rpm"
-	if err := d.PublishObservation(obs); err != nil {
-		t.Fatal(err)
-	}
-	if names := d.SeriesNames(); len(names) != 2 || names[0] != "obs/press-1/rpm" || names[1] != "obs/press-1/temp" {
-		t.Fatalf("SeriesNames = %v", names)
-	}
-	// Application tier: retained message replays to a late subscriber.
-	got := make(chan string, 1)
-	if _, err := d.Bus.Subscribe("obs/press-1/+", func(m bus.Message) {
-		select {
-		case got <- string(m.Payload):
-		default:
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-got:
-		if v != "36.5" {
-			t.Fatalf("bus payload = %q", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retained observation not replayed")
-	}
-}
-
-func TestDeploymentWithoutBackendRejectsPublish(t *testing.T) {
-	d := smallGrid(4, Profile{})
-	if err := d.PublishObservation(observationFixture()); err == nil {
-		t.Fatal("publish without backend accepted")
-	}
-}
-
 func TestLPLDeploymentConverges(t *testing.T) {
 	d := NewStack(uniformStack(13, radio.GridTopology(9, 15),
 		Profile{MAC: MACLPL, LPL: mac.LPLConfig{WakeInterval: 250 * time.Millisecond}}))
@@ -312,16 +258,6 @@ func TestEmptyTopologyPanics(t *testing.T) {
 		}
 	}()
 	NewStack(uniformStack(1, nil, Profile{}))
-}
-
-func observationFixture() registry.Observation {
-	return registry.Observation{
-		Device: "press-1",
-		Cap:    "temp",
-		Value:  36.5,
-		Unit:   "C",
-		At:     time.Second,
-	}
 }
 
 func ExampleDeployment() {

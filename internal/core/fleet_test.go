@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -24,17 +23,29 @@ type engine struct {
 	ctl               fault.MediumCtl
 }
 
+// engineKinds builds the same stack on each way of driving it.
+var engineKinds = []struct {
+	name  string
+	build func(Stack) engine
+}{
+	{"flat", func(s Stack) engine {
+		d := NewStack(s)
+		return engine{&d.fleet, d.K.RunFor, d.RunUntilConverged, d.M}
+	}},
+	{"stripes=1", func(s Stack) engine { return shardedEngine(s, 1) }},
+	{"stripes=3", func(s Stack) engine { return shardedEngine(s, 3) }},
+}
+
+func shardedEngine(s Stack, stripes int) engine {
+	sd := NewShardedStack(s, stripes)
+	return engine{&sd.fleet, sd.G.RunFor, sd.RunUntilConverged, sd}
+}
+
 func forEachEngine(t *testing.T, stack Stack, fn func(t *testing.T, e engine)) {
 	t.Helper()
-	t.Run("flat", func(t *testing.T) {
-		d := NewStack(stack)
-		fn(t, engine{&d.fleet, d.K.RunFor, d.RunUntilConverged, d.M})
-	})
-	for _, stripes := range []int{1, 3} {
-		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
-			sd := NewShardedStack(stack, stripes)
-			fn(t, engine{&sd.fleet, sd.G.RunFor, sd.RunUntilConverged, sd})
-		})
+	for _, k := range engineKinds {
+		k := k
+		t.Run(k.name, func(t *testing.T) { fn(t, k.build(stack)) })
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"iiotds/internal/agg"
-	"iiotds/internal/bus"
 	"iiotds/internal/clock"
 	"iiotds/internal/coap"
 	"iiotds/internal/link"
@@ -22,10 +21,8 @@ import (
 	"iiotds/internal/mac"
 	"iiotds/internal/metrics"
 	"iiotds/internal/radio"
-	"iiotds/internal/registry"
 	"iiotds/internal/rpl"
 	"iiotds/internal/sim"
-	"iiotds/internal/store"
 	"iiotds/internal/trace"
 )
 
@@ -142,8 +139,9 @@ func (f Factories) withDefaults() Factories {
 }
 
 // Stack describes a heterogeneous deployment: the shared substrate
-// (seed, medium, backend tiers) plus the device classes and the plan
-// binding each node to one.
+// (seed, medium) plus the device classes and the plan binding each node
+// to one. The tiers behind the border router are not part of it; see
+// AttachBackend.
 type Stack struct {
 	// Seed drives all simulation randomness.
 	Seed int64
@@ -157,8 +155,6 @@ type Stack struct {
 	// Topology binds each node to a position and a profile; index 0 is
 	// the border router.
 	Topology Topology
-	// WithBackend creates the broker and time-series store tiers.
-	WithBackend bool
 	// TraceCapacity sizes the flight-recorder ring (0 = default,
 	// negative = tracing disabled).
 	TraceCapacity int
@@ -307,7 +303,7 @@ func buildNode(env nodeEnv, i int, pos radio.Position, p *Profile) *Node {
 
 // NewStack builds and starts a heterogeneous deployment: every node's
 // stack is composed per its profile through the per-layer factories, on
-// one shared medium and (optionally) one backend.
+// one shared medium.
 func NewStack(cfg Stack) *Deployment {
 	cfg.applyDefaults()
 
@@ -326,18 +322,6 @@ func NewStack(cfg Stack) *Deployment {
 		// are ordered by simulated time and byte-identical across runs.
 		d.Trace = trace.New(traceCap, k.Now)
 		m.SetRecorder(d.Trace)
-	}
-	if cfg.WithBackend {
-		// The broker delivers inline on the simulation thread: bus
-		// handlers routinely re-enter the kernel (schedule CoAP traffic,
-		// read the virtual clock), which is single-threaded by
-		// construction, and inline delivery keeps the whole deployment
-		// deterministic (DESIGN.md §5).
-		d.Bus = bus.NewBroker()
-		d.Bus.UseRegistry(reg)
-		d.Bus.SetTrace(d.Trace)
-		d.series = make(map[string]*store.SeriesEngine)
-		d.Registry = registry.New()
 	}
 
 	env := nodeEnv{

@@ -57,16 +57,13 @@ type ShardedDeployment struct {
 
 // NewShardedStack builds and starts a deployment striped over the given
 // number of stripes. The stack description is the same one NewStack
-// takes, with two restrictions: backend tiers and tracing are not
-// supported on the sharded engine (both assume one kernel).
+// takes, with one restriction: tracing is not supported on the sharded
+// engine (the recorder assumes one kernel).
 func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 	if stripes < 1 {
 		panic("core: NewShardedStack needs at least one stripe")
 	}
 	cfg.applyDefaults()
-	if cfg.WithBackend {
-		panic("core: sharded stacks do not support WithBackend")
-	}
 	if cfg.TraceCapacity > 0 {
 		panic("core: sharded stacks do not support tracing")
 	}

@@ -5,19 +5,19 @@ import (
 	"strconv"
 	"time"
 
-	"iiotds/internal/bus"
 	"iiotds/internal/coap"
 	"iiotds/internal/core"
 	"iiotds/internal/radio"
-	"iiotds/internal/registry"
+	"iiotds/internal/store"
 )
 
 // F1ThreeTier exercises Fig. 1 end to end as one coherent system: a
 // sensor on a mesh leaf publishes through CoAP observe; the border
-// router lifts readings into the application tier (pub/sub); a rule
-// subscribes, decides, and actuates a different leaf over CoAP; the
-// storage tier records the series. The measurement is the closed-loop
-// sense→decide→actuate latency across all three tiers.
+// router hands readings to the backend (replicated store + observe
+// gateway); a rule subscribed through the gateway decides and actuates
+// a different leaf over CoAP; the storage tier records the series. The
+// measurement is the closed-loop sense→decide→actuate latency across
+// all three tiers.
 func F1ThreeTier(s Scale) *Table {
 	rounds := 5
 	if s == Full {
@@ -37,23 +37,24 @@ func F1ThreeTier(s Scale) *Table {
 
 func runF1(tr *Trial, rounds int) *Table {
 	d := core.NewStack(core.Stack{
-		Seed:        1201,
-		Profiles:    []core.Profile{{Name: core.DefaultProfile, WithCoAP: true}},
-		Topology:    core.Uniform(core.DefaultProfile, radio.GridTopology(16, 15)),
-		WithBackend: true,
+		Seed:     1201,
+		Profiles: []core.Profile{{Name: core.DefaultProfile, WithCoAP: true}},
+		Topology: core.Uniform(core.DefaultProfile, radio.GridTopology(16, 15)),
 	})
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
-	defer d.Close()
+	be := d.AttachBackend(store.ShardedConfig{})
+	defer be.Close()
 	d.RunUntilConverged(3 * time.Minute)
 
 	const (
 		sensorNode   = 15 // far corner
 		actuatorNode = 12
+		series       = "obs/leaf-15/temp"
 	)
 	// Sensing tier: leaf 15 exposes an observable temperature. All three
-	// tiers run on the simulation thread (the bus delivers inline), so
-	// plain variables suffice.
+	// tiers run on the simulation thread (the gateway fans out inline),
+	// so plain variables suffice.
 	temp := 20.0
 	tempRes := d.Nodes[sensorNode].Server.Resource("sensors/temp").Observable().
 		Get(func(string, *coap.Message) *coap.Message {
@@ -69,8 +70,8 @@ func runF1(tr *Trial, rounds int) *Table {
 			return &coap.Message{Code: coap.CodeChanged}
 		})
 
-	// Border router observes the sensor and lifts readings to the bus
-	// and the time-series store.
+	// Border router observes the sensor and hands readings to the
+	// backend.
 	d.Root().CoAP.Observe(strconv.Itoa(sensorNode), "sensors/temp", func(m *coap.Message, err error) {
 		if err != nil {
 			return
@@ -79,18 +80,12 @@ func runF1(tr *Trial, rounds int) *Table {
 		if _, e := fmt.Sscanf(string(m.Payload), "%f", &v); e != nil {
 			return
 		}
-		_ = d.PublishObservation(registry.Observation{
-			Device: "leaf-15", Cap: "temp", Value: v, Unit: "C", At: d.K.Now(),
-		})
+		be.Publish(series, store.Point{T: d.K.Now(), V: v})
 	})
 
 	// Application tier: a rule opens the vent when temp exceeds 26 °C.
 	commanded := 0
-	if _, err := d.Bus.Subscribe("obs/leaf-15/temp", func(m bus.Message) {
-		var v float64
-		if _, e := fmt.Sscanf(string(m.Payload), "%f", &v); e != nil {
-			return
-		}
+	be.Observe(series, func(v float64) {
 		want := "closed"
 		if v > 26 {
 			want = "open"
@@ -100,9 +95,7 @@ func runF1(tr *Trial, rounds int) *Table {
 			d.Root().CoAP.Put(strconv.Itoa(actuatorNode), "actuators/vent",
 				coap.FormatText, []byte(want), nil)
 		}
-	}); err != nil {
-		panic(err)
-	}
+	})
 
 	t := &Table{
 		ID:      "F1",
@@ -124,7 +117,7 @@ func runF1(tr *Trial, rounds int) *Table {
 		stimulusAt := d.K.Now()
 		prevChanges := len(ventChangedAt)
 		tempRes.Notify(coap.FormatText, []byte(fmt.Sprintf("%.2f", temp)))
-		// The bus tier delivers inline on the simulation thread, so the
+		// The gateway delivers inline on the simulation thread, so the
 		// whole loop advances on virtual time alone.
 		deadline := d.K.Now() + 2*time.Minute
 		for len(ventChangedAt) == prevChanges && d.K.Now() < deadline {
@@ -141,13 +134,15 @@ func runF1(tr *Trial, rounds int) *Table {
 			fmt.Sprintf("%.2f s", lat.Seconds()))
 	}
 
-	series := d.Series("obs/leaf-15/temp")
+	be.Flush()
+	stored := 0
+	be.Store.Range(series, 0, d.K.Now()+1, func(pts []store.Point, _ error) { stored = len(pts) })
 	mean := time.Duration(0)
 	if okRounds > 0 {
 		mean = latSum / time.Duration(okRounds)
 	}
 	t.Finding = fmt.Sprintf(
 		"%d/%d closed loops completed across all three tiers, mean sense→actuate latency %.2f s (virtual); storage tier recorded %d samples",
-		okRounds, rounds, mean.Seconds(), series.Len())
+		okRounds, rounds, mean.Seconds(), stored)
 	return t
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"iiotds/internal/agg"
-	"iiotds/internal/clock"
 	"iiotds/internal/coap"
 	"iiotds/internal/core"
 	"iiotds/internal/lowpan"
@@ -135,57 +134,31 @@ func Run(spec Spec, tr *trial.Trial) Result {
 	}
 
 	// --- ingest workload (feeds the store-converges invariant) ---
-	var st *store.Sharded
-	var app *store.Appender
+	var be *core.Backend
+	stopFeed := func() {}
 	if every := spec.Workload.IngestEvery; every > 0 {
 		mode, err := store.ParseMode(spec.Store.Mode)
 		if err != nil {
 			panic(err) // unreachable: Validate gates Run in every caller path
 		}
-		st = store.NewSharded(clock.Kernel{K: d.K}, store.ShardedConfig{
+		be = d.AttachBackend(store.ShardedConfig{
 			Shards: spec.Store.Shards,
 			Policy: store.ShardPolicy{Mode: mode, Replicas: spec.Store.Replicas},
-			Seed:   spec.Seed,
-			Rec:    d.Trace,
-			Node:   -1,
 		})
-		defer st.Stop()
-		app = st.NewAppender()
-		names := make([]string, len(d.Nodes))
-		for i := range names {
-			names[i] = fmt.Sprintf("node/%d/reading", i)
-		}
-		d.Root().Router.Handle(lowpan.ProtoIngest, func(src radio.NodeID, payload []byte) {
-			i := int(src)
-			if i <= 0 || i >= len(names) || len(payload) < 2 {
-				return
-			}
-			res.IngestDelivered++
-			app.Append(names[i], store.Point{T: time.Duration(d.K.Now()), V: float64(payload[1])})
-		})
-		for _, n := range d.Nodes[1:] {
-			n := n
-			stops = append(stops, d.K.Every(every, every/4, func() {
-				if !n.Up() {
-					return
-				}
-				res.IngestSent++
-				_ = n.Router.SendUp(lowpan.ProtoIngest, []byte{0x16, byte(n.ID)})
-			}))
-		}
-		// Drain partial batches periodically so readings replicate during
-		// the run rather than piling up at the end.
-		stops = append(stops, d.K.Every(spec.CheckEvery, 0, func() { app.Flush() }))
+		defer be.Close()
+		// Partial batches drain every CheckEvery so readings replicate
+		// during the run rather than piling up at the end.
+		stopFeed = be.Feed(every, spec.CheckEvery)
 		// Storage-tier partition episode: cut the last replica of every
 		// shard PartAt into the soak, heal PartHold later, and push a CP
 		// repair (AP shards reconverge via gossip on their own).
 		if spec.Store.PartHold > 0 {
 			d.K.At(d.K.Now()+sim.Time(spec.Store.PartAt), func() {
-				st.PartitionReplica(spec.Store.Replicas - 1)
+				be.Store.PartitionReplica(spec.Store.Replicas - 1)
 			})
 			d.K.At(d.K.Now()+sim.Time(spec.Store.PartAt+spec.Store.PartHold), func() {
-				st.Heal()
-				st.Repair()
+				be.Store.Heal()
+				be.Store.Repair()
 			})
 		}
 	}
@@ -242,6 +215,7 @@ func Run(spec Spec, tr *trial.Trial) Result {
 	for _, s := range stops {
 		s.Stop()
 	}
+	stopFeed() // with the other workloads, not deferred: ingest must not run through the drain
 
 	// --- drain: owed recoveries fire, churned nodes re-attach, and the
 	// DODAG reaches a loop-free instant ---
@@ -268,14 +242,15 @@ func Run(spec Spec, tr *trial.Trial) Result {
 
 	// --- store settle: flush the final partial batches, give the tier a
 	// few anti-entropy rounds to reconcile, and check convergence ---
-	if st != nil {
-		app.Flush()
+	if be != nil {
+		be.Flush()
 		d.K.RunFor(storeSettle)
-		res.IngestAcked, res.IngestFailed = app.Acked(), app.Failed()
-		res.StoreConverged = st.Converged()
+		res.IngestSent, res.IngestDelivered = be.Sent(), be.Delivered()
+		res.IngestAcked, res.IngestFailed = be.Batches()
+		res.StoreConverged = be.Store.Converged()
 		if !res.StoreConverged {
 			chk.storeDiverged(fmt.Sprintf("%d/%d store shards converged after drain",
-				st.ConvergedShards(), st.NumShards()))
+				be.Store.ConvergedShards(), be.Store.NumShards()))
 		}
 	}
 

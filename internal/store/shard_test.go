@@ -211,6 +211,34 @@ func TestShardedRangeQuery(t *testing.T) {
 	}
 }
 
+// TestCoordinatorListsOneSeriesPerNameSorted is what a Range-for-
+// diagnosis client relies on: a one-shard store's coordinator knows
+// every series by name, once, in sorted order, in both modes.
+func TestCoordinatorListsOneSeriesPerNameSorted(t *testing.T) {
+	for _, mode := range []Mode{ModeCP, ModeAP} {
+		s, k := newSharded(t, 1, 3, mode)
+		a := s.NewAppender()
+		for i, name := range []string{"obs/press-1/temp", "obs/press-1/rpm", "obs/press-1/temp", "obs/mesh/vibration_max"} {
+			a.Append(name, Point{T: time.Duration(i) * time.Second, V: float64(i)})
+		}
+		a.Flush()
+		k.RunFor(5 * time.Second)
+		got := s.Shard(0).Coordinator().SeriesNames()
+		want := []string{"obs/mesh/vibration_max", "obs/press-1/rpm", "obs/press-1/temp"}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v SeriesNames = %v, want %v", mode, got, want)
+		}
+		var pts []Point
+		err := fmt.Errorf("Range never completed")
+		s.Range("obs/press-1/temp", 0, time.Minute, func(p []Point, e error) { pts, err = p, e })
+		k.RunFor(5 * time.Second)
+		if err != nil || len(pts) != 2 || pts[0].V != 0 || pts[1].V != 2 {
+			t.Fatalf("%v obs/press-1/temp = %+v, %v", mode, pts, err)
+		}
+		s.Stop()
+	}
+}
+
 func TestShardedCPRangeFreshestWins(t *testing.T) {
 	s, k := newSharded(t, 1, 3, ModeCP)
 	name := "m"

@@ -44,7 +44,6 @@ const (
 	LayerLink
 	LayerRPL
 	LayerCoAP
-	LayerBus
 	// LayerFault carries injected-fault events (crash, recover,
 	// partition) — the churn engine's schedule, recorded alongside the
 	// protocol reactions it provokes.
@@ -57,7 +56,7 @@ const (
 	LayerAny Layer = 0xff
 )
 
-var layerNames = [numLayers]string{"radio", "mac", "link", "rpl", "coap", "bus", "fault", "store"}
+var layerNames = [numLayers]string{"radio", "mac", "link", "rpl", "coap", "fault", "store"}
 
 // String returns the layer's lowercase name.
 func (l Layer) String() string {
@@ -68,7 +67,7 @@ func (l Layer) String() string {
 }
 
 // ParseLayer maps a lowercase layer name ("radio", "mac", "link",
-// "rpl", "coap", "bus", "fault") back to its Layer, for command-line
+// "rpl", "coap", "fault", "store") back to its Layer, for command-line
 // filters.
 func ParseLayer(name string) (Layer, bool) {
 	for i, n := range layerNames {
@@ -176,13 +175,6 @@ const (
 	// A = message ID.
 	CoAPTimeout
 
-	// BusPublish: a message was published to the broker. A = number of
-	// matching subscriptions.
-	BusPublish
-	// BusDeliver: a message was delivered to one subscription.
-	// A = subscription ID.
-	BusDeliver
-
 	// FaultCrash: a node was crashed by the fault injector.
 	FaultCrash
 	// FaultRecover: a crashed node was restarted by the fault injector.
@@ -253,8 +245,6 @@ var typeInfo = [numTypes]struct {
 	CoAPResponse:     {LayerCoAP, "response"},
 	CoAPRetransmit:   {LayerCoAP, "retransmit"},
 	CoAPTimeout:      {LayerCoAP, "timeout"},
-	BusPublish:       {LayerBus, "publish"},
-	BusDeliver:       {LayerBus, "deliver"},
 	FaultCrash:       {LayerFault, "crash"},
 	FaultRecover:     {LayerFault, "recover"},
 	FaultPartition:   {LayerFault, "partition"},

@@ -61,7 +61,7 @@ func TestFilter(t *testing.T) {
 	r.Emit(1, RPLDIOSent, -1, 0, 0, 0)
 	r.Emit(2, RPLDIORecv, 1, 0, 0, 0)
 	r.Emit(1, MACTx, 2, 0, 0, 0)
-	r.Emit(-1, BusPublish, 1, 0, 0, 0)
+	r.Emit(-1, StoreAppend, 1, 0, 0, 0)
 
 	count := func(f Filter) int {
 		n := 0
@@ -77,8 +77,8 @@ func TestFilter(t *testing.T) {
 	if got := count(All().ByLayer(LayerRPL)); got != 2 {
 		t.Errorf("ByLayer(rpl) matched %d, want 2", got)
 	}
-	if got := count(All().ByType(BusPublish)); got != 1 {
-		t.Errorf("ByType(publish) matched %d, want 1", got)
+	if got := count(All().ByType(StoreAppend)); got != 1 {
+		t.Errorf("ByType(append) matched %d, want 1", got)
 	}
 	if got := count(All().ByNode(1).ByLayer(LayerMAC)); got != 1 {
 		t.Errorf("node 1 + mac matched %d, want 1", got)
@@ -130,8 +130,8 @@ func TestSummaryMerge(t *testing.T) {
 	a.Emit(1, RPLDIOSent, 0, 0, 0, 0)
 	b := New(2, fixedClock(&now))
 	b.Emit(2, MACTx, 0, 0, 0, 0)
-	b.Emit(2, BusDeliver, 0, 0, 0, 0)
-	b.Emit(2, BusDeliver, 0, 0, 0, 0) // wraps: 1 dropped
+	b.Emit(2, StoreFlush, 0, 0, 0, 0)
+	b.Emit(2, StoreFlush, 0, 0, 0, 0) // wraps: 1 dropped
 
 	s := a.Summary()
 	s.Add(b.Summary())
@@ -141,7 +141,7 @@ func TestSummaryMerge(t *testing.T) {
 	want := []TypeCount{
 		{T: MACTx, Count: 3},
 		{T: RPLDIOSent, Count: 1},
-		{T: BusDeliver, Count: 2},
+		{T: StoreFlush, Count: 2},
 	}
 	if !reflect.DeepEqual(s.Counts, want) {
 		t.Errorf("merged counts = %+v, want %+v", s.Counts, want)
