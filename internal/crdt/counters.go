@@ -1,11 +1,9 @@
 package crdt
 
-import "encoding/json"
-
 // GCounter is a grow-only counter: each replica increments its own
 // component; the value is the sum and Merge is pointwise max.
 type GCounter struct {
-	Counts map[ReplicaID]uint64 `json:"counts"`
+	Counts map[ReplicaID]uint64
 }
 
 // NewGCounter returns a zero counter.
@@ -53,25 +51,10 @@ func (g *GCounter) Copy() *GCounter {
 	return out
 }
 
-// Marshal serializes the counter state.
-func (g *GCounter) Marshal() ([]byte, error) { return json.Marshal(g) }
-
-// UnmarshalGCounter parses a serialized GCounter.
-func UnmarshalGCounter(data []byte) (*GCounter, error) {
-	g := NewGCounter()
-	if err := json.Unmarshal(data, g); err != nil {
-		return nil, err
-	}
-	if g.Counts == nil {
-		g.Counts = make(map[ReplicaID]uint64)
-	}
-	return g, nil
-}
-
 // PNCounter supports increments and decrements as two GCounters.
 type PNCounter struct {
-	Pos *GCounter `json:"pos"`
-	Neg *GCounter `json:"neg"`
+	Pos *GCounter
+	Neg *GCounter
 }
 
 // NewPNCounter returns a zero counter.
@@ -104,22 +87,4 @@ func (p *PNCounter) Copy() *PNCounter {
 	out := NewPNCounter()
 	out.Merge(p)
 	return out
-}
-
-// Marshal serializes the counter state.
-func (p *PNCounter) Marshal() ([]byte, error) { return json.Marshal(p) }
-
-// UnmarshalPNCounter parses a serialized PNCounter.
-func UnmarshalPNCounter(data []byte) (*PNCounter, error) {
-	p := NewPNCounter()
-	if err := json.Unmarshal(data, p); err != nil {
-		return nil, err
-	}
-	if p.Pos == nil {
-		p.Pos = NewGCounter()
-	}
-	if p.Neg == nil {
-		p.Neg = NewGCounter()
-	}
-	return p, nil
 }

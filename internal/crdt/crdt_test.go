@@ -103,24 +103,13 @@ func TestGCounterLaws(t *testing.T) {
 	}
 }
 
-func TestGCounterValueAndCodec(t *testing.T) {
+func TestGCounterValue(t *testing.T) {
 	g := NewGCounter()
 	g.Inc("a", 3)
 	g.Inc("b", 4)
 	g.Inc("a", 1)
 	if g.Value() != 8 {
 		t.Fatalf("Value = %d", g.Value())
-	}
-	data, err := g.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalGCounter(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Value() != 8 {
-		t.Fatalf("decoded Value = %d", got.Value())
 	}
 }
 
@@ -148,11 +137,6 @@ func TestPNCounter(t *testing.T) {
 	p.Merge(q)
 	if p.Value() != 6 {
 		t.Fatalf("merged Value = %d", p.Value())
-	}
-	data, _ := p.Marshal()
-	got, err := UnmarshalPNCounter(data)
-	if err != nil || got.Value() != 6 {
-		t.Fatalf("codec: %v %d", err, got.Value())
 	}
 }
 
@@ -217,15 +201,6 @@ func TestLWWLaws(t *testing.T) {
 	}
 }
 
-func TestLWWCodec(t *testing.T) {
-	l := &LWWRegister{Val: []byte("x"), TS: 42, ID: "r9"}
-	data, _ := l.Marshal()
-	got, err := UnmarshalLWWRegister(data)
-	if err != nil || string(got.Val) != "x" || got.TS != 42 || got.ID != "r9" {
-		t.Fatalf("codec: %v %+v", err, got)
-	}
-}
-
 func TestMVRegisterConcurrentSiblings(t *testing.T) {
 	a, b := NewMVRegister(), NewMVRegister()
 	a.Set("a", []byte("A"))
@@ -262,16 +237,6 @@ func TestMVRegisterIdempotentMerge(t *testing.T) {
 	a.Merge(a.Copy())
 	if !reflect.DeepEqual(a.Values(), before) {
 		t.Fatalf("idempotence broken: %q", a.Values())
-	}
-}
-
-func TestMVRegisterCodec(t *testing.T) {
-	a := NewMVRegister()
-	a.Set("a", []byte("hello"))
-	data, _ := a.Marshal()
-	got, err := UnmarshalMVRegister(data)
-	if err != nil || len(got.Values()) != 1 || string(got.Values()[0]) != "hello" {
-		t.Fatalf("codec: %v", err)
 	}
 }
 
@@ -340,23 +305,6 @@ func TestORSetConvergence(t *testing.T) {
 		if !reflect.DeepEqual(r.Elements(), want) {
 			t.Fatalf("replica %d diverged: %v vs %v", i+1, r.Elements(), want)
 		}
-	}
-}
-
-func TestORSetCodec(t *testing.T) {
-	s := NewORSet("a")
-	s.Add("k")
-	data, _ := s.Marshal()
-	got, err := UnmarshalORSet("b", data)
-	if err != nil || !got.Contains("k") {
-		t.Fatalf("codec: %v", err)
-	}
-	if got.ID != "b" {
-		t.Fatal("decoded set must adopt the local replica ID")
-	}
-	got.Add("k2") // must not panic on decoded maps
-	if !got.Contains("k2") {
-		t.Fatal("post-decode add failed")
 	}
 }
 

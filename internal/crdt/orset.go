@@ -1,7 +1,6 @@
 package crdt
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -11,13 +10,13 @@ import (
 // concurrent Add always survives a Remove (add-wins semantics).
 type ORSet struct {
 	// Adds maps element -> live tags.
-	Adds map[string]map[string]bool `json:"adds"`
+	Adds map[string]map[string]bool
 	// Tombs is the set of removed tags.
-	Tombs map[string]bool `json:"tombs"`
+	Tombs map[string]bool
 	// NextTag is the per-replica tag counter.
-	NextTag uint64 `json:"next_tag"`
+	NextTag uint64
 	// ID is this replica's identity for tag generation.
-	ID ReplicaID `json:"id"`
+	ID ReplicaID
 }
 
 // NewORSet returns an empty set owned by replica id.
@@ -89,24 +88,4 @@ func (s *ORSet) Copy() *ORSet {
 	out.NextTag = s.NextTag
 	out.Merge(s)
 	return out
-}
-
-// Marshal serializes the set state.
-func (s *ORSet) Marshal() ([]byte, error) { return json.Marshal(s) }
-
-// UnmarshalORSet parses a serialized ORSet, assigning it to replica id
-// for subsequent local operations.
-func UnmarshalORSet(id ReplicaID, data []byte) (*ORSet, error) {
-	s := NewORSet(id)
-	if err := json.Unmarshal(data, s); err != nil {
-		return nil, err
-	}
-	if s.Adds == nil {
-		s.Adds = make(map[string]map[string]bool)
-	}
-	if s.Tombs == nil {
-		s.Tombs = make(map[string]bool)
-	}
-	s.ID = id
-	return s, nil
 }

@@ -2,7 +2,6 @@ package crdt
 
 import (
 	"bytes"
-	"encoding/json"
 	"sort"
 
 	"iiotds/internal/netbuf"
@@ -12,9 +11,9 @@ import (
 // the caller (virtual time in the emulation); replica ID breaks ties so
 // merge stays deterministic and commutative.
 type LWWRegister struct {
-	Val []byte    `json:"val"`
-	TS  int64     `json:"ts"`
-	ID  ReplicaID `json:"id"`
+	Val []byte
+	TS  int64
+	ID  ReplicaID
 }
 
 // NewLWWRegister returns an empty register.
@@ -54,29 +53,17 @@ func (l *LWWRegister) Copy() *LWWRegister {
 	return &LWWRegister{Val: netbuf.CloneBytes(l.Val), TS: l.TS, ID: l.ID}
 }
 
-// Marshal serializes the register.
-func (l *LWWRegister) Marshal() ([]byte, error) { return json.Marshal(l) }
-
-// UnmarshalLWWRegister parses a serialized LWWRegister.
-func UnmarshalLWWRegister(data []byte) (*LWWRegister, error) {
-	l := NewLWWRegister()
-	if err := json.Unmarshal(data, l); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // MVVersion is one concurrent version held by an MVRegister.
 type MVVersion struct {
-	Val   []byte `json:"val"`
-	Clock VClock `json:"clock"`
+	Val   []byte
+	Clock VClock
 }
 
 // MVRegister is a multi-value register: concurrent writes are all kept
 // (as siblings) until a later write dominates them — the "decentralized
 // resolution of potentially conflicting updates" of paper ref [24].
 type MVRegister struct {
-	Versions []MVVersion `json:"versions"`
+	Versions []MVVersion
 }
 
 // NewMVRegister returns an empty register.
@@ -144,16 +131,4 @@ func (m *MVRegister) Copy() *MVRegister {
 	out := NewMVRegister()
 	out.Merge(m)
 	return out
-}
-
-// Marshal serializes the register.
-func (m *MVRegister) Marshal() ([]byte, error) { return json.Marshal(m) }
-
-// UnmarshalMVRegister parses a serialized MVRegister.
-func UnmarshalMVRegister(data []byte) (*MVRegister, error) {
-	m := NewMVRegister()
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

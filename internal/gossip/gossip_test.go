@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -16,14 +18,45 @@ type counterState struct {
 }
 
 func (s *counterState) Summary(dst []byte) []byte { return dst }
+
+// The delta is the Pos half then the Neg half, each
+// uvarint(n) ( uvarint(len id) id uvarint(count) )*n.
 func (s *counterState) Delta(dst, _ []byte) ([]byte, error) {
-	data, err := s.c.Marshal()
-	return append(dst, data...), err
+	for _, g := range []*crdt.GCounter{s.c.Pos, s.c.Neg} {
+		dst = binary.AppendUvarint(dst, uint64(len(g.Counts)))
+		for id, n := range g.Counts {
+			dst = binary.AppendUvarint(dst, uint64(len(id)))
+			dst = append(dst, id...)
+			dst = binary.AppendUvarint(dst, n)
+		}
+	}
+	return dst, nil
 }
+
 func (s *counterState) Merge(remote []byte) error {
-	other, err := crdt.UnmarshalPNCounter(remote)
-	if err != nil {
-		return err
+	bad := false
+	next := func() uint64 {
+		v, n := binary.Uvarint(remote)
+		if n <= 0 {
+			bad, n = true, len(remote)
+		}
+		remote = remote[n:]
+		return v
+	}
+	other := crdt.NewPNCounter()
+	for _, g := range []*crdt.GCounter{other.Pos, other.Neg} {
+		for n := next(); n > 0 && !bad; n-- {
+			idLen := next()
+			if idLen > uint64(len(remote)) {
+				return errors.New("truncated counter delta")
+			}
+			id := crdt.ReplicaID(remote[:idLen])
+			remote = remote[idLen:]
+			g.Inc(id, next())
+		}
+	}
+	if bad {
+		return errors.New("truncated counter delta")
 	}
 	s.c.Merge(other)
 	return nil

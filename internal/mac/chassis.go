@@ -1,6 +1,9 @@
 package mac
 
 import (
+	"time"
+
+	"iiotds/internal/metrics"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
@@ -158,4 +161,59 @@ func (c *chassis) receiveData(f radio.Frame, seq uint16, payload []byte) bool {
 // by the neighbor the data went to.
 func (c *chassis) ackedBy(f radio.Frame, seq uint16) bool {
 	return f.To == c.id && seq == c.awaitAckSeq && f.From == c.awaitAckTo
+}
+
+// dutyCycle is the receiver on/off switch of a duty-cycled discipline
+// (LPL, RI-MAC), embedded beside the chassis: it charges idle listening
+// for every awake span and takes the "may the radio go off now?"
+// decision, which is the same under both — never while the discipline's
+// transmit state machine holds the radio on, and not in the middle of a
+// frame.
+type dutyCycle struct {
+	c    *chassis
+	hold *bool         // the discipline is transmitting (LPL strobing, RI-MAC waiting for a beacon)
+	idle time.Duration // how much longer to stay up when the decision finds a frame in the air
+
+	sleepEv   sim.Event
+	sleepFn   func() // prebuilt sleepCheck
+	awake     bool
+	lastAwake sim.Time
+}
+
+func (d *dutyCycle) bind(c *chassis, hold *bool, idle time.Duration) {
+	d.c, d.hold, d.idle = c, hold, idle
+	d.sleepFn = d.sleepCheck
+}
+
+func (d *dutyCycle) setAwake(on bool) {
+	if on == d.awake {
+		return
+	}
+	c := d.c
+	if on {
+		d.lastAwake = c.k.Now()
+	} else {
+		// Charge idle listening for the awake span.
+		c.m.Energy().Ledger(int(c.id)).Spend(metrics.StateListen, c.k.Now()-d.lastAwake)
+	}
+	d.awake = on
+	c.m.SetListening(c.id, on)
+}
+
+// scheduleSleep (re)arms the radio-off decision after from now.
+func (d *dutyCycle) scheduleSleep(after time.Duration) {
+	d.sleepEv.Cancel()
+	d.sleepEv = d.c.k.Schedule(after, d.sleepFn)
+}
+
+func (d *dutyCycle) sleepCheck() {
+	if d.c.stopped || *d.hold {
+		return
+	}
+	if d.c.m.CarrierSense(d.c.id) {
+		// Mid-frame: stay up long enough to decode it.
+		d.scheduleSleep(d.idle)
+		return
+	}
+	d.setAwake(false)
 }

@@ -50,12 +50,10 @@ func (c *LPLConfig) applyDefaults() {
 // duty cycle is ~CheckDuration/WakeInterval.
 type LPL struct {
 	chassis
+	dutyCycle
 	cfg LPLConfig
 
-	wake      *sim.Repeater
-	sleepEv   sim.Event
-	awake     bool
-	lastAwake sim.Time
+	wake *sim.Repeater
 
 	// Strobing state.
 	strobing  bool
@@ -73,6 +71,7 @@ func NewLPL(m *radio.Medium, id radio.NodeID, cfg LPLConfig) *LPL {
 	cfg.applyDefaults()
 	l := &LPL{cfg: cfg}
 	l.init(m, id, "lpl", &l.cfg.Config)
+	l.bind(&l.chassis, &l.strobing, l.cfg.IdleTimeout)
 	l.next = l.startNext
 	l.strobeFn = l.strobeOnce
 	return l
@@ -109,20 +108,6 @@ func (l *LPL) Stop() {
 	l.strobing = false
 }
 
-func (l *LPL) setAwake(on bool) {
-	if on == l.awake {
-		return
-	}
-	if on {
-		l.lastAwake = l.k.Now()
-	} else {
-		// Charge idle listening for the awake span.
-		l.m.Energy().Ledger(int(l.id)).Spend(metrics.StateListen, l.k.Now()-l.lastAwake)
-	}
-	l.awake = on
-	l.m.SetListening(l.id, on)
-}
-
 // channelCheck is the periodic wake-up: listen briefly, stay up if the
 // channel is busy.
 func (l *LPL) channelCheck() {
@@ -132,22 +117,6 @@ func (l *LPL) channelCheck() {
 	l.m.Recorder().Emit(int32(l.id), trace.MACWakeup, 0, 0, 0, 0)
 	l.setAwake(true)
 	l.scheduleSleep(l.cfg.CheckDuration)
-}
-
-// scheduleSleep (re)arms the radio-off decision d from now.
-func (l *LPL) scheduleSleep(d time.Duration) {
-	l.sleepEv.Cancel()
-	l.sleepEv = l.k.Schedule(d, func() {
-		if l.stopped || l.strobing {
-			return
-		}
-		if l.m.CarrierSense(l.id) {
-			// Mid-frame: stay up long enough to decode it.
-			l.scheduleSleep(l.cfg.IdleTimeout)
-			return
-		}
-		l.setAwake(false)
-	})
 }
 
 func (l *LPL) startNext() {

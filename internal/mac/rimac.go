@@ -45,12 +45,10 @@ func (c *RIMACConfig) applyDefaults() {
 // trains, which behaves much better under contention.
 type RIMAC struct {
 	chassis
+	dutyCycle
 	cfg RIMACConfig
 
-	beacons   *sim.Repeater
-	sleepEv   sim.Event
-	awake     bool
-	lastAwake sim.Time
+	beacons *sim.Repeater
 
 	// Sender rendezvous state.
 	waiting    bool
@@ -68,6 +66,7 @@ func NewRIMAC(m *radio.Medium, id radio.NodeID, cfg RIMACConfig) *RIMAC {
 	cfg.applyDefaults()
 	r := &RIMAC{cfg: cfg}
 	r.init(m, id, "rimac", &r.cfg.Config)
+	r.bind(&r.chassis, &r.waiting, r.cfg.IdleTimeout)
 	r.next = r.startNext
 	return r
 }
@@ -103,19 +102,6 @@ func (r *RIMAC) Stop() {
 	r.waiting = false
 }
 
-func (r *RIMAC) setAwake(on bool) {
-	if on == r.awake {
-		return
-	}
-	if on {
-		r.lastAwake = r.k.Now()
-	} else {
-		r.m.Energy().Ledger(int(r.id)).Spend(metrics.StateListen, r.k.Now()-r.lastAwake)
-	}
-	r.awake = on
-	r.m.SetListening(r.id, on)
-}
-
 // beacon is the receiver-side wake-up: advertise, then listen briefly.
 func (r *RIMAC) beacon() {
 	if r.stopped || r.waiting {
@@ -128,20 +114,6 @@ func (r *RIMAC) beacon() {
 	r.m.Registry().CounterWith("mac.beacons", metrics.L("mac", "rimac")).Inc()
 	r.m.Recorder().Emit(int32(r.id), trace.MACBeacon, 0, 0, 0, 0)
 	r.scheduleSleep(r.cfg.Dwell)
-}
-
-func (r *RIMAC) scheduleSleep(d time.Duration) {
-	r.sleepEv.Cancel()
-	r.sleepEv = r.k.Schedule(d, func() {
-		if r.stopped || r.waiting {
-			return
-		}
-		if r.m.CarrierSense(r.id) {
-			r.scheduleSleep(r.cfg.IdleTimeout)
-			return
-		}
-		r.setAwake(false)
-	})
 }
 
 func (r *RIMAC) startNext() {

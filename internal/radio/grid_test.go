@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"iiotds/internal/metrics"
 	"iiotds/internal/sim"
+	"iiotds/internal/trace"
 )
 
 // audibleOrder returns the receiver IDs a send from `from` on channel ch
@@ -248,6 +250,98 @@ func TestApplyForeignDeliversExactly(t *testing.T) {
 	}
 	if string(gotPayload) != string(payload) {
 		t.Fatalf("payload %x, want %x", gotPayload, payload)
+	}
+}
+
+// TestForeignFanOutMatchesLocal: a frame is heard the same whether its
+// sender is hosted here (Send) or on another shard's medium
+// (ApplyForeign of its announcement). Same seed, same receivers, same
+// frame already in flight; every receiver-side outcome — who decodes
+// it, who loses it to a collision (and what that does to the frame in
+// flight), who loses it to the link, what each radio spent listening —
+// must be equal, down to the trace events.
+func TestForeignFanOutMatchesLocal(t *testing.T) {
+	const sender, interferer = 50, 60
+	origin := Position{}
+	type outcome struct {
+		heard                      map[NodeID][]string // per receiver: "from:payload" in arrival order
+		rx                         map[NodeID]time.Duration
+		collisions, rxFrames, loss float64
+		events                     []trace.Event
+	}
+	run := func(foreign bool) outcome {
+		k, m := newTestMedium(t)
+		rec := trace.New(1024, k.Now)
+		m.SetRecorder(rec)
+		out := outcome{heard: map[NodeID][]string{}, rx: map[NodeID]time.Duration{}}
+		receivers := map[NodeID]Position{
+			1: {X: 5}, 7: {X: 10, Y: 10}, // reliable from the sender, out of the interferer's reach
+			2: {X: 25}, 3: {X: 30, Y: 5}, // hear both senders
+			4: {Y: 28}, 5: {X: -33}, 8: {X: -24, Y: 10}, 9: {Y: -31}, // the sender's gray region only
+			6: {X: 60}, // the interferer only
+		}
+		for id, pos := range receivers {
+			m.Attach(id, pos, ReceiverFunc(func(f Frame) {
+				out.heard[id] = append(out.heard[id], string(rune('0'+f.From))+":"+string(f.Payload.Bytes()))
+			}))
+			m.SetListening(id, true)
+		}
+		m.Attach(interferer, Position{X: 40}, ReceiverFunc(func(Frame) {}))
+		if !foreign {
+			m.Attach(sender, origin, ReceiverFunc(func(Frame) {})) // radio off: it only sends
+		}
+		payload := func(s string) *Frame {
+			b := m.Buffers().Get()
+			b.Append([]byte(s))
+			return &Frame{To: Broadcast, Size: b.Len(), Payload: b}
+		}
+		k.At(0, func() {
+			f := payload("a long frame already in the air when the other one starts ..........")
+			f.From = interferer
+			m.Send(*f)
+			f.Payload.Release()
+		})
+		k.At(time.Millisecond, func() {
+			f := payload("reading")
+			f.From = sender
+			if foreign {
+				m.ApplyForeign(NewAnnouncement(*f, origin, k.Now(), k.Now()+m.Airtime(f.Size)))
+			} else {
+				m.Send(*f)
+			}
+			f.Payload.Release()
+		})
+		k.Run()
+		for id := range receivers {
+			out.rx[id] = m.Energy().Ledger(int(id)).Duration(metrics.StateRx)
+		}
+		reg := m.Registry()
+		out.collisions = reg.Counter("radio.collisions").Value()
+		out.rxFrames = reg.Counter("radio.rx_frames").Value()
+		out.loss = reg.Counter("radio.dropped_loss").Value()
+		for _, e := range rec.Events() {
+			if e.Type == trace.RadioTx && e.Node == sender {
+				continue // only the hosting medium sees the frame go out
+			}
+			out.events = append(out.events, e)
+		}
+		return out
+	}
+	local, foreign := run(false), run(true)
+	if !reflect.DeepEqual(local, foreign) {
+		t.Fatalf("receiver-side outcomes differ:\n local   %+v\n foreign %+v", local, foreign)
+	}
+	// The comparison has teeth only if the scene produced every outcome.
+	decoded := 0
+	for _, frames := range local.heard {
+		for _, f := range frames {
+			if f == string(rune('0'+sender))+":reading" {
+				decoded++
+			}
+		}
+	}
+	if decoded < 2 || local.collisions < 4 || local.loss < 1 {
+		t.Fatalf("scene too tame: %d decoded, %v collisions, %v link losses", decoded, local.collisions, local.loss)
 	}
 }
 

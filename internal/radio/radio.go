@@ -135,8 +135,7 @@ type transmission struct {
 	start      sim.Time
 	end        sim.Time
 	srcPos     Position   // sender position at Send time
-	src        *nodeState // local sender; nil for foreign (sharded.go)
-	foreign    bool       // sender lives on another shard (sharded.go)
+	src        *nodeState // local sender; nil for a foreign one (sharded.go)
 	epoch      uint64     // medium posEpoch when the flight started
 	dels       []delivery
 	completeFn func() // prebuilt m.complete(tx) closure
@@ -513,7 +512,6 @@ func (m *Medium) putTx(tx *transmission) {
 	tx.frame = Frame{}
 	tx.srcPos = Position{}
 	tx.src = nil
-	tx.foreign = false
 	for i := range tx.dels {
 		tx.dels[i].n = nil
 	}
@@ -541,8 +539,10 @@ func (m *Medium) audible(from, to NodeID) bool {
 // audibleAt is the fan-out hot path's audibility predicate: the sender
 // is given by ID + position and the receiver by its resolved state, so
 // the common case (no overrides installed) touches no maps at all. It
-// decides exactly like audible/foreignAudible — filter, then override,
-// then distance — so the audible set is unchanged.
+// decides exactly like audible — filter, then override, then distance —
+// so the audible set is unchanged. Filters and PRR overrides are keyed
+// by deployment-global IDs, so partitions and degraded links keep
+// working for a sender another shard hosts.
 func (m *Medium) audibleAt(from NodeID, pos Position, dst *nodeState) bool {
 	if from == dst.id {
 		return false
@@ -556,24 +556,6 @@ func (m *Medium) audibleAt(from NodeID, pos Position, dst *nodeState) bool {
 		}
 	}
 	return pos.Distance(dst.pos) < m.params.RangeMax
-}
-
-// foreignAudible is audible for a sender that is not attached to this
-// medium (a ghost transmission mirrored from another shard): the sender
-// is known only by ID and position. Filters and PRR overrides are keyed
-// by deployment-global IDs, so partitions and degraded links keep
-// working across shard boundaries.
-func (m *Medium) foreignAudible(from NodeID, pos Position, to NodeID) bool {
-	if from == to {
-		return false
-	}
-	if m.filter != nil && !m.filter(from, to) {
-		return false
-	}
-	if prr, ok := m.prrOver[[2]NodeID{from, to}]; ok {
-		return prr > 0
-	}
-	return pos.Distance(m.mustNode(to).pos) < m.params.RangeMax
 }
 
 // txAudible reports whether an in-flight transmission is audible at dst,
@@ -618,14 +600,6 @@ func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []*transmissio
 	}
 	m.nearTx = near
 	return near
-}
-
-// foreignPRR is PRR for a sender known only by ID and position.
-func (m *Medium) foreignPRR(from NodeID, pos Position, to NodeID) float64 {
-	if prr, ok := m.prrOver[[2]NodeID{from, to}]; ok {
-		return prr
-	}
-	return m.prrAtDistance(pos.Distance(m.mustNode(to).pos))
 }
 
 // candList is one candCache entry: the ID-sorted union of a 3×3 cell
@@ -754,16 +728,33 @@ func (m *Medium) Send(f Frame) time.Duration {
 	tx.start, tx.end = now, now+air
 	tx.srcPos = src.pos
 	tx.src = src
+	m.launch(tx)
+	if m.announce != nil {
+		m.announce(f, src.pos, now, now+air)
+	}
+	return air
+}
+
+// launch puts a prepared transmission on the air — the one delivery
+// fan-out, shared by Send (local sender) and ApplyForeign (a sender
+// hosted by another shard's medium). The caller has filled in frame,
+// start/end, srcPos and, for a local sender, src; everything decided
+// here is decided from those, so both kinds of sender collide, fade
+// and deliver alike.
+func (m *Medium) launch(tx *transmission) {
+	f := tx.frame
+	pos := tx.srcPos
+	air := tx.end - tx.start
 	tx.epoch = m.posEpoch
 
 	// Mark collisions: any receiver that can hear both this frame and an
 	// already-active co-channel frame decodes neither. Only the spatially
 	// near transmissions (nearActive) can have such a receiver.
-	near := m.nearActive(src.pos, f.Channel, now)
+	near := m.nearActive(pos, f.Channel, m.k.Now())
 	for _, other := range near {
 		for i := range other.dels {
 			d := &other.dels[i]
-			if !d.corrupted && m.audibleAt(f.From, src.pos, d.n) {
+			if !d.corrupted && m.audibleAt(f.From, pos, d.n) {
 				d.corrupted = true
 				m.cCollisions.Inc()
 				if other.frame.Tenant != f.Tenant {
@@ -774,7 +765,7 @@ func (m *Medium) Send(f Frame) time.Duration {
 		}
 	}
 
-	m.forEachCandidate(src.pos, func(n *nodeState) {
+	m.forEachCandidate(pos, func(n *nodeState) {
 		id := n.id
 		if id == f.From || n.down || !n.listening || n.channel != f.Channel {
 			return
@@ -795,7 +786,7 @@ func (m *Medium) Send(f Frame) time.Duration {
 				return
 			}
 		} else {
-			dist := src.pos.Distance(n.pos)
+			dist := pos.Distance(n.pos)
 			if dist >= m.params.RangeMax {
 				return
 			}
@@ -826,11 +817,7 @@ func (m *Medium) Send(f Frame) time.Duration {
 	})
 
 	m.active = append(m.active, tx)
-	m.k.Schedule(air, tx.completeFn)
-	if m.announce != nil {
-		m.announce(f, src.pos, now, now+air)
-	}
-	return air
+	m.k.At(tx.end, tx.completeFn)
 }
 
 // payloadJourney reads the journey ID off a frame payload; control

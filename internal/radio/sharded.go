@@ -21,11 +21,7 @@
 // parameter) but never on how many OS threads execute them.
 package radio
 
-import (
-	"iiotds/internal/metrics"
-	"iiotds/internal/sim"
-	"iiotds/internal/trace"
-)
+import "iiotds/internal/sim"
 
 // Announcement describes a transmission to a medium that does not host
 // the sender. Payload is an owned copy of the frame bytes (the
@@ -72,22 +68,19 @@ func (m *Medium) SetAnnounce(fn func(f Frame, pos Position, start, end sim.Time)
 
 // ApplyForeign applies an announced cross-shard transmission to this
 // medium's nodes. It must run at a shard barrier (the group guarantees
-// barrier time ≤ a.End). The fan-out mirrors Send: candidates come
-// from the spatial index around the foreign position plus override
-// receivers, in ascending ID order; each audible receiver draws loss
-// from THIS medium's kernel RNG; overlapping local and foreign actives
-// collide both ways. Delivery completes at the original a.End, each
-// receiver getting its own pooled copy of the payload (journey IDs do
-// not cross shards: the copy carries journey 0).
+// barrier time ≤ a.End). What is foreign about it is prepared here — a
+// sender known only by ID and announced position, a pooled copy of the
+// payload (journey IDs do not cross shards: the copy carries journey 0)
+// — and the fan-out is Send's own (launch): candidates around the
+// foreign position in ascending ID order, loss drawn from THIS medium's
+// kernel RNG, collisions both ways with local and foreign actives,
+// completion at the original a.End.
 func (m *Medium) ApplyForeign(a Announcement) {
-	now := m.k.Now()
-	if a.End <= now {
+	if a.End <= m.k.Now() {
 		// The announcement arrived after the frame ended (cannot happen
 		// under the group's lookahead discipline; guarded for safety).
 		return
 	}
-	air := a.End - a.Start
-
 	tx := m.getTx()
 	tx.frame = Frame{From: a.From, To: a.To, Channel: a.Channel, Tenant: a.Tenant, Size: a.Size}
 	if a.Payload != nil {
@@ -97,77 +90,5 @@ func (m *Medium) ApplyForeign(a Announcement) {
 	}
 	tx.start, tx.end = a.Start, a.End
 	tx.srcPos = a.Pos
-	tx.foreign = true
-	tx.epoch = m.posEpoch
-
-	// The ghost corrupts deliveries of frames already in flight here —
-	// local or previously applied foreign — exactly as a local Send
-	// would, pruned to the spatially near ones (nearActive).
-	near := m.nearActive(a.Pos, a.Channel, now)
-	for _, other := range near {
-		for i := range other.dels {
-			d := &other.dels[i]
-			if !d.corrupted && m.audibleAt(a.From, a.Pos, d.n) {
-				d.corrupted = true
-				m.cCollisions.Inc()
-				if other.frame.Tenant != a.Tenant {
-					m.cCollXTen.Inc()
-				}
-				m.rec.Emit(int32(d.to), trace.RadioCollision, int64(other.frame.From), int64(a.From), 0, payloadJourney(other.frame.Payload))
-			}
-		}
-	}
-
-	m.forEachCandidate(a.Pos, func(n *nodeState) {
-		id := n.id
-		if id == a.From || n.down || !n.listening || n.channel != a.Channel {
-			return
-		}
-		// Mirror of Send's inlined audibility + PRR: one distance
-		// computation, override map touched only when non-empty
-		// (identical decisions to foreignAudible/foreignPRR).
-		if m.filter != nil && !m.filter(a.From, id) {
-			return
-		}
-		prr, over := 0.0, false
-		if len(m.prrOver) > 0 {
-			prr, over = m.prrOver[[2]NodeID{a.From, id}]
-		}
-		if over {
-			if prr <= 0 {
-				return
-			}
-		} else {
-			dist := a.Pos.Distance(n.pos)
-			if dist >= m.params.RangeMax {
-				return
-			}
-			prr = m.prrAtDistance(dist)
-		}
-		n.led.Spend(metrics.StateRx, air)
-		tx.dels = append(tx.dels, delivery{to: id, n: n})
-		d := &tx.dels[len(tx.dels)-1]
-		for _, other := range near {
-			if m.txAudible(other, n) {
-				d.corrupted = true
-				m.cCollisions.Inc()
-				if other.frame.Tenant != a.Tenant {
-					m.cCollXTen.Inc()
-				}
-				// journey IDs do not cross shards; the owned copy's
-				// journey is 0, read off the buffer for the linter's
-				// benefit and for symmetry with Send.
-				m.rec.Emit(int32(id), trace.RadioCollision, int64(other.frame.From), int64(a.From), 0, payloadJourney(tx.frame.Payload))
-				break
-			}
-		}
-		if !d.corrupted && m.k.Rand().Float64() >= prr {
-			d.corrupted = true
-			m.cDropLoss.Inc()
-			m.rec.Emit(int32(id), trace.RadioLoss, int64(a.From), int64(a.Size), 0, payloadJourney(tx.frame.Payload))
-		}
-	})
-
-	m.active = append(m.active, tx)
-	m.k.At(a.End, tx.completeFn)
+	m.launch(tx)
 }

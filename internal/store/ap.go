@@ -3,10 +3,11 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
+	"time"
 
 	"iiotds/internal/crdt"
+	"iiotds/internal/netbuf"
 )
 
 // apState is the AP-mode CRDT state and the production gossip.State.
@@ -151,18 +152,68 @@ func (s *apState) setLocal(origin crdt.ReplicaID, key string, ts int64, val []by
 	s.mu.Unlock()
 }
 
+// The AP mode of a Replica (modeState): every operation is answered from
+// the local state and succeeds at once; gossip spreads the writes.
+
+func (s *apState) put(r *Replica, key string, val []byte, done errDone) {
+	s.setLocal(r.id, key, int64(r.sched.Now()), val)
+	r.finish(done, opResult{}, nil)
+}
+
+func (s *apState) get(r *Replica, key string, done valDone) {
+	r.finish(done, opResult{val: s.localValue(key)}, nil)
+}
+
+func (s *apState) appendPoints(r *Replica, series string, pts []Point, done errDone) {
+	s.appendLocal(r.id, series, pts)
+	r.finish(done, opResult{}, nil)
+}
+
+func (s *apState) rangeSeries(r *Replica, series string, from, to time.Duration, done ptsDone) {
+	r.finish(done, opResult{pts: s.localSeriesRange(series, from, to)}, nil)
+}
+
+func (s *apState) repair(*Replica) {} // anti-entropy is the repair
+
+func (s *apState) setMergeHook(fn func(series string, added int)) {
+	s.mu.Lock()
+	s.onMerge = fn
+	s.mu.Unlock()
+}
+
+func (s *apState) localValue(key string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if reg, ok := s.regs[key]; ok {
+		return netbuf.CloneBytes(reg.Value())
+	}
+	return nil
+}
+
+func (s *apState) localSeriesRange(series string, from, to time.Duration) []Point {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ser, ok := s.series[series]; ok {
+		return ser.eng.Range(from, to)
+	}
+	return nil
+}
+
+func (s *apState) visitEngines(fn func(name string, eng *SeriesEngine)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, ser := range s.series {
+		fn(name, ser.eng)
+	}
+}
+
 // digest folds the origin logs — the authoritative state: merged
 // engines may order equal timestamps differently per replica — into h,
 // series and origins in sorted order.
 func (s *apState) digest(h uint64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.series))
-	for name := range s.series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(s.series) {
 		h = digestString(h, name)
 		for _, log := range s.series[name].logs {
 			h = digestString(h, string(log.origin))

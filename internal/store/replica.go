@@ -10,7 +10,6 @@ import (
 	"iiotds/internal/clock"
 	"iiotds/internal/crdt"
 	"iiotds/internal/gossip"
-	"iiotds/internal/netbuf"
 )
 
 // Mode selects the replica's consistency/availability trade-off.
@@ -81,82 +80,88 @@ const (
 	maxTime = time.Duration(1 << 62)
 )
 
-// versioned is a CP-mode stored value.
-type versioned struct {
-	Val []byte
-	Ver uint64
+// modeState is a replica's consistency mode — the data it holds and how
+// an operation on it completes. A Replica has exactly one, chosen in
+// NewReplica: *cpState (cp.go) or *apState (ap.go). Operations take the
+// replica for what both modes share (identity, clock, messenger, the
+// operation tally) and must count themselves there exactly once.
+type modeState interface {
+	put(r *Replica, key string, val []byte, done errDone)
+	get(r *Replica, key string, done valDone)
+	appendPoints(r *Replica, series string, pts []Point, done errDone)
+	rangeSeries(r *Replica, series string, from, to time.Duration, done ptsDone)
+	repair(r *Replica)
+	setMergeHook(fn func(series string, added int))
+
+	localValue(key string) []byte
+	localSeriesRange(series string, from, to time.Duration) []Point
+	// visitEngines calls fn for every series, in no particular order,
+	// with the state locked.
+	visitEngines(fn func(name string, eng *SeriesEngine))
+	// digest folds the series state into h, in an order every replica of
+	// the group agrees on.
+	digest(h uint64) uint64
 }
 
-// cpSeries is one CP-mode time series: version = accepted append
-// batches from the series' single coordinator (Sharded routes every
-// append for a series through replica 0 of its shard, so versions are
-// totally ordered and a gap can only mean a missed batch across a
-// partition — which triggers a full-series sync).
-type cpSeries struct {
+// opResult is the answer an operation completes with: for a CP read,
+// the one with the highest version among the replicas heard from, this
+// one included; for an AP read, the local one. Writes carry no answer
+// and leave it zero.
+type opResult struct {
 	ver uint64
-	eng *SeriesEngine
+	val []byte
+	pts []Point
 }
 
-// pendingOp collects quorum responses.
-type pendingOp struct {
-	needed  int
-	acks    int
-	bestVer uint64
-	bestVal []byte
-	bestPts []Point
-	done    func(val []byte, err error)
-	donePts func(pts []Point, err error)
-	cancel  clock.CancelFunc
+// completion receives the outcome of one operation; the three callback
+// shapes of the public surface implement it, so an operation carries
+// its caller's callback as it is, without a wrapper.
+type completion interface {
+	complete(res opResult, err error)
 }
 
-func (op *pendingOp) complete(err error) {
-	if op.donePts != nil {
-		op.donePts(op.bestPts, err)
-		return
+type (
+	errDone func(err error) // may be nil: the caller does not care
+	valDone func(val []byte, err error)
+	ptsDone func(pts []Point, err error)
+)
+
+func (d errDone) complete(_ opResult, err error) {
+	if d != nil {
+		d(err)
 	}
-	op.done(op.bestVal, err)
 }
+func (d valDone) complete(res opResult, err error) { d(res.val, err) }
+func (d ptsDone) complete(res opResult, err error) { d(res.pts, err) }
 
 // Replica is one node of the replicated store: a key-value map (the
 // original E9 surface) plus the partitioned time-series ingest surface
 // (AppendPoints/RangeSeries) the sharded store builds on.
 type Replica struct {
-	cfg   ReplicaConfig
-	msg   gossip.Messenger
-	sched clock.Scheduler
-	id    crdt.ReplicaID
+	cfg    ReplicaConfig
+	msg    gossip.Messenger
+	sched  clock.Scheduler
+	id     crdt.ReplicaID
+	state  modeState
+	engine *gossip.Engine // AP anti-entropy; nil in CP
 
-	mu      sync.Mutex
-	cp      map[string]versioned
-	cpTS    map[string]*cpSeries
-	ap      *apState
-	engine  *gossip.Engine
-	nextReq uint64
-	pending map[uint64]*pendingOp
-
-	// Stats for the CAP experiment.
-	OpsOK     int
-	OpsFailed int
+	mu         sync.Mutex // guards the tally
+	ok, failed int
 }
 
 // NewReplica creates a replica named by msg.Self().
 func NewReplica(msg gossip.Messenger, sched clock.Scheduler, cfg ReplicaConfig) *Replica {
 	cfg.applyDefaults()
-	r := &Replica{
-		cfg:     cfg,
-		msg:     msg,
-		sched:   sched,
-		id:      crdt.ReplicaID(msg.Self()),
-		cp:      make(map[string]versioned),
-		cpTS:    make(map[string]*cpSeries),
-		ap:      newAPState(cfg.SegmentSize),
-		pending: make(map[uint64]*pendingOp),
-	}
+	r := &Replica{cfg: cfg, msg: msg, sched: sched, id: crdt.ReplicaID(msg.Self())}
 	if cfg.Mode == ModeAP {
-		r.engine = gossip.New(msg, sched, r.ap, cfg.Gossip)
+		ap := newAPState(cfg.SegmentSize)
+		r.state = ap
+		r.engine = gossip.New(msg, sched, ap, cfg.Gossip)
 		r.engine.Start()
 	} else {
-		msg.SetReceiver(r.onCPMessage)
+		cp := newCPState(cfg.SegmentSize)
+		r.state = cp
+		msg.SetReceiver(func(from string, data []byte) { cp.onMessage(r, from, data) })
 	}
 	return r
 }
@@ -177,10 +182,28 @@ func (r *Replica) Gossip() *gossip.Engine { return r.engine }
 // SetMergeHook registers fn to be called after anti-entropy merges
 // points into a series (AP mode only; added is the merged point count).
 // The sharded store uses it to emit trace events and metrics.
-func (r *Replica) SetMergeHook(fn func(series string, added int)) {
-	r.ap.mu.Lock()
-	r.ap.onMerge = fn
-	r.ap.mu.Unlock()
+func (r *Replica) SetMergeHook(fn func(series string, added int)) { r.state.setMergeHook(fn) }
+
+// Ops returns how many operations have completed successfully and how
+// many failed (CP quorum loss) — the CAP experiment's availability
+// figures.
+func (r *Replica) Ops() (ok, failed int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ok, r.failed
+}
+
+// finish is the one place an operation completes: it is tallied, then
+// its caller hears the outcome.
+func (r *Replica) finish(done completion, res opResult, err error) {
+	r.mu.Lock()
+	if err == nil {
+		r.ok++
+	} else {
+		r.failed++
+	}
+	r.mu.Unlock()
+	done.complete(res, err)
 }
 
 // quorum returns the majority size for the configured cluster.
@@ -210,95 +233,13 @@ func (r *Replica) send(to string, m *rpc) {
 
 // Put stores key=val. done receives nil on success or ErrUnavailable.
 func (r *Replica) Put(key string, val []byte, done func(err error)) {
-	if r.cfg.Mode == ModeAP {
-		r.ap.setLocal(r.id, key, int64(r.sched.Now()), val)
-		r.mu.Lock()
-		r.OpsOK++
-		r.mu.Unlock()
-		if done != nil {
-			done(nil)
-		}
-		return
-	}
-	r.mu.Lock()
-	r.nextReq++
-	reqID := r.nextReq
-	ver := r.cp[key].Ver + 1
-	r.cp[key] = versioned{Val: netbuf.CloneBytes(val), Ver: ver}
-	op := &pendingOp{needed: r.quorum() - 1, done: func(_ []byte, err error) {
-		r.finishOp(err == nil)
-		if done != nil {
-			done(err)
-		}
-	}}
-	if op.needed <= 0 {
-		delete(r.pending, reqID)
-		r.mu.Unlock()
-		r.finishOp(true)
-		if done != nil {
-			done(nil)
-		}
-		return
-	}
-	r.pending[reqID] = op
-	op.cancel = r.sched.Schedule(r.cfg.QuorumTimeout, func() { r.timeoutOp(reqID) })
-	r.mu.Unlock()
-
-	r.broadcast(&rpc{Kind: kindWrite, ReqID: reqID, Key: key, Val: val, Ver: ver})
+	r.state.put(r, key, val, done)
 }
 
 // Get reads key. done receives the value (nil if absent) or
 // ErrUnavailable in CP mode without quorum.
 func (r *Replica) Get(key string, done func(val []byte, err error)) {
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		var val []byte
-		if reg, ok := r.ap.regs[key]; ok {
-			val = netbuf.CloneBytes(reg.Value())
-		}
-		r.ap.mu.Unlock()
-		r.mu.Lock()
-		r.OpsOK++
-		r.mu.Unlock()
-		done(val, nil)
-		return
-	}
-	r.mu.Lock()
-	r.nextReq++
-	reqID := r.nextReq
-	local := r.cp[key]
-	op := &pendingOp{
-		needed:  r.quorum() - 1,
-		bestVer: local.Ver,
-		bestVal: local.Val,
-		done: func(val []byte, err error) {
-			r.finishOp(err == nil)
-			done(val, err)
-		},
-	}
-	if op.needed <= 0 {
-		delete(r.pending, reqID)
-		r.mu.Unlock()
-		r.finishOp(true)
-		done(local.Val, nil)
-		return
-	}
-	r.pending[reqID] = op
-	op.cancel = r.sched.Schedule(r.cfg.QuorumTimeout, func() { r.timeoutOp(reqID) })
-	r.mu.Unlock()
-
-	r.broadcast(&rpc{Kind: kindRead, ReqID: reqID, Key: key})
-}
-
-// cpSeriesLocked returns (creating if needed) the CP state for series.
-// Caller holds r.mu.
-func (r *Replica) cpSeriesLocked(series string) *cpSeries {
-	st, ok := r.cpTS[series]
-	if !ok {
-		st = &cpSeries{eng: NewSeriesEngine(r.cfg.SegmentSize)}
-		r.cpTS[series] = st
-	}
-	return st
+	r.state.get(r, key, done)
 }
 
 // AppendPoints ingests a batch into series. In AP mode the batch lands
@@ -307,7 +248,7 @@ func (r *Replica) cpSeriesLocked(series string) *cpSeries {
 // ErrUnavailable when a majority cannot be reached. CP appends for a
 // given series must all originate at one coordinator replica (the
 // sharded store routes them through replica 0 of the owning shard).
-// The batch is not retained.
+// The batch is not retained; an empty one is not an operation.
 func (r *Replica) AppendPoints(series string, pts []Point, done func(err error)) {
 	if len(pts) == 0 {
 		if done != nil {
@@ -315,43 +256,7 @@ func (r *Replica) AppendPoints(series string, pts []Point, done func(err error))
 		}
 		return
 	}
-	if r.cfg.Mode == ModeAP {
-		r.ap.appendLocal(r.id, series, pts)
-		r.mu.Lock()
-		r.OpsOK++
-		r.mu.Unlock()
-		if done != nil {
-			done(nil)
-		}
-		return
-	}
-	r.mu.Lock()
-	st := r.cpSeriesLocked(series)
-	st.ver++
-	ver := st.ver
-	st.eng.AppendBatch(pts)
-	needed := r.quorum() - 1
-	if needed <= 0 { // single replica: no quorum round, no op allocation
-		r.mu.Unlock()
-		r.finishOp(true)
-		if done != nil {
-			done(nil)
-		}
-		return
-	}
-	r.nextReq++
-	reqID := r.nextReq
-	op := &pendingOp{needed: needed, done: func(_ []byte, err error) {
-		r.finishOp(err == nil)
-		if done != nil {
-			done(err)
-		}
-	}}
-	r.pending[reqID] = op
-	op.cancel = r.sched.Schedule(r.cfg.QuorumTimeout, func() { r.timeoutOp(reqID) })
-	r.mu.Unlock()
-
-	r.broadcast(&rpc{Kind: kindAppend, ReqID: reqID, Key: series, Ver: ver, Pts: pts})
+	r.state.appendPoints(r, series, pts, done)
 }
 
 // RangeSeries reads the points with from <= T < to. In AP mode the
@@ -359,243 +264,31 @@ func (r *Replica) AppendPoints(series string, pts []Point, done func(err error))
 // and the freshest replica's answer (highest series version) wins —
 // done receives ErrUnavailable when a majority cannot be reached.
 func (r *Replica) RangeSeries(series string, from, to time.Duration, done func(pts []Point, err error)) {
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		var pts []Point
-		if ser, ok := r.ap.series[series]; ok {
-			pts = ser.eng.Range(from, to)
-		}
-		r.ap.mu.Unlock()
-		r.mu.Lock()
-		r.OpsOK++
-		r.mu.Unlock()
-		done(pts, nil)
-		return
-	}
-	r.mu.Lock()
-	r.nextReq++
-	reqID := r.nextReq
-	st := r.cpSeriesLocked(series)
-	op := &pendingOp{
-		needed:  r.quorum() - 1,
-		bestVer: st.ver,
-		bestPts: st.eng.Range(from, to),
-		donePts: func(pts []Point, err error) {
-			r.finishOp(err == nil)
-			done(pts, err)
-		},
-	}
-	if op.needed <= 0 {
-		local := op.bestPts
-		delete(r.pending, reqID)
-		r.mu.Unlock()
-		r.finishOp(true)
-		done(local, nil)
-		return
-	}
-	r.pending[reqID] = op
-	op.cancel = r.sched.Schedule(r.cfg.QuorumTimeout, func() { r.timeoutOp(reqID) })
-	r.mu.Unlock()
-
-	r.broadcast(&rpc{Kind: kindRange, ReqID: reqID, Key: series, From: from, To: to})
+	r.state.rangeSeries(r, series, from, to, done)
 }
 
 // Repair pushes this replica's full CP series state to every peer
 // (peers adopt any series with a higher version). The sharded store
 // calls it after partitions heal so CP shards reconverge even when no
 // further appends arrive; AP shards reconverge via gossip and ignore
-// it. Series are pushed in sorted order for determinism.
-func (r *Replica) Repair() {
-	if r.cfg.Mode != ModeCP {
-		return
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.cpTS))
-	for name := range r.cpTS {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type push struct {
-		name string
-		ver  uint64
-		pts  []Point
-	}
-	pushes := make([]push, 0, len(names))
-	for _, name := range names {
-		st := r.cpTS[name]
-		pushes = append(pushes, push{name: name, ver: st.ver, pts: st.eng.AppendRange(nil, minTime, maxTime)})
-	}
-	r.mu.Unlock()
-	for _, p := range pushes {
-		r.broadcast(&rpc{Kind: kindSyncReply, Key: p.name, Ver: p.ver, Pts: p.pts})
-	}
-}
-
-func (r *Replica) finishOp(ok bool) {
-	r.mu.Lock()
-	if ok {
-		r.OpsOK++
-	} else {
-		r.OpsFailed++
-	}
-	r.mu.Unlock()
-}
-
-func (r *Replica) timeoutOp(reqID uint64) {
-	r.mu.Lock()
-	op, ok := r.pending[reqID]
-	if ok {
-		delete(r.pending, reqID)
-	}
-	r.mu.Unlock()
-	if ok {
-		op.bestVal, op.bestPts = nil, nil
-		op.complete(ErrUnavailable)
-	}
-}
-
-func (r *Replica) onCPMessage(from string, data []byte) {
-	m, err := parseRPC(data)
-	if err != nil {
-		return
-	}
-	switch m.Kind {
-	case kindWrite:
-		r.mu.Lock()
-		cur := r.cp[m.Key]
-		if m.Ver > cur.Ver {
-			r.cp[m.Key] = versioned{Val: m.Val, Ver: m.Ver}
-		}
-		r.mu.Unlock()
-		r.send(from, &rpc{Kind: kindWriteAck, ReqID: m.ReqID, Key: m.Key, OK: true})
-	case kindRead:
-		r.mu.Lock()
-		cur := r.cp[m.Key]
-		r.mu.Unlock()
-		r.send(from, &rpc{Kind: kindReadReply, ReqID: m.ReqID, Key: m.Key, Val: cur.Val, Ver: cur.Ver, OK: true})
-	case kindAppend:
-		r.mu.Lock()
-		st := r.cpSeriesLocked(m.Key)
-		switch {
-		case m.Ver == st.ver+1: // contiguous: apply and ack
-			st.eng.AppendBatch(m.Pts)
-			st.ver = m.Ver
-			r.mu.Unlock()
-			r.send(from, &rpc{Kind: kindAppendAck, ReqID: m.ReqID, Key: m.Key, OK: true})
-		case m.Ver <= st.ver: // duplicate of an applied batch: ack, don't re-apply
-			r.mu.Unlock()
-			r.send(from, &rpc{Kind: kindAppendAck, ReqID: m.ReqID, Key: m.Key, OK: true})
-		default: // gap: this replica missed batches across a partition —
-			// catch up via full-series sync instead of acking
-			r.mu.Unlock()
-			r.send(from, &rpc{Kind: kindSync, Key: m.Key})
-		}
-	case kindRange:
-		r.mu.Lock()
-		st := r.cpSeriesLocked(m.Key)
-		ver := st.ver
-		pts := st.eng.Range(m.From, m.To)
-		r.mu.Unlock()
-		r.send(from, &rpc{Kind: kindRangeReply, ReqID: m.ReqID, Key: m.Key, Ver: ver, Pts: pts, OK: true})
-	case kindSync:
-		r.mu.Lock()
-		st := r.cpSeriesLocked(m.Key)
-		ver := st.ver
-		pts := st.eng.AppendRange(nil, minTime, maxTime)
-		r.mu.Unlock()
-		r.send(from, &rpc{Kind: kindSyncReply, Key: m.Key, Ver: ver, Pts: pts})
-	case kindSyncReply:
-		r.mu.Lock()
-		st := r.cpSeriesLocked(m.Key)
-		if m.Ver > st.ver { // remote is strictly fresher: adopt its history
-			eng := NewSeriesEngine(r.cfg.SegmentSize)
-			eng.AppendBatch(m.Pts)
-			st.eng = eng
-			st.ver = m.Ver
-		}
-		r.mu.Unlock()
-	case kindWriteAck, kindReadReply, kindAppendAck, kindRangeReply:
-		r.mu.Lock()
-		op, ok := r.pending[m.ReqID]
-		if !ok {
-			r.mu.Unlock()
-			return
-		}
-		op.acks++
-		if m.Kind == kindReadReply && m.Ver > op.bestVer {
-			op.bestVer = m.Ver
-			op.bestVal = m.Val
-		}
-		if m.Kind == kindRangeReply && m.Ver > op.bestVer {
-			op.bestVer = m.Ver
-			op.bestPts = m.Pts
-		}
-		finished := op.acks >= op.needed
-		if finished {
-			delete(r.pending, m.ReqID)
-			if op.cancel != nil {
-				op.cancel()
-			}
-		}
-		r.mu.Unlock()
-		if finished {
-			op.complete(nil)
-		}
-	}
-}
+// it.
+func (r *Replica) Repair() { r.state.repair(r) }
 
 // LocalValue returns the replica's local view of key (either mode),
 // bypassing quorum — used to check convergence in experiments.
-func (r *Replica) LocalValue(key string) []byte {
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		defer r.ap.mu.Unlock()
-		if reg, ok := r.ap.regs[key]; ok {
-			return netbuf.CloneBytes(reg.Value())
-		}
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return netbuf.CloneBytes(r.cp[key].Val)
-}
+func (r *Replica) LocalValue(key string) []byte { return r.state.localValue(key) }
 
 // LocalSeriesRange returns the replica's local view of series points
 // with from <= T < to, bypassing quorum — convergence checks and the
 // scenario invariant read this.
 func (r *Replica) LocalSeriesRange(series string, from, to time.Duration) []Point {
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		defer r.ap.mu.Unlock()
-		if ser, ok := r.ap.series[series]; ok {
-			return ser.eng.Range(from, to)
-		}
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.cpTS[series]; ok {
-		return st.eng.Range(from, to)
-	}
-	return nil
+	return r.state.localSeriesRange(series, from, to)
 }
 
 // SeriesNames returns the locally known series, sorted.
 func (r *Replica) SeriesNames() []string {
 	var names []string
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		for name := range r.ap.series {
-			names = append(names, name)
-		}
-		r.ap.mu.Unlock()
-	} else {
-		r.mu.Lock()
-		for name := range r.cpTS {
-			names = append(names, name)
-		}
-		r.mu.Unlock()
-	}
+	r.state.visitEngines(func(name string, _ *SeriesEngine) { names = append(names, name) })
 	sort.Strings(names)
 	return names
 }
@@ -606,29 +299,13 @@ func (r *Replica) SeriesNames() []string {
 // engines may order equal timestamps differently per replica); CP
 // hashes the canonical engine streams (single writer, same order
 // everywhere).
-func (r *Replica) SeriesDigest() uint64 {
-	h := uint64(fnvOffset)
-	if r.cfg.Mode == ModeAP {
-		return r.ap.digest(h)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.cpTS))
-	for name := range r.cpTS {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h = digestString(h, name)
-		h = r.cpTS[name].eng.digest(h)
-	}
-	return h
-}
+func (r *Replica) SeriesDigest() uint64 { return r.state.digest(fnvOffset) }
 
 // SeriesStats sums the engine counters across the replica's series.
 func (r *Replica) SeriesStats() EngineStats {
 	var sum EngineStats
-	add := func(st EngineStats) {
+	r.state.visitEngines(func(_ string, eng *SeriesEngine) {
+		st := eng.Stats()
 		sum.Points += st.Points
 		sum.Retained += st.Retained
 		sum.OutOfOrder += st.OutOfOrder
@@ -638,53 +315,30 @@ func (r *Replica) SeriesStats() EngineStats {
 		sum.Compactions += st.Compactions
 		sum.Evicted += st.Evicted
 		sum.Bytes += st.Bytes
-	}
-	for _, eng := range r.seriesEngines() {
-		add(eng.Stats())
-	}
+	})
 	return sum
 }
 
 // FlushSeries closes every open head so buffered points reach encoded
 // segments.
 func (r *Replica) FlushSeries() {
-	for _, eng := range r.seriesEngines() {
-		eng.Flush()
-	}
+	r.state.visitEngines(func(_ string, eng *SeriesEngine) { eng.Flush() })
 }
 
 // CompactSeries force-merges every series' closed segments.
 func (r *Replica) CompactSeries() {
-	for _, eng := range r.seriesEngines() {
-		eng.Compact()
-	}
+	r.state.visitEngines(func(_ string, eng *SeriesEngine) { eng.Compact() })
 }
 
-// seriesEngines snapshots the replica's engines in sorted series order.
-func (r *Replica) seriesEngines() []*SeriesEngine {
-	var names []string
-	byName := make(map[string]*SeriesEngine)
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		for name, ser := range r.ap.series {
-			names = append(names, name)
-			byName[name] = ser.eng
-		}
-		r.ap.mu.Unlock()
-	} else {
-		r.mu.Lock()
-		for name, st := range r.cpTS {
-			names = append(names, name)
-			byName[name] = st.eng
-		}
-		r.mu.Unlock()
+// sortedKeys returns m's keys in sorted order — the order anything a
+// peer or a digest can observe is produced in.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	engines := make([]*SeriesEngine, len(names))
-	for i, name := range names {
-		engines[i] = byName[name]
-	}
-	return engines
+	sort.Strings(keys)
+	return keys
 }
 
 // String describes the replica.

@@ -359,9 +359,7 @@ func (s *Sharded) Stats() ShardedStats {
 	out := ShardedStats{Shards: make([]ShardStats, len(s.shards))}
 	for i, sh := range s.shards {
 		coord := sh.Coordinator()
-		coord.mu.Lock()
-		ok, failed := coord.OpsOK, coord.OpsFailed
-		coord.mu.Unlock()
+		ok, failed := coord.Ops()
 		out.Shards[i] = ShardStats{
 			Mode:      sh.Policy.Mode,
 			Replicas:  sh.Policy.Replicas,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -71,8 +72,10 @@ func TestCPMinorityPartitionUnavailable(t *testing.T) {
 	if majorityErr != nil {
 		t.Fatalf("majority Put err = %v, want nil", majorityErr)
 	}
-	if c.replicas[0].OpsFailed != 1 || c.replicas[2].OpsOK != 1 {
-		t.Fatalf("stats: failed=%d ok=%d", c.replicas[0].OpsFailed, c.replicas[2].OpsOK)
+	_, failed := c.replicas[0].Ops()
+	ok, _ := c.replicas[2].Ops()
+	if failed != 1 || ok != 1 {
+		t.Fatalf("stats: failed=%d ok=%d", failed, ok)
 	}
 }
 
@@ -170,5 +173,48 @@ func TestSingleReplicaCPWorksAlone(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if ModeCP.String() != "CP" || ModeAP.String() != "AP" {
 		t.Fatal("mode strings wrong")
+	}
+}
+
+// TestReplicaReadSurfaceModeParity: what a replica holds is readable
+// the same way whichever mode holds it. The same unpartitioned script
+// on a 3-replica AP group and a 3-replica CP group leaves every replica
+// with the same series names, ranges and point counts, and each group
+// with one digest.
+func TestReplicaReadSurfaceModeParity(t *testing.T) {
+	ap, cp := newCluster(t, ModeAP, 3), newCluster(t, ModeCP, 3)
+	for _, c := range []*cluster{ap, cp} {
+		coord := c.replicas[0] // CP appends have one coordinator; AP does not care
+		for step := 0; step < 40; step++ {
+			tm := time.Duration(step) * time.Second
+			series := []string{"plant/temp", "plant/flow", "yard/level"}[step%3]
+			coord.AppendPoints(series, []Point{{T: tm, V: float64(step)}, {T: tm + time.Millisecond, V: -float64(step)}}, nil)
+			c.k.RunFor(time.Second)
+		}
+		c.k.RunFor(30 * time.Second) // AP anti-entropy settles
+	}
+	for i := range ap.replicas {
+		a, c := ap.replicas[i], cp.replicas[i]
+		names := a.SeriesNames()
+		if !reflect.DeepEqual(names, c.SeriesNames()) || len(names) != 3 {
+			t.Fatalf("replica %d: SeriesNames AP %v != CP %v", i, names, c.SeriesNames())
+		}
+		for _, name := range names {
+			got, want := a.LocalSeriesRange(name, minTime, maxTime), c.LocalSeriesRange(name, minTime, maxTime)
+			if !reflect.DeepEqual(got, want) || len(got) == 0 {
+				t.Fatalf("replica %d: LocalSeriesRange(%s) AP %v != CP %v", i, name, got, want)
+			}
+		}
+		if na, nc := a.SeriesStats().Points, c.SeriesStats().Points; na != nc || na != 80 {
+			t.Fatalf("replica %d: SeriesStats().Points AP %d, CP %d, want 80", i, na, nc)
+		}
+		if a.LocalSeriesRange("nope", minTime, maxTime) != nil || c.LocalSeriesRange("nope", minTime, maxTime) != nil {
+			t.Fatalf("replica %d: an unknown series has points", i)
+		}
+	}
+	for _, c := range []*cluster{ap, cp} {
+		if !shardConverged(c.replicas) {
+			t.Fatalf("%s group: replicas disagree on SeriesDigest", c.replicas[0].Mode())
+		}
 	}
 }
