@@ -16,7 +16,6 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -37,7 +36,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:5683", "UDP address to serve CoAP on")
 	probe := flag.String("probe", "", "act as client: discover and read a gateway at this address")
-	httpAddr := flag.String("http", "", "serve /metrics, /debug/vars, and the /v1 JSON read path on this TCP address")
+	httpAddr := flag.String("http", "", "serve /metrics and the /v1 JSON read path on this TCP address")
 	pprofOn := flag.Bool("pprof", false, "also serve /debug/pprof/ on the -http address")
 	obsMax := flag.Int("observers-max", 100000, "observer cap per resource (0 = protocol default)")
 	coalesce := flag.Duration("coalesce", 0, "minimum interval between notification pushes per resource (0 = push every sample)")
@@ -74,10 +73,8 @@ type gwOptions struct {
 }
 
 // observabilityMux builds the HTTP surface: Prometheus text on /metrics,
-// the same snapshot as JSON through expvar on /debug/vars, the gateway's
-// /v1 read path, and — only when asked — the pprof endpoints. Safe to
-// call more than once per process: the expvar publication (which panics
-// on duplicate names) is guarded.
+// the gateway's /v1 read path, and — only when asked — the pprof
+// endpoints.
 func observabilityMux(reg *metrics.Registry, gw *gateway.Gateway, withPprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -86,10 +83,6 @@ func observabilityMux(reg *metrics.Registry, gw *gateway.Gateway, withPprof bool
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	if expvar.Get("iiot") == nil {
-		expvar.Publish("iiot", expvar.Func(reg.ExpvarFunc()))
-	}
-	mux.Handle("/debug/vars", expvar.Handler())
 	if gw != nil {
 		mux.Handle("/v1/", gw.HTTPHandler())
 	}

@@ -3,8 +3,11 @@
 // model. Three emulated protocol families cover the heterogeneity §III
 // describes: a Modbus-like register protocol (industrial legacy), a
 // BLE-GATT-like TLV protocol (consumer-grade radio peripherals), and a
-// proprietary ASCII-TLV vendor protocol. Each family also ships a device
-// emulator so the adapters are exercised against realistic frames.
+// proprietary ASCII-TLV vendor protocol. A family is a point type and a
+// codec of four wire-format functions (its own file); everything else —
+// model tables, the checks in front of a command, observations, and the
+// device emulator that exercises the adapter against realistic frames —
+// is the shared chassis in family.go.
 package adapter
 
 import (
@@ -31,6 +34,7 @@ var (
 	ErrUnknownCapability = errors.New("adapter: unknown capability")
 	ErrBadFrame          = errors.New("adapter: malformed frame")
 	ErrWrongProtocol     = errors.New("adapter: device/protocol mismatch")
+	ErrBadValue          = errors.New("adapter: value not representable")
 )
 
 // Mux routes devices to their protocol adapters: the O(M) integration

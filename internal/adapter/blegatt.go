@@ -4,8 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
-	"time"
+	"sort"
 
 	"iiotds/internal/registry"
 )
@@ -24,182 +23,88 @@ type GattChar struct {
 	Writable bool
 }
 
-// GattAdapter translates BLE-GATT-like frames.
-type GattAdapter struct {
-	mu     sync.Mutex
-	models map[string]GattMap
+// A characteristic value is a float32: wider magnitudes would arrive as ±Inf.
+func (c GattChar) info() pointInfo {
+	return pointInfo{c.UUID, c.Unit, c.Writable, -math.MaxFloat32, math.MaxFloat32}
 }
+
+// gattTLV appends one [uuidLE:2][4][float32LE] record.
+func gattTLV(dst []byte, uuid uint16, v float64) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uuid)
+	dst = append(dst, 4)
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
+}
+
+func gattValue(b []byte) float64 {
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))
+}
+
+var gattCodec = &codec[GattChar]{
+	protocol: ProtocolBLEGatt,
+	mapNoun:  "gatt",
+	idFmt:    "characteristic %#x",
+
+	// A notification frame: repeated [uuidLE:2][len:1][value].
+	decode: func(raw []byte, lookup func(uint16) (GattChar, bool)) ([]reading, error) {
+		var rs []reading
+		for p := 0; p < len(raw); {
+			if p+3 > len(raw) {
+				return nil, fmt.Errorf("%w: gatt TLV header", ErrBadFrame)
+			}
+			uuid, l := binary.LittleEndian.Uint16(raw[p:]), int(raw[p+2])
+			p += 3
+			if p+l > len(raw) {
+				return nil, fmt.Errorf("%w: gatt TLV value", ErrBadFrame)
+			}
+			val := raw[p : p+l]
+			p += l
+			if _, known := lookup(uuid); !known {
+				continue // foreign characteristic: skip, per BLE practice
+			}
+			if l != 4 {
+				return nil, fmt.Errorf("%w: gatt float length %d", ErrBadFrame, l)
+			}
+			rs = append(rs, reading{uuid, gattValue(val)})
+		}
+		return rs, nil
+	},
+
+	// A write frame is one record.
+	encode: func(ch GattChar, v float64) []byte { return gattTLV(nil, ch.UUID, v) },
+
+	// Characteristics in UUID order.
+	render: func(state []slot[GattChar]) []byte {
+		sort.SliceStable(state, func(i, j int) bool { return state[i].pt.UUID < state[j].pt.UUID })
+		var out []byte
+		for _, s := range state {
+			out = gattTLV(out, s.pt.UUID, s.v)
+		}
+		return out
+	},
+
+	parseWrite: func(raw []byte, _ func(uint16) (GattChar, bool)) (reading, error) {
+		if len(raw) != 7 || raw[2] != 4 {
+			return reading{}, fmt.Errorf("%w: gatt write frame", ErrBadFrame)
+		}
+		return reading{binary.LittleEndian.Uint16(raw), gattValue(raw[3:])}, nil
+	},
+}
+
+// GattAdapter translates BLE-GATT-like frames.
+type GattAdapter = family[GattChar]
 
 // NewGattAdapter returns an adapter with no models registered.
-func NewGattAdapter() *GattAdapter {
-	return &GattAdapter{models: make(map[string]GattMap)}
-}
-
-// RegisterModel installs the characteristic map for a device model.
-func (a *GattAdapter) RegisterModel(model string, m GattMap) {
-	a.mu.Lock()
-	a.models[model] = m
-	a.mu.Unlock()
-}
-
-// Protocol implements Adapter.
-func (a *GattAdapter) Protocol() string { return ProtocolBLEGatt }
-
-func (a *GattAdapter) mapFor(dev *registry.Device) (GattMap, error) {
-	if dev.Protocol != ProtocolBLEGatt {
-		return nil, ErrWrongProtocol
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m, ok := a.models[dev.Model]
-	if !ok {
-		return nil, fmt.Errorf("adapter: no gatt map for model %q", dev.Model)
-	}
-	return m, nil
-}
-
-// Decode parses a notification frame: repeated [uuidLE:2][len:1][value].
-func (a *GattAdapter) Decode(dev *registry.Device, raw []byte, at time.Duration) ([]registry.Observation, error) {
-	m, err := a.mapFor(dev)
-	if err != nil {
-		return nil, err
-	}
-	byUUID := make(map[uint16]string, len(m))
-	for name, ch := range m {
-		byUUID[ch.UUID] = name
-	}
-	var obs []registry.Observation
-	p := 0
-	for p < len(raw) {
-		if p+3 > len(raw) {
-			return nil, fmt.Errorf("%w: gatt TLV header", ErrBadFrame)
-		}
-		uuid := binary.LittleEndian.Uint16(raw[p : p+2])
-		l := int(raw[p+2])
-		p += 3
-		if p+l > len(raw) {
-			return nil, fmt.Errorf("%w: gatt TLV value", ErrBadFrame)
-		}
-		val := raw[p : p+l]
-		p += l
-		name, known := byUUID[uuid]
-		if !known {
-			continue // foreign characteristic: skip, per BLE practice
-		}
-		if l != 4 {
-			return nil, fmt.Errorf("%w: gatt float length %d", ErrBadFrame, l)
-		}
-		obs = append(obs, registry.Observation{
-			Device: dev.ID,
-			Cap:    name,
-			Value:  float64(math.Float32frombits(binary.LittleEndian.Uint32(val))),
-			Unit:   m[name].Unit,
-			At:     at,
-		})
-	}
-	sortObs(obs)
-	return obs, nil
-}
-
-// EncodeCommand renders a write frame: [uuidLE:2][4][float32LE].
-func (a *GattAdapter) EncodeCommand(dev *registry.Device, cmd registry.Command) ([]byte, error) {
-	m, err := a.mapFor(dev)
-	if err != nil {
-		return nil, err
-	}
-	ch, ok := m[cmd.Cap]
-	if !ok || !ch.Writable {
-		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownCapability, dev.ID, cmd.Cap)
-	}
-	out := make([]byte, 7)
-	binary.LittleEndian.PutUint16(out[0:2], ch.UUID)
-	out[2] = 4
-	binary.LittleEndian.PutUint32(out[3:7], math.Float32bits(float32(cmd.Value)))
-	return out, nil
-}
-
-var _ Adapter = (*GattAdapter)(nil)
+func NewGattAdapter() *GattAdapter { return newFamily(gattCodec) }
 
 // GattEmulator is a synthetic BLE-GATT-like peripheral.
-type GattEmulator struct {
-	dev *registry.Device
-	m   GattMap
-
-	mu    sync.Mutex
-	state map[string]float64
-}
+type GattEmulator = emulator[GattChar]
 
 // NewGattEmulator creates an emulator for dev with characteristic map m.
 func NewGattEmulator(dev *registry.Device, m GattMap) *GattEmulator {
-	return &GattEmulator{dev: dev, m: m, state: make(map[string]float64)}
+	return newEmulator(gattCodec, dev, m)
 }
 
-// Device implements Emulator.
-func (e *GattEmulator) Device() *registry.Device { return e.dev }
-
-// Frame implements Emulator.
-func (e *GattEmulator) Frame() []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Render characteristics in UUID order for determinism.
-	type kv struct {
-		uuid uint16
-		val  float64
-	}
-	var items []kv
-	for name, ch := range e.m {
-		items = append(items, kv{ch.UUID, e.state[name]})
-	}
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j].uuid < items[j-1].uuid; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-	var out []byte
-	for _, it := range items {
-		var b [7]byte
-		binary.LittleEndian.PutUint16(b[0:2], it.uuid)
-		b[2] = 4
-		binary.LittleEndian.PutUint32(b[3:7], math.Float32bits(float32(it.val)))
-		out = append(out, b[:]...)
-	}
-	return out
-}
-
-// Apply implements Emulator.
-func (e *GattEmulator) Apply(raw []byte) error {
-	if len(raw) != 7 || raw[2] != 4 {
-		return fmt.Errorf("%w: gatt write frame", ErrBadFrame)
-	}
-	uuid := binary.LittleEndian.Uint16(raw[0:2])
-	val := math.Float32frombits(binary.LittleEndian.Uint32(raw[3:7]))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name, ch := range e.m {
-		if ch.UUID == uuid {
-			if !ch.Writable {
-				return fmt.Errorf("adapter: characteristic %#x read-only", uuid)
-			}
-			e.state[name] = float64(val)
-			return nil
-		}
-	}
-	return fmt.Errorf("adapter: unknown characteristic %#x", uuid)
-}
-
-// State implements Emulator.
-func (e *GattEmulator) State(cap string) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v, ok := e.state[cap]
-	return v, ok
-}
-
-// SetState implements Emulator.
-func (e *GattEmulator) SetState(cap string, v float64) {
-	e.mu.Lock()
-	e.state[cap] = v
-	e.mu.Unlock()
-}
-
-var _ Emulator = (*GattEmulator)(nil)
+var (
+	_ Adapter  = (*GattAdapter)(nil)
+	_ Emulator = (*GattEmulator)(nil)
+)

@@ -3,8 +3,7 @@ package adapter
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"time"
+	"math"
 
 	"iiotds/internal/registry"
 )
@@ -30,177 +29,90 @@ type ModbusPoint struct {
 	Writable bool
 }
 
-// ModbusAdapter translates Modbus-like frames. Models are registered
-// with their register maps, as a real integration would configure from
-// device datasheets.
-type ModbusAdapter struct {
-	mu     sync.Mutex
-	models map[string]ModbusMap
+// A register is a signed 16-bit word, so a command must scale into one.
+func (p ModbusPoint) info() pointInfo {
+	lo, hi := math.MinInt16/p.Scale, math.MaxInt16/p.Scale
+	return pointInfo{p.Register, p.Unit, p.Writable, math.Min(lo, hi), math.Max(lo, hi)}
 }
+
+func (p ModbusPoint) toWire(v float64) uint16   { return uint16(int16(v * p.Scale)) }
+func (p ModbusPoint) fromWire(w uint16) float64 { return float64(int16(w)) / p.Scale }
+
+var modbusCodec = &codec[ModbusPoint]{
+	protocol: ProtocolModbus,
+	mapNoun:  "modbus",
+	idFmt:    "register %d",
+
+	// A read-holding-registers response:
+	// [unit][0x03][byteCount][startRegHi][startRegLo][data...].
+	decode: func(raw []byte, lookup func(uint16) (ModbusPoint, bool)) ([]reading, error) {
+		if len(raw) < 5 || raw[1] != fnReadHoldingResp {
+			return nil, fmt.Errorf("%w: modbus header", ErrBadFrame)
+		}
+		start, data := int(binary.BigEndian.Uint16(raw[3:5])), raw[5:]
+		if len(data) != int(raw[2]) || len(data)%2 != 0 {
+			return nil, fmt.Errorf("%w: modbus byte count", ErrBadFrame)
+		}
+		var rs []reading
+		for i := 0; i < len(data)/2 && start+i <= math.MaxUint16; i++ {
+			if pt, ok := lookup(uint16(start + i)); ok {
+				rs = append(rs, reading{uint16(start + i), pt.fromWire(binary.BigEndian.Uint16(data[2*i:]))})
+			}
+		}
+		return rs, nil
+	},
+
+	// A write-single-register frame: [unit][0x06][regHi][regLo][valHi][valLo].
+	encode: func(pt ModbusPoint, v float64) []byte {
+		out := []byte{1, fnWriteSingle, 0, 0, 0, 0}
+		binary.BigEndian.PutUint16(out[2:4], pt.Register)
+		binary.BigEndian.PutUint16(out[4:6], pt.toWire(v))
+		return out
+	},
+
+	// All registers from the lowest to the highest mapped address.
+	render: func(state []slot[ModbusPoint]) []byte {
+		lo, hi := uint16(0xFFFF), uint16(0)
+		for _, s := range state {
+			lo, hi = min(lo, s.pt.Register), max(hi, s.pt.Register)
+		}
+		n := int(hi-lo) + 1
+		out := make([]byte, 5+2*n)
+		out[0], out[1], out[2] = 1, fnReadHoldingResp, byte(2*n)
+		binary.BigEndian.PutUint16(out[3:5], lo)
+		for _, s := range state {
+			binary.BigEndian.PutUint16(out[5+2*int(s.pt.Register-lo):], s.pt.toWire(s.v))
+		}
+		return out
+	},
+
+	parseWrite: func(raw []byte, lookup func(uint16) (ModbusPoint, bool)) (reading, error) {
+		if len(raw) != 6 || raw[1] != fnWriteSingle {
+			return reading{}, fmt.Errorf("%w: modbus write frame", ErrBadFrame)
+		}
+		r := reading{id: binary.BigEndian.Uint16(raw[2:4])}
+		if pt, ok := lookup(r.id); ok {
+			r.v = pt.fromWire(binary.BigEndian.Uint16(raw[4:6]))
+		}
+		return r, nil
+	},
+}
+
+// ModbusAdapter translates Modbus-like frames.
+type ModbusAdapter = family[ModbusPoint]
 
 // NewModbusAdapter returns an adapter with no models registered.
-func NewModbusAdapter() *ModbusAdapter {
-	return &ModbusAdapter{models: make(map[string]ModbusMap)}
-}
-
-// RegisterModel installs the register map for a device model.
-func (a *ModbusAdapter) RegisterModel(model string, m ModbusMap) {
-	a.mu.Lock()
-	a.models[model] = m
-	a.mu.Unlock()
-}
-
-// Protocol implements Adapter.
-func (a *ModbusAdapter) Protocol() string { return ProtocolModbus }
-
-func (a *ModbusAdapter) mapFor(dev *registry.Device) (ModbusMap, error) {
-	if dev.Protocol != ProtocolModbus {
-		return nil, ErrWrongProtocol
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m, ok := a.models[dev.Model]
-	if !ok {
-		return nil, fmt.Errorf("adapter: no modbus map for model %q", dev.Model)
-	}
-	return m, nil
-}
-
-// Decode parses a read-holding-registers response frame:
-// [unit][0x03][byteCount][startRegHi][startRegLo][data...].
-func (a *ModbusAdapter) Decode(dev *registry.Device, raw []byte, at time.Duration) ([]registry.Observation, error) {
-	m, err := a.mapFor(dev)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < 5 || raw[1] != fnReadHoldingResp {
-		return nil, fmt.Errorf("%w: modbus header", ErrBadFrame)
-	}
-	count := int(raw[2])
-	start := binary.BigEndian.Uint16(raw[3:5])
-	data := raw[5:]
-	if len(data) != count || count%2 != 0 {
-		return nil, fmt.Errorf("%w: modbus byte count", ErrBadFrame)
-	}
-	var obs []registry.Observation
-	for name, pt := range m {
-		idx := int(pt.Register-start) * 2
-		if pt.Register < start || idx+2 > len(data) {
-			continue
-		}
-		rawVal := binary.BigEndian.Uint16(data[idx : idx+2])
-		obs = append(obs, registry.Observation{
-			Device: dev.ID,
-			Cap:    name,
-			Value:  float64(int16(rawVal)) / pt.Scale,
-			Unit:   pt.Unit,
-			At:     at,
-		})
-	}
-	sortObs(obs)
-	return obs, nil
-}
-
-// EncodeCommand renders a write-single-register frame:
-// [unit][0x06][regHi][regLo][valHi][valLo].
-func (a *ModbusAdapter) EncodeCommand(dev *registry.Device, cmd registry.Command) ([]byte, error) {
-	m, err := a.mapFor(dev)
-	if err != nil {
-		return nil, err
-	}
-	pt, ok := m[cmd.Cap]
-	if !ok || !pt.Writable {
-		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownCapability, dev.ID, cmd.Cap)
-	}
-	out := make([]byte, 6)
-	out[0] = 1 // unit id
-	out[1] = fnWriteSingle
-	binary.BigEndian.PutUint16(out[2:4], pt.Register)
-	binary.BigEndian.PutUint16(out[4:6], uint16(int16(cmd.Value*pt.Scale)))
-	return out, nil
-}
-
-var _ Adapter = (*ModbusAdapter)(nil)
+func NewModbusAdapter() *ModbusAdapter { return newFamily(modbusCodec) }
 
 // ModbusEmulator is a synthetic Modbus-like device.
-type ModbusEmulator struct {
-	dev *registry.Device
-	m   ModbusMap
-
-	mu    sync.Mutex
-	state map[string]float64
-}
+type ModbusEmulator = emulator[ModbusPoint]
 
 // NewModbusEmulator creates an emulator for dev using register map m.
 func NewModbusEmulator(dev *registry.Device, m ModbusMap) *ModbusEmulator {
-	return &ModbusEmulator{dev: dev, m: m, state: make(map[string]float64)}
+	return newEmulator(modbusCodec, dev, m)
 }
 
-// Device implements Emulator.
-func (e *ModbusEmulator) Device() *registry.Device { return e.dev }
-
-// Frame implements Emulator: renders all registers from the lowest to
-// the highest mapped address.
-func (e *ModbusEmulator) Frame() []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	lo, hi := uint16(0xFFFF), uint16(0)
-	for _, pt := range e.m {
-		if pt.Register < lo {
-			lo = pt.Register
-		}
-		if pt.Register > hi {
-			hi = pt.Register
-		}
-	}
-	n := int(hi-lo) + 1
-	data := make([]byte, n*2)
-	for name, pt := range e.m {
-		idx := int(pt.Register-lo) * 2
-		binary.BigEndian.PutUint16(data[idx:idx+2], uint16(int16(e.state[name]*pt.Scale)))
-	}
-	out := make([]byte, 0, 5+len(data))
-	out = append(out, 1, fnReadHoldingResp, byte(len(data)))
-	var start [2]byte
-	binary.BigEndian.PutUint16(start[:], lo)
-	out = append(out, start[:]...)
-	return append(out, data...)
-}
-
-// Apply implements Emulator: executes a write-single-register frame.
-func (e *ModbusEmulator) Apply(raw []byte) error {
-	if len(raw) != 6 || raw[1] != fnWriteSingle {
-		return fmt.Errorf("%w: modbus write frame", ErrBadFrame)
-	}
-	reg := binary.BigEndian.Uint16(raw[2:4])
-	val := int16(binary.BigEndian.Uint16(raw[4:6]))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name, pt := range e.m {
-		if pt.Register == reg {
-			if !pt.Writable {
-				return fmt.Errorf("adapter: register %d read-only", reg)
-			}
-			e.state[name] = float64(val) / pt.Scale
-			return nil
-		}
-	}
-	return fmt.Errorf("adapter: unmapped register %d", reg)
-}
-
-// State implements Emulator.
-func (e *ModbusEmulator) State(cap string) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v, ok := e.state[cap]
-	return v, ok
-}
-
-// SetState implements Emulator.
-func (e *ModbusEmulator) SetState(cap string, v float64) {
-	e.mu.Lock()
-	e.state[cap] = v
-	e.mu.Unlock()
-}
-
-var _ Emulator = (*ModbusEmulator)(nil)
+var (
+	_ Adapter  = (*ModbusAdapter)(nil)
+	_ Emulator = (*ModbusEmulator)(nil)
+)

@@ -2,10 +2,8 @@ package adapter
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
-	"sync"
-	"time"
 
 	"iiotds/internal/registry"
 )
@@ -25,174 +23,90 @@ type VendorPoint struct {
 	Writable bool
 }
 
-// VendorTLVAdapter translates the vendor TLV protocol.
-type VendorTLVAdapter struct {
-	mu     sync.Mutex
-	models map[string]VendorMap
+// Decimal text carries any finite float64.
+func (p VendorPoint) info() pointInfo {
+	return pointInfo{uint16(p.Tag), p.Unit, p.Writable, -math.MaxFloat64, math.MaxFloat64}
 }
+
+// vendorTLV appends one [tag][len][text] record. Text too long for the
+// one-byte length falls back to the compact 'g' form, which always fits.
+func vendorTLV(dst []byte, tag byte, v float64, format byte, prec int) []byte {
+	text := strconv.AppendFloat(nil, v, format, prec, 64)
+	if len(text) > math.MaxUint8 {
+		text = strconv.AppendFloat(text[:0], v, 'g', -1, 64)
+	}
+	return append(append(dst, tag, byte(len(text))), text...)
+}
+
+var vendorCodec = &codec[VendorPoint]{
+	protocol: ProtocolVendorTLV,
+	mapNoun:  "vendor",
+	idFmt:    "tag %d",
+
+	decode: func(raw []byte, lookup func(uint16) (VendorPoint, bool)) ([]reading, error) {
+		var rs []reading
+		for p := 0; p < len(raw); {
+			if p+2 > len(raw) {
+				return nil, fmt.Errorf("%w: vendor TLV header", ErrBadFrame)
+			}
+			tag, l := raw[p], int(raw[p+1])
+			p += 2
+			if p+l > len(raw) {
+				return nil, fmt.Errorf("%w: vendor TLV value", ErrBadFrame)
+			}
+			text := string(raw[p : p+l])
+			p += l
+			if _, known := lookup(uint16(tag)); !known {
+				continue
+			}
+			v, err := strconv.ParseFloat(text, 64)
+			if err != nil {
+				return nil, fmt.Errorf("%w: vendor value %q", ErrBadFrame, text)
+			}
+			rs = append(rs, reading{uint16(tag), v})
+		}
+		return rs, nil
+	},
+
+	// -1 precision round-trips exactly.
+	encode: func(pt VendorPoint, v float64) []byte { return vendorTLV(nil, pt.Tag, v, 'g', -1) },
+
+	// Devices of this family report two decimals.
+	render: func(state []slot[VendorPoint]) []byte {
+		var out []byte
+		for _, s := range state {
+			out = vendorTLV(out, s.pt.Tag, s.v, 'f', 2)
+		}
+		return out
+	},
+
+	parseWrite: func(raw []byte, _ func(uint16) (VendorPoint, bool)) (reading, error) {
+		if len(raw) < 2 || int(raw[1])+2 != len(raw) {
+			return reading{}, fmt.Errorf("%w: vendor write frame", ErrBadFrame)
+		}
+		v, err := strconv.ParseFloat(string(raw[2:]), 64)
+		if err != nil {
+			return reading{}, fmt.Errorf("%w: vendor write value", ErrBadFrame)
+		}
+		return reading{uint16(raw[0]), v}, nil
+	},
+}
+
+// VendorTLVAdapter translates the vendor TLV protocol.
+type VendorTLVAdapter = family[VendorPoint]
 
 // NewVendorTLVAdapter returns an adapter with no models registered.
-func NewVendorTLVAdapter() *VendorTLVAdapter {
-	return &VendorTLVAdapter{models: make(map[string]VendorMap)}
-}
-
-// RegisterModel installs the tag map for a device model.
-func (a *VendorTLVAdapter) RegisterModel(model string, m VendorMap) {
-	a.mu.Lock()
-	a.models[model] = m
-	a.mu.Unlock()
-}
-
-// Protocol implements Adapter.
-func (a *VendorTLVAdapter) Protocol() string { return ProtocolVendorTLV }
-
-func (a *VendorTLVAdapter) mapFor(dev *registry.Device) (VendorMap, error) {
-	if dev.Protocol != ProtocolVendorTLV {
-		return nil, ErrWrongProtocol
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m, ok := a.models[dev.Model]
-	if !ok {
-		return nil, fmt.Errorf("adapter: no vendor map for model %q", dev.Model)
-	}
-	return m, nil
-}
-
-// Decode implements Adapter.
-func (a *VendorTLVAdapter) Decode(dev *registry.Device, raw []byte, at time.Duration) ([]registry.Observation, error) {
-	m, err := a.mapFor(dev)
-	if err != nil {
-		return nil, err
-	}
-	byTag := make(map[byte]string, len(m))
-	for name, pt := range m {
-		byTag[pt.Tag] = name
-	}
-	var obs []registry.Observation
-	p := 0
-	for p < len(raw) {
-		if p+2 > len(raw) {
-			return nil, fmt.Errorf("%w: vendor TLV header", ErrBadFrame)
-		}
-		tag, l := raw[p], int(raw[p+1])
-		p += 2
-		if p+l > len(raw) {
-			return nil, fmt.Errorf("%w: vendor TLV value", ErrBadFrame)
-		}
-		text := string(raw[p : p+l])
-		p += l
-		name, known := byTag[tag]
-		if !known {
-			continue
-		}
-		v, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: vendor value %q", ErrBadFrame, text)
-		}
-		obs = append(obs, registry.Observation{
-			Device: dev.ID,
-			Cap:    name,
-			Value:  v,
-			Unit:   m[name].Unit,
-			At:     at,
-		})
-	}
-	sortObs(obs)
-	return obs, nil
-}
-
-// EncodeCommand implements Adapter.
-func (a *VendorTLVAdapter) EncodeCommand(dev *registry.Device, cmd registry.Command) ([]byte, error) {
-	m, err := a.mapFor(dev)
-	if err != nil {
-		return nil, err
-	}
-	pt, ok := m[cmd.Cap]
-	if !ok || !pt.Writable {
-		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownCapability, dev.ID, cmd.Cap)
-	}
-	// 'g' keeps huge magnitudes compact so the one-byte TLV length
-	// cannot overflow, and -1 precision round-trips exactly.
-	text := strconv.FormatFloat(cmd.Value, 'g', -1, 64)
-	out := make([]byte, 0, 2+len(text))
-	out = append(out, pt.Tag, byte(len(text)))
-	return append(out, text...), nil
-}
-
-var _ Adapter = (*VendorTLVAdapter)(nil)
+func NewVendorTLVAdapter() *VendorTLVAdapter { return newFamily(vendorCodec) }
 
 // VendorTLVEmulator is a synthetic vendor-protocol device.
-type VendorTLVEmulator struct {
-	dev *registry.Device
-	m   VendorMap
-
-	mu    sync.Mutex
-	state map[string]float64
-}
+type VendorTLVEmulator = emulator[VendorPoint]
 
 // NewVendorTLVEmulator creates an emulator for dev with tag map m.
 func NewVendorTLVEmulator(dev *registry.Device, m VendorMap) *VendorTLVEmulator {
-	return &VendorTLVEmulator{dev: dev, m: m, state: make(map[string]float64)}
+	return newEmulator(vendorCodec, dev, m)
 }
 
-// Device implements Emulator.
-func (e *VendorTLVEmulator) Device() *registry.Device { return e.dev }
-
-// Frame implements Emulator.
-func (e *VendorTLVEmulator) Frame() []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	names := make([]string, 0, len(e.m))
-	for name := range e.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []byte
-	for _, name := range names {
-		text := strconv.FormatFloat(e.state[name], 'f', 2, 64)
-		out = append(out, e.m[name].Tag, byte(len(text)))
-		out = append(out, text...)
-	}
-	return out
-}
-
-// Apply implements Emulator.
-func (e *VendorTLVEmulator) Apply(raw []byte) error {
-	if len(raw) < 2 || int(raw[1])+2 != len(raw) {
-		return fmt.Errorf("%w: vendor write frame", ErrBadFrame)
-	}
-	v, err := strconv.ParseFloat(string(raw[2:]), 64)
-	if err != nil {
-		return fmt.Errorf("%w: vendor write value", ErrBadFrame)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name, pt := range e.m {
-		if pt.Tag == raw[0] {
-			if !pt.Writable {
-				return fmt.Errorf("adapter: tag %d read-only", raw[0])
-			}
-			e.state[name] = v
-			return nil
-		}
-	}
-	return fmt.Errorf("adapter: unknown tag %d", raw[0])
-}
-
-// State implements Emulator.
-func (e *VendorTLVEmulator) State(cap string) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v, ok := e.state[cap]
-	return v, ok
-}
-
-// SetState implements Emulator.
-func (e *VendorTLVEmulator) SetState(cap string, v float64) {
-	e.mu.Lock()
-	e.state[cap] = v
-	e.mu.Unlock()
-}
-
-var _ Emulator = (*VendorTLVEmulator)(nil)
+var (
+	_ Adapter  = (*VendorTLVAdapter)(nil)
+	_ Emulator = (*VendorTLVEmulator)(nil)
+)

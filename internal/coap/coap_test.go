@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
+	"iiotds/internal/gossip"
 	"iiotds/internal/sim"
 )
 
@@ -174,14 +175,14 @@ func TestSetPathEdgeCases(t *testing.T) {
 
 type world struct {
 	k     *sim.Kernel
-	board *Switchboard
+	board *gossip.Network
 }
 
 func newWorld() *world {
-	return &world{k: sim.New(1), board: NewSwitchboard()}
+	return &world{k: sim.New(1), board: gossip.NewNetwork()}
 }
 
-func (w *world) endpoint(addr string, cfg ConnConfig) (*Conn, *LoopTransport) {
+func (w *world) endpoint(addr string, cfg ConnConfig) (*Conn, *gossip.Port) {
 	tr := w.board.Attach(addr)
 	return NewConn(tr, clock.Kernel{K: w.k}, cfg), tr
 }
@@ -322,7 +323,7 @@ func TestServerDedupRepliesFromCache(t *testing.T) {
 	// Drop the server's first response so the client retransmits the
 	// same MID; the handler must run once and the cached response must
 	// be replayed.
-	srvTr := srvConn.tr.(*LoopTransport)
+	srvTr := srvConn.tr.(*gossip.Port)
 	srvTr.SetDropFirst(1)
 	var resp *Message
 	cli.Get("srv", "count", func(m *Message, err error) { resp = m })

@@ -21,12 +21,14 @@ var (
 	ErrTooManyObservers = errors.New("coap: observer table full")
 )
 
+// ackRandomFactor spreads the initial CON timeout over
+// [AckTimeout, ackRandomFactor·AckTimeout] (RFC 7252 §4.8).
+const ackRandomFactor = 1.5
+
 // ConnConfig tunes the message layer (defaults follow RFC 7252 §4.8).
 type ConnConfig struct {
 	// AckTimeout is the initial CON retransmission timeout (default 2 s).
 	AckTimeout time.Duration
-	// AckRandomFactor spreads the initial timeout (default 1.5).
-	AckRandomFactor float64
 	// MaxRetransmit is the CON retransmission budget (default 4).
 	MaxRetransmit int
 	// NonTimeout is how long a NON request waits for its response
@@ -45,9 +47,6 @@ type ConnConfig struct {
 func (c *ConnConfig) applyDefaults() {
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 2 * time.Second
-	}
-	if c.AckRandomFactor == 0 {
-		c.AckRandomFactor = 1.5
 	}
 	if c.MaxRetransmit == 0 {
 		c.MaxRetransmit = 4
@@ -440,7 +439,7 @@ func (c *Conn) send(addr string, m *Message, onFail func(err error)) {
 	}
 	if m.Type == Confirmable {
 		c.mu.Lock()
-		timeout := time.Duration(float64(c.cfg.AckTimeout) * (1 + (c.cfg.AckRandomFactor-1)*c.rng.Float64()))
+		timeout := time.Duration(float64(c.cfg.AckTimeout) * (1 + (ackRandomFactor-1)*c.rng.Float64()))
 		p := &outCON{data: data, addr: addr, timeout: timeout, onFail: onFail, journey: c.journeyCurrent()}
 		k := key(addr, m.MessageID)
 		c.pending[k] = p

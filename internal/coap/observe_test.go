@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
+	"iiotds/internal/gossip"
 	"iiotds/internal/sim"
 )
 
@@ -17,7 +18,7 @@ import (
 // message and sends crafted datagrams, giving observe tests full control
 // over registration, RSTs, and deregistration on the wire.
 type rawClient struct {
-	tr   *LoopTransport
+	tr   *gossip.Port
 	addr string
 
 	mu   sync.Mutex

@@ -8,6 +8,7 @@ import (
 	"iiotds/internal/clock"
 	"iiotds/internal/coap"
 	"iiotds/internal/gateway"
+	"iiotds/internal/gossip"
 	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
@@ -17,9 +18,12 @@ import (
 // readingTag opens a reading datagram: {readingTag, value}.
 const readingTag = 0x16
 
-// gatewayAddr is the gateway's address on the backend's private
-// switchboard.
-const gatewayAddr = "gateway"
+// gatewayAddr and appAddr name the two ends of the gateway link on the
+// backend's private network.
+const (
+	gatewayAddr = "gateway"
+	appAddr     = "app"
+)
 
 // Backend is everything behind the border router in Fig. 1: the
 // replicated store and the observe gateway, fed through one hand-off
@@ -37,7 +41,8 @@ type Backend struct {
 	k   *sim.Kernel // the root's
 	app *store.Appender
 	gw  *gateway.Gateway
-	cli *coap.Conn // application-tier client of gw
+	cli *coap.Conn      // application-tier client of gw
+	net *gossip.Network // carries the gw–cli link; the same fabric type as Store's replica links
 
 	names     []string // node/<id>/reading, by node ID
 	sent      []int    // by node ID; each written on its own stripe only
@@ -67,10 +72,10 @@ func (f *fleet) AttachBackend(cfg store.ShardedConfig) *Backend {
 	// Inline fan-out on a synchronous in-memory transport: a Publish
 	// reaches every observer before it returns, at the same virtual
 	// instant, which keeps the deployment deterministic (DESIGN.md §5).
-	board := coap.NewSwitchboard()
-	srv := coap.NewConn(board.Attach(gatewayAddr), sched, coap.ConnConfig{Seed: f.stack.Seed})
+	b.net = gossip.NewNetwork()
+	srv := coap.NewConn(b.net.Attach(gatewayAddr), sched, coap.ConnConfig{Seed: f.stack.Seed})
 	b.gw = gateway.New(srv, gateway.Config{Inline: true, Sched: sched, Metrics: m.Registry()})
-	b.cli = coap.NewConn(board.Attach("app"), sched, coap.ConnConfig{Seed: f.stack.Seed + 1})
+	b.cli = coap.NewConn(b.net.Attach(appAddr), sched, coap.ConnConfig{Seed: f.stack.Seed + 1})
 
 	for i := range b.names {
 		b.names[i] = fmt.Sprintf("node/%d/reading", i)
@@ -161,8 +166,8 @@ func (b *Backend) Delivered() int { return b.delivered }
 func (b *Backend) Batches() (acked, failed uint64) { return b.app.Acked(), b.app.Failed() }
 
 // Close stops the store's background activity and the gateway. The
-// two CoAP endpoints hold nothing but entries on the private
-// switchboard, which goes with the Backend.
+// two CoAP endpoints hold nothing but ports on the private network,
+// which goes with the Backend.
 func (b *Backend) Close() {
 	b.Store.Stop()
 	b.gw.Close()

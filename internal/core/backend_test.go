@@ -128,6 +128,47 @@ func TestBackendObserveIsInline(t *testing.T) {
 	}
 }
 
+// TestBackendGatewayLinkCanBePartitioned: the gateway–application link
+// rides the same fabric type as the store's replica links, so it can be
+// cut the same way. Cut, observers hear nothing while the store keeps
+// acking; healed, the next publish reaches them again.
+func TestBackendGatewayLinkCanBePartitioned(t *testing.T) {
+	d := smallGrid(4, Profile{})
+	be := d.AttachBackend(store.ShardedConfig{})
+	defer be.Close()
+	const series = "obs/press-1/temp"
+	var got []float64
+	be.Observe(series, func(v float64) { got = append(got, v) })
+	publish := func(v float64) {
+		d.K.RunFor(time.Second)
+		be.Publish(series, store.Point{T: d.K.Now(), V: v})
+		be.Flush()
+	}
+	publish(1)
+	if len(got) != 1 {
+		t.Fatalf("before the cut: observer saw %v", got)
+	}
+
+	be.net.SetPartition([]string{appAddr})
+	for v := 2.0; v <= 9; v++ { // includes the gateway's every-8th confirmable push
+		publish(v)
+	}
+	if len(got) != 1 || be.net.Dropped == 0 {
+		t.Fatalf("during the cut: observer saw %v, link dropped %d", got, be.net.Dropped)
+	}
+	if acked, failed := be.Batches(); acked != 9 || failed != 0 {
+		t.Fatalf("store batches acked=%d failed=%d during a gateway-link cut, want 9/0", acked, failed)
+	}
+
+	// Healed, the link carries the next push (and may first carry the
+	// retransmission of a confirmable one sent into the cut).
+	be.net.Heal()
+	publish(10)
+	if got[len(got)-1] != 10 {
+		t.Fatalf("after heal: observer saw %v, want the last value to be 10", got)
+	}
+}
+
 func TestBackendSurvivesBorderRouterReboot(t *testing.T) {
 	d := smallGrid(9, Profile{})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {

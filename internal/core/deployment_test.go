@@ -270,3 +270,37 @@ func ExampleDeployment() {
 	fmt.Println("converged:", ok)
 	// Output: converged: true
 }
+
+// TestDeployedHeaderFormPinned pins which 6LoWPAN header a built stack
+// puts on the air. Today it is the uncompressed 40-byte one: nothing
+// sets lowpan.Config.Compress and rpl.NewRouter passes the zero config.
+// Turning IPHC-style compression on (ROADMAP) changes airtime and
+// fragment counts behind every E-table, so it has to be a deliberate
+// change — this constant is the line that moves with it (to 9).
+func TestDeployedHeaderFormPinned(t *testing.T) {
+	const (
+		deployedHeader = 40 // lowpan's uncompressed form; the IPHC-style one is 9
+		framing        = 5  // MAC header 3 + link protocol 1 + 6LoWPAN dispatch 1
+		payload        = 50 // one frame under either form, and larger than any routing frame
+		sniffer        = radio.NodeID(1000)
+	)
+	d := smallGrid(4, Profile{})
+	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
+		t.Fatal("no convergence")
+	}
+	onAir := map[int]bool{}
+	d.M.Attach(sniffer, d.M.PositionOf(1), radio.ReceiverFunc(func(f radio.Frame) {
+		if f.From == 1 && f.Size > payload {
+			onAir[f.Size] = true
+		}
+	}))
+	d.M.SetListening(sniffer, true)
+	if err := d.Nodes[1].Router.SendUp(lowpan.ProtoRaw, make([]byte, payload)); err != nil {
+		t.Fatal(err)
+	}
+	d.K.RunFor(5 * time.Second)
+	if want := framing + deployedHeader + payload; len(onAir) != 1 || !onAir[want] {
+		t.Fatalf("node 1's %d-byte datagram went on the air as frames of size %v, want one of %d (%d framing + %d header)",
+			payload, onAir, want, framing, deployedHeader)
+	}
+}

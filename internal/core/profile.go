@@ -138,6 +138,9 @@ func (f Factories) withDefaults() Factories {
 	return f
 }
 
+// mediumParams parameterizes every deployment's shared medium.
+var mediumParams = radio.DefaultParams()
+
 // Stack describes a heterogeneous deployment: the shared substrate
 // (seed, medium) plus the device classes and the plan binding each node
 // to one. The tiers behind the border router are not part of it; see
@@ -145,8 +148,6 @@ func (f Factories) withDefaults() Factories {
 type Stack struct {
 	// Seed drives all simulation randomness.
 	Seed int64
-	// Radio parameterizes the shared medium (zero value = DefaultParams).
-	Radio radio.Params
 	// Router is the deployment-wide RPL configuration; a profile's
 	// Router field overrides it per class.
 	Router rpl.Config
@@ -188,12 +189,6 @@ func (s *Stack) applyDefaults() {
 		if !byName[ns.Profile] {
 			panic(fmt.Sprintf("core: Stack.Topology[%d].Profile %q is not in Stack.Profiles", i, ns.Profile))
 		}
-	}
-	if s.Radio.BitRate < 0 {
-		panic("core: Stack.Radio.BitRate is negative")
-	}
-	if s.Radio.BitRate == 0 {
-		s.Radio = radio.DefaultParams()
 	}
 	applyRouterDefaults(&s.Router, "Stack.Router")
 	for i := range s.Profiles {
@@ -309,7 +304,7 @@ func NewStack(cfg Stack) *Deployment {
 
 	k := sim.New(cfg.Seed)
 	reg := metrics.NewRegistry()
-	m := radio.NewMedium(k, cfg.Radio, reg)
+	m := radio.NewMedium(k, mediumParams, reg)
 	d := &Deployment{K: k, M: m, Reg: reg}
 	d.stack = cfg
 	d.mediumOf = func(radio.NodeID) *radio.Medium { return m }

@@ -96,7 +96,7 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 		k := sim.New(cfg.Seed + int64(s)*1_000_003)
 		reg := metrics.NewRegistry()
 		kernels[s] = k
-		sd.Shards = append(sd.Shards, &Shard{K: k, M: radio.NewMedium(k, cfg.Radio, reg), Reg: reg})
+		sd.Shards = append(sd.Shards, &Shard{K: k, M: radio.NewMedium(k, mediumParams, reg), Reg: reg})
 	}
 	// Lookahead: the minimum cross-stripe visibility delay is the
 	// airtime of a zero-payload frame (propagation is instantaneous in
@@ -166,7 +166,7 @@ func (sd *ShardedDeployment) announces(s, t int, pos radio.Position) bool {
 	}
 	lo := sd.minX + float64(t)*sd.slabW
 	hi := lo + sd.slabW
-	r := sd.stack.Radio.RangeMax // applyDefaults filled it
+	r := mediumParams.RangeMax
 	return pos.X > lo-r && pos.X < hi+r
 }
 

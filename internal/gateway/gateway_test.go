@@ -8,15 +8,16 @@ import (
 
 	"iiotds/internal/clock"
 	"iiotds/internal/coap"
+	"iiotds/internal/gossip"
 	"iiotds/internal/metrics"
 	"iiotds/internal/sim"
 )
 
-// virtualWorld is a gateway on a loop switchboard driven by a virtual
+// virtualWorld is a gateway on an in-memory network driven by a virtual
 // kernel, plus a raw client endpoint for hand-built datagrams.
 type virtualWorld struct {
 	k      *sim.Kernel
-	board  *coap.Switchboard
+	board  *gossip.Network
 	gw     *Gateway
 	client *coap.Conn
 }
@@ -27,7 +28,7 @@ func newVirtualWorld(t *testing.T, cfg Config) *virtualWorld {
 	sched := clock.Kernel{K: k}
 	cfg.Sched = sched
 	cfg.Inline = true // pool workers are wall-clock goroutines; this world is virtual
-	board := coap.NewSwitchboard()
+	board := gossip.NewNetwork()
 	conn := coap.NewConn(board.Attach("gw"), sched, coap.ConnConfig{})
 	gw := New(conn, cfg)
 	client := coap.NewConn(board.Attach("client"), sched, coap.ConnConfig{Seed: 7})

@@ -9,17 +9,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"iiotds/internal/clock"
-	"iiotds/internal/netbuf"
 )
 
-// Messenger moves opaque gossip payloads between named peers. The
-// in-memory Network below implements it with partition injection; the
-// emulation wires it over CoAP/RPL.
+// Messenger moves opaque gossip payloads between named peers. A Port of
+// the in-memory Network (network.go) implements it, with partition and
+// loss injection.
 type Messenger interface {
 	// Send delivers data to peer (best effort).
 	Send(peer string, data []byte) error
@@ -53,8 +51,6 @@ type State interface {
 type Config struct {
 	// Interval between gossip rounds (default 1 s).
 	Interval time.Duration
-	// Fanout is how many peers are contacted per round (default 1).
-	Fanout int
 	// Seed seeds peer selection (default 1).
 	Seed int64
 }
@@ -62,9 +58,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.Interval == 0 {
 		c.Interval = time.Second
-	}
-	if c.Fanout == 0 {
-		c.Fanout = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -184,7 +177,8 @@ func (e *Engine) Stop() {
 	}
 }
 
-// round opens one exchange with each of Fanout random peers.
+// round opens one exchange with one random peer: the head of a full
+// shuffle, whose draws the E9/E16 tables pin.
 func (e *Engine) round() {
 	peers := e.msg.Peers()
 	if len(peers) == 0 {
@@ -193,17 +187,9 @@ func (e *Engine) round() {
 	e.mu.Lock()
 	e.RoundsRun++
 	e.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	n := e.cfg.Fanout
-	if n > len(peers) {
-		n = len(peers)
-	}
-	targets := append([]string(nil), peers[:n]...)
 	e.mu.Unlock()
 
-	syn := e.state.Summary([]byte{frameMagic, kindSyn})
-	for _, p := range targets {
-		e.send(p, syn)
-	}
+	e.send(peers[0], e.state.Summary([]byte{frameMagic, kindSyn}))
 }
 
 func (e *Engine) send(peer string, frame []byte) {
@@ -252,107 +238,3 @@ func (e *Engine) onMessage(from string, data []byte) {
 		}
 	}
 }
-
-// --- in-memory partitionable network ---
-
-// Network is an in-memory Messenger fabric with partition injection,
-// used by tests and the CAP experiment (E9).
-type Network struct {
-	mu        sync.Mutex
-	ports     map[string]*Port
-	partition map[string]int // peer -> partition group; absent = group 0
-	// Dropped counts messages suppressed by partitions.
-	Dropped int
-}
-
-// NewNetwork returns an empty fabric.
-func NewNetwork() *Network {
-	return &Network{ports: make(map[string]*Port), partition: make(map[string]int)}
-}
-
-// Attach registers a peer.
-func (n *Network) Attach(name string) *Port {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.ports[name]; dup {
-		panic(fmt.Sprintf("gossip: peer %q attached twice", name))
-	}
-	p := &Port{net: n, name: name}
-	n.ports[name] = p
-	return p
-}
-
-// SetPartition places each listed group of peers in its own partition;
-// peers not listed go to group 0. Passing no groups heals the network.
-func (n *Network) SetPartition(groups ...[]string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[string]int)
-	for i, g := range groups {
-		for _, name := range g {
-			n.partition[name] = i + 1
-		}
-	}
-}
-
-// Heal removes all partitions.
-func (n *Network) Heal() { n.SetPartition() }
-
-func (n *Network) send(from, to string, data []byte) error {
-	n.mu.Lock()
-	if n.partition[from] != n.partition[to] {
-		n.Dropped++
-		n.mu.Unlock()
-		return nil // silently lost, like a real partition
-	}
-	dst := n.ports[to]
-	n.mu.Unlock()
-	if dst == nil {
-		return fmt.Errorf("gossip: unknown peer %q", to)
-	}
-	dst.mu.Lock()
-	recv := dst.recv
-	dst.mu.Unlock()
-	if recv != nil {
-		recv(from, netbuf.CloneBytes(data))
-	}
-	return nil
-}
-
-// Port is one peer's attachment to a Network.
-type Port struct {
-	net  *Network
-	name string
-
-	mu   sync.Mutex
-	recv func(from string, data []byte)
-}
-
-// Send implements Messenger.
-func (p *Port) Send(peer string, data []byte) error { return p.net.send(p.name, peer, data) }
-
-// SetReceiver implements Messenger.
-func (p *Port) SetReceiver(fn func(from string, data []byte)) {
-	p.mu.Lock()
-	p.recv = fn
-	p.mu.Unlock()
-}
-
-// Self implements Messenger.
-func (p *Port) Self() string { return p.name }
-
-// Peers implements Messenger.
-func (p *Port) Peers() []string {
-	p.net.mu.Lock()
-	defer p.net.mu.Unlock()
-	out := make([]string, 0, len(p.net.ports)-1)
-	for name := range p.net.ports {
-		if name != p.name {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-var _ Messenger = (*Port)(nil)

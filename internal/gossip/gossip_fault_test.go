@@ -296,8 +296,8 @@ func TestPeerSelectionDeterministic(t *testing.T) {
 	}
 }
 
-// Pinned peer-selection sequences (12 virtual seconds, 4 peers,
-// Fanout 1): the regression contract for the engine's RNG draw order.
+// Pinned peer-selection sequences (12 virtual seconds, 4 peers, one
+// peer per round): the regression contract for the engine's RNG draw order.
 var goldenSeed1 = []string{"d", "c", "b", "e", "e", "b", "e", "e", "c", "c", "e"}
 
 var goldenSeed42 = []string{"d", "e", "c", "d", "b", "e", "c", "e", "d", "d", "c"}

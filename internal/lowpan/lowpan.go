@@ -147,8 +147,11 @@ type Config struct {
 	// MTU is the maximum link-frame payload (default 100 bytes,
 	// 802.15.4-class after MAC overhead).
 	MTU int
-	// Compress enables IPHC-like header compression (default in
-	// NewAdaptation; disable to measure what compression buys).
+	// Compress selects the IPHC-like 9-byte header over the padded
+	// 40-byte one. It is off unless set, and nothing outside the tests
+	// and the ablation benchmark sets it: rpl.NewRouter passes the zero
+	// Config, so every deployed node emits the uncompressed form
+	// (core's TestDeployedHeaderFormPinned; the flip is a ROADMAP item).
 	Compress bool
 	// ReassemblyTimeout is how long partial datagrams are kept
 	// (default 5 s).
@@ -186,7 +189,8 @@ type reasmBuf struct {
 	have     fragBitmap // fragment offsets seen, in 8-byte slots
 }
 
-// NewAdaptation returns an adaptation layer with compression enabled.
+// NewAdaptation returns an adaptation layer; header compression is as
+// cfg.Compress says, i.e. off for the zero Config.
 func NewAdaptation(cfg Config) *Adaptation {
 	if cfg.MTU == 0 {
 		cfg.MTU = 100

@@ -9,25 +9,18 @@ import (
 	"iiotds/internal/trace"
 )
 
+const (
+	// backoffSlot is the unit backoff duration: the 802.15.4 unit
+	// backoff period.
+	backoffSlot = 320 * time.Microsecond
+	// maxBackoffExp bounds the binary-exponential backoff window: up
+	// to 32 slots.
+	maxBackoffExp = 5
+)
+
 // CSMAConfig configures the always-on carrier-sense MAC.
 type CSMAConfig struct {
 	Config
-	// BackoffSlot is the unit backoff duration (default 320 µs, the
-	// 802.15.4 unit backoff period).
-	BackoffSlot time.Duration
-	// MaxBackoffExp bounds the binary-exponential backoff window
-	// (default 5, i.e. up to 32 slots).
-	MaxBackoffExp int
-}
-
-func (c *CSMAConfig) applyDefaults() {
-	c.Config.applyDefaults()
-	if c.BackoffSlot == 0 {
-		c.BackoffSlot = 320 * time.Microsecond
-	}
-	if c.MaxBackoffExp == 0 {
-		c.MaxBackoffExp = 5
-	}
 }
 
 // CSMA is an always-listening carrier-sense MAC with binary exponential
@@ -118,7 +111,7 @@ func (c *CSMA) startNext() {
 
 func (c *CSMA) initialBackoff() {
 	slots := c.k.Rand().Int63n(8) + 1
-	c.txEv = c.k.Schedule(time.Duration(slots)*c.cfg.BackoffSlot, c.firstTryFn)
+	c.txEv = c.k.Schedule(time.Duration(slots)*backoffSlot, c.firstTryFn)
 }
 
 // tryTransmit performs carrier sense with exponential backoff, then puts
@@ -128,13 +121,10 @@ func (c *CSMA) tryTransmit(backoffExp int) {
 		return
 	}
 	if c.m.CarrierSense(c.id) {
-		exp := backoffExp + 1
-		if exp > c.cfg.MaxBackoffExp {
-			exp = c.cfg.MaxBackoffExp
-		}
+		exp := min(backoffExp+1, maxBackoffExp)
 		slots := c.k.Rand().Int63n(1 << uint(exp))
 		c.m.Recorder().Emit(int32(c.id), trace.MACBackoff, slots+1, int64(exp), 0, c.q.front().buf.Journey())
-		c.txEv = c.k.Schedule(time.Duration(slots+1)*c.cfg.BackoffSlot, func() {
+		c.txEv = c.k.Schedule(time.Duration(slots+1)*backoffSlot, func() {
 			c.tryTransmit(exp)
 		})
 		return

@@ -9,6 +9,14 @@ import (
 	"iiotds/internal/trace"
 )
 
+const (
+	// checkDuration is how long each channel check keeps the radio on.
+	checkDuration = 5 * time.Millisecond
+	// strobeGap is the pause between strobed data copies during which
+	// the sender listens for the early ACK.
+	strobeGap = 2 * time.Millisecond
+)
+
 // LPLConfig configures the low-power-listening MAC.
 type LPLConfig struct {
 	Config
@@ -16,12 +24,6 @@ type LPLConfig struct {
 	// paper's §IV-B point — "a packet may take seconds to be transmitted
 	// over few wireless hops" — is a direct consequence of this knob.
 	WakeInterval time.Duration
-	// CheckDuration is how long each channel check keeps the radio on
-	// (default 5 ms).
-	CheckDuration time.Duration
-	// StrobeGap is the pause between strobed data copies during which
-	// the sender listens for the early ACK (default 2 ms).
-	StrobeGap time.Duration
 	// IdleTimeout is how long a woken receiver stays on without traffic
 	// before sleeping again (default 20 ms).
 	IdleTimeout time.Duration
@@ -32,12 +34,6 @@ func (c *LPLConfig) applyDefaults() {
 	if c.WakeInterval == 0 {
 		c.WakeInterval = 500 * time.Millisecond
 	}
-	if c.CheckDuration == 0 {
-		c.CheckDuration = 5 * time.Millisecond
-	}
-	if c.StrobeGap == 0 {
-		c.StrobeGap = 2 * time.Millisecond
-	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 20 * time.Millisecond
 	}
@@ -47,7 +43,7 @@ func (c *LPLConfig) applyDefaults() {
 // radio with short periodic channel checks; senders strobe data copies for
 // up to one wake interval until the receiver's early ACK arrives. Unicast
 // latency per hop is therefore ~WakeInterval/2 on average, and the radio
-// duty cycle is ~CheckDuration/WakeInterval.
+// duty cycle is ~checkDuration/WakeInterval.
 type LPL struct {
 	chassis
 	dutyCycle
@@ -116,7 +112,7 @@ func (l *LPL) channelCheck() {
 	}
 	l.m.Recorder().Emit(int32(l.id), trace.MACWakeup, 0, 0, 0, 0)
 	l.setAwake(true)
-	l.scheduleSleep(l.cfg.CheckDuration)
+	l.scheduleSleep(checkDuration)
 }
 
 func (l *LPL) startNext() {
@@ -141,8 +137,8 @@ func (l *LPL) startNext() {
 	// Radio turnaround before the first copy: a node that starts
 	// forwarding from its receive handler must not transmit while its
 	// own link-layer ACK is still in the air.
-	turnaround := l.cfg.StrobeGap + time.Duration(l.k.Rand().Int63n(int64(2*time.Millisecond)))
-	l.strobeEnd = l.k.Now() + turnaround + l.cfg.WakeInterval + 2*(air+l.cfg.StrobeGap)
+	turnaround := strobeGap + time.Duration(l.k.Rand().Int63n(int64(2*time.Millisecond)))
+	l.strobeEnd = l.k.Now() + turnaround + l.cfg.WakeInterval + 2*(air+strobeGap)
 	l.strobeEv = l.k.Schedule(turnaround, l.strobeFn)
 }
 
@@ -164,13 +160,13 @@ func (l *LPL) strobeOnce() {
 	air := l.transmit(it.to, it.buf)
 	l.m.Registry().CounterWith("mac.strobes", metrics.L("mac", "lpl")).Inc()
 	l.m.Recorder().Emit(int32(l.id), trace.MACStrobe, int64(it.to), 0, 0, it.buf.Journey())
-	l.strobeEv = l.k.Schedule(air+l.cfg.StrobeGap, l.strobeFn)
+	l.strobeEv = l.k.Schedule(air+strobeGap, l.strobeFn)
 }
 
 func (l *LPL) endStrobe(ok bool) {
 	l.strobing = false
 	// Return to duty-cycled sleep shortly after finishing.
-	l.scheduleSleep(l.cfg.StrobeGap)
+	l.scheduleSleep(strobeGap)
 	it := l.q.pop()
 	jid := it.buf.Journey()
 	it.buf.Release()
@@ -194,7 +190,7 @@ func (l *LPL) RadioReceive(f radio.Frame) {
 	case KindData:
 		if !l.receiveData(f, seq, payload) {
 			// Overheard strobe for someone else: go back to sleep soon.
-			l.scheduleSleep(l.cfg.CheckDuration)
+			l.scheduleSleep(checkDuration)
 			return
 		}
 		// Stay up briefly in case more traffic follows (e.g., we are a

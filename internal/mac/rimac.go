@@ -9,6 +9,10 @@ import (
 	"iiotds/internal/trace"
 )
 
+// dwell is how long the receiver stays awake after its beacon waiting
+// for data.
+const dwell = 5 * time.Millisecond
+
 // RIMACConfig configures the receiver-initiated MAC.
 type RIMACConfig struct {
 	Config
@@ -17,9 +21,6 @@ type RIMACConfig struct {
 	// LPL, but the rendezvous cost moves from sender strobing to
 	// receiver beacons.
 	BeaconInterval time.Duration
-	// Dwell is how long the receiver stays awake after its beacon
-	// waiting for data (default 5 ms).
-	Dwell time.Duration
 	// IdleTimeout extends the wake while traffic flows (default 20 ms).
 	IdleTimeout time.Duration
 }
@@ -28,9 +29,6 @@ func (c *RIMACConfig) applyDefaults() {
 	c.Config.applyDefaults()
 	if c.BeaconInterval == 0 {
 		c.BeaconInterval = 500 * time.Millisecond
-	}
-	if c.Dwell == 0 {
-		c.Dwell = 5 * time.Millisecond
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 20 * time.Millisecond
@@ -113,7 +111,7 @@ func (r *RIMAC) beacon() {
 	bcn.Release()
 	r.m.Registry().CounterWith("mac.beacons", metrics.L("mac", "rimac")).Inc()
 	r.m.Recorder().Emit(int32(r.id), trace.MACBeacon, 0, 0, 0, 0)
-	r.scheduleSleep(r.cfg.Dwell)
+	r.scheduleSleep(dwell)
 }
 
 func (r *RIMAC) startNext() {
@@ -165,7 +163,7 @@ func (r *RIMAC) waitExpired() {
 func (r *RIMAC) finish(ok bool) {
 	r.waiting = false
 	r.waitExpire.Cancel()
-	r.scheduleSleep(r.cfg.Dwell)
+	r.scheduleSleep(dwell)
 	if r.q.len() == 0 {
 		r.sending = false
 		return
@@ -208,7 +206,7 @@ func (r *RIMAC) RadioReceive(f radio.Frame) {
 		// waiting for the next beacon.
 		seq := r.seq
 		to, buf := it.to, it.buf
-		backoff := time.Duration(r.k.Rand().Int63n(int64(r.cfg.Dwell * 4 / 5)))
+		backoff := time.Duration(r.k.Rand().Int63n(int64(dwell * 4 / 5)))
 		r.contendEv = r.k.Schedule(backoff, func() {
 			// The r.seq and r.waiting guards ensure buf is still the
 			// queued (framed, unreleased) head item when we transmit.

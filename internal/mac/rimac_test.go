@@ -63,7 +63,7 @@ func TestRIMACLowIdleDutyCycle(t *testing.T) {
 	on := m.Energy().Ledger(2).RadioOn()
 	frac := float64(on) / float64(k.Now())
 	if frac > 0.05 {
-		t.Fatalf("idle RI-MAC radio-on fraction = %v, want ≈Dwell/Interval", frac)
+		t.Fatalf("idle RI-MAC radio-on fraction = %v, want ≈dwell/Interval", frac)
 	}
 }
 

@@ -173,23 +173,31 @@ func (s *EnergySet) Ledger(id int) *EnergyLedger {
 	return l
 }
 
-// MaxTotalJoules returns the worst per-node energy drain and the node that
-// incurred it; the network's lifetime is governed by this node.
-func (s *EnergySet) MaxTotalJoules() (id int, joules float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first := true
+// eachTotalLocked visits every node's total drain in ascending node-ID
+// order: map order would make the low bits of a float folded over the
+// set differ from run to run.
+func (s *EnergySet) eachTotalLocked(visit func(id int, joules float64)) {
 	ids := make([]int, 0, len(s.ledgers))
 	for i := range s.ledgers {
 		ids = append(ids, i)
 	}
 	sort.Ints(ids)
 	for _, i := range ids {
-		j := s.ledgers[i].TotalJoules()
+		visit(i, s.ledgers[i].TotalJoules())
+	}
+}
+
+// MaxTotalJoules returns the worst per-node energy drain and the node that
+// incurred it; the network's lifetime is governed by this node.
+func (s *EnergySet) MaxTotalJoules() (id int, joules float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	first := true
+	s.eachTotalLocked(func(i int, j float64) {
 		if first || j > joules {
 			id, joules, first = i, j, false
 		}
-	}
+	})
 	return id, joules
 }
 
@@ -201,8 +209,6 @@ func (s *EnergySet) MeanTotalJoules() float64 {
 		return 0
 	}
 	var sum float64
-	for _, l := range s.ledgers {
-		sum += l.TotalJoules()
-	}
+	s.eachTotalLocked(func(_ int, j float64) { sum += j })
 	return sum / float64(len(s.ledgers))
 }

@@ -15,6 +15,7 @@ const (
 	KindCounter Kind = iota
 	KindGauge
 	KindHistogram
+	numKinds
 )
 
 // String returns the kind name.
@@ -51,47 +52,33 @@ type Point struct {
 // the returned slice can be formatted with no lock at all.
 func (r *Registry) Snapshot() []Point {
 	type entry struct {
-		key  string
-		s    series
-		c    *Counter
-		g    *Gauge
-		h    *Histogram
-		kind Kind
+		key string
+		p   Point
+		m   reader
 	}
 	r.mu.Lock()
-	entries := make([]entry, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for key, c := range r.counters {
-		entries = append(entries, entry{key: key, s: r.meta[key], c: c, kind: KindCounter})
-	}
-	for key, g := range r.gauges {
-		entries = append(entries, entry{key: key, s: r.meta[key], g: g, kind: KindGauge})
-	}
-	for key, h := range r.histograms {
-		entries = append(entries, entry{key: key, s: r.meta[key], h: h, kind: KindHistogram})
+	entries := make([]entry, 0, len(r.table))
+	for key, s := range r.table {
+		for kind, m := range s.m {
+			if m != nil {
+				entries = append(entries, entry{key, Point{Name: s.name, Labels: s.labels, Kind: Kind(kind)}, m})
+			}
+		}
 	}
 	r.mu.Unlock()
 
 	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].kind != entries[j].kind {
-			return entries[i].kind < entries[j].kind
+		a, b := &entries[i], &entries[j]
+		if a.p.Kind != b.p.Kind {
+			return a.p.Kind < b.p.Kind
 		}
-		return entries[i].key < entries[j].key
+		return a.key < b.key
 	})
 
-	points := make([]Point, 0, len(entries))
-	for _, e := range entries {
-		p := Point{Name: e.s.name, Labels: e.s.labels, Kind: e.kind}
-		switch e.kind {
-		case KindCounter:
-			p.Value = e.c.Value()
-		case KindGauge:
-			p.Value = e.g.Value()
-		case KindHistogram:
-			st := e.h.Stats()
-			p.Value = st.Sum
-			p.Hist = &st
-		}
-		points = append(points, p)
+	points := make([]Point, len(entries))
+	for i, e := range entries {
+		points[i] = e.p
+		points[i].Value, points[i].Hist = e.m.read()
 	}
 	return points
 }
@@ -187,14 +174,4 @@ func promKind(k Kind) string {
 	default:
 		return "summary"
 	}
-}
-
-// ExpvarFunc adapts the registry to expvar.Publish:
-//
-//	expvar.Publish("iiot", expvar.Func(reg.ExpvarFunc()))
-//
-// The returned closure produces the Snapshot, which encoding/json
-// renders deterministically (it is a sorted slice, not a map).
-func (r *Registry) ExpvarFunc() func() any {
-	return func() any { return r.Snapshot() }
 }

@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestLabeledSeriesIdentity(t *testing.T) {
@@ -127,12 +129,49 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestExpvarFunc(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	f := r.ExpvarFunc()
-	v, ok := f().([]Point)
-	if !ok || len(v) != 1 || v[0].Name != "x" {
-		t.Fatalf("ExpvarFunc() = %#v", f())
+// goldenRegistry exercises everything series identity and exposition
+// order depend on: one name held by all three kinds, label sets given
+// in different orders, names outside the Prometheus charset, and
+// histograms observed out of order, once, and never.
+func goldenRegistry() *Registry {
+	r := &Registry{}
+	r.CounterWith("mac.retries", L("mac", "lpl"), L("node", "7")).Add(2)
+	r.CounterWith("mac.retries", L("node", "3"), L("mac", "csma")).Add(7)
+	r.Counter("mac.retries").Inc()
+	r.Counter("shared").Add(1.5)
+	r.Gauge("shared").Set(-2.25)
+	r.Histogram("shared").Observe(0.125)
+	r.GaugeWith("rpl-rank/now", L("node", "a b\"c")).Set(256)
+	r.Gauge("empty.gauge")
+	r.Histogram("empty.hist")
+	h := r.HistogramWith("e2e.latency", L("op", "get"))
+	for i := 0; i < 100; i++ {
+		h.Observe(float64((i*37)%101) / 8)
+	}
+	r.HistogramWith("e2e.latency", L("op", "put")).ObserveDuration(1500 * time.Millisecond)
+	r.Counter("a.first").Add(1e21)
+	return r
+}
+
+// TestSnapshotBytesUnchanged pins both expositions against dumps taken
+// from the three-map registry this one replaced.
+func TestSnapshotBytesUnchanged(t *testing.T) {
+	r := goldenRegistry()
+	var prom strings.Builder
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.MarshalIndent(r.Snapshot(), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, got := range map[string]string{"testdata/golden_prometheus.txt": prom.String(), "testdata/golden_snapshot.json": string(js) + "\n"} {
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs:\n--- got\n%s--- want\n%s", file, got, want)
+		}
 	}
 }

@@ -127,32 +127,38 @@ func (h *Histogram) sortLocked() {
 	}
 }
 
+// rankLocked returns the nearest-rank q-quantile of the n > 0 samples,
+// sorting them first; q outside [0, 1] clamps to the extremes.
+func (h *Histogram) rankLocked(q float64) float64 {
+	h.sortLocked()
+	n := len(h.samples)
+	return h.samples[max(0, min(n-1, int(math.Ceil(q*float64(n)))-1))]
+}
+
+// stddevLocked returns the population standard deviation of the n > 0
+// samples, summed in sorted order so the low bits do not depend on the
+// order of arrival.
+func (h *Histogram) stddevLocked() float64 {
+	h.sortLocked()
+	n := float64(len(h.samples))
+	mean := h.sum / n
+	var ss float64
+	for _, v := range h.samples {
+		d := v - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss / n)
+}
+
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank. An
 // empty histogram returns 0; a single sample is every quantile.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	if q <= 0 {
-		h.sortLocked()
-		return h.samples[0]
-	}
-	if q >= 1 {
-		h.sortLocked()
-		return h.samples[n-1]
-	}
-	h.sortLocked()
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return h.samples[idx]
+	return h.rankLocked(q)
 }
 
 // Min returns the smallest sample, or 0 if empty.
@@ -165,17 +171,10 @@ func (h *Histogram) Max() float64 { return h.Quantile(1) }
 func (h *Histogram) Stddev() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	mean := h.sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
+	return h.stddevLocked()
 }
 
 // HistStats is a point-in-time digest of a histogram, computed in one
@@ -202,33 +201,16 @@ func (h *Histogram) Stats() HistStats {
 	if n == 0 {
 		return HistStats{}
 	}
-	h.sortLocked()
-	mean := h.sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	rank := func(q float64) float64 {
-		idx := int(math.Ceil(q*float64(n))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		return h.samples[idx]
-	}
 	return HistStats{
 		Count:  n,
 		Sum:    h.sum,
-		Mean:   mean,
-		Min:    h.samples[0],
-		Max:    h.samples[n-1],
-		Stddev: math.Sqrt(ss / float64(n)),
-		P50:    rank(0.5),
-		P90:    rank(0.9),
-		P99:    rank(0.99),
+		Mean:   h.sum / float64(n),
+		Min:    h.rankLocked(0),
+		Max:    h.rankLocked(1),
+		Stddev: h.stddevLocked(),
+		P50:    h.rankLocked(0.5),
+		P90:    h.rankLocked(0.9),
+		P99:    h.rankLocked(0.99),
 	}
 }
 
@@ -286,34 +268,60 @@ func sortLabels(labels []Label) []Label {
 	return out
 }
 
+// reader is what the registry needs from a metric kind to snapshot it:
+// its current value (for a histogram the sample sum, plus the digest).
+type reader interface {
+	read() (value float64, hist *HistStats)
+}
+
+func (c *Counter) read() (float64, *HistStats) { return c.Value(), nil }
+func (g *Gauge) read() (float64, *HistStats)   { return g.Value(), nil }
+func (h *Histogram) read() (float64, *HistStats) {
+	st := h.Stats()
+	return st.Sum, &st
+}
+
+// series is one name and label set, and the metrics it holds: at most
+// one of each kind.
 type series struct {
 	name   string
 	labels []Label // sorted by key
+	m      [numKinds]reader
 }
 
 // Registry is a named collection of metric series. The zero value is
 // ready to use. Lookups create series on demand so instrumentation sites
 // never need registration boilerplate.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	meta       map[string]series // series key → identity, shared by all kinds
+	mu    sync.Mutex
+	table map[string]*series // by seriesKey
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) record(key, name string, labels []Label) {
-	if r.meta == nil {
-		r.meta = make(map[string]series)
+// lookup is the get-or-create behind every public lookup: M is the value
+// type of kind's metrics, whose zero value is ready to use.
+func lookup[M any, PM interface {
+	*M
+	reader
+}](r *Registry, kind Kind, name string, labels []Label) PM {
+	labels = sortLabels(labels)
+	key := seriesKey(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.table[key]
+	if s == nil {
+		if r.table == nil {
+			r.table = make(map[string]*series)
+		}
+		s = &series{name: name, labels: append([]Label(nil), labels...)}
+		r.table[key] = s
 	}
-	if _, ok := r.meta[key]; !ok {
-		stored := make([]Label, len(labels))
-		copy(stored, labels)
-		r.meta[key] = series{name: name, labels: stored}
+	if s.m[kind] == nil {
+		s.m[kind] = PM(new(M))
 	}
+	return s.m[kind].(PM)
 }
 
 // Counter returns the unlabeled counter with the given name, creating it
@@ -323,20 +331,7 @@ func (r *Registry) Counter(name string) *Counter { return r.CounterWith(name) }
 // CounterWith returns the counter series for name plus labels, creating
 // it if needed. Label order does not matter.
 func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
-	labels = sortLabels(labels)
-	key := seriesKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
-	}
-	c, ok := r.counters[key]
-	if !ok {
-		c = &Counter{}
-		r.counters[key] = c
-		r.record(key, name, labels)
-	}
-	return c
+	return lookup[Counter](r, KindCounter, name, labels)
 }
 
 // Gauge returns the unlabeled gauge with the given name, creating it if
@@ -346,20 +341,7 @@ func (r *Registry) Gauge(name string) *Gauge { return r.GaugeWith(name) }
 // GaugeWith returns the gauge series for name plus labels, creating it
 // if needed.
 func (r *Registry) GaugeWith(name string, labels ...Label) *Gauge {
-	labels = sortLabels(labels)
-	key := seriesKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g, ok := r.gauges[key]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[key] = g
-		r.record(key, name, labels)
-	}
-	return g
+	return lookup[Gauge](r, KindGauge, name, labels)
 }
 
 // Histogram returns the unlabeled histogram with the given name,
@@ -369,33 +351,19 @@ func (r *Registry) Histogram(name string) *Histogram { return r.HistogramWith(na
 // HistogramWith returns the histogram series for name plus labels,
 // creating it if needed.
 func (r *Registry) HistogramWith(name string, labels ...Label) *Histogram {
-	labels = sortLabels(labels)
-	key := seriesKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.histograms == nil {
-		r.histograms = make(map[string]*Histogram)
-	}
-	h, ok := r.histograms[key]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[key] = h
-		r.record(key, name, labels)
-	}
-	return h
+	return lookup[Histogram](r, KindHistogram, name, labels)
 }
 
 // CounterNames returns the sorted distinct names of all counter series.
 func (r *Registry) CounterNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seen := make(map[string]bool, len(r.counters))
-	names := make([]string, 0, len(r.counters))
-	for key := range r.counters {
-		n := r.meta[key].name
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
+	seen := make(map[string]bool)
+	var names []string
+	for _, s := range r.table {
+		if s.m[KindCounter] != nil && !seen[s.name] {
+			seen[s.name] = true
+			names = append(names, s.name)
 		}
 	}
 	sort.Strings(names)

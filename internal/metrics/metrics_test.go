@@ -148,6 +148,43 @@ func TestHistogramQuantileProperty(t *testing.T) {
 	}
 }
 
+// Stats is the accessors taken together, bit for bit, whatever order the
+// samples arrived in and whichever is asked first.
+func TestStatsAgreesWithAccessors(t *testing.T) {
+	f := func(vals []float64, statsFirst bool) bool {
+		var h Histogram
+		for _, v := range vals {
+			if !math.IsNaN(v) {
+				h.Observe(v)
+			}
+		}
+		var st HistStats
+		if statsFirst {
+			st = h.Stats()
+		}
+		acc := HistStats{
+			Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(), Min: h.Min(), Max: h.Max(), Stddev: h.Stddev(),
+			P50: h.Quantile(0.5), P90: h.Quantile(0.9), P99: h.Quantile(0.99),
+		}
+		if !statsFirst {
+			st = h.Stats()
+		}
+		// Compare bits: sums of huge samples overflow to ±Inf and
+		// then NaN, identically on both sides.
+		same := st.Count == acc.Count
+		for _, p := range [][2]float64{
+			{st.Sum, acc.Sum}, {st.Mean, acc.Mean}, {st.Min, acc.Min}, {st.Max, acc.Max},
+			{st.Stddev, acc.Stddev}, {st.P50, acc.P50}, {st.P90, acc.P90}, {st.P99, acc.P99},
+		} {
+			same = same && math.Float64bits(p[0]) == math.Float64bits(p[1])
+		}
+		return same
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRegistryReturnsSameInstance(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("a")
@@ -239,6 +276,23 @@ func TestEnergySet(t *testing.T) {
 	}
 	if s.Ledger(1) != s.Ledger(1) {
 		t.Fatal("ledger identity not stable")
+	}
+}
+
+// A float summed in map order differs in its low bits from run to run;
+// with magnitudes spread over twelve decades nearly every order rounds
+// differently.
+func TestMeanTotalJoulesOrderIndependent(t *testing.T) {
+	s := NewEnergySet(PowerProfile{Tx: 1})
+	for i := 0; i < 1000; i++ {
+		d := time.Duration(float64(time.Microsecond) * math.Pow(10, float64(i%13)) * (1 + float64(i)/977))
+		s.Ledger(i*7919%1009).Spend(StateTx, d)
+	}
+	want := s.MeanTotalJoules()
+	for i := 0; i < 50; i++ {
+		if got := s.MeanTotalJoules(); got != want {
+			t.Fatalf("call %d: mean %v (bits %x), first call %v (bits %x)", i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

@@ -24,9 +24,6 @@ type RNFDConfig struct {
 	// Quorum is how many distinct suspecting sentinels it takes to
 	// declare the root dead (default 2).
 	Quorum int
-	// CheckInterval is the sentinel's local evaluation period
-	// (default 2 s).
-	CheckInterval time.Duration
 }
 
 func (c *RNFDConfig) applyDefaults() {
@@ -36,10 +33,10 @@ func (c *RNFDConfig) applyDefaults() {
 	if c.Quorum == 0 {
 		c.Quorum = 2
 	}
-	if c.CheckInterval == 0 {
-		c.CheckInterval = 2 * time.Second
-	}
 }
+
+// checkInterval is the sentinel's local evaluation period.
+const checkInterval = 2 * time.Second
 
 // sentinelETXGate is the link quality required to qualify as a sentinel:
 // a node that reaches the root only through a marginal link cannot tell
@@ -78,7 +75,7 @@ type RNFD struct {
 
 // AttachRNFD installs and starts an RNFD instance on the router. Call
 // after — or immediately around — Start; the detector begins evaluating
-// on its CheckInterval.
+// on its checkInterval.
 func (r *Router) AttachRNFD(cfg RNFDConfig) *RNFD {
 	cfg.applyDefaults()
 	f := &RNFD{
@@ -89,7 +86,7 @@ func (r *Router) AttachRNFD(cfg RNFDConfig) *RNFD {
 	}
 	r.rnfd = f
 	f.lastRootHeard = r.k.Now()
-	f.checker = r.k.Every(cfg.CheckInterval, cfg.CheckInterval/4, f.check)
+	f.checker = r.k.Every(checkInterval, checkInterval/4, f.check)
 	return f
 }
 

@@ -23,70 +23,53 @@ var ErrNoRoute = errors.New("rpl: no route to destination")
 // DeliverFunc receives datagrams addressed to this node.
 type DeliverFunc func(src radio.NodeID, payload []byte)
 
+const (
+	// minHopRankIncrease is the rank step per ideal hop, as in RPL.
+	minHopRankIncrease uint16 = 256
+	// parentHysteresis is how much better (in rank units) a candidate
+	// must be to displace the preferred parent.
+	parentHysteresis uint16 = 192
+	// parentFailThreshold is the number of consecutive failed
+	// transmissions to the parent before it is abandoned.
+	parentFailThreshold = 3
+	// maxRankIncrease bounds how far the node's rank may drift above
+	// the lowest rank it held since joining (RPL's DAGMaxRankIncrease).
+	// Exceeding it forces detach-and-rejoin, which is what breaks
+	// count-to-infinity cycles fed by stale neighbor state.
+	maxRankIncrease = 3 * minHopRankIncrease
+	// routeLifetimeDAOs is how many DAO intervals a downward route
+	// survives without refresh.
+	routeLifetimeDAOs = 3
+	// neighborStale is how long a candidate parent survives without a
+	// DIO.
+	neighborStale = 90 * time.Second
+)
+
 // Config parameterizes a Router.
 type Config struct {
 	// Trickle paces DIO beacons.
 	Trickle TrickleConfig
-	// MinHopRankIncrease is the rank step per ideal hop (default 256,
-	// as in RPL).
-	MinHopRankIncrease uint16
-	// ParentHysteresis is how much better (in rank units) a candidate
-	// must be to displace the preferred parent (default 192).
-	ParentHysteresis uint16
 	// DAOInterval is the downward-route refresh period (default 15 s).
 	DAOInterval time.Duration
 	// ParentProbeInterval is the parent liveness probe period
 	// (default 10 s).
 	ParentProbeInterval time.Duration
-	// ParentFailThreshold is the number of consecutive failed
-	// transmissions to the parent before it is abandoned (default 3).
-	ParentFailThreshold int
-	// MaxRankIncrease bounds how far the node's rank may drift above
-	// the lowest rank it held since joining (RPL's DAGMaxRankIncrease,
-	// default 3×MinHopRankIncrease). Exceeding it forces detach-and-
-	// rejoin, which is what breaks count-to-infinity cycles fed by
-	// stale neighbor state.
-	MaxRankIncrease uint16
 	// HopLimit is the initial datagram hop limit (default 32).
 	HopLimit uint8
-	// RouteLifetime is how long a downward route survives without
-	// refresh (default 3×DAOInterval).
-	RouteLifetime time.Duration
-	// NeighborStale is how long a candidate parent survives without a
-	// DIO (default 90 s).
-	NeighborStale time.Duration
 	// Lowpan configures the adaptation layer.
 	Lowpan lowpan.Config
 }
 
 func (c *Config) applyDefaults() {
 	c.Trickle.applyDefaults()
-	if c.MinHopRankIncrease == 0 {
-		c.MinHopRankIncrease = 256
-	}
-	if c.ParentHysteresis == 0 {
-		c.ParentHysteresis = 192
-	}
 	if c.DAOInterval == 0 {
 		c.DAOInterval = 15 * time.Second
 	}
 	if c.ParentProbeInterval == 0 {
 		c.ParentProbeInterval = 10 * time.Second
 	}
-	if c.ParentFailThreshold == 0 {
-		c.ParentFailThreshold = 3
-	}
-	if c.MaxRankIncrease == 0 {
-		c.MaxRankIncrease = 3 * c.MinHopRankIncrease
-	}
 	if c.HopLimit == 0 {
 		c.HopLimit = 32
-	}
-	if c.RouteLifetime == 0 {
-		c.RouteLifetime = 3 * c.DAOInterval
-	}
-	if c.NeighborStale == 0 {
-		c.NeighborStale = 90 * time.Second
 	}
 }
 
@@ -245,7 +228,7 @@ func (r *Router) Start() {
 		if r.version == 0 {
 			r.version = 1
 		}
-		r.rank = r.cfg.MinHopRankIncrease
+		r.rank = minHopRankIncrease
 		r.joined = true
 		r.joinedAt = r.k.Now()
 	} else {
@@ -365,7 +348,7 @@ func (r *Router) noteParentTx(parent radio.NodeID, ok bool) {
 		return
 	}
 	r.parentFails++
-	if r.parentFails >= r.cfg.ParentFailThreshold {
+	if r.parentFails >= parentFailThreshold {
 		r.reg.Counter("rpl.parent_lost").Inc()
 		delete(r.candidates, parent)
 		r.parentFails = 0
@@ -471,14 +454,14 @@ func (r *Router) rankStep(etx float64) uint16 {
 	if steps > 8 {
 		steps = 8
 	}
-	return uint16(steps) * r.cfg.MinHopRankIncrease
+	return uint16(steps) * minHopRankIncrease
 }
 
 // recomputeParent runs MRHOF-style parent selection over fresh candidates.
 func (r *Router) recomputeParent() {
 	now := r.k.Now()
 	for id, c := range r.candidates {
-		if now-c.lastHeard > r.cfg.NeighborStale {
+		if now-c.lastHeard > neighborStale {
 			delete(r.candidates, id)
 		}
 	}
@@ -514,7 +497,7 @@ func (r *Router) recomputeParent() {
 		cur, ok := r.candidates[r.parent]
 		if ok {
 			curRank32 := uint32(cur.rank) + uint32(r.rankStep(r.lnk.Neighbors().ETX(r.parent)))
-			if uint32(bestRank)+uint32(r.cfg.ParentHysteresis) >= curRank32 && curRank32 < uint32(InfiniteRank) {
+			if uint32(bestRank)+uint32(parentHysteresis) >= curRank32 && curRank32 < uint32(InfiniteRank) {
 				bestID, bestRank = r.parent, uint16(curRank32)
 			}
 		}
@@ -535,14 +518,14 @@ func (r *Router) detach() {
 }
 
 // adoptRank applies the selected (parent, rank), enforcing the
-// MaxRankIncrease damping rule.
+// maxRankIncrease damping rule.
 func (r *Router) adoptRank(p radio.NodeID, rank uint16) {
 	wasAttached := r.rank != InfiniteRank
 	if wasAttached {
 		if rank < r.lowestRank {
 			r.lowestRank = rank
 		}
-		if uint32(rank) > uint32(r.lowestRank)+uint32(r.cfg.MaxRankIncrease) {
+		if uint32(rank) > uint32(r.lowestRank)+uint32(maxRankIncrease) {
 			// Rank ran away: the RPL cure is to detach, poison, and
 			// rejoin from fresh advertisements.
 			r.reg.Counter("rpl.rank_runaway_detach").Inc()
@@ -556,7 +539,7 @@ func (r *Router) adoptRank(p radio.NodeID, rank uint16) {
 	r.setParent(p, rank)
 	// A significant rank worsening is an inconsistency children should
 	// hear about quickly.
-	if wasAttached && rank > old && rank-old > r.cfg.MinHopRankIncrease {
+	if wasAttached && rank > old && rank-old > minHopRankIncrease {
 		r.trickle.Reset()
 	}
 }
@@ -662,7 +645,7 @@ func (r *Router) lookupRoute(dst radio.NodeID) *routeEntry {
 	if !ok {
 		return nil
 	}
-	if r.k.Now()-e.refreshed > r.cfg.RouteLifetime {
+	if r.k.Now()-e.refreshed > routeLifetimeDAOs*r.cfg.DAOInterval {
 		delete(r.downRoutes, dst)
 		return nil
 	}
@@ -672,7 +655,7 @@ func (r *Router) lookupRoute(dst radio.NodeID) *routeEntry {
 func (r *Router) sweepRoutes() {
 	now := r.k.Now()
 	for dst, e := range r.downRoutes {
-		if now-e.refreshed > r.cfg.RouteLifetime {
+		if now-e.refreshed > routeLifetimeDAOs*r.cfg.DAOInterval {
 			delete(r.downRoutes, dst)
 		}
 	}

@@ -2,20 +2,21 @@ package store
 
 import "sync/atomic"
 
+// batchSize is the Appender flush threshold, in points.
+const batchSize = 64
+
 // Appender is the batched ingest front of a Sharded store: points
-// accumulate in per-series batches (preallocated to the configured
-// batch size) and flush to the owning shard's coordinator when a batch
+// accumulate in per-series batches (preallocated to batchSize) and flush to the owning shard's coordinator when a batch
 // fills, so the per-point hot path is a map lookup and a slice append —
 // zero allocations at steady state (CI-gated). One Appender serves one
 // producer; it is not safe for concurrent use, but its completion
 // counters are atomic so CP acks landing from scheduler callbacks are
 // counted safely.
 type Appender struct {
-	s         *Sharded
-	batchSize int
-	batches   map[string]*batch
-	order     []string // first-touch order: deterministic Flush sequence
-	done      func(err error)
+	s       *Sharded
+	batches map[string]*batch
+	order   []string // first-touch order: deterministic Flush sequence
+	done    func(err error)
 
 	// Last-series cache: producers overwhelmingly append runs of the
 	// same series, so the common case skips the map lookup entirely
@@ -31,14 +32,9 @@ type batch struct {
 	pts []Point
 }
 
-// NewAppender creates an appender batching at the store's configured
-// batch size.
+// NewAppender creates an appender feeding s.
 func (s *Sharded) NewAppender() *Appender {
-	a := &Appender{
-		s:         s,
-		batchSize: s.batchSize,
-		batches:   make(map[string]*batch),
-	}
+	a := &Appender{s: s, batches: make(map[string]*batch)}
 	a.done = func(err error) {
 		if err != nil {
 			a.failed.Add(1)
@@ -57,14 +53,14 @@ func (a *Appender) Append(series string, p Point) {
 		var ok bool
 		b, ok = a.batches[series]
 		if !ok {
-			b = &batch{pts: make([]Point, 0, a.batchSize)}
+			b = &batch{pts: make([]Point, 0, batchSize)}
 			a.batches[series] = b
 			a.order = append(a.order, series)
 		}
 		a.lastSeries, a.lastBatch = series, b
 	}
 	b.pts = append(b.pts, p)
-	if len(b.pts) >= a.batchSize {
+	if len(b.pts) >= batchSize {
 		a.flush(series, b)
 	}
 }

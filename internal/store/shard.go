@@ -24,11 +24,10 @@ import (
 // injected per shard (PartitionReplica), mirroring a rack or zone cut
 // that splits every replica group the same way.
 type Sharded struct {
-	sched     clock.Scheduler
-	rec       *trace.Recorder
-	node      int32
-	batchSize int
-	shards    []*Shard
+	sched  clock.Scheduler
+	rec    *trace.Recorder
+	node   int32
+	shards []*Shard
 }
 
 // ShardPolicy is the per-shard consistency/replication policy — the
@@ -58,8 +57,6 @@ type ShardedConfig struct {
 	// SegmentSize is the series-engine points-per-segment
 	// (0 = DefaultSegmentSize).
 	SegmentSize int
-	// BatchSize is the Appender flush threshold (default 64 points).
-	BatchSize int
 	// QuorumTimeout bounds CP operations (default 2 s).
 	QuorumTimeout time.Duration
 	// GossipInterval is the AP anti-entropy period (default 1 s).
@@ -78,9 +75,6 @@ type ShardedConfig struct {
 func (c *ShardedConfig) applyDefaults() {
 	if c.Shards == 0 {
 		c.Shards = 1
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
 	}
 	if c.GossipInterval == 0 {
 		c.GossipInterval = time.Second
@@ -114,11 +108,10 @@ func (sh *Shard) Coordinator() *Replica { return sh.Replicas[0] }
 func NewSharded(sched clock.Scheduler, cfg ShardedConfig) *Sharded {
 	cfg.applyDefaults()
 	s := &Sharded{
-		sched:     sched,
-		rec:       cfg.Rec,
-		node:      cfg.Node,
-		batchSize: cfg.BatchSize,
-		shards:    make([]*Shard, cfg.Shards),
+		sched:  sched,
+		rec:    cfg.Rec,
+		node:   cfg.Node,
+		shards: make([]*Shard, cfg.Shards),
 	}
 	for i := range s.shards {
 		policy := cfg.Policy

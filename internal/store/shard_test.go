@@ -369,7 +369,7 @@ func TestShardedTraceAndMetrics(t *testing.T) {
 // individual replicated append (per-reading routing, locking, and
 // completion), which is how the single-replica toy tier absorbed
 // telemetry. batched=true runs the new Appender pipeline: per-series
-// batches amortize routing and locks over BatchSize points and land in
+// batches amortize routing and locks over batchSize points and land in
 // the engine as one bulk copy. The CI host is a single core, so any
 // speedup recorded here is algorithmic (batching + bulk segment
 // appends), not hardware parallelism.
