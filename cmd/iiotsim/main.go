@@ -8,6 +8,7 @@
 //	iiotsim -nodes 49 -topology grid -mac csma -duration 5m
 //	iiotsim -nodes 25 -mac lpl -wake 500ms -kill 12@60s,7@90s -duration 4m
 //	iiotsim -nodes 25 -profiles csma,lpl -duration 5m   # heterogeneous fleet
+//	iiotsim -nodes 36 -shards 3 -duration 60s           # the same run striped over three kernels
 //	iiotsim -scenario 'scn1;seed=42;topo=grid:n=16;hb=5s;churn=odd:up=25s:minup=20s:down=6s:mindown=5s'
 package main
 
@@ -55,6 +56,31 @@ func main() {
 	storeModeFlag := flag.String("store-mode", "ap", "replication mode for -store-shards: ap (CRDT + anti-entropy) or cp (quorum)")
 	flag.Parse()
 
+	// Flags are outside input: refuse, before anything is built, what
+	// would panic deep in a constructor or be silently ignored.
+	switch {
+	case *scenarioSpec != "":
+		flag.Visit(func(fl *flag.Flag) {
+			switch fl.Name {
+			case "scenario", "trace-out", "trace-node", "trace-layer":
+			default:
+				usage("-%s has no effect with -scenario (the reproducer string describes the whole run)", fl.Name)
+			}
+		})
+	case *nodes < 2:
+		usage("-nodes %d: need the border router and at least one node", *nodes)
+	case *epoch <= 0:
+		usage("-epoch %v: must be positive", *epoch)
+	case *duration <= 0:
+		usage("-duration %v: must be positive", *duration)
+	case *spacing <= 0:
+		usage("-spacing %v: must be positive", *spacing)
+	case *shards < 1:
+		usage("-shards %d: must be at least 1", *shards)
+	case *shards > 1 && (*traceOut != "" || *metricsOut != ""):
+		usage("-shards does not support -trace-out or -metrics-out yet: the sharded engine has no per-stripe recorders or registry merge")
+	}
+
 	// The export filter is shared by the flag-built and -scenario paths.
 	filter := trace.All()
 	if *traceNode != unsetNode {
@@ -63,8 +89,7 @@ func main() {
 	if *traceLayer != "" {
 		layers, err := parseLayers(*traceLayer)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
-			os.Exit(2)
+			usage("%v", err)
 		}
 		filter = filter.ByLayers(layers...)
 	}
@@ -84,8 +109,7 @@ func main() {
 		rng := sim.New(*seed).Rand()
 		positions = radio.ConnectedRandomTopology(*nodes, 120, 120, 25, rng)
 	default:
-		fmt.Fprintf(os.Stderr, "iiotsim: unknown topology %q\n", *topology)
-		os.Exit(2)
+		usage("unknown topology %q", *topology)
 	}
 
 	// One device class per -profiles entry, cycled over the nodes; the
@@ -114,8 +138,7 @@ func main() {
 		case "rimac":
 			p.MAC = core.MACRIMAC
 		default:
-			fmt.Fprintf(os.Stderr, "iiotsim: unknown device class %q (want csma, lpl, or rimac)\n", class)
-			os.Exit(2)
+			usage("unknown device class %q (want csma, lpl, or rimac)", class)
 		}
 		stack.Profiles = append(stack.Profiles, p)
 	}
@@ -125,10 +148,6 @@ func main() {
 		})
 	}
 
-	if *shards > 1 && (*traceOut != "" || *metricsOut != "" || *query) {
-		fmt.Fprintln(os.Stderr, "iiotsim: -shards does not support -trace-out, -metrics-out or -query (run with -query=false)")
-		os.Exit(2)
-	}
 	if *traceOut != "" {
 		stack.TraceCapacity = *traceCap
 	}
@@ -141,42 +160,23 @@ func main() {
 			*nodes, *topology, *macKind, *seed)
 	}
 
-	// One fleet on either engine: d on a single kernel, or sd with the
-	// plane cut into vertical slabs, each simulated by its own kernel and
-	// synchronized at lookahead barriers (DESIGN.md §9). The run below is
-	// written once against what the two share; it names d only for the
-	// options the checks above restrict to the single-kernel engine.
-	var (
-		d     *core.Deployment
-		sd    *core.ShardedDeployment
-		fleet interface {
-			fault.Target
-			RunUntilConverged(time.Duration) (bool, time.Duration)
-			ConvergedFraction() float64
-			AttachBackend(store.ShardedConfig) *core.Backend
-		}
-		fleetNodes []*core.Node
-		clk        interface { // the time driver
-			fault.Sched
-			RunFor(sim.Time)
-		}
-		ctl     fault.MediumCtl
-		stripes []*core.Shard // per-stripe substrates; a single kernel is one stripe
-	)
+	// One fleet on either engine: a single kernel, or the plane cut into
+	// slabs with a kernel each (DESIGN.md §9). The run below is written
+	// once against core.Fleet; sd is named only to describe the engine.
+	var sd *core.ShardedDeployment
+	var f *core.Fleet
 	if *shards > 1 {
 		sd = core.NewShardedStack(stack, *shards)
-		fleet, fleetNodes, clk, ctl, stripes = sd, sd.Nodes, sd.G, sd, sd.Shards
+		f = &sd.Fleet
 		fmt.Printf("engine: %s\n", sd)
 	} else {
-		d = core.NewStack(stack)
-		fleet, fleetNodes, clk, ctl = d, d.Nodes, d.K, d.M
-		stripes = []*core.Shard{{K: d.K, M: d.M, Reg: d.Reg}}
+		f = &core.NewStack(stack).Fleet
 	}
 
-	ok, took := fleet.RunUntilConverged(5 * time.Minute)
+	ok, took := f.RunUntilConverged(5 * time.Minute)
 	if !ok {
 		fmt.Printf("WARNING: DODAG did not fully converge within 5 virtual minutes (%.1f%% joined)\n",
-			100*fleet.ConvergedFraction())
+			100*f.ConvergedFraction())
 	} else {
 		fmt.Printf("DODAG converged in %v (virtual)\n", took)
 	}
@@ -184,31 +184,26 @@ func main() {
 	// Fault schedule. On the sharded engine the crashes run on the
 	// group's control timeline, so -kill works across stripe boundaries.
 	if *kills != "" {
-		inj := fault.NewInjector(clk, ctl, fleet, fault.NewLedger(clk.Now()))
+		inj := fault.NewInjector(f.Sched(), f.Ctl(), f, fault.NewLedger(f.Now()))
 		for _, spec := range strings.Split(*kills, ",") {
 			id, at, err := parseKill(spec, *nodes)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
-				os.Exit(2)
+				usage("%v", err)
 			}
-			inj.CrashAt(clk.Now()+at, id)
+			inj.CrashAt(f.Now()+at, id)
 			fmt.Printf("fault: node %d crashes at +%v\n", id, at)
 		}
 	}
 
-	// Workload.
+	// Workload: the query lives on the border router's kernel and each
+	// sampler draws its noise from its own node's.
 	if *query {
-		for i := 1; i < *nodes; i++ {
-			i := i
-			d.Nodes[i].SetSampler(func(attr string) (float64, bool) {
-				return 20 + float64(i%7) + d.K.Rand().Float64(), true
+		scenario.StartAgg(f, agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: *epoch, MaxDepth: 12},
+			func(n *core.Node) float64 { return 20 + float64(n.ID%7) + f.Kernel(n.ID).Rand().Float64() },
+			func(r agg.Result) {
+				fmt.Printf("t=%8v  epoch %4d  %s(%s) = %6.2f over %d nodes\n",
+					f.Kernel(0).Now().Truncate(time.Second), r.EpochNo, r.Query.Fn, r.Query.Attr, r.Value, r.Count)
 			})
-		}
-		d.Root().Agg.OnResult = func(r agg.Result) {
-			fmt.Printf("t=%8v  epoch %4d  %s(%s) = %6.2f over %d nodes\n",
-				d.K.Now().Truncate(time.Second), r.EpochNo, r.Query.Fn, r.Query.Attr, r.Value, r.Count)
-		}
-		d.Root().Agg.RunQuery(agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: *epoch, MaxDepth: 12})
 	}
 
 	// Storage tier: the border router fronts a partitioned store and an
@@ -220,10 +215,9 @@ func main() {
 	if *storeShards > 0 {
 		mode, err := store.ParseMode(*storeModeFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
-			os.Exit(2)
+			usage("%v", err)
 		}
-		be = fleet.AttachBackend(store.ShardedConfig{
+		be = f.AttachBackend(store.ShardedConfig{
 			Shards: *storeShards,
 			Policy: store.ShardPolicy{Mode: mode, Replicas: 3},
 		})
@@ -233,38 +227,28 @@ func main() {
 			*storeShards, mode, *nodes-1, *epoch)
 	}
 
-	clk.RunFor(*duration)
+	f.RunFor(*duration)
 
 	// Report: one census for both engines, counters summed over stripes.
 	fmt.Println("\n--- summary ---")
 	joined := 0
-	for _, n := range fleetNodes {
+	joules, worstJoules := 0.0, -1.0
+	var worst radio.NodeID
+	for _, n := range f.Nodes {
 		if n.Up() && !n.Router.Partitioned() {
 			joined++
 		}
+		j := f.Ledger(n.ID).TotalJoules()
+		joules += j
+		if j > worstJoules {
+			worst, worstJoules = n.ID, j
+		}
 	}
 	fmt.Printf("nodes joined at end: %d/%d\n", joined, *nodes)
-	total := func(counter string) (sum float64) {
-		for _, sh := range stripes {
-			sum += sh.Reg.Counter(counter).Value()
-		}
-		return sum
-	}
 	fmt.Printf("radio: tx=%0.f frames, rx=%0.f frames, collisions=%0.f\n",
-		total("radio.tx_frames"), total("radio.rx_frames"), total("radio.collisions"))
+		f.Counter("radio.tx_frames"), f.Counter("radio.rx_frames"), f.Counter("radio.collisions"))
 	fmt.Printf("routing: %0.f DIOs, %0.f DAOs, %0.f parent switches, %0.f datagrams forwarded\n",
-		total("rpl.dio_sent"), total("rpl.dao_sent"), total("rpl.parent_switches"), total("rpl.datagrams_forwarded"))
-	joules, worstJoules := 0.0, -1.0
-	var worst radio.NodeID
-	for _, sh := range stripes {
-		for _, id := range sh.M.NodeIDs() {
-			j := sh.M.Energy().Ledger(int(id)).TotalJoules()
-			joules += j
-			if j > worstJoules {
-				worst, worstJoules = id, j
-			}
-		}
-	}
+		f.Counter("rpl.dio_sent"), f.Counter("rpl.dao_sent"), f.Counter("rpl.parent_switches"), f.Counter("rpl.datagrams_forwarded"))
 	fmt.Printf("energy: mean %.2f J/node, worst node %d at %.2f J\n",
 		joules/float64(*nodes), worst, worstJoules)
 	if sd != nil {
@@ -274,33 +258,30 @@ func main() {
 		// Stop producing, then let in-flight frames land, the final batch
 		// ack, and AP anti-entropy finish a round.
 		stopFeed()
-		clk.RunFor(2 * time.Second)
+		f.RunFor(2 * time.Second)
 		be.Flush()
-		clk.RunFor(5 * time.Second)
+		f.RunFor(5 * time.Second)
 		acked, failed := be.Batches()
 		fmt.Printf("store: %d/%d readings delivered, %d points ingested, batches acked=%d failed=%d, converged=%v\n",
 			be.Delivered(), be.Sent(), be.Store.Stats().TotalPoints(), acked, failed, be.Store.Converged())
 	}
 
-	if *traceOut != "" {
-		if err := writeFileWith(*traceOut, func(w *os.File) error {
-			return d.Trace.WriteJSONL(w, filter)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: %d events recorded (%d dropped by the ring), filtered dump in %s\n",
-			d.Trace.Total(), d.Trace.Dropped(), *traceOut)
-	}
+	exportTrace(f.Recorder(), *traceOut, filter)
 	if *metricsOut != "" {
 		if err := writeFileWith(*metricsOut, func(w *os.File) error {
-			return d.Reg.WritePrometheus(w)
+			return f.Medium(0).Registry().WritePrometheus(w)
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("metrics: Prometheus-text snapshot in %s\n", *metricsOut)
 	}
+}
+
+// usage reports a bad invocation in one line and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "iiotsim: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // parseKill parses one node@time fault spec.
@@ -329,8 +310,7 @@ func parseKill(spec string, nodes int) (radio.NodeID, sim.Time, error) {
 func runScenario(line, traceOut string, filter trace.Filter) {
 	spec, err := scenario.Parse(line)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
-		os.Exit(2)
+		usage("%v", err)
 	}
 	fmt.Printf("scenario: %s\n", scenario.Format(spec))
 	res := scenario.Run(spec, nil)
@@ -342,16 +322,7 @@ func runScenario(line, traceOut string, filter trace.Filter) {
 		fmt.Printf("store: %d/%d readings delivered, batches acked=%d failed=%d, converged=%v\n",
 			res.IngestDelivered, res.IngestSent, res.IngestAcked, res.IngestFailed, res.StoreConverged)
 	}
-	if traceOut != "" {
-		if err := writeFileWith(traceOut, func(w *os.File) error {
-			return res.Trace.WriteJSONL(w, filter)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: %d events recorded (%d dropped by the ring), filtered dump in %s\n",
-			res.Trace.Total(), res.Trace.Dropped(), traceOut)
-	}
+	exportTrace(res.Trace, traceOut, filter)
 	if !res.Failed() {
 		fmt.Println("PASS: all invariants held")
 		return
@@ -361,6 +332,20 @@ func runScenario(line, traceOut string, filter trace.Filter) {
 		fmt.Printf("  %s\n", v)
 	}
 	os.Exit(1)
+}
+
+// exportTrace writes rec's events passing filter to path as JSONL; an
+// empty path means no export was asked for.
+func exportTrace(rec *trace.Recorder, path string, filter trace.Filter) {
+	if path == "" {
+		return
+	}
+	if err := writeFileWith(path, func(w *os.File) error { return rec.WriteJSONL(w, filter) }); err != nil {
+		fmt.Fprintf(os.Stderr, "iiotsim: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("trace: %d events recorded (%d dropped by the ring), filtered dump in %s\n",
+		rec.Total(), rec.Dropped(), path)
 }
 
 // parseLayers parses a comma-separated -trace-layer value ("mac,rpl")

@@ -37,7 +37,7 @@ type Backend struct {
 	// PartitionReplica/Heal/Repair, judge it with Converged/Stats.
 	Store *store.Sharded
 
-	f   *fleet
+	f   *Fleet
 	k   *sim.Kernel // the root's
 	app *store.Appender
 	gw  *gateway.Gateway
@@ -55,8 +55,8 @@ type Backend struct {
 // series node/<src>/reading. cfg gives the store's shape and policy;
 // seed, recorder, registry and trace node come from the fleet. Call it
 // at most once, on a stack whose root has no ProtoIngest handler.
-func (f *fleet) AttachBackend(cfg store.ShardedConfig) *Backend {
-	m := f.mediumOf(0)
+func (f *Fleet) AttachBackend(cfg store.ShardedConfig) *Backend {
+	m := f.Medium(0)
 	k := m.Kernel()
 	sched := clock.Kernel{K: k}
 	cfg.Seed, cfg.Rec, cfg.Metrics, cfg.Node = f.stack.Seed, m.Recorder(), m.Registry(), -1
@@ -130,7 +130,7 @@ func (b *Backend) Feed(every, flushEvery time.Duration) (stop func()) {
 	var reps []*sim.Repeater
 	for _, n := range b.f.Nodes[1:] {
 		n := n
-		reps = append(reps, b.f.mediumOf(n.ID).Kernel().Every(every, every/4, func() {
+		reps = append(reps, b.f.Kernel(n.ID).Every(every, every/4, func() {
 			if !n.Up() {
 				return
 			}

@@ -12,19 +12,19 @@ var backendStore = store.ShardedConfig{Shards: 2, Policy: store.ShardPolicy{Mode
 
 // feedAndSettle is the whole seam end to end: converge, attach, feed for
 // a minute, stop, flush the partial batches and let the store reconcile.
-func feedAndSettle(t *testing.T, e engine) *Backend {
+func feedAndSettle(t *testing.T, e *Fleet) *Backend {
 	t.Helper()
-	if ok, _ := e.runUntilConverged(time.Minute); !ok {
+	if ok, _ := e.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
 	be := e.AttachBackend(backendStore)
 	t.Cleanup(be.Close)
 	stop := be.Feed(5*time.Second, 5*time.Second)
-	e.runFor(time.Minute)
+	e.RunFor(time.Minute)
 	stop()
-	e.runFor(2 * time.Second) // in-flight readings land
+	e.RunFor(2 * time.Second) // in-flight readings land
 	be.Flush()
-	e.runFor(5 * time.Second) // acks and anti-entropy
+	e.RunFor(5 * time.Second) // acks and anti-entropy
 	return be
 }
 
@@ -41,7 +41,7 @@ func replicaDigests(s *store.Sharded) []uint64 {
 }
 
 func TestBackendFeedReachesConvergedStore(t *testing.T) {
-	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e engine) {
+	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e *Fleet) {
 		be := feedAndSettle(t, e)
 		sent, delivered := be.Sent(), be.Delivered()
 		if delivered == 0 || delivered > sent {
@@ -57,7 +57,7 @@ func TestBackendFeedReachesConvergedStore(t *testing.T) {
 			t.Fatalf("store holds %d points, border router handed off %d", got, delivered)
 		}
 		// After stop the feed is silent.
-		e.runFor(30 * time.Second)
+		e.RunFor(30 * time.Second)
 		if be.Sent() != sent {
 			t.Fatalf("feed kept sending after stop: %d -> %d", sent, be.Sent())
 		}

@@ -18,7 +18,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"iiotds/internal/agg"
 	"iiotds/internal/coap"
@@ -74,28 +73,16 @@ func (n *Node) Up() bool { return n.up }
 // sensor readings for aggregation queries.
 func (n *Node) SetSampler(s agg.Sampler) { n.sampler = s }
 
-// Deployment is a fleet under emulation on one kernel and one medium;
-// AttachBackend puts Fig. 1's other two tiers behind its border router.
+// Deployment is a Fleet on one kernel and one medium, named here for
+// code that is about exactly that substrate (a trace export, a medium's
+// neighbor lists); AttachBackend puts Fig. 1's other two tiers behind
+// its border router.
 type Deployment struct {
-	fleet
+	Fleet
 	K     *sim.Kernel
 	M     *radio.Medium
 	Reg   *metrics.Registry
 	Trace *trace.Recorder // nil when tracing is disabled
-}
-
-// RunUntilConverged advances virtual time until the DODAG is complete or
-// maxSim elapses; it reports success and the convergence time.
-func (d *Deployment) RunUntilConverged(maxSim time.Duration) (bool, time.Duration) {
-	start := d.K.Now()
-	deadline := start + maxSim
-	for d.K.Now() < deadline {
-		if d.Converged() {
-			return true, d.K.Now() - start
-		}
-		d.K.RunFor(time.Second)
-	}
-	return d.Converged(), d.K.Now() - start
 }
 
 // meshTransport adapts the RPL data plane to coap.Transport. Addresses

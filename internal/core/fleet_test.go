@@ -5,43 +5,25 @@ import (
 	"time"
 
 	"iiotds/internal/coap"
-	"iiotds/internal/fault"
 	"iiotds/internal/link"
 	"iiotds/internal/radio"
 )
 
-// The fleet contract — converge, crash, recover, retune, group by
-// profile — is written once (fleet.go) and checked here once, against
-// every way of driving it: one kernel, one stripe under a shard group,
-// and three stripes with cross-stripe neighbors. A test sees an engine:
-// the shared fleet plus the two things that differ, the time driver and
-// medium control.
-type engine struct {
-	*fleet
-	runFor            func(time.Duration)
-	runUntilConverged func(time.Duration) (bool, time.Duration)
-	ctl               fault.MediumCtl
-}
-
-// engineKinds builds the same stack on each way of driving it.
+// The fleet contract — run, converge, crash, recover, retune, group by
+// profile, the health predicates, the summed counters — is written once
+// (fleet.go) and checked here once, against every way of driving it:
+// one kernel, one stripe under a shard group, and three stripes with
+// cross-stripe neighbors. A test sees only the *Fleet.
 var engineKinds = []struct {
 	name  string
-	build func(Stack) engine
+	build func(Stack) *Fleet
 }{
-	{"flat", func(s Stack) engine {
-		d := NewStack(s)
-		return engine{&d.fleet, d.K.RunFor, d.RunUntilConverged, d.M}
-	}},
-	{"stripes=1", func(s Stack) engine { return shardedEngine(s, 1) }},
-	{"stripes=3", func(s Stack) engine { return shardedEngine(s, 3) }},
+	{"flat", func(s Stack) *Fleet { return &NewStack(s).Fleet }},
+	{"stripes=1", func(s Stack) *Fleet { return &NewShardedStack(s, 1).Fleet }},
+	{"stripes=3", func(s Stack) *Fleet { return &NewShardedStack(s, 3).Fleet }},
 }
 
-func shardedEngine(s Stack, stripes int) engine {
-	sd := NewShardedStack(s, stripes)
-	return engine{&sd.fleet, sd.G.RunFor, sd.RunUntilConverged, sd}
-}
-
-func forEachEngine(t *testing.T, stack Stack, fn func(t *testing.T, e engine)) {
+func forEachEngine(t *testing.T, stack Stack, fn func(t *testing.T, e *Fleet)) {
 	t.Helper()
 	for _, k := range engineKinds {
 		k := k
@@ -56,11 +38,11 @@ func gridStack(n int, p Profile) Stack {
 }
 
 func TestDeploymentConverges(t *testing.T) {
-	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e engine) {
+	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e *Fleet) {
 		if e.Converged() || e.ConvergedFraction() == 1 {
 			t.Fatal("fleet reports convergence before any time has passed")
 		}
-		ok, took := e.runUntilConverged(2 * time.Minute)
+		ok, took := e.RunUntilConverged(2 * time.Minute)
 		if !ok {
 			t.Fatal("deployment did not converge")
 		}
@@ -74,8 +56,8 @@ func TestDeploymentConverges(t *testing.T) {
 }
 
 func TestCrashRecoverCycle(t *testing.T) {
-	forEachEngine(t, gridStack(9, Profile{}), func(t *testing.T, e engine) {
-		if ok, _ := e.runUntilConverged(time.Minute); !ok {
+	forEachEngine(t, gridStack(9, Profile{}), func(t *testing.T, e *Fleet) {
+		if ok, _ := e.RunUntilConverged(time.Minute); !ok {
 			t.Fatal("no convergence")
 		}
 		victim := radio.NodeID(4) // grid center: a likely forwarder
@@ -84,7 +66,7 @@ func TestCrashRecoverCycle(t *testing.T) {
 		if e.Nodes[4].Up() {
 			t.Fatal("node still up after crash")
 		}
-		e.runFor(2 * time.Minute)
+		e.RunFor(2 * time.Minute)
 		// The rest of the network must have healed around the crash.
 		for i, n := range e.Nodes {
 			if i == 4 || !n.up {
@@ -96,7 +78,7 @@ func TestCrashRecoverCycle(t *testing.T) {
 		}
 		e.Recover(victim)
 		e.Recover(victim) // idempotent
-		ok, _ := e.runUntilConverged(2 * time.Minute)
+		ok, _ := e.RunUntilConverged(2 * time.Minute)
 		if !ok {
 			t.Fatal("recovered node did not rejoin")
 		}
@@ -111,11 +93,11 @@ func TestCrashRecoverCycle(t *testing.T) {
 // sequence numbering can be silently deduped (see the mac conformance
 // reboot tests for the frame-level mechanism).
 func TestRecoverResetsNeighborState(t *testing.T) {
-	forEachEngine(t, gridStack(9, Profile{}), func(t *testing.T, e engine) {
-		if ok, _ := e.runUntilConverged(time.Minute); !ok {
+	forEachEngine(t, gridStack(9, Profile{}), func(t *testing.T, e *Fleet) {
+		if ok, _ := e.RunUntilConverged(time.Minute); !ok {
 			t.Fatal("no convergence")
 		}
-		e.runFor(time.Minute) // accumulate link-quality history
+		e.RunFor(time.Minute) // accumulate link-quality history
 		victim := radio.NodeID(4)
 		withEntry := 0
 		for i, n := range e.Nodes {
@@ -131,7 +113,7 @@ func TestRecoverResetsNeighborState(t *testing.T) {
 		}
 
 		e.Crash(victim)
-		e.runFor(30 * time.Second)
+		e.RunFor(30 * time.Second)
 		e.Recover(victim)
 
 		// Immediately after Recover, before any new traffic: the victim's own
@@ -160,14 +142,14 @@ func TestRecoverResetsNeighborState(t *testing.T) {
 		})
 		delivered := false
 		e.Nodes[victim].Link.Send(peer, link.ProtoApp, []byte("post-reboot"), func(ok bool) { delivered = ok })
-		e.runFor(10 * time.Second)
+		e.RunFor(10 * time.Second)
 		if !delivered {
 			t.Fatal("first post-reboot unicast not acknowledged")
 		}
 		if len(got) == 0 || got[0] != "post-reboot" {
 			t.Fatalf("first post-reboot unicast not delivered to handler: %v", got)
 		}
-		if ok, _ := e.runUntilConverged(2 * time.Minute); !ok {
+		if ok, _ := e.RunUntilConverged(2 * time.Minute); !ok {
 			t.Fatal("recovered node did not rejoin")
 		}
 	})
@@ -178,8 +160,8 @@ func TestRecoverResetsNeighborState(t *testing.T) {
 // request from the victim fails with ErrClosed at crash time, and the
 // endpoint holds no pending/awaiting entries across the reboot.
 func TestCrashResetsCoAPExchanges(t *testing.T) {
-	forEachEngine(t, gridStack(9, Profile{WithCoAP: true}), func(t *testing.T, e engine) {
-		if ok, _ := e.runUntilConverged(time.Minute); !ok {
+	forEachEngine(t, gridStack(9, Profile{WithCoAP: true}), func(t *testing.T, e *Fleet) {
+		if ok, _ := e.RunUntilConverged(time.Minute); !ok {
 			t.Fatal("no convergence")
 		}
 		e.Root().Server.Resource("cfg").Get(func(string, *coap.Message) *coap.Message {
@@ -190,11 +172,11 @@ func TestCrashResetsCoAPExchanges(t *testing.T) {
 		// then crash the victim with the exchange in flight.
 		var gotErr error
 		done := false
-		e.ctl.SetDown(0, true)
+		e.Ctl().SetDown(0, true)
 		e.Nodes[victim].CoAP.Get(e.Root().Addr(), "cfg", func(m *coap.Message, err error) {
 			done, gotErr = true, err
 		})
-		e.runFor(5 * time.Second)
+		e.RunFor(5 * time.Second)
 		if done {
 			t.Fatalf("request resolved before crash (err=%v); premise broken", gotErr)
 		}
@@ -208,9 +190,9 @@ func TestCrashResetsCoAPExchanges(t *testing.T) {
 		if p, a := e.Nodes[victim].CoAP.Exchanges(); p != 0 || a != 0 {
 			t.Fatalf("crashed node leaked exchange state: pending=%d awaiting=%d", p, a)
 		}
-		e.ctl.SetDown(0, false)
+		e.Ctl().SetDown(0, false)
 		e.Recover(victim)
-		if ok, _ := e.runUntilConverged(2 * time.Minute); !ok {
+		if ok, _ := e.RunUntilConverged(2 * time.Minute); !ok {
 			t.Fatal("recovered node did not rejoin")
 		}
 		// The rebooted endpoint is usable: a fresh request round-trips.
@@ -220,7 +202,7 @@ func TestCrashResetsCoAPExchanges(t *testing.T) {
 				got = string(m.Payload)
 			}
 		})
-		e.runFor(2 * time.Minute)
+		e.RunFor(2 * time.Minute)
 		if got != "v1" {
 			t.Fatalf("post-reboot request failed, got %q", got)
 		}
@@ -232,8 +214,8 @@ func TestCrashResetsCoAPExchanges(t *testing.T) {
 // after the retransmission budget — it neither hangs nor leaks a pending
 // entry at the sender.
 func TestPendingCONToCrashedNodeTimesOutCleanly(t *testing.T) {
-	forEachEngine(t, gridStack(9, Profile{WithCoAP: true}), func(t *testing.T, e engine) {
-		if ok, _ := e.runUntilConverged(time.Minute); !ok {
+	forEachEngine(t, gridStack(9, Profile{WithCoAP: true}), func(t *testing.T, e *Fleet) {
+		if ok, _ := e.RunUntilConverged(time.Minute); !ok {
 			t.Fatal("no convergence")
 		}
 		victim := radio.NodeID(8)
@@ -244,7 +226,7 @@ func TestPendingCONToCrashedNodeTimesOutCleanly(t *testing.T) {
 			done, gotErr = true, err
 		})
 		// Retransmission budget: up to ~31 × AckTimeout(4 s) × 1.5 ≈ 186 s.
-		e.runFor(4 * time.Minute)
+		e.RunFor(4 * time.Minute)
 		if !done {
 			t.Fatal("CON to crashed node never resolved")
 		}
@@ -258,7 +240,7 @@ func TestPendingCONToCrashedNodeTimesOutCleanly(t *testing.T) {
 }
 
 func TestNodesByProfile(t *testing.T) {
-	forEachEngine(t, twoClassStack(nil), func(t *testing.T, e engine) {
+	forEachEngine(t, twoClassStack(nil), func(t *testing.T, e *Fleet) {
 		backbone := e.NodesByProfile("backbone")
 		leaves := e.NodesByProfile("leaf")
 		if len(backbone) != 2 || len(leaves) != 2 {
@@ -279,19 +261,83 @@ func TestRetuneTenantByProfile(t *testing.T) {
 	s := twoClassStack(func(s *Stack) {
 		s.Profiles[1].Tenant = "plant-b" // leaves belong to another tenant
 	})
-	forEachEngine(t, s, func(t *testing.T, e engine) {
+	forEachEngine(t, s, func(t *testing.T, e *Fleet) {
 		e.RetuneTenant("plant-b", 9)
 		// Retuning one tenant must not touch the other class's channel: the
 		// backbone keeps delivering on channel 0 while the leaves moved.
 		for _, n := range e.NodesByProfile("leaf") {
-			if got := e.mediumOf(n.ID).ChannelOf(n.ID); got != 9 {
+			if got := e.Medium(n.ID).ChannelOf(n.ID); got != 9 {
 				t.Fatalf("leaf %d on channel %d after retune, want 9", n.ID, got)
 			}
 		}
 		for _, n := range e.NodesByProfile("backbone") {
-			if got := e.mediumOf(n.ID).ChannelOf(n.ID); got != 0 {
+			if got := e.Medium(n.ID).ChannelOf(n.ID); got != 0 {
 				t.Fatalf("backbone %d moved to channel %d, want 0", n.ID, got)
 			}
+		}
+	})
+}
+
+// TestFleetPredicatesAndCounters covers what the scenario engine and the
+// experiments judge a fleet by: RunUntilConverged reports the time it
+// advanced, a node whose parent crashes is unhealthy until it re-parents
+// or the parent returns, a converged DODAG is loop-free, and a counter
+// reads the sum over every stripe's registry.
+func TestFleetPredicatesAndCounters(t *testing.T) {
+	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e *Fleet) {
+		ok, took := e.RunUntilConverged(2 * time.Minute)
+		if !ok || took != e.Now() || took == 0 {
+			t.Fatalf("RunUntilConverged = %v, %v at now=%v", ok, took, e.Now())
+		}
+		if again, zero := e.RunUntilConverged(time.Minute); !again || zero != 0 {
+			t.Fatalf("converged fleet spent %v converging again", zero)
+		}
+		if e.Healthy(0) {
+			t.Fatal("the root has no parent to be healthy through")
+		}
+		child := radio.NodeID(-1)
+		for _, n := range e.Nodes[1:] {
+			if !e.Healthy(n.ID) || e.Looping(n.ID) {
+				t.Fatalf("converged node %d: healthy=%v looping=%v", n.ID, e.Healthy(n.ID), e.Looping(n.ID))
+			}
+			if n.Router.Parent() != 0 {
+				child = n.ID
+			}
+		}
+		if child < 0 {
+			t.Fatal("no multi-hop node; test premise broken")
+		}
+		if !e.LoopFree() {
+			t.Fatal("converged DODAG reports a loop")
+		}
+
+		parent := e.Nodes[child].Router.Parent()
+		e.Crash(parent)
+		if e.Healthy(parent) || e.Healthy(child) {
+			t.Fatalf("after crashing %d: parent healthy=%v, child %d healthy=%v (still points at the corpse)",
+				parent, e.Healthy(parent), child, e.Healthy(child))
+		}
+		e.Recover(parent)
+		if ok, _ := e.RunUntilConverged(2 * time.Minute); !ok {
+			t.Fatal("recovered parent did not rejoin")
+		}
+		e.RunFor(30 * time.Second) // the child's next parent probe
+		if !e.Healthy(parent) || !e.Healthy(child) || !e.LoopFree() {
+			t.Fatalf("after recovery: parent healthy=%v child healthy=%v loop-free=%v",
+				e.Healthy(parent), e.Healthy(child), e.LoopFree())
+		}
+
+		total, most := e.Counter("radio.tx_frames"), 0.0
+		for _, m := range e.media {
+			if v := m.Registry().Counter("radio.tx_frames").Value(); v > most {
+				most = v
+			}
+		}
+		if total == 0 || total < most || (len(e.media) > 1 && total == most) {
+			t.Fatalf("radio.tx_frames: summed %v, largest stripe %v over %d stripes", total, most, len(e.media))
+		}
+		if got := len(e.Kernels()); got != len(e.media) {
+			t.Fatalf("%d kernels for %d stripes", got, len(e.media))
 		}
 	})
 }

@@ -233,39 +233,37 @@ func profileIn(s *Stack, name string) *Profile {
 	panic(fmt.Sprintf("core: unknown profile %q", name))
 }
 
-// nodeEnv is the substrate one node's stack is composed on. For a flat
-// deployment every node shares one env; in a sharded deployment each
-// stripe has its own kernel, medium, and registry (sharded.go).
-type nodeEnv struct {
-	k      *sim.Kernel
-	m      *radio.Medium
-	reg    *metrics.Registry
-	trace  *trace.Recorder // nil when tracing is disabled
-	seed   int64           // deployment seed; per-node CoAP seeds derive from it
-	router rpl.Config      // deployment-wide default, overridable per profile
-	f      Factories       // already withDefaults()
+// populate composes and starts every node of the fleet's stack, in
+// node-ID order, once the stripes' media exist.
+func (f *Fleet) populate() {
+	fac := f.stack.Factories.withDefaults()
+	for i := range f.stack.Topology {
+		f.Nodes = append(f.Nodes, buildNode(f, fac, i))
+	}
 }
 
-// buildNode composes and starts node i of profile p at pos on env's
-// substrate: radio attach, MAC, link, RPL, aggregation, optional CoAP
-// endpoint and RNFD sentinel. It is the single construction path for
-// flat and sharded deployments.
-func buildNode(env nodeEnv, i int, pos radio.Position, p *Profile) *Node {
+// buildNode composes and starts node i on the substrate of the medium
+// that owns it: radio attach, MAC, link, RPL, aggregation, optional
+// CoAP endpoint and RNFD sentinel. It is the single construction path
+// for flat and sharded deployments.
+func buildNode(f *Fleet, fac Factories, i int) *Node {
 	id := radio.NodeID(i)
+	m, p := f.Medium(id), profileIn(&f.stack, f.stack.Topology[i].Profile)
+	k, rec := m.Kernel(), m.Recorder() // rec is nil when tracing is disabled
 	n := &Node{ID: id, up: true, profile: p}
-	env.m.Attach(id, pos, radio.ReceiverFunc(func(fr radio.Frame) {
+	m.Attach(id, f.stack.Topology[i].Pos, radio.ReceiverFunc(func(fr radio.Frame) {
 		n.MAC.(radio.Receiver).RadioReceive(fr)
 	}))
-	n.MAC = env.f.MAC(env.m, id, p)
-	n.Link = env.f.Link(id, n.MAC)
-	n.Link.SetRecorder(env.trace)
-	rcfg := env.router
+	n.MAC = fac.MAC(m, id, p)
+	n.Link = fac.Link(id, n.MAC)
+	n.Link.SetRecorder(rec)
+	rcfg := f.stack.Router
 	if p.Router != nil {
 		rcfg = *p.Router
 	}
-	n.Router = env.f.Router(env.k, n.Link, i == 0, 0, rcfg, env.reg)
-	n.Router.SetRecorder(env.trace)
-	n.Agg = agg.NewNode(env.k, n.Router, n.Link, func(attr string) (float64, bool) {
+	n.Router = fac.Router(k, n.Link, i == 0, 0, rcfg, m.Registry())
+	n.Router.SetRecorder(rec)
+	n.Agg = agg.NewNode(k, n.Router, n.Link, func(attr string) (float64, bool) {
 		if n.sampler == nil {
 			return 0, false
 		}
@@ -277,14 +275,14 @@ func buildNode(env nodeEnv, i int, pos radio.Position, p *Profile) *Node {
 		n.Router.Handle(lowpan.ProtoCoAP, func(src radio.NodeID, payload []byte) {
 			tr.deliver(strconv.Itoa(int(src)), payload)
 		})
-		n.CoAP = coap.NewConn(tr, clock.Kernel{K: env.k}, coap.ConnConfig{
-			Seed: env.seed + int64(i) + 1,
+		n.CoAP = coap.NewConn(tr, clock.Kernel{K: k}, coap.ConnConfig{
+			Seed: f.stack.Seed + int64(i) + 1,
 			// The mesh is slow (multi-hop, duty-cycled): give the
 			// message layer room before retransmitting.
 			AckTimeout: 4 * time.Second,
 		})
-		n.CoAP.SetTrace(env.trace, int32(id))
-		n.CoAP.SetJourneys(env.m.Buffers().Journeys())
+		n.CoAP.SetTrace(rec, int32(id))
+		n.CoAP.SetJourneys(m.Buffers().Journeys())
 		n.Server = coap.NewServer()
 		n.CoAP.Serve(n.Server)
 	}
@@ -307,7 +305,7 @@ func NewStack(cfg Stack) *Deployment {
 	m := radio.NewMedium(k, mediumParams, reg)
 	d := &Deployment{K: k, M: m, Reg: reg}
 	d.stack = cfg
-	d.mediumOf = func(radio.NodeID) *radio.Medium { return m }
+	d.clk, d.ctl, d.media, d.stripeOf = k, m, []*radio.Medium{m}, make([]int, len(cfg.Topology))
 	traceCap := cfg.TraceCapacity
 	if traceCap == 0 {
 		traceCap = trace.DefaultCapacity()
@@ -318,19 +316,6 @@ func NewStack(cfg Stack) *Deployment {
 		d.Trace = trace.New(traceCap, k.Now)
 		m.SetRecorder(d.Trace)
 	}
-
-	env := nodeEnv{
-		k:      k,
-		m:      m,
-		reg:    reg,
-		trace:  d.Trace,
-		seed:   cfg.Seed,
-		router: d.stack.Router,
-		f:      d.stack.Factories.withDefaults(),
-	}
-	for i := range d.stack.Topology {
-		ns := d.stack.Topology[i]
-		d.Nodes = append(d.Nodes, buildNode(env, i, ns.Pos, profileIn(&d.stack, ns.Profile)))
-	}
+	d.populate()
 	return d
 }

@@ -18,7 +18,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"iiotds/internal/metrics"
 	"iiotds/internal/radio"
@@ -38,14 +37,13 @@ type Shard struct {
 // stripes, the cross-stripe announcements, and medium control
 // (fault.MediumCtl) fanned to the owning stripe(s).
 type ShardedDeployment struct {
-	fleet
+	Fleet
 	G      *sim.ShardGroup
 	Shards []*Shard
 
-	stripeOf []int // node index -> stripe index
-	stripes  int
-	minX     float64
-	slabW    float64
+	stripes int
+	minX    float64
+	slabW   float64
 
 	// extraAnnounce[s][t] counts PRR overrides whose sender lives on
 	// stripe s and receiver on stripe t: such links may be audible at
@@ -70,7 +68,7 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 
 	sd := &ShardedDeployment{stripes: stripes}
 	sd.stack = cfg
-	sd.mediumOf = func(id radio.NodeID) *radio.Medium { return sd.Shards[sd.StripeOf(id)].M }
+	sd.ctl = sd
 
 	// Slab geometry over the topology's X extent. Nodes are assigned by
 	// clamped slab index, so outliers land in the edge stripes.
@@ -91,17 +89,17 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 
 	// Per-stripe substrates. Stripe seeds derive from the deployment
 	// seed by a fixed mix, so one Spec seed still pins the whole run.
-	kernels := make([]*sim.Kernel, stripes)
 	for s := 0; s < stripes; s++ {
 		k := sim.New(cfg.Seed + int64(s)*1_000_003)
 		reg := metrics.NewRegistry()
-		kernels[s] = k
 		sd.Shards = append(sd.Shards, &Shard{K: k, M: radio.NewMedium(k, mediumParams, reg), Reg: reg})
+		sd.media = append(sd.media, sd.Shards[s].M)
 	}
 	// Lookahead: the minimum cross-stripe visibility delay is the
 	// airtime of a zero-payload frame (propagation is instantaneous in
 	// the model).
-	sd.G = sim.NewShardGroup(sd.Shards[0].M.Airtime(0), kernels...)
+	sd.G = sim.NewShardGroup(sd.Shards[0].M.Airtime(0), sd.Kernels()...)
+	sd.clk = sd.G
 
 	sd.extraAnnounce = make([][]int, stripes)
 	for s := range sd.extraAnnounce {
@@ -129,18 +127,7 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 			}
 		})
 	}
-
-	env := nodeEnv{
-		seed:   cfg.Seed,
-		router: cfg.Router,
-		f:      cfg.Factories.withDefaults(),
-	}
-	for i := range cfg.Topology {
-		ns := cfg.Topology[i]
-		sh := sd.Shards[sd.stripeOf[i]]
-		env.k, env.m, env.reg = sh.K, sh.M, sh.Reg
-		sd.Nodes = append(sd.Nodes, buildNode(env, i, ns.Pos, profileIn(&sd.stack, ns.Profile)))
-	}
+	sd.populate()
 	return sd
 }
 
@@ -179,7 +166,7 @@ func (sd *ShardedDeployment) StripeOf(id radio.NodeID) int { return sd.stripeOf[
 // SetDown marks a node crashed/recovered on its owning stripe's medium
 // (fault.MediumCtl).
 func (sd *ShardedDeployment) SetDown(id radio.NodeID, down bool) {
-	sd.mediumOf(id).SetDown(id, down)
+	sd.Medium(id).SetDown(id, down)
 }
 
 // SetLinkFilter installs a delivery veto on every stripe
@@ -219,20 +206,6 @@ func (sd *ShardedDeployment) SetLinkPRR(from, to radio.NodeID, prr float64) {
 			sd.extraAnnounce[ss][ts]++
 		}
 	}
-}
-
-// RunUntilConverged advances the group until the DODAG is complete or
-// maxSim elapses; it reports success and the convergence time.
-func (sd *ShardedDeployment) RunUntilConverged(maxSim time.Duration) (bool, time.Duration) {
-	start := sd.G.Now()
-	deadline := start + maxSim
-	for sd.G.Now() < deadline {
-		if sd.Converged() {
-			return true, sd.G.Now() - start
-		}
-		sd.G.RunFor(time.Second)
-	}
-	return sd.Converged(), sd.G.Now() - start
 }
 
 // Stats aggregates the scheduling counters of every stripe kernel.

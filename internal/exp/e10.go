@@ -44,30 +44,18 @@ func runE10(tr *Trial, n int, seed int64, trickle rpl.TrickleConfig, kills []int
 	for _, v := range kills {
 		d.Crash(radio.NodeID(v))
 	}
-	killAt := d.K.Now()
 
+	// Repaired means every survivor is attached, and not through a dead
+	// parent (right after the kill they still point at corpses).
+	var survivors []radio.NodeID
+	for _, node := range d.Nodes[1:] {
+		if node.Up() {
+			survivors = append(survivors, node.ID)
+		}
+	}
 	out := e10Run{controlMsgs: steady}
-	deadline := killAt + observe
-	for d.K.Now() < deadline {
-		healthy := true
-		for i, node := range d.Nodes {
-			if i == 0 || !node.Up() {
-				continue
-			}
-			// Repaired means: attached, and not through a dead parent
-			// (right after the kill survivors still point at corpses).
-			p := node.Router.Parent()
-			if node.Router.Partitioned() || p == rpl.NoParent || !d.Nodes[int(p)].Up() {
-				healthy = false
-				break
-			}
-		}
-		if healthy {
-			out.reconverged = true
-			out.reconvTime = d.K.Now() - killAt
-			break
-		}
-		d.K.RunFor(time.Second)
+	if ok, took := d.Await(func() bool { return d.Healthy(survivors...) }, observe); ok {
+		out.reconverged, out.reconvTime = true, took
 	}
 	out.switches = d.Reg.Counter("rpl.parent_switches").Value() - switchesBefore
 	return out

@@ -102,21 +102,16 @@ func runE13(tr *Trial, fleet e13Fleet, spine, leaves int, seed int64, period, wi
 			delivered++
 		}
 	})
-	sent := 0
 	stopAt := d.K.Now() + window
-	for _, n := range leafNodes {
-		n := n
-		// Jitter staggers leaf reporting phases, as real sensors drift.
-		d.K.Every(period, period/2, func() {
-			if d.K.Now() >= stopAt {
-				return // kernel keeps running past the window for stragglers
-			}
-			idx := len(sentAt)
-			sentAt = append(sentAt, d.K.Now())
-			sent++
-			_ = n.Router.SendUp(lowpan.ProtoRaw, []byte{byte(idx >> 8), byte(idx), 0x5a, 0x5a})
-		})
-	}
+	// Jitter staggers leaf reporting phases, as real sensors drift.
+	push := scenario.StartPush(&d.Fleet, leafNodes, lowpan.ProtoRaw, period, period/2, func(*core.Node) []byte {
+		if d.K.Now() >= stopAt {
+			return nil // the repeaters keep firing past the window, for stragglers
+		}
+		idx := len(sentAt)
+		sentAt = append(sentAt, d.K.Now())
+		return []byte{byte(idx >> 8), byte(idx), 0x5a, 0x5a}
+	})
 
 	classOn := func(name string) (on time.Duration, nodes int) {
 		for _, n := range d.NodesByProfile(name) {
@@ -147,7 +142,7 @@ func runE13(tr *Trial, fleet e13Fleet, spine, leaves int, seed int64, period, wi
 	out.leaf = e13Class{
 		nodes:   lN,
 		radioOn: frac(lOn1-lOn0, lN, span),
-		sent:    sent, delivered: delivered,
+		sent:    push.Sent(), delivered: delivered,
 	}
 	if delivered > 0 {
 		out.leaf.meanLat = latSum / time.Duration(delivered)

@@ -2,13 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
-	"iiotds/internal/coap"
-	"iiotds/internal/core"
 	"iiotds/internal/radio"
-	"iiotds/internal/rpl"
 	"iiotds/internal/scenario"
 )
 
@@ -39,18 +35,6 @@ type e14Params struct {
 	// settling phase (recoveries owed, rejoins, CON timeouts).
 	reqEvery time.Duration
 	drain    time.Duration
-}
-
-// e14Healthy reports whether a node is attached to the DODAG through a
-// live parent (the e10 notion of repaired: right after churn, nodes can
-// still point at corpses).
-func e14Healthy(d *core.Deployment, id radio.NodeID) bool {
-	n := d.Nodes[int(id)]
-	if !n.Up() || n.Router.Partitioned() {
-		return false
-	}
-	p := n.Router.Parent()
-	return p != rpl.NoParent && d.Nodes[int(p)].Up()
 }
 
 // runE14 converges the fleet, soaks it under churn, drains, and reads
@@ -88,7 +72,7 @@ func runE14(tr *Trial, p e14Params) e14Run {
 	poll := d.K.Every(time.Second, 0, func() {
 		for _, id := range churners {
 			t0, open := pendingSince[id]
-			if !open || !e14Healthy(d, id) {
+			if !open || !d.Healthy(id) {
 				continue
 			}
 			delete(pendingSince, id)
@@ -104,52 +88,22 @@ func runE14(tr *Trial, p e14Params) e14Run {
 	// CoAP workload: every churn node serves /status; the border router
 	// probes them round-robin with confirmable GETs. Requests addressed
 	// to a crashed node exercise the retransmit-then-ErrTimeout path.
-	for _, id := range churners {
-		d.Nodes[int(id)].Server.Resource("status").Get(
-			func(string, *coap.Message) *coap.Message { return coap.TextResponse("ok") })
-	}
-	outstanding := 0
-	next := 0
-	workload := d.K.Every(p.reqEvery, 0, func() {
-		id := churners[next%len(churners)]
-		next++
-		outstanding++
-		d.Root().CoAP.Get(strconv.Itoa(int(id)), "status", func(m *coap.Message, err error) {
-			outstanding--
-			if err == nil && m.Code.IsSuccess() {
-				out.coapOK++
-			} else {
-				out.coapFail++
-			}
-		})
-	})
+	probe := scenario.StartProbe(&d.Fleet, churners, p.reqEvery)
 
 	churn.Start()
 	d.K.RunFor(p.soak)
 	churn.Stop()
-	workload.Stop()
+	probe.Stop()
 
 	// Drain: owed recoveries fire, rejoin windows close, and in-flight
 	// CONs to dead incarnations finish their backoff (up to
 	// ~31×AckTimeout×1.5 before ErrTimeout).
-	deadline := d.K.Now() + p.drain
-	for d.K.Now() < deadline {
-		if outstanding == 0 && len(pendingSince) == 0 {
-			settled := true
-			for _, id := range churners {
-				if !e14Healthy(d, id) {
-					settled = false
-					break
-				}
-			}
-			if settled {
-				break
-			}
-		}
-		d.K.RunFor(time.Second)
-	}
+	d.Await(func() bool {
+		return probe.Outstanding == 0 && len(pendingSince) == 0 && d.Healthy(churners...)
+	}, p.drain)
 	poll.Stop()
 
+	out.coapOK, out.coapFail = probe.OK, probe.Fail
 	out.cycles = churn.Recoveries()
 	out.recoveries = churn.Recoveries()
 	if out.rejoins > 0 {

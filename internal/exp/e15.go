@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"iiotds/internal/coap"
 	"iiotds/internal/core"
 	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
@@ -87,9 +86,7 @@ func runE15(tr *Trial, p e15Params) e15Run {
 			sh.M.SetBruteForce(true)
 		}
 	}
-	for _, sh := range sd.Shards {
-		tr.Observe(sh.K)
-	}
+	tr.Observe(sd.Kernels()...)
 
 	out := e15Run{nodes: p.n}
 	start := time.Now()
@@ -98,22 +95,14 @@ func runE15(tr *Trial, p e15Params) e15Run {
 	out.convFrac = sd.ConvergedFraction()
 
 	// Heartbeat workload: every node raw-pushes up the DODAG from its
-	// own stripe's kernel. Counters are per stripe — each is written
-	// only by its owning kernel goroutine — and summed after the run.
-	sent := make([]int, e15Stripes)
+	// own stripe's kernel.
 	sd.Root().Router.Handle(lowpan.ProtoRaw, func(radio.NodeID, []byte) { out.delivered++ })
-	var stops []interface{ Stop() }
-	for _, n := range sd.Nodes[1:] {
-		n := n
-		s := sd.StripeOf(n.ID)
-		stops = append(stops, sd.Shards[s].K.Every(p.hbEvery, p.hbEvery/4, func() {
-			if !n.Up() {
-				return
-			}
-			sent[s]++
-			_ = n.Router.SendUp(lowpan.ProtoRaw, []byte{0x15, byte(n.ID)})
-		}))
-	}
+	hb := scenario.StartPush(&sd.Fleet, sd.Nodes[1:], lowpan.ProtoRaw, p.hbEvery, p.hbEvery/4, func(n *core.Node) []byte {
+		if !n.Up() {
+			return nil
+		}
+		return []byte{0x15, byte(n.ID)}
+	})
 
 	// CoAP probe workload: the root walks a fixed stride-spread subset
 	// of the fleet round-robin — nearby and tens-of-hops-away targets.
@@ -125,32 +114,14 @@ func runE15(tr *Trial, p e15Params) e15Run {
 	for i := 0; i < p.probes && 1+i*stride < p.n; i++ {
 		targets = append(targets, radio.NodeID(1+i*stride))
 	}
-	for _, id := range targets {
-		sd.Nodes[int(id)].Server.Resource("status").Get(
-			func(string, *coap.Message) *coap.Message { return coap.TextResponse("ok") })
-	}
-	next := 0
-	rootK := sd.Shards[sd.StripeOf(0)].K
-	stops = append(stops, rootK.Every(p.prEvery, 0, func() {
-		id := targets[next%len(targets)]
-		next++
-		sd.Root().CoAP.Get(sd.Nodes[int(id)].Addr(), "status", func(m *coap.Message, err error) {
-			if err == nil && m.Code.IsSuccess() {
-				out.probeOK++
-			} else {
-				out.probeFail++
-			}
-		})
-	}))
+	probe := scenario.StartProbe(&sd.Fleet, targets, p.prEvery)
 
 	sd.G.RunFor(p.soak)
-	for _, s := range stops {
-		s.Stop()
-	}
+	hb.Stop()
+	probe.Stop()
 
-	for _, c := range sent {
-		out.heartbeats += c
-	}
+	out.heartbeats = hb.Sent()
+	out.probeOK, out.probeFail = probe.OK, probe.Fail
 	out.handoffs = sd.G.Handoffs()
 	out.windows = sd.G.Windows()
 	out.simFor = time.Duration(sd.G.Now() - simStart)

@@ -42,32 +42,23 @@ func runCollection(tr *Trial, n int, seed int64, useAgg bool, epoch, dur time.Du
 	ok, _ := d.RunUntilConverged(3 * time.Minute)
 	st.converged = ok
 
-	for i := 1; i < n; i++ {
-		i := i
-		d.Nodes[i].SetSampler(func(attr string) (float64, bool) { return 20 + float64(i%10), true })
-	}
-
+	reading := func(n *core.Node) float64 { return 20 + float64(n.ID%10) }
 	epochs := 0
 	received := 0
 	var represented float64
 	if useAgg {
-		d.Root().Agg.OnResult = func(r agg.Result) {
-			epochs++
-			represented += float64(r.Count)
-		}
-		d.Root().Agg.RunQuery(agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: epoch, MaxDepth: 12})
+		scenario.StartAgg(&d.Fleet, agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: epoch, MaxDepth: 12},
+			reading, func(r agg.Result) {
+				epochs++
+				represented += float64(r.Count)
+			})
 	} else {
 		d.Root().Router.Handle(lowpan.ProtoRaw, func(src radio.NodeID, payload []byte) {
 			received++
 		})
-		for i := 1; i < n; i++ {
-			i := i
-			d.K.Every(epoch, epoch/4, func() {
-				var buf [8]byte
-				binary.BigEndian.PutUint64(buf[:], math.Float64bits(20+float64(i%10)))
-				_ = d.Nodes[i].Router.SendUp(lowpan.ProtoRaw, buf[:])
-			})
-		}
+		scenario.StartPush(&d.Fleet, d.Nodes[1:], lowpan.ProtoRaw, epoch, epoch/4, func(n *core.Node) []byte {
+			return binary.BigEndian.AppendUint64(nil, math.Float64bits(reading(n)))
+		})
 	}
 
 	startTx := ring1TxTime(d)

@@ -9,6 +9,7 @@ import (
 	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
+	"iiotds/internal/scenario"
 	"iiotds/internal/sim"
 )
 
@@ -54,33 +55,33 @@ func runE5(tr *Trial, n int, seed int64, useRNFD bool, probeEvery time.Duration,
 			missed  int
 			pending bool
 		}
-		states := make([]*probeState, n)
+		states := make([]probeState, n)
 		// Root echoes probes back to their source.
 		d.Root().Router.Handle(lowpan.ProtoRaw, func(src radio.NodeID, payload []byte) {
 			_ = d.Root().Router.SendTo(src, lowpan.ProtoRaw, payload)
 		})
 		for i := 1; i < n; i++ {
-			i := i
-			states[i] = &probeState{}
+			st := &states[i]
 			d.Nodes[i].Router.Handle(lowpan.ProtoRaw, func(src radio.NodeID, payload []byte) {
-				states[i].pending = false
-				states[i].missed = 0
-			})
-			d.K.Every(probeEvery, probeEvery/4, func() {
-				if detectedAt[i] != 0 || !d.Nodes[i].Up() {
-					return
-				}
-				if states[i].pending {
-					states[i].missed++
-					if states[i].missed >= 3 {
-						detectedAt[i] = d.K.Now()
-						return
-					}
-				}
-				states[i].pending = true
-				_ = d.Nodes[i].Router.SendUp(lowpan.ProtoRaw, []byte{byte(i)})
+				st.pending = false
+				st.missed = 0
 			})
 		}
+		scenario.StartPush(&d.Fleet, d.Nodes[1:], lowpan.ProtoRaw, probeEvery, probeEvery/4, func(n *core.Node) []byte {
+			st := &states[n.ID]
+			if detectedAt[n.ID] != 0 || !n.Up() {
+				return nil
+			}
+			if st.pending {
+				st.missed++
+				if st.missed >= 3 {
+					detectedAt[n.ID] = d.K.Now()
+					return nil
+				}
+			}
+			st.pending = true
+			return []byte{byte(n.ID)}
+		})
 	}
 
 	killAt := d.K.Now()

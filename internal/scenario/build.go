@@ -6,37 +6,42 @@ import (
 	"iiotds/internal/core"
 	"iiotds/internal/fault"
 	"iiotds/internal/radio"
-	"iiotds/internal/trace"
 )
 
-// Built is a deployment constructed from a Spec, plus the fault
-// machinery once armed. The spec held here has defaults applied.
-type Built struct {
-	Spec Spec
-	D    *core.Deployment
-	faults
-}
+// built is what a build is on either engine: the spec (defaults
+// applied), the fleet it expanded into, and the fault machinery once
+// armed. Built and BuiltSharded add the typed deployment.
+type built struct {
+	Spec  Spec
+	fleet *core.Fleet
 
-// faults is the fault machinery of a built deployment, flat or sharded:
-// all nil until ArmFaults.
-type faults struct {
+	// All nil until ArmFaults.
 	Ledger *fault.Ledger
 	Inj    *fault.Injector
 	Churn  *fault.Churn
 }
 
-// arm creates the reliability ledger, fault injector, and churn engine
-// at sched's current virtual time; faults are traced into rec (nil on
-// the sharded engine, which has no recorder). No-op when the spec
-// schedules no faults or they are already armed.
-func (f *faults) arm(spec Spec, sched fault.Sched, ctl fault.MediumCtl, target fault.Target, rec *trace.Recorder) {
-	if !spec.Faults.enabled() || f.Churn != nil {
+// Built is a deployment constructed from a Spec on one kernel.
+type Built struct {
+	built
+	D *core.Deployment
+}
+
+// ArmFaults creates the reliability ledger, fault injector and churn
+// engine at the fleet's current virtual time, on its Sched and Ctl;
+// faults are traced into its recorder, if it has one. Call it after
+// convergence and before the soak; the churn engine still needs
+// Churn.Start. No-op when the spec schedules no faults or they are
+// already armed.
+func (b *built) ArmFaults() {
+	spec, f := b.Spec, b.fleet
+	if !spec.Faults.enabled() || b.Churn != nil {
 		return
 	}
-	f.Ledger = fault.NewLedger(sched.Now())
-	f.Inj = fault.NewInjector(sched, ctl, target, f.Ledger)
-	f.Inj.SetRecorder(rec)
-	f.Churn = fault.NewChurn(f.Inj, ChurnSeed(spec.Seed), spec.Faults.ChurnConfig(spec.Topo.Nodes()))
+	b.Ledger = fault.NewLedger(f.Now())
+	b.Inj = fault.NewInjector(f.Sched(), f.Ctl(), f, b.Ledger)
+	b.Inj.SetRecorder(f.Recorder())
+	b.Churn = fault.NewChurn(b.Inj, ChurnSeed(spec.Seed), spec.Faults.ChurnConfig(spec.Topo.Nodes()))
 }
 
 // ChurnSeed derives the churn engine's generator seed from the scenario
@@ -56,8 +61,8 @@ func ChurnSeed(seed int64) int64 { return seed*7919 + 13 }
 // the reliability ledger must start at convergence, not construction:
 // availability is measured over the operational phase.
 func Build(spec Spec) *Built {
-	stack := stackOf(&spec)
-	return &Built{Spec: spec, D: core.NewStack(stack)}
+	d := core.NewStack(stackOf(&spec))
+	return &Built{built{Spec: spec, fleet: &d.Fleet}, d}
 }
 
 // stackOf canonicalizes the spec in place and expands it into the core
@@ -134,13 +139,10 @@ func classProfiles(spec Spec, positions radio.Topology, labels []string) ([]core
 }
 
 // BuiltSharded is a deployment constructed from a Spec onto the sharded
-// multi-kernel engine (DESIGN.md §9), plus the fault machinery once
-// armed. Fault callbacks run on the shard group's control timeline —
-// the barrier instants at which cross-stripe mutation is legal.
+// multi-kernel engine (DESIGN.md §9).
 type BuiltSharded struct {
-	Spec Spec
-	D    *core.ShardedDeployment
-	faults
+	built
+	D *core.ShardedDeployment
 }
 
 // BuildSharded expands the spec like Build, but stripes the fleet over
@@ -150,17 +152,6 @@ type BuiltSharded struct {
 // on the sharded engine, so specs carrying TraceCapacity panic in
 // core.NewShardedStack.
 func BuildSharded(spec Spec, stripes int) *BuiltSharded {
-	stack := stackOf(&spec)
-	return &BuiltSharded{Spec: spec, D: core.NewShardedStack(stack, stripes)}
+	sd := core.NewShardedStack(stackOf(&spec), stripes)
+	return &BuiltSharded{built{Spec: spec, fleet: &sd.Fleet}, sd}
 }
-
-// ArmFaults arms the spec's faults at the deployment's current virtual
-// time. Call it after convergence (on the kernel goroutine contract of
-// the injector) and before starting the soak; the churn engine itself
-// still needs Churn.Start.
-func (b *Built) ArmFaults() { b.arm(b.Spec, b.D.K, b.D.M, b.D, b.D.Trace) }
-
-// ArmFaults is Built.ArmFaults on the sharded engine: ledger time and
-// fault scheduling come from the shard group, and the injector's medium
-// control fans to the owning stripe(s) through the deployment.
-func (b *BuiltSharded) ArmFaults() { b.arm(b.Spec, b.D.G, b.D, b.D, nil) }

@@ -16,36 +16,29 @@ func TestArmFaultsBothEngines(t *testing.T) {
 	quiet := spec
 	quiet.Faults = FaultSpec{}
 
-	flat, striped := Build(spec), BuildSharded(spec, 3)
-	engines := []struct {
-		name     string
-		f        *faults
-		arm      func()
-		converge func(time.Duration) (bool, time.Duration)
-		runFor   func(time.Duration)
-	}{
-		{"flat", &flat.faults, flat.ArmFaults, flat.D.RunUntilConverged, flat.D.K.RunFor},
-		{"stripes=3", &striped.faults, striped.ArmFaults, striped.D.RunUntilConverged, striped.D.G.RunFor},
+	engines := map[string]*built{
+		"flat":      &Build(spec).built,
+		"stripes=3": &BuildSharded(spec, 3).built,
 	}
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			if ok, _ := e.converge(2 * time.Minute); !ok {
+	for name, b := range engines {
+		t.Run(name, func(t *testing.T) {
+			if ok, _ := b.fleet.RunUntilConverged(2 * time.Minute); !ok {
 				t.Fatal("no convergence")
 			}
-			if e.f.Churn != nil || e.f.Inj != nil || e.f.Ledger != nil {
+			if b.Churn != nil || b.Inj != nil || b.Ledger != nil {
 				t.Fatal("faults armed before ArmFaults")
 			}
-			e.arm()
-			churn := e.f.Churn
-			if churn == nil || e.f.Inj == nil || e.f.Ledger == nil {
-				t.Fatalf("ArmFaults left %+v", *e.f)
+			b.ArmFaults()
+			churn := b.Churn
+			if churn == nil || b.Inj == nil || b.Ledger == nil {
+				t.Fatalf("ArmFaults left %+v", *b)
 			}
-			e.arm()
-			if e.f.Churn != churn {
+			b.ArmFaults()
+			if b.Churn != churn {
 				t.Fatal("second ArmFaults replaced the churn engine")
 			}
 			churn.Start()
-			e.runFor(2 * time.Minute)
+			b.fleet.RunFor(2 * time.Minute)
 			churn.Stop()
 			if churn.Crashes() == 0 || churn.Recoveries() == 0 {
 				t.Fatalf("churn idle: %d crashes, %d recoveries", churn.Crashes(), churn.Recoveries())

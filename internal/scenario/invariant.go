@@ -6,7 +6,6 @@ import (
 
 	"iiotds/internal/core"
 	"iiotds/internal/radio"
-	"iiotds/internal/rpl"
 	"iiotds/internal/trace"
 )
 
@@ -20,7 +19,9 @@ import (
 //     has no prior transmission, no frame is transmitted by a crashed
 //     node, and trace timestamps never run backwards. Checked by a
 //     post-run scan of the flight-recorder stream (skipped if the ring
-//     wrapped, since the transmit history would be incomplete).
+//     wrapped, since the transmit history would be incomplete, and on a
+//     fleet with no recorder — tracing disabled, or the sharded engine).
+//     It is the only invariant that depends on the engine.
 //   - energy-monotone: every node's cumulative energy spend is
 //     non-decreasing between snapshots — a ledger that "refunds" joules
 //     would silently corrupt every lifetime result.
@@ -42,7 +43,7 @@ import (
 //     seen. Fed by the heartbeat workload in run.go.
 //   - rejoin: after the drain phase, every churned node is back up and
 //     attached to the DODAG through a live parent — self-repair
-//     completed unattended. Checked at Finish.
+//     completed unattended. Checked when the drain ends.
 //   - store-converges: after the drain phase (and any scheduled
 //     storage-tier partition episode), every shard of the time-series
 //     store has all replicas reporting equal series digests — the
@@ -82,11 +83,12 @@ func (v Violation) String() string {
 // mode is all shrinking needs.
 const maxViolations = 16
 
-// checker evaluates the invariant catalog over one deployment run:
+// checker evaluates the invariant catalog over one fleet's run:
 // periodic snapshots for the state invariants (energy, DODAG), a final
-// trace scan for causality, and hooks for the workload-fed invariants.
+// trace scan for causality, and add for the workload-fed invariants
+// (from the fleet's timeline or the border router's events).
 type checker struct {
-	d          *core.Deployment
+	f          *core.Fleet
 	violations []Violation
 	lastEnergy []float64
 	checkEvery time.Duration
@@ -109,21 +111,25 @@ func (c *checker) loopGrace() time.Duration {
 }
 
 // newChecker snapshots the initial state and returns the checker.
-// Callers drive it with snapshot (periodically, every checkEvery, from a
-// kernel callback) and finish (after the drain phase).
-func newChecker(d *core.Deployment, checkEvery time.Duration) *checker {
+// Callers drive it with snapshot (periodically, every checkEvery, from
+// Fleet.Every) and finish (after the drain phase).
+func newChecker(f *core.Fleet, checkEvery time.Duration) *checker {
 	c := &checker{
-		d:          d,
-		lastEnergy: make([]float64, len(d.Nodes)),
+		f:          f,
+		lastEnergy: make([]float64, len(f.Nodes)),
 		checkEvery: checkEvery,
-		loopSince:  make([]time.Duration, len(d.Nodes)),
+		loopSince:  make([]time.Duration, len(f.Nodes)),
 	}
-	for i := range d.Nodes {
-		c.lastEnergy[i] = d.M.Energy().Ledger(i).TotalJoules()
+	for i := range f.Nodes {
+		c.lastEnergy[i] = f.Ledger(radio.NodeID(i)).TotalJoules()
 		c.loopSince[i] = -1
 	}
 	return c
 }
+
+// now is the border router's clock: exact inside its events, and the
+// fleet's at a barrier.
+func (c *checker) now() time.Duration { return c.f.Kernel(0).Now() }
 
 // add records a violation, capped at maxViolations.
 func (c *checker) add(v Violation) {
@@ -134,9 +140,9 @@ func (c *checker) add(v Violation) {
 
 // snapshot evaluates the state invariants at the current virtual time.
 func (c *checker) snapshot() {
-	now := time.Duration(c.d.K.Now())
-	for i := range c.d.Nodes {
-		j := c.d.M.Energy().Ledger(i).TotalJoules()
+	now := c.now()
+	for i := range c.f.Nodes {
+		j := c.f.Ledger(radio.NodeID(i)).TotalJoules()
 		if j < c.lastEnergy[i] {
 			c.add(Violation{
 				Invariant: InvEnergy, At: now, Node: i,
@@ -148,25 +154,13 @@ func (c *checker) snapshot() {
 	c.checkAcyclic(now)
 }
 
-// checkAcyclic walks preferred-parent pointers from every node; any
-// walk longer than the fleet size has necessarily revisited a node. A
-// node is convicted only when its loop has outlived loopGrace —
-// short-lived micro-loops during parent switches are legal RPL.
+// checkAcyclic asks the fleet which parent chains are looping. A node
+// is convicted only when its loop has outlived loopGrace — short-lived
+// micro-loops during parent switches are legal RPL.
 func (c *checker) checkAcyclic(now time.Duration) {
-	n := len(c.d.Nodes)
 	witnessed := false
-	for i := range c.d.Nodes {
-		hops := 0
-		at := radio.NodeID(i)
-		for at != 0 && hops <= n {
-			p := c.d.Nodes[int(at)].Router.Parent()
-			if p == rpl.NoParent {
-				break
-			}
-			at = p
-			hops++
-		}
-		if hops <= n {
+	for i := range c.f.Nodes {
+		if !c.f.Looping(radio.NodeID(i)) {
 			c.loopSince[i] = -1
 			continue
 		}
@@ -186,9 +180,10 @@ func (c *checker) checkAcyclic(now time.Duration) {
 
 // replay records a replay-monotone violation (fed by the heartbeat
 // workload when the root rejects a genuine frame as replayed).
-func (c *checker) replay(node int, detail string) {
+func (c *checker) replay(node int) {
 	c.add(Violation{
-		Invariant: InvReplay, At: time.Duration(c.d.K.Now()), Node: node, Detail: detail,
+		Invariant: InvReplay, At: c.now(), Node: node,
+		Detail: "root rejected genuine heartbeat as replayed",
 	})
 }
 
@@ -196,73 +191,45 @@ func (c *checker) replay(node int, detail string) {
 // workload when the store's replicas disagree after the drain).
 func (c *checker) storeDiverged(detail string) {
 	c.add(Violation{
-		Invariant: InvStore, At: time.Duration(c.d.K.Now()), Node: -1, Detail: detail,
+		Invariant: InvStore, At: c.now(), Node: -1, Detail: detail,
 	})
 }
 
-// finish runs the end-of-run invariants: the causal trace scan and the
-// rejoin check over the churned selection.
-func (c *checker) finish(churned []radio.NodeID) []Violation {
-	c.snapshot()
-	c.checkCausal()
-	now := time.Duration(c.d.K.Now())
+// rejoined runs the rejoin check over the churned selection, at the
+// instant the drain ends (settled, or at its deadline) and not after
+// whatever the run does next: on a flapping topology a node between two
+// parents is detached for seconds, which is not a failure to rejoin.
+func (c *checker) rejoined(churned []radio.NodeID) {
+	now := c.now()
 	for _, id := range churned {
-		if !healthy(c.d, id) {
+		if !c.f.Healthy(id) {
 			c.add(Violation{
 				Invariant: InvRejoin, At: now, Node: int(id),
 				Detail: "churned node not healthily attached after drain",
 			})
 		}
 	}
+}
+
+// finish runs the end-of-run invariants — a last state snapshot and the
+// causal trace scan — and returns the verdict.
+func (c *checker) finish() []Violation {
+	c.snapshot()
+	c.checkCausal()
 	return c.violations
-}
-
-// loopFree reports whether no node's parent chain is currently looping.
-// The drain phase polls it so runs end at a loop-free instant when the
-// protocol can reach one.
-func loopFree(d *core.Deployment) bool {
-	n := len(d.Nodes)
-	for i := range d.Nodes {
-		hops := 0
-		at := radio.NodeID(i)
-		for at != 0 && hops <= n {
-			p := d.Nodes[int(at)].Router.Parent()
-			if p == rpl.NoParent {
-				break
-			}
-			at = p
-			hops++
-		}
-		if hops > n {
-			return false
-		}
-	}
-	return true
-}
-
-// healthy reports whether a node is up and attached to the DODAG
-// through a live parent — the e10/e14 notion of repaired (right after
-// churn, nodes can still point at corpses).
-func healthy(d *core.Deployment, id radio.NodeID) bool {
-	n := d.Nodes[int(id)]
-	if !n.Up() || n.Router.Partitioned() {
-		return false
-	}
-	p := n.Router.Parent()
-	return p != rpl.NoParent && d.Nodes[int(p)].Up()
 }
 
 // checkCausal scans the flight-recorder stream in emission order: every
 // delivery must be preceded by a transmission from its sender, no
 // crashed node may transmit, and timestamps must be non-decreasing. The
 // scan is skipped when the ring dropped events (incomplete history) or
-// tracing is disabled.
+// the fleet has no recorder.
 func (c *checker) checkCausal() {
-	rec := c.d.Trace
+	rec := c.f.Recorder()
 	if !rec.Enabled() || rec.Dropped() > 0 {
 		return
 	}
-	n := len(c.d.Nodes)
+	n := len(c.f.Nodes)
 	txSeen := make([]bool, n)
 	down := make([]bool, n)
 	var last trace.Time
@@ -316,7 +283,7 @@ func (c *checker) checkCausal() {
 func (c *checker) checkJourneys(events []trace.Event) {
 	if cov, tot := trace.CoAPCoverage(events); tot > 0 && cov < tot {
 		c.add(Violation{
-			Invariant: InvCausal, At: time.Duration(c.d.K.Now()), Node: -1,
+			Invariant: InvCausal, At: c.now(), Node: -1,
 			Detail: fmt.Sprintf("journeys: only %d/%d delivered CoAP exchanges reconstruct completely", cov, tot),
 		})
 	}

@@ -21,18 +21,18 @@ type QuickConfig struct {
 	// from it, so a (Seed, index) pair names one spec regardless of how
 	// many triples the run sweeps.
 	Seed int64
-	// MaxNodes caps generated fleet sizes (default 20, min 9).
-	MaxNodes int
-	// MaxSoak caps the generated soak phase (default 1 minute).
-	MaxSoak time.Duration
-	// MaxShrinkRuns bounds how many candidate runs shrinking may spend
-	// per failure (default 24).
-	MaxShrinkRuns int
 	// Mutate, when set, is applied to every generated spec before it
 	// runs — the seam bug-injection tests use to plant a defect (e.g. a
 	// faulty MAC factory) under every triple.
 	Mutate func(*Spec)
 }
+
+// The generator's envelope and the shrinker's budget.
+const (
+	quickMaxNodes      = 20          // cap on generated fleet sizes
+	quickMaxSoak       = time.Minute // cap on the generated soak phase
+	quickMaxShrinkRuns = 24          // candidate runs shrinking may spend per failure
+)
 
 // Failure is one failed triple together with its shrunken reproducer.
 type Failure struct {
@@ -91,19 +91,10 @@ func Quick(cfg QuickConfig) Report {
 	if cfg.Triples <= 0 {
 		cfg.Triples = 50
 	}
-	if cfg.MaxNodes < 9 {
-		cfg.MaxNodes = 20
-	}
-	if cfg.MaxSoak <= 0 {
-		cfg.MaxSoak = time.Minute
-	}
-	if cfg.MaxShrinkRuns <= 0 {
-		cfg.MaxShrinkRuns = 24
-	}
 
 	specs := make([]Spec, cfg.Triples)
 	for i := range specs {
-		specs[i] = genSpec(newQuickRng(cfg.Seed, i), cfg)
+		specs[i] = genSpec(newQuickRng(cfg.Seed, i))
 		if cfg.Mutate != nil {
 			cfg.Mutate(&specs[i])
 		}
@@ -126,7 +117,7 @@ func Quick(cfg QuickConfig) Report {
 			continue
 		}
 		f := Failure{Index: i, Repro: r.Repro, Violations: r.Violations}
-		shrunk, sviol, runs := shrinkFailure(specs[i], r.Violations, cfg)
+		shrunk, sviol, runs := shrinkFailure(specs[i], r.Violations)
 		f.Shrunk = reproOf(shrunk)
 		f.ShrunkViolations = sviol
 		f.ShrinkRuns = runs
@@ -151,11 +142,12 @@ func Quick(cfg QuickConfig) Report {
 // digestResult folds one run's observable outcome into the report digest;
 // any divergence between two sweeps of the same config shows up here.
 func digestResult(w io.Writer, r Result) {
-	fmt.Fprintf(w, "%s|%v|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d\n",
+	fmt.Fprintf(w, "%s|%v|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%v\n",
 		r.Repro, r.Converged, r.ConvergeIn,
 		r.Crashes, r.Recoveries,
 		r.ProbeOK, r.ProbeFail, r.Pushes, r.PushDelivered,
-		r.AggEpochs, r.Heartbeats, r.HeartbeatOK)
+		r.AggEpochs, r.Heartbeats, r.HeartbeatOK,
+		r.IngestSent, r.IngestDelivered, r.IngestAcked, r.IngestFailed, r.StoreConverged)
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "%s\n", v)
 	}
@@ -176,20 +168,20 @@ func reproOf(s Spec) string {
 // succeed (reliable grid spacing, bounded fleet, recovery delays short
 // relative to the drain phase), so any violation indicates a genuine
 // defect rather than an under-provisioned schedule.
-func genSpec(rng *rand.Rand, cfg QuickConfig) Spec {
+func genSpec(rng *rand.Rand) Spec {
 	var s Spec
 	s.Seed = rng.Int63()
 
 	switch rng.Intn(4) {
 	case 0:
-		s.Topo = TopoSpec{Kind: TopoGrid, N: 5 + rng.Intn(cfg.MaxNodes-4)}
+		s.Topo = TopoSpec{Kind: TopoGrid, N: 5 + rng.Intn(quickMaxNodes-4)}
 	case 1:
 		// Deep chains converge slowly; keep pipelines short.
 		s.Topo = TopoSpec{Kind: TopoPipeline, N: 3 + rng.Intn(6)}
 	case 2:
 		s.Topo = TopoSpec{Kind: TopoCluster, Heads: 1 + rng.Intn(3), Members: 1 + rng.Intn(3)}
 	default:
-		s.Topo = TopoSpec{Kind: TopoRGG, N: 5 + rng.Intn(cfg.MaxNodes-4)}
+		s.Topo = TopoSpec{Kind: TopoRGG, N: 5 + rng.Intn(quickMaxNodes-4)}
 	}
 	n := s.Topo.Nodes()
 
@@ -247,12 +239,28 @@ func genSpec(rng *rand.Rand, cfg QuickConfig) Spec {
 		}
 	}
 
-	s.Soak = time.Duration(30+rng.Intn(int(cfg.MaxSoak/time.Second)-29)) * time.Second
+	s.Soak = time.Duration(30+rng.Intn(int(quickMaxSoak/time.Second)-29)) * time.Second
 	if churny {
 		// Leave the repair machinery generous headroom after faults stop.
 		s.Drain = 2 * time.Minute
 	} else {
 		s.Drain = 30 * time.Second
+	}
+
+	// The ingest workload and its store are drawn last, so every field
+	// above is what the triple had before they joined the sweep. The
+	// partition episode ends by 25 s, inside the shortest (30 s) soak.
+	if rng.Intn(10) < 3 {
+		s.Workload.IngestEvery = time.Duration(4+rng.Intn(9)) * time.Second
+		s.Store = StoreSpec{
+			Mode:     []string{"ap", "cp"}[rng.Intn(2)],
+			Shards:   1 + rng.Intn(3),
+			Replicas: 3,
+		}
+		if rng.Intn(2) == 0 {
+			s.Store.PartAt = time.Duration(5+rng.Intn(6)) * time.Second
+			s.Store.PartHold = time.Duration(5+rng.Intn(11)) * time.Second
+		}
 	}
 	return s
 }
@@ -382,13 +390,13 @@ var shrinkSteps = []struct {
 // wander onto an unrelated failure). Candidates that would leave fault
 // links or selector IDs dangling after a node cut simply fail Validate
 // and are skipped.
-func shrinkFailure(spec Spec, viol []Violation, cfg QuickConfig) (Spec, []Violation, int) {
+func shrinkFailure(spec Spec, viol []Violation) (Spec, []Violation, int) {
 	cur, curViol := spec, viol
 	runs := 0
-	for progress := true; progress && runs < cfg.MaxShrinkRuns; {
+	for progress := true; progress && runs < quickMaxShrinkRuns; {
 		progress = false
 		for _, step := range shrinkSteps {
-			if runs >= cfg.MaxShrinkRuns {
+			if runs >= quickMaxShrinkRuns {
 				break
 			}
 			next := cur

@@ -1,18 +1,13 @@
 package scenario
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 
 	"iiotds/internal/agg"
-	"iiotds/internal/coap"
 	"iiotds/internal/core"
 	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
-	"iiotds/internal/security"
-	"iiotds/internal/sim"
 	"iiotds/internal/store"
 	"iiotds/internal/trace"
 	"iiotds/internal/trial"
@@ -67,96 +62,82 @@ func (r Result) Failed() bool { return len(r.Violations) > 0 }
 // runs keep their full transmit history for the causal scan.
 const scenarioTraceCapacity = 1 << 16
 
-// rekeyOnReboot controls whether a recovered node re-establishes its
-// heartbeat session (fresh key, fresh counters on both ends) — the
-// correct behavior. Tests set it to false to reintroduce the
-// reuse-old-session-after-reboot bug class and prove the
-// replay-monotone invariant catches it.
-var rekeyOnReboot = true
-
-// Run executes one scenario end to end: build, converge, arm faults,
-// drive the workloads, soak, drain, and evaluate the invariant catalog.
-// tr may be nil outside a sweep (e.g. the iiotsim -scenario replay).
+// Run executes one scenario end to end on one kernel: build, converge,
+// arm faults, drive the workloads, soak, drain, and evaluate the
+// invariant catalog. tr may be nil outside a sweep (e.g. the iiotsim
+// -scenario replay). BuildSharded(spec, n).Run is the same run striped.
 func Run(spec Spec, tr *trial.Trial) Result {
-	spec.applyDefaults()
 	if spec.TraceCapacity == 0 {
 		spec.TraceCapacity = scenarioTraceCapacity
 	}
-	b := Build(spec)
-	spec = b.Spec
-	d := b.D
-	tr.Observe(d.K)
-	tr.ObserveTrace(d.Trace)
+	return Build(spec).Run(tr)
+}
 
-	res := Result{Trace: d.Trace}
+// Run executes the build's spec on its fleet, whichever engine that is
+// on. Every invariant is evaluated except, where there is no flight
+// recorder (stripes, or tracing disabled), the causal scan that reads
+// one. A build runs once.
+func (b *built) Run(tr *trial.Trial) Result {
+	spec, f := b.Spec, b.fleet
+	tr.Observe(f.Kernels()...)
+	tr.ObserveTrace(f.Recorder())
+
+	res := Result{Trace: f.Recorder()}
 	if spec.Encodable() {
 		res.Repro = Format(spec)
 	}
-	res.Converged, res.ConvergeIn = d.RunUntilConverged(spec.Converge)
+	res.Converged, res.ConvergeIn = f.RunUntilConverged(spec.Converge)
 
-	chk := newChecker(d, spec.CheckEvery)
-	snap := d.K.Every(spec.CheckEvery, 0, chk.snapshot)
+	chk := newChecker(f, spec.CheckEvery)
+	stopSnap := f.Every(spec.CheckEvery, chk.snapshot)
 
 	b.ArmFaults()
 	churned := spec.Faults.Churn.Resolve(spec.Topo.Nodes())
 
-	// --- heartbeat workload (feeds the replay-monotone invariant) ---
-	var hb *heartbeats
-	if spec.Workload.HeartbeatEvery > 0 {
-		hb = newHeartbeats(d, chk, &res)
-		if b.Churn != nil {
-			prev := b.Churn.OnRecover
-			b.Churn.OnRecover = func(id radio.NodeID) {
-				if prev != nil {
-					prev(id)
-				}
-				hb.reboot(int(id))
-			}
-		}
-	}
+	// The workloads start in a fixed order — push, ingest, aggregation,
+	// probe, heartbeat — because each jittered repeater draws from its
+	// kernel at creation (workload.go). One that the spec leaves out
+	// stays the idle zero value its counters are read from at the end.
+	var stops []func()
+	push, probe, hb := &Push{}, &Probe{}, &Heartbeat{Push: &Push{}}
 
 	// --- push workload ---
-	var stops []*sim.Repeater
 	if every := spec.Workload.PushEvery; every > 0 {
-		d.Root().Router.Handle(lowpan.ProtoRaw, func(src radio.NodeID, payload []byte) {
+		f.Root().Router.Handle(lowpan.ProtoRaw, func(src radio.NodeID, payload []byte) {
 			res.PushDelivered++
 		})
-		for _, n := range d.Nodes[1:] {
-			n := n
-			stops = append(stops, d.K.Every(every, every/4, func() {
-				if !n.Up() {
-					return
-				}
-				res.Pushes++
-				_ = n.Router.SendUp(lowpan.ProtoRaw, []byte{0x5c, byte(n.ID)})
-			}))
-		}
+		push = StartPush(f, f.Nodes[1:], lowpan.ProtoRaw, every, every/4, func(n *core.Node) []byte {
+			if !n.Up() {
+				return nil
+			}
+			return []byte{0x5c, byte(n.ID)}
+		})
+		stops = append(stops, push.Stop)
 	}
 
 	// --- ingest workload (feeds the store-converges invariant) ---
 	var be *core.Backend
-	stopFeed := func() {}
 	if every := spec.Workload.IngestEvery; every > 0 {
 		mode, err := store.ParseMode(spec.Store.Mode)
 		if err != nil {
 			panic(err) // unreachable: Validate gates Run in every caller path
 		}
-		be = d.AttachBackend(store.ShardedConfig{
+		be = f.AttachBackend(store.ShardedConfig{
 			Shards: spec.Store.Shards,
 			Policy: store.ShardPolicy{Mode: mode, Replicas: spec.Store.Replicas},
 		})
 		defer be.Close()
 		// Partial batches drain every CheckEvery so readings replicate
 		// during the run rather than piling up at the end.
-		stopFeed = be.Feed(every, spec.CheckEvery)
+		stops = append(stops, be.Feed(every, spec.CheckEvery))
 		// Storage-tier partition episode: cut the last replica of every
 		// shard PartAt into the soak, heal PartHold later, and push a CP
 		// repair (AP shards reconverge via gossip on their own).
 		if spec.Store.PartHold > 0 {
-			d.K.At(d.K.Now()+sim.Time(spec.Store.PartAt), func() {
+			f.Sched().At(f.Now()+spec.Store.PartAt, func() {
 				be.Store.PartitionReplica(spec.Store.Replicas - 1)
 			})
-			d.K.At(d.K.Now()+sim.Time(spec.Store.PartAt+spec.Store.PartHold), func() {
+			f.Sched().At(f.Now()+spec.Store.PartAt+spec.Store.PartHold, func() {
 				be.Store.Heal()
 				be.Store.Repair()
 			})
@@ -165,86 +146,66 @@ func Run(spec Spec, tr *trial.Trial) Result {
 
 	// --- aggregation workload ---
 	if epoch := spec.Workload.AggEpoch; epoch > 0 {
-		for i, n := range d.Nodes[1:] {
-			v := 20 + float64(i%10)
-			n.SetSampler(func(attr string) (float64, bool) { return v, true })
-		}
-		d.Root().Agg.OnResult = func(agg.Result) { res.AggEpochs++ }
-		d.Root().Agg.RunQuery(agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: epoch, MaxDepth: 16})
+		StartAgg(f, agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: epoch, MaxDepth: 16},
+			func(n *core.Node) float64 { return 20 + float64((n.ID-1)%10) },
+			func(agg.Result) { res.AggEpochs++ })
 	}
 
 	// --- CoAP probe workload ---
 	if every := spec.Workload.ProbeEvery; every > 0 {
 		targets := churned
 		if len(targets) == 0 {
-			for _, n := range d.Nodes[1:] {
+			for _, n := range f.Nodes[1:] {
 				targets = append(targets, n.ID)
 			}
 		}
-		for _, id := range targets {
-			d.Nodes[int(id)].Server.Resource("status").Get(
-				func(string, *coap.Message) *coap.Message { return coap.TextResponse("ok") })
-		}
-		next := 0
-		stops = append(stops, d.K.Every(every, 0, func() {
-			id := targets[next%len(targets)]
-			next++
-			d.Root().CoAP.Get(d.Nodes[int(id)].Addr(), "status", func(m *coap.Message, err error) {
-				if err == nil && m.Code.IsSuccess() {
-					res.ProbeOK++
-				} else {
-					res.ProbeFail++
-				}
-			})
-		}))
+		probe = StartProbe(f, targets, every)
+		stops = append(stops, probe.Stop)
 	}
-	if hb != nil {
-		stops = append(stops, hb.start(spec.Workload.HeartbeatEvery)...)
+
+	// --- heartbeat workload (feeds the replay-monotone invariant) ---
+	if every := spec.Workload.HeartbeatEvery; every > 0 {
+		hb = StartHeartbeat(f, every, chk.replay)
+		stops = append(stops, hb.Stop)
+		if b.Churn != nil {
+			b.Churn.OnRecover = hb.Reboot
+		}
 	}
 
 	// --- soak ---
 	if b.Churn != nil {
 		b.Churn.Start()
 	}
-	d.K.RunFor(spec.Soak)
+	f.RunFor(spec.Soak)
 	if b.Churn != nil {
 		b.Churn.Stop()
-		res.Crashes = b.Churn.Crashes()
-		res.Recoveries = b.Churn.Recoveries()
 	}
-	for _, s := range stops {
-		s.Stop()
+	// Every workload stops here, ingest included: none may run through
+	// the drain.
+	for _, stop := range stops {
+		stop()
 	}
-	stopFeed() // with the other workloads, not deferred: ingest must not run through the drain
 
 	// --- drain: owed recoveries fire, churned nodes re-attach, and the
 	// DODAG reaches a loop-free instant ---
-	deadline := d.K.Now() + sim.Time(spec.Drain)
-	for d.K.Now() < deadline {
-		settled := loopFree(d)
-		for _, id := range churned {
-			if !settled {
-				break
-			}
-			if !healthy(d, id) {
-				settled = false
-			}
-		}
-		if settled {
-			break
-		}
-		d.K.RunFor(time.Second)
-	}
+	f.Await(func() bool { return f.LoopFree() && f.Healthy(churned...) }, spec.Drain)
 	if b.Churn != nil {
-		res.Recoveries = b.Churn.Recoveries()
+		res.Crashes, res.Recoveries = b.Churn.Crashes(), b.Churn.Recoveries()
 	}
-	snap.Stop()
+	stopSnap()
+	// The rejoin invariant only makes sense for fleets that attached in
+	// the first place: a node that never joined did not fail to
+	// *re*join. Non-convergence is reported via Result.Converged, not
+	// as a violation, to keep the harness free of capacity flakiness.
+	if res.Converged {
+		chk.rejoined(churned)
+	}
 
 	// --- store settle: flush the final partial batches, give the tier a
 	// few anti-entropy rounds to reconcile, and check convergence ---
 	if be != nil {
 		be.Flush()
-		d.K.RunFor(storeSettle)
+		f.RunFor(storeSettle)
 		res.IngestSent, res.IngestDelivered = be.Sent(), be.Delivered()
 		res.IngestAcked, res.IngestFailed = be.Batches()
 		res.StoreConverged = be.Store.Converged()
@@ -253,15 +214,11 @@ func Run(spec Spec, tr *trial.Trial) Result {
 				be.Store.ConvergedShards(), be.Store.NumShards()))
 		}
 	}
+	res.Pushes = push.Sent()
+	res.ProbeOK, res.ProbeFail = probe.OK, probe.Fail
+	res.Heartbeats, res.HeartbeatOK = hb.Sent(), hb.OK
 
-	// The rejoin invariant only makes sense for fleets that attached in
-	// the first place: a node that never joined did not fail to
-	// *re*join. Non-convergence is reported via Result.Converged, not
-	// as a violation, to keep the harness free of capacity flakiness.
-	if !res.Converged {
-		churned = nil
-	}
-	res.Violations = chk.finish(churned)
+	res.Violations = chk.finish()
 	return res
 }
 
@@ -270,131 +227,4 @@ func Run(spec Spec, tr *trial.Trial) Result {
 func (s Spec) Encodable() bool {
 	return len(s.Profiles) == 0 &&
 		s.Factories.MAC == nil && s.Factories.Link == nil && s.Factories.Router == nil
-}
-
-// scenarioPSK is the fleet-wide pre-shared key the heartbeat sessions
-// derive from. A fixed key is fine: the invariant observes counter
-// discipline, not key secrecy.
-var scenarioPSK = []byte("iiotds/scenario heartbeat psk v1")
-
-// heartbeats is the secured heartbeat workload: every non-root node
-// holds an AEAD session to the root (security.Channel each way) and
-// periodically seals a monotone sequence number to it over
-// ProtoScenario. A reboot re-derives the session from a per-incarnation
-// nonce on both ends — the discipline whose absence the
-// replay-monotone invariant detects: reusing the old session after a
-// reboot restarts the frame counter and the root's anti-replay window
-// rejects genuine frames.
-type heartbeats struct {
-	d   *core.Deployment
-	chk *checker
-	res *Result
-
-	send []*security.Channel // per node: node → root sealer
-	recv []*security.Channel // per node: root-side opener
-	inc  []int               // per node: incarnation number
-	seq  []uint64            // per node: application sequence
-}
-
-func newHeartbeats(d *core.Deployment, chk *checker, res *Result) *heartbeats {
-	n := len(d.Nodes)
-	h := &heartbeats{
-		d:    d,
-		chk:  chk,
-		res:  res,
-		send: make([]*security.Channel, n),
-		recv: make([]*security.Channel, n),
-		inc:  make([]int, n),
-		seq:  make([]uint64, n),
-	}
-	for i := 1; i < n; i++ {
-		h.rekey(i)
-	}
-	d.Root().Router.Handle(lowpan.ProtoScenario, func(src radio.NodeID, payload []byte) {
-		i := int(src)
-		if i <= 0 || i >= n || h.recv[i] == nil {
-			return
-		}
-		_, err := h.recv[i].Open(payload, nil)
-		switch {
-		case err == nil:
-			res.HeartbeatOK++
-		case errors.Is(err, security.ErrReplay):
-			// Replay on a genuine frame: the sender's counter ran
-			// backwards past the root's window — the invariant breach.
-			chk.replay(i, "root rejected genuine heartbeat as replayed")
-		}
-		// ErrAuth is tolerated: a frame sealed under the previous
-		// incarnation's key can legitimately arrive (multi-hop delay)
-		// after a rekey.
-	})
-	return h
-}
-
-// rekey (re-)derives node i's session for its current incarnation and
-// installs fresh channels — counters and replay windows restart
-// together on both ends, which is what keeps the counter stream the
-// root sees monotone per session.
-func (h *heartbeats) rekey(i int) {
-	var nonce [12]byte
-	binary.BigEndian.PutUint32(nonce[0:4], uint32(i))
-	binary.BigEndian.PutUint64(nonce[4:12], uint64(h.inc[i]))
-	key := security.DeriveSessionKey(scenarioPSK, nonce[:], []byte("root"))
-	ks := security.NewKeyStore()
-	if err := ks.Set(1, key); err != nil {
-		panic(err)
-	}
-	send, err := security.NewChannel(ks, 1)
-	if err != nil {
-		panic(err)
-	}
-	recv, err := security.NewChannel(ks, 1)
-	if err != nil {
-		panic(err)
-	}
-	h.send[i], h.recv[i] = send, recv
-}
-
-// reboot is called when node i recovers from a crash. The correct
-// discipline is a full re-key; with rekeyOnReboot disabled (bug
-// injection) the node rebuilds only its sender from the old session
-// key — modeling a device that lost its volatile frame counter but
-// kept its provisioned key — so its counters restart behind the root's
-// replay window.
-func (h *heartbeats) reboot(i int) {
-	if i <= 0 || i >= len(h.send) {
-		return
-	}
-	if rekeyOnReboot {
-		h.inc[i]++
-		h.rekey(i)
-		return
-	}
-	// Bug injection: the incarnation is not bumped, so rekey rebuilds
-	// the sender under the SAME key with a restarted frame counter;
-	// restoring the old receiver keeps the root's advanced window —
-	// the rebooted node now replays counters the root has seen.
-	old := h.recv[i]
-	h.rekey(i)
-	h.recv[i] = old
-}
-
-// start launches one heartbeat repeater per non-root node.
-func (h *heartbeats) start(every time.Duration) []*sim.Repeater {
-	var stops []*sim.Repeater
-	for _, n := range h.d.Nodes[1:] {
-		n := n
-		i := int(n.ID)
-		stops = append(stops, h.d.K.Every(every, every/4, func() {
-			if !n.Up() {
-				return
-			}
-			h.seq[i]++
-			var payload [8]byte
-			binary.BigEndian.PutUint64(payload[:], h.seq[i])
-			h.res.Heartbeats++
-			_ = n.Router.SendUp(lowpan.ProtoScenario, h.send[i].Seal(payload[:], nil))
-		}))
-	}
-	return stops
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -208,5 +209,81 @@ func TestRejoinBugCaught(t *testing.T) {
 	}
 	if !strings.Contains(reproOf(spec), "non-encodable") {
 		t.Error("reproOf should mark factory specs non-encodable")
+	}
+}
+
+// runOn runs spec on the named engine: stripes == 0 is the single
+// kernel, otherwise the fleet is striped and driven by workers threads.
+func runOn(spec Spec, stripes, workers int) Result {
+	if stripes == 0 {
+		return Run(spec, nil)
+	}
+	b := BuildSharded(spec, stripes)
+	b.D.G.SetWorkers(workers)
+	return b.Run(nil)
+}
+
+// TestRunOnEitherEngine is the scenario engine's half of the fleet
+// contract: one spec with every workload, churn and a storage-tier
+// partition episode runs through the same body on one kernel, one
+// stripe and three stripes, holds every invariant there (all but the
+// recorder-fed causal scan are evaluated on stripes), exercises every
+// workload, and — the worker count being execution policy — produces
+// the same result on one thread as on three.
+func TestRunOnEitherEngine(t *testing.T) {
+	for _, mode := range []string{"ap", "cp"} {
+		spec := fullSpec()
+		spec.Soak = 60 * time.Second
+		spec.Workload.IngestEvery = 4 * time.Second
+		spec.Store = StoreSpec{Mode: mode, PartAt: 20 * time.Second, PartHold: 20 * time.Second}
+		for _, e := range []struct {
+			name    string
+			stripes int
+		}{{"flat", 0}, {"stripes=1", 1}, {"stripes=3", 3}} {
+			t.Run(mode+"/"+e.name, func(t *testing.T) {
+				r := runOn(spec, e.stripes, 1)
+				if !r.Converged {
+					t.Fatal("fleet did not converge")
+				}
+				for _, v := range r.Violations {
+					t.Errorf("violation: %s", v)
+				}
+				if r.Crashes == 0 || r.Recoveries != r.Crashes {
+					t.Errorf("churn: %d crashes, %d recoveries", r.Crashes, r.Recoveries)
+				}
+				if r.ProbeOK == 0 || r.Pushes == 0 || r.PushDelivered == 0 || r.AggEpochs == 0 ||
+					r.Heartbeats == 0 || r.HeartbeatOK == 0 ||
+					r.IngestSent == 0 || r.IngestDelivered == 0 || r.IngestAcked == 0 || !r.StoreConverged {
+					t.Errorf("workloads idle: %+v", r)
+				}
+				if (r.Trace != nil) != (e.stripes == 0) {
+					t.Errorf("recorder present = %v on %s", r.Trace != nil, e.name)
+				}
+				if e.stripes > 1 {
+					if par := runOn(spec, e.stripes, e.stripes); !reflect.DeepEqual(par, r) {
+						t.Errorf("1 worker vs %d workers diverged:\n %+v\n %+v", e.stripes, r, par)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRejoinBugCaughtOnStripes: the invariants are not decoration on the
+// sharded engine — the deaf-after-reboot MAC that TestRejoinBugCaught
+// plants on one kernel is convicted on three.
+func TestRejoinBugCaughtOnStripes(t *testing.T) {
+	spec := fullSpec()
+	plantDeafMAC(&spec)
+	r := runOn(spec, 3, 3)
+	if !r.Converged || r.Crashes == 0 {
+		t.Fatalf("converged=%v crashes=%d; the bug cannot manifest", r.Converged, r.Crashes)
+	}
+	found := false
+	for _, v := range r.Violations {
+		found = found || v.Invariant == InvRejoin
+	}
+	if !found {
+		t.Errorf("rejoin invariant missed the deaf-after-reboot MAC on 3 stripes; violations: %v", r.Violations)
 	}
 }

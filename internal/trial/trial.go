@@ -51,15 +51,15 @@ type Trial struct {
 	recorders []*trace.Recorder
 }
 
-// Observe registers a kernel whose scheduling counters should be folded
+// Observe registers kernels whose scheduling counters should be folded
 // into the sweep's RunStats. Call it right after building the kernel (or
 // deployment); the counters are read when the trial function returns.
 // Safe on a nil Trial so shared helpers can also run outside a sweep.
-func (t *Trial) Observe(k *sim.Kernel) {
+func (t *Trial) Observe(ks ...*sim.Kernel) {
 	if t == nil {
 		return
 	}
-	t.kernels = append(t.kernels, k)
+	t.kernels = append(t.kernels, ks...)
 }
 
 // ObserveTrace registers a flight recorder whose event summary should be
