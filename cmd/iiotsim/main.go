@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -51,7 +52,7 @@ func main() {
 	traceLayer := flag.String("trace-layer", "", "restrict -trace-out to a comma-separated set of layers: radio, mac, link, rpl, coap, fault, store")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at the end")
 	scenarioSpec := flag.String("scenario", "", "replay a scenario reproducer string (scn1;...) instead of building from flags; exits 1 if an invariant is violated")
-	shards := flag.Int("shards", 1, "stripe the deployment over this many simulation kernels (DESIGN.md §9) and run them in parallel; the stripe count is a model parameter, so results are pinned per value")
+	shards := flag.Int("shards", 1, "stripe the deployment over this many simulation kernels (DESIGN.md §9) and run them on up to GOMAXPROCS workers; the stripe count is a model parameter, so results are pinned per value, the worker count is not")
 	storeShards := flag.Int("store-shards", 0, "attach a partitioned time-series store (DESIGN.md §10) at the border router with this many shards and ingest every node's reading each -epoch into it (0 = no storage tier)")
 	storeModeFlag := flag.String("store-mode", "ap", "replication mode for -store-shards: ap (CRDT + anti-entropy) or cp (quorum)")
 	flag.Parse()
@@ -167,6 +168,7 @@ func main() {
 	var f *core.Fleet
 	if *shards > 1 {
 		sd = core.NewShardedStack(stack, *shards)
+		sd.G.SetWorkers(runtime.GOMAXPROCS(0)) // execution policy only: same lines at any count
 		f = &sd.Fleet
 		fmt.Printf("engine: %s\n", sd)
 	} else {

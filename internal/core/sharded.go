@@ -51,6 +51,22 @@ type ShardedDeployment struct {
 	// to t regardless of position.
 	extraAnnounce [][]int
 	overPairs     map[[2]radio.NodeID][2]int // installed override -> (src stripe, dst stripe)
+
+	out []outbox // by source stripe
+}
+
+// outbox is what one stripe has announced since the last barrier: a
+// batch of announcements per destination stripe, and the arena their
+// payload bytes live in (one copy per frame, shared by every
+// destination). The source stripe's execution appends inside a window;
+// the group's barrier drain applies the batches and, after the last of
+// them, truncates the arena. Nothing here is allocated per frame once
+// the slices have grown to a window's worth.
+type outbox struct {
+	to      [][]radio.Announcement
+	apply   []func() int // apply[t] drains to[t]; what the group is handed, built once
+	pending int          // non-empty batches
+	arena   []byte
 }
 
 // NewShardedStack builds and starts a deployment striped over the given
@@ -107,28 +123,62 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 	}
 	sd.overPairs = make(map[[2]radio.NodeID][2]int)
 
-	// Announce glue: every accepted transmission on stripe s is posted
-	// to each other stripe t whose slab it could be audible in.
+	// Announce glue: every accepted transmission on stripe s is batched
+	// toward each other stripe t whose slab it could be audible in.
+	sd.out = make([]outbox, stripes)
 	for s := range sd.Shards {
-		s := s
+		ob := &sd.out[s]
+		ob.to = make([][]radio.Announcement, stripes)
+		ob.apply = make([]func() int, stripes)
+		for t := range sd.Shards {
+			ob.apply[t] = func() int { return sd.applyBatch(ob, t) }
+		}
 		sd.Shards[s].M.SetAnnounce(func(f radio.Frame, pos radio.Position, start, end sim.Time) {
-			var a radio.Announcement
-			captured := false
-			for t := range sd.Shards {
-				if t == s || !sd.announces(s, t, pos) {
-					continue
-				}
-				if !captured {
-					a = radio.NewAnnouncement(f, pos, start, end)
-					captured = true
-				}
-				dst := sd.Shards[t].M
-				sd.G.Post(s, t, func() { dst.ApplyForeign(a) })
-			}
+			sd.announce(s, f, pos, start, end)
 		})
 	}
 	sd.populate()
 	return sd
+}
+
+// announce queues stripe s's transmission for every stripe that could
+// hear it. It runs inside s's window execution and touches only s's
+// outbox and s's rows of the group's handoff queues.
+func (sd *ShardedDeployment) announce(s int, f radio.Frame, pos radio.Position, start, end sim.Time) {
+	ob := &sd.out[s]
+	var a radio.Announcement
+	captured := false
+	for t := range sd.Shards {
+		if t == s || !sd.announces(s, t, pos) {
+			continue
+		}
+		if !captured {
+			a, ob.arena = radio.NewAnnouncement(f, pos, start, end, ob.arena)
+			captured = true
+		}
+		if len(ob.to[t]) == 0 {
+			ob.pending++
+			sd.G.PostBatch(s, t, ob.apply[t])
+		}
+		ob.to[t] = append(ob.to[t], a)
+	}
+}
+
+// applyBatch applies, at the barrier, what ob's stripe announced toward
+// stripe t, in the order it was sent. The group drains (src, dst) pairs
+// in a fixed order, so every loss draw a ghost frame takes from t's
+// kernel lands at the same place in that RNG's stream at any worker
+// count. ApplyForeign transmits nothing, so no batch grows meanwhile.
+func (sd *ShardedDeployment) applyBatch(ob *outbox, t int) int {
+	batch := ob.to[t]
+	for i := range batch {
+		sd.Shards[t].M.ApplyForeign(batch[i])
+	}
+	ob.to[t] = batch[:0]
+	if ob.pending--; ob.pending == 0 {
+		ob.arena = ob.arena[:0]
+	}
+	return len(batch)
 }
 
 // stripeAt maps an X coordinate to its owning stripe (clamped: the

@@ -8,6 +8,7 @@ import (
 
 	"iiotds/internal/coap"
 	"iiotds/internal/radio"
+	"iiotds/internal/sim"
 )
 
 // shardedGridStack is a 6×6 grid (X span 0..60 m, 12 m spacing): with 3
@@ -22,6 +23,32 @@ func shardedGridStack(seed int64) Stack {
 	}
 }
 
+// ballast makes the group share windows with its workers on a fleet too
+// small to: sharing starts at an events-per-window average a few dozen
+// nodes never reach, so every 20 ms each stripe fires a burst of no-op
+// events that lifts it for the next several windows. The bursts move
+// barriers, which is model-visible — two runs compare only if both or
+// neither carry them.
+func ballast(ks []*sim.Kernel) {
+	for _, k := range ks {
+		k.Every(20*time.Millisecond, 0, func() {
+			for j := 0; j < 32; j++ {
+				k.Schedule(time.Duration(j)*50*time.Microsecond, func() {})
+			}
+		})
+	}
+}
+
+// noForeignLate fails the test if any stripe's medium dropped a
+// cross-stripe frame because its announcement arrived after the frame
+// had ended — what a barrier placed too late would look like.
+func noForeignLate(t *testing.T, sd *ShardedDeployment) {
+	t.Helper()
+	if n := sd.Counter("radio.foreign_late"); n != 0 {
+		t.Errorf("%v announced frames reached their stripe after they had ended", n)
+	}
+}
+
 // runShardedScript converges a 3-stripe fleet, probes a far cross-stripe
 // node over CoAP, crashes and recovers a border node mid-run, and
 // returns a full-run digest: join states, probe outcomes, scheduling
@@ -30,6 +57,7 @@ func runShardedScript(t *testing.T, workers int) string {
 	t.Helper()
 	sd := NewShardedStack(shardedGridStack(7), 3)
 	sd.G.SetWorkers(workers)
+	ballast(sd.Kernels())
 	ok, took := sd.RunUntilConverged(3 * time.Minute)
 	if !ok {
 		t.Fatalf("workers=%d: fleet never converged (took %v)", workers, took)
@@ -55,6 +83,10 @@ func runShardedScript(t *testing.T, workers int) string {
 	sd.G.Schedule(10*time.Second, func() { sd.Crash(victim) })
 	sd.G.Schedule(40*time.Second, func() { sd.Recover(victim) })
 	sd.G.RunFor(3 * time.Minute)
+	noForeignLate(t, sd)
+	if shared := sd.G.SharedWindows(); (shared > 0) != (sd.G.Workers() > 1) {
+		t.Fatalf("workers=%d (%d effective): %d of %d windows shared", workers, sd.G.Workers(), shared, sd.G.Windows())
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "converged=%v handoffs=%d windows=%d stats=%+v\n",
@@ -138,7 +170,7 @@ func TestShardedCrossStripeOverride(t *testing.T) {
 	}
 
 	// The frames are sent from the sender's own stripe kernel: a
-	// transmission (and the sim.ShardGroup.Post it triggers) belongs to
+	// transmission (and the handoff it queues on the group) belongs to
 	// a stripe's execution inside a window, not to the control timeline.
 	tx := sd.Shards[sd.StripeOf(1)]
 	send := func() { tx.M.Send(radio.Frame{From: 1, To: 2, Size: 20}) }
@@ -157,4 +189,58 @@ func TestShardedCrossStripeOverride(t *testing.T) {
 	if got := rxFrames(); got != 1 {
 		t.Fatalf("override removal leaked announcements: rx = %v, want still 1", got)
 	}
+	noForeignLate(t, sd)
+}
+
+// TestAnnounceAllocFree: on a warmed deployment a frame that crosses the
+// stripe boundary costs no allocation — not the announcement and its
+// payload copy on the sending stripe (the reused batch and arena), not
+// the handoff (one prebuilt apply per window), and on the receiving
+// stripe nothing beyond the pooled buffer and transmission launch
+// reuses.
+func TestAnnounceAllocFree(t *testing.T) {
+	// Four nodes 10 m apart, cut between nodes 1 and 2: every frame is
+	// audible across the boundary.
+	sd := NewShardedStack(Stack{
+		Seed:     3,
+		Profiles: []Profile{{Name: DefaultProfile}},
+		Topology: Uniform(DefaultProfile, radio.Topology{{X: 0}, {X: 10}, {X: 20}, {X: 30}}),
+	}, 2)
+	if sd.StripeOf(1) == sd.StripeOf(2) {
+		t.Fatal("the cut is not between nodes 1 and 2")
+	}
+	// Only the raw frames below are on the air, and every radio hears them.
+	for _, n := range sd.Nodes {
+		n.Router.Stop()
+		n.MAC.Stop()
+		sd.Medium(n.ID).SetListening(n.ID, true)
+	}
+	tx, rx := sd.Shards[sd.StripeOf(1)], sd.Shards[sd.StripeOf(2)]
+	body := make([]byte, 24)
+	send := func() {
+		b := tx.M.Buffers().Get()
+		b.Append(body)
+		tx.M.Send(radio.Frame{From: 1, To: radio.Broadcast, Payload: b})
+		b.Release()
+	}
+	cycle := func() {
+		tx.K.At(sd.G.Now(), send)
+		sd.G.RunFor(10 * time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	handoffs, heard := sd.G.Handoffs(), rx.Reg.Counter("radio.rx_frames").Value()
+	const runs = 100
+	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
+		t.Errorf("a boundary-crossing frame costs %.2f allocs, want 0", avg)
+	}
+	// AllocsPerRun calls cycle once more than it measures.
+	if got := sd.G.Handoffs() - handoffs; got != runs+1 {
+		t.Errorf("%d handoffs for %d frames", got, runs+1)
+	}
+	if got := rx.Reg.Counter("radio.rx_frames").Value() - heard; got != 2*(runs+1) {
+		t.Errorf("the far stripe's two nodes received %v frames, want %d", got, 2*(runs+1))
+	}
+	noForeignLate(t, sd)
 }

@@ -305,7 +305,8 @@ func TestForeignFanOutMatchesLocal(t *testing.T) {
 			f := payload("reading")
 			f.From = sender
 			if foreign {
-				m.ApplyForeign(NewAnnouncement(*f, origin, k.Now(), k.Now()+m.Airtime(f.Size)))
+				a, _ := NewAnnouncement(*f, origin, k.Now(), k.Now()+m.Airtime(f.Size), nil)
+				m.ApplyForeign(a)
 			} else {
 				m.Send(*f)
 			}
@@ -352,7 +353,8 @@ func TestAnnounceHookFires(t *testing.T) {
 	attach(m, 1, 3, 4)
 	var got []Announcement
 	m.SetAnnounce(func(f Frame, pos Position, start, end sim.Time) {
-		got = append(got, NewAnnouncement(f, pos, start, end))
+		a, _ := NewAnnouncement(f, pos, start, end, nil)
+		got = append(got, a)
 	})
 	air := m.Send(Frame{From: 1, To: Broadcast, Size: 40})
 	k.Run()

@@ -215,6 +215,7 @@ type Medium struct {
 	cCollXTen   *metrics.Counter
 	cDropLoss   *metrics.Counter
 	cDropGone   *metrics.Counter
+	cDropLate   *metrics.Counter
 }
 
 // NewMedium creates a medium on kernel k. reg may be nil, in which case a
@@ -255,6 +256,7 @@ func NewMedium(k *sim.Kernel, p Params, reg *metrics.Registry) *Medium {
 		cCollXTen:   reg.Counter("radio.collisions_cross_tenant"),
 		cDropLoss:   reg.Counter("radio.dropped_loss"),
 		cDropGone:   reg.Counter("radio.dropped_gone"),
+		cDropLate:   reg.Counter("radio.foreign_late"),
 	}
 }
 

@@ -24,9 +24,10 @@ package radio
 import "iiotds/internal/sim"
 
 // Announcement describes a transmission to a medium that does not host
-// the sender. Payload is an owned copy of the frame bytes (the
-// sender-side netbuf is not shared across shards); it must not be
-// mutated after construction.
+// the sender. Payload is a copy of the frame bytes (the sender-side
+// netbuf is not shared across shards) in memory the announcer owns; it
+// must stay unchanged until ApplyForeign has returned, which copies it
+// again into the receiving medium's pool.
 type Announcement struct {
 	From    NodeID
 	To      NodeID
@@ -40,9 +41,11 @@ type Announcement struct {
 }
 
 // NewAnnouncement captures frame f sent from pos over [start, end] into
-// a self-contained Announcement, copying the payload bytes out of the
-// sender's pooled buffer.
-func NewAnnouncement(f Frame, pos Position, start, end sim.Time) Announcement {
+// an Announcement, copying the payload bytes out of the sender's pooled
+// buffer onto the end of arena, which it returns grown. A caller that
+// announces many frames reuses one arena and truncates it once their
+// announcements have been applied; nil is a fine arena for one frame.
+func NewAnnouncement(f Frame, pos Position, start, end sim.Time, arena []byte) (Announcement, []byte) {
 	a := Announcement{
 		From:    f.From,
 		To:      f.To,
@@ -53,10 +56,12 @@ func NewAnnouncement(f Frame, pos Position, start, end sim.Time) Announcement {
 		Start:   start,
 		End:     end,
 	}
-	if f.Payload != nil {
-		a.Payload = append([]byte(nil), f.Payload.Bytes()...)
+	if f.Payload != nil && f.Payload.Len() > 0 {
+		off := len(arena)
+		arena = append(arena, f.Payload.Bytes()...)
+		a.Payload = arena[off:len(arena):len(arena)]
 	}
-	return a
+	return a, arena
 }
 
 // SetAnnounce installs the hook Send fires for every accepted
@@ -77,8 +82,10 @@ func (m *Medium) SetAnnounce(fn func(f Frame, pos Position, start, end sim.Time)
 // completion at the original a.End.
 func (m *Medium) ApplyForeign(a Announcement) {
 	if a.End <= m.k.Now() {
-		// The announcement arrived after the frame ended (cannot happen
-		// under the group's lookahead discipline; guarded for safety).
+		// The announcement arrived after the frame ended. Under the
+		// group's lookahead discipline that is a scheduling bug, so the
+		// lost frame is counted where the tests can see it.
+		m.cDropLate.Inc()
 		return
 	}
 	tx := m.getTx()

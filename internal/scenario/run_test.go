@@ -9,6 +9,7 @@ import (
 	"iiotds/internal/core"
 	"iiotds/internal/mac"
 	"iiotds/internal/radio"
+	"iiotds/internal/sim"
 )
 
 // fullSpec is a scenario exercising every workload and the churn engine
@@ -212,15 +213,63 @@ func TestRejoinBugCaught(t *testing.T) {
 	}
 }
 
+// ballast makes a striped run share windows with its workers on a fleet
+// too small to: sharing starts at an events-per-window average a few
+// dozen nodes never reach, so every 20 ms each stripe fires a burst of
+// no-op events that lifts it for the next several windows. The bursts
+// move barriers, which is model-visible — two runs compare only if both
+// or neither carry them.
+func ballast(ks []*sim.Kernel) {
+	for _, k := range ks {
+		k.Every(20*time.Millisecond, 0, func() {
+			for j := 0; j < 32; j++ {
+				k.Schedule(time.Duration(j)*50*time.Microsecond, func() {})
+			}
+		})
+	}
+}
+
 // runOn runs spec on the named engine: stripes == 0 is the single
-// kernel, otherwise the fleet is striped and driven by workers threads.
-func runOn(spec Spec, stripes, workers int) Result {
+// kernel, otherwise the fleet is striped, ballasted and driven by
+// workers threads. On stripes it also holds the engine to its own
+// terms: no announced frame arrives after its end, and windows are
+// shared exactly when there is more than one worker to share them with.
+func runOn(t *testing.T, spec Spec, stripes, workers int) Result {
+	t.Helper()
 	if stripes == 0 {
 		return Run(spec, nil)
 	}
 	b := BuildSharded(spec, stripes)
-	b.D.G.SetWorkers(workers)
-	return b.Run(nil)
+	g := b.D.G
+	g.SetWorkers(workers)
+	ballast(b.D.Kernels())
+	r := b.Run(nil)
+	if n := b.D.Counter("radio.foreign_late"); n != 0 {
+		t.Errorf("%d stripes, %d workers: %v announced frames reached their stripe after they had ended", stripes, workers, n)
+	}
+	if shared := g.SharedWindows(); (shared > 0) != (g.Workers() > 1) {
+		t.Errorf("%d stripes, %d workers (%d effective): %d of %d windows shared", stripes, workers, g.Workers(), shared, g.Windows())
+	}
+	return r
+}
+
+// TestStripedResultIgnoresWorkers is the generated half of "the worker
+// count is execution policy": for drawn (spec, stripe count) pairs the
+// whole Result on one worker equals the Result on as many workers as
+// stripes. The stripe count is an argument to BuildSharded, never part
+// of the spec.
+func TestStripedResultIgnoresWorkers(t *testing.T) {
+	const pairs = 24
+	for i := 0; i < pairs; i++ {
+		rng := newQuickRng(23, i)
+		spec := genSpec(rng)
+		stripes := []int{2, 3, 4, 8}[rng.Intn(4)]
+		one := runOn(t, spec, stripes, 1)
+		all := runOn(t, spec, stripes, stripes)
+		if !reflect.DeepEqual(one, all) {
+			t.Errorf("%s on %d stripes: 1 worker vs %d diverged:\n %+v\n %+v", reproOf(spec), stripes, stripes, one, all)
+		}
+	}
 }
 
 // TestRunOnEitherEngine is the scenario engine's half of the fleet
@@ -241,7 +290,7 @@ func TestRunOnEitherEngine(t *testing.T) {
 			stripes int
 		}{{"flat", 0}, {"stripes=1", 1}, {"stripes=3", 3}} {
 			t.Run(mode+"/"+e.name, func(t *testing.T) {
-				r := runOn(spec, e.stripes, 1)
+				r := runOn(t, spec, e.stripes, 1)
 				if !r.Converged {
 					t.Fatal("fleet did not converge")
 				}
@@ -260,7 +309,7 @@ func TestRunOnEitherEngine(t *testing.T) {
 					t.Errorf("recorder present = %v on %s", r.Trace != nil, e.name)
 				}
 				if e.stripes > 1 {
-					if par := runOn(spec, e.stripes, e.stripes); !reflect.DeepEqual(par, r) {
+					if par := runOn(t, spec, e.stripes, e.stripes); !reflect.DeepEqual(par, r) {
 						t.Errorf("1 worker vs %d workers diverged:\n %+v\n %+v", e.stripes, r, par)
 					}
 				}
@@ -275,7 +324,7 @@ func TestRunOnEitherEngine(t *testing.T) {
 func TestRejoinBugCaughtOnStripes(t *testing.T) {
 	spec := fullSpec()
 	plantDeafMAC(&spec)
-	r := runOn(spec, 3, 3)
+	r := runOn(t, spec, 3, 3)
 	if !r.Converged || r.Crashes == 0 {
 		t.Fatalf("converged=%v crashes=%d; the bug cannot manifest", r.Converged, r.Crashes)
 	}
