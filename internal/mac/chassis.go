@@ -27,6 +27,11 @@ type chassis struct {
 	seq     uint16
 	dedup   *dedup
 
+	// Instruments the event path moves, resolved once: a registry or
+	// ledger lookup is a mutex and a map.
+	led       *metrics.EnergyLedger
+	cTxFailed *metrics.Counter
+
 	started bool
 	stopped bool
 	sending bool // the head of q is in flight
@@ -46,6 +51,22 @@ type chassis struct {
 func (c *chassis) init(m *radio.Medium, id radio.NodeID, name string, common *Config) {
 	c.m, c.k, c.id, c.name, c.common = m, m.Kernel(), id, name, common
 	c.dedup = newDedup()
+	c.led = m.Energy().Ledger(int(id))
+	c.cTxFailed = c.counter("mac.tx_failed")
+}
+
+// counter resolves one of this discipline's own counters.
+func (c *chassis) counter(name string) *metrics.Counter {
+	return c.m.Registry().CounterWith(name, metrics.L("mac", c.name))
+}
+
+// addressed reports whether f is meant for this node: a broadcast or a
+// unicast to it. CSMA, TDMA and RI-MAC do nothing with any other frame
+// and say so to the medium when they start (SetAddressRecognition), so
+// that it need not clone one for them; LPL does not — an overheard
+// strobe reschedules its sleep.
+func (c *chassis) addressed(f radio.Frame) bool {
+	return f.To == c.id || f.To == radio.Broadcast
 }
 
 // Name implements MAC.
@@ -139,7 +160,7 @@ func (c *chassis) open(f radio.Frame) (kind Kind, seq uint16, payload []byte, ok
 // missed the first ACK — and a frame that is not a retransmission of the
 // previous one from that neighbor reaches the handler.
 func (c *chassis) receiveData(f radio.Frame, seq uint16, payload []byte) bool {
-	if f.To != c.id && f.To != radio.Broadcast {
+	if !c.addressed(f) {
 		return false
 	}
 	if f.To == c.id {
@@ -194,7 +215,7 @@ func (d *dutyCycle) setAwake(on bool) {
 		d.lastAwake = c.k.Now()
 	} else {
 		// Charge idle listening for the awake span.
-		c.m.Energy().Ledger(int(c.id)).Spend(metrics.StateListen, c.k.Now()-d.lastAwake)
+		c.led.Spend(metrics.StateListen, c.k.Now()-d.lastAwake)
 	}
 	d.awake = on
 	c.m.SetListening(c.id, on)

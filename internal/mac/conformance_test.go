@@ -5,15 +5,18 @@ package mac
 // not started, failed queued sends on Stop, a restart that leaves no
 // timer of the old run behind, FIFO delivery, duplicate suppression
 // under ACK loss, an ACK match that names the neighbor, reboot state
-// reset, and channel retuning. Each test body runs once per discipline,
+// reset, channel retuning, and an honest address-recognition claim. Each test body runs once per discipline,
 // and all four disciplines are in the table: the contract is what the
 // shared chassis (chassis.go) promises, so it is checked on everything
 // that embeds it.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"iiotds/internal/metrics"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
@@ -474,4 +477,162 @@ func TestConformanceRetune(t *testing.T) {
 			t.Fatal("cross-channel send reported success")
 		}
 	})
+}
+
+// chassisOf reaches the shared half of a discipline.
+func chassisOf(a MAC) *chassis {
+	switch v := a.(type) {
+	case *CSMA:
+		return &v.chassis
+	case *LPL:
+		return &v.chassis
+	case *RIMAC:
+		return &v.chassis
+	case *TDMA:
+		return &v.chassis
+	}
+	panic("unknown discipline")
+}
+
+// TestConformanceAddressRecognition holds a discipline to what it tells
+// the medium. One that declares address recognition (the medium then
+// stops handing it unicasts meant for others) must be deaf to them in
+// fact: an overheard data frame, ACK or beacon — from the very neighbor
+// and with the very sequence number it is waiting on — reaches no
+// handler, sends nothing, schedules and cancels nothing and leaves every
+// field as it was, at every point of a send that is never answered. LPL
+// must not declare it: an overheard strobe re-arms its sleep timer.
+func TestConformanceAddressRecognition(t *testing.T) {
+	forEachMAC(t, func(t *testing.T, c conformanceCase) {
+		k := sim.New(7)
+		m := radio.NewMedium(k, radio.DefaultParams(), nil)
+		var a MAC
+		m.Attach(1, radio.Position{X: 0}, radio.ReceiverFunc(func(f radio.Frame) { a.(radio.Receiver).RadioReceive(f) }))
+		m.Attach(2, radio.Position{X: 10}, radio.ReceiverFunc(func(radio.Frame) {})) // a bare radio: never answers
+		a = c.mk(m, 1)
+		handled := 0
+		a.OnReceive(func(radio.NodeID, []byte) { handled++ })
+		a.Start()
+		ch := chassisOf(a)
+		overhear := func(kind Kind) {
+			b := m.Buffers().Get()
+			if kind == KindData {
+				b.Append([]byte("for someone else"))
+			}
+			frame(b, kind, ch.seq)
+			a.(radio.Receiver).RadioReceive(radio.Frame{From: 2, To: 99, Size: b.Len(), Payload: b})
+			b.Release()
+		}
+		type state struct {
+			fields  string
+			stats   sim.Stats
+			pending int
+			sent    float64
+			handled int
+		}
+		snapshot := func() state {
+			return state{
+				fields:  fmt.Sprintf("%+v %v", reflect.ValueOf(a).Elem().Interface(), ch.dedup.last),
+				stats:   k.Stats(),
+				pending: k.Pending(),
+				sent:    m.Registry().Counter("radio.tx_frames").Value(),
+				handled: handled,
+			}
+		}
+		k.Schedule(c.settle, func() { a.Send(2, []byte("x"), nil) })
+		k.RunFor(c.settle)
+
+		if !m.AddressRecognition(1) {
+			if c.name != "lpl" {
+				t.Fatal("does not declare address recognition")
+			}
+			before := snapshot()
+			overhear(KindData)
+			if after := snapshot(); after.stats.Scheduled == before.stats.Scheduled {
+				t.Fatal("an overheard strobe did not re-arm the sleep timer: LPL could declare address recognition after all")
+			}
+			return
+		}
+		if c.name == "lpl" {
+			t.Fatal("LPL declares address recognition, but an overheard strobe reschedules its sleep")
+		}
+		midSend := 0
+		for k.Now() < c.settle+c.window && k.Step() {
+			if ch.q.len() > 0 {
+				midSend++
+			}
+			for _, kind := range []Kind{KindData, KindAck, KindBeacon} {
+				before := snapshot()
+				overhear(kind)
+				if after := snapshot(); after != before {
+					t.Fatalf("at %v an overheard kind-%d unicast changed the MAC:\n before %+v\n after  %+v", k.Now(), kind, before, after)
+				}
+			}
+		}
+		if midSend == 0 {
+			t.Fatal("never overheard anything in the middle of a send")
+		}
+	})
+}
+
+// TestAddressRecognitionChangesNothing runs one contended CSMA fleet on
+// two media: one honours the discipline's address-recognition claim,
+// the other hands every overheard unicast over as before. Everything
+// observable must agree — deliveries, every counter, every ledger, the
+// kernel's event counts and its generator — and the first must have
+// made fewer calls.
+func TestAddressRecognitionChangesNothing(t *testing.T) {
+	type outcome struct {
+		log     []string
+		points  []metrics.Point
+		radioOn []time.Duration
+		stats   sim.Stats
+		next    int64
+	}
+	const n = 12
+	run := func(honour bool) (outcome, int) {
+		k := sim.New(3)
+		m := radio.NewMedium(k, radio.DefaultParams(), nil)
+		macs := make([]*CSMA, n)
+		var out outcome
+		calls := 0
+		for i := range macs {
+			i, id := i, radio.NodeID(i)
+			m.Attach(id, radio.Position{X: float64(i%4) * 12, Y: float64(i/4) * 12}, radio.ReceiverFunc(func(f radio.Frame) {
+				calls++
+				macs[i].RadioReceive(f)
+			}))
+			macs[i] = NewCSMA(m, id, CSMAConfig{})
+			macs[i].OnReceive(func(from radio.NodeID, p []byte) {
+				out.log = append(out.log, fmt.Sprintf("%v %d<-%d %s", k.Now(), id, from, p))
+				if id > 0 { // relay toward node 0
+					macs[i].Send(id-1, p, nil)
+				}
+			})
+			macs[i].Start()
+			if !honour {
+				m.SetAddressRecognition(id, false)
+			}
+			if i > 0 {
+				k.Every(300*time.Millisecond, 100*time.Millisecond, func() {
+					macs[i].Send(id-1, []byte{byte('a' + i)}, nil)
+				})
+			}
+		}
+		k.RunFor(10 * time.Second)
+		out.points = m.Registry().Snapshot()
+		for i := range macs {
+			out.radioOn = append(out.radioOn, m.Energy().Ledger(i).RadioOn())
+		}
+		out.stats, out.next = k.Stats(), k.Rand().Int63()
+		return out, calls
+	}
+	honoured, fewer := run(true)
+	ignored, all := run(false)
+	if !reflect.DeepEqual(honoured, ignored) {
+		t.Fatalf("outcomes differ:\n honoured %+v\n ignored  %+v", honoured, ignored)
+	}
+	if len(honoured.log) == 0 || fewer >= all {
+		t.Fatalf("%d deliveries; %d receive calls with recognition honoured, %d without: nothing was overheard", len(honoured.log), fewer, all)
+	}
 }

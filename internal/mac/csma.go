@@ -30,17 +30,19 @@ type CSMA struct {
 	chassis
 	cfg CSMAConfig
 
-	attempt int
+	attempt    int
+	backoffExp int // the window the pending carrier sense last drew from
 	// txEv is the one pending event of the transmit state machine: the
 	// backoff before a carrier sense, the end of a broadcast's airtime,
 	// or the ACK timeout.
 	txEv sim.Event
 
-	accrual *sim.Repeater
+	accrual  *sim.Repeater
+	cRetries *metrics.Counter
 
 	// Prebuilt hot-path closures: creating these per send would put an
 	// allocation on the zero-alloc path.
-	firstTryFn   func()
+	tryFn        func()
 	ackTimeoutFn func()
 	bcastDoneFn  func()
 }
@@ -55,7 +57,8 @@ func NewCSMA(m *radio.Medium, id radio.NodeID, cfg CSMAConfig) *CSMA {
 	c := &CSMA{cfg: cfg}
 	c.init(m, id, "csma", &c.cfg.Config)
 	c.next = c.startNext
-	c.firstTryFn = func() { c.tryTransmit(1) }
+	c.cRetries = c.counter("mac.retries")
+	c.tryFn = c.tryTransmit
 	c.ackTimeoutFn = c.onAckTimeout
 	c.bcastDoneFn = func() { c.finish(true) }
 	return c
@@ -70,9 +73,10 @@ func (c *CSMA) Start() {
 	c.stopped = false
 	c.m.SetChannel(c.id, c.cfg.Channel)
 	c.m.SetListening(c.id, true)
+	c.m.SetAddressRecognition(c.id, true)
 	// Accrue idle-listening energy once per simulated second.
 	c.accrual = c.k.Every(time.Second, 0, func() {
-		c.m.Energy().Ledger(int(c.id)).Spend(metrics.StateListen, time.Second)
+		c.led.Spend(metrics.StateListen, time.Second)
 	})
 }
 
@@ -111,22 +115,21 @@ func (c *CSMA) startNext() {
 
 func (c *CSMA) initialBackoff() {
 	slots := c.k.Rand().Int63n(8) + 1
-	c.txEv = c.k.Schedule(time.Duration(slots)*backoffSlot, c.firstTryFn)
+	c.backoffExp = 1
+	c.txEv = c.k.Schedule(time.Duration(slots)*backoffSlot, c.tryFn)
 }
 
 // tryTransmit performs carrier sense with exponential backoff, then puts
 // the frame on the air.
-func (c *CSMA) tryTransmit(backoffExp int) {
+func (c *CSMA) tryTransmit() {
 	if c.stopped || c.q.len() == 0 {
 		return
 	}
 	if c.m.CarrierSense(c.id) {
-		exp := min(backoffExp+1, maxBackoffExp)
-		slots := c.k.Rand().Int63n(1 << uint(exp))
-		c.m.Recorder().Emit(int32(c.id), trace.MACBackoff, slots+1, int64(exp), 0, c.q.front().buf.Journey())
-		c.txEv = c.k.Schedule(time.Duration(slots+1)*backoffSlot, func() {
-			c.tryTransmit(exp)
-		})
+		c.backoffExp = min(c.backoffExp+1, maxBackoffExp)
+		slots := c.k.Rand().Int63n(1 << uint(c.backoffExp))
+		c.m.Recorder().Emit(int32(c.id), trace.MACBackoff, slots+1, int64(c.backoffExp), 0, c.q.front().buf.Journey())
+		c.txEv = c.k.Schedule(time.Duration(slots+1)*backoffSlot, c.tryFn)
 		return
 	}
 	it := c.q.front()
@@ -149,12 +152,12 @@ func (c *CSMA) onAckTimeout() {
 	}
 	c.attempt++
 	if c.attempt > c.cfg.MaxRetries {
-		c.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "csma")).Inc()
+		c.cTxFailed.Inc()
 		c.m.Recorder().Emit(int32(c.id), trace.MACTxFail, int64(c.awaitAckTo), int64(c.attempt), 0, jid)
 		c.finish(false)
 		return
 	}
-	c.m.Registry().CounterWith("mac.retries", metrics.L("mac", "csma")).Inc()
+	c.cRetries.Inc()
 	c.m.Recorder().Emit(int32(c.id), trace.MACRetry, int64(c.awaitAckTo), int64(c.attempt), 0, jid)
 	c.initialBackoff()
 }

@@ -57,6 +57,7 @@ type LPL struct {
 	gotAck    bool
 	strobeEv  sim.Event // the pending strobeFn, if any
 
+	cStrobes *metrics.Counter
 	strobeFn func() // prebuilt strobeOnce closure
 }
 
@@ -69,6 +70,7 @@ func NewLPL(m *radio.Medium, id radio.NodeID, cfg LPLConfig) *LPL {
 	l.init(m, id, "lpl", &l.cfg.Config)
 	l.bind(&l.chassis, &l.strobing, l.cfg.IdleTimeout)
 	l.next = l.startNext
+	l.cStrobes = l.counter("mac.strobes")
 	l.strobeFn = l.strobeOnce
 	return l
 }
@@ -158,7 +160,7 @@ func (l *LPL) strobeOnce() {
 		return
 	}
 	air := l.transmit(it.to, it.buf)
-	l.m.Registry().CounterWith("mac.strobes", metrics.L("mac", "lpl")).Inc()
+	l.cStrobes.Inc()
 	l.m.Recorder().Emit(int32(l.id), trace.MACStrobe, int64(it.to), 0, 0, it.buf.Journey())
 	l.strobeEv = l.k.Schedule(air+strobeGap, l.strobeFn)
 }
@@ -174,7 +176,7 @@ func (l *LPL) endStrobe(ok bool) {
 		it.done(ok)
 	}
 	if !ok {
-		l.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "lpl")).Inc()
+		l.cTxFailed.Inc()
 		l.m.Recorder().Emit(int32(l.id), trace.MACTxFail, int64(it.to), 0, 0, jid)
 	}
 	l.startNext()

@@ -186,36 +186,28 @@ func copyIn(p *netbuf.Pool, payload []byte) *netbuf.Buffer {
 // dedup suppresses consecutive duplicate data frames per neighbor, which
 // ARQ retransmissions produce.
 type dedup struct {
-	last map[radio.NodeID]uint16
-	seen map[radio.NodeID]bool
+	last map[radio.NodeID]uint16 // a neighbor is present once heard from
 }
 
 func newDedup() *dedup {
-	return &dedup{last: make(map[radio.NodeID]uint16), seen: make(map[radio.NodeID]bool)}
+	return &dedup{last: make(map[radio.NodeID]uint16)}
 }
 
 // fresh records (from, seq) and reports whether it was not a duplicate of
 // the previous frame from that neighbor.
 func (d *dedup) fresh(from radio.NodeID, seq uint16) bool {
-	if d.seen[from] && d.last[from] == seq {
+	if last, seen := d.last[from]; seen && last == seq {
 		return false
 	}
-	d.seen[from] = true
 	d.last[from] = seq
 	return true
 }
 
 // forget drops the entry for one neighbor (see MAC.ForgetNeighbor).
-func (d *dedup) forget(from radio.NodeID) {
-	delete(d.last, from)
-	delete(d.seen, from)
-}
+func (d *dedup) forget(from radio.NodeID) { delete(d.last, from) }
 
 // reset drops all entries (a device reboot).
-func (d *dedup) reset() {
-	d.last = make(map[radio.NodeID]uint16)
-	d.seen = make(map[radio.NodeID]bool)
-}
+func (d *dedup) reset() { d.last = make(map[radio.NodeID]uint16) }
 
 // Config carries the knobs common to all MACs.
 type Config struct {

@@ -55,6 +55,8 @@ type RIMAC struct {
 	attempt    int
 	gotAck     bool
 	bcastUntil sim.Time
+
+	cBeacons *metrics.Counter
 }
 
 var _ MAC = (*RIMAC)(nil)
@@ -66,6 +68,7 @@ func NewRIMAC(m *radio.Medium, id radio.NodeID, cfg RIMACConfig) *RIMAC {
 	r.init(m, id, "rimac", &r.cfg.Config)
 	r.bind(&r.chassis, &r.waiting, r.cfg.IdleTimeout)
 	r.next = r.startNext
+	r.cBeacons = r.counter("mac.beacons")
 	return r
 }
 
@@ -78,6 +81,7 @@ func (r *RIMAC) Start() {
 	r.stopped = false
 	r.m.SetChannel(r.id, r.cfg.Channel)
 	r.m.SetListening(r.id, false)
+	r.m.SetAddressRecognition(r.id, true)
 	r.beacons = r.k.Every(r.cfg.BeaconInterval, r.cfg.BeaconInterval/8, r.beacon)
 }
 
@@ -109,7 +113,7 @@ func (r *RIMAC) beacon() {
 	bcn := control(r.m.Buffers(), KindBeacon, 0)
 	r.transmit(radio.Broadcast, bcn)
 	bcn.Release()
-	r.m.Registry().CounterWith("mac.beacons", metrics.L("mac", "rimac")).Inc()
+	r.cBeacons.Inc()
 	r.m.Recorder().Emit(int32(r.id), trace.MACBeacon, 0, 0, 0, 0)
 	r.scheduleSleep(dwell)
 }
@@ -150,7 +154,7 @@ func (r *RIMAC) waitExpired() {
 	}
 	r.attempt++
 	if r.attempt > r.cfg.MaxRetries {
-		r.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "rimac")).Inc()
+		r.cTxFailed.Inc()
 		r.m.Recorder().Emit(int32(r.id), trace.MACTxFail, int64(it.to), int64(r.attempt), 0, it.buf.Journey())
 		r.finish(false)
 		return
@@ -184,7 +188,7 @@ func (r *RIMAC) RadioReceive(f radio.Frame) {
 	}
 	switch kind {
 	case KindBeacon:
-		if !r.waiting {
+		if !r.waiting || !r.addressed(f) {
 			return
 		}
 		it := r.q.front()

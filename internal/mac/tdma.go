@@ -56,7 +56,8 @@ type TDMA struct {
 	gotAck      bool
 	seqAssigned bool
 
-	endTxFn func() // prebuilt endTxSlot closure
+	cRetries *metrics.Counter
+	endTxFn  func() // prebuilt endTxSlot closure
 }
 
 var _ MAC = (*TDMA)(nil)
@@ -80,6 +81,7 @@ func NewTDMA(m *radio.Medium, id radio.NodeID, cfg TDMAConfig) *TDMA {
 	if cfg.TxSlot < 0 {
 		t.next = t.q.drain
 	}
+	t.cRetries = t.counter("mac.retries")
 	t.endTxFn = t.endTxSlot
 	return t
 }
@@ -107,6 +109,7 @@ func (t *TDMA) Start() {
 	t.stopped = false
 	t.m.SetChannel(t.id, t.cfg.Channel)
 	t.m.SetListening(t.id, false)
+	t.m.SetAddressRecognition(t.id, true)
 	t.scheduleEpoch()
 }
 
@@ -158,7 +161,7 @@ func (t *TDMA) rxSlot() {
 		return
 	}
 	t.m.SetListening(t.id, true)
-	t.m.Energy().Ledger(int(t.id)).Spend(metrics.StateListen, t.cfg.SlotDuration)
+	t.led.Spend(metrics.StateListen, t.cfg.SlotDuration)
 	t.rxEnd = t.k.Schedule(t.cfg.SlotDuration, func() {
 		// Another slot may have turned the radio on again; only sleep
 		// if no rx slot is in progress. Slots are non-overlapping by
@@ -188,7 +191,7 @@ func (t *TDMA) txSlot() {
 	// Listen after transmitting to catch the in-slot ACK.
 	t.m.SetListening(t.id, true)
 	air := t.transmit(it.to, it.buf)
-	t.m.Energy().Ledger(int(t.id)).Spend(metrics.StateListen, t.cfg.SlotDuration-t.guard()-air)
+	t.led.Spend(metrics.StateListen, t.cfg.SlotDuration-t.guard()-air)
 	t.pending = append(t.pending, t.k.Schedule(t.cfg.SlotDuration-t.guard()-time.Nanosecond, t.endTxFn))
 }
 
@@ -202,11 +205,11 @@ func (t *TDMA) endTxSlot() {
 	if !ok {
 		t.attempt++
 		if t.attempt <= t.cfg.MaxRetries {
-			t.m.Registry().CounterWith("mac.retries", metrics.L("mac", "tdma")).Inc()
+			t.cRetries.Inc()
 			t.m.Recorder().Emit(int32(t.id), trace.MACRetry, int64(it.to), int64(t.attempt), 0, it.buf.Journey())
 			return // retry in next epoch's tx slot
 		}
-		t.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "tdma")).Inc()
+		t.cTxFailed.Inc()
 		t.m.Recorder().Emit(int32(t.id), trace.MACTxFail, int64(it.to), int64(t.attempt), 0, it.buf.Journey())
 	}
 	fin := t.q.pop()

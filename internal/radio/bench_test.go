@@ -54,22 +54,55 @@ func BenchmarkSend(b *testing.B) {
 
 // TestSendFanoutAllocFree is the CI gate for the satellite requirement:
 // the indexed delivery path allocates nothing in steady state. The
-// first sends warm the transmission pool, per-node energy ledgers, and
-// the per-cell candidate caches from every spot; after that, Send +
-// completion must be 0 allocs/op.
+// first sends warm the transmission pool, the per-node energy ledgers
+// and every sender's link list; after that Send + completion must be
+// 0 allocs/op — also when a move voids every list and each is rebuilt
+// into the capacity it has, and for a sender another shard hosts from
+// its second announcement on.
 func TestSendFanoutAllocFree(t *testing.T) {
-	k, m := benchMedium(500, false)
-	for i := 0; i < 500; i++ { // warm pools, ledgers, caches from every spot
-		m.Send(Frame{From: NodeID(i), To: Broadcast, Size: 30})
-		k.Run()
-	}
+	const n, walker = 500, NodeID(7)
+	k, m := benchMedium(n, false)
 	i := 0
-	avg := testing.AllocsPerRun(300, func() {
-		m.Send(Frame{From: NodeID(i % 500), To: Broadcast, Size: 30})
+	send := func() {
+		m.Send(Frame{From: NodeID(i % n), To: Broadcast, Size: 30})
 		k.Run()
 		i++
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state indexed Send = %v allocs/op, want 0", avg)
+	}
+	// The walker steps a millimetre back and forth: every list is void
+	// after each step, none has to grow once both spots were seen.
+	spots := [2]Position{m.PositionOf(walker), m.PositionOf(walker)}
+	spots[1].X += 0.001
+	step := func() {
+		m.SetPosition(walker, spots[i%2])
+		send()
+	}
+	for _, spot := range spots { // warm pools, ledgers and lists from every sender
+		m.SetPosition(walker, spot)
+		for j := 0; j < n; j++ {
+			send()
+		}
+	}
+	foreign := Announcement{From: 9000, To: Broadcast, Pos: m.PositionOf(3), Size: 30}
+	announce := func() {
+		foreign.Start = k.Now()
+		foreign.End = foreign.Start + m.Airtime(foreign.Size)
+		m.ApplyForeign(foreign)
+		k.Run()
+	}
+	announce() // the first announcement builds the foreign sender's list
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"a warmed link list", send},
+		{"a rebuild after a move that grows no list", step},
+		{"a foreign sender's second announcement", announce},
+	} {
+		if avg := testing.AllocsPerRun(300, c.fn); avg != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, avg)
+		}
+	}
+	if m.Registry().Counter("radio.rx_frames").Value() == 0 {
+		t.Fatal("nothing was delivered")
 	}
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,42 +11,6 @@ import (
 	"iiotds/internal/sim"
 	"iiotds/internal/trace"
 )
-
-// audibleOrder returns the receiver IDs a send from `from` on channel ch
-// would consider audible, in fan-out visit order — the order that
-// decides which receiver consumes which RNG draw. It walks the same
-// candidate path Send does (spatial index, or the flat ordered scan
-// under SetBruteForce) applying the same skip conditions.
-func audibleOrder(m *Medium, from NodeID, ch uint8) []NodeID {
-	src := m.mustNode(from)
-	var out []NodeID
-	m.forEachCandidate(src.pos, func(n *nodeState) {
-		if n.id == from || n.down || !n.listening || n.channel != ch {
-			return
-		}
-		if !m.audible(from, n.id) {
-			return
-		}
-		out = append(out, n.id)
-	})
-	return out
-}
-
-// requireParity fails unless the indexed and brute-force fan-out paths
-// agree on the audible set and its order for every attached sender.
-func requireParity(t *testing.T, m *Medium, ch uint8, ctx string) {
-	t.Helper()
-	for _, from := range m.NodeIDs() {
-		m.SetBruteForce(false)
-		indexed := audibleOrder(m, from, ch)
-		m.SetBruteForce(true)
-		brute := audibleOrder(m, from, ch)
-		m.SetBruteForce(false)
-		if !reflect.DeepEqual(indexed, brute) {
-			t.Fatalf("%s: from=%d indexed audible set %v != brute %v", ctx, from, indexed, brute)
-		}
-	}
-}
 
 // TestSetPositionRebuckets pins the index maintenance: crossing a cell
 // boundary moves the node between cell buckets.
@@ -126,55 +91,206 @@ func TestMobileRoamOracle(t *testing.T) {
 	}
 }
 
-// scatterMedium builds a medium with randomized positions, channels,
-// down/listening flags, PRR overrides (including far beyond RangeMax),
-// and possibly a link filter, all driven by rng.
-func scatterMedium(rng *rand.Rand, n int) *Medium {
-	k := sim.New(rng.Int63())
-	m := NewMedium(k, DefaultParams(), nil)
-	span := 40 + rng.Float64()*400
-	for i := 0; i < n; i++ {
-		id := NodeID(i)
-		m.Attach(id, Position{X: rng.Float64()*span - span/2, Y: rng.Float64()*span - span/2}, ReceiverFunc(func(Frame) {}))
-		m.SetListening(id, rng.Float64() < 0.8)
-		if rng.Float64() < 0.1 {
-			m.SetDown(id, true)
-		}
-		if rng.Float64() < 0.3 {
-			m.SetChannel(id, uint8(rng.Intn(3)))
-		}
-	}
-	for i := 0; i < n/3; i++ {
-		from, to := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		m.SetLinkPRR(from, to, rng.Float64()) // may create far-link audibility
-		if rng.Float64() < 0.3 {
-			m.SetLinkPRR(from, to, -1) // and exercise removal bookkeeping
-		}
-	}
-	if rng.Float64() < 0.5 {
-		mod := NodeID(2 + rng.Intn(5))
-		m.SetLinkFilter(func(a, b NodeID) bool { return (a+b)%mod != 0 })
-	}
-	return m
+// twins is an indexed medium beside its brute-force oracle: built alike,
+// seeded alike and driven through the same calls. Whatever the link
+// lists remember, the two must hear the same thing.
+type twins struct {
+	k   [2]*sim.Kernel
+	m   [2]*Medium
+	log [2][]string // every delivery: when, who, from whom, what
 }
 
-// TestIndexedAudibleParityProperty is the satellite property test:
-// under random positions, channels, down/listening flags, filters, and
-// overrides, the indexed audible set equals the brute-force O(N) scan's
-// set in the same ID order.
+func newTwins(seed int64) *twins {
+	tw := &twins{}
+	for i := range tw.m {
+		tw.k[i] = sim.New(seed)
+		tw.m[i] = NewMedium(tw.k[i], DefaultParams(), nil)
+	}
+	tw.m[1].SetBruteForce(true)
+	return tw
+}
+
+// each applies one call to both media.
+func (tw *twins) each(fn func(m *Medium)) {
+	for _, m := range tw.m {
+		fn(m)
+	}
+}
+
+func (tw *twins) attach(id NodeID, pos Position) {
+	for i, m := range tw.m {
+		i, k := i, tw.k[i]
+		m.Attach(id, pos, ReceiverFunc(func(f Frame) {
+			tw.log[i] = append(tw.log[i], fmt.Sprintf("%v %d<-%d %x", k.Now(), id, f.From, f.Payload.Bytes()))
+		}))
+	}
+}
+
+// requireSame fails unless both media delivered the same frames in the
+// same order, counted and charged the same, and left their kernels'
+// generators in the same place.
+func (tw *twins) requireSame(t *testing.T, ctx string) {
+	t.Helper()
+	if !reflect.DeepEqual(tw.log[0], tw.log[1]) {
+		t.Fatalf("%s: delivery logs differ:\n indexed %v\n brute   %v", ctx, tw.log[0], tw.log[1])
+	}
+	for _, name := range tw.m[1].Registry().CounterNames() {
+		if a, b := tw.m[0].Registry().Counter(name).Value(), tw.m[1].Registry().Counter(name).Value(); a != b {
+			t.Fatalf("%s: %s indexed %v != brute %v", ctx, name, a, b)
+		}
+	}
+	for _, id := range tw.m[1].NodeIDs() {
+		for _, st := range []metrics.RadioState{metrics.StateTx, metrics.StateRx} {
+			if a, b := tw.m[0].Energy().Ledger(int(id)).Duration(st), tw.m[1].Energy().Ledger(int(id)).Duration(st); a != b {
+				t.Fatalf("%s: node %d state %v indexed %v != brute %v", ctx, id, st, a, b)
+			}
+		}
+	}
+	if a, b := tw.k[0].Rand().Int63(), tw.k[1].Rand().Int63(); a != b {
+		t.Fatalf("%s: the kernels' next random draw differs: %d != %d", ctx, a, b)
+	}
+}
+
+// audibleByPredicate is who a send from `from` on channel ch reaches
+// according to the medium's pairwise predicates — the specification the
+// fan-out loop is an optimization of: every attached node, in ID order,
+// that is up, listening on ch and audible(from, it).
+func audibleByPredicate(m *Medium, from NodeID, ch uint8) []NodeID {
+	var out []NodeID
+	for _, id := range m.NodeIDs() {
+		if !m.Down(id) && m.Listening(id) && m.ChannelOf(id) == ch && m.audible(from, id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// paritySequence draws a program of sends interleaved with everything
+// that can change who hears them — attaches after sends, moves inside a
+// cell and across cells (of senders and of receivers), PRR overrides
+// installed, zeroed and removed (also far beyond RangeMax), the link
+// filter on and off, radios going down, deaf or to another channel,
+// foreign senders whose announced position changes — and runs it on
+// both twins. Frames overlap (the kernel advances by less than an
+// airtime between most steps), so collisions are part of it.
+func paritySequence(t *testing.T, seed int64, nodes int) {
+	rng := rand.New(rand.NewSource(seed))
+	tw := newTwins(seed)
+	span := 40 + rng.Float64()*260
+	spot := func() Position {
+		return Position{X: rng.Float64()*span - span/2, Y: rng.Float64()*span - span/2}
+	}
+	next := NodeID(0)
+	attach := func() {
+		tw.attach(next, spot())
+		on := rng.Float64() < 0.85
+		id := next
+		tw.each(func(m *Medium) { m.SetListening(id, on) })
+		next++
+	}
+	for i := 0; i < nodes; i++ {
+		attach()
+	}
+	any := func() NodeID { return NodeID(rng.Intn(int(next))) }
+	foreignAt := map[NodeID]Position{}
+	payload := byte(0)
+	for step := 0; step < 40+nodes; step++ {
+		switch op := rng.Intn(20); {
+		case op < 7: // a local send
+			from, to, ch := any(), Broadcast, uint8(rng.Intn(2))
+			if rng.Intn(2) == 0 {
+				to = any()
+			}
+			payload++
+			p := payload
+			tw.each(func(m *Medium) {
+				want := audibleByPredicate(m, from, ch)
+				b := m.Buffers().Get()
+				b.Append([]byte{p})
+				air := m.Send(Frame{From: from, To: to, Channel: ch, Size: 10 + int(p%40), Payload: b})
+				b.Release()
+				if air == 0 {
+					return // the sender is down
+				}
+				var got []NodeID
+				for _, d := range m.active[len(m.active)-1].dels {
+					got = append(got, d.n.id)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d (brute=%v): send from %d fanned out to %v, the predicates say %v", step, m.brute, from, got, want)
+				}
+			})
+		case op < 9: // a send hosted elsewhere, from where it was or from a new spot
+			from := NodeID(1000 + rng.Intn(3))
+			pos, known := foreignAt[from]
+			if !known || rng.Intn(2) == 0 {
+				pos = spot()
+				foreignAt[from] = pos
+			}
+			payload++
+			p := payload
+			for i, m := range tw.m {
+				now := tw.k[i].Now()
+				m.ApplyForeign(Announcement{From: from, To: Broadcast, Pos: pos, Size: 20, Start: now, End: now + m.Airtime(20), Payload: []byte{p}})
+			}
+		case op < 10:
+			attach()
+		case op < 12: // a step inside the cell, most of the time
+			id := any()
+			at := tw.m[0].PositionOf(id)
+			to := Position{X: at.X + rng.Float64()*6 - 3, Y: at.Y + rng.Float64()*6 - 3}
+			tw.each(func(m *Medium) { m.SetPosition(id, to) })
+		case op < 13: // a jump across cells
+			id, to := any(), spot()
+			tw.each(func(m *Medium) { m.SetPosition(id, to) })
+		case op < 15: // an override: installed, zeroed or removed; the pair may be far apart
+			from, to := any(), any()
+			if rng.Intn(4) == 0 {
+				from = NodeID(1000 + rng.Intn(3))
+			}
+			prr := []float64{rng.Float64(), 1, 0, -1}[rng.Intn(4)]
+			tw.each(func(m *Medium) { m.SetLinkPRR(from, to, prr) })
+		case op < 16:
+			var f LinkFilter
+			if rng.Intn(2) == 0 {
+				mod := NodeID(2 + rng.Intn(5))
+				f = func(a, b NodeID) bool { return (a+b)%mod != 0 }
+			}
+			tw.each(func(m *Medium) { m.SetLinkFilter(f) })
+		case op < 17:
+			id, down := any(), rng.Intn(3) == 0
+			tw.each(func(m *Medium) { m.SetDown(id, down) })
+		case op < 18:
+			id, on := any(), rng.Intn(3) > 0
+			tw.each(func(m *Medium) { m.SetListening(id, on) })
+		case op < 19:
+			id, ch := any(), uint8(rng.Intn(2))
+			tw.each(func(m *Medium) { m.SetChannel(id, ch) })
+		default:
+			id := any()
+			if a, b := tw.m[0].NeighborsOf(id), tw.m[1].NeighborsOf(id); !reflect.DeepEqual(a, b) {
+				t.Fatalf("step %d: NeighborsOf(%d) indexed %v != brute %v", step, id, a, b)
+			}
+		}
+		d := time.Duration(rng.Intn(1200)) * time.Microsecond
+		for _, k := range tw.k {
+			k.RunFor(d)
+		}
+	}
+	for _, k := range tw.k {
+		k.Run()
+	}
+	tw.requireSame(t, fmt.Sprintf("seed %d, %d nodes", seed, nodes))
+}
+
+// TestIndexedAudibleParityProperty is the satellite property test: over
+// drawn sequences of sends and layout, link and radio changes, a medium
+// that keeps link lists hears exactly what the brute-force O(N) scan
+// hears, in the same ID order — the order the loss draws are taken in.
 func TestIndexedAudibleParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		m := scatterMedium(rng, 2+rng.Intn(80))
-		for ch := uint8(0); ch < 3; ch++ {
-			requireParity(t, m, ch, "scatter")
-		}
-		// Shuffle some nodes around (re-bucketing) and re-check.
-		ids := m.NodeIDs()
-		for i := 0; i < 5; i++ {
-			m.SetPosition(ids[rng.Intn(len(ids))], Position{X: rng.Float64()*500 - 250, Y: rng.Float64()*500 - 250})
-		}
-		requireParity(t, m, 0, "after moves")
+		paritySequence(t, rng.Int63(), 2+rng.Intn(80))
 	}
 }
 
@@ -183,23 +299,12 @@ func FuzzAudibleParity(f *testing.F) {
 	f.Add(int64(1), uint8(12))
 	f.Add(int64(99), uint8(200))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
-		nodes := 2 + int(n)%96
-		rng := rand.New(rand.NewSource(seed))
-		m := scatterMedium(rng, nodes)
-		for _, from := range m.NodeIDs() {
-			m.SetBruteForce(false)
-			indexed := audibleOrder(m, from, 0)
-			m.SetBruteForce(true)
-			brute := audibleOrder(m, from, 0)
-			if !reflect.DeepEqual(indexed, brute) {
-				t.Fatalf("from=%d indexed %v != brute %v", from, indexed, brute)
-			}
-		}
+		paritySequence(t, seed, 2+int(n)%96)
 	})
 }
 
 // TestOverrideBeyondRange: a PRR override makes a link audible far past
-// RangeMax; the override receiver must join the candidate set (it is in
+// RangeMax; the override receiver must join the fan-out (it is in
 // no nearby cell) and leave it when the override is removed.
 func TestOverrideBeyondRange(t *testing.T) {
 	k, m := newTestMedium(t)

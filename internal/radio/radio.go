@@ -115,13 +115,33 @@ type nodeState struct {
 	channel   uint8
 	listening bool
 	down      bool
+	// recognizes: the receiver ignores unicasts addressed to another
+	// node (SetAddressRecognition), so complete need not hand them over.
+	recognizes bool
+	links      linkList // whom this node reaches when it sends
+}
+
+// link is one receiver a sender reaches by distance, with the PRR of
+// that distance.
+type link struct {
+	n   *nodeState
+	prr float64
+}
+
+// linkList is a sender's links: every attached node strictly inside
+// RangeMax of pos, the sender excepted, in ascending ID order. It holds
+// while gen is the medium's layoutGen and the sender still transmits
+// from pos; the slice keeps its capacity across rebuilds.
+type linkList struct {
+	gen   uint64
+	pos   Position
+	links []link
 }
 
 // delivery is one in-flight frame copy headed to one receiver. The
 // resolved receiver pointer rides along so the fan-out and completion
 // never go back through the node map.
 type delivery struct {
-	to        NodeID
 	n         *nodeState
 	corrupted bool
 }
@@ -136,7 +156,7 @@ type transmission struct {
 	end        sim.Time
 	srcPos     Position   // sender position at Send time
 	src        *nodeState // local sender; nil for a foreign one (sharded.go)
-	epoch      uint64     // medium posEpoch when the flight started
+	epoch      uint64     // medium layoutGen when the flight started
 	dels       []delivery
 	completeFn func() // prebuilt m.complete(tx) closure
 }
@@ -172,31 +192,31 @@ type Medium struct {
 	// Spatial index (DESIGN.md §9). Nodes are bucketed into square cells
 	// of side RangeMax; every node audible from a position by distance is
 	// inside the 3×3 cell neighborhood of that position. Cell slices are
-	// kept sorted by ID so the fan-out's streaming merge visits
-	// candidates in exactly the ascending-ID order the flat `ordered`
-	// scan used — the audible subset, and therefore the RNG draw
+	// kept sorted by ID so the streaming merge that builds a sender's
+	// link list (collectLinks) yields the ascending-ID order of the flat
+	// `ordered` scan — the audible subset, and therefore the RNG draw
 	// sequence, is byte-identical.
 	cellSize float64
 	cells    map[cellKey][]*nodeState
-	// candCache memoizes, per center cell, the merged ID-sorted 3×3
-	// neighborhood the fan-out walks. Topology edits (attach, re-bucket)
-	// bump gridGen, lazily invalidating every entry; steady-state sends
-	// then iterate one flat slice with no per-candidate merge work.
-	candCache map[cellKey]*candList
-	gridGen   uint64
+	// layoutGen counts Attach and SetPosition calls. A link list holds
+	// exact distances between its sender and every receiver, so any
+	// move — inside a cell too — and any newcomer voids all of them;
+	// a static fleet builds each sender's list once. It also dates
+	// flights for the collision pruning below.
+	layoutGen uint64
+	foreign   map[NodeID]*linkList // lists of senders other shards host
+	linkBuf   []link               // collectLinks' scratch
 	// Collision-check pruning (DESIGN.md §9). Two transmissions can only
 	// interact when their senders are within 2·RangeMax: every receiver
 	// sits strictly inside RangeMax of its sender whenever no PRR
 	// override is installed. nearTx is the per-send scratch holding the
-	// live co-channel transmissions that pass the bound; posEpoch counts
-	// SetPosition calls so flights that overlap node movement fall back
-	// to the unpruned loop (a moved receiver may have left its sender's
-	// disk, voiding the bound).
-	nearTx   []*transmission
-	posEpoch uint64
+	// live co-channel transmissions that pass the bound; flights that
+	// overlap a layoutGen step fall back to the unpruned loop (a moved
+	// receiver may have left its sender's disk, voiding the bound).
+	nearTx []*transmission
 	// PRR overrides can make a link audible beyond RangeMax (the fault
 	// layer's degraded-link model is distance-free), so override
-	// receivers are merged into every candidate set as a tenth stream.
+	// receivers are merged into every fan-out beside the link list.
 	overTo   map[NodeID]int // incoming-override count per receiver
 	overRecv []*nodeState   // attached override receivers, ID-sorted
 	brute    bool           // force the O(N) ordered scan (oracle/baseline)
@@ -246,7 +266,8 @@ func NewMedium(k *sim.Kernel, p Params, reg *metrics.Registry) *Medium {
 		prrOver:   make(map[[2]NodeID]float64),
 		cellSize:  cs,
 		cells:     make(map[cellKey][]*nodeState),
-		candCache: make(map[cellKey]*candList),
+		layoutGen: 1, // a zero linkList is stale
+		foreign:   make(map[NodeID]*linkList),
 		overTo:    make(map[NodeID]int),
 
 		cTxFrames:   reg.Counter("radio.tx_frames"),
@@ -294,6 +315,7 @@ func (m *Medium) Attach(id NodeID, pos Position, recv Receiver) {
 	m.nodes[id] = n
 	insertSorted(&m.ordered, n)
 	m.cellInsert(n)
+	m.layoutGen++
 	if m.overTo[id] > 0 {
 		// An override targeting this node was installed before it
 		// attached; it joins the override-receiver stream now.
@@ -337,7 +359,6 @@ func (m *Medium) cellInsert(n *nodeState) {
 	s := m.cells[key]
 	insertSorted(&s, n)
 	m.cells[key] = s
-	m.gridGen++
 }
 
 func (m *Medium) cellRemove(n *nodeState, key cellKey) {
@@ -348,14 +369,14 @@ func (m *Medium) cellRemove(n *nodeState, key cellKey) {
 	} else {
 		m.cells[key] = s
 	}
-	m.gridGen++
 }
 
 // SetPosition moves a node (e.g., a mobile asset tag), re-bucketing it
-// in the spatial index when it crosses a cell boundary.
+// in the spatial index when it crosses a cell boundary. Any move voids
+// every sender's link list (layoutGen).
 func (m *Medium) SetPosition(id NodeID, pos Position) {
 	n := m.mustNode(id)
-	m.posEpoch++
+	m.layoutGen++
 	oldKey := m.cellOf(n.pos)
 	n.pos = pos
 	if newKey := m.cellOf(pos); newKey != oldKey {
@@ -365,10 +386,11 @@ func (m *Medium) SetPosition(id NodeID, pos Position) {
 }
 
 // SetBruteForce forces (true) or restores (false) the reference O(N)
-// medium: the flat ordered-scan delivery fan-out instead of the spatial
-// index, and unpruned collision loops over every active transmission
-// instead of the 2·RangeMax sender-distance cut. The two engines visit
-// the same audible receivers in the same ID order and corrupt the same
+// medium: every send finds its links by a flat scan of all nodes
+// instead of keeping the list the spatial index built, and collision
+// loops run unpruned over every active transmission instead of the
+// 2·RangeMax sender-distance cut. The two engines visit the same
+// audible receivers in the same ID order and corrupt the same
 // deliveries — the grid and pruning invariants DESIGN.md §9 proves — so
 // results are byte-identical; only wall-clock time differs. Tests use
 // the brute path as the oracle and benchmarks as the baseline.
@@ -387,6 +409,15 @@ func (m *Medium) ChannelOf(id NodeID) uint8 { return m.mustNode(id).channel }
 // receive frames; idle-listening energy is charged by the MAC layer, which
 // owns the duty-cycling policy.
 func (m *Medium) SetListening(id NodeID, on bool) { m.mustNode(id).listening = on }
+
+// SetAddressRecognition declares that the node's receiver does nothing
+// with a unicast addressed to another node (802.15.4 hardware address
+// recognition): the medium then counts and traces such a delivery as
+// ever — the radio was busy with it — but does not hand it over.
+func (m *Medium) SetAddressRecognition(id NodeID, on bool) { m.mustNode(id).recognizes = on }
+
+// AddressRecognition reports whether the node declared it.
+func (m *Medium) AddressRecognition(id NodeID) bool { return m.mustNode(id).recognizes }
 
 // Listening reports whether a node's receiver is on.
 func (m *Medium) Listening(id NodeID) bool { return m.mustNode(id).listening }
@@ -514,9 +545,7 @@ func (m *Medium) putTx(tx *transmission) {
 	tx.frame = Frame{}
 	tx.srcPos = Position{}
 	tx.src = nil
-	for i := range tx.dels {
-		tx.dels[i].n = nil
-	}
+	clear(tx.dels)
 	tx.dels = tx.dels[:0]
 	m.txFree = append(m.txFree, tx)
 }
@@ -579,7 +608,7 @@ func (m *Medium) txAudible(tx *transmission, dst *nodeState) bool {
 // when the 2·RangeMax sender-distance bound proves no shared audible
 // point exists — and only when that bound actually holds: no PRR
 // override installed (overrides are distance-free) and no node moved
-// since the flight started (posEpoch match; a moved receiver may have
+// since the flight started (layoutGen match; a moved receiver may have
 // left its sender's disk). Iterating the pruned list is therefore
 // decision-for-decision identical to iterating m.active: everything
 // dropped would have failed the audibility predicate anyway.
@@ -591,7 +620,7 @@ func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []*transmissio
 		if other.end <= now || other.frame.Channel != ch {
 			continue
 		}
-		if prune && other.epoch == m.posEpoch {
+		if prune && other.epoch == m.layoutGen {
 			// No movement since this flight started, so its send-time
 			// position is current for the sender and every receiver.
 			if pos.Distance(other.srcPos) >= limit {
@@ -604,47 +633,28 @@ func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []*transmissio
 	return near
 }
 
-// candList is one candCache entry: the ID-sorted union of a 3×3 cell
-// neighborhood, valid while gen matches the medium's gridGen. The slice
-// keeps its capacity across rebuilds, so steady-state invalidation
-// churn (mobile nodes crossing cell boundaries) does not allocate.
-type candList struct {
-	gen  uint64
-	list []*nodeState
-}
-
-// forEachCandidate visits every node that could possibly be audible from
-// center — the 3×3 cell neighborhood (cell side = RangeMax, so distance
-// audibility cannot reach farther) plus the override receivers (PRR
-// overrides are distance-free) — in strictly ascending ID order with
-// duplicates suppressed. Because candidates are a superset of the
-// audible set presented in the same ID order as the flat scan, the
-// audible subset — and with it the RNG draw order — is identical to the
-// brute-force path. With SetBruteForce the flat ordered scan is used
-// instead.
-//
-// The neighborhood union is memoized per center cell (candCache) and
-// invalidated wholesale by gridGen whenever any node attaches or
-// re-buckets; a static fleet pays the 9-cell streaming merge once per
-// cell and every later send iterates one flat slice. Cells are
-// disjoint, so the cached union needs no dedup; only the override
-// stream — merged live, since SetLinkPRR does not bump gridGen — can
-// duplicate a cell member. Zero heap allocations in steady state.
-func (m *Medium) forEachCandidate(center Position, fn func(*nodeState)) {
+// collectLinks finds the links of a sender at pos — every attached node
+// strictly inside RangeMax, the sender excepted, ascending ID, PRR by
+// distance — into the medium's scratch, valid until the next call. The
+// 3×3 cell neighborhood (cell side = RangeMax) holds every such node;
+// its cells are disjoint and ID-sorted, so a streaming merge yields the
+// order of the flat scan SetBruteForce does instead.
+func (m *Medium) collectLinks(from NodeID, pos Position) []link {
+	buf := m.linkBuf[:0]
+	add := func(n *nodeState) {
+		if n.id == from {
+			return
+		}
+		if d := pos.Distance(n.pos); d < m.params.RangeMax {
+			buf = append(buf, link{n, m.prrAtDistance(d)})
+		}
+	}
 	if m.brute {
 		for _, n := range m.ordered {
-			fn(n)
+			add(n)
 		}
-		return
-	}
-	c := m.cellOf(center)
-	cl := m.candCache[c]
-	if cl == nil {
-		cl = &candList{gen: m.gridGen - 1}
-		m.candCache[c] = cl
-	}
-	if cl.gen != m.gridGen {
-		cl.list = cl.list[:0]
+	} else {
+		c := m.cellOf(pos)
 		var streams [9][]*nodeState
 		ns := 0
 		for dx := int32(-1); dx <= 1; dx++ {
@@ -668,36 +678,40 @@ func (m *Medium) forEachCandidate(center Position, fn func(*nodeState)) {
 			if best < 0 {
 				break
 			}
-			cl.list = append(cl.list, streams[best][0])
+			add(streams[best][0])
 			streams[best] = streams[best][1:]
 		}
-		cl.gen = m.gridGen
 	}
-	if len(m.overRecv) == 0 {
-		for _, n := range cl.list {
-			fn(n)
-		}
-		return
+	m.linkBuf = buf
+	return buf
+}
+
+// linksOf returns the link list of the sender from at pos: src for a
+// node attached here, nil for one another shard hosts, whose list is
+// kept under its ID. A list is built on the first send after the layout
+// moved (or a foreign sender did) and exact-sized when outgrown; the
+// brute-force medium keeps none and scans on every send.
+func (m *Medium) linksOf(from NodeID, pos Position, src *nodeState) []link {
+	if m.brute {
+		return m.collectLinks(from, pos)
 	}
-	// Two-way merge with the override receivers, suppressing the
-	// duplicate when an override target is also a neighborhood member.
-	a, b := cl.list, m.overRecv
-	last := NodeID(0)
-	first := true
-	for len(a) > 0 || len(b) > 0 {
-		var n *nodeState
-		if len(b) == 0 || (len(a) > 0 && a[0].id <= b[0].id) {
-			n, a = a[0], a[1:]
-		} else {
-			n, b = b[0], b[1:]
-		}
-		if !first && n.id == last {
-			continue
-		}
-		first = false
-		last = n.id
-		fn(n)
+	var ll *linkList
+	if src != nil {
+		ll = &src.links
+	} else if ll = m.foreign[from]; ll == nil {
+		ll = &linkList{}
+		m.foreign[from] = ll
 	}
+	if ll.gen != m.layoutGen || ll.pos != pos {
+		found := m.collectLinks(from, pos)
+		if cap(ll.links) < len(found) {
+			ll.links = make([]link, len(found))
+		}
+		ll.links = ll.links[:len(found)]
+		copy(ll.links, found)
+		ll.gen, ll.pos = m.layoutGen, pos
+	}
+	return ll.links
 }
 
 // Send transmits frame f from node f.From. Delivery callbacks fire at the
@@ -747,7 +761,10 @@ func (m *Medium) launch(tx *transmission) {
 	f := tx.frame
 	pos := tx.srcPos
 	air := tx.end - tx.start
-	tx.epoch = m.posEpoch
+	tx.epoch = m.layoutGen
+	// Tallied here and added to the counters once: integers in a float64
+	// sum exactly, in any grouping.
+	var collisions, crossTenant, lost int
 
 	// Mark collisions: any receiver that can hear both this frame and an
 	// already-active co-channel frame decodes neither. Only the spatially
@@ -758,65 +775,77 @@ func (m *Medium) launch(tx *transmission) {
 			d := &other.dels[i]
 			if !d.corrupted && m.audibleAt(f.From, pos, d.n) {
 				d.corrupted = true
-				m.cCollisions.Inc()
+				collisions++
 				if other.frame.Tenant != f.Tenant {
-					m.cCollXTen.Inc()
+					crossTenant++
 				}
-				m.rec.Emit(int32(d.to), trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(other.frame.Payload))
+				m.rec.Emit(int32(d.n.id), trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(other.frame.Payload))
 			}
 		}
 	}
 
-	m.forEachCandidate(pos, func(n *nodeState) {
-		id := n.id
-		if id == f.From || n.down || !n.listening || n.channel != f.Channel {
-			return
-		}
-		// Audibility and link PRR share one distance computation, and the
-		// override map (rare) is consulted only when any are installed;
-		// the decision order matches audible()/PRR() exactly, so the
-		// audible set and the loss-draw values are unchanged.
-		if m.filter != nil && !m.filter(f.From, id) {
-			return
-		}
-		prr, over := 0.0, false
-		if len(m.prrOver) > 0 {
-			prr, over = m.prrOver[[2]NodeID{f.From, id}]
-		}
-		if over {
-			if prr <= 0 {
-				return
+	// The fan-out: the sender's links merged, in ascending ID order — the
+	// order the loss draws are consumed in — with the override receivers,
+	// which a link of any length may reach. What can change between two
+	// sends without moving the layout is decided here, per send: radio
+	// state, the filter (a func), the override map.
+	links, over := m.linksOf(f.From, pos, tx.src), m.overRecv
+	for i, j := 0, 0; i < len(links) || j < len(over); {
+		var n *nodeState
+		prr, audible := 0.0, false
+		if j == len(over) || (i < len(links) && links[i].n.id <= over[j].id) {
+			n, prr, audible = links[i].n, links[i].prr, true
+			if j < len(over) && over[j] == n {
+				j++
 			}
+			i++
 		} else {
-			dist := pos.Distance(n.pos)
-			if dist >= m.params.RangeMax {
-				return
+			n = over[j]
+			j++
+		}
+		if n.id == f.From || n.down || !n.listening || n.channel != f.Channel {
+			continue
+		}
+		// The decision order matches audible()/PRR() exactly — filter,
+		// then override, then distance — so the audible set and the
+		// loss-draw values are theirs.
+		if m.filter != nil && !m.filter(f.From, n.id) {
+			continue
+		}
+		if len(m.prrOver) > 0 {
+			if p, ok := m.prrOver[[2]NodeID{f.From, n.id}]; ok {
+				prr, audible = p, p > 0
 			}
-			prr = m.prrAtDistance(dist)
+		}
+		if !audible {
+			continue
 		}
 		// The receiver's radio is busy for the whole frame either way.
 		n.led.Spend(metrics.StateRx, air)
-		tx.dels = append(tx.dels, delivery{to: id, n: n})
+		tx.dels = append(tx.dels, delivery{n: n})
 		d := &tx.dels[len(tx.dels)-1]
 		// Collision with other concurrently active frames audible here.
 		for _, other := range near {
 			if m.txAudible(other, n) {
 				d.corrupted = true
-				m.cCollisions.Inc()
+				collisions++
 				if other.frame.Tenant != f.Tenant {
-					m.cCollXTen.Inc()
+					crossTenant++
 				}
-				m.rec.Emit(int32(id), trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(f.Payload))
+				m.rec.Emit(int32(n.id), trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(f.Payload))
 				break
 			}
 		}
 		// Stochastic loss from link quality.
 		if !d.corrupted && m.k.Rand().Float64() >= prr {
 			d.corrupted = true
-			m.cDropLoss.Inc()
-			m.rec.Emit(int32(id), trace.RadioLoss, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
+			lost++
+			m.rec.Emit(int32(n.id), trace.RadioLoss, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
 		}
-	})
+	}
+	m.cCollisions.Add(float64(collisions))
+	m.cCollXTen.Add(float64(crossTenant))
+	m.cDropLoss.Add(float64(lost))
 
 	m.active = append(m.active, tx)
 	m.k.At(tx.end, tx.completeFn)
@@ -841,19 +870,25 @@ func (m *Medium) complete(tx *transmission) {
 		}
 	}
 	f := tx.frame
+	var gone, rx int
 	for i := range tx.dels {
 		d := &tx.dels[i]
 		n := d.n
 		if n.down || !n.listening || n.channel != f.Channel {
 			// Receiver went away mid-frame.
-			m.cDropGone.Inc()
+			gone++
 			continue
 		}
 		if d.corrupted {
 			continue
 		}
-		m.cRxFrames.Inc()
-		m.rec.Emit(int32(d.to), trace.RadioDeliver, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
+		rx++
+		m.rec.Emit(int32(n.id), trace.RadioDeliver, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
+		if n.recognizes && f.To != n.id && f.To != Broadcast {
+			// Received and dropped by address: the radio was busy for the
+			// frame (charged in launch) but the receiver never sees it.
+			continue
+		}
 		if f.Payload != nil {
 			// Copy-on-fanout: each receiver gets its own view, alive only
 			// for the callback. Receivers that retain must copy.
@@ -866,6 +901,8 @@ func (m *Medium) complete(tx *transmission) {
 			n.recv.RadioReceive(f)
 		}
 	}
+	m.cDropGone.Add(float64(gone))
+	m.cRxFrames.Add(float64(rx))
 	if f.Payload != nil {
 		f.Payload.Release() // flight reference taken in Send
 	}
@@ -873,9 +910,7 @@ func (m *Medium) complete(tx *transmission) {
 }
 
 // NeighborsOf returns the IDs of nodes within RangeMax of id, nearest
-// first. Candidates come from the spatial index (any node within
-// RangeMax is in the 3×3 cell neighborhood); the full (distance, id)
-// sort makes the result independent of collection order.
+// first, ties by ID: the node's links in another order.
 func (m *Medium) NeighborsOf(id NodeID) []NodeID {
 	src := m.mustNode(id)
 	type cand struct {
@@ -883,14 +918,9 @@ func (m *Medium) NeighborsOf(id NodeID) []NodeID {
 		d  float64
 	}
 	var cands []cand
-	m.forEachCandidate(src.pos, func(n *nodeState) {
-		if n.id == id {
-			return
-		}
-		if d := src.pos.Distance(n.pos); d < m.params.RangeMax {
-			cands = append(cands, cand{n.id, d})
-		}
-	})
+	for _, l := range m.linksOf(id, src.pos, src) {
+		cands = append(cands, cand{l.n.id, src.pos.Distance(l.n.pos)})
+	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].d != cands[j].d {
 			return cands[i].d < cands[j].d

@@ -76,10 +76,11 @@ func (m *Medium) SetAnnounce(fn func(f Frame, pos Position, start, end sim.Time)
 // barrier time ≤ a.End). What is foreign about it is prepared here — a
 // sender known only by ID and announced position, a pooled copy of the
 // payload (journey IDs do not cross shards: the copy carries journey 0)
-// — and the fan-out is Send's own (launch): candidates around the
-// foreign position in ascending ID order, loss drawn from THIS medium's
-// kernel RNG, collisions both ways with local and foreign actives,
-// completion at the original a.End.
+// — and the fan-out is Send's own (launch): the link list of the
+// foreign sender at its announced position (kept under its ID, rebuilt
+// when the announced position or the local layout changes) in ascending
+// ID order, loss drawn from THIS medium's kernel RNG, collisions both
+// ways with local and foreign actives, completion at the original a.End.
 func (m *Medium) ApplyForeign(a Announcement) {
 	if a.End <= m.k.Now() {
 		// The announcement arrived after the frame ended. Under the

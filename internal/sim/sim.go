@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -31,8 +30,6 @@ type Time = time.Duration
 // list and its generation advances, invalidating outstanding handles.
 type event struct {
 	k     *Kernel
-	at    Time
-	seq   uint64
 	index int // heap index, -1 when not queued
 	fn    func()
 	gen   uint64
@@ -66,7 +63,7 @@ func (ev Event) Cancel() bool {
 		return false
 	}
 	e := ev.e
-	heap.Remove(&e.k.queue, e.index)
+	e.k.queue.remove(e.index)
 	e.k.stats.Canceled++
 	e.k.recycle(e)
 	return true
@@ -75,34 +72,88 @@ func (ev Event) Cancel() bool {
 // Pending reports whether the event is still queued.
 func (ev Event) Pending() bool { return ev.live() }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
+// slot is one heap entry. The ordering key sits inline beside the event
+// pointer, so a sift compares slots without chasing a pointer per step.
+type slot struct {
+	at  Time
+	seq uint64
+	e   *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (s slot) before(o slot) bool {
+	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
+}
+
+// eventQueue is a 4-ary min-heap ordered by (at, seq). seq is unique per
+// kernel, so the order is total: which event pops next does not depend
+// on the heap's shape, only on what is queued.
+type eventQueue []slot
+
+const heapArity = 4
+
+// up places s at hole i or above it, moving larger parents down.
+func (q eventQueue) up(i int, s slot) {
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !s.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].e.index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = s
+	s.e.index = i
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// down places s at hole i or below it, moving the smallest child up.
+func (q eventQueue) down(i int, s slot) {
+	for {
+		c := heapArity*i + 1
+		if c >= len(q) {
+			break
+		}
+		least := c
+		for j := c + 1; j < c+heapArity && j < len(q); j++ {
+			if q[j].before(q[least]) {
+				least = j
+			}
+		}
+		if !q[least].before(s) {
+			break
+		}
+		q[i] = q[least]
+		q[i].e.index = i
+		i = least
+	}
+	q[i] = s
+	s.e.index = i
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
+
+func (q *eventQueue) push(s slot) {
+	*q = append(*q, s)
+	q.up(len(*q)-1, s)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// remove takes slot i out of the heap (0 pops the minimum) and returns
+// it; the last slot fills the hole and sifts whichever way it must.
+func (q *eventQueue) remove(i int) slot {
+	h := *q
+	out := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	*q = h
+	if i < n {
+		if i > 0 && last.before(h[(i-1)/heapArity]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
+	out.e.index = -1
+	return out
 }
 
 // Stats are the kernel's scheduling counters. Trials report them through
@@ -206,12 +257,10 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	} else {
 		e = &event{k: k}
 	}
-	e.at = t
-	e.seq = k.seq
 	e.fn = fn
+	k.queue.push(slot{at: t, seq: k.seq, e: e})
 	k.seq++
 	k.stats.Scheduled++
-	heap.Push(&k.queue, e)
 	if d := len(k.queue); d > k.stats.MaxHeapDepth {
 		k.stats.MaxHeapDepth = d
 	}
@@ -274,11 +323,12 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	if k.queue.Len() == 0 {
+	if len(k.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.queue).(*event)
-	k.now = e.at
+	s := k.queue.remove(0)
+	e := s.e
+	k.now = s.at
 	k.stats.Fired++
 	fn := e.fn
 	// Recycle before running fn: handles to this event are already stale,
@@ -300,7 +350,7 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(t Time) {
 	k.stopped = false
 	for !k.stopped {
-		if k.queue.Len() == 0 || k.queue[0].at > t {
+		if len(k.queue) == 0 || k.queue[0].at > t {
 			break
 		}
 		k.Step()
@@ -322,7 +372,7 @@ func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 func (k *Kernel) RunBefore(t Time) {
 	k.stopped = false
 	for !k.stopped {
-		if k.queue.Len() == 0 || k.queue[0].at >= t {
+		if len(k.queue) == 0 || k.queue[0].at >= t {
 			break
 		}
 		k.Step()
@@ -336,7 +386,7 @@ func (k *Kernel) RunBefore(t Time) {
 // whether one exists. The shard scheduler uses it to size adaptive
 // synchronization windows without popping anything.
 func (k *Kernel) NextEventAt() (Time, bool) {
-	if k.queue.Len() == 0 {
+	if len(k.queue) == 0 {
 		return 0, false
 	}
 	return k.queue[0].at, true
@@ -344,4 +394,4 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 
 // Pending returns the number of queued events. Canceled events are
 // removed eagerly, so this counts only events that will still fire.
-func (k *Kernel) Pending() int { return k.queue.Len() }
+func (k *Kernel) Pending() int { return len(k.queue) }
