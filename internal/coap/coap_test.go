@@ -3,6 +3,9 @@ package coap
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -159,6 +162,71 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// referenceMarshal is Marshal as it was before the stack-sorted encoder:
+// copy the options, sort.SliceStable them, extension bytes from slices.
+func referenceMarshal(m *Message) []byte {
+	buf := []byte{version<<6 | uint8(m.Type)<<4 | uint8(len(m.Token)), uint8(m.Code), byte(m.MessageID >> 8), byte(m.MessageID)}
+	buf = append(buf, m.Token...)
+	opts := make([]Option, len(m.Options))
+	copy(opts, m.Options)
+	sort.SliceStable(opts, func(i, j int) bool { return opts[i].ID < opts[j].ID })
+	ext := func(v int) (uint8, []byte) {
+		switch {
+		case v < 13:
+			return uint8(v), nil
+		case v < 269:
+			return 13, []byte{uint8(v - 13)}
+		default:
+			return 14, []byte{byte((v - 269) >> 8), byte(v - 269)}
+		}
+	}
+	prev := OptionID(0)
+	for _, o := range opts {
+		db, dext := ext(int(o.ID - prev))
+		lb, lext := ext(len(o.Value))
+		prev = o.ID
+		buf = append(buf, db<<4|lb)
+		buf = append(buf, dext...)
+		buf = append(buf, lext...)
+		buf = append(buf, o.Value...)
+	}
+	if len(m.Payload) > 0 {
+		buf = append(append(buf, 0xFF), m.Payload...)
+	}
+	return buf
+}
+
+// TestMarshalMatchesReference draws messages whose options come in any
+// order — repeated IDs, more than the eight the stack sort holds, deltas
+// and lengths needing extension bytes — and pins Marshal's bytes to the
+// reference encoder's.
+func TestMarshalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	ids := []OptionID{OptIfMatch, OptObserve, OptURIPath, OptContentFormat, OptMaxAge, OptURIQuery, OptBlock2, 300, 2000}
+	for i := 0; i < 2000; i++ {
+		m := &Message{Type: Type(rng.Intn(4)), Code: Code(rng.Intn(256)), MessageID: uint16(rng.Intn(1 << 16)),
+			Token: make([]byte, rng.Intn(9)), Payload: make([]byte, rng.Intn(3)*rng.Intn(40))}
+		rng.Read(m.Token)
+		rng.Read(m.Payload)
+		for n := rng.Intn(13); n > 0; n-- {
+			v := make([]byte, []int{0, 1, 4, 12, 13, 268, 269, 300}[rng.Intn(8)])
+			rng.Read(v)
+			m.AddOption(ids[rng.Intn(len(ids))], v)
+		}
+		before := append([]Option(nil), m.Options...)
+		got, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceMarshal(m); !bytes.Equal(got, want) {
+			t.Fatalf("message %d (%d options): Marshal\n got %x\nwant %x", i, len(m.Options), got, want)
+		}
+		if !reflect.DeepEqual(m.Options, before) {
+			t.Fatalf("message %d: Marshal reordered the caller's options", i)
+		}
+	}
+}
+
 func TestSetPathEdgeCases(t *testing.T) {
 	m := &Message{}
 	m.SetPath("//a//b/")
@@ -305,6 +373,63 @@ func TestResetFailsInFlightAndStaysUsable(t *testing.T) {
 	w.k.RunFor(time.Minute)
 	if resp == nil || string(resp.Payload) != "21.5" {
 		t.Fatal("endpoint unusable after Reset")
+	}
+}
+
+// TestResetFailureOrder pins the order Reset fails outstanding requests
+// in: the byte order of "addr|hex(token)". With prefix-related mesh
+// addresses that is not (address, token) order — "12|…" sorts before
+// "1|…" — and crash scenarios replay it.
+func TestResetFailureOrder(t *testing.T) {
+	w := newWorld()
+	cli, _ := w.endpoint("cli", ConnConfig{})
+	var want, got []string
+	tokens := [][]byte{{}, {0x07}, {1, 2, 3, 4, 5, 6, 7, 8}}
+	for _, addr := range []string{"2", "12", "1"} {
+		for _, tok := range tokens {
+			label := fmt.Sprintf("%s|%x", addr, tok)
+			want = append(want, label)
+			m := &Message{Type: Confirmable, Code: CodeGET, Token: tok}
+			m.SetPath("x")
+			cli.Request(addr, m, func(_ *Message, err error) {
+				if err != ErrClosed {
+					t.Errorf("%s: err = %v, want ErrClosed", label, err)
+				}
+				got = append(got, label)
+			})
+		}
+	}
+	cli.Reset()
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Reset failed requests in order\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestRequestRejectsLongToken: a token past RFC 7252's 8 bytes fails the
+// request once, at the call, before any exchange state exists — and
+// leaves alone the exchange whose token it extends.
+func TestRequestRejectsLongToken(t *testing.T) {
+	w := newWorld()
+	cli, tr := w.endpoint("cli", ConnConfig{})
+	tok := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	var first error
+	m := &Message{Type: NonConfirmable, Code: CodeGET, Token: tok}
+	m.SetPath("x")
+	cli.Request("srv", m, func(_ *Message, err error) { first = err })
+	var errs []error
+	long := &Message{Type: NonConfirmable, Code: CodeGET, Token: append(tok, 9)}
+	long.SetPath("x")
+	cli.Request("srv", long, func(_ *Message, err error) { errs = append(errs, err) })
+	if len(errs) != 1 || errs[0] != ErrBadToken {
+		t.Fatalf("callbacks = %v, want one ErrBadToken", errs)
+	}
+	if p, a := cli.Exchanges(); p != 0 || a != 1 {
+		t.Fatalf("pending=%d awaiting=%d, want 0/1 (only the valid request)", p, a)
+	}
+	w.k.RunFor(time.Minute)
+	if len(errs) != 1 || first != ErrTimeout || tr.Sent() != 1 {
+		t.Fatalf("after the NON timeout: callbacks %v, valid request %v, sent %d; want one ErrBadToken, ErrTimeout, 1", errs, first, tr.Sent())
 	}
 }
 

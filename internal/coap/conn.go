@@ -2,11 +2,12 @@ package coap
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iiotds/internal/netbuf"
@@ -103,9 +104,34 @@ type dedupEntry struct {
 // map (which made every request O(table size)). The at field detects
 // refs made stale by a key being re-inserted with a fresher timestamp.
 type dedupRef struct {
-	k  string
+	k  midKey
 	at time.Duration
 }
+
+// midKey names a message-layer exchange: peer address and message ID.
+type midKey struct {
+	addr string
+	mid  uint16
+}
+
+// tokenKey names a request awaiting its response, or an observer
+// registration: peer address and token, the token held inline.
+type tokenKey struct {
+	addr string
+	tok  [8]byte
+	n    uint8
+}
+
+// newTokenKey builds the key of (addr, token). A token longer than 8
+// bytes is never installed (Request and Unmarshal refuse it); its key
+// keeps a length no installed key has, so it matches nothing.
+func newTokenKey(addr string, token []byte) tokenKey {
+	k := tokenKey{addr: addr, n: uint8(min(len(token), 9))}
+	copy(k.tok[:], token)
+	return k
+}
+
+func (k *tokenKey) token() []byte { return k.tok[:k.n:k.n] }
 
 // Conn is a CoAP endpoint: client and server share one transport, as the
 // protocol intends.
@@ -114,18 +140,21 @@ type Conn struct {
 	sched Scheduler
 	cfg   ConnConfig
 
+	// nextMID is the last message ID handed out (low 16 bits); a NON
+	// response and a notification batch draw from it without c.mu.
+	nextMID atomic.Uint32
+
 	mu        sync.Mutex
 	rng       *rand.Rand
-	nextMID   uint16
 	nextToken uint64
-	pending   map[string]*outCON    // addr|mid
-	awaiting  map[string]*reqState  // addr|token
-	dedup     map[string]dedupEntry // addr|mid
-	dedupQ    []dedupRef            // dedup keys in insertion (time) order
-	dedupHead int                   // first live index of dedupQ
+	pending   map[midKey]*outCON
+	awaiting  map[tokenKey]*reqState
+	dedup     map[midKey]dedupEntry
+	dedupQ    []dedupRef // dedup keys in insertion (time) order
+	dedupHead int        // first live index of dedupQ
 	closed    bool
 
-	server *Server
+	server atomic.Pointer[Server]
 
 	// rec, when set, receives message-layer trace events. Only install a
 	// recorder on simulation-backed endpoints: the recorder is not
@@ -151,11 +180,11 @@ func NewConn(tr Transport, sched Scheduler, cfg ConnConfig) *Conn {
 		sched:    sched,
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		nextMID:  uint16(cfg.Seed),
-		pending:  make(map[string]*outCON),
-		awaiting: make(map[string]*reqState),
-		dedup:    make(map[string]dedupEntry),
+		pending:  make(map[midKey]*outCON),
+		awaiting: make(map[tokenKey]*reqState),
+		dedup:    make(map[midKey]dedupEntry),
 	}
+	c.nextMID.Store(uint32(uint16(cfg.Seed)))
 	tr.SetReceiver(c.onDatagram)
 	return c
 }
@@ -196,10 +225,8 @@ func (c *Conn) withJourney(jid uint64, fn func()) {
 
 // Serve installs a server (resource tree) on this endpoint.
 func (c *Conn) Serve(s *Server) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.server = s
 	s.conn = c
+	c.server.Store(s)
 }
 
 // LocalAddr returns the transport address.
@@ -225,8 +252,8 @@ func (c *Conn) Close() error {
 		}
 		fns = append(fns, r.fn)
 	}
-	c.pending = map[string]*outCON{}
-	c.awaiting = map[string]*reqState{}
+	c.pending = map[midKey]*outCON{}
+	c.awaiting = map[tokenKey]*reqState{}
 	c.mu.Unlock()
 	for _, fn := range fns {
 		fn(nil, ErrClosed)
@@ -249,8 +276,10 @@ func (c *Conn) Exchanges() (pending, awaiting int) {
 // ErrClosed. Unlike Close the endpoint stays usable and the transport
 // stays open: the rebooted node comes back with fresh (well, Seed-reset
 // is not modeled — MIDs/tokens keep counting, which RFC 7252 permits)
-// exchange state. Failure callbacks fire in sorted key order so a
-// simulated crash produces a deterministic event sequence.
+// exchange state. Failure callbacks fire in the byte order of
+// "addr|hex(token)" so a simulated crash produces a deterministic event
+// sequence. That is not field order — "12|…" sorts before "1|…" — and E14
+// and the churn scenarios pin it.
 func (c *Conn) Reset() {
 	c.mu.Lock()
 	for _, p := range c.pending {
@@ -258,53 +287,42 @@ func (c *Conn) Reset() {
 			p.cancel()
 		}
 	}
-	keys := make([]string, 0, len(c.awaiting))
-	for k := range c.awaiting {
-		keys = append(keys, k)
+	type failing struct {
+		order string
+		st    *reqState
 	}
-	sort.Strings(keys)
-	fns := make([]ResponseFunc, 0, len(keys))
-	for _, k := range keys {
-		r := c.awaiting[k]
-		if r.timer != nil {
-			r.timer()
+	fail := make([]failing, 0, len(c.awaiting))
+	for k, st := range c.awaiting {
+		order := hex.AppendEncode(append([]byte(k.addr), '|'), k.token())
+		fail = append(fail, failing{string(order), st})
+	}
+	sort.Slice(fail, func(i, j int) bool { return fail[i].order < fail[j].order })
+	for _, f := range fail {
+		if f.st.timer != nil {
+			f.st.timer()
 		}
-		fns = append(fns, r.fn)
 	}
-	c.pending = make(map[string]*outCON)
-	c.awaiting = make(map[string]*reqState)
-	c.dedup = make(map[string]dedupEntry)
+	c.pending = make(map[midKey]*outCON)
+	c.awaiting = make(map[tokenKey]*reqState)
+	c.dedup = make(map[midKey]dedupEntry)
 	c.dedupQ = nil
 	c.dedupHead = 0
 	c.mu.Unlock()
-	for _, fn := range fns {
-		fn(nil, ErrClosed)
+	for _, f := range fail {
+		f.st.fn(nil, ErrClosed)
 	}
 }
 
-func key(addr string, mid uint16) string { return fmt.Sprintf("%s|%d", addr, mid) }
+func (c *Conn) newMID() uint16 { return uint16(c.nextMID.Add(1)) }
 
-func tokenKey(addr string, token []byte) string {
-	return fmt.Sprintf("%s|%x", addr, token)
-}
-
-func (c *Conn) newMID() uint16 {
-	c.nextMID++
-	return c.nextMID
-}
-
-// allocMIDs reserves a block of n consecutive message IDs in one lock
-// round and returns the first, so a notification fan-out pays one lock
-// acquisition per batch instead of one per observer. The ID sequence is
+// allocMIDs reserves a block of n consecutive message IDs in one atomic
+// add and returns the first, so a notification fan-out pays one shared
+// write per batch instead of one per observer. The ID sequence is
 // exactly what n calls of newMID would have produced. MIDs wrap at 2^16;
 // batches larger than that alias within themselves, which RFC 7252
 // tolerates for NONs (retransmission state is never keyed on them here).
 func (c *Conn) allocMIDs(n int) uint16 {
-	c.mu.Lock()
-	first := c.nextMID + 1
-	c.nextMID += uint16(n)
-	c.mu.Unlock()
-	return first
+	return uint16(c.nextMID.Add(uint32(n)) - uint32(n) + 1)
 }
 
 func (c *Conn) newToken() []byte {
@@ -322,6 +340,10 @@ func (c *Conn) newToken() []byte {
 func (c *Conn) Request(addr string, req *Message, fn ResponseFunc) {
 	if fn == nil {
 		fn = func(*Message, error) {} // fire-and-forget request
+	}
+	if len(req.Token) > 8 {
+		fn(nil, ErrBadToken)
+		return
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -343,7 +365,7 @@ func (c *Conn) Request(addr string, req *Message, fn ResponseFunc) {
 	obsOpt, isObs := req.Option(OptObserve)
 	observe := isObs && obsOpt.Uint() == 0
 	st := &reqState{fn: fn, observe: observe, origReq: req, addr: addr, journey: jid}
-	tk := tokenKey(addr, req.Token)
+	tk := newTokenKey(addr, req.Token)
 	c.awaiting[tk] = st
 	if req.Type == NonConfirmable {
 		st.timer = c.sched.Schedule(c.cfg.NonTimeout, func() {
@@ -397,14 +419,11 @@ func (c *Conn) Observe(addr, path string, fn ResponseFunc) []byte {
 // Observe=1).
 func (c *Conn) CancelObserve(addr string, token []byte, path string) {
 	c.mu.Lock()
-	delete(c.awaiting, tokenKey(addr, token))
+	delete(c.awaiting, newTokenKey(addr, token))
 	c.mu.Unlock()
-	m := &Message{Type: NonConfirmable, Code: CodeGET, Token: token, MessageID: 0}
+	m := &Message{Type: NonConfirmable, Code: CodeGET, Token: token, MessageID: c.newMID()}
 	m.SetPath(path)
 	m.AddUintOption(OptObserve, 1)
-	c.mu.Lock()
-	m.MessageID = c.newMID()
-	c.mu.Unlock()
 	data, err := m.Marshal()
 	if err == nil {
 		_ = c.tr.Send(addr, data)
@@ -412,7 +431,7 @@ func (c *Conn) CancelObserve(addr string, token []byte, path string) {
 }
 
 // failRequest finishes a pending request with an error.
-func (c *Conn) failRequest(tk string, err error) {
+func (c *Conn) failRequest(tk tokenKey, err error) {
 	c.mu.Lock()
 	st, ok := c.awaiting[tk]
 	if ok {
@@ -441,7 +460,7 @@ func (c *Conn) send(addr string, m *Message, onFail func(err error)) {
 		c.mu.Lock()
 		timeout := time.Duration(float64(c.cfg.AckTimeout) * (1 + (ackRandomFactor-1)*c.rng.Float64()))
 		p := &outCON{data: data, addr: addr, timeout: timeout, onFail: onFail, journey: c.journeyCurrent()}
-		k := key(addr, m.MessageID)
+		k := midKey{addr, m.MessageID}
 		c.pending[k] = p
 		c.armRetransmit(k, p)
 		c.mu.Unlock()
@@ -450,7 +469,7 @@ func (c *Conn) send(addr string, m *Message, onFail func(err error)) {
 }
 
 // armRetransmit must be called with c.mu held.
-func (c *Conn) armRetransmit(k string, p *outCON) {
+func (c *Conn) armRetransmit(k midKey, p *outCON) {
 	p.cancel = c.sched.Schedule(p.timeout, func() {
 		c.mu.Lock()
 		cur, ok := c.pending[k]
@@ -484,7 +503,7 @@ func (c *Conn) armRetransmit(k string, p *outCON) {
 // ackReceived clears retransmission state for (addr, mid).
 func (c *Conn) ackReceived(addr string, mid uint16) {
 	c.mu.Lock()
-	k := key(addr, mid)
+	k := midKey{addr, mid}
 	if p, ok := c.pending[k]; ok {
 		if p.cancel != nil {
 			p.cancel()
@@ -535,14 +554,14 @@ func (c *Conn) sendEmpty(t Type, addr string, mid uint16) {
 func (c *Conn) handleReset(from string, m *Message) {
 	// A RST aborts whatever exchange used this MID; observers are
 	// removed by the server layer on notification RSTs.
-	if c.server != nil {
-		c.server.removeObserverByMID(from, m.MessageID)
+	if s := c.server.Load(); s != nil {
+		s.removeObserverByMID(from, m.MessageID)
 	}
 }
 
 // handleResponse routes a response to its waiting request by token.
 func (c *Conn) handleResponse(from string, m *Message) {
-	tk := tokenKey(from, m.Token)
+	tk := newTokenKey(from, m.Token)
 	c.mu.Lock()
 	st, ok := c.awaiting[tk]
 	if !ok {
@@ -592,55 +611,56 @@ func (c *Conn) handleResponse(from string, m *Message) {
 	fn(m, nil)
 }
 
-// handleRequest dispatches an inbound request to the server.
+// handleRequest dispatches an inbound request to the server. Only CONs
+// are deduplicated (RFC 7252 §4.5): caching NON requests too would retain
+// a response per message for no replay benefit — and let a stale NON
+// entry alias a later CON that reuses the MID. So only a CON expires,
+// reads and fills the dedup cache, and a NON takes no Conn-wide lock.
 func (c *Conn) handleRequest(from string, m *Message) {
-	now := c.sched.Now()
-	k := key(from, m.MessageID)
-	c.mu.Lock()
-	c.expireDedupLocked(now)
-	// Deduplicate: replay the cached response for a repeated CON.
-	if e, dup := c.dedup[k]; dup && m.Type == Confirmable {
+	con := m.Type == Confirmable
+	k := midKey{from, m.MessageID}
+	var now time.Duration
+	if con {
+		now = c.sched.Now()
+		c.mu.Lock()
+		c.expireDedupLocked(now)
+		e, dup := c.dedup[k]
 		c.mu.Unlock()
-		if e.response != nil {
-			_ = c.tr.Send(from, e.response)
+		if dup {
+			// Replay the cached response for a repeated CON.
+			if e.response != nil {
+				_ = c.tr.Send(from, e.response)
+			}
+			return
 		}
-		return
 	}
-	server := c.server
-	c.mu.Unlock()
 
 	var resp *Message
-	if server == nil {
+	if server := c.server.Load(); server == nil {
 		resp = &Message{Code: CodeNotImplemented}
 	} else {
 		resp = server.handle(from, m)
 	}
 	if resp == nil {
 		// Server chose not to respond (e.g., observe dereg via RST).
-		if m.Type == Confirmable {
+		if con {
 			c.sendEmpty(Acknowledgement, from, m.MessageID)
 		}
 		return
 	}
 	resp.Token = m.Token
-	if m.Type == Confirmable {
+	if con {
 		resp.Type = Acknowledgement
 		resp.MessageID = m.MessageID
 	} else {
 		resp.Type = NonConfirmable
-		c.mu.Lock()
 		resp.MessageID = c.newMID()
-		c.mu.Unlock()
 	}
 	data, err := resp.Marshal()
 	if err != nil {
 		return
 	}
-	if m.Type == Confirmable {
-		// Only CONs are deduplicated (RFC 7252 §4.5): caching NON
-		// requests too would retain a response per message for no replay
-		// benefit — and let a stale NON entry alias a later CON that
-		// reuses the MID.
+	if con {
 		c.mu.Lock()
 		c.dedup[k] = dedupEntry{at: now, response: data}
 		c.dedupQ = append(c.dedupQ, dedupRef{k: k, at: now})

@@ -28,9 +28,38 @@ func fuzzSeedMessages(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzUnmarshal throws arbitrary bytes at the wire parser. Whatever
-// parses must survive a Marshal/Unmarshal round trip unchanged — the
-// parser and serializer agree on every message the parser accepts.
+// sameMessage reports whether a and b carry the same header, token,
+// options (in order) and payload.
+func sameMessage(a, b *Message) bool {
+	if a.Type != b.Type || a.Code != b.Code || a.MessageID != b.MessageID ||
+		!bytes.Equal(a.Token, b.Token) || !bytes.Equal(a.Payload, b.Payload) || len(a.Options) != len(b.Options) {
+		return false
+	}
+	for i := range a.Options {
+		if a.Options[i].ID != b.Options[i].ID || !bytes.Equal(a.Options[i].Value, b.Options[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneMessage deep-copies m.
+func cloneMessage(m *Message) *Message {
+	c := *m
+	c.Token = bytes.Clone(m.Token)
+	c.Payload = bytes.Clone(m.Payload)
+	c.Options = make([]Option, len(m.Options))
+	for i, o := range m.Options {
+		c.Options[i] = Option{ID: o.ID, Value: bytes.Clone(o.Value)}
+	}
+	return &c
+}
+
+// FuzzUnmarshal throws arbitrary bytes at the wire parser. A parsed
+// message owns its bytes: scribbling over the input changes none of its
+// fields, and appending to the token or an option value changes no other
+// field (each is capped at its length). Whatever parses is a fixed point:
+// Marshal's output re-parses to an equal message.
 func FuzzUnmarshal(f *testing.F) {
 	for _, s := range fuzzSeedMessages(f) {
 		f.Add(s)
@@ -46,6 +75,26 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
+		want := cloneMessage(m)
+		for i := range data {
+			data[i] = 0xA5
+		}
+		if !sameMessage(m, want) {
+			t.Fatalf("message aliases its input:\n got %+v\nwant %+v", m, want)
+		}
+		fields := [][]byte{m.Token}
+		for _, o := range m.Options {
+			fields = append(fields, o.Value)
+		}
+		for i, v := range fields {
+			if cap(v) != len(v) {
+				t.Fatalf("field %d: cap %d > len %d", i, cap(v), len(v))
+			}
+			_ = append(v, 0x5A)
+		}
+		if !sameMessage(m, want) {
+			t.Fatalf("an append to one field changed another:\n got %+v\nwant %+v", m, want)
+		}
 		out, err := m.Marshal()
 		if err != nil {
 			t.Fatalf("accepted message failed to re-marshal: %v (%+v)", err, m)
@@ -54,15 +103,8 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshaled bytes failed to parse: %v", err)
 		}
-		if m.Type != m2.Type || m.Code != m2.Code || m.MessageID != m2.MessageID ||
-			!bytes.Equal(m.Token, m2.Token) || !bytes.Equal(m.Payload, m2.Payload) ||
-			len(m.Options) != len(m2.Options) {
+		if !sameMessage(m, m2) {
 			t.Fatalf("round trip changed message:\n first %+v\nsecond %+v", m, m2)
-		}
-		for i := range m.Options {
-			if m.Options[i].ID != m2.Options[i].ID || !bytes.Equal(m.Options[i].Value, m2.Options[i].Value) {
-				t.Fatalf("option %d changed: %+v vs %+v", i, m.Options[i], m2.Options[i])
-			}
 		}
 	})
 }

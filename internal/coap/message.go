@@ -13,9 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-
-	"iiotds/internal/netbuf"
+	"slices"
 )
 
 // Type is the CoAP message type.
@@ -211,17 +209,20 @@ func (m *Message) SetPath(path string) {
 }
 
 // Path reassembles the Uri-Path options into a "/"-separated path.
-func (m *Message) Path() string {
-	var out []byte
+func (m *Message) Path() string { return string(m.appendPath(nil)) }
+
+// appendPath appends the "/"-separated path to b, which must be empty;
+// the server resolves a request into a stack buffer this way.
+func (m *Message) appendPath(b []byte) []byte {
 	for _, o := range m.Options {
 		if o.ID == OptURIPath {
-			if len(out) > 0 {
-				out = append(out, '/')
+			if len(b) > 0 {
+				b = append(b, '/')
 			}
-			out = append(out, o.Value...)
+			b = append(b, o.Value...)
 		}
 	}
-	return string(out)
+	return b
 }
 
 // Queries returns all Uri-Query option values.
@@ -251,28 +252,32 @@ func (m *Message) Marshal() ([]byte, error) {
 	if len(m.Token) > 8 {
 		return nil, ErrBadToken
 	}
-	buf := make([]byte, 0, 4+len(m.Token)+len(m.Payload)+len(m.Options)*4)
+	// Options go out in ascending ID order with delta encoding. Most
+	// messages already hold them in order; otherwise a stable sort keeps
+	// repeated options (Uri-Path segments) in place, on a stack copy when
+	// there are at most eight.
+	opts := m.Options
+	var stack [8]Option
+	if !slices.IsSortedFunc(opts, cmpOptionID) {
+		opts = append(stack[:0], opts...)
+		slices.SortStableFunc(opts, cmpOptionID)
+	}
+	size := 4 + len(m.Token) + 1 + len(m.Payload)
+	for _, o := range opts {
+		size += 5 + len(o.Value)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, version<<6|uint8(m.Type)<<4|uint8(len(m.Token)))
 	buf = append(buf, uint8(m.Code))
-	var mid [2]byte
-	binary.BigEndian.PutUint16(mid[:], m.MessageID)
-	buf = append(buf, mid[:]...)
+	buf = binary.BigEndian.AppendUint16(buf, m.MessageID)
 	buf = append(buf, m.Token...)
-
-	// Options must be encoded in ascending ID order with delta encoding.
-	opts := make([]Option, len(m.Options))
-	copy(opts, m.Options)
-	sort.SliceStable(opts, func(i, j int) bool { return opts[i].ID < opts[j].ID })
 	prev := OptionID(0)
 	for _, o := range opts {
 		delta := int(o.ID - prev)
 		prev = o.ID
-		length := len(o.Value)
-		db, dext := optNibble(delta)
-		lb, lext := optNibble(length)
-		buf = append(buf, db<<4|lb)
-		buf = append(buf, dext...)
-		buf = append(buf, lext...)
+		buf = append(buf, optNibble(delta)<<4|optNibble(len(o.Value)))
+		buf = appendOptExt(buf, delta)
+		buf = appendOptExt(buf, len(o.Value))
 		buf = append(buf, o.Value...)
 	}
 	if len(m.Payload) > 0 {
@@ -282,32 +287,42 @@ func (m *Message) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// optNibble encodes a delta or length into its nibble and extension bytes.
-func optNibble(v int) (nibble uint8, ext []byte) {
+func cmpOptionID(a, b Option) int { return int(a.ID) - int(b.ID) }
+
+// optNibble is the 4-bit form of an option delta or length.
+func optNibble(v int) uint8 {
 	switch {
 	case v < 13:
-		return uint8(v), nil
+		return uint8(v)
 	case v < 269:
-		return 13, []byte{uint8(v - 13)}
+		return 13
 	default:
-		e := make([]byte, 2)
-		binary.BigEndian.PutUint16(e, uint16(v-269))
-		return 14, e
+		return 14
 	}
 }
 
-// Unmarshal parses a CoAP message.
+// appendOptExt appends the extension bytes optNibble's form implies.
+func appendOptExt(b []byte, v int) []byte {
+	switch {
+	case v < 13:
+		return b
+	case v < 269:
+		return append(b, uint8(v-13))
+	default:
+		return binary.BigEndian.AppendUint16(b, uint16(v-269))
+	}
+}
+
+// Unmarshal parses a CoAP message. The message owns one copy of data:
+// Token, option values and Payload are sub-slices of it, each capped at
+// its own length so an append to one never writes into another. data is
+// never aliased — transports reuse their inbound buffers.
 func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < 4 {
 		return nil, ErrTruncated
 	}
 	if data[0]>>6 != version {
 		return nil, ErrBadVersion
-	}
-	m := &Message{
-		Type:      Type(data[0] >> 4 & 0x3),
-		Code:      Code(data[1]),
-		MessageID: binary.BigEndian.Uint16(data[2:4]),
 	}
 	tkl := int(data[0] & 0x0F)
 	if tkl > 8 {
@@ -317,11 +332,19 @@ func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < p+tkl {
 		return nil, ErrTruncated
 	}
+	data = append(make([]byte, 0, len(data)), data...)
+	m := &Message{
+		Type:      Type(data[0] >> 4 & 0x3),
+		Code:      Code(data[1]),
+		MessageID: binary.BigEndian.Uint16(data[2:4]),
+	}
 	if tkl > 0 {
-		m.Token = netbuf.CloneBytes(data[p : p+tkl])
+		m.Token = data[p : p+tkl : p+tkl]
 	}
 	p += tkl
 
+	var stack [16]Option
+	opts := stack[:0]
 	prev := OptionID(0)
 	for p < len(data) {
 		if data[p] == 0xFF {
@@ -329,8 +352,8 @@ func Unmarshal(data []byte) (*Message, error) {
 			if p >= len(data) {
 				return nil, ErrFormat // payload marker with empty payload
 			}
-			m.Payload = netbuf.CloneBytes(data[p:])
-			return m, nil
+			m.Payload = data[p:]
+			break
 		}
 		db := int(data[p] >> 4)
 		lb := int(data[p] & 0x0F)
@@ -355,11 +378,15 @@ func Unmarshal(data []byte) (*Message, error) {
 			return nil, ErrBadOption
 		}
 		prev += OptionID(delta)
-		m.Options = append(m.Options, Option{
-			ID:    prev,
-			Value: netbuf.CloneBytes(data[p : p+length]),
-		})
+		o := Option{ID: prev}
+		if length > 0 {
+			o.Value = data[p : p+length : p+length]
+		}
+		opts = append(opts, o)
 		p += length
+	}
+	if len(opts) > 0 {
+		m.Options = append(make([]Option, 0, len(opts)), opts...)
 	}
 	return m, nil
 }

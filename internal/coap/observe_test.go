@@ -612,3 +612,70 @@ func TestDedupCONOnlyAndQueueExpiry(t *testing.T) {
 		t.Fatalf("dedup map=%d queue=%d, want the expired entry gone", live, qlen)
 	}
 }
+
+// midTransport records the MID of every outbound datagram; its receiver
+// is driven by the test.
+type midTransport struct {
+	recv func(from string, data []byte)
+	mu   sync.Mutex
+	mids map[uint16]int
+}
+
+func (m *midTransport) Send(addr string, data []byte) error {
+	m.mu.Lock()
+	m.mids[uint16(data[2])<<8|uint16(data[3])]++
+	m.mu.Unlock()
+	return nil
+}
+func (m *midTransport) SetReceiver(fn func(from string, data []byte)) { m.recv = fn }
+func (m *midTransport) LocalAddr() string                             { return "srv" }
+func (m *midTransport) Close() error                                  { return nil }
+
+// TestConcurrentNONRegistrations drives the lock-free NON request path
+// from several goroutines while resources are being added: every
+// registration lands, and the responses' MIDs are one consecutive run of
+// the counter allocMIDs draws from — none lost, none handed out twice.
+func TestConcurrentNONRegistrations(t *testing.T) {
+	const workers, each, seed = 4, 500, 40
+	tr := &midTransport{mids: map[uint16]int{}}
+	conn := NewConn(tr, &clock.System{}, ConnConfig{Seed: seed})
+	defer conn.Close()
+	srv := NewServer()
+	srv.SetObserverLimit(workers * each)
+	temp := srv.Resource("temp").Observable().Get(func(string, *Message) *Message { return TextResponse("x") })
+	conn.Serve(srv)
+	reg, err := registerMsg([]byte{7}, 1, "temp", 0).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.recv(fmt.Sprintf("c%d-%d", w, i), reg)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			srv.Resource(fmt.Sprintf("extra/%d", i))
+			_ = srv.Paths()
+		}
+	}()
+	wg.Wait()
+	if n := temp.ObserverCount(); n != workers*each {
+		t.Fatalf("observers = %d, want %d", n, workers*each)
+	}
+	for i := 1; i <= workers*each; i++ {
+		if c := tr.mids[uint16(seed+i)]; c != 1 {
+			t.Fatalf("MID %d used %d times, want once", seed+i, c)
+		}
+	}
+	if len(tr.mids) != workers*each {
+		t.Fatalf("%d distinct response MIDs, want %d", len(tr.mids), workers*each)
+	}
+}

@@ -3,6 +3,7 @@ package coap
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -31,8 +32,7 @@ const defaultConfirmEvery = 8
 const obsShards = 16
 
 type observer struct {
-	addr  string
-	token []byte
+	tokenKey
 	// lastMID holds the message ID of the most recent notification sent
 	// to this observer (low 16 bits), read by RST handling. It is atomic
 	// because Notify stores it outside the shard lock while
@@ -43,7 +43,7 @@ type observer struct {
 // obsShard is one lock-striped slice of a resource's observer table.
 type obsShard struct {
 	mu sync.Mutex
-	m  map[string]*observer
+	m  map[tokenKey]*observer
 	n  atomic.Int64 // len(m), readable without the lock
 }
 
@@ -69,8 +69,10 @@ type Resource struct {
 type Server struct {
 	conn *Conn
 
+	// resources is read without a lock; Resource, under mu, is its only
+	// writer and replaces the map rather than mutating it.
 	mu        sync.Mutex
-	resources map[string]*Resource
+	resources atomic.Pointer[map[string]*Resource]
 
 	maxObs       atomic.Int64 // default per-resource cap; 0 = DefaultMaxObservers
 	confirmEvery atomic.Int64 // 0 = defaultConfirmEvery, <0 = never confirmable
@@ -81,7 +83,9 @@ type Server struct {
 
 // NewServer returns an empty server.
 func NewServer() *Server {
-	return &Server{resources: make(map[string]*Resource)}
+	s := &Server{}
+	s.resources.Store(&map[string]*Resource{})
+	return s
 }
 
 // SetObserverLimit sets the default per-resource observer cap (admission
@@ -118,26 +122,31 @@ func (s *Server) confirmEveryVal() uint32 {
 // Resource registers (or returns) the resource at path.
 func (s *Server) Resource(path string) *Resource {
 	path = strings.Trim(path, "/")
+	if r, ok := (*s.resources.Load())[path]; ok {
+		return r
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.resources[path]
+	cur := *s.resources.Load()
+	r, ok := cur[path]
 	if !ok {
 		r = &Resource{
 			path:     path,
 			handlers: make(map[Code]HandlerFunc),
 			server:   s,
 		}
-		s.resources[path] = r
+		next := maps.Clone(cur)
+		next[path] = r
+		s.resources.Store(&next)
 	}
 	return r
 }
 
 // Paths returns all registered resource paths, sorted.
 func (s *Server) Paths() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.resources))
-	for p := range s.resources {
+	resources := *s.resources.Load()
+	out := make([]string, 0, len(resources))
+	for p := range resources {
 		out = append(out, p)
 	}
 	sort.Strings(out)
@@ -201,11 +210,16 @@ func (r *Resource) maxObservers() int64 {
 // ObserverCount returns the number of registered observers.
 func (r *Resource) ObserverCount() int { return int(r.nobs.Load()) }
 
-// shardOf maps a registration key onto its shard (FNV-1a).
-func shardOf(k string) int {
+// shardOf maps a registration key onto its shard (FNV-1a over the
+// address, then the token).
+func shardOf(k *tokenKey) int {
 	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
+	for i := 0; i < len(k.addr); i++ {
+		h ^= uint32(k.addr[i])
+		h *= 16777619
+	}
+	for _, b := range k.token() {
+		h ^= uint32(b)
 		h *= 16777619
 	}
 	return int(h & (obsShards - 1))
@@ -247,7 +261,7 @@ func (r *Resource) notifyAll(seq, contentFormat uint32, payload []byte) {
 		if obs[i].addr != obs[j].addr {
 			return obs[i].addr < obs[j].addr
 		}
-		return bytes.Compare(obs[i].token, obs[j].token) < 0
+		return bytes.Compare(obs[i].token(), obs[j].token()) < 0
 	})
 	var enc notifyEncoder
 	r.fanOut(obs, seq, contentFormat, payload, &enc)
@@ -289,16 +303,16 @@ func (r *Resource) fanOut(obs []*observer, seq, contentFormat uint32, payload []
 		m := mid + uint16(i)
 		o.lastMID.Store(uint32(m))
 		if con {
-			msg := &Message{Type: Confirmable, Code: CodeContent, Token: o.token, Payload: payload, MessageID: m}
+			msg := &Message{Type: Confirmable, Code: CodeContent, Token: o.token(), Payload: payload, MessageID: m}
 			msg.AddUintOption(OptObserve, seq)
 			msg.AddUintOption(OptContentFormat, contentFormat)
-			addr, token := o.addr, o.token
+			addr, token := o.addr, o.token()
 			c.send(addr, msg, func(error) {
 				// Unreachable observer: drop the registration.
 				r.removeObserver(addr, token)
 			})
 		} else {
-			_ = c.tr.Send(o.addr, enc.packet(m, o.token))
+			_ = c.tr.Send(o.addr, enc.packet(m, o.token()))
 		}
 	}
 }
@@ -436,8 +450,8 @@ func (p *notifyPool) dispatch(r *Resource, seq, cf uint32, payload []byte) {
 }
 
 func (r *Resource) addObserver(addr string, token []byte) error {
-	k := tokenKey(addr, token)
-	sh := &r.shards[shardOf(k)]
+	k := newTokenKey(addr, token)
+	sh := &r.shards[shardOf(&k)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.m[k]; ok {
@@ -448,16 +462,16 @@ func (r *Resource) addObserver(addr string, token []byte) error {
 		return ErrTooManyObservers
 	}
 	if sh.m == nil {
-		sh.m = make(map[string]*observer)
+		sh.m = make(map[tokenKey]*observer)
 	}
-	sh.m[k] = &observer{addr: addr, token: netbuf.CloneBytes(token)}
+	sh.m[k] = &observer{tokenKey: k}
 	sh.n.Store(int64(len(sh.m)))
 	return nil
 }
 
 func (r *Resource) removeObserver(addr string, token []byte) {
-	k := tokenKey(addr, token)
-	sh := &r.shards[shardOf(k)]
+	k := newTokenKey(addr, token)
+	sh := &r.shards[shardOf(&k)]
 	sh.mu.Lock()
 	if _, ok := sh.m[k]; ok {
 		delete(sh.m, k)
@@ -470,13 +484,7 @@ func (r *Resource) removeObserver(addr string, token []byte) {
 // removeObserverByMID drops whatever observer last received the
 // notification with the given MID (RST handling).
 func (s *Server) removeObserverByMID(addr string, mid uint16) {
-	s.mu.Lock()
-	resources := make([]*Resource, 0, len(s.resources))
-	for _, r := range s.resources {
-		resources = append(resources, r)
-	}
-	s.mu.Unlock()
-	for _, r := range resources {
+	for _, r := range *s.resources.Load() {
 		for i := range r.shards {
 			sh := &r.shards[i]
 			sh.mu.Lock()
@@ -495,14 +503,14 @@ func (s *Server) removeObserverByMID(addr string, mid uint16) {
 // linkFormat renders the CoRE link-format discovery document.
 func (s *Server) linkFormat() []byte {
 	var sb strings.Builder
-	for i, p := range s.Paths() {
+	paths := s.Paths()
+	resources := *s.resources.Load() // resources are never removed: a superset of paths
+	for i, p := range paths {
 		if i > 0 {
 			sb.WriteString(",")
 		}
 		fmt.Fprintf(&sb, "</%s>", p)
-		s.mu.Lock()
-		r := s.resources[p]
-		s.mu.Unlock()
+		r := resources[p]
 		r.mu.Lock()
 		rt, observable := r.rt, r.observable
 		r.mu.Unlock()
@@ -518,15 +526,14 @@ func (s *Server) linkFormat() []byte {
 
 // handle dispatches one request and returns the response (nil = silent).
 func (s *Server) handle(from string, req *Message) *Message {
-	path := req.Path()
-	if path == ".well-known/core" && req.Code == CodeGET {
+	var buf [64]byte
+	path := req.appendPath(buf[:0])
+	if string(path) == ".well-known/core" && req.Code == CodeGET {
 		resp := &Message{Code: CodeContent, Payload: s.linkFormat()}
 		resp.AddUintOption(OptContentFormat, FormatLinkFormat)
 		return resp
 	}
-	s.mu.Lock()
-	r, ok := s.resources[path]
-	s.mu.Unlock()
+	r, ok := (*s.resources.Load())[string(path)]
 	if !ok {
 		return &Message{Code: CodeNotFound}
 	}

@@ -15,7 +15,9 @@
 package gateway
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -121,9 +123,7 @@ func (g *Gateway) AddResource(path, rt string, fallback coap.HandlerFunc) *coap.
 	r := g.srv.Resource(path).ResourceType(rt).Observable()
 	r.Get(func(from string, req *coap.Message) *coap.Message {
 		if e, ok := g.cache.Get(path); ok {
-			resp := &coap.Message{Code: coap.CodeContent, Payload: e.Payload}
-			resp.AddUintOption(coap.OptContentFormat, e.ContentFormat)
-			return resp
+			return newCachedResponse(e)
 		}
 		if fallback != nil {
 			return fallback(from, req)
@@ -131,6 +131,23 @@ func (g *Gateway) AddResource(path, rt string, fallback coap.HandlerFunc) *coap.
 		return &coap.Message{Code: coap.CodeServiceUnavailable}
 	})
 	return r
+}
+
+// cachedResponse is a cache-served 2.05 with its options in one
+// allocation: Content-Format, and room for the Observe option the server
+// adds to a registration's answer.
+type cachedResponse struct {
+	msg  coap.Message
+	opts [2]coap.Option
+	cf   [4]byte
+}
+
+func newCachedResponse(e Entry) *coap.Message {
+	c := &cachedResponse{}
+	binary.BigEndian.PutUint32(c.cf[:], e.ContentFormat)
+	c.opts[0] = coap.Option{ID: coap.OptContentFormat, Value: c.cf[4-(bits.Len32(e.ContentFormat)+7)/8:]}
+	c.msg = coap.Message{Code: coap.CodeContent, Payload: e.Payload, Options: c.opts[:1]}
+	return &c.msg
 }
 
 // Publish offers a new representation for path: it lands in the

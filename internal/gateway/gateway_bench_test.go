@@ -80,24 +80,57 @@ func BenchmarkNotifyFanOut(b *testing.B) {
 	}
 }
 
-// BenchmarkObserverRegistration measures the registration request path
-// (dedup bookkeeping, handler dispatch, shard insert) per new observer.
-func BenchmarkObserverRegistration(b *testing.B) {
+// registrationGateway is the registration path under test: an inline
+// gateway with one warm, observable resource, no cap in the way, and its
+// Observe=0 datagram.
+func registrationGateway(tb testing.TB) (*sinkTransport, []byte) {
+	tb.Helper()
 	tr := &sinkTransport{}
 	conn := coap.NewConn(tr, &clock.System{}, coap.ConnConfig{})
-	defer conn.Close()
 	gw := New(conn, Config{MaxObservers: 1 << 30, ConfirmEvery: -1, Inline: true})
-	defer gw.Close()
+	tb.Cleanup(func() {
+		gw.Close()
+		conn.Close()
+	})
 	gw.AddResource("bench", "bench", nil)
 	gw.Publish("bench", coap.FormatText, []byte("warm"))
-	reg := observeDatagram("bench")
-	addrs := make([]string, 1<<16)
+	return tr, observeDatagram("bench")
+}
+
+// BenchmarkObserverRegistration measures the registration request path
+// (handler dispatch, response encoding, shard insert) per new observer:
+// every iteration registers a fresh address, built before the timer.
+func BenchmarkObserverRegistration(b *testing.B) {
+	tr, reg := registrationGateway(b)
+	addrs := make([]string, b.N)
 	for i := range addrs {
 		addrs[i] = observerAddr(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.recv(addrs[i%len(addrs)], reg)
+		tr.recv(addrs[i], reg)
+	}
+}
+
+// TestObserverRegistrationAllocs is the alloc gate on the registration
+// path: 10 000 new observers through the transport's receive callback
+// average at most 8 allocations each, the caller's address string not
+// counted (23 when keys were formatted strings, every option value was
+// cloned and Marshal sorted through reflection). Run without -race.
+func TestObserverRegistrationAllocs(t *testing.T) {
+	const n = 10000
+	tr, reg := registrationGateway(t)
+	addrs := make([]string, n+1) // AllocsPerRun warms up with one extra call
+	for i := range addrs {
+		addrs[i] = observerAddr(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(n, func() {
+		tr.recv(addrs[i], reg)
+		i++
+	})
+	if allocs > 8 {
+		t.Fatalf("registration allocates %.0f times per observer, want <= 8", allocs)
 	}
 }
