@@ -38,6 +38,7 @@ type CSMA struct {
 	txEv sim.Event
 
 	accrual  *sim.Repeater
+	accrued  sim.Time // idle listening is charged up to here
 	cRetries *metrics.Counter
 
 	// Prebuilt hot-path closures: creating these per send would put an
@@ -75,9 +76,15 @@ func (c *CSMA) Start() {
 	c.m.SetListening(c.id, true)
 	c.m.SetAddressRecognition(c.id, true)
 	// Accrue idle-listening energy once per simulated second.
-	c.accrual = c.k.Every(time.Second, 0, func() {
-		c.led.Spend(metrics.StateListen, time.Second)
-	})
+	c.accrued = c.k.Now()
+	c.accrual = c.k.Every(time.Second, 0, c.accrue)
+}
+
+// accrue charges idle listening since the last charge.
+func (c *CSMA) accrue() {
+	now := c.k.Now()
+	c.led.Spend(metrics.StateListen, now-c.accrued)
+	c.accrued = now
 }
 
 // Stop turns the radio off and fails all queued sends.
@@ -90,6 +97,7 @@ func (c *CSMA) Stop() {
 	c.m.SetListening(c.id, false)
 	if c.accrual != nil {
 		c.accrual.Stop()
+		c.accrue() // the part of a second since the last tick
 	}
 	c.txEv.Cancel()
 	c.q.drain()

@@ -249,6 +249,19 @@ func TestLPLEnergyFarBelowCSMA(t *testing.T) {
 	}
 }
 
+// TestCSMAStopChargesPartialSecond: idle listening accrues once per
+// second, and Stop charges the part of a second since the last tick — a
+// node that listened for 2.9 s reads 2.9 s, not 2 s.
+func TestCSMAStopChargesPartialSecond(t *testing.T) {
+	k, m, a, _ := buildPair(func(m *radio.Medium, id radio.NodeID) MAC { return NewCSMA(m, id, CSMAConfig{}) })
+	k.RunFor(2900 * time.Millisecond)
+	a.Stop()
+	k.RunFor(5 * time.Second) // a stopped node accrues nothing more
+	if got, want := m.Energy().Ledger(1).Duration(metrics.StateListen), 2900*time.Millisecond; got != want {
+		t.Fatalf("listening after start at 0 and stop at 2.9 s: %v, want %v", got, want)
+	}
+}
+
 func TestTDMAPipelineChain(t *testing.T) {
 	// 5-hop chain: node 5 → 4 → 3 → 2 → 1 (root). Slot i is owned by the
 	// node at depth maxDepth-i, so the packet rides one epoch to the root.

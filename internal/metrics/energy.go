@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -86,14 +85,27 @@ func (p PowerProfile) watts(s RadioState) float64 {
 }
 
 // EnergyLedger accumulates per-state time for one node. Durations are
-// exact integer nanoseconds held in atomics — Spend sits on the radio
-// delivery fan-out (one call per receiver per frame), where a mutex was
-// measurably hot at city scale — and joules are derived on read as
-// watts x total time, which is both cheaper and numerically tighter
-// than accumulating per-frame float products.
+// exact integer nanoseconds, and joules are derived on read as watts x
+// total time, which is both cheaper and numerically tighter than
+// accumulating per-frame float products.
+//
+// A ledger has one writer: the event callbacks of the kernel its node
+// lives on. Its fields are therefore plain, and a reader on another
+// goroutine must be ordered after that kernel's events (a striped
+// fleet's barrier does this). Receive and transmit airtime — one charge
+// per receiver per frame — does not come through Spend at all: the
+// radio medium adds it to an Airtime kept on the node's own radio state,
+// and a ledger linked to that tally (Link) adds it in on read.
 type EnergyLedger struct {
 	profile PowerProfile
-	dur     [numStates]atomic.Int64 // nanoseconds in state
+	dur     [numStates]time.Duration
+	air     *Airtime
+}
+
+// Airtime is a node's receive and transmit time as its radio medium
+// tallies it, inline on the fan-out.
+type Airtime struct {
+	Rx, Tx time.Duration
 }
 
 // NewEnergyLedger returns a ledger using the given power profile.
@@ -106,8 +118,12 @@ func (l *EnergyLedger) Spend(s RadioState, d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("metrics: EnergyLedger.Spend negative duration %v", d))
 	}
-	l.dur[s].Add(int64(d))
+	l.dur[s] += d
 }
+
+// Link makes the ledger add a's receive and transmit time to its own on
+// every read.
+func (l *EnergyLedger) Link(a *Airtime) { l.air = a }
 
 // Joules returns the energy spent in state s.
 func (l *EnergyLedger) Joules(s RadioState) float64 {
@@ -125,7 +141,16 @@ func (l *EnergyLedger) TotalJoules() float64 {
 
 // Duration returns the accumulated time in state s.
 func (l *EnergyLedger) Duration(s RadioState) time.Duration {
-	return time.Duration(l.dur[s].Load())
+	d := l.dur[s]
+	if l.air != nil {
+		switch s {
+		case StateRx:
+			d += l.air.Rx
+		case StateTx:
+			d += l.air.Tx
+		}
+	}
+	return d
 }
 
 // RadioOn returns the accumulated time with the radio powered

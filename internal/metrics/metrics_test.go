@@ -246,6 +246,26 @@ func TestEnergyLedger(t *testing.T) {
 	}
 }
 
+// TestEnergyLedgerAddsLinkedAirtime: a linked tally's receive and
+// transmit time reads as the ledger's own, beside what Spend charged.
+func TestEnergyLedgerAddsLinkedAirtime(t *testing.T) {
+	l := NewEnergyLedger(PowerProfile{Listen: 2, Rx: 3, Tx: 4})
+	var air Airtime
+	l.Link(&air)
+	l.Spend(StateRx, time.Second)
+	air.Rx += 2 * time.Second
+	air.Tx += time.Second
+	if got := l.Duration(StateRx); got != 3*time.Second {
+		t.Fatalf("Duration(rx) = %v, want 3s", got)
+	}
+	if got := l.Duration(StateListen); got != 0 {
+		t.Fatalf("Duration(listen) = %v, want 0", got)
+	}
+	if got := l.TotalJoules(); got != 3*3+4 {
+		t.Fatalf("TotalJoules() = %v, want 13", got)
+	}
+}
+
 func TestEnergyLedgerNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

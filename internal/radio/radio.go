@@ -75,7 +75,8 @@ func (f ReceiverFunc) RadioReceive(fr Frame) { f(fr) }
 var _ Receiver = ReceiverFunc(nil)
 
 // LinkFilter can veto delivery between a pair of nodes; the fault package
-// uses it to create partitions and asymmetric links.
+// uses it to create partitions and asymmetric links. It must be pure: the
+// medium may ask it about a link more or fewer times than it delivers.
 type LinkFilter func(from, to NodeID) bool
 
 // Params configures the propagation and PHY model.
@@ -111,7 +112,7 @@ type nodeState struct {
 	id        NodeID
 	pos       Position
 	recv      Receiver
-	led       *metrics.EnergyLedger // resolved once at Attach (hot path)
+	air       metrics.Airtime // rx/tx time; the node's ledger adds it in on read
 	channel   uint8
 	listening bool
 	down      bool
@@ -147,18 +148,32 @@ type delivery struct {
 }
 
 // transmission is one in-flight frame with all its deliveries. The
-// structs are pooled per medium (with dels capacity and the completion
-// closure kept across reuse) so the steady-state send path does not
-// allocate.
+// structs are pooled per medium (with dels and takers capacity and the
+// completion closure kept across reuse) so the steady-state send path
+// does not allocate.
 type transmission struct {
-	frame      Frame
-	start      sim.Time
-	end        sim.Time
-	srcPos     Position   // sender position at Send time
-	src        *nodeState // local sender; nil for a foreign one (sharded.go)
-	epoch      uint64     // medium layoutGen when the flight started
-	dels       []delivery
+	frame    Frame
+	start    sim.Time
+	end      sim.Time
+	srcPos   Position   // sender position at Send time
+	src      *nodeState // local sender; nil for a foreign one (sharded.go)
+	epoch    uint64     // medium layoutGen when the flight started
+	stateGen uint64     // medium stateGen when the flight started
+	dels     []delivery
+	// clean counts the deliveries not (yet) corrupted; takers indexes
+	// those whose receiver takes the frame rather than dropping it by
+	// address, as launch found them. complete reads both (DESIGN.md §9).
+	clean      int
+	takers     []int32
 	completeFn func() // prebuilt m.complete(tx) closure
+}
+
+// flight is a live co-channel transmission near a new one, with what the
+// new one's collision checks read of it resolved once per launch.
+type flight struct {
+	tx   *transmission
+	from NodeID
+	pos  Position // the sender's current position
 }
 
 // cellKey addresses one square cell of the spatial index. The grid is
@@ -204,8 +219,14 @@ type Medium struct {
 	// a static fleet builds each sender's list once. It also dates
 	// flights for the collision pruning below.
 	layoutGen uint64
-	foreign   map[NodeID]*linkList // lists of senders other shards host
-	linkBuf   []link               // collectLinks' scratch
+	// stateGen counts SetListening, SetDown, SetChannel and
+	// SetAddressRecognition calls. While it has not moved since a flight
+	// started, every receiver of the flight is still there and takes or
+	// drops it as launch decided, so complete visits only the takers.
+	stateGen uint64
+	foreign  map[NodeID]*linkList // lists of senders other shards host
+	linkBuf  []link               // collectLinks' scratch
+	recvBuf  []link               // receivers' scratch, when a filter or override is installed
 	// Collision-check pruning (DESIGN.md §9). Two transmissions can only
 	// interact when their senders are within 2·RangeMax: every receiver
 	// sits strictly inside RangeMax of its sender whenever no PRR
@@ -213,7 +234,7 @@ type Medium struct {
 	// live co-channel transmissions that pass the bound; flights that
 	// overlap a layoutGen step fall back to the unpruned loop (a moved
 	// receiver may have left its sender's disk, voiding the bound).
-	nearTx []*transmission
+	nearTx []flight
 	// PRR overrides can make a link audible beyond RangeMax (the fault
 	// layer's degraded-link model is distance-free), so override
 	// receivers are merged into every fan-out beside the link list.
@@ -311,7 +332,8 @@ func (m *Medium) Attach(id NodeID, pos Position, recv Receiver) {
 	if recv == nil {
 		panic("radio: Attach with nil receiver")
 	}
-	n := &nodeState{id: id, pos: pos, recv: recv, led: m.energy.Ledger(int(id))}
+	n := &nodeState{id: id, pos: pos, recv: recv}
+	m.energy.Ledger(int(id)).Link(&n.air)
 	m.nodes[id] = n
 	insertSorted(&m.ordered, n)
 	m.cellInsert(n)
@@ -400,7 +422,10 @@ func (m *Medium) SetBruteForce(on bool) { m.brute = on }
 func (m *Medium) PositionOf(id NodeID) Position { return m.mustNode(id).pos }
 
 // SetChannel tunes a node's radio.
-func (m *Medium) SetChannel(id NodeID, ch uint8) { m.mustNode(id).channel = ch }
+func (m *Medium) SetChannel(id NodeID, ch uint8) {
+	m.mustNode(id).channel = ch
+	m.stateGen++
+}
 
 // ChannelOf returns the channel a node is tuned to.
 func (m *Medium) ChannelOf(id NodeID) uint8 { return m.mustNode(id).channel }
@@ -408,13 +433,19 @@ func (m *Medium) ChannelOf(id NodeID) uint8 { return m.mustNode(id).channel }
 // SetListening turns a node's receiver on or off. Only listening nodes
 // receive frames; idle-listening energy is charged by the MAC layer, which
 // owns the duty-cycling policy.
-func (m *Medium) SetListening(id NodeID, on bool) { m.mustNode(id).listening = on }
+func (m *Medium) SetListening(id NodeID, on bool) {
+	m.mustNode(id).listening = on
+	m.stateGen++
+}
 
 // SetAddressRecognition declares that the node's receiver does nothing
 // with a unicast addressed to another node (802.15.4 hardware address
 // recognition): the medium then counts and traces such a delivery as
 // ever — the radio was busy with it — but does not hand it over.
-func (m *Medium) SetAddressRecognition(id NodeID, on bool) { m.mustNode(id).recognizes = on }
+func (m *Medium) SetAddressRecognition(id NodeID, on bool) {
+	m.mustNode(id).recognizes = on
+	m.stateGen++
+}
 
 // AddressRecognition reports whether the node declared it.
 func (m *Medium) AddressRecognition(id NodeID) bool { return m.mustNode(id).recognizes }
@@ -424,7 +455,10 @@ func (m *Medium) Listening(id NodeID) bool { return m.mustNode(id).listening }
 
 // SetDown marks a node crashed (true) or recovered (false). Down nodes
 // neither send nor receive.
-func (m *Medium) SetDown(id NodeID, down bool) { m.mustNode(id).down = down }
+func (m *Medium) SetDown(id NodeID, down bool) {
+	m.mustNode(id).down = down
+	m.stateGen++
+}
 
 // Down reports whether the node is crashed.
 func (m *Medium) Down(id NodeID) bool { return m.mustNode(id).down }
@@ -547,6 +581,8 @@ func (m *Medium) putTx(tx *transmission) {
 	tx.src = nil
 	clear(tx.dels)
 	tx.dels = tx.dels[:0]
+	tx.clean = 0
+	tx.takers = tx.takers[:0]
 	m.txFree = append(m.txFree, tx)
 }
 
@@ -602,17 +638,27 @@ func (m *Medium) txAudible(tx *transmission, dst *nodeState) bool {
 	return m.audibleAt(tx.frame.From, pos, dst)
 }
 
+// hears is audibleAt for the fan-out: plain says that no filter and no
+// override is installed, so distance alone decides.
+func (m *Medium) hears(from NodeID, pos Position, dst *nodeState, plain bool) bool {
+	if !plain {
+		return m.audibleAt(from, pos, dst)
+	}
+	return from != dst.id && pos.Distance(dst.pos) < m.params.RangeMax
+}
+
 // nearActive collects the live co-channel transmissions that could
 // possibly interact with a frame sent from pos, into a reused scratch
-// slice (valid until the next call). A transmission is skipped only
-// when the 2·RangeMax sender-distance bound proves no shared audible
-// point exists — and only when that bound actually holds: no PRR
-// override installed (overrides are distance-free) and no node moved
-// since the flight started (layoutGen match; a moved receiver may have
-// left its sender's disk). Iterating the pruned list is therefore
-// decision-for-decision identical to iterating m.active: everything
-// dropped would have failed the audibility predicate anyway.
-func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []*transmission {
+// slice (valid until the next call), each with the position txAudible
+// would judge it from. A transmission is skipped only when the
+// 2·RangeMax sender-distance bound proves no shared audible point exists
+// — and only when that bound actually holds: no PRR override installed
+// (overrides are distance-free) and no node moved since the flight
+// started (layoutGen match; a moved receiver may have left its sender's
+// disk). Iterating the pruned list is therefore decision-for-decision
+// identical to iterating m.active: everything dropped would have failed
+// the audibility predicate anyway.
+func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []flight {
 	near := m.nearTx[:0]
 	limit := 2 * m.params.RangeMax
 	prune := !m.brute && len(m.prrOver) == 0
@@ -627,7 +673,11 @@ func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []*transmissio
 				continue
 			}
 		}
-		near = append(near, other)
+		fl := flight{tx: other, from: other.frame.From, pos: other.srcPos}
+		if other.src != nil {
+			fl.pos = other.src.pos
+		}
+		near = append(near, fl)
 	}
 	m.nearTx = near
 	return near
@@ -714,6 +764,48 @@ func (m *Medium) linksOf(from NodeID, pos Position, src *nodeState) []link {
 	return ll.links
 }
 
+// receivers returns whom a frame from `from` at pos reaches, ascending
+// ID — the order the loss draws are consumed in — each with the PRR its
+// draw is taken against. With plain (no filter, no override installed)
+// that is the sender's link list as it is. Otherwise the override
+// receivers, which a link of any length may reach, are merged in, and
+// links the filter vetoes or an override silences are dropped, into a
+// scratch list valid until the next call; the decision order matches
+// audible()/PRR() exactly — filter, then override, then distance. Radio
+// state is not looked at: it is the fan-out's per-send check.
+func (m *Medium) receivers(from NodeID, pos Position, src *nodeState, plain bool) []link {
+	links := m.linksOf(from, pos, src)
+	if plain {
+		return links
+	}
+	buf, over := m.recvBuf[:0], m.overRecv
+	for i, j := 0, 0; i < len(links) || j < len(over); {
+		l := link{}
+		audible := false
+		if j == len(over) || (i < len(links) && links[i].n.id <= over[j].id) {
+			l, audible = links[i], true
+			if j < len(over) && over[j] == l.n {
+				j++
+			}
+			i++
+		} else {
+			l.n = over[j]
+			j++
+		}
+		if l.n.id == from || (m.filter != nil && !m.filter(from, l.n.id)) {
+			continue
+		}
+		if p, ok := m.prrOver[[2]NodeID{from, l.n.id}]; ok {
+			l.prr, audible = p, p > 0
+		}
+		if audible {
+			buf = append(buf, l)
+		}
+	}
+	m.recvBuf = buf
+	return buf
+}
+
 // Send transmits frame f from node f.From. Delivery callbacks fire at the
 // end of the frame's airtime. The return value is the airtime, which the
 // caller's MAC must respect before transmitting again.
@@ -736,7 +828,7 @@ func (m *Medium) Send(f Frame) time.Duration {
 	now := m.k.Now()
 	m.cTxFrames.Inc()
 	m.cTxBytes.Add(float64(f.Size))
-	src.led.Spend(metrics.StateTx, air)
+	src.air.Tx += air
 	m.rec.Emit(int32(f.From), trace.RadioTx, int64(f.To), int64(f.Size), 0, payloadJourney(f.Payload))
 
 	tx := m.getTx()
@@ -761,7 +853,8 @@ func (m *Medium) launch(tx *transmission) {
 	f := tx.frame
 	pos := tx.srcPos
 	air := tx.end - tx.start
-	tx.epoch = m.layoutGen
+	tx.epoch, tx.stateGen = m.layoutGen, m.stateGen
+	plain := m.filter == nil && len(m.prrOver) == 0
 	// Tallied here and added to the counters once: integers in a float64
 	// sum exactly, in any grouping.
 	var collisions, crossTenant, lost int
@@ -771,78 +864,62 @@ func (m *Medium) launch(tx *transmission) {
 	// near transmissions (nearActive) can have such a receiver.
 	near := m.nearActive(pos, f.Channel, m.k.Now())
 	for _, other := range near {
-		for i := range other.dels {
-			d := &other.dels[i]
-			if !d.corrupted && m.audibleAt(f.From, pos, d.n) {
+		o := other.tx
+		// Only a clean delivery can be marked, and o.clean counts them.
+		for i := 0; i < len(o.dels) && o.clean > 0; i++ {
+			d := &o.dels[i]
+			if !d.corrupted && m.hears(f.From, pos, d.n, plain) {
 				d.corrupted = true
+				o.clean--
 				collisions++
-				if other.frame.Tenant != f.Tenant {
+				if o.frame.Tenant != f.Tenant {
 					crossTenant++
 				}
-				m.rec.Emit(int32(d.n.id), trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(other.frame.Payload))
+				m.rec.Emit(int32(d.n.id), trace.RadioCollision, int64(other.from), int64(f.From), 0, payloadJourney(o.frame.Payload))
 			}
 		}
 	}
 
-	// The fan-out: the sender's links merged, in ascending ID order — the
-	// order the loss draws are consumed in — with the override receivers,
-	// which a link of any length may reach. What can change between two
-	// sends without moving the layout is decided here, per send: radio
-	// state, the filter (a func), the override map.
-	links, over := m.linksOf(f.From, pos, tx.src), m.overRecv
-	for i, j := 0, 0; i < len(links) || j < len(over); {
-		var n *nodeState
-		prr, audible := 0.0, false
-		if j == len(over) || (i < len(links) && links[i].n.id <= over[j].id) {
-			n, prr, audible = links[i].n, links[i].prr, true
-			if j < len(over) && over[j] == n {
-				j++
-			}
-			i++
-		} else {
-			n = over[j]
-			j++
-		}
-		if n.id == f.From || n.down || !n.listening || n.channel != f.Channel {
-			continue
-		}
-		// The decision order matches audible()/PRR() exactly — filter,
-		// then override, then distance — so the audible set and the
-		// loss-draw values are theirs.
-		if m.filter != nil && !m.filter(f.From, n.id) {
-			continue
-		}
-		if len(m.prrOver) > 0 {
-			if p, ok := m.prrOver[[2]NodeID{f.From, n.id}]; ok {
-				prr, audible = p, p > 0
-			}
-		}
-		if !audible {
+	// The fan-out. Who can hear the frame at all was settled by the
+	// receiver list; what radio state decides — and may change between
+	// two sends without moving anything else — is checked here, per send.
+	dels, takers := tx.dels, tx.takers
+	rng, jid := m.k.Rand(), payloadJourney(f.Payload)
+	for _, l := range m.receivers(f.From, pos, tx.src, plain) {
+		n := l.n
+		if n.down || !n.listening || n.channel != f.Channel {
 			continue
 		}
 		// The receiver's radio is busy for the whole frame either way.
-		n.led.Spend(metrics.StateRx, air)
-		tx.dels = append(tx.dels, delivery{n: n})
-		d := &tx.dels[len(tx.dels)-1]
+		n.air.Rx += air
+		dels = append(dels, delivery{n: n})
+		d := &dels[len(dels)-1]
 		// Collision with other concurrently active frames audible here.
 		for _, other := range near {
-			if m.txAudible(other, n) {
+			if m.hears(other.from, other.pos, n, plain) {
 				d.corrupted = true
 				collisions++
-				if other.frame.Tenant != f.Tenant {
+				if other.tx.frame.Tenant != f.Tenant {
 					crossTenant++
 				}
-				m.rec.Emit(int32(n.id), trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(f.Payload))
+				m.rec.Emit(int32(n.id), trace.RadioCollision, int64(other.from), int64(f.From), 0, jid)
 				break
 			}
 		}
 		// Stochastic loss from link quality.
-		if !d.corrupted && m.k.Rand().Float64() >= prr {
+		if !d.corrupted && rng.Float64() >= l.prr {
 			d.corrupted = true
 			lost++
-			m.rec.Emit(int32(n.id), trace.RadioLoss, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
+			m.rec.Emit(int32(n.id), trace.RadioLoss, int64(f.From), int64(f.Size), 0, jid)
+		}
+		if !d.corrupted {
+			tx.clean++
+			if f.To == Broadcast || f.To == n.id || !n.recognizes {
+				takers = append(takers, int32(len(dels)-1))
+			}
 		}
 	}
+	tx.dels, tx.takers = dels, takers
 	m.cCollisions.Add(float64(collisions))
 	m.cCollXTen.Add(float64(crossTenant))
 	m.cDropLoss.Add(float64(lost))
@@ -860,6 +937,16 @@ func payloadJourney(b *netbuf.Buffer) uint64 {
 	return b.Journey()
 }
 
+// complete ends a flight: every delivery whose receiver is still up,
+// listening and on the channel, and was not corrupted, is received —
+// counted, traced, and handed over unless the receiver drops it by
+// address. While no radio state has moved since launch (stateGen) and
+// nothing is traced, that is the launch's verdict: every receiver is
+// still there, rx is the clean count, and only the takers have anything
+// to do, so the walk jumps from taker to taker. From the first hand-over
+// that moves radio state — or from the start, when it had moved or a
+// recorder is attached — it steps through the remaining deliveries one
+// by one, taking each decision afresh.
 func (m *Medium) complete(tx *transmission) {
 	// Remove from active first: receive handlers re-enter Send (ACKs),
 	// and a completed frame must not collide with them.
@@ -870,35 +957,37 @@ func (m *Medium) complete(tx *transmission) {
 		}
 	}
 	f := tx.frame
-	var gone, rx int
-	for i := range tx.dels {
-		d := &tx.dels[i]
-		n := d.n
-		if n.down || !n.listening || n.channel != f.Channel {
-			// Receiver went away mid-frame.
-			gone++
-			continue
+	rx, gone := tx.clean, 0
+	next := 0 // the first delivery the stepping walk has to look at
+	for t := 0; t < len(tx.takers) && m.stateGen == tx.stateGen && m.rec == nil; t++ {
+		d := &tx.dels[tx.takers[t]]
+		next = int(tx.takers[t]) + 1
+		if !d.corrupted {
+			handOver(f, d.n)
 		}
-		if d.corrupted {
-			continue
-		}
-		rx++
-		m.rec.Emit(int32(n.id), trace.RadioDeliver, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
-		if n.recognizes && f.To != n.id && f.To != Broadcast {
-			// Received and dropped by address: the radio was busy for the
-			// frame (charged in launch) but the receiver never sees it.
-			continue
-		}
-		if f.Payload != nil {
-			// Copy-on-fanout: each receiver gets its own view, alive only
-			// for the callback. Receivers that retain must copy.
-			view := f.Payload.Clone()
-			df := f
-			df.Payload = view
-			n.recv.RadioReceive(df)
-			view.Release()
-		} else {
-			n.recv.RadioReceive(f)
+	}
+	if m.stateGen != tx.stateGen || m.rec != nil {
+		for i := next; i < len(tx.dels); i++ {
+			d := &tx.dels[i]
+			n := d.n
+			if n.down || !n.listening || n.channel != f.Channel {
+				// Receiver went away mid-frame.
+				gone++
+				if !d.corrupted {
+					rx--
+				}
+				continue
+			}
+			if d.corrupted {
+				continue
+			}
+			m.rec.Emit(int32(n.id), trace.RadioDeliver, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
+			if n.recognizes && f.To != n.id && f.To != Broadcast {
+				// Received and dropped by address: the radio was busy for the
+				// frame (charged in launch) but the receiver never sees it.
+				continue
+			}
+			handOver(f, n)
 		}
 	}
 	m.cDropGone.Add(float64(gone))
@@ -907,6 +996,21 @@ func (m *Medium) complete(tx *transmission) {
 		f.Payload.Release() // flight reference taken in Send
 	}
 	m.putTx(tx)
+}
+
+// handOver delivers f to n's receiver. Copy-on-fanout: each receiver
+// gets its own view of the payload, alive only for the callback;
+// receivers that retain must copy.
+func handOver(f Frame, n *nodeState) {
+	if f.Payload == nil {
+		n.recv.RadioReceive(f)
+		return
+	}
+	view := f.Payload.Clone()
+	df := f
+	df.Payload = view
+	n.recv.RadioReceive(df)
+	view.Release()
 }
 
 // NeighborsOf returns the IDs of nodes within RangeMax of id, nearest

@@ -421,7 +421,11 @@ func (r *Router) onDIO(from radio.NodeID, d dio) {
 		}
 		return
 	}
-	r.candidates[from] = &candidate{rank: d.Rank, version: d.Version, lastHeard: r.k.Now()}
+	if c, ok := r.candidates[from]; ok {
+		c.rank, c.version, c.lastHeard = d.Rank, d.Version, r.k.Now()
+	} else {
+		r.candidates[from] = &candidate{rank: d.Rank, version: d.Version, lastHeard: r.k.Now()}
+	}
 	wasDetached := r.parent == NoParent
 	r.recomputeParent()
 	if wasDetached && r.parent != NoParent {

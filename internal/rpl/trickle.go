@@ -52,6 +52,9 @@ type Trickle struct {
 	fireEv   sim.Event
 	endEv    sim.Event
 	running  bool
+	// Prebuilt fire and endInterval: an interval schedules both without
+	// allocating.
+	fireFn, endFn func()
 
 	// Resets counts timer resets; Suppressed counts suppressed
 	// transmissions (for E10's overhead accounting).
@@ -64,7 +67,9 @@ type Trickle struct {
 // decides to send.
 func NewTrickle(k *sim.Kernel, cfg TrickleConfig, transmit func()) *Trickle {
 	cfg.applyDefaults()
-	return &Trickle{k: k, cfg: cfg, transmit: transmit}
+	t := &Trickle{k: k, cfg: cfg, transmit: transmit}
+	t.fireFn, t.endFn = t.fire, t.endInterval
+	return t
 }
 
 // Start begins the timer at Imin.
@@ -112,26 +117,30 @@ func (t *Trickle) beginInterval() {
 	// Fire at a uniformly random point in the second half of the interval.
 	half := t.interval / 2
 	at := half + time.Duration(t.k.Rand().Int63n(int64(half)))
-	t.fireEv = t.k.Schedule(at, func() {
-		if !t.running {
-			return
-		}
-		if t.counter < t.cfg.K {
-			t.Sent++
-			t.transmit()
-		} else {
-			t.Suppressed++
-		}
-	})
-	t.endEv = t.k.Schedule(t.interval, func() {
-		if !t.running {
-			return
-		}
-		max := t.cfg.Imin << uint(t.cfg.Doublings)
-		t.interval *= 2
-		if t.interval > max {
-			t.interval = max
-		}
-		t.beginInterval()
-	})
+	t.fireEv = t.k.Schedule(at, t.fireFn)
+	t.endEv = t.k.Schedule(t.interval, t.endFn)
+}
+
+func (t *Trickle) fire() {
+	if !t.running {
+		return
+	}
+	if t.counter < t.cfg.K {
+		t.Sent++
+		t.transmit()
+	} else {
+		t.Suppressed++
+	}
+}
+
+func (t *Trickle) endInterval() {
+	if !t.running {
+		return
+	}
+	max := t.cfg.Imin << uint(t.cfg.Doublings)
+	t.interval *= 2
+	if t.interval > max {
+		t.interval = max
+	}
+	t.beginInterval()
 }

@@ -120,3 +120,20 @@ func TestTrickleFiresInSecondHalf(t *testing.T) {
 		t.Fatalf("first fire at %v, want within [5s,10s)", at)
 	}
 }
+
+// TestTrickleIntervalAllocFree: a trickle interval — the transmit
+// decision, the doubling and the next interval's two timers — allocates
+// nothing. Run without -race, whose instrumentation allocates.
+func TestTrickleIntervalAllocFree(t *testing.T) {
+	k := sim.New(8)
+	tr := NewTrickle(k, TrickleConfig{Imin: time.Second, Doublings: 1, K: 1}, func() {})
+	tr.Start()
+	k.RunUntil(10 * time.Second) // at Imax (2 s), the kernel's event pool warm
+	const runs = 200
+	if avg := testing.AllocsPerRun(runs, func() { k.RunFor(tr.Interval()) }); avg != 0 {
+		t.Errorf("a trickle interval allocates %v times, want 0", avg)
+	}
+	if tr.Sent < runs {
+		t.Fatalf("%d transmissions over %d intervals", tr.Sent, runs)
+	}
+}

@@ -277,6 +277,7 @@ func (k *Kernel) Every(interval, jitter Time, fn func()) *Repeater {
 		panic(fmt.Sprintf("sim: Every with non-positive interval %v", interval))
 	}
 	r := &Repeater{k: k, interval: interval, jitter: jitter, fn: fn}
+	r.fireFn = r.fire
 	r.schedule()
 	return r
 }
@@ -287,6 +288,7 @@ type Repeater struct {
 	interval Time
 	jitter   Time
 	fn       func()
+	fireFn   func() // prebuilt r.fire: a tick schedules without allocating
 	ev       Event
 	stopped  bool
 }
@@ -296,15 +298,17 @@ func (r *Repeater) schedule() {
 	if r.jitter > 0 {
 		d += Time(r.k.rng.Int63n(int64(r.jitter)))
 	}
-	r.ev = r.k.Schedule(d, func() {
-		if r.stopped {
-			return
-		}
-		r.fn()
-		if !r.stopped {
-			r.schedule()
-		}
-	})
+	r.ev = r.k.Schedule(d, r.fireFn)
+}
+
+func (r *Repeater) fire() {
+	if r.stopped {
+		return
+	}
+	r.fn()
+	if !r.stopped {
+		r.schedule()
+	}
 }
 
 // Stop cancels the repeater. It is idempotent.

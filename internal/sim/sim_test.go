@@ -450,3 +450,23 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 	k.Run()
 }
+
+// TestRepeaterTickAllocFree: a repeater's tick — the callback, the
+// jitter draw and the next schedule — allocates nothing. Run without
+// -race, whose instrumentation allocates.
+func TestRepeaterTickAllocFree(t *testing.T) {
+	k := New(1)
+	ticks := 0
+	r := k.Every(time.Second, 100*time.Millisecond, func() { ticks++ })
+	k.RunFor(3 * time.Second) // warm the event pool
+	// Ten seconds a run: at least nine ticks in each, so one allocation
+	// per tick cannot vanish in AllocsPerRun's integer average.
+	const runs = 100
+	if avg := testing.AllocsPerRun(runs, func() { k.RunFor(10 * time.Second) }); avg != 0 {
+		t.Errorf("ten seconds of repeater ticks allocate %v times, want 0", avg)
+	}
+	r.Stop()
+	if ticks < runs*9 {
+		t.Fatalf("%d ticks over %d s", ticks, runs*10)
+	}
+}
