@@ -27,8 +27,10 @@ import (
 //
 // KV keys are LWW registers; time series are per-origin grow-only point
 // logs, with a per-series SeriesEngine holding the merged view for range
-// queries. Applying an op is idempotent and ops of different origins
-// commute, so merge order does not matter.
+// queries. A log is its ops' wire encodings back to back, so a delta
+// copies an op's bytes instead of encoding it again. Applying an op is
+// idempotent and ops of different origins commute, so merge order does
+// not matter.
 type apState struct {
 	mu      sync.Mutex
 	regs    map[string]*crdt.LWWRegister
@@ -46,9 +48,12 @@ type apSeries struct {
 	logs []apLog
 }
 
+// apLog is one origin's points of a series: each op's appendPoints
+// stream, count included, in op order — n points in all.
 type apLog struct {
 	origin crdt.ReplicaID
-	pts    []Point
+	data   []byte
+	n      int
 }
 
 // apOrigin is one origin's op order, as far as this replica holds it.
@@ -57,14 +62,13 @@ type apOrigin struct {
 	ops []apOp
 }
 
-// apOp is one op: n points at pts[off:off+n] of the origin's log of
-// series key, or (n == 0) a write to register key. A register op
-// carries no value of its own: what is shipped for it is the register
-// as it stands, which is that write or one that beat it.
+// apOp is one op: the point stream starting at data[off] of the
+// origin's log of series key, or (off < 0) a write to register key. A
+// register op carries no value of its own: what is shipped for it is
+// the register as it stands, which is that write or one that beat it.
 type apOp struct {
 	key string
 	off int
-	n   int
 }
 
 func newAPState(segSize int) *apState {
@@ -120,11 +124,17 @@ func (s *apState) originLocked(id crdt.ReplicaID) *apOrigin {
 	return s.origins[i]
 }
 
-// appendSeriesLocked applies one series op of origin o.
+// appendSeriesLocked applies one series op of origin o. The op is
+// encoded here, whether it was appended locally or merged: a log holds
+// the canonical encoding of its points, never a peer's frame bytes.
 func (s *apState) appendSeriesLocked(o *apOrigin, ser *apSeries, pts []Point) {
 	log := ser.log(o.id)
-	o.ops = append(o.ops, apOp{key: ser.name, off: len(log.pts), n: len(pts)})
-	log.pts = append(log.pts, pts...)
+	o.ops = append(o.ops, apOp{key: ser.name, off: len(log.data)})
+	w := workPool.Get().(*work)
+	w.enc = appendPoints(w.enc[:0], pts)
+	log.data = append(reserve(log.data, len(w.enc)), w.enc...)
+	workPool.Put(w)
+	log.n += len(pts)
 	ser.eng.AppendBatch(pts)
 }
 
@@ -148,7 +158,7 @@ func (s *apState) setLocal(origin crdt.ReplicaID, key string, ts int64, val []by
 	s.mu.Lock()
 	s.regLocked(key).Set(ts, origin, val)
 	o := s.originLocked(origin)
-	o.ops = append(o.ops, apOp{key: key})
+	o.ops = append(o.ops, apOp{key: key, off: -1})
 	s.mu.Unlock()
 }
 
@@ -217,8 +227,23 @@ func (s *apState) digest(h uint64) uint64 {
 		h = digestString(h, name)
 		for _, log := range s.series[name].logs {
 			h = digestString(h, string(log.origin))
-			h = digestPoints(h, log.pts)
+			h = log.digest(h)
 		}
+	}
+	return h
+}
+
+// digest folds the log's points into h as digestPoints folds them,
+// decoding its op streams one after another.
+func (log *apLog) digest(h uint64) uint64 {
+	h = digestU64(h, uint64(log.n))
+	for off := 0; off < len(log.data); {
+		r, err := newPointReader(log.data[off:])
+		if err != nil {
+			panic(fmt.Sprintf("store: corrupt origin log: %v", err)) // encode/decode are a closed pair
+		}
+		h = r.fold(h)
+		off += r.off
 	}
 	return h
 }
@@ -324,7 +349,7 @@ func (s *apState) Delta(dst, summary []byte) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(ops)))
 		for _, op := range ops {
 			dst = appendStr(dst, op.key)
-			if op.n == 0 {
+			if op.off < 0 {
 				reg := s.regs[op.key]
 				dst = append(dst, opReg)
 				dst = binary.AppendUvarint(dst, zigzag(reg.TS))
@@ -333,7 +358,8 @@ func (s *apState) Delta(dst, summary []byte) ([]byte, error) {
 				continue
 			}
 			dst = append(dst, opSeries)
-			dst = appendPoints(dst, s.series[op.key].log(o.id).pts[op.off:op.off+op.n])
+			stream := s.series[op.key].log(o.id).data[op.off:]
+			dst = append(dst, stream[:streamLen(stream)]...)
 		}
 	}
 	return dst, nil
@@ -444,7 +470,7 @@ func (s *apState) Merge(delta []byte) error {
 		for _, op := range d.ops[blk.lo+int(held-blk.first) : blk.hi] {
 			if op.kind == opReg {
 				s.regLocked(string(op.key)).Merge(&crdt.LWWRegister{Val: op.val, TS: op.ts, ID: crdt.ReplicaID(op.writer)})
-				o.ops = append(o.ops, apOp{key: string(op.key)})
+				o.ops = append(o.ops, apOp{key: string(op.key), off: -1})
 				continue
 			}
 			ser := s.series[string(op.key)]

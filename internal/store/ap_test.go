@@ -212,6 +212,20 @@ func apSource(id crdt.ReplicaID) *apState {
 	return s
 }
 
+// points decodes every op stream of the log.
+func (log *apLog) points() []Point {
+	var pts []Point
+	for off := 0; off < len(log.data); {
+		var used int
+		var err error
+		if pts, used, err = decodePoints(pts, log.data[off:]); err != nil {
+			panic(err)
+		}
+		off += used
+	}
+	return pts
+}
+
 func apDelta(t testing.TB, from, to *apState) []byte {
 	delta, err := from.Delta(nil, to.Summary(nil))
 	if err != nil {
@@ -298,7 +312,7 @@ func TestAPMergeKeepsOriginPrefix(t *testing.T) {
 		t.Fatal("register did not arrive")
 	}
 	// Extreme values survive the wire bit for bit.
-	if got := dst.series["extreme"].logs[0].pts; !samePoints(got, extremePoints) {
+	if got := dst.series["extreme"].logs[0].points(); !samePoints(got, extremePoints) {
 		t.Fatalf("extreme points arrived as %v", got)
 	}
 }

@@ -6,9 +6,13 @@ import "sync/atomic"
 const batchSize = 64
 
 // Appender is the batched ingest front of a Sharded store: points
-// accumulate in per-series batches (preallocated to batchSize) and flush to the owning shard's coordinator when a batch
-// fills, so the per-point hot path is a map lookup and a slice append —
-// zero allocations at steady state (CI-gated). One Appender serves one
+// accumulate in per-series batches and flush to the owning shard's
+// coordinator when a batch fills, so the per-point hot path is a map
+// lookup and a slice append. A batch starts empty and grows only as far
+// as its series fills it between flushes — a fleet flushing every few
+// points does not hold batchSize points per series — and keeps its
+// capacity across flushes, so once a series has flushed once its
+// appends allocate nothing (CI-gated). One Appender serves one
 // producer; it is not safe for concurrent use, but its completion
 // counters are atomic so CP acks landing from scheduler callbacks are
 // counted safely.
@@ -53,7 +57,7 @@ func (a *Appender) Append(series string, p Point) {
 		var ok bool
 		b, ok = a.batches[series]
 		if !ok {
-			b = &batch{pts: make([]Point, 0, batchSize)}
+			b = &batch{}
 			a.batches[series] = b
 			a.order = append(a.order, series)
 		}

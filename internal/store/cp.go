@@ -265,13 +265,16 @@ func (c *cpState) visitEngines(fn func(name string, eng *SeriesEngine)) {
 }
 
 // digest folds the canonical engine streams into h — single writer,
-// same order everywhere — series in sorted order.
+// same order everywhere — series in sorted order. One work buffer
+// serves every series an engine digest has to sort.
 func (c *cpState) digest(h uint64) uint64 {
+	w := workPool.Get().(*work)
+	defer workPool.Put(w)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, name := range sortedKeys(c.series) {
 		h = digestString(h, name)
-		h = c.series[name].eng.digest(h)
+		h = c.series[name].eng.digest(h, w)
 	}
 	return h
 }

@@ -6,9 +6,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -20,14 +20,17 @@ type Point struct {
 }
 
 // SeriesEngine is the append-optimized storage engine for one series:
-// an open head of raw points and a list of immutable closed Segments
-// (delta-of-delta encoded) behind it. The head starts empty and doubles
-// up to segSize, so a series costs what it holds until its first
-// segment closes; from then on the full-size head is reused and absorbs
-// appends allocation-free. When the head fills it is sorted (repairing
-// any out-of-order arrivals), encoded, and closed; compaction merges
-// closed segments into larger ones so long-retention series stay O(log)
-// segments instead of O(points/segSize).
+// an open segment (the head) and a list of immutable closed Segments
+// behind it, all in the delta-of-delta codec, so a point is held once,
+// encoded. The head is the point stream of a segment without its
+// leading count: an append is one (stamp, value) varint pair, and the
+// head grows with what it holds. When it fills, an in-order head closes
+// by taking its count in front — the bytes encoding its points afresh
+// would give — and a head holding out-of-order arrivals is decoded,
+// sorted and re-encoded; a filled head keeps its capacity, so the next
+// segment's appends do not allocate. Compaction merges closed segments
+// into larger ones so long-retention series stay O(log) segments
+// instead of O(points/segSize).
 //
 // Range semantics: AppendRange returns every retained point with
 // from <= T < to in non-decreasing timestamp order; arrival order is
@@ -42,15 +45,11 @@ type SeriesEngine struct {
 	segSize int
 	maxSegs int // retention bound on closed segments (0 = unbounded)
 
-	head    []Point // open segment, arrival order
-	headOOO bool    // head holds at least one out-of-order point
+	head    []byte      // open segment, arrival order: appendPoints' stream without the count
+	hw      pointWriter // the head's codec state: hw.n is its point count, hw.last() the latest arrival
+	headOOO bool        // head holds at least one out-of-order point
 	lastT   time.Duration
-	seenAny bool
-	last    Point // most recent arrival
 	closed  []*Segment
-
-	scratch []byte  // reused encode buffer
-	sortBuf []Point // reused close/compact work buffer
 
 	total       uint64 // points ever appended
 	ooo         uint64 // out-of-order arrivals
@@ -83,14 +82,16 @@ func NewSeriesEngine(segSize int) *SeriesEngine {
 	return &SeriesEngine{segSize: segSize}
 }
 
-// growHead makes room for the head to hold need (<= segSize) points.
-func (e *SeriesEngine) growHead(need int) {
-	if need <= cap(e.head) {
-		return
-	}
-	c := min(max(2*cap(e.head), need), e.segSize)
-	e.head = append(make([]Point, 0, c), e.head...)
+// work is the scratch of an operation that decodes and re-encodes: an
+// out-of-order close, a compaction, a digest that must sort. Engines
+// take one from workPool for the length of the operation instead of
+// each keeping buffers between closes.
+type work struct {
+	pts []Point
+	enc []byte
 }
+
+var workPool = sync.Pool{New: func() any { return new(work) }}
 
 // SetRetention bounds the closed segments retained; the oldest segment
 // is evicted when the bound is exceeded (0 = keep everything).
@@ -109,72 +110,56 @@ func (e *SeriesEngine) Append(p Point) {
 }
 
 // AppendBatch records a batch of points under one lock acquisition —
-// the ingest hot path. Points are bulk-copied into the open head
-// (chunked at segment boundaries) rather than appended one by one, so
-// the per-point cost is a vectorized copy plus a monotonicity scan.
-// It does not retain pts.
+// the ingest hot path: each point is encoded onto the open head. It
+// does not retain pts.
 func (e *SeriesEngine) AppendBatch(pts []Point) {
-	if len(pts) == 0 {
-		return
-	}
 	e.mu.Lock()
-	for len(pts) > 0 {
-		chunk := pts
-		if room := e.segSize - len(e.head); len(chunk) > room {
-			chunk = pts[:room]
-		}
-		e.growHead(len(e.head) + len(chunk))
-		e.head = append(e.head, chunk...)
-		lastT, seen := e.lastT, e.seenAny
-		for i := range chunk {
-			if seen && chunk[i].T < lastT {
-				e.ooo++
-				e.headOOO = true
-			} else {
-				lastT = chunk[i].T
-			}
-			seen = true
-		}
-		e.lastT, e.seenAny = lastT, seen
-		e.last = chunk[len(chunk)-1]
-		e.total += uint64(len(chunk))
-		pts = pts[len(chunk):]
-		if len(e.head) >= e.segSize {
-			e.closeHead()
-		}
+	for _, p := range pts {
+		e.append(p)
 	}
 	e.mu.Unlock()
 }
 
 func (e *SeriesEngine) append(p Point) {
-	if e.seenAny && p.T < e.lastT {
+	if e.total > 0 && p.T < e.lastT {
 		e.ooo++
 		e.headOOO = true
 	} else {
 		e.lastT = p.T
 	}
-	e.seenAny = true
-	e.last = p
-	e.growHead(len(e.head) + 1)
-	e.head = append(e.head, p)
+	e.head = e.hw.append(reserve(e.head, 2*binary.MaxVarintLen64), p)
 	e.total++
-	if len(e.head) >= e.segSize {
+	if e.hw.n >= e.segSize {
 		e.closeHead()
 	}
 }
 
-// closeHead sorts (if needed), encodes, and closes the open head.
+// headReader reads the open head.
+func (e *SeriesEngine) headReader() pointReader {
+	return pointReader{data: e.head, left: uint64(e.hw.n), first: true}
+}
+
+// closeHead closes the open head into a segment: an in-order head is
+// already the segment's stream and only takes its count in front; one
+// holding late points is decoded, sorted and re-encoded.
 func (e *SeriesEngine) closeHead() {
-	if len(e.head) == 0 {
+	if e.hw.n == 0 {
 		return
 	}
-	if e.headOOO {
-		sort.SliceStable(e.head, func(i, j int) bool { return e.head[i].T < e.head[j].T })
-	}
 	var seg *Segment
-	seg, e.scratch = newSegment(e.head, e.scratch)
+	if e.headOOO {
+		w := workPool.Get().(*work)
+		r := e.headReader()
+		w.pts = r.appendAll(w.pts[:0])
+		sortByTime(w.pts)
+		seg, w.enc = newSegment(w.pts, w.enc)
+		workPool.Put(w)
+	} else {
+		seg = sealStream(e.head, &e.hw)
+	}
 	e.closed = append(e.closed, seg)
 	e.head = e.head[:0]
+	e.hw.n = 0
 	e.headOOO = false
 	e.segsClosed++
 	e.maybeCompact()
@@ -196,9 +181,17 @@ func (e *SeriesEngine) maybeCompact() {
 	if run < compactFanIn {
 		return
 	}
-	start := n - run
+	e.mergeFrom(n - run)
+}
+
+// mergeFrom merges closed[start:] into one segment, releasing the slots
+// the merged segments leave behind.
+func (e *SeriesEngine) mergeFrom(start int) {
+	w := workPool.Get().(*work)
 	var seg *Segment
-	seg, e.sortBuf, e.scratch = mergeSegments(e.closed[start:], e.sortBuf, e.scratch)
+	seg, w.pts, w.enc = mergeSegments(e.closed[start:], w.pts, w.enc)
+	workPool.Put(w)
+	clear(e.closed[start+1:])
 	e.closed = append(e.closed[:start], seg)
 	e.compactions++
 }
@@ -208,22 +201,23 @@ func (e *SeriesEngine) maybeCompact() {
 func (e *SeriesEngine) Compact() {
 	e.mu.Lock()
 	if len(e.closed) > 1 {
-		var seg *Segment
-		seg, e.sortBuf, e.scratch = mergeSegments(e.closed, e.sortBuf, e.scratch)
-		e.closed = append(e.closed[:0], seg)
-		e.compactions++
+		e.mergeFrom(0)
 	}
 	e.mu.Unlock()
 }
 
-// enforceRetention drops the oldest closed segments past the bound.
+// enforceRetention drops the oldest closed segments past the bound. It
+// shifts the survivors down and clears the freed slot: re-slicing past
+// the evicted segment would keep it reachable through the backing array.
 func (e *SeriesEngine) enforceRetention() {
 	if e.maxSegs <= 0 {
 		return
 	}
 	for len(e.closed) > e.maxSegs {
 		e.evicted += uint64(e.closed[0].Count())
-		e.closed = e.closed[1:]
+		n := copy(e.closed, e.closed[1:])
+		e.closed[n] = nil
+		e.closed = e.closed[:n]
 	}
 }
 
@@ -239,7 +233,11 @@ func (e *SeriesEngine) Flush() {
 func (e *SeriesEngine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := len(e.head)
+	return e.retainedLocked()
+}
+
+func (e *SeriesEngine) retainedLocked() int {
+	n := e.hw.n
 	for _, s := range e.closed {
 		n += s.Count()
 	}
@@ -265,7 +263,7 @@ func (e *SeriesEngine) OutOfOrder() uint64 {
 func (e *SeriesEngine) Last() (Point, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.last, e.seenAny && e.total > e.evicted
+	return e.hw.last(), e.total > e.evicted
 }
 
 // Range returns the retained points with from <= T < to in timestamp
@@ -280,11 +278,20 @@ func (e *SeriesEngine) Range(from, to time.Duration) []Point {
 func (e *SeriesEngine) AppendRange(dst []Point, from, to time.Duration) []Point {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.appendRangeLocked(dst, from, to)
+}
+
+func (e *SeriesEngine) appendRangeLocked(dst []Point, from, to time.Duration) []Point {
 	start := len(dst)
 	for _, s := range e.closed {
 		dst = s.AppendRange(dst, from, to)
 	}
-	for _, p := range e.head {
+	r := e.headReader()
+	for r.left > 0 {
+		p := r.mustNext()
+		if p.T >= to && !e.headOOO {
+			break // an in-order head holds nothing later in range
+		}
 		if p.T >= from && p.T < to {
 			dst = append(dst, p)
 		}
@@ -295,7 +302,7 @@ func (e *SeriesEngine) AppendRange(dst []Point, from, to time.Duration) []Point 
 	tail := dst[start:]
 	for i := 1; i < len(tail); i++ {
 		if tail[i].T < tail[i-1].T {
-			sort.SliceStable(tail, func(i, j int) bool { return tail[i].T < tail[j].T })
+			sortByTime(tail)
 			break
 		}
 	}
@@ -307,7 +314,7 @@ type EngineStats struct {
 	Points      uint64 // ever appended
 	Retained    int    // currently held
 	OutOfOrder  uint64
-	OpenPoints  int // in the unencoded head
+	OpenPoints  int // in the open head
 	ClosedSegs  int
 	SegsClosed  uint64 // closes ever performed
 	Compactions uint64
@@ -322,15 +329,14 @@ func (e *SeriesEngine) Stats() EngineStats {
 	st := EngineStats{
 		Points:      e.total,
 		OutOfOrder:  e.ooo,
-		OpenPoints:  len(e.head),
+		OpenPoints:  e.hw.n,
 		ClosedSegs:  len(e.closed),
 		SegsClosed:  e.segsClosed,
 		Compactions: e.compactions,
 		Evicted:     e.evicted,
+		Retained:    e.retainedLocked(),
 	}
-	st.Retained = len(e.head)
 	for _, s := range e.closed {
-		st.Retained += s.Count()
 		st.Bytes += s.SizeBytes()
 	}
 	return st
@@ -360,23 +366,32 @@ func digestString(h uint64, s string) uint64 {
 	return h
 }
 
+// digestPoint folds one point into an FNV-1a hash.
+func digestPoint(h uint64, p Point) uint64 {
+	return digestU64(digestU64(h, uint64(p.T)), math.Float64bits(p.V))
+}
+
 // digestPoints folds a point stream, order-sensitively, into an FNV-1a
 // hash.
 func digestPoints(h uint64, pts []Point) uint64 {
 	h = digestU64(h, uint64(len(pts)))
 	for _, p := range pts {
-		h = digestU64(h, uint64(p.T))
-		h = digestU64(h, math.Float64bits(p.V))
+		h = digestPoint(h, p)
 	}
 	return h
 }
 
 // digest folds the retained point stream into an order-sensitive
-// FNV-1a hash — equal digests mean equal retained points. It hashes
+// FNV-1a hash — equal digests mean equal retained points, the hash
+// digestPoints gives AppendRange(nil, minTime, maxTime). It hashes
 // decoded points, not segment bytes, so replicas that closed or
 // compacted segments at different times still compare equal when their
-// data matches (the comparison the convergence checks rely on).
-func (e *SeriesEngine) digest(h uint64) uint64 {
-	pts := e.AppendRange(nil, minTime, maxTime) // canonical: timestamp-sorted, arrival-stable
-	return digestPoints(h, pts)
+// data matches (the comparison the convergence checks rely on). The
+// canonical stream is built in w.pts, which the caller reuses across
+// series.
+func (e *SeriesEngine) digest(h uint64, w *work) uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	w.pts = e.appendRangeLocked(w.pts[:0], minTime, maxTime) // canonical: timestamp-sorted, arrival-stable
+	return digestPoints(h, w.pts)
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -171,11 +173,11 @@ func TestEngineDigestSegmentationIndependent(t *testing.T) {
 	}
 	a.Flush()
 	a.Compact()
-	if da, db := a.digest(fnvOffset), b.digest(fnvOffset); da != db {
+	if da, db := a.digest(fnvOffset, new(work)), b.digest(fnvOffset, new(work)); da != db {
 		t.Fatalf("digest depends on segmentation: %x != %x", da, db)
 	}
 	b.Append(Point{T: secs(50), V: 50})
-	if da, db := a.digest(fnvOffset), b.digest(fnvOffset); da == db {
+	if da, db := a.digest(fnvOffset, new(work)), b.digest(fnvOffset, new(work)); da == db {
 		t.Fatal("digest blind to extra point")
 	}
 }
@@ -227,5 +229,91 @@ func BenchmarkAppendBatch(b *testing.B) {
 			batch[j] = Point{T: tm, V: float64(j)}
 		}
 		e.AppendBatch(batch)
+	}
+}
+
+// TestEngineRetentionReleasesEvicted: the retention bound bounds what an
+// engine holds. Evicting a segment, or merging it away, must not leave
+// it reachable through the backing array of the closed list.
+func TestEngineRetentionReleasesEvicted(t *testing.T) {
+	var freed atomic.Int64
+	e := NewSeriesEngine(2)
+	e.SetRetention(4)
+	closed := 0
+	for i := 0; e.Stats().Evicted < 2*100; i++ { // 100 evictions of 2-point segments
+		e.Append(Point{T: secs(i), V: float64(i)})
+		if e.hw.n == 0 { // this append closed a segment: the newest one
+			runtime.SetFinalizer(e.closed[len(e.closed)-1], func(*Segment) { freed.Add(1) })
+			closed++
+		}
+	}
+	if len(e.closed) != 4 {
+		t.Fatalf("%d closed segments retained, want 4", len(e.closed))
+	}
+	if c := cap(e.closed); c > 8 {
+		t.Fatalf("cap(closed) = %d after 100 evictions at SetRetention(4), want <= 8", c)
+	}
+	for i, seg := range e.closed[len(e.closed):cap(e.closed)] {
+		if seg != nil {
+			t.Fatalf("closed[%d] past the end still holds a segment", len(e.closed)+i)
+		}
+	}
+	want := int64(closed - len(e.closed))
+	for try := 0; try < 100 && freed.Load() < want; try++ {
+		runtime.GC() // finalizers run after the cycle that finds their object unreachable
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != want {
+		t.Fatalf("%d of %d evicted segments were collected: the rest are still reachable", got, want)
+	}
+	runtime.KeepAlive(e)
+
+	e = NewSeriesEngine(2)
+	for i := 0; i < 2*2*compactFanIn+6; i++ { // size-tiered compactions, then a forced one
+		e.Append(Point{T: secs(i), V: float64(i)})
+	}
+	e.Compact()
+	if len(e.closed) != 1 {
+		t.Fatalf("Compact left %d segments", len(e.closed))
+	}
+	for i, seg := range e.closed[1:cap(e.closed)] {
+		if seg != nil {
+			t.Fatalf("closed[%d] past the end still holds a merged segment", 1+i)
+		}
+	}
+}
+
+// TestEngineDigestMatchesRange: the digest is digestPoints over the
+// canonical Range answer, in order or not, and one work buffer reused
+// across engines (as cpState.digest reuses it) carries nothing over.
+func TestEngineDigestMatchesRange(t *testing.T) {
+	w := new(work)
+	histories := map[string][]Point{
+		"in order":          {{T: secs(1), V: 1}, {T: secs(2), V: 2}, {T: secs(2), V: 2.5}, {T: secs(3), V: 3}, {T: secs(4), V: 4}},
+		"late points":       {{T: secs(1), V: 1}, {T: secs(4), V: 4}, {T: secs(2), V: 2}, {T: secs(3), V: 3}},
+		"equal-T late":      {{T: secs(2), V: 1}, {T: secs(1), V: 0}, {T: secs(2), V: 2}},
+		"past the window":   {{T: secs(1), V: 1}, {T: maxTime, V: 2}, {T: maxTime + 1, V: 3}},
+		"before the window": {{T: minTime - 1, V: 1}, {T: minTime, V: 2}, {T: secs(1), V: 3}},
+		"extremes":          extremePoints,
+		"empty":             nil,
+	}
+	for i := 0; i < 8; i++ {
+		histories["equal pairs"] = append(histories["equal pairs"], Point{T: secs(i / 2), V: float64(i)})
+	}
+	for _, segSize := range []int{2, 3, 512} {
+		for name, pts := range histories {
+			for _, flush := range []bool{false, true} {
+				e := NewSeriesEngine(segSize)
+				e.AppendBatch(pts)
+				if flush {
+					e.Flush()
+					e.Compact()
+				}
+				want := digestPoints(fnvOffset, e.AppendRange(nil, minTime, maxTime))
+				if got := e.digest(fnvOffset, w); got != want {
+					t.Fatalf("segSize %d, %s, flushed %v: digest %x, want %x", segSize, name, flush, got, want)
+				}
+			}
+		}
 	}
 }
