@@ -272,11 +272,12 @@ func ExampleDeployment() {
 }
 
 // TestDeployedHeaderFormPinned pins which 6LoWPAN header a built stack
-// puts on the air. Today it is the uncompressed 40-byte one: nothing
-// sets lowpan.Config.Compress and rpl.NewRouter passes the zero config.
-// Turning IPHC-style compression on (ROADMAP) changes airtime and
-// fragment counts behind every E-table, so it has to be a deliberate
-// change — this constant is the line that moves with it (to 9).
+// puts on the air. Today it is the uncompressed 40-byte one: rpl.NewRouter
+// passes the zero lowpan.Config, and no option reaches it. Turning
+// IPHC-style compression on (ROADMAP) is a one-line edit there, but it
+// changes airtime and fragment counts behind every E-table, so it has
+// to be a deliberate change — this constant is the line that moves with
+// it (to 9).
 func TestDeployedHeaderFormPinned(t *testing.T) {
 	const (
 		deployedHeader = 40 // lowpan's uncompressed form; the IPHC-style one is 9

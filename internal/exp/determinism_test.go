@@ -221,8 +221,8 @@ func TestScenarioQuickDeterminism(t *testing.T) {
 // TestParallelMatchesSequential: E15's table must be byte-identical
 // whether its eight stripes execute on one OS thread or four — worker
 // count is execution policy, never model (the CI shards-1-vs-4 gate).
-// The brute-force fan-out must also reproduce the indexed table
-// exactly: the spatial index is an optimization, not a model change.
+// The brute-force fan-out must also reproduce the table exactly: kept
+// link lists are an optimization, not a model change.
 func TestShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite")

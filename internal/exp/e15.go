@@ -21,9 +21,9 @@ import (
 // <= 0 means one worker per stripe.
 var shardWorkers = 0
 
-// e15BruteForce runs E15 on the radio's reference O(N) scan instead of
-// the cell grid. Only the determinism test sets it, to check the table
-// against the oracle.
+// e15BruteForce runs E15 on the radio's reference O(N) rescan per send
+// instead of the kept link lists. Only the determinism test sets it, to
+// check the table against the oracle.
 var e15BruteForce = false
 
 // SetShardWorkers sets how many OS threads a sharded experiment fans

@@ -12,26 +12,31 @@ import (
 	"iiotds/internal/trace"
 )
 
-// TestSetPositionRebuckets pins the index maintenance: crossing a cell
-// boundary moves the node between cell buckets.
-func TestSetPositionRebuckets(t *testing.T) {
+// TestSetPositionVoidsLinkLists pins the list upkeep: a kept list
+// follows its receivers when they move out of range and back, and its
+// sender when it moves.
+func TestSetPositionVoidsLinkLists(t *testing.T) {
 	_, m := newTestMedium(t)
 	attach(m, 1, 5, 5)
-	oldKey := m.cellOf(Position{X: 5, Y: 5})
-	if got := len(m.cells[oldKey]); got != 1 {
-		t.Fatalf("node not bucketed at origin cell, len=%d", got)
-	}
-	far := Position{X: 5 + 3*m.cellSize, Y: 5}
-	m.SetPosition(1, far)
-	if got := len(m.cells[oldKey]); got != 0 {
-		t.Fatalf("old cell still holds %d nodes after move", got)
-	}
-	if got := len(m.cells[m.cellOf(far)]); got != 1 {
-		t.Fatalf("new cell holds %d nodes, want 1", got)
+	attach(m, 2, 20, 5)
+	for _, c := range []struct {
+		id   NodeID
+		to   Position
+		want []NodeID
+	}{
+		{2, Position{X: 20, Y: 5}, []NodeID{2}},
+		{2, Position{X: 500, Y: 5}, []NodeID{}},
+		{1, Position{X: 480, Y: 5}, []NodeID{2}},
+		{2, Position{X: 5, Y: 5}, []NodeID{}},
+	} {
+		m.SetPosition(c.id, c.to)
+		if got := m.NeighborsOf(1); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("after moving %d to %v: NeighborsOf(1) = %v, want %v", c.id, c.to, got, c.want)
+		}
 	}
 }
 
-// TestMobileRoamOracle roams an asset tag across many cell boundaries.
+// TestMobileRoamOracle roams an asset tag in and out of many nodes' range.
 // At every step the indexed medium must agree with an identically
 // seeded brute-force medium on delivered traffic in both directions —
 // any divergence in audible sets or RNG draw order would desynchronize
@@ -58,9 +63,9 @@ func TestMobileRoamOracle(t *testing.T) {
 	ki, mi, rxi, tagRxi := build(false)
 	kb, mb, rxb, tagRxb := build(true)
 
-	// A diagonal walk in 9 m steps: cellSize is 35 m, so the tag crosses
-	// a cell boundary roughly every fourth step and leaves the station
-	// grid entirely near the end.
+	// A diagonal walk in 9 m steps across stations 12 m apart (RangeMax
+	// is 35 m): most steps change whom the tag reaches, and it leaves
+	// the station grid entirely near the end.
 	for step := 0; step < 40; step++ {
 		pos := Position{X: -20 + float64(step)*9, Y: -15 + float64(step)*7}
 		mi.SetPosition(tag, pos)
@@ -151,6 +156,24 @@ func (tw *twins) requireSame(t *testing.T, ctx string) {
 	}
 }
 
+// audible reports whether from's signal carries to to at all (within
+// RangeMax and not vetoed): the ID-keyed pairwise predicate, written
+// apart from the medium's own audibleAt. Audibility is what matters for
+// interference; successful decoding additionally passes the PRR draw.
+func (m *Medium) audible(from, to NodeID) bool {
+	if from == to {
+		return false
+	}
+	if m.filter != nil && !m.filter(from, to) {
+		return false
+	}
+	if prr, ok := m.prrOver[[2]NodeID{from, to}]; ok {
+		return prr > 0
+	}
+	src, dst := m.mustNode(from), m.mustNode(to)
+	return src.pos.Distance(dst.pos) < m.params.RangeMax
+}
+
 // audibleByPredicate is who a send from `from` on channel ch reaches
 // according to the medium's pairwise predicates — the specification the
 // fan-out loop is an optimization of: every attached node, in ID order,
@@ -166,8 +189,8 @@ func audibleByPredicate(m *Medium, from NodeID, ch uint8) []NodeID {
 }
 
 // paritySequence draws a program of sends interleaved with everything
-// that can change who hears them — attaches after sends, moves inside a
-// cell and across cells (of senders and of receivers), PRR overrides
+// that can change who hears them — attaches after sends, small steps
+// and long jumps (of senders and of receivers), PRR overrides
 // installed, zeroed and removed (also far beyond RangeMax), the link
 // filter on and off, radios going down, deaf or to another channel,
 // foreign senders whose announced position changes — and runs it on
@@ -235,12 +258,12 @@ func paritySequence(t *testing.T, seed int64, nodes int) {
 			}
 		case op < 10:
 			attach()
-		case op < 12: // a step inside the cell, most of the time
+		case op < 12: // a small step
 			id := any()
 			at := tw.m[0].PositionOf(id)
 			to := Position{X: at.X + rng.Float64()*6 - 3, Y: at.Y + rng.Float64()*6 - 3}
 			tw.each(func(m *Medium) { m.SetPosition(id, to) })
-		case op < 13: // a jump across cells
+		case op < 13: // a jump anywhere
 			id, to := any(), spot()
 			tw.each(func(m *Medium) { m.SetPosition(id, to) })
 		case op < 15: // an override: installed, zeroed or removed; the pair may be far apart
@@ -304,8 +327,8 @@ func FuzzAudibleParity(f *testing.F) {
 }
 
 // TestOverrideBeyondRange: a PRR override makes a link audible far past
-// RangeMax; the override receiver must join the fan-out (it is in
-// no nearby cell) and leave it when the override is removed.
+// RangeMax; the override receiver must join the sender's link list and
+// leave it when the override is removed, though neither node moved.
 func TestOverrideBeyondRange(t *testing.T) {
 	k, m := newTestMedium(t)
 	attach(m, 1, 0, 0)
@@ -316,14 +339,40 @@ func TestOverrideBeyondRange(t *testing.T) {
 	if len(c2.frames) != 1 {
 		t.Fatalf("override link delivered %d frames, want 1", len(c2.frames))
 	}
+	if got := m.NeighborsOf(1); !reflect.DeepEqual(got, []NodeID{2}) {
+		t.Fatalf("NeighborsOf(1) = %v while the override holds, want [2]", got)
+	}
 	m.SetLinkPRR(1, 2, -1)
 	m.Send(Frame{From: 1, To: 2, Size: 20})
 	k.Run()
 	if len(c2.frames) != 1 {
 		t.Fatalf("after override removal got %d frames, want still 1", len(c2.frames))
 	}
-	if len(m.overRecv) != 0 || len(m.overTo) != 0 {
-		t.Fatalf("override bookkeeping leaked: overRecv=%d overTo=%d", len(m.overRecv), len(m.overTo))
+	if got := m.NeighborsOf(1); len(got) != 0 {
+		t.Fatalf("NeighborsOf(1) = %v after the override was removed, want none", got)
+	}
+}
+
+// TestOverrideVoidsForeignList: an override from a sender another shard
+// hosts voids the list kept under its ID, though it announces from the
+// same spot every time.
+func TestOverrideVoidsForeignList(t *testing.T) {
+	k, m := newTestMedium(t)
+	c2 := attach(m, 2, 500, 0)
+	announce := func() {
+		now := k.Now()
+		m.ApplyForeign(Announcement{From: 77, To: Broadcast, Size: 20, Start: now, End: now + m.Airtime(20)})
+		k.Run()
+	}
+	for _, c := range []struct {
+		prr  float64
+		want int
+	}{{-1, 0}, {1, 1}, {-1, 1}} {
+		m.SetLinkPRR(77, 2, c.prr)
+		announce()
+		if len(c2.frames) != c.want {
+			t.Fatalf("after SetLinkPRR(77, 2, %v): node 2 has %d frames, want %d", c.prr, len(c2.frames), c.want)
+		}
 	}
 }
 

@@ -119,20 +119,22 @@ type nodeState struct {
 	// recognizes: the receiver ignores unicasts addressed to another
 	// node (SetAddressRecognition), so complete need not hand them over.
 	recognizes bool
-	links      linkList // whom this node reaches when it sends
+	links      linkList // whom this node's frames reach
 }
 
-// link is one receiver a sender reaches by distance, with the PRR of
-// that distance.
+// link is one receiver a sender's frames reach, with the PRR its loss
+// draw is taken against.
 type link struct {
 	n   *nodeState
 	prr float64
 }
 
-// linkList is a sender's links: every attached node strictly inside
-// RangeMax of pos, the sender excepted, in ascending ID order. It holds
-// while gen is the medium's layoutGen and the sender still transmits
-// from pos; the slice keeps its capacity across rebuilds.
+// linkList is a sender's links: every other attached node its frames
+// reach, in ascending ID order — by the pair's SetLinkPRR override when
+// one is installed (none at PRR 0), else by distance strictly inside
+// RangeMax of pos. It holds while gen is the medium's layoutGen and the
+// sender still transmits from pos; SetLinkPRR voids it by zeroing gen.
+// The slice keeps its capacity across rebuilds.
 type linkList struct {
 	gen   uint64
 	pos   Position
@@ -176,13 +178,6 @@ type flight struct {
 	pos  Position // the sender's current position
 }
 
-// cellKey addresses one square cell of the spatial index. The grid is
-// unbounded: keys are computed by flooring coordinates, so negative and
-// far-out positions hash fine.
-type cellKey struct {
-	x, y int32
-}
-
 // Medium is the shared wireless channel set. It is single-threaded and
 // must only be used from the owning simulation kernel's event callbacks.
 type Medium struct {
@@ -193,7 +188,8 @@ type Medium struct {
 	// nodes in a fixed order: each audible receiver consumes a PRR draw
 	// from the kernel's single RNG, so iterating the map directly would
 	// make loss patterns depend on Go's randomized map order and break
-	// run-to-run determinism (DESIGN.md §5).
+	// run-to-run determinism (DESIGN.md §5). A link list is one scan of
+	// it, so it is in this order too.
 	ordered []*nodeState
 	active  []*transmission
 	txFree  []*transmission // recycled transmission structs
@@ -204,20 +200,11 @@ type Medium struct {
 	rec     *trace.Recorder
 	prrOver map[[2]NodeID]float64
 
-	// Spatial index (DESIGN.md §9). Nodes are bucketed into square cells
-	// of side RangeMax; every node audible from a position by distance is
-	// inside the 3×3 cell neighborhood of that position. Cell slices are
-	// kept sorted by ID so the streaming merge that builds a sender's
-	// link list (collectLinks) yields the ascending-ID order of the flat
-	// `ordered` scan — the audible subset, and therefore the RNG draw
-	// sequence, is byte-identical.
-	cellSize float64
-	cells    map[cellKey][]*nodeState
 	// layoutGen counts Attach and SetPosition calls. A link list holds
-	// exact distances between its sender and every receiver, so any
-	// move — inside a cell too — and any newcomer voids all of them;
-	// a static fleet builds each sender's list once. It also dates
-	// flights for the collision pruning below.
+	// exact distances between its sender and every receiver, so any move
+	// and any newcomer voids all of them; a static fleet builds each
+	// sender's list once. It also dates flights for the collision
+	// pruning below.
 	layoutGen uint64
 	// stateGen counts SetListening, SetDown, SetChannel and
 	// SetAddressRecognition calls. While it has not moved since a flight
@@ -226,7 +213,6 @@ type Medium struct {
 	stateGen uint64
 	foreign  map[NodeID]*linkList // lists of senders other shards host
 	linkBuf  []link               // collectLinks' scratch
-	recvBuf  []link               // receivers' scratch, when a filter or override is installed
 	// Collision-check pruning (DESIGN.md §9). Two transmissions can only
 	// interact when their senders are within 2·RangeMax: every receiver
 	// sits strictly inside RangeMax of its sender whenever no PRR
@@ -235,12 +221,7 @@ type Medium struct {
 	// overlap a layoutGen step fall back to the unpruned loop (a moved
 	// receiver may have left its sender's disk, voiding the bound).
 	nearTx []flight
-	// PRR overrides can make a link audible beyond RangeMax (the fault
-	// layer's degraded-link model is distance-free), so override
-	// receivers are merged into every fan-out beside the link list.
-	overTo   map[NodeID]int // incoming-override count per receiver
-	overRecv []*nodeState   // attached override receivers, ID-sorted
-	brute    bool           // force the O(N) ordered scan (oracle/baseline)
+	brute  bool // rescan on every send, never prune (oracle/baseline)
 
 	// announce, when set, observes every accepted transmission so a
 	// sharded deployment can mirror border traffic into neighbor shards
@@ -271,12 +252,6 @@ func NewMedium(k *sim.Kernel, p Params, reg *metrics.Registry) *Medium {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	cs := p.RangeMax
-	if cs <= 0 {
-		// Degenerate model: nothing is audible by distance, only via PRR
-		// overrides. Any positive cell size keeps the grid well-defined.
-		cs = 1
-	}
 	return &Medium{
 		k:         k,
 		params:    p,
@@ -285,11 +260,8 @@ func NewMedium(k *sim.Kernel, p Params, reg *metrics.Registry) *Medium {
 		energy:    metrics.NewEnergySet(metrics.DefaultPowerProfile()),
 		reg:       reg,
 		prrOver:   make(map[[2]NodeID]float64),
-		cellSize:  cs,
-		cells:     make(map[cellKey][]*nodeState),
 		layoutGen: 1, // a zero linkList is stale
 		foreign:   make(map[NodeID]*linkList),
-		overTo:    make(map[NodeID]int),
 
 		cTxFrames:   reg.Counter("radio.tx_frames"),
 		cTxBytes:    reg.Counter("radio.tx_bytes"),
@@ -335,87 +307,28 @@ func (m *Medium) Attach(id NodeID, pos Position, recv Receiver) {
 	n := &nodeState{id: id, pos: pos, recv: recv}
 	m.energy.Ledger(int(id)).Link(&n.air)
 	m.nodes[id] = n
-	insertSorted(&m.ordered, n)
-	m.cellInsert(n)
+	at := sort.Search(len(m.ordered), func(i int) bool { return m.ordered[i].id > id })
+	m.ordered = append(m.ordered, nil)
+	copy(m.ordered[at+1:], m.ordered[at:])
+	m.ordered[at] = n
 	m.layoutGen++
-	if m.overTo[id] > 0 {
-		// An override targeting this node was installed before it
-		// attached; it joins the override-receiver stream now.
-		insertSorted(&m.overRecv, n)
-	}
 }
 
-// insertSorted inserts n into the ID-sorted slice *s.
-func insertSorted(s *[]*nodeState, n *nodeState) {
-	v := *s
-	at := sort.Search(len(v), func(i int) bool { return v[i].id > n.id })
-	v = append(v, nil)
-	copy(v[at+1:], v[at:])
-	v[at] = n
-	*s = v
-}
-
-// removeSorted removes the node with the given id from the ID-sorted
-// slice *s (no-op if absent).
-func removeSorted(s *[]*nodeState, id NodeID) {
-	v := *s
-	at := sort.Search(len(v), func(i int) bool { return v[i].id >= id })
-	if at == len(v) || v[at].id != id {
-		return
-	}
-	copy(v[at:], v[at+1:])
-	v[len(v)-1] = nil
-	*s = v[:len(v)-1]
-}
-
-// cellOf returns the grid cell containing p.
-func (m *Medium) cellOf(p Position) cellKey {
-	return cellKey{
-		x: int32(math.Floor(p.X / m.cellSize)),
-		y: int32(math.Floor(p.Y / m.cellSize)),
-	}
-}
-
-func (m *Medium) cellInsert(n *nodeState) {
-	key := m.cellOf(n.pos)
-	s := m.cells[key]
-	insertSorted(&s, n)
-	m.cells[key] = s
-}
-
-func (m *Medium) cellRemove(n *nodeState, key cellKey) {
-	s := m.cells[key]
-	removeSorted(&s, n.id)
-	if len(s) == 0 {
-		delete(m.cells, key)
-	} else {
-		m.cells[key] = s
-	}
-}
-
-// SetPosition moves a node (e.g., a mobile asset tag), re-bucketing it
-// in the spatial index when it crosses a cell boundary. Any move voids
+// SetPosition moves a node (e.g., a mobile asset tag). Any move voids
 // every sender's link list (layoutGen).
 func (m *Medium) SetPosition(id NodeID, pos Position) {
-	n := m.mustNode(id)
+	m.mustNode(id).pos = pos
 	m.layoutGen++
-	oldKey := m.cellOf(n.pos)
-	n.pos = pos
-	if newKey := m.cellOf(pos); newKey != oldKey {
-		m.cellRemove(n, oldKey)
-		m.cellInsert(n)
-	}
 }
 
 // SetBruteForce forces (true) or restores (false) the reference O(N)
-// medium: every send finds its links by a flat scan of all nodes
-// instead of keeping the list the spatial index built, and collision
-// loops run unpruned over every active transmission instead of the
-// 2·RangeMax sender-distance cut. The two engines visit the same
-// audible receivers in the same ID order and corrupt the same
-// deliveries — the grid and pruning invariants DESIGN.md §9 proves — so
-// results are byte-identical; only wall-clock time differs. Tests use
-// the brute path as the oracle and benchmarks as the baseline.
+// medium: every send rescans all nodes for its links instead of keeping
+// the sender's link list, and collision loops run unpruned over every
+// active transmission instead of the 2·RangeMax sender-distance cut.
+// Both visit the same receivers in the same ID order and corrupt the
+// same deliveries — the list and pruning invariants DESIGN.md §9 proves
+// — so results are byte-identical; only wall-clock time differs. Tests
+// use the brute path as the oracle and benchmarks as the baseline.
 func (m *Medium) SetBruteForce(on bool) { m.brute = on }
 
 // PositionOf returns a node's position.
@@ -468,41 +381,30 @@ func (m *Medium) SetLinkFilter(f LinkFilter) { m.filter = f }
 
 // SetLinkPRR overrides the distance-based PRR for the directed link
 // from->to with a fixed value in [0,1]. Use a negative value to remove the
-// override.
+// override. Only from's link list is voided.
 func (m *Medium) SetLinkPRR(from, to NodeID, prr float64) {
-	key := [2]NodeID{from, to}
-	if prr < 0 {
-		if _, ok := m.prrOver[key]; ok {
-			delete(m.prrOver, key)
-			m.overTo[to]--
-			if m.overTo[to] == 0 {
-				delete(m.overTo, to)
-				removeSorted(&m.overRecv, to)
-			}
-		}
-		return
-	}
 	if prr > 1 {
 		panic(fmt.Sprintf("radio: PRR %v > 1", prr))
 	}
-	if _, ok := m.prrOver[key]; !ok {
-		m.overTo[to]++
-		if m.overTo[to] == 1 {
-			if n, ok := m.nodes[to]; ok {
-				insertSorted(&m.overRecv, n)
-			}
-		}
+	if key := [2]NodeID{from, to}; prr < 0 {
+		delete(m.prrOver, key)
+	} else {
+		m.prrOver[key] = prr
 	}
-	m.prrOver[key] = prr
+	if n, ok := m.nodes[from]; ok {
+		n.links.gen = 0
+	}
+	if ll := m.foreign[from]; ll != nil {
+		ll.gen = 0
+	}
 }
 
 // NodeIDs returns all attached node IDs in ascending order.
 func (m *Medium) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
+	ids := make([]NodeID, len(m.ordered))
+	for i, n := range m.ordered {
+		ids[i] = n.id
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -586,30 +488,14 @@ func (m *Medium) putTx(tx *transmission) {
 	m.txFree = append(m.txFree, tx)
 }
 
-// audible reports whether from's signal carries to to at all (within
-// RangeMax and not vetoed). Audibility is what matters for interference;
-// successful decoding additionally passes the PRR draw.
-func (m *Medium) audible(from, to NodeID) bool {
-	if from == to {
-		return false
-	}
-	if m.filter != nil && !m.filter(from, to) {
-		return false
-	}
-	if prr, ok := m.prrOver[[2]NodeID{from, to}]; ok {
-		return prr > 0
-	}
-	src, dst := m.mustNode(from), m.mustNode(to)
-	return src.pos.Distance(dst.pos) < m.params.RangeMax
-}
-
-// audibleAt is the fan-out hot path's audibility predicate: the sender
-// is given by ID + position and the receiver by its resolved state, so
-// the common case (no overrides installed) touches no maps at all. It
-// decides exactly like audible — filter, then override, then distance —
-// so the audible set is unchanged. Filters and PRR overrides are keyed
-// by deployment-global IDs, so partitions and degraded links keep
-// working for a sender another shard hosts.
+// audibleAt reports whether the signal of the sender `from` at pos
+// carries to dst at all — the specification the fan-out and every
+// collision check decide by: never the sender itself, nothing the filter
+// vetoes, then the override (audible at PRR > 0), else distance strictly
+// inside RangeMax. Audibility is what matters for interference;
+// successful decoding additionally passes the PRR draw. Filters and PRR
+// overrides are keyed by deployment-global IDs, so partitions and
+// degraded links keep working for a sender another shard hosts.
 func (m *Medium) audibleAt(from NodeID, pos Position, dst *nodeState) bool {
 	if from == dst.id {
 		return false
@@ -683,64 +569,41 @@ func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []flight {
 	return near
 }
 
-// collectLinks finds the links of a sender at pos — every attached node
-// strictly inside RangeMax, the sender excepted, ascending ID, PRR by
-// distance — into the medium's scratch, valid until the next call. The
-// 3×3 cell neighborhood (cell side = RangeMax) holds every such node;
-// its cells are disjoint and ID-sorted, so a streaming merge yields the
-// order of the flat scan SetBruteForce does instead.
+// collectLinks finds the links of a sender at pos (see linkList) by one
+// scan of the ID-ordered node table, into the medium's scratch, valid
+// until the next call. The override decides before distance, as in
+// audibleAt; the filter is not asked, since it may change under a kept
+// list.
 func (m *Medium) collectLinks(from NodeID, pos Position) []link {
 	buf := m.linkBuf[:0]
-	add := func(n *nodeState) {
+	over := len(m.prrOver) > 0
+	for _, n := range m.ordered {
 		if n.id == from {
-			return
+			continue
+		}
+		if over {
+			if prr, ok := m.prrOver[[2]NodeID{from, n.id}]; ok {
+				if prr > 0 {
+					buf = append(buf, link{n, prr})
+				}
+				continue
+			}
 		}
 		if d := pos.Distance(n.pos); d < m.params.RangeMax {
 			buf = append(buf, link{n, m.prrAtDistance(d)})
-		}
-	}
-	if m.brute {
-		for _, n := range m.ordered {
-			add(n)
-		}
-	} else {
-		c := m.cellOf(pos)
-		var streams [9][]*nodeState
-		ns := 0
-		for dx := int32(-1); dx <= 1; dx++ {
-			for dy := int32(-1); dy <= 1; dy++ {
-				if s := m.cells[cellKey{c.x + dx, c.y + dy}]; len(s) > 0 {
-					streams[ns] = s
-					ns++
-				}
-			}
-		}
-		for {
-			best := -1
-			for i := 0; i < ns; i++ {
-				if len(streams[i]) == 0 {
-					continue
-				}
-				if best < 0 || streams[i][0].id < streams[best][0].id {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			add(streams[best][0])
-			streams[best] = streams[best][1:]
 		}
 	}
 	m.linkBuf = buf
 	return buf
 }
 
-// linksOf returns the link list of the sender from at pos: src for a
-// node attached here, nil for one another shard hosts, whose list is
-// kept under its ID. A list is built on the first send after the layout
-// moved (or a foreign sender did) and exact-sized when outgrown; the
-// brute-force medium keeps none and scans on every send.
+// linksOf returns the link list of the sender from at pos: src's for a
+// node attached here, else the one kept under the ID of a sender another
+// shard hosts. A list is rebuilt on the first send after it went void —
+// the layout moved, one of the sender's overrides changed, or a foreign
+// sender announced another position — into its own storage, re-made
+// exactly sized when outgrown. The brute-force medium keeps none and
+// scans on every send.
 func (m *Medium) linksOf(from NodeID, pos Position, src *nodeState) []link {
 	if m.brute {
 		return m.collectLinks(from, pos)
@@ -762,48 +625,6 @@ func (m *Medium) linksOf(from NodeID, pos Position, src *nodeState) []link {
 		ll.gen, ll.pos = m.layoutGen, pos
 	}
 	return ll.links
-}
-
-// receivers returns whom a frame from `from` at pos reaches, ascending
-// ID — the order the loss draws are consumed in — each with the PRR its
-// draw is taken against. With plain (no filter, no override installed)
-// that is the sender's link list as it is. Otherwise the override
-// receivers, which a link of any length may reach, are merged in, and
-// links the filter vetoes or an override silences are dropped, into a
-// scratch list valid until the next call; the decision order matches
-// audible()/PRR() exactly — filter, then override, then distance. Radio
-// state is not looked at: it is the fan-out's per-send check.
-func (m *Medium) receivers(from NodeID, pos Position, src *nodeState, plain bool) []link {
-	links := m.linksOf(from, pos, src)
-	if plain {
-		return links
-	}
-	buf, over := m.recvBuf[:0], m.overRecv
-	for i, j := 0, 0; i < len(links) || j < len(over); {
-		l := link{}
-		audible := false
-		if j == len(over) || (i < len(links) && links[i].n.id <= over[j].id) {
-			l, audible = links[i], true
-			if j < len(over) && over[j] == l.n {
-				j++
-			}
-			i++
-		} else {
-			l.n = over[j]
-			j++
-		}
-		if l.n.id == from || (m.filter != nil && !m.filter(from, l.n.id)) {
-			continue
-		}
-		if p, ok := m.prrOver[[2]NodeID{from, l.n.id}]; ok {
-			l.prr, audible = p, p > 0
-		}
-		if audible {
-			buf = append(buf, l)
-		}
-	}
-	m.recvBuf = buf
-	return buf
 }
 
 // Send transmits frame f from node f.From. Delivery callbacks fire at the
@@ -854,7 +675,8 @@ func (m *Medium) launch(tx *transmission) {
 	pos := tx.srcPos
 	air := tx.end - tx.start
 	tx.epoch, tx.stateGen = m.layoutGen, m.stateGen
-	plain := m.filter == nil && len(m.prrOver) == 0
+	filter := m.filter
+	plain := filter == nil && len(m.prrOver) == 0
 	// Tallied here and added to the counters once: integers in a float64
 	// sum exactly, in any grouping.
 	var collisions, crossTenant, lost int
@@ -880,14 +702,17 @@ func (m *Medium) launch(tx *transmission) {
 		}
 	}
 
-	// The fan-out. Who can hear the frame at all was settled by the
-	// receiver list; what radio state decides — and may change between
-	// two sends without moving anything else — is checked here, per send.
+	// The fan-out walks the sender's link list. What the list does not
+	// remember, because it changes without the medium being told, is
+	// checked here, per send: radio state, and the link filter.
 	dels, takers := tx.dels, tx.takers
 	rng, jid := m.k.Rand(), payloadJourney(f.Payload)
-	for _, l := range m.receivers(f.From, pos, tx.src, plain) {
+	for _, l := range m.linksOf(f.From, pos, tx.src) {
 		n := l.n
 		if n.down || !n.listening || n.channel != f.Channel {
+			continue
+		}
+		if filter != nil && !filter(f.From, n.id) {
 			continue
 		}
 		// The receiver's radio is busy for the whole frame either way.
@@ -1013,8 +838,8 @@ func handOver(f Frame, n *nodeState) {
 	view.Release()
 }
 
-// NeighborsOf returns the IDs of nodes within RangeMax of id, nearest
-// first, ties by ID: the node's links in another order.
+// NeighborsOf returns the nodes id's frames reach (its link list),
+// nearest first, ties by ID.
 func (m *Medium) NeighborsOf(id NodeID) []NodeID {
 	src := m.mustNode(id)
 	type cand struct {

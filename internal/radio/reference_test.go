@@ -13,10 +13,13 @@ import (
 )
 
 // The reference medium: Send, ApplyForeign, launch, nearActive and
-// complete as they were before the fan-out walked a receiver list and
-// completion jumped from taker to taker — every receiver visited at
-// launch and again at completion, energy charged through the ledger.
-// TestFanOutReferenceParity drives it beside the medium under test.
+// complete as they were before the fan-out walked a link list and
+// completion jumped from taker to taker — every attached node asked,
+// in ID order, whether it hears the frame (audibleAt, then the override
+// PRR or the distance PRR), every receiver visited again at completion,
+// energy charged through the ledger. It reads no link list, so it does
+// not share what it checks. TestFanOutReferenceParity drives it beside
+// the medium under test.
 
 func (m *Medium) refSend(f Frame) time.Duration {
 	src := m.mustNode(f.From)
@@ -105,33 +108,13 @@ func (m *Medium) refLaunch(tx *transmission) {
 		}
 	}
 
-	links, over := m.linksOf(f.From, pos, tx.src), m.overRecv
-	for i, j := 0, 0; i < len(links) || j < len(over); {
-		var n *nodeState
-		prr, audible := 0.0, false
-		if j == len(over) || (i < len(links) && links[i].n.id <= over[j].id) {
-			n, prr, audible = links[i].n, links[i].prr, true
-			if j < len(over) && over[j] == n {
-				j++
-			}
-			i++
-		} else {
-			n = over[j]
-			j++
-		}
-		if n.id == f.From || n.down || !n.listening || n.channel != f.Channel {
+	for _, n := range m.ordered {
+		if n.down || !n.listening || n.channel != f.Channel || !m.audibleAt(f.From, pos, n) {
 			continue
 		}
-		if m.filter != nil && !m.filter(f.From, n.id) {
-			continue
-		}
-		if len(m.prrOver) > 0 {
-			if p, ok := m.prrOver[[2]NodeID{f.From, n.id}]; ok {
-				prr, audible = p, p > 0
-			}
-		}
-		if !audible {
-			continue
+		prr, over := m.prrOver[[2]NodeID{f.From, n.id}]
+		if !over {
+			prr = m.prrAtDistance(pos.Distance(n.pos))
 		}
 		m.energy.Ledger(int(n.id)).Spend(metrics.StateRx, air)
 		tx.dels = append(tx.dels, delivery{n: n})
@@ -332,7 +315,7 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 			})
 		case op < 13:
 			attach()
-		case op < 15: // a move: a step, or a jump across cells
+		case op < 15: // a move: a small step, or a jump
 			id := any()
 			to := spot()
 			if rng.Intn(2) == 0 {

@@ -78,7 +78,8 @@ func (m *Medium) SetAnnounce(fn func(f Frame, pos Position, start, end sim.Time)
 // payload (journey IDs do not cross shards: the copy carries journey 0)
 // — and the fan-out is Send's own (launch): the link list of the
 // foreign sender at its announced position (kept under its ID, rebuilt
-// when the announced position or the local layout changes) in ascending
+// when the announced position, the local layout or one of the sender's
+// PRR overrides changes) in ascending
 // ID order, loss drawn from THIS medium's kernel RNG, collisions both
 // ways with local and foreign actives, completion at the original a.End.
 func (m *Medium) ApplyForeign(a Announcement) {

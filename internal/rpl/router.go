@@ -56,8 +56,6 @@ type Config struct {
 	ParentProbeInterval time.Duration
 	// HopLimit is the initial datagram hop limit (default 32).
 	HopLimit uint8
-	// Lowpan configures the adaptation layer.
-	Lowpan lowpan.Config
 }
 
 func (c *Config) applyDefaults() {
@@ -137,7 +135,7 @@ func NewRouter(k *sim.Kernel, lnk *link.Link, isRoot bool, root radio.NodeID, cf
 	r := &Router{
 		k:          k,
 		lnk:        lnk,
-		adapt:      lowpan.NewAdaptation(cfg.Lowpan),
+		adapt:      lowpan.NewAdaptation(lowpan.Config{}),
 		cfg:        cfg,
 		reg:        reg,
 		id:         lnk.ID(),
