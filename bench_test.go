@@ -12,7 +12,6 @@ import (
 
 	"iiotds/internal/adapter"
 	"iiotds/internal/coap"
-	"iiotds/internal/crdt"
 	"iiotds/internal/exp"
 	"iiotds/internal/lowpan"
 	"iiotds/internal/netbuf"
@@ -109,22 +108,6 @@ func BenchmarkLowpanFragmentReassemble(b *testing.B) {
 		if got == nil {
 			b.Fatal("no reassembly")
 		}
-	}
-}
-
-func BenchmarkCRDTORSetMerge(b *testing.B) {
-	mk := func(id crdt.ReplicaID) *crdt.ORSet {
-		s := crdt.NewORSet(id)
-		for i := 0; i < 64; i++ {
-			s.Add(string(rune('a' + i%26)))
-		}
-		return s
-	}
-	x, y := mk("x"), mk("y")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := x.Copy()
-		c.Merge(y)
 	}
 }
 

@@ -5,7 +5,7 @@
 // builder that makes such fleets expressible: a Profile describes one
 // device class, a Topology binds every node position to a profile, and
 // NewStack composes each node's per-layer stack (radio → MAC → link →
-// RPL → agg/CoAP) through replaceable Factories.
+// RPL → agg/CoAP), with a replaceable MAC (Factories).
 package core
 
 import (
@@ -90,17 +90,13 @@ func (t Topology) Positions() radio.Topology {
 	return out
 }
 
-// Factories are the per-layer construction hooks NewStack composes each
-// node's stack through. A nil field means the default construction for
-// that layer; tests and experiments can interpose wrappers (e.g. a MAC
-// that drops every third frame) without forking the builder.
+// Factories are the construction hooks NewStack composes each node's
+// stack through. A nil field means the default construction; tests can
+// interpose wrappers (e.g. a MAC that drops every third frame) without
+// forking the builder.
 type Factories struct {
 	// MAC builds the medium-access layer for one node of profile p.
 	MAC func(m *radio.Medium, id radio.NodeID, p *Profile) mac.MAC
-	// Link builds the framing/ARQ/ETX layer over the node's MAC.
-	Link func(id radio.NodeID, mc mac.MAC) *link.Link
-	// Router builds the RPL layer over the node's link.
-	Router func(k *sim.Kernel, lnk *link.Link, isRoot bool, root radio.NodeID, cfg rpl.Config, reg *metrics.Registry) *rpl.Router
 }
 
 // DefaultMAC builds the stock medium-access layer for one node: it
@@ -124,20 +120,6 @@ func DefaultMAC(m *radio.Medium, id radio.NodeID, p *Profile) mac.MAC {
 	}
 }
 
-// withDefaults fills nil hooks with the default per-layer constructors.
-func (f Factories) withDefaults() Factories {
-	if f.MAC == nil {
-		f.MAC = DefaultMAC
-	}
-	if f.Link == nil {
-		f.Link = link.New
-	}
-	if f.Router == nil {
-		f.Router = rpl.NewRouter
-	}
-	return f
-}
-
 // mediumParams parameterizes every deployment's shared medium.
 var mediumParams = radio.DefaultParams()
 
@@ -159,7 +141,7 @@ type Stack struct {
 	// TraceCapacity sizes the flight-recorder ring (0 = default,
 	// negative = tracing disabled).
 	TraceCapacity int
-	// Factories override per-layer construction; zero value = defaults.
+	// Factories override the MAC construction; zero value = default.
 	Factories Factories
 }
 
@@ -236,7 +218,10 @@ func profileIn(s *Stack, name string) *Profile {
 // populate composes and starts every node of the fleet's stack, in
 // node-ID order, once the stripes' media exist.
 func (f *Fleet) populate() {
-	fac := f.stack.Factories.withDefaults()
+	fac := f.stack.Factories
+	if fac.MAC == nil {
+		fac.MAC = DefaultMAC
+	}
 	for i := range f.stack.Topology {
 		f.Nodes = append(f.Nodes, buildNode(f, fac, i))
 	}
@@ -255,13 +240,13 @@ func buildNode(f *Fleet, fac Factories, i int) *Node {
 		n.MAC.(radio.Receiver).RadioReceive(fr)
 	}))
 	n.MAC = fac.MAC(m, id, p)
-	n.Link = fac.Link(id, n.MAC)
+	n.Link = link.New(id, n.MAC)
 	n.Link.SetRecorder(rec)
 	rcfg := f.stack.Router
 	if p.Router != nil {
 		rcfg = *p.Router
 	}
-	n.Router = fac.Router(k, n.Link, i == 0, 0, rcfg, m.Registry())
+	n.Router = rpl.NewRouter(k, n.Link, i == 0, 0, rcfg, m.Registry())
 	n.Router.SetRecorder(rec)
 	n.Agg = agg.NewNode(k, n.Router, n.Link, func(attr string) (float64, bool) {
 		if n.sampler == nil {
@@ -295,7 +280,7 @@ func buildNode(f *Fleet, fac Factories, i int) *Node {
 }
 
 // NewStack builds and starts a heterogeneous deployment: every node's
-// stack is composed per its profile through the per-layer factories, on
+// stack is composed per its profile through the factories, on
 // one shared medium.
 func NewStack(cfg Stack) *Deployment {
 	cfg.applyDefaults()

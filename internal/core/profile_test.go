@@ -5,12 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"iiotds/internal/link"
 	"iiotds/internal/mac"
-	"iiotds/internal/metrics"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
-	"iiotds/internal/sim"
 )
 
 // twoClassStack is a small heterogeneous fleet: a CSMA root + backbone
@@ -60,34 +57,22 @@ func TestHeterogeneousStackConverges(t *testing.T) {
 	}
 }
 
-// TestFactoriesInterpose proves the per-layer seams: a custom MAC factory
-// can wrap/observe construction per profile, and the deployment still
-// runs on what it returns.
+// TestFactoriesInterpose proves the MAC seam: a custom MAC factory can
+// wrap/observe construction per profile, and the deployment still runs
+// on what it returns.
 func TestFactoriesInterpose(t *testing.T) {
 	built := map[string]int{}
-	var linkCalls, routerCalls int
 	s := twoClassStack(func(s *Stack) {
 		s.Factories = Factories{
 			MAC: func(m *radio.Medium, id radio.NodeID, p *Profile) mac.MAC {
 				built[p.Name]++
 				return DefaultMAC(m, id, p)
 			},
-			Link: func(id radio.NodeID, mc mac.MAC) *link.Link {
-				linkCalls++
-				return link.New(id, mc)
-			},
-			Router: func(k *sim.Kernel, lnk *link.Link, isRoot bool, root radio.NodeID, cfg rpl.Config, reg *metrics.Registry) *rpl.Router {
-				routerCalls++
-				return rpl.NewRouter(k, lnk, isRoot, root, cfg, reg)
-			},
 		}
 	})
 	d := NewStack(s)
 	if built["backbone"] != 2 || built["leaf"] != 2 {
 		t.Fatalf("MAC factory calls per profile = %v, want 2 each", built)
-	}
-	if linkCalls != 4 || routerCalls != 4 {
-		t.Fatalf("link/router factory calls = %d/%d, want 4/4", linkCalls, routerCalls)
 	}
 	if ok, _ := d.RunUntilConverged(2 * time.Minute); !ok {
 		t.Fatal("stack with interposed factories did not converge")

@@ -110,23 +110,19 @@ func runE14(tr *Trial, p e14Params) e14Run {
 		out.meanRejoin = rejoinTotal / time.Duration(out.rejoins)
 	}
 
-	// Fold per-node reliability stats in sorted component order; the
-	// fleet averages stay byte-stable (never SystemAvailability, whose
-	// map-order float sum is not).
+	// Fold per-node reliability stats in sorted component order.
 	now := d.K.Now()
 	comps := ledger.Components()
 	var mttf, mttr time.Duration
-	var avail float64
 	for _, name := range comps {
 		s := ledger.StatsOf(name, now)
 		mttf += s.MTTF
 		mttr += s.MTTR
-		avail += s.Availability
 	}
 	if len(comps) > 0 {
 		out.mttf = mttf / time.Duration(len(comps))
 		out.mttr = mttr / time.Duration(len(comps))
-		out.avail = avail / float64(len(comps))
+		out.avail = ledger.SystemAvailability(now)
 	}
 	return out
 }

@@ -300,14 +300,17 @@ func (l *Ledger) Components() []string {
 	return out
 }
 
-// SystemAvailability averages availability over all components.
+// SystemAvailability averages availability over all components, summed
+// in Components order so the result is the same to the last bit on every
+// call.
 func (l *Ledger) SystemAvailability(now time.Duration) float64 {
-	if len(l.components) == 0 {
+	names := l.Components()
+	if len(names) == 0 {
 		return 1
 	}
 	var sum float64
-	for name := range l.components {
+	for _, name := range names {
 		sum += l.StatsOf(name, now).Availability
 	}
-	return sum / float64(len(l.components))
+	return sum / float64(len(names))
 }

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -155,5 +157,23 @@ func TestSystemAvailability(t *testing.T) {
 	}
 	if names := l.Components(); len(names) != 2 || names[0] != "a" {
 		t.Fatalf("Components = %v", names)
+	}
+}
+
+// TestSystemAvailabilityBitStable: a float sum depends on its order, so
+// the average must come out bit-identical on every call on one ledger.
+func TestSystemAvailabilityBitStable(t *testing.T) {
+	l := NewLedger(0)
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("n%02d", i)
+		l.RecordFailure(name, time.Duration(i+1)*time.Second)
+		l.RecordRepair(name, time.Duration(3*i+7)*time.Second)
+	}
+	now := 1000 * time.Second
+	want := math.Float64bits(l.SystemAvailability(now))
+	for call := 0; call < 200; call++ {
+		if got := math.Float64bits(l.SystemAvailability(now)); got != want {
+			t.Fatalf("call %d: SystemAvailability bits %#x, first call %#x", call, got, want)
+		}
 	}
 }

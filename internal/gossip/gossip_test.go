@@ -7,28 +7,37 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
-	"iiotds/internal/crdt"
 	"iiotds/internal/sim"
 )
 
-// counterState wraps a PNCounter as a gossip.State — the degenerate
-// state-based case: nothing to summarize, the whole counter is the delta.
+// counterState is a grow-only counter as a gossip.State — the
+// degenerate state-based case: one count per replica, merged by max,
+// nothing to summarize, and the whole counter is the delta.
 type counterState struct {
-	c *crdt.PNCounter
+	counts map[string]uint64
+}
+
+func newCounterState() *counterState { return &counterState{counts: map[string]uint64{}} }
+
+func (s *counterState) add(id string, n uint64) { s.counts[id] += n }
+
+func (s *counterState) value() uint64 {
+	var v uint64
+	for _, n := range s.counts {
+		v += n
+	}
+	return v
 }
 
 func (s *counterState) Summary(dst []byte) []byte { return dst }
 
-// The delta is the Pos half then the Neg half, each
-// uvarint(n) ( uvarint(len id) id uvarint(count) )*n.
+// The delta is uvarint(n) ( uvarint(len id) id uvarint(count) )*n.
 func (s *counterState) Delta(dst, _ []byte) ([]byte, error) {
-	for _, g := range []*crdt.GCounter{s.c.Pos, s.c.Neg} {
-		dst = binary.AppendUvarint(dst, uint64(len(g.Counts)))
-		for id, n := range g.Counts {
-			dst = binary.AppendUvarint(dst, uint64(len(id)))
-			dst = append(dst, id...)
-			dst = binary.AppendUvarint(dst, n)
-		}
+	dst = binary.AppendUvarint(dst, uint64(len(s.counts)))
+	for id, n := range s.counts {
+		dst = binary.AppendUvarint(dst, uint64(len(id)))
+		dst = append(dst, id...)
+		dst = binary.AppendUvarint(dst, n)
 	}
 	return dst, nil
 }
@@ -43,22 +52,22 @@ func (s *counterState) Merge(remote []byte) error {
 		remote = remote[n:]
 		return v
 	}
-	other := crdt.NewPNCounter()
-	for _, g := range []*crdt.GCounter{other.Pos, other.Neg} {
-		for n := next(); n > 0 && !bad; n-- {
-			idLen := next()
-			if idLen > uint64(len(remote)) {
-				return errors.New("truncated counter delta")
-			}
-			id := crdt.ReplicaID(remote[:idLen])
-			remote = remote[idLen:]
-			g.Inc(id, next())
+	other := map[string]uint64{}
+	for n := next(); n > 0 && !bad; n-- {
+		idLen := next()
+		if idLen > uint64(len(remote)) {
+			return errors.New("truncated counter delta")
 		}
+		id := string(remote[:idLen])
+		remote = remote[idLen:]
+		other[id] = next()
 	}
 	if bad {
 		return errors.New("truncated counter delta")
 	}
-	s.c.Merge(other)
+	for id, n := range other {
+		s.counts[id] = max(s.counts[id], n)
+	}
 	return nil
 }
 
@@ -70,19 +79,19 @@ func TestEnginesConverge(t *testing.T) {
 	engines := make([]*Engine, n)
 	names := []string{"a", "b", "c", "d", "e"}
 	for i := 0; i < n; i++ {
-		states[i] = &counterState{c: crdt.NewPNCounter()}
+		states[i] = newCounterState()
 		engines[i] = New(net.Attach(names[i]), clock.Kernel{K: k}, states[i],
 			Config{Interval: time.Second, Seed: int64(i + 1)})
 		engines[i].Start()
 	}
 	// Each replica increments locally.
 	for i := 0; i < n; i++ {
-		states[i].c.Add(crdt.ReplicaID(names[i]), int64(i+1))
+		states[i].add(names[i], uint64(i+1))
 	}
 	k.RunFor(30 * time.Second)
-	want := int64(1 + 2 + 3 + 4 + 5)
+	want := uint64(1 + 2 + 3 + 4 + 5)
 	for i, s := range states {
-		if got := s.c.Value(); got != want {
+		if got := s.value(); got != want {
 			t.Fatalf("replica %d = %d, want %d", i, got, want)
 		}
 	}
@@ -97,18 +106,18 @@ func TestPartitionBlocksThenHealConverges(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
 	states := make([]*counterState, len(names))
 	for i, name := range names {
-		states[i] = &counterState{c: crdt.NewPNCounter()}
+		states[i] = newCounterState()
 		New(net.Attach(name), clock.Kernel{K: k}, states[i],
 			Config{Interval: time.Second, Seed: int64(i + 1)}).Start()
 	}
 	net.SetPartition([]string{"a", "b"}, []string{"c", "d"})
-	states[0].c.Add("a", 10)
-	states[2].c.Add("c", 100)
+	states[0].add("a", 10)
+	states[2].add("c", 100)
 	k.RunFor(20 * time.Second)
-	if v := states[1].c.Value(); v != 10 {
+	if v := states[1].value(); v != 10 {
 		t.Fatalf("same-side replica b = %d, want 10", v)
 	}
-	if v := states[0].c.Value(); v != 10 {
+	if v := states[0].value(); v != 10 {
 		t.Fatalf("partition leaked: a = %d", v)
 	}
 	if net.Dropped == 0 {
@@ -117,7 +126,7 @@ func TestPartitionBlocksThenHealConverges(t *testing.T) {
 	net.Heal()
 	k.RunFor(30 * time.Second)
 	for i, s := range states {
-		if got := s.c.Value(); got != 110 {
+		if got := s.value(); got != 110 {
 			t.Fatalf("replica %d = %d after heal, want 110", i, got)
 		}
 	}
@@ -126,7 +135,7 @@ func TestPartitionBlocksThenHealConverges(t *testing.T) {
 func TestStopHaltsRounds(t *testing.T) {
 	k := sim.New(7)
 	net := NewNetwork()
-	s := &counterState{c: crdt.NewPNCounter()}
+	s := newCounterState()
 	e := New(net.Attach("a"), clock.Kernel{K: k}, s, Config{Interval: time.Second})
 	net.Attach("b").SetReceiver(func(string, []byte) {})
 	e.Start()
@@ -150,7 +159,7 @@ func TestStopHaltsRounds(t *testing.T) {
 func TestMalformedGossipIgnored(t *testing.T) {
 	k := sim.New(8)
 	net := NewNetwork()
-	s := &counterState{c: crdt.NewPNCounter()}
+	s := newCounterState()
 	e := New(net.Attach("a"), clock.Kernel{K: k}, s, Config{Interval: time.Second})
 	e.Start()
 	rogue := net.Attach("rogue")
@@ -168,7 +177,7 @@ func TestMalformedGossipIgnored(t *testing.T) {
 		}
 	}
 	k.RunFor(5 * time.Second)
-	if s.c.Value() != 0 {
+	if s.value() != 0 {
 		t.Fatal("garbage mutated state")
 	}
 	if e.Rejected != 4 {

@@ -225,6 +225,5 @@ func (b *built) Run(tr *trial.Trial) Result {
 // Encodable reports whether the spec can round-trip through a
 // reproducer string (the Profiles and Factories expert seams cannot).
 func (s Spec) Encodable() bool {
-	return len(s.Profiles) == 0 &&
-		s.Factories.MAC == nil && s.Factories.Link == nil && s.Factories.Router == nil
+	return len(s.Profiles) == 0 && s.Factories.MAC == nil
 }

@@ -292,7 +292,7 @@ type Spec struct {
 	TraceCapacity int
 	// CheckEvery is the invariant snapshot period (0 = default 10 s).
 	CheckEvery time.Duration
-	// Factories override per-layer stack construction — the test seam
+	// Factories override the nodes' MAC construction — the test seam
 	// bug-injection harnesses use. Not representable in a reproducer
 	// string.
 	Factories core.Factories

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"iiotds/internal/crdt"
 	"iiotds/internal/netbuf"
 )
 
@@ -33,7 +32,7 @@ import (
 // not matter.
 type apState struct {
 	mu      sync.Mutex
-	regs    map[string]*crdt.LWWRegister
+	regs    map[string]*lwwRegister
 	series  map[string]*apSeries
 	origins []*apOrigin // sorted by id
 	segSize int
@@ -51,14 +50,14 @@ type apSeries struct {
 // apLog is one origin's points of a series: each op's appendPoints
 // stream, count included, in op order — n points in all.
 type apLog struct {
-	origin crdt.ReplicaID
+	origin string
 	data   []byte
 	n      int
 }
 
 // apOrigin is one origin's op order, as far as this replica holds it.
 type apOrigin struct {
-	id  crdt.ReplicaID
+	id  string
 	ops []apOp
 }
 
@@ -73,7 +72,7 @@ type apOp struct {
 
 func newAPState(segSize int) *apState {
 	return &apState{
-		regs:    make(map[string]*crdt.LWWRegister),
+		regs:    make(map[string]*lwwRegister),
 		series:  make(map[string]*apSeries),
 		segSize: segSize,
 	}
@@ -91,7 +90,7 @@ func (s *apState) seriesLocked(name string) *apSeries {
 }
 
 // log returns (creating if needed) origin's log of the series.
-func (ser *apSeries) log(origin crdt.ReplicaID) *apLog {
+func (ser *apSeries) log(origin string) *apLog {
 	i := 0
 	for i < len(ser.logs) && ser.logs[i].origin < origin {
 		i++
@@ -105,7 +104,7 @@ func (ser *apSeries) log(origin crdt.ReplicaID) *apLog {
 }
 
 // findOrigin returns the index of id in s.origins, or where it belongs.
-func (s *apState) findOrigin(id crdt.ReplicaID) (int, bool) {
+func (s *apState) findOrigin(id string) (int, bool) {
 	i := 0
 	for i < len(s.origins) && s.origins[i].id < id {
 		i++
@@ -114,7 +113,7 @@ func (s *apState) findOrigin(id crdt.ReplicaID) (int, bool) {
 }
 
 // originLocked returns (creating if needed) id's op order.
-func (s *apState) originLocked(id crdt.ReplicaID) *apOrigin {
+func (s *apState) originLocked(id string) *apOrigin {
 	i, ok := s.findOrigin(id)
 	if !ok {
 		s.origins = append(s.origins, nil)
@@ -138,25 +137,25 @@ func (s *apState) appendSeriesLocked(o *apOrigin, ser *apSeries, pts []Point) {
 	ser.eng.AppendBatch(pts)
 }
 
-func (s *apState) appendLocal(origin crdt.ReplicaID, series string, pts []Point) {
+func (s *apState) appendLocal(origin, series string, pts []Point) {
 	s.mu.Lock()
 	s.appendSeriesLocked(s.originLocked(origin), s.seriesLocked(series), pts)
 	s.mu.Unlock()
 }
 
 // regLocked returns (creating if needed) register key.
-func (s *apState) regLocked(key string) *crdt.LWWRegister {
+func (s *apState) regLocked(key string) *lwwRegister {
 	reg, ok := s.regs[key]
 	if !ok {
-		reg = crdt.NewLWWRegister()
+		reg = &lwwRegister{}
 		s.regs[key] = reg
 	}
 	return reg
 }
 
-func (s *apState) setLocal(origin crdt.ReplicaID, key string, ts int64, val []byte) {
+func (s *apState) setLocal(origin, key string, ts int64, val []byte) {
 	s.mu.Lock()
-	s.regLocked(key).Set(ts, origin, val)
+	s.regLocked(key).set(ts, origin, val)
 	o := s.originLocked(origin)
 	o.ops = append(o.ops, apOp{key: key, off: -1})
 	s.mu.Unlock()
@@ -195,7 +194,7 @@ func (s *apState) localValue(key string) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if reg, ok := s.regs[key]; ok {
-		return netbuf.CloneBytes(reg.Value())
+		return netbuf.CloneBytes(reg.val)
 	}
 	return nil
 }
@@ -226,7 +225,7 @@ func (s *apState) digest(h uint64) uint64 {
 	for _, name := range sortedKeys(s.series) {
 		h = digestString(h, name)
 		for _, log := range s.series[name].logs {
-			h = digestString(h, string(log.origin))
+			h = digestString(h, log.origin)
 			h = log.digest(h)
 		}
 	}
@@ -335,7 +334,7 @@ func (s *apState) Delta(dst, summary []byte) ([]byte, error) {
 		if r.err != nil {
 			return dst, r.err
 		}
-		if i, ok := s.findOrigin(crdt.ReplicaID(id)); ok {
+		if i, ok := s.findOrigin(string(id)); ok {
 			held[i] = n
 		}
 	}
@@ -352,9 +351,9 @@ func (s *apState) Delta(dst, summary []byte) ([]byte, error) {
 			if op.off < 0 {
 				reg := s.regs[op.key]
 				dst = append(dst, opReg)
-				dst = binary.AppendUvarint(dst, zigzag(reg.TS))
-				dst = appendStr(dst, reg.ID)
-				dst = appendStr(dst, reg.Val)
+				dst = binary.AppendUvarint(dst, zigzag(reg.ts))
+				dst = appendStr(dst, reg.id)
+				dst = appendStr(dst, reg.val)
 				continue
 			}
 			dst = append(dst, opSeries)
@@ -458,7 +457,7 @@ func (s *apState) Merge(delta []byte) error {
 	s.mu.Lock()
 	hook := s.onMerge
 	for _, blk := range d.blocks {
-		id := crdt.ReplicaID(blk.origin)
+		id := string(blk.origin)
 		held := uint64(0)
 		if i, ok := s.findOrigin(id); ok {
 			held = uint64(len(s.origins[i].ops))
@@ -469,7 +468,7 @@ func (s *apState) Merge(delta []byte) error {
 		o := s.originLocked(id)
 		for _, op := range d.ops[blk.lo+int(held-blk.first) : blk.hi] {
 			if op.kind == opReg {
-				s.regLocked(string(op.key)).Merge(&crdt.LWWRegister{Val: op.val, TS: op.ts, ID: crdt.ReplicaID(op.writer)})
+				s.regLocked(string(op.key)).merge(&lwwRegister{val: op.val, ts: op.ts, id: string(op.writer)})
 				o.ops = append(o.ops, apOp{key: string(op.key), off: -1})
 				continue
 			}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
-	"iiotds/internal/crdt"
 	"iiotds/internal/gossip"
 	"iiotds/internal/sim"
 )
@@ -21,16 +20,16 @@ import (
 // adopts, per series and origin, the suffix it does not hold — kept as
 // the reference the delta path must agree with.
 type wholeState struct {
-	logs map[string]map[crdt.ReplicaID][]Point
+	logs map[string]map[string][]Point
 }
 
 func newWholeState() *wholeState {
-	return &wholeState{logs: make(map[string]map[crdt.ReplicaID][]Point)}
+	return &wholeState{logs: make(map[string]map[string][]Point)}
 }
 
-func (w *wholeState) appendLocal(origin crdt.ReplicaID, series string, pts []Point) {
+func (w *wholeState) appendLocal(origin, series string, pts []Point) {
 	if w.logs[series] == nil {
-		w.logs[series] = make(map[crdt.ReplicaID][]Point)
+		w.logs[series] = make(map[string][]Point)
 	}
 	w.logs[series][origin] = append(w.logs[series][origin], pts...)
 }
@@ -57,12 +56,12 @@ func (w *wholeState) digest() uint64 {
 		h = digestString(h, name)
 		ids := make([]string, 0, len(w.logs[name]))
 		for id := range w.logs[name] {
-			ids = append(ids, string(id))
+			ids = append(ids, id)
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
 			h = digestString(h, id)
-			h = digestPoints(h, w.logs[name][crdt.ReplicaID(id)])
+			h = digestPoints(h, w.logs[name][id])
 		}
 	}
 	return h
@@ -139,7 +138,7 @@ func TestAPDeltaConvergesLikeWholeState(t *testing.T) {
 						pts[j] = Point{T: time.Duration(rng.Intn(1000)) * time.Millisecond, V: rng.Float64()}
 					}
 					replicas[i].AppendPoints(series, pts, nil)
-					oracles[i].appendLocal(crdt.ReplicaID(names[i]), series, pts)
+					oracles[i].appendLocal(names[i], series, pts)
 					k.RunFor(time.Duration(rng.Intn(700)) * time.Millisecond)
 				}
 			}
@@ -178,7 +177,7 @@ func TestAPDeltaConvergesLikeWholeState(t *testing.T) {
 func apFingerprint(s *apState) string {
 	var regs []string
 	for k, reg := range s.regs {
-		regs = append(regs, fmt.Sprintf("%s=%d/%s/%x", k, reg.TS, reg.ID, reg.Val))
+		regs = append(regs, fmt.Sprintf("%s=%d/%s/%x", k, reg.ts, reg.id, reg.val))
 	}
 	sort.Strings(regs)
 	points := 0
@@ -202,7 +201,7 @@ var extremePoints = []Point{
 
 // apSource returns a state holding series ops and register writes of
 // origin id, extreme points among them.
-func apSource(id crdt.ReplicaID) *apState {
+func apSource(id string) *apState {
 	s := newAPState(8)
 	for i := 0; i < 6; i++ {
 		s.appendLocal(id, fmt.Sprintf("s%d", i%3), []Point{{T: secs(i), V: float64(i)}, {T: secs(i) / 2, V: -1}})
@@ -308,7 +307,7 @@ func TestAPMergeKeepsOriginPrefix(t *testing.T) {
 	if dst.digest(fnvOffset) != src.digest(fnvOffset) {
 		t.Fatal("re-delivered ops were applied twice")
 	}
-	if !bytes.Equal(dst.regs["k1"].Val, src.regs["k1"].Val) {
+	if !bytes.Equal(dst.regs["k1"].val, src.regs["k1"].val) {
 		t.Fatal("register did not arrive")
 	}
 	// Extreme values survive the wire bit for bit.

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"iiotds/internal/crdt"
 )
 
 // The reference store: the series engine and the AP state as they were
@@ -213,18 +211,18 @@ func TestEngineReferenceParity(t *testing.T) {
 
 // refAP is the AP state with origin logs of raw points.
 type refAP struct {
-	regs    map[string]*crdt.LWWRegister
+	regs    map[string]*lwwRegister
 	series  map[string]*refAPSeries
 	origins []*refOrigin // sorted by id
 }
 
 type refAPSeries struct {
 	eng  *refEngine
-	logs map[crdt.ReplicaID][]Point
+	logs map[string][]Point
 }
 
 type refOrigin struct {
-	id  crdt.ReplicaID
+	id  string
 	ops []refOp
 }
 
@@ -236,10 +234,10 @@ type refOp struct {
 }
 
 func newRefAP() *refAP {
-	return &refAP{regs: make(map[string]*crdt.LWWRegister), series: make(map[string]*refAPSeries)}
+	return &refAP{regs: make(map[string]*lwwRegister), series: make(map[string]*refAPSeries)}
 }
 
-func (s *refAP) origin(id crdt.ReplicaID) *refOrigin {
+func (s *refAP) origin(id string) *refOrigin {
 	i := sort.Search(len(s.origins), func(i int) bool { return s.origins[i].id >= id })
 	if i == len(s.origins) || s.origins[i].id != id {
 		s.origins = append(s.origins, nil)
@@ -252,7 +250,7 @@ func (s *refAP) origin(id crdt.ReplicaID) *refOrigin {
 func (s *refAP) appendSeries(o *refOrigin, key string, pts []Point, segSize int) {
 	ser := s.series[key]
 	if ser == nil {
-		ser = &refAPSeries{eng: newRefEngine(segSize), logs: make(map[crdt.ReplicaID][]Point)}
+		ser = &refAPSeries{eng: newRefEngine(segSize), logs: make(map[string][]Point)}
 		s.series[key] = ser
 	}
 	off := len(ser.logs[o.id])
@@ -261,11 +259,11 @@ func (s *refAP) appendSeries(o *refOrigin, key string, pts []Point, segSize int)
 	ser.eng.appendBatch(pts)
 }
 
-func (s *refAP) setReg(o *refOrigin, key string, reg *crdt.LWWRegister) {
+func (s *refAP) setReg(o *refOrigin, key string, reg *lwwRegister) {
 	if s.regs[key] == nil {
-		s.regs[key] = crdt.NewLWWRegister()
+		s.regs[key] = &lwwRegister{}
 	}
-	s.regs[key].Merge(reg)
+	s.regs[key].merge(reg)
 	o.ops = append(o.ops, refOp{key: key})
 }
 
@@ -287,7 +285,7 @@ func (s *refAP) delta(summary []byte) []byte {
 	}
 	var dst []byte
 	for _, o := range s.origins {
-		from := held[string(o.id)]
+		from := held[o.id]
 		if from >= uint64(len(o.ops)) {
 			continue
 		}
@@ -299,9 +297,9 @@ func (s *refAP) delta(summary []byte) []byte {
 			if op.n == 0 {
 				reg := s.regs[op.key]
 				dst = append(dst, opReg)
-				dst = binary.AppendUvarint(dst, zigzag(reg.TS))
-				dst = appendStr(dst, reg.ID)
-				dst = appendStr(dst, reg.Val)
+				dst = binary.AppendUvarint(dst, zigzag(reg.ts))
+				dst = appendStr(dst, reg.id)
+				dst = appendStr(dst, reg.val)
 				continue
 			}
 			dst = append(dst, opSeries)
@@ -317,14 +315,14 @@ func (s *refAP) merge(delta []byte, segSize int) error {
 		return err
 	}
 	for _, blk := range d.blocks {
-		o := s.origin(crdt.ReplicaID(blk.origin))
+		o := s.origin(string(blk.origin))
 		held := uint64(len(o.ops))
 		if blk.first > held || held-blk.first >= uint64(blk.hi-blk.lo) {
 			continue
 		}
 		for _, op := range d.ops[blk.lo+int(held-blk.first) : blk.hi] {
 			if op.kind == opReg {
-				s.setReg(o, string(op.key), &crdt.LWWRegister{Val: op.val, TS: op.ts, ID: crdt.ReplicaID(op.writer)})
+				s.setReg(o, string(op.key), &lwwRegister{val: op.val, ts: op.ts, id: string(op.writer)})
 				continue
 			}
 			s.appendSeries(o, string(op.key), d.pts[op.lo:op.hi], segSize)
@@ -344,12 +342,12 @@ func (s *refAP) digest() uint64 {
 		h = digestString(h, name)
 		ids := make([]string, 0, len(s.series[name].logs))
 		for id := range s.series[name].logs {
-			ids = append(ids, string(id))
+			ids = append(ids, id)
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
 			h = digestString(h, id)
-			h = digestPoints(h, s.series[name].logs[crdt.ReplicaID(id)])
+			h = digestPoints(h, s.series[name].logs[id])
 		}
 	}
 	return h
@@ -396,7 +394,7 @@ func zDelta(key string, pts []Point, padded bool) []byte {
 // frame is relayed in canonical form.
 func TestAPReferenceParity(t *testing.T) {
 	const segSize = 16
-	ids := []crdt.ReplicaID{"a", "b", "c"}
+	ids := []string{"a", "b", "c"}
 	links := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -461,7 +459,7 @@ func TestAPReferenceParity(t *testing.T) {
 				i, key := rng.Intn(len(ids)), fmt.Sprintf("k%d", rng.Intn(3))
 				ts, val := int64(rng.Intn(50)), []byte{byte(step)}
 				states[i].setLocal(ids[i], key, ts, val)
-				refs[i].setReg(refs[i].origin(ids[i]), key, &crdt.LWWRegister{Val: val, TS: ts, ID: ids[i]})
+				refs[i].setReg(refs[i].origin(ids[i]), key, &lwwRegister{val: val, ts: ts, id: ids[i]})
 			case k == 5:
 				what = "flush and compact"
 				i := rng.Intn(len(ids))

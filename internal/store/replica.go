@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
-	"iiotds/internal/crdt"
 	"iiotds/internal/gossip"
 )
 
@@ -141,7 +140,7 @@ type Replica struct {
 	cfg    ReplicaConfig
 	msg    gossip.Messenger
 	sched  clock.Scheduler
-	id     crdt.ReplicaID
+	id     string
 	state  modeState
 	engine *gossip.Engine // AP anti-entropy; nil in CP
 
@@ -152,7 +151,7 @@ type Replica struct {
 // NewReplica creates a replica named by msg.Self().
 func NewReplica(msg gossip.Messenger, sched clock.Scheduler, cfg ReplicaConfig) *Replica {
 	cfg.applyDefaults()
-	r := &Replica{cfg: cfg, msg: msg, sched: sched, id: crdt.ReplicaID(msg.Self())}
+	r := &Replica{cfg: cfg, msg: msg, sched: sched, id: msg.Self()}
 	if cfg.Mode == ModeAP {
 		ap := newAPState(cfg.SegmentSize)
 		r.state = ap

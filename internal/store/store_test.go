@@ -181,6 +181,29 @@ func TestModeString(t *testing.T) {
 // on a 3-replica AP group and a 3-replica CP group leaves every replica
 // with the same series names, ranges and point counts, and each group
 // with one digest.
+// TestPutKeepsNoCallerBuffer: an acked Put holds its own copy of the
+// value in both modes, so a caller that reuses its buffer afterwards
+// rewrites nothing a replica stores or later ships.
+func TestPutKeepsNoCallerBuffer(t *testing.T) {
+	for _, mode := range []Mode{ModeAP, ModeCP} {
+		c := newCluster(t, mode, 3)
+		buf := []byte("v1")
+		var putErr error = errNotCalled
+		c.replicas[0].Put("k", buf, func(err error) { putErr = err })
+		c.k.RunFor(time.Second)
+		if putErr != nil {
+			t.Fatalf("%s: Put err = %v", mode, putErr)
+		}
+		copy(buf, "XX")
+		c.k.RunFor(10 * time.Second) // AP anti-entropy ships the register
+		for i, r := range c.replicas {
+			if got := r.LocalValue("k"); string(got) != "v1" {
+				t.Fatalf("%s: replica %d holds %q after the caller reused its buffer, want \"v1\"", mode, i, got)
+			}
+		}
+	}
+}
+
 func TestReplicaReadSurfaceModeParity(t *testing.T) {
 	ap, cp := newCluster(t, ModeAP, 3), newCluster(t, ModeCP, 3)
 	for _, c := range []*cluster{ap, cp} {
