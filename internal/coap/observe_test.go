@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,10 +378,11 @@ func TestNotifyInlineOrderTwoTokensOneAddress(t *testing.T) {
 	}
 }
 
-// TestLastMIDRaceNotifyVsRST is the -race regression for the
-// observer.lastMID data race: Notify used to write lastMID after
-// dropping the resource lock while removeObserverByMID read it under the
-// lock. Run with -race; the atomic field keeps this quiet.
+// TestLastMIDRaceNotifyVsRST is the -race regression for the last-MID
+// data race: Notify once wrote an observer's last MID after dropping the
+// resource lock while removeObserverByMID read it under the lock. The
+// stamp is now taken under the shard lock, beside the read. Run with
+// -race.
 func TestLastMIDRaceNotifyVsRST(t *testing.T) {
 	conn := NewConn(&sinkTransport{}, &clock.System{}, ConnConfig{})
 	defer conn.Close()
@@ -397,17 +399,46 @@ func TestLastMIDRaceNotifyVsRST(t *testing.T) {
 		}
 	}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for mid := uint16(0); mid < 2000; mid++ {
-			srv.removeObserverByMID("c3", mid)
+	race := func(addr string) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for mid := uint16(0); mid < 2000; mid++ {
+				srv.removeObserverByMID(addr, mid)
+			}
+		}()
+		for i := 0; i < 50; i++ {
+			temp.Notify(FormatText, []byte("21.5"))
 		}
-	}()
-	for i := 0; i < 50; i++ {
-		temp.Notify(FormatText, []byte("21.5"))
+		<-done
 	}
-	<-done
+	race("c3") // inline fan-out
+	srv.StartNotifyPool(64)
+	race("c5") // pooled: the shard workers stamp while the RSTs read
+	srv.StopNotifyPool()
+}
+
+// TestStrayRSTZeroKeepsUnnotifiedObserver: an observer that has been
+// sent no notification holds no MID, so an RST with MID 0, which it was
+// never sent, must leave it registered. The registry once started every
+// observer's last MID at 0.
+func TestStrayRSTZeroKeepsUnnotifiedObserver(t *testing.T) {
+	tr := &wireTransport{}
+	conn := NewConn(tr, clock.Kernel{K: sim.New(1)}, ConnConfig{})
+	srv := NewServer()
+	temp := srv.Resource("temp").Observable().Get(func(string, *Message) *Message {
+		return TextResponse("20.0")
+	})
+	conn.Serve(srv)
+	reg, err := registerMsg([]byte{1}, 1, "temp", 0).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.recv("c1", reg)
+	tr.recv("c1", []byte{0x70, 0x00, 0x00, 0x00}) // RST, MID 0
+	if n := temp.ObserverCount(); n != 1 {
+		t.Fatalf("observers = %d after a stray RST with MID 0, want 1", n)
+	}
 }
 
 // TestNotifyEncoderMatchesMarshal pins the zero-alloc NON encoder to the
@@ -458,17 +489,55 @@ func TestNotifyNONHotPathZeroAllocs(t *testing.T) {
 		}
 	}
 	var enc notifyEncoder
-	var scratch []*observer
+	var scratch []tokenKey
 	payload := []byte("21.53")
 	allocs := testing.AllocsPerRun(100, func() {
 		seq := temp.obsSeq.Add(1)
 		for si := 0; si < obsShards; si++ {
-			scratch = temp.notifyShard(si, seq, FormatText, payload, &enc, scratch[:0])
+			scratch = temp.notifyShard(si, seq, FormatText, payload, &enc, scratch)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("NON-notify hot path allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// TestObserverHeldBytes gates what the registry holds per observer:
+// 200 000 registrations over 16 resources may grow the live heap by at
+// most 72 B each, the address strings allocated before the baseline. An
+// observer is its map slot, key and last MID by value (63 B on
+// linux/amd64; 111 B while each slot pointed at a separate heap object).
+// Run without -race.
+func TestObserverHeldBytes(t *testing.T) {
+	const n, resources = 200_000, 16
+	srv := NewServer()
+	srv.SetObserverLimit(n)
+	res := make([]*Resource, resources)
+	for i := range res {
+		res[i] = srv.Resource(fmt.Sprintf("plant/%d", i)).Observable()
+	}
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("10.%d.%d.%d:5683", i>>16, i>>8&0xFF, i&0xFF)
+	}
+	token := []byte{0xC0, 0xAB, 0x01, 0x02}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, a := range addrs {
+		if err := res[i%resources].addObserver(a, token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%.1f B of live heap per observer (%d observers over %d resources)", per, n, resources)
+	if per > 72 {
+		t.Fatalf("registry holds %.1f B per observer, want <= 72", per)
+	}
+	runtime.KeepAlive(addrs)
+	runtime.KeepAlive(srv)
 }
 
 // TestNotifyPoolDelivers checks the parallel fan-out path end to end:

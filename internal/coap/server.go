@@ -17,9 +17,9 @@ import (
 // type, token, and IDs. Returning nil suppresses the response.
 type HandlerFunc func(from string, req *Message) *Message
 
-// DefaultMaxObservers bounds observer state per resource when no explicit
-// limit is configured — sized for constrained nodes. Gateways raise it
-// via Server.SetObserverLimit / Resource.SetMaxObservers.
+// DefaultMaxObservers bounds observer state per resource when the server
+// sets no limit — sized for constrained nodes. Gateways raise it for
+// every resource via Server.SetObserverLimit.
 const DefaultMaxObservers = 64
 
 // defaultConfirmEvery makes every n-th notification confirmable so dead
@@ -31,19 +31,17 @@ const defaultConfirmEvery = 8
 // work spread evenly; it must be a power of two.
 const obsShards = 16
 
-type observer struct {
-	tokenKey
-	// lastMID holds the message ID of the most recent notification sent
-	// to this observer (low 16 bits), read by RST handling. It is atomic
-	// because Notify stores it outside the shard lock while
-	// removeObserverByMID reads it under the lock.
-	lastMID atomic.Uint32
-}
+// noMID is the registry value of an observer that has been sent no
+// notification: it lies outside the 16-bit MID space, so no RST matches it.
+const noMID = 1 << 16
 
-// obsShard is one lock-striped slice of a resource's observer table.
+// obsShard is one lock-striped slice of a resource's observer table. An
+// observer is held by value: its registration key maps to the message ID
+// of the last notification it was sent, or noMID. Fan-out stamps that MID
+// and RST handling reads it, both under mu.
 type obsShard struct {
 	mu sync.Mutex
-	m  map[tokenKey]*observer
+	m  map[tokenKey]uint32
 	n  atomic.Int64 // len(m), readable without the lock
 }
 
@@ -59,7 +57,6 @@ type Resource struct {
 
 	obsSeq atomic.Uint32
 	nobs   atomic.Int64 // total observers across shards
-	maxObs atomic.Int64 // per-resource cap; 0 = server default
 	shards [obsShards]obsShard
 }
 
@@ -187,20 +184,7 @@ func (r *Resource) ResourceType(rt string) *Resource {
 	return r
 }
 
-// SetMaxObservers overrides the server's observer cap for this resource.
-// n <= 0 restores the server default.
-func (r *Resource) SetMaxObservers(n int) *Resource {
-	if n < 0 {
-		n = 0
-	}
-	r.maxObs.Store(int64(n))
-	return r
-}
-
 func (r *Resource) maxObservers() int64 {
-	if v := r.maxObs.Load(); v > 0 {
-		return v
-	}
 	if v := r.server.maxObs.Load(); v > 0 {
 		return v
 	}
@@ -246,52 +230,69 @@ func (r *Resource) Notify(contentFormat uint32, payload []byte) {
 
 // notifyAll is the inline (deterministic) fan-out: observers across all
 // shards, sorted by (address, token), one message-ID block for the whole
-// batch.
+// batch, each observer's MID stamped under its shard's lock.
 func (r *Resource) notifyAll(seq, contentFormat uint32, payload []byte) {
-	var obs []*observer
+	var keys []tokenKey
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		for _, o := range sh.m {
-			obs = append(obs, o)
+		for k := range sh.m {
+			keys = append(keys, k)
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(obs, func(i, j int) bool {
-		if obs[i].addr != obs[j].addr {
-			return obs[i].addr < obs[j].addr
+	if len(keys) == 0 {
+		return
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].addr != keys[j].addr {
+			return keys[i].addr < keys[j].addr
 		}
-		return bytes.Compare(obs[i].token(), obs[j].token()) < 0
+		return bytes.Compare(keys[i].token(), keys[j].token()) < 0
 	})
+	mid := r.server.conn.allocMIDs(len(keys))
+	for i := range keys {
+		k := &keys[i]
+		sh := &r.shards[shardOf(k)]
+		sh.mu.Lock()
+		if _, ok := sh.m[*k]; ok { // not if it left since it was gathered
+			sh.m[*k] = uint32(mid + uint16(i))
+		}
+		sh.mu.Unlock()
+	}
 	var enc notifyEncoder
-	r.fanOut(obs, seq, contentFormat, payload, &enc)
+	r.fanOut(keys, mid, seq, contentFormat, payload, &enc)
 }
 
 // notifyShard fans one notification out to one observer shard — the
 // gateway hot path, zero allocations per observer at steady state
-// (CI-gated). scratch is the caller's reused observer slice; the
-// (possibly grown) slice is returned for reuse.
-func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte, enc *notifyEncoder, scratch []*observer) []*observer {
+// (CI-gated). Under the shard lock it draws the MID block and stamps each
+// observer's MID as it copies the keys into scratch, the caller's reused
+// slice; it sends after unlocking and returns the (possibly grown) slice.
+func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte, enc *notifyEncoder, scratch []tokenKey) []tokenKey {
+	scratch = scratch[:0]
 	sh := &r.shards[si]
 	sh.mu.Lock()
-	for _, o := range sh.m {
-		scratch = append(scratch, o)
+	if len(sh.m) == 0 {
+		sh.mu.Unlock()
+		return scratch
+	}
+	mid := r.server.conn.allocMIDs(len(sh.m))
+	for k := range sh.m {
+		sh.m[k] = uint32(mid + uint16(len(scratch)))
+		scratch = append(scratch, k)
 	}
 	sh.mu.Unlock()
-	r.fanOut(scratch, seq, contentFormat, payload, enc)
+	r.fanOut(scratch, mid, seq, contentFormat, payload, enc)
 	return scratch
 }
 
-// fanOut sends one notification to obs, in order: message IDs come from
-// a single batched allocation, and for a NON round the message body
-// (options + payload) is encoded once and per-observer packets are
-// assembled in enc's reused buffer.
-func (r *Resource) fanOut(obs []*observer, seq, contentFormat uint32, payload []byte, enc *notifyEncoder) {
-	if len(obs) == 0 {
-		return
-	}
+// fanOut sends one notification to keys, in order, with consecutive
+// message IDs from mid; for a NON round the message body (options +
+// payload) is encoded once and per-observer packets are assembled in
+// enc's reused buffer.
+func (r *Resource) fanOut(keys []tokenKey, mid uint16, seq, contentFormat uint32, payload []byte, enc *notifyEncoder) {
 	c := r.server.conn
-	mid := c.allocMIDs(len(obs))
 	con := false
 	if ce := r.server.confirmEveryVal(); ce > 0 {
 		con = seq%ce == 0
@@ -299,20 +300,20 @@ func (r *Resource) fanOut(obs []*observer, seq, contentFormat uint32, payload []
 	if !con {
 		enc.prepare(seq, contentFormat, payload)
 	}
-	for i, o := range obs {
+	for i := range keys {
 		m := mid + uint16(i)
-		o.lastMID.Store(uint32(m))
 		if con {
-			msg := &Message{Type: Confirmable, Code: CodeContent, Token: o.token(), Payload: payload, MessageID: m}
+			k := keys[i] // the failure callback outlives the caller's slice
+			msg := &Message{Type: Confirmable, Code: CodeContent, Token: k.token(), Payload: payload, MessageID: m}
 			msg.AddUintOption(OptObserve, seq)
 			msg.AddUintOption(OptContentFormat, contentFormat)
-			addr, token := o.addr, o.token()
-			c.send(addr, msg, func(error) {
+			c.send(k.addr, msg, func(error) {
 				// Unreachable observer: drop the registration.
-				r.removeObserver(addr, token)
+				r.removeObserver(k.addr, k.token())
 			})
 		} else {
-			_ = c.tr.Send(o.addr, enc.packet(m, o.token()))
+			k := &keys[i]
+			_ = c.tr.Send(k.addr, enc.packet(m, k.token()))
 		}
 	}
 }
@@ -429,9 +430,9 @@ func (p *notifyPool) stop() {
 func (p *notifyPool) worker(i int) {
 	defer p.wg.Done()
 	var enc notifyEncoder
-	var scratch []*observer
+	var scratch []tokenKey
 	for job := range p.queues[i] {
-		scratch = job.r.notifyShard(i, job.seq, job.cf, job.payload, &enc, scratch[:0])
+		scratch = job.r.notifyShard(i, job.seq, job.cf, job.payload, &enc, scratch)
 	}
 }
 
@@ -462,9 +463,9 @@ func (r *Resource) addObserver(addr string, token []byte) error {
 		return ErrTooManyObservers
 	}
 	if sh.m == nil {
-		sh.m = make(map[tokenKey]*observer)
+		sh.m = make(map[tokenKey]uint32)
 	}
-	sh.m[k] = &observer{tokenKey: k}
+	sh.m[k] = noMID
 	sh.n.Store(int64(len(sh.m)))
 	return nil
 }
@@ -481,15 +482,15 @@ func (r *Resource) removeObserver(addr string, token []byte) {
 	sh.mu.Unlock()
 }
 
-// removeObserverByMID drops whatever observer last received the
+// removeObserverByMID drops whatever observer at addr last received the
 // notification with the given MID (RST handling).
 func (s *Server) removeObserverByMID(addr string, mid uint16) {
 	for _, r := range *s.resources.Load() {
 		for i := range r.shards {
 			sh := &r.shards[i]
 			sh.mu.Lock()
-			for k, o := range sh.m {
-				if o.addr == addr && uint16(o.lastMID.Load()) == mid {
+			for k, last := range sh.m {
+				if last == uint32(mid) && k.addr == addr {
 					delete(sh.m, k)
 					sh.n.Store(int64(len(sh.m)))
 					r.nobs.Add(-1)

@@ -115,9 +115,10 @@ func BenchmarkObserverRegistration(b *testing.B) {
 
 // TestObserverRegistrationAllocs is the alloc gate on the registration
 // path: 10 000 new observers through the transport's receive callback
-// average at most 8 allocations each, the caller's address string not
+// average at most 6 allocations each, the caller's address string not
 // counted (23 when keys were formatted strings, every option value was
-// cloned and Marshal sorted through reflection). Run without -race.
+// cloned and Marshal sorted through reflection; 7 while each observer was
+// a separate heap object). Run without -race.
 func TestObserverRegistrationAllocs(t *testing.T) {
 	const n = 10000
 	tr, reg := registrationGateway(t)
@@ -130,7 +131,7 @@ func TestObserverRegistrationAllocs(t *testing.T) {
 		tr.recv(addrs[i], reg)
 		i++
 	})
-	if allocs > 8 {
-		t.Fatalf("registration allocates %.0f times per observer, want <= 8", allocs)
+	if allocs > 6 {
+		t.Fatalf("registration allocates %.0f times per observer, want <= 6", allocs)
 	}
 }
