@@ -213,7 +213,7 @@ func main() {
 	// each epoch — the same hand-off (core.Backend) the scenario ingest
 	// workload and F1 drive, on either engine.
 	var be *core.Backend
-	var stopFeed func()
+	var feed *core.Push
 	if *storeShards > 0 {
 		mode, err := store.ParseMode(*storeModeFlag)
 		if err != nil {
@@ -224,7 +224,7 @@ func main() {
 			Policy: store.ShardPolicy{Mode: mode, Replicas: 3},
 		})
 		defer be.Close()
-		stopFeed = be.Feed(*epoch, *epoch)
+		feed = be.Feed(*epoch, *epoch)
 		fmt.Printf("store: %d shards × 3 replicas, %s mode, fed by %d nodes every %v\n",
 			*storeShards, mode, *nodes-1, *epoch)
 	}
@@ -259,13 +259,13 @@ func main() {
 	if be != nil {
 		// Stop producing, then let in-flight frames land, the final batch
 		// ack, and AP anti-entropy finish a round.
-		stopFeed()
+		feed.Stop()
 		f.RunFor(2 * time.Second)
 		be.Flush()
 		f.RunFor(5 * time.Second)
 		acked, failed := be.Batches()
 		fmt.Printf("store: %d/%d readings delivered, %d points ingested, batches acked=%d failed=%d, converged=%v\n",
-			be.Delivered(), be.Sent(), be.Store.Stats().TotalPoints(), acked, failed, be.Store.Converged())
+			be.Delivered(), feed.Sent(), be.Store.Stats().TotalPoints(), acked, failed, be.Store.Converged())
 	}
 
 	exportTrace(f.Recorder(), *traceOut, filter)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"iiotds/internal/clock"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/trace"
 )
@@ -77,7 +78,7 @@ type outCON struct {
 	addr     string
 	attempts int
 	timeout  time.Duration
-	cancel   CancelFunc
+	cancel   clock.CancelFunc
 	onFail   func(err error)
 	journey  uint64
 }
@@ -86,7 +87,7 @@ type outCON struct {
 type reqState struct {
 	fn      ResponseFunc
 	observe bool
-	timer   CancelFunc
+	timer   clock.CancelFunc
 	// Block-wise assembly state.
 	assembling []byte
 	origReq    *Message
@@ -137,7 +138,7 @@ func (k *tokenKey) token() []byte { return k.tok[:k.n:k.n] }
 // protocol intends.
 type Conn struct {
 	tr    Transport
-	sched Scheduler
+	sched clock.Scheduler
 	cfg   ConnConfig
 
 	// nextMID is the last message ID handed out (low 16 bits); a NON
@@ -173,7 +174,7 @@ type Conn struct {
 }
 
 // NewConn creates an endpoint over tr, driven by sched.
-func NewConn(tr Transport, sched Scheduler, cfg ConnConfig) *Conn {
+func NewConn(tr Transport, sched clock.Scheduler, cfg ConnConfig) *Conn {
 	cfg.applyDefaults()
 	c := &Conn{
 		tr:       tr,

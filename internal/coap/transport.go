@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-
-	"iiotds/internal/clock"
 )
 
 // Transport moves opaque CoAP datagrams between endpoints identified by
@@ -27,14 +25,6 @@ type Transport interface {
 	// Close releases transport resources.
 	Close() error
 }
-
-// CancelFunc cancels a scheduled call; it is safe to call more than once.
-type CancelFunc = clock.CancelFunc
-
-// Scheduler abstracts time so the CoAP message layer (retransmissions,
-// exchange lifetimes) runs identically on virtual time in the simulator
-// and on the wall clock over UDP.
-type Scheduler = clock.Scheduler
 
 // UDPTransport is a Transport over a real UDP socket.
 type UDPTransport struct {

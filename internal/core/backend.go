@@ -45,7 +45,6 @@ type Backend struct {
 	net *gossip.Network // carries the gw–cli link; the same fabric type as Store's replica links
 
 	names     []string // node/<id>/reading, by node ID
-	sent      []int    // by node ID; each written on its own stripe only
 	delivered int
 }
 
@@ -66,7 +65,6 @@ func (f *Fleet) AttachBackend(cfg store.ShardedConfig) *Backend {
 		f:     f,
 		k:     k,
 		names: make([]string, len(f.Nodes)),
-		sent:  make([]int, len(f.Nodes)),
 	}
 	b.app = b.Store.NewAppender()
 	// Inline fan-out on a synchronous in-memory transport: a Publish
@@ -122,41 +120,23 @@ func (b *Backend) Observe(series string, fn func(v float64)) {
 	})
 }
 
-// Feed starts the sensing workload: every non-root node sends its
-// reading up the DODAG each period (on its own kernel, so stripes are
-// not assumed away), and the appender's partial batches are flushed
-// every flushEvery. stop ends both.
-func (b *Backend) Feed(every, flushEvery time.Duration) (stop func()) {
-	var reps []*sim.Repeater
-	for _, n := range b.f.Nodes[1:] {
-		n := n
-		reps = append(reps, b.f.Kernel(n.ID).Every(every, every/4, func() {
-			if !n.Up() {
-				return
-			}
-			b.sent[n.ID]++
-			_ = n.Router.SendUp(lowpan.ProtoIngest, []byte{readingTag, byte(n.ID)})
-		}))
-	}
-	reps = append(reps, b.k.Every(flushEvery, 0, b.Flush))
-	return func() {
-		for _, r := range reps {
-			r.Stop()
+// Feed starts the sensing workload: every non-root node pushes its
+// reading up the DODAG each period (StartPush, so on its own kernel),
+// and the appender's partial batches are flushed every flushEvery. The
+// Push counts the readings sent; its Stop ends both.
+func (b *Backend) Feed(every, flushEvery time.Duration) *Push {
+	p := b.f.StartPush(b.f.Nodes[1:], lowpan.ProtoIngest, every, every/4, func(n *Node) []byte {
+		if !n.Up() {
+			return nil
 		}
-	}
+		return []byte{readingTag, byte(n.ID)}
+	})
+	p.reps = append(p.reps, b.k.Every(flushEvery, 0, b.Flush))
+	return p
 }
 
 // Flush pushes the appender's partial batches to their shards.
 func (b *Backend) Flush() { b.app.Flush() }
-
-// Sent returns how many readings Feed's nodes have sent.
-func (b *Backend) Sent() int {
-	total := 0
-	for _, s := range b.sent {
-		total += s
-	}
-	return total
-}
 
 // Delivered returns how many readings the border router handed off.
 func (b *Backend) Delivered() int { return b.delivered }

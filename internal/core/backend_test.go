@@ -12,20 +12,20 @@ var backendStore = store.ShardedConfig{Shards: 2, Policy: store.ShardPolicy{Mode
 
 // feedAndSettle is the whole seam end to end: converge, attach, feed for
 // a minute, stop, flush the partial batches and let the store reconcile.
-func feedAndSettle(t *testing.T, e *Fleet) *Backend {
+func feedAndSettle(t *testing.T, e *Fleet) (*Backend, *Push) {
 	t.Helper()
 	if ok, _ := e.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
 	be := e.AttachBackend(backendStore)
 	t.Cleanup(be.Close)
-	stop := be.Feed(5*time.Second, 5*time.Second)
+	feed := be.Feed(5*time.Second, 5*time.Second)
 	e.RunFor(time.Minute)
-	stop()
+	feed.Stop()
 	e.RunFor(2 * time.Second) // in-flight readings land
 	be.Flush()
 	e.RunFor(5 * time.Second) // acks and anti-entropy
-	return be
+	return be, feed
 }
 
 // replicaDigests is the store's whole replicated state, replica by
@@ -42,8 +42,8 @@ func replicaDigests(s *store.Sharded) []uint64 {
 
 func TestBackendFeedReachesConvergedStore(t *testing.T) {
 	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e *Fleet) {
-		be := feedAndSettle(t, e)
-		sent, delivered := be.Sent(), be.Delivered()
+		be, feed := feedAndSettle(t, e)
+		sent, delivered := feed.Sent(), be.Delivered()
 		if delivered == 0 || delivered > sent {
 			t.Fatalf("delivered %d of %d sent", delivered, sent)
 		}
@@ -58,8 +58,8 @@ func TestBackendFeedReachesConvergedStore(t *testing.T) {
 		}
 		// After stop the feed is silent.
 		e.RunFor(30 * time.Second)
-		if be.Sent() != sent {
-			t.Fatalf("feed kept sending after stop: %d -> %d", sent, be.Sent())
+		if feed.Sent() != sent {
+			t.Fatalf("feed kept sending after stop: %d -> %d", sent, feed.Sent())
 		}
 	})
 }
@@ -68,10 +68,10 @@ func TestBackendFeedDeterministic(t *testing.T) {
 	for _, k := range engineKinds {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
-			a := feedAndSettle(t, k.build(gridStack(16, Profile{})))
-			b := feedAndSettle(t, k.build(gridStack(16, Profile{})))
-			if a.Sent() != b.Sent() || a.Delivered() != b.Delivered() {
-				t.Fatalf("same seed, different traffic: %d/%d vs %d/%d", a.Delivered(), a.Sent(), b.Delivered(), b.Sent())
+			a, fa := feedAndSettle(t, k.build(gridStack(16, Profile{})))
+			b, fb := feedAndSettle(t, k.build(gridStack(16, Profile{})))
+			if fa.Sent() != fb.Sent() || a.Delivered() != b.Delivered() {
+				t.Fatalf("same seed, different traffic: %d/%d vs %d/%d", a.Delivered(), fa.Sent(), b.Delivered(), fb.Sent())
 			}
 			da, db := replicaDigests(a.Store), replicaDigests(b.Store)
 			for i := range da {
@@ -176,8 +176,7 @@ func TestBackendSurvivesBorderRouterReboot(t *testing.T) {
 	}
 	be := d.AttachBackend(backendStore)
 	defer be.Close()
-	stop := be.Feed(5*time.Second, 5*time.Second)
-	defer stop()
+	defer be.Feed(5*time.Second, 5*time.Second).Stop()
 	d.K.RunFor(30 * time.Second)
 	if be.Delivered() == 0 {
 		t.Fatal("nothing delivered before the crash; premise broken")

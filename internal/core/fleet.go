@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"iiotds/internal/fault"
+	"iiotds/internal/lowpan"
 	"iiotds/internal/metrics"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
@@ -24,45 +25,66 @@ type Fleet struct {
 	Nodes []*Node // node ID order; index 0 is the border router
 	stack Stack
 
-	clk interface { // the time driver: *sim.Kernel or *sim.ShardGroup
-		fault.Sched
-		RunFor(d sim.Time)
-	}
+	sched    *sim.Kernel      // the timeline: the one kernel, or the shard group's control kernel
+	runFor   func(d sim.Time) // the engine's RunFor
 	ctl      fault.MediumCtl
 	media    []*radio.Medium // one per stripe
 	stripeOf []int           // node index -> stripe index
 }
 
 // Now returns the fleet's virtual time.
-func (f *Fleet) Now() sim.Time { return f.clk.Now() }
+func (f *Fleet) Now() sim.Time { return f.sched.Now() }
 
 // RunFor advances the fleet's virtual time by d.
-func (f *Fleet) RunFor(d time.Duration) { f.clk.RunFor(d) }
+func (f *Fleet) RunFor(d time.Duration) { f.runFor(d) }
 
 // Sched is the timeline for fleet-wide callbacks (faults, episodes):
-// the kernel, or the shard group's control timeline.
-func (f *Fleet) Sched() fault.Sched { return f.clk }
+// the kernel, or the shard group's control kernel, whose callbacks run
+// at barriers. Only RunFor advances it.
+func (f *Fleet) Sched() *sim.Kernel { return f.sched }
 
-// Every runs fn on Sched every d until stop is called. On one kernel it
-// is, event for event, that kernel's Every(d, 0, fn); on stripes fn
-// runs at a barrier, where reading every stripe is legal.
-func (f *Fleet) Every(d time.Duration, fn func()) (stop func()) {
-	var ev sim.Event
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		if !stopped {
-			ev = f.clk.Schedule(d, tick)
-		}
+// Every runs fn on Sched every d until the repeater is stopped: that
+// kernel's Every(d, 0, fn). On stripes fn runs at a barrier, where
+// reading every stripe is legal.
+func (f *Fleet) Every(d time.Duration, fn func()) *sim.Repeater { return f.sched.Every(d, 0, fn) }
+
+// Push is a running periodic uplink; see StartPush.
+type Push struct {
+	sent []int // per node, each written on its own kernel only
+	reps []*sim.Repeater
+}
+
+// StartPush has each of nodes send payload(n) up the DODAG as proto
+// every period (plus up to jitter), on its own kernel; repeaters are
+// created in the order given. payload runs inside the node's event and
+// returns the datagram's bytes — their length sets the airtime — or nil
+// to sit this tick out.
+func (f *Fleet) StartPush(nodes []*Node, proto lowpan.Proto, every, jitter time.Duration, payload func(n *Node) []byte) *Push {
+	p := &Push{sent: make([]int, len(nodes))}
+	for i, n := range nodes {
+		p.reps = append(p.reps, f.Kernel(n.ID).Every(every, jitter, func() {
+			if b := payload(n); b != nil {
+				p.sent[i]++
+				_ = n.Router.SendUp(proto, b)
+			}
+		}))
 	}
-	ev = f.clk.Schedule(d, tick)
-	return func() {
-		stopped = true
-		ev.Cancel()
+	return p
+}
+
+// Sent returns how many datagrams the nodes have sent.
+func (p *Push) Sent() int {
+	total := 0
+	for _, s := range p.sent {
+		total += s
+	}
+	return total
+}
+
+// Stop ends the push.
+func (p *Push) Stop() {
+	for _, r := range p.reps {
+		r.Stop()
 	}
 }
 

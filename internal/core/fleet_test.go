@@ -341,3 +341,42 @@ func TestFleetPredicatesAndCounters(t *testing.T) {
 		}
 	})
 }
+
+// TestSchedCancelsOnEitherEngine: a callback on Sched is an ordinary
+// kernel event on both engines. Its handle is pending at the instant
+// asked for, Cancel takes it off the timeline, and it never runs.
+func TestSchedCancelsOnEitherEngine(t *testing.T) {
+	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e *Fleet) {
+		ran := false
+		ev := e.Sched().Schedule(5*time.Second, func() { ran = true })
+		if !ev.Pending() || ev.At() != 5*time.Second {
+			t.Fatalf("handle: pending=%v at=%v, want pending at 5s", ev.Pending(), ev.At())
+		}
+		if !ev.Cancel() {
+			t.Fatal("Cancel found nothing pending")
+		}
+		e.RunFor(10 * time.Second)
+		if ran {
+			t.Fatal("a cancelled callback ran")
+		}
+	})
+}
+
+// TestEveryStopLeavesNothingPending: stopping a fleet repeater takes
+// its next tick off the timeline on both engines, and it ticks no more.
+func TestEveryStopLeavesNothingPending(t *testing.T) {
+	forEachEngine(t, gridStack(16, Profile{}), func(t *testing.T, e *Fleet) {
+		ticks := 0
+		r := e.Every(time.Second, func() { ticks++ })
+		e.RunFor(3500 * time.Millisecond)
+		pending := e.Sched().Pending()
+		r.Stop()
+		if got := e.Sched().Pending(); got != pending-1 {
+			t.Fatalf("%d events pending after Stop, %d before it; want one fewer", got, pending)
+		}
+		e.RunFor(5 * time.Second)
+		if ticks != 3 {
+			t.Fatalf("%d ticks, want 3", ticks)
+		}
+	})
+}

@@ -290,7 +290,7 @@ func NewStack(cfg Stack) *Deployment {
 	m := radio.NewMedium(k, mediumParams, reg)
 	d := &Deployment{K: k, M: m, Reg: reg}
 	d.stack = cfg
-	d.clk, d.ctl, d.media, d.stripeOf = k, m, []*radio.Medium{m}, make([]int, len(cfg.Topology))
+	d.sched, d.runFor, d.ctl, d.media, d.stripeOf = k, k.RunFor, m, []*radio.Medium{m}, make([]int, len(cfg.Topology))
 	traceCap := cfg.TraceCapacity
 	if traceCap == 0 {
 		traceCap = trace.DefaultCapacity()

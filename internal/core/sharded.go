@@ -115,7 +115,7 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 	// airtime of a zero-payload frame (propagation is instantaneous in
 	// the model).
 	sd.G = sim.NewShardGroup(sd.Shards[0].M.Airtime(0), sd.Kernels()...)
-	sd.clk = sd.G
+	sd.sched, sd.runFor = sd.G.Control(), sd.G.RunFor
 
 	sd.extraAnnounce = make([][]int, stripes)
 	for s := range sd.extraAnnounce {

@@ -72,7 +72,7 @@ func runShardedScript(t *testing.T, workers int) string {
 	far.Server.Resource("status").Get(
 		func(string, *coap.Message) *coap.Message { return coap.TextResponse("ok") })
 	probes := []string{}
-	sd.G.At(sd.G.Now(), func() {
+	sd.Sched().At(sd.Now(), func() {
 		sd.Root().CoAP.Get(far.Addr(), "status", func(m *coap.Message, err error) {
 			probes = append(probes, fmt.Sprintf("probe err=%v ok=%v at=%v", err, err == nil && m.Code.IsSuccess(), sd.Shards[0].K.Now()))
 		})
@@ -80,8 +80,8 @@ func runShardedScript(t *testing.T, workers int) string {
 
 	// Crash a stripe-border node, then recover it.
 	victim := radio.NodeID(14)
-	sd.G.Schedule(10*time.Second, func() { sd.Crash(victim) })
-	sd.G.Schedule(40*time.Second, func() { sd.Recover(victim) })
+	sd.Sched().Schedule(10*time.Second, func() { sd.Crash(victim) })
+	sd.Sched().Schedule(40*time.Second, func() { sd.Recover(victim) })
 	sd.G.RunFor(3 * time.Minute)
 	noForeignLate(t, sd)
 	if shared := sd.G.SharedWindows(); (shared > 0) != (sd.G.Workers() > 1) {

@@ -104,7 +104,7 @@ func runE13(tr *Trial, fleet e13Fleet, spine, leaves int, seed int64, period, wi
 	})
 	stopAt := d.K.Now() + window
 	// Jitter staggers leaf reporting phases, as real sensors drift.
-	push := scenario.StartPush(&d.Fleet, leafNodes, lowpan.ProtoRaw, period, period/2, func(*core.Node) []byte {
+	push := d.StartPush(leafNodes, lowpan.ProtoRaw, period, period/2, func(*core.Node) []byte {
 		if d.K.Now() >= stopAt {
 			return nil // the repeaters keep firing past the window, for stragglers
 		}

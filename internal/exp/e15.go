@@ -97,7 +97,7 @@ func runE15(tr *Trial, p e15Params) e15Run {
 	// Heartbeat workload: every node raw-pushes up the DODAG from its
 	// own stripe's kernel.
 	sd.Root().Router.Handle(lowpan.ProtoRaw, func(radio.NodeID, []byte) { out.delivered++ })
-	hb := scenario.StartPush(&sd.Fleet, sd.Nodes[1:], lowpan.ProtoRaw, p.hbEvery, p.hbEvery/4, func(n *core.Node) []byte {
+	hb := sd.StartPush(sd.Nodes[1:], lowpan.ProtoRaw, p.hbEvery, p.hbEvery/4, func(n *core.Node) []byte {
 		if !n.Up() {
 			return nil
 		}

@@ -56,7 +56,7 @@ func runCollection(tr *Trial, n int, seed int64, useAgg bool, epoch, dur time.Du
 		d.Root().Router.Handle(lowpan.ProtoRaw, func(src radio.NodeID, payload []byte) {
 			received++
 		})
-		scenario.StartPush(&d.Fleet, d.Nodes[1:], lowpan.ProtoRaw, epoch, epoch/4, func(n *core.Node) []byte {
+		d.StartPush(d.Nodes[1:], lowpan.ProtoRaw, epoch, epoch/4, func(n *core.Node) []byte {
 			return binary.BigEndian.AppendUint64(nil, math.Float64bits(reading(n)))
 		})
 	}

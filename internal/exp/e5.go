@@ -9,7 +9,6 @@ import (
 	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
-	"iiotds/internal/scenario"
 	"iiotds/internal/sim"
 )
 
@@ -67,7 +66,7 @@ func runE5(tr *Trial, n int, seed int64, useRNFD bool, probeEvery time.Duration,
 				st.missed = 0
 			})
 		}
-		scenario.StartPush(&d.Fleet, d.Nodes[1:], lowpan.ProtoRaw, probeEvery, probeEvery/4, func(n *core.Node) []byte {
+		d.StartPush(d.Nodes[1:], lowpan.ProtoRaw, probeEvery, probeEvery/4, func(n *core.Node) []byte {
 			st := &states[n.ID]
 			if detectedAt[n.ID] != 0 || !n.Up() {
 				return nil

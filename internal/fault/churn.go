@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"iiotds/internal/radio"
+	"iiotds/internal/sim"
 )
 
 // This file is the churn engine: generator processes that drive an
@@ -72,7 +73,7 @@ type ChurnConfig struct {
 // on the kernel goroutine (between kernel runs or inside callbacks).
 type Churn struct {
 	inj *Injector
-	k   Sched
+	k   *sim.Kernel
 	rng *rand.Rand
 	cfg ChurnConfig
 

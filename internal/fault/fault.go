@@ -22,20 +22,6 @@ type Target interface {
 	Recover(id radio.NodeID)
 }
 
-// Sched is the scheduling surface the injector and churn engine need: a
-// virtual clock and one-shot callbacks. *sim.Kernel satisfies it for
-// flat deployments; *sim.ShardGroup satisfies it for sharded ones, where
-// fault callbacks run on the control timeline at group barriers — the
-// only instants at which every stripe is quiescent and cross-stripe
-// mutation is legal. Neither the injector nor churn ever cancels a
-// returned event or draws from a kernel RNG, which is what makes the
-// two implementations interchangeable.
-type Sched interface {
-	Now() sim.Time
-	Schedule(d sim.Time, fn func()) sim.Event
-	At(t sim.Time, fn func()) sim.Event
-}
-
 // MediumCtl is the radio-control surface the injector needs.
 // *radio.Medium satisfies it for flat deployments; a sharded deployment
 // implements it by fanning each operation to the owning stripe(s).
@@ -56,7 +42,7 @@ type MediumCtl interface {
 // exception: it is guarded by a mutex so test goroutines may poll it
 // while the kernel runs elsewhere.
 type Injector struct {
-	k      Sched
+	k      *sim.Kernel
 	m      MediumCtl
 	target Target
 	ledger *Ledger
@@ -67,9 +53,13 @@ type Injector struct {
 	groups      map[radio.NodeID]int
 }
 
-// NewInjector creates an injector. target may be nil if only link faults
-// are used; ledger may be nil to skip accounting.
-func NewInjector(k Sched, m MediumCtl, target Target, ledger *Ledger) *Injector {
+// NewInjector creates an injector whose scheduled faults run on k: a
+// flat deployment's kernel, or a sharded one's control timeline, whose
+// callbacks run at group barriers — the only instants at which every
+// stripe is quiescent and cross-stripe mutation is legal. target may be
+// nil if only link faults are used; ledger may be nil to skip
+// accounting.
+func NewInjector(k *sim.Kernel, m MediumCtl, target Target, ledger *Ledger) *Injector {
 	return &Injector{k: k, m: m, target: target, ledger: ledger}
 }
 

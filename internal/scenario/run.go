@@ -89,7 +89,7 @@ func (b *built) Run(tr *trial.Trial) Result {
 	res.Converged, res.ConvergeIn = f.RunUntilConverged(spec.Converge)
 
 	chk := newChecker(f, spec.CheckEvery)
-	stopSnap := f.Every(spec.CheckEvery, chk.snapshot)
+	snap := f.Every(spec.CheckEvery, chk.snapshot)
 
 	b.ArmFaults()
 	churned := spec.Faults.Churn.Resolve(spec.Topo.Nodes())
@@ -99,14 +99,14 @@ func (b *built) Run(tr *trial.Trial) Result {
 	// kernel at creation (workload.go). One that the spec leaves out
 	// stays the idle zero value its counters are read from at the end.
 	var stops []func()
-	push, probe, hb := &Push{}, &Probe{}, &Heartbeat{Push: &Push{}}
+	push, probe, hb := &core.Push{}, &Probe{}, &Heartbeat{Push: &core.Push{}}
 
 	// --- push workload ---
 	if every := spec.Workload.PushEvery; every > 0 {
 		f.Root().Router.Handle(lowpan.ProtoRaw, func(src radio.NodeID, payload []byte) {
 			res.PushDelivered++
 		})
-		push = StartPush(f, f.Nodes[1:], lowpan.ProtoRaw, every, every/4, func(n *core.Node) []byte {
+		push = f.StartPush(f.Nodes[1:], lowpan.ProtoRaw, every, every/4, func(n *core.Node) []byte {
 			if !n.Up() {
 				return nil
 			}
@@ -117,6 +117,7 @@ func (b *built) Run(tr *trial.Trial) Result {
 
 	// --- ingest workload (feeds the store-converges invariant) ---
 	var be *core.Backend
+	var feed *core.Push
 	if every := spec.Workload.IngestEvery; every > 0 {
 		mode, err := store.ParseMode(spec.Store.Mode)
 		if err != nil {
@@ -129,7 +130,8 @@ func (b *built) Run(tr *trial.Trial) Result {
 		defer be.Close()
 		// Partial batches drain every CheckEvery so readings replicate
 		// during the run rather than piling up at the end.
-		stops = append(stops, be.Feed(every, spec.CheckEvery))
+		feed = be.Feed(every, spec.CheckEvery)
+		stops = append(stops, feed.Stop)
 		// Storage-tier partition episode: cut the last replica of every
 		// shard PartAt into the soak, heal PartHold later, and push a CP
 		// repair (AP shards reconverge via gossip on their own).
@@ -192,7 +194,7 @@ func (b *built) Run(tr *trial.Trial) Result {
 	if b.Churn != nil {
 		res.Crashes, res.Recoveries = b.Churn.Crashes(), b.Churn.Recoveries()
 	}
-	stopSnap()
+	snap.Stop()
 	// The rejoin invariant only makes sense for fleets that attached in
 	// the first place: a node that never joined did not fail to
 	// *re*join. Non-convergence is reported via Result.Converged, not
@@ -206,7 +208,7 @@ func (b *built) Run(tr *trial.Trial) Result {
 	if be != nil {
 		be.Flush()
 		f.RunFor(storeSettle)
-		res.IngestSent, res.IngestDelivered = be.Sent(), be.Delivered()
+		res.IngestSent, res.IngestDelivered = feed.Sent(), be.Delivered()
 		res.IngestAcked, res.IngestFailed = be.Batches()
 		res.StoreConverged = be.Store.Converged()
 		if !res.StoreConverged {

@@ -15,53 +15,14 @@ import (
 )
 
 // The sensing-layer workloads, written once against core.Fleet so Run,
-// the experiments and iiotsim drive the same loops on either engine
-// (the ingest workload, core.Backend.Feed, has the same shape). A node's
-// repeater lives on that node's own kernel, and counters are per node,
-// summed on read, so stripes never write one word. A jittered repeater
-// draws from its kernel when created and after every firing, so start
-// order, node order and skip-versus-stop all show in every table built
-// on these drivers (DESIGN.md §8).
-
-// Push is a running periodic uplink; see StartPush.
-type Push struct {
-	sent []int // per node, each written on its own kernel only
-	reps []*sim.Repeater
-}
-
-// StartPush has each of nodes send payload(n) up the DODAG as proto
-// every period (plus up to jitter), on its own kernel; repeaters are
-// created in the order given. payload runs inside the node's event and
-// returns the datagram's bytes — their length sets the airtime — or nil
-// to sit this tick out.
-func StartPush(f *core.Fleet, nodes []*core.Node, proto lowpan.Proto, every, jitter time.Duration, payload func(n *core.Node) []byte) *Push {
-	p := &Push{sent: make([]int, len(nodes))}
-	for i, n := range nodes {
-		p.reps = append(p.reps, f.Kernel(n.ID).Every(every, jitter, func() {
-			if b := payload(n); b != nil {
-				p.sent[i]++
-				_ = n.Router.SendUp(proto, b)
-			}
-		}))
-	}
-	return p
-}
-
-// Sent returns how many datagrams the nodes have sent.
-func (p *Push) Sent() int {
-	total := 0
-	for _, s := range p.sent {
-		total += s
-	}
-	return total
-}
-
-// Stop ends the push.
-func (p *Push) Stop() {
-	for _, r := range p.reps {
-		r.Stop()
-	}
-}
+// the experiments and iiotsim drive the same loops on either engine. The
+// per-node push is core.Fleet.StartPush, which core.Backend.Feed runs on
+// too; the heartbeat here is one more. A node's repeater lives on that
+// node's own kernel, and counters are per node, summed on read, so
+// stripes never write one word. A jittered repeater draws from its
+// kernel when created and after every firing, so start order, node order
+// and skip-versus-stop all show in every table built on these drivers
+// (DESIGN.md §8).
 
 // Probe is a running CoAP probe; see StartProbe. Its counters belong to
 // the root's kernel.
@@ -133,7 +94,7 @@ var rekeyOnReboot = true
 // reboot restarts the frame counter and the root's anti-replay window
 // rejects genuine frames.
 type Heartbeat struct {
-	*Push
+	*core.Push
 	OK int // heartbeats the root opened; written on the root's kernel
 
 	send []*security.Channel // per node: node → root sealer
@@ -173,7 +134,7 @@ func StartHeartbeat(f *core.Fleet, every time.Duration, replayed func(node int))
 		// incarnation's key can legitimately arrive (multi-hop delay)
 		// after a rekey.
 	})
-	h.Push = StartPush(f, f.Nodes[1:], lowpan.ProtoScenario, every, every/4, func(n *core.Node) []byte {
+	h.Push = f.StartPush(f.Nodes[1:], lowpan.ProtoScenario, every, every/4, func(n *core.Node) []byte {
 		if !n.Up() {
 			return nil
 		}

@@ -8,8 +8,8 @@
 // the minimum frame airtime: a frame transmitted at t delivers no
 // earlier than t + airtime). Inside a window the stripes share nothing
 // and may therefore execute on separate OS threads; at the window
-// barrier, cross-stripe handoffs queued with Post are applied in a fixed
-// (source stripe, append) order on the driver goroutine.
+// barrier, cross-stripe handoffs queued with PostBatch are applied in a
+// fixed (source stripe, append) order on the driver goroutine.
 //
 // Determinism (DESIGN.md §5) survives by construction: the window
 // sequence is a pure function of the stripes' queue states at barriers,
@@ -35,7 +35,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -46,8 +45,8 @@ import (
 // is pure execution policy.
 //
 // Thread contract: all ShardGroup methods are driver-goroutine only.
-// The exceptions are Post and PostBatch, which must be called from the
-// posting stripe's own execution (its kernel callbacks) during a window.
+// The exception is PostBatch, which must be called from the posting
+// stripe's own execution (its kernel callbacks) during a window.
 type ShardGroup struct {
 	kernels   []*Kernel
 	lookahead Time
@@ -62,11 +61,7 @@ type ShardGroup struct {
 	// trade places at every barrier.
 	out, due [][][]func() int
 
-	// ctl is the control timeline: driver-time callbacks (workload
-	// arming, fault injection, convergence polling) that must run with
-	// every stripe quiescent. Kept sorted by (at, seq).
-	ctl    []ctlItem
-	ctlSeq uint64
+	ctl *Kernel // the control timeline; see Control
 
 	busy []*Kernel // stripes with an event inside the current window; reused
 	crew *crew     // the running RunUntil's stripe workers, once a window needed them
@@ -91,12 +86,6 @@ type ShardGroup struct {
 // sharing is 1.2–1.5x faster.
 const shareLoad = 8
 
-type ctlItem struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
 // NewShardGroup creates a group over the given kernels. lookahead is the
 // model's minimum cross-stripe visibility delay and must be positive;
 // windows never extend more than lookahead past the earliest queued
@@ -117,7 +106,7 @@ func NewShardGroup(lookahead Time, kernels ...*Kernel) *ShardGroup {
 		}
 		return q
 	}
-	return &ShardGroup{kernels: kernels, lookahead: lookahead, workers: 1, out: queues(), due: queues()}
+	return &ShardGroup{kernels: kernels, lookahead: lookahead, workers: 1, out: queues(), due: queues(), ctl: New(0)}
 }
 
 // Kernels returns the stripes in index order.
@@ -159,65 +148,30 @@ func (g *ShardGroup) SetWorkers(n int) {
 // that could only wait for a processor another worker holds.
 func (g *ShardGroup) Workers() int { return min(g.workers, runtime.GOMAXPROCS(0)) }
 
-// Post queues fn to run at the next barrier, attributed to source stripe
-// src. fn executes on the driver goroutine with every stripe quiescent
-// and may mutate stripe dst's state (typically scheduling events on its
-// kernel). Handoffs drain in (src, dst, append) order, so the apply
-// sequence — and any randomness the handoffs consume from the target
-// kernels — is identical at every worker count. A Post issued by a
-// handoff drains at the barrier after the one applying it.
-func (g *ShardGroup) Post(src, dst int, fn func()) {
-	if fn == nil {
-		panic("sim: Post with nil fn")
-	}
-	g.PostBatch(src, dst, func() int { fn(); return 1 })
-}
-
-// PostBatch is Post for a caller that keeps its own (src, dst) queue:
-// apply takes the place in the drain order of the first handoff of that
-// queue, applies all of them and returns how many there were, which is
-// what Handoffs counts. Posting one prebuilt apply per window instead of
-// one closure per handoff is what lets a steady-state sender allocate
-// nothing.
+// PostBatch queues apply to run at the next barrier, attributed to
+// source stripe src. apply executes on the driver goroutine with every
+// stripe quiescent, may mutate stripe dst's state (typically scheduling
+// events on its kernel), and returns how many handoffs it applied, which
+// is what Handoffs counts. Batches drain in (src, dst, append) order, so
+// the apply sequence — and any randomness it consumes from the target
+// kernels — is identical at every worker count; a batch posted by an
+// apply drains at the barrier after the one running it. The caller keeps
+// its own (src, dst) queue: posting one prebuilt apply per window
+// instead of one closure per handoff is what lets a steady-state sender
+// allocate nothing.
 func (g *ShardGroup) PostBatch(src, dst int, apply func() int) {
 	g.out[src][dst] = append(g.out[src][dst], apply)
 }
 
-// At schedules fn on the control timeline at absolute virtual time t
-// (clamped to the present). Control callbacks run on the driver
-// goroutine at the exact requested instant — windows are cut short to
-// land a barrier there — before any stripe executes its own events at
-// that instant. The returned handle is inert (control events cannot be
-// canceled); it exists so the group satisfies the same scheduling
-// interface as a Kernel for fault-injection glue.
-func (g *ShardGroup) At(t Time, fn func()) Event {
-	if fn == nil {
-		panic("sim: ShardGroup.At with nil fn")
-	}
-	if t < g.now {
-		t = g.now
-	}
-	it := ctlItem{at: t, seq: g.ctlSeq, fn: fn}
-	g.ctlSeq++
-	i := sort.Search(len(g.ctl), func(i int) bool {
-		if g.ctl[i].at != it.at {
-			return g.ctl[i].at > it.at
-		}
-		return g.ctl[i].seq > it.seq
-	})
-	g.ctl = append(g.ctl, ctlItem{})
-	copy(g.ctl[i+1:], g.ctl[i:])
-	g.ctl[i] = it
-	return Event{}
-}
-
-// Schedule runs fn on the control timeline after d of virtual time.
-func (g *ShardGroup) Schedule(d Time, fn func()) Event {
-	if d < 0 {
-		d = 0
-	}
-	return g.At(g.now+d, fn)
-}
+// Control returns the control timeline: a kernel for driver-time
+// callbacks (workload arming, fault injection, convergence polling)
+// that must run with every stripe quiescent. Its events run on the
+// driver goroutine at their exact instant — windows are cut short to
+// land a barrier there — after that barrier's handoffs and before any
+// stripe event at that instant. Schedule on it and cancel freely, but
+// only the group advances it. It is not one of Kernels(), and its
+// events are not in Stats().
+func (g *ShardGroup) Control() *Kernel { return g.ctl }
 
 // nextEvent returns the earliest queued event across all stripes.
 func (g *ShardGroup) nextEvent() (Time, bool) {
@@ -229,18 +183,6 @@ func (g *ShardGroup) nextEvent() (Time, bool) {
 		}
 	}
 	return best, ok
-}
-
-// runControl fires control callbacks due at or before the current
-// barrier, in (at, seq) order. Callbacks may add more control events
-// (including at the same instant) and mutate any stripe.
-func (g *ShardGroup) runControl() {
-	for len(g.ctl) > 0 && g.ctl[0].at <= g.now {
-		fn := g.ctl[0].fn
-		g.ctl[0] = ctlItem{} // the backing array must not keep what fn captured alive
-		g.ctl = g.ctl[1:]
-		fn()
-	}
 }
 
 // runWindow advances every stripe to end (executing events strictly
@@ -274,7 +216,7 @@ func (g *ShardGroup) runWindow(end Time, workers int) {
 	fired := g.Stats().Fired
 	g.load += (float64(fired-g.fired) - g.load) / 8
 	g.fired = fired
-	// Handoffs applied at this barrier may themselves Post: those land in
+	// Handoffs applied at this barrier may themselves post: those land in
 	// the other, empty set of queues and drain at the NEXT barrier.
 	g.out, g.due = g.due, g.out
 	for s := range g.due {
@@ -297,13 +239,13 @@ func (g *ShardGroup) runWindow(end Time, workers int) {
 func (g *ShardGroup) RunUntil(t Time) {
 	workers := g.Workers()
 	for {
-		g.runControl()
+		g.ctl.RunUntil(g.now) // control callbacks may add more, also at this instant
 		if g.now >= t {
 			break
 		}
 		end := t
-		if len(g.ctl) > 0 && g.ctl[0].at < end {
-			end = g.ctl[0].at
+		if at, ok := g.ctl.NextEventAt(); ok && at < end {
+			end = at
 		}
 		if next, ok := g.nextEvent(); ok && next+g.lookahead < end {
 			end = next + g.lookahead

@@ -84,14 +84,16 @@ func shardScript(stripes, workers int) ([][]string, *ShardGroup) {
 			if v%3 == 0 {
 				dst := (i + 1) % stripes
 				at := k.Now()
-				g.Post(i, dst, func() {
+				g.PostBatch(i, dst, func() int {
 					applied := g.Windows()
 					kernels[dst].At(at+g.Lookahead(), func() {
 						logs[dst] = append(logs[dst], fmt.Sprintf("t=%v recv-from-s%d", kernels[dst].Now(), i))
 					})
-					g.Post(dst, i, func() {
+					g.PostBatch(dst, i, func() int {
 						logs[i] = append(logs[i], fmt.Sprintf("echo at barrier %v, %d after the handoff's", g.Now(), g.Windows()-applied))
+						return 1
 					})
+					return 1
 				})
 			}
 			if k.Now()+period < until {
@@ -108,7 +110,7 @@ func shardScript(stripes, workers int) ([][]string, *ShardGroup) {
 		start(40*time.Millisecond, 60*time.Millisecond)
 	}
 	for _, at := range []Time{22 * time.Millisecond, 25 * time.Millisecond} {
-		g.At(at, func() { logs[0] = append(logs[0], fmt.Sprintf("ctl t=%v", g.Now())) })
+		g.Control().At(at, func() { logs[0] = append(logs[0], fmt.Sprintf("ctl t=%v", g.Now())) })
 	}
 	g.RunUntil(61 * time.Millisecond)
 	return logs, g
@@ -240,7 +242,7 @@ func TestShardGroupControlExactness(t *testing.T) {
 	g := NewShardGroup(500*time.Microsecond, k0, k1)
 	var order []string
 	k0.At(10*time.Millisecond, func() { order = append(order, "stripe-event") })
-	g.At(10*time.Millisecond, func() {
+	g.Control().At(10*time.Millisecond, func() {
 		order = append(order, fmt.Sprintf("control@%v", g.Now()))
 	})
 	g.RunUntil(11 * time.Millisecond)
@@ -260,7 +262,7 @@ func TestShardGroupHandoffDelivery(t *testing.T) {
 	var appliedAt Time = -1
 	sent := 7 * time.Millisecond
 	k0.At(sent, func() {
-		g.Post(0, 1, func() { appliedAt = k1.Now() })
+		g.PostBatch(0, 1, func() int { appliedAt = k1.Now(); return 1 })
 	})
 	g.RunUntil(20 * time.Millisecond)
 	if appliedAt < 0 {
@@ -282,5 +284,19 @@ func TestShardGroupEmptyAdvance(t *testing.T) {
 	g.RunUntil(3 * time.Second)
 	if g.Now() != 3*time.Second || k0.Now() != 3*time.Second || k1.Now() != 3*time.Second {
 		t.Fatalf("clocks %v/%v/%v, want 3s each", g.Now(), k0.Now(), k1.Now())
+	}
+}
+
+// TestShardGroupControlCancel: the control timeline is a kernel, so a
+// cancelled control callback neither runs nor forces a barrier.
+func TestShardGroupControlCancel(t *testing.T) {
+	g := NewShardGroup(time.Millisecond, New(1), New(2))
+	ran := false
+	if !g.Control().At(5*time.Millisecond, func() { ran = true }).Cancel() {
+		t.Fatal("Cancel found nothing pending")
+	}
+	g.RunUntil(10 * time.Millisecond)
+	if ran || g.Windows() != 1 {
+		t.Fatalf("ran=%v over %d windows; want a single window and no callback", ran, g.Windows())
 	}
 }

@@ -190,13 +190,12 @@ func (s *Stats) Add(o Stats) {
 // one layer up (exp.RunTrials), where independent trials each own a
 // kernel.
 type Kernel struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
-	free    []*event
-	stats   Stats
+	now   Time
+	queue eventQueue
+	seq   uint64
+	rng   *rand.Rand
+	free  []*event
+	stats Stats
 }
 
 // New returns a kernel whose random generator is seeded with seed.
@@ -320,10 +319,6 @@ func (r *Repeater) Stop() {
 	r.ev.Cancel()
 }
 
-// Stop makes the current Run/RunUntil call return once the in-flight event
-// completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
@@ -342,21 +337,16 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (k *Kernel) Run() {
-	k.stopped = false
-	for !k.stopped && k.Step() {
+	for k.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t (even if the queue drained earlier or later events remain).
 func (k *Kernel) RunUntil(t Time) {
-	k.stopped = false
-	for !k.stopped {
-		if len(k.queue) == 0 || k.queue[0].at > t {
-			break
-		}
+	for len(k.queue) > 0 && k.queue[0].at <= t {
 		k.Step()
 	}
 	if k.now < t {
@@ -374,11 +364,7 @@ func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 // barrier, so events AT the barrier instant run in the following window
 // after cross-shard handoffs have been applied.
 func (k *Kernel) RunBefore(t Time) {
-	k.stopped = false
-	for !k.stopped {
-		if len(k.queue) == 0 || k.queue[0].at >= t {
-			break
-		}
+	for len(k.queue) > 0 && k.queue[0].at < t {
 		k.Step()
 	}
 	if k.now < t {

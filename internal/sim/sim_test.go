@@ -139,27 +139,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	k.Run() // resumes
-	if count != 10 {
-		t.Fatalf("count after resume = %d, want 10", count)
-	}
-}
-
 func TestEveryRepeatsAndStops(t *testing.T) {
 	k := New(1)
 	count := 0
