@@ -26,7 +26,6 @@ import (
 	"iiotds/internal/fault"
 	"iiotds/internal/radio"
 	"iiotds/internal/scenario"
-	"iiotds/internal/sim"
 	"iiotds/internal/store"
 	"iiotds/internal/trace"
 )
@@ -36,14 +35,14 @@ const unsetNode = 1 << 30
 
 func main() {
 	nodes := flag.Int("nodes", 25, "number of nodes (node 0 is the border router)")
-	topology := flag.String("topology", "grid", "topology: grid, line, or random")
+	topology := flag.String("topology", "grid", "topology: grid, line, or random (the scenario grid, pipeline and rgg generators)")
 	spacing := flag.Float64("spacing", 15, "node spacing in meters (grid/line)")
 	macKind := flag.String("mac", "csma", "MAC discipline: csma, lpl, or rimac")
 	profiles := flag.String("profiles", "", "comma-separated device classes cycled over nodes, e.g. csma,lpl (node 0 gets the first class; overrides -mac)")
 	wake := flag.Duration("wake", 500*time.Millisecond, "LPL wake interval")
 	duration := flag.Duration("duration", 5*time.Minute, "simulated duration")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	kills := flag.String("kill", "", "fault schedule, e.g. 12@60s,7@90s (node@time)")
+	killSpec := flag.String("kill", "", "fault schedule, e.g. 12@60s,7@90s (node@time, each time inside -duration)")
 	query := flag.Bool("query", true, "run a continuous AVG(temp) aggregation query")
 	epoch := flag.Duration("epoch", 10*time.Second, "aggregation epoch")
 	traceOut := flag.String("trace-out", "", "write the deployment's flight-recorder events (JSONL) to this file")
@@ -78,6 +77,8 @@ func main() {
 		usage("-spacing %v: must be positive", *spacing)
 	case *shards < 1:
 		usage("-shards %d: must be at least 1", *shards)
+	case *traceOut != "" && *traceCap <= 0:
+		usage("-trace-capacity %d: -trace-out needs a positive ring capacity", *traceCap)
 	case *shards > 1 && (*traceOut != "" || *metricsOut != ""):
 		usage("-shards does not support -trace-out or -metrics-out yet: the sharded engine has no per-stripe recorders or registry merge")
 	}
@@ -100,62 +101,29 @@ func main() {
 		return
 	}
 
-	var positions radio.Topology
-	switch *topology {
-	case "grid":
-		positions = radio.GridTopology(*nodes, *spacing)
-	case "line":
-		positions = radio.LineTopology(*nodes, *spacing)
-	case "random":
-		rng := sim.New(*seed).Rand()
-		positions = radio.ConnectedRandomTopology(*nodes, 120, 120, 25, rng)
-	default:
-		usage("unknown topology %q", *topology)
-	}
-
-	// One device class per -profiles entry, cycled over the nodes; the
-	// plain -mac flag is the one-class special case of the same path.
-	classes := []string{*macKind}
+	classNames := *macKind
 	if *profiles != "" {
-		classes = strings.Split(*profiles, ",")
-		for i := range classes {
-			classes[i] = strings.TrimSpace(classes[i])
-		}
+		classNames = *profiles
 	}
-	stack := core.Stack{Seed: *seed}
-	seen := make(map[string]bool)
-	for _, class := range classes {
-		if seen[class] {
-			continue
-		}
-		seen[class] = true
-		p := core.Profile{Name: class}
-		switch class {
-		case "csma":
-			p.MAC = core.MACCSMA
-		case "lpl":
-			p.MAC = core.MACLPL
-			p.LPL.WakeInterval = *wake
-		case "rimac":
-			p.MAC = core.MACRIMAC
-		default:
-			usage("unknown device class %q (want csma, lpl, or rimac)", class)
-		}
-		stack.Profiles = append(stack.Profiles, p)
+	spec, err := deploymentSpec(*topology, classNames, *nodes, *spacing, *wake, *seed)
+	if err != nil {
+		usage("%v", err)
 	}
-	for i, pos := range positions {
-		stack.Topology = append(stack.Topology, core.NodeSpec{
-			Pos: pos, Profile: classes[i%len(classes)],
-		})
-	}
-
 	if *traceOut != "" {
-		stack.TraceCapacity = *traceCap
+		spec.TraceCapacity = *traceCap
+	}
+	kills, err := parseKills(*killSpec, *nodes, *duration)
+	if err != nil {
+		usage("%v", err)
 	}
 
 	if *profiles != "" {
+		var names []string
+		for _, c := range spec.Classes {
+			names = append(names, c.Kind)
+		}
 		fmt.Printf("deployment: %d nodes, %s topology, profiles %s (cycled), seed %d\n",
-			*nodes, *topology, strings.Join(classes, ","), *seed)
+			*nodes, *topology, strings.Join(names, ","), *seed)
 	} else {
 		fmt.Printf("deployment: %d nodes, %s topology, %s MAC, seed %d\n",
 			*nodes, *topology, *macKind, *seed)
@@ -167,12 +135,12 @@ func main() {
 	var sd *core.ShardedDeployment
 	var f *core.Fleet
 	if *shards > 1 {
-		sd = core.NewShardedStack(stack, *shards)
+		sd = scenario.BuildSharded(spec, *shards).D
 		sd.G.SetWorkers(runtime.GOMAXPROCS(0)) // execution policy only: same lines at any count
 		f = &sd.Fleet
 		fmt.Printf("engine: %s\n", sd)
 	} else {
-		f = &core.NewStack(stack).Fleet
+		f = &scenario.Build(spec).D.Fleet
 	}
 
 	ok, took := f.RunUntilConverged(5 * time.Minute)
@@ -185,15 +153,11 @@ func main() {
 
 	// Fault schedule. On the sharded engine the crashes run on the
 	// group's control timeline, so -kill works across stripe boundaries.
-	if *kills != "" {
+	if len(kills) > 0 {
 		inj := fault.NewInjector(f.Sched(), f.Ctl(), f, fault.NewLedger(f.Now()))
-		for _, spec := range strings.Split(*kills, ",") {
-			id, at, err := parseKill(spec, *nodes)
-			if err != nil {
-				usage("%v", err)
-			}
-			inj.CrashAt(f.Now()+at, id)
-			fmt.Printf("fault: node %d crashes at +%v\n", id, at)
+		for _, k := range kills {
+			f.Sched().At(f.Now()+k.at, func() { inj.Crash(k.id) })
+			fmt.Printf("fault: node %d crashes at +%v\n", k.id, k.at)
 		}
 	}
 
@@ -286,21 +250,67 @@ func usage(format string, args ...any) {
 	os.Exit(2)
 }
 
-// parseKill parses one node@time fault spec.
-func parseKill(spec string, nodes int) (radio.NodeID, sim.Time, error) {
-	parts := strings.SplitN(strings.TrimSpace(spec), "@", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad kill spec %q (want node@time)", spec)
+// deploymentSpec describes the flag-built deployment as a scenario.Spec:
+// -topology grid, line and random are the grid, pipeline and rgg
+// generators (the last ignores -spacing); classes is the -profiles (or
+// -mac) list, cycled over the nodes, and -wake applies to its LPL
+// entries. The spec is validated, so a bad value is an error here, not
+// a panic in a constructor.
+func deploymentSpec(topology, classes string, nodes int, spacing float64, wake time.Duration, seed int64) (scenario.Spec, error) {
+	kinds := map[string]scenario.TopoKind{
+		"grid": scenario.TopoGrid, "line": scenario.TopoPipeline, "random": scenario.TopoRGG,
 	}
-	id, err := strconv.Atoi(parts[0])
-	if err != nil || id <= 0 || id >= nodes {
-		return 0, 0, fmt.Errorf("bad node in %q", spec)
+	kind, ok := kinds[topology]
+	if !ok {
+		return scenario.Spec{}, fmt.Errorf("unknown topology %q (want grid, line, or random)", topology)
 	}
-	at, err := time.ParseDuration(parts[1])
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad time in %q", spec)
+	spec := scenario.Spec{Seed: seed, Topo: scenario.TopoSpec{Kind: kind, N: nodes, Spacing: spacing}}
+	for _, name := range strings.Split(classes, ",") {
+		c := scenario.ClassSpec{Kind: strings.TrimSpace(name)}
+		if c.Kind == "" {
+			return scenario.Spec{}, fmt.Errorf("empty device class in %q", classes)
+		}
+		if c.Kind == "lpl" {
+			c.Wake = wake
+		}
+		spec.Classes = append(spec.Classes, c)
 	}
-	return radio.NodeID(id), at, nil
+	return spec, spec.Validate()
+}
+
+// kill is one -kill entry: crash node id at virtual offset at after
+// convergence.
+type kill struct {
+	id radio.NodeID
+	at time.Duration
+}
+
+// parseKills parses a comma-separated node@time fault schedule; every
+// time must fall inside the run, [0, duration).
+func parseKills(spec string, nodes int, duration time.Duration) ([]kill, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var kills []kill
+	for _, entry := range strings.Split(spec, ",") {
+		parts := strings.SplitN(strings.TrimSpace(entry), "@", 2)
+		if len(parts) != 2 {
+			return nil, fmt.Errorf("bad kill spec %q (want node@time)", entry)
+		}
+		id, err := strconv.Atoi(parts[0])
+		if err != nil || id <= 0 || id >= nodes {
+			return nil, fmt.Errorf("bad node in %q", entry)
+		}
+		at, err := time.ParseDuration(parts[1])
+		if err != nil {
+			return nil, fmt.Errorf("bad time in %q", entry)
+		}
+		if at < 0 || at >= duration {
+			return nil, fmt.Errorf("kill time in %q outside the run [0, -duration %v)", entry, duration)
+		}
+		kills = append(kills, kill{radio.NodeID(id), at})
+	}
+	return kills, nil
 }
 
 // runScenario replays one scenario reproducer string — the format the

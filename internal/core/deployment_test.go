@@ -170,8 +170,8 @@ func TestFaultInjectorIntegration(t *testing.T) {
 	d := smallGrid(4, Profile{})
 	ledger := fault.NewLedger(0)
 	inj := fault.NewInjector(d.K, d.M, d, ledger)
-	inj.CrashAt(30*time.Second, 2)
-	inj.RecoverAt(60*time.Second, 2)
+	d.K.At(30*time.Second, func() { inj.Crash(2) })
+	d.K.At(60*time.Second, func() { inj.Recover(2) })
 	d.K.RunUntil(90 * time.Second)
 	s := ledger.StatsOf("node-2", d.K.Now())
 	if s.Failures != 1 || s.Repairs != 1 {

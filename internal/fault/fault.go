@@ -1,6 +1,6 @@
 // Package fault provides failure injection for the emulation — crashes,
-// recoveries, network partitions, and link degradation on a schedule —
-// plus the reliability ledger that turns injected faults into the §V-A
+// recoveries, network partitions, and link degradation — plus the
+// reliability ledger that turns injected faults into the §V-A
 // metrics: MTTF, MTTR, and availability.
 package fault
 
@@ -31,14 +31,14 @@ type MediumCtl interface {
 	SetLinkPRR(from, to radio.NodeID, prr float64)
 }
 
-// Injector applies faults to a deployment, either immediately (Crash,
-// Partition, ...) or on a schedule (CrashAt, PartitionAt, ...).
+// Injector applies faults to a deployment the moment it is called. A
+// schedule is the caller's: k.At(t, func() { inj.Crash(id) }), or the
+// scenario package's churn engine.
 //
-// Thread contract: every mutating method — the immediate operations and
-// the callbacks the *At methods schedule — must run on the simulation
+// Thread contract: every mutating method must run on the simulation
 // kernel's goroutine (directly between kernel runs, or inside a kernel
-// callback such as a Churn generator). That is what keeps injected fault
-// sequences deterministic. The read-only Partitioned accessor is the one
+// callback). That is what keeps injected fault sequences
+// deterministic. The read-only Partitioned accessor is the one
 // exception: it is guarded by a mutex so test goroutines may poll it
 // while the kernel runs elsewhere.
 type Injector struct {
@@ -48,15 +48,15 @@ type Injector struct {
 	ledger *Ledger
 	rec    *trace.Recorder
 
-	mu          sync.Mutex // guards partitioned and groups (see above)
+	mu          sync.Mutex // guards partitioned (see above)
 	partitioned bool
-	groups      map[radio.NodeID]int
 }
 
-// NewInjector creates an injector whose scheduled faults run on k: a
-// flat deployment's kernel, or a sharded one's control timeline, whose
-// callbacks run at group barriers — the only instants at which every
-// stripe is quiescent and cross-stripe mutation is legal. target may be
+// NewInjector creates an injector that applies faults on k's timeline
+// and stamps the ledger with its clock: a flat deployment's kernel, or a
+// sharded one's control timeline, whose callbacks run at group barriers
+// — the only instants at which every stripe is quiescent and
+// cross-stripe mutation is legal. target may be
 // nil if only link faults are used; ledger may be nil to skip
 // accounting.
 func NewInjector(k *sim.Kernel, m MediumCtl, target Target, ledger *Ledger) *Injector {
@@ -92,16 +92,6 @@ func (inj *Injector) Recover(id radio.NodeID) {
 	inj.rec.Emit(int32(id), trace.FaultRecover, 0, 0, 0, 0)
 }
 
-// CrashAt schedules a crash of node id at absolute time t.
-func (inj *Injector) CrashAt(t time.Duration, id radio.NodeID) {
-	inj.k.At(t, func() { inj.Crash(id) })
-}
-
-// RecoverAt schedules a recovery of node id at absolute time t.
-func (inj *Injector) RecoverAt(t time.Duration, id radio.NodeID) {
-	inj.k.At(t, func() { inj.Recover(id) })
-}
-
 // Partition splits the radio medium into groups immediately: frames only
 // pass between nodes of the same group. Nodes not listed form group 0.
 func (inj *Injector) Partition(groups ...[]radio.NodeID) {
@@ -112,7 +102,6 @@ func (inj *Injector) Partition(groups ...[]radio.NodeID) {
 		}
 	}
 	inj.mu.Lock()
-	inj.groups = gm
 	inj.partitioned = true
 	inj.mu.Unlock()
 	inj.m.SetLinkFilter(func(from, to radio.NodeID) bool {
@@ -128,16 +117,6 @@ func (inj *Injector) Heal() {
 	inj.mu.Unlock()
 	inj.m.SetLinkFilter(nil)
 	inj.rec.Emit(-1, trace.FaultHeal, 0, 0, 0, 0)
-}
-
-// PartitionAt schedules a partition into groups at time t.
-func (inj *Injector) PartitionAt(t time.Duration, groups ...[]radio.NodeID) {
-	inj.k.At(t, func() { inj.Partition(groups...) })
-}
-
-// HealAt removes the partition at time t.
-func (inj *Injector) HealAt(t time.Duration) {
-	inj.k.At(t, func() { inj.Heal() })
 }
 
 // Partitioned reports whether a partition is currently installed. Unlike
@@ -161,16 +140,6 @@ func (inj *Injector) RestoreLink(a, b radio.NodeID) {
 	inj.m.SetLinkPRR(a, b, -1)
 	inj.m.SetLinkPRR(b, a, -1)
 	inj.rec.Emit(int32(a), trace.FaultLink, int64(b), 0, -1, 0)
-}
-
-// DegradeLinkAt sets the directed link PRR at time t (both directions).
-func (inj *Injector) DegradeLinkAt(t time.Duration, a, b radio.NodeID, prr float64) {
-	inj.k.At(t, func() { inj.DegradeLink(a, b, prr) })
-}
-
-// RestoreLinkAt removes PRR overrides for the pair at time t.
-func (inj *Injector) RestoreLinkAt(t time.Duration, a, b radio.NodeID) {
-	inj.k.At(t, func() { inj.RestoreLink(a, b) })
 }
 
 // --- reliability accounting ---

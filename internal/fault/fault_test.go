@@ -40,8 +40,8 @@ func setup(t *testing.T) (*sim.Kernel, *radio.Medium, *fakeTarget, *Ledger, *Inj
 
 func TestCrashAndRecover(t *testing.T) {
 	k, m, tgt, ledger, inj, _ := setup(t)
-	inj.CrashAt(10*time.Second, 2)
-	inj.RecoverAt(30*time.Second, 2)
+	k.At(10*time.Second, func() { inj.Crash(2) })
+	k.At(30*time.Second, func() { inj.Recover(2) })
 	k.RunUntil(20 * time.Second)
 	if !tgt.crashed[2] || !m.Down(2) {
 		t.Fatal("crash not applied")
@@ -67,8 +67,8 @@ func TestCrashAndRecover(t *testing.T) {
 
 func TestPartitionAndHeal(t *testing.T) {
 	k, m, _, _, inj, rx := setup(t)
-	inj.PartitionAt(time.Second, []radio.NodeID{0, 1}, []radio.NodeID{2, 3})
-	inj.HealAt(time.Minute)
+	k.At(time.Second, func() { inj.Partition([]radio.NodeID{0, 1}, []radio.NodeID{2, 3}) })
+	k.At(time.Minute, inj.Heal)
 	k.RunUntil(2 * time.Second)
 	if !inj.Partitioned() {
 		t.Fatal("partition not installed")
@@ -98,8 +98,8 @@ func TestPartitionAndHeal(t *testing.T) {
 
 func TestDegradeAndRestoreLink(t *testing.T) {
 	k, m, _, _, inj, _ := setup(t)
-	inj.DegradeLinkAt(time.Second, 0, 1, 0)
-	inj.RestoreLinkAt(time.Minute, 0, 1)
+	k.At(time.Second, func() { inj.DegradeLink(0, 1, 0) })
+	k.At(time.Minute, func() { inj.RestoreLink(0, 1) })
 	k.RunUntil(2 * time.Second)
 	if m.PRR(0, 1) != 0 || m.PRR(1, 0) != 0 {
 		t.Fatal("degradation not applied")
@@ -176,4 +176,60 @@ func TestSystemAvailabilityBitStable(t *testing.T) {
 			t.Fatalf("call %d: SystemAvailability bits %#x, first call %#x", call, got, want)
 		}
 	}
+}
+
+// TestLedgerStatsEdgeSemantics pins the censored-observation semantics
+// documented on StatsOf.
+func TestLedgerStatsEdgeSemantics(t *testing.T) {
+	l := NewLedger(0)
+
+	// Unknown component: perfectly available, zero MTTF/MTTR.
+	if s := l.StatsOf("unknown", time.Hour); s.Availability != 1 || s.MTTF != 0 || s.MTTR != 0 {
+		t.Fatalf("unknown component stats = %+v", s)
+	}
+
+	// Known but never failed (a spurious repair creates it up): MTTF is
+	// the censored total uptime, MTTR stays 0.
+	l.RecordRepair("steady", 10*time.Second)
+	s := l.StatsOf("steady", 100*time.Second)
+	if s.Failures != 0 || s.MTTF != 100*time.Second || s.MTTR != 0 || s.Availability != 1 {
+		t.Fatalf("never-failed stats = %+v", s)
+	}
+
+	// Failed, never repaired: MTTR is the censored downtime so far.
+	l.RecordFailure("stuck", 40*time.Second)
+	s = l.StatsOf("stuck", 100*time.Second)
+	if s.Failures != 1 || s.Repairs != 0 {
+		t.Fatalf("still-down stats = %+v", s)
+	}
+	if s.MTTF != 40*time.Second || s.MTTR != 60*time.Second {
+		t.Fatalf("still-down MTTF=%v MTTR=%v, want 40s/60s", s.MTTF, s.MTTR)
+	}
+	if s.Availability != 0.4 {
+		t.Fatalf("still-down availability = %v", s.Availability)
+	}
+}
+
+// TestInjectorPartitionedCrossGoroutine exercises the documented thread
+// contract: Partitioned may be polled from another goroutine while the
+// kernel mutates partition state (the race detector is the assertion).
+func TestInjectorPartitionedCrossGoroutine(t *testing.T) {
+	k, _, _, _, inj, _ := setup(t)
+	for i := 0; i < 50; i++ {
+		at := time.Duration(i) * 100 * time.Millisecond
+		if i%2 == 0 {
+			k.At(at, func() { inj.Partition([]radio.NodeID{0, 1}, []radio.NodeID{2, 3}) })
+		} else {
+			k.At(at, inj.Heal)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 10000; i++ {
+			_ = inj.Partitioned()
+		}
+	}()
+	k.Run()
+	<-done
 }

@@ -162,12 +162,12 @@ func TestInjectorPartitionHealGossip(t *testing.T) {
 	inj := fault.NewInjector(k, newMediumAdapter(net, names), nil, nil)
 
 	// Cut {a,b} | {c,d} at 5s, write on both sides at 6s, heal at 30s.
-	inj.PartitionAt(5*time.Second, []radio.NodeID{0, 1}, []radio.NodeID{2, 3})
+	k.At(5*time.Second, func() { inj.Partition([]radio.NodeID{0, 1}, []radio.NodeID{2, 3}) })
 	k.At(sim.Time(6*time.Second), func() {
 		states[0].write("a", 1)
 		states[2].write("c", 100)
 	})
-	inj.HealAt(30 * time.Second)
+	k.At(30*time.Second, inj.Heal)
 
 	k.RunFor(20 * time.Second) // t = 20s: partitioned
 	if !inj.Partitioned() {
@@ -189,7 +189,7 @@ func TestInjectorPartitionHealGossip(t *testing.T) {
 
 	k.RunFor(40 * time.Second) // t = 60s: healed at 30s, anti-entropy resumed
 	if inj.Partitioned() {
-		t.Fatal("injector still reports a partition after HealAt")
+		t.Fatal("injector still reports a partition after the heal")
 	}
 	if engines[0].RoundsRun <= stalled {
 		t.Fatal("anti-entropy did not resume after heal")
@@ -226,7 +226,7 @@ func TestInjectorCrashIsolatesReplica(t *testing.T) {
 	}
 	inj := fault.NewInjector(k, newMediumAdapter(net, names), nil, nil)
 
-	inj.CrashAt(2*time.Second, 2) // c goes down
+	k.At(2*time.Second, func() { inj.Crash(2) }) // c goes down
 	k.At(sim.Time(3*time.Second), func() { states[0].write("a", 7) })
 	k.RunFor(15 * time.Second)
 	if got := len(states[2].logs["a"]); got != 0 {

@@ -3,7 +3,6 @@ package radio
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Topology is a set of node positions, produced by the generators below
@@ -40,53 +39,4 @@ func LineTopology(n int, spacing float64) Topology {
 		t[i] = Position{X: float64(i) * spacing}
 	}
 	return t
-}
-
-// RandomTopology scatters n nodes uniformly over a w×h meter area using
-// rng. Position 0 is forced to the area center so the border router sits
-// mid-field, which produces the funneling patterns E4 studies.
-func RandomTopology(n int, w, h float64, rng *rand.Rand) Topology {
-	if n <= 0 {
-		panic(fmt.Sprintf("radio: RandomTopology n=%d", n))
-	}
-	t := make(Topology, n)
-	t[0] = Position{X: w / 2, Y: h / 2}
-	for i := 1; i < n; i++ {
-		t[i] = Position{X: rng.Float64() * w, Y: rng.Float64() * h}
-	}
-	return t
-}
-
-// ConnectedRandomTopology scatters nodes like RandomTopology but retries
-// node placement until each node is within maxLink of some
-// earlier-placed node, guaranteeing a connected deployment.
-func ConnectedRandomTopology(n int, w, h, maxLink float64, rng *rand.Rand) Topology {
-	if n <= 0 {
-		panic(fmt.Sprintf("radio: ConnectedRandomTopology n=%d", n))
-	}
-	t := make(Topology, 0, n)
-	t = append(t, Position{X: w / 2, Y: h / 2})
-	for len(t) < n {
-		p := Position{X: rng.Float64() * w, Y: rng.Float64() * h}
-		for _, q := range t {
-			if p.Distance(q) <= maxLink {
-				t = append(t, p)
-				break
-			}
-		}
-	}
-	return t
-}
-
-// Bounds returns the width and height of the topology's bounding box.
-func (t Topology) Bounds() (w, h float64) {
-	for _, p := range t {
-		if p.X > w {
-			w = p.X
-		}
-		if p.Y > h {
-			h = p.Y
-		}
-	}
-	return w, h
 }

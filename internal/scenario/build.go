@@ -18,7 +18,7 @@ type built struct {
 	// All nil until ArmFaults.
 	Ledger *fault.Ledger
 	Inj    *fault.Injector
-	Churn  *fault.Churn
+	Churn  *Churn
 }
 
 // Built is a deployment constructed from a Spec on one kernel.
@@ -41,7 +41,7 @@ func (b *built) ArmFaults() {
 	b.Ledger = fault.NewLedger(f.Now())
 	b.Inj = fault.NewInjector(f.Sched(), f.Ctl(), f, b.Ledger)
 	b.Inj.SetRecorder(f.Recorder())
-	b.Churn = fault.NewChurn(b.Inj, ChurnSeed(spec.Seed), spec.Faults.ChurnConfig(spec.Topo.Nodes()))
+	b.Churn = newChurn(b.Inj, f.Sched(), ChurnSeed(spec.Seed), spec.Faults, spec.Topo.Nodes())
 }
 
 // ChurnSeed derives the churn engine's generator seed from the scenario

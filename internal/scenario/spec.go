@@ -12,8 +12,8 @@
 //
 // Specs compose on top of the existing layers rather than replacing
 // them: topologies become core.Topology plans for the profile/stack
-// builder, fault schedules become fault.ChurnConfig for the churn
-// engine, and runs execute on the deterministic kernel — so one Spec +
+// builder, fault schedules drive the churn engine (churn.go) as they
+// are, and runs execute on the deterministic kernel — so one Spec +
 // seed names exactly one run, replayable from its reproducer string
 // (encode.go, `iiotsim -scenario`).
 package scenario
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"iiotds/internal/core"
-	"iiotds/internal/fault"
 	"iiotds/internal/radio"
 	"iiotds/internal/store"
 )
@@ -152,13 +151,18 @@ func (s NodeSel) validate(n int) error {
 	return nil
 }
 
-// FaultSpec is the data form of a fault.ChurnConfig: crash/recover
-// churn over a selection, one flapping link, one Gilbert–Elliott bursty
-// link, and periodic partition storms. Zero-valued sections disable
-// their generator, mirroring the churn engine's own convention.
+// FaultSpec is the one description of a run's fault schedule:
+// crash/recover churn over a selection, one flapping link, one
+// Gilbert–Elliott bursty link, and periodic partition storms. The churn
+// engine (churn.go) reads it directly. Zero-valued sections disable
+// their generator.
 type FaultSpec struct {
-	// Churn selects the crash/recover candidates; MeanUp..MinDown are
-	// the churn engine's hold parameters.
+	// Churn selects the crash/recover candidates. A node stays up for
+	// MinUp plus an exponential draw of mean MeanUp, then crashes; it
+	// stays down for MinDown plus an exponential draw of mean MeanDown,
+	// then recovers. The floors model devices that neither fail nor
+	// reboot instantaneously, and they give the DODAG time to re-admit
+	// a just-recovered node before it can crash again.
 	Churn             NodeSel
 	MeanUp, MinUp     time.Duration
 	MeanDown, MinDown time.Duration
@@ -181,43 +185,15 @@ type FaultSpec struct {
 	PartEvery, PartHold time.Duration
 }
 
-// enabled reports whether any fault generator is configured.
-func (f FaultSpec) enabled() bool {
-	return (f.Churn.Kind != "" && f.MeanUp > 0) ||
-		(f.FlapEvery > 0 && f.FlapLink != [2]int{}) ||
-		(f.GEStep > 0 && f.GELink != [2]int{}) ||
-		(f.PartEvery > 0 && f.Part.Kind != "")
-}
+// churns, flaps, bursts and storms report whether each generator is
+// configured.
+func (f FaultSpec) churns() bool { return f.Churn.Kind != "" && f.MeanUp > 0 }
+func (f FaultSpec) flaps() bool  { return f.FlapEvery > 0 && f.FlapLink != [2]int{} }
+func (f FaultSpec) bursts() bool { return f.GEStep > 0 && f.GELink != [2]int{} }
+func (f FaultSpec) storms() bool { return f.PartEvery > 0 && f.Part.Kind != "" }
 
-// ChurnConfig expands the spec into the churn engine's configuration
-// for an n-node fleet. The expansion is pure data: the same spec and n
-// always produce the same config, and therefore — with the engine's
-// seeded generator — the same fault schedule.
-func (f FaultSpec) ChurnConfig(n int) fault.ChurnConfig {
-	cfg := fault.ChurnConfig{
-		Nodes:  f.Churn.Resolve(n),
-		MeanUp: f.MeanUp, MinUp: f.MinUp,
-		MeanDown: f.MeanDown, MinDown: f.MinDown,
-	}
-	if f.FlapEvery > 0 && f.FlapLink != [2]int{} {
-		cfg.FlapLinks = [][2]radio.NodeID{{radio.NodeID(f.FlapLink[0]), radio.NodeID(f.FlapLink[1])}}
-		cfg.MeanFlap = f.FlapEvery
-		cfg.FlapPRR = f.FlapPRR
-	}
-	if f.GEStep > 0 && f.GELink != [2]int{} {
-		cfg.GELinks = []fault.GELink{{
-			A: radio.NodeID(f.GELink[0]), B: radio.NodeID(f.GELink[1]),
-			PGoodBad: f.GEPGoodBad, PBadGood: f.GEPBadGood, BadPRR: f.GEBadPRR,
-		}}
-		cfg.GEStep = f.GEStep
-	}
-	if f.PartEvery > 0 && f.Part.Kind != "" {
-		cfg.MeanPartition = f.PartEvery
-		cfg.PartitionHold = f.PartHold
-		cfg.Groups = [][]radio.NodeID{f.Part.Resolve(n)}
-	}
-	return cfg
-}
+// enabled reports whether any fault generator is configured.
+func (f FaultSpec) enabled() bool { return f.churns() || f.flaps() || f.bursts() || f.storms() }
 
 // validate checks the fault schedule against an n-node fleet.
 func (f FaultSpec) validate(n int) error {
@@ -248,7 +224,7 @@ func (f FaultSpec) validate(n int) error {
 			return fmt.Errorf("scenario: fault link %d-%d invalid for %d nodes", l[0], l[1], n)
 		}
 	}
-	if f.Churn.Kind != "" && f.MeanUp > 0 && f.MeanDown == 0 && f.MinDown == 0 {
+	if f.churns() && f.MeanDown == 0 && f.MinDown == 0 {
 		return fmt.Errorf("scenario: churn with no recovery delay")
 	}
 	return nil
