@@ -421,3 +421,247 @@ func TestObserveReferenceParity(t *testing.T) {
 		_ = conn.Close()
 	}
 }
+
+// refDedup is the CON duplicate-detection cache as a map and a FIFO,
+// written out sequentially: the map holds each (address, MID)'s arrival
+// time and answer bytes, the FIFO every insertion in order, and expiry
+// pops the FIFO's front while it is stale (its key was answered again
+// since) or older than the lifetime. TestDedupReferenceParity drives it
+// beside a real Conn over drawn arrival sequences.
+type refDedup struct {
+	lifetime time.Duration
+	m        map[midKey]refAnswer
+	q        []refArrival
+}
+
+type refAnswer struct {
+	at   time.Duration
+	resp []byte
+}
+
+type refArrival struct {
+	k  midKey
+	at time.Duration
+}
+
+func newRefDedup(lifetime time.Duration) *refDedup {
+	return &refDedup{lifetime: lifetime, m: map[midKey]refAnswer{}}
+}
+
+// lookup expires what is due at now and returns the cached answer for k.
+func (d *refDedup) lookup(k midKey, now time.Duration) ([]byte, bool) {
+	for len(d.q) > 0 {
+		f := d.q[0]
+		if e, ok := d.m[f.k]; ok && e.at == f.at {
+			if now-e.at <= d.lifetime {
+				break
+			}
+			delete(d.m, f.k)
+		}
+		d.q = d.q[1:]
+	}
+	e, ok := d.m[k]
+	return e.resp, ok
+}
+
+// insert caches resp as the answer to k, arrived at at.
+func (d *refDedup) insert(k midKey, at time.Duration, resp []byte) {
+	d.m[k] = refAnswer{at, resp}
+	d.q = append(d.q, refArrival{k, at})
+}
+
+func (d *refDedup) reset() {
+	d.m = map[midKey]refAnswer{}
+	d.q = nil
+}
+
+// dedupLen reads how many (address, MID) pairs c's cache answers for.
+func dedupLen(c *Conn) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.dedup)
+}
+
+// dedupAddr47 is a 47-byte peer address, the length of the longest
+// bracketed IPv6 literal with a zone and port the tests use.
+const dedupAddr47 = "[2001:db8:85a3:8d3:1319:8a2e:370:7348%eth]:5683"
+
+// TestDedupReferenceParity draws CON arrival sequences — a few
+// addresses (one of 47 bytes), repeated and re-answered (address, MID)
+// pairs, answers from 4 B to past 1 100 B, an answer re-entered by its
+// own handler (so one key is answered twice, out of arrival order),
+// requests the handler leaves unanswered, time steps landing exactly on
+// ExchangeLifetime past an arrival and 1 ns beyond, Reset and Close —
+// and after every step compares what the Conn sent (a byte-identical
+// replay, or a fresh answer) and how many pairs it holds with refDedup.
+func TestDedupReferenceParity(t *testing.T) {
+	const lifetime, steps = 10 * time.Second, 400
+	if len(dedupAddr47) != 47 {
+		t.Fatalf("dedupAddr47 is %d bytes", len(dedupAddr47))
+	}
+	addrs := []string{"a", "b7", "10.0.0.1:5683", dedupAddr47}
+	mids := []uint16{0, 1, 2, 0x100, 0xFFFF}
+	var replays, answers int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := sim.New(seed)
+		var (
+			tr    *wireTransport
+			conn  *Conn
+			ref   *refDedup
+			calls int
+			// Set by the step before an arrival, read by its handler.
+			answerLen int
+			answerNil bool
+			reenter   func()
+		)
+		open := func() {
+			tr = &wireTransport{}
+			conn = NewConn(tr, clock.Kernel{K: k}, ConnConfig{ExchangeLifetime: lifetime, BlockSize: 1024, Seed: seed})
+			srv := NewServer()
+			srv.Resource("r").Get(func(string, *Message) *Message {
+				calls++
+				if r := reenter; r != nil {
+					reenter = nil
+					r()
+				}
+				if answerNil {
+					return nil
+				}
+				// Every answer differs from every other one, so a replay of
+				// the wrong record shows.
+				p := make([]byte, answerLen)
+				for i := range p {
+					p[i] = byte(calls + i)
+				}
+				code := CodeContent
+				if answerLen > 1024 {
+					code = CodeInternalServerError // not block-wise sliced
+				}
+				return &Message{Code: code, Payload: p}
+			})
+			conn.Serve(srv)
+			ref = newRefDedup(lifetime)
+		}
+		open()
+
+		// arrive delivers one CON GET for (addr, mid) and checks the
+		// outcome against the model; a nest >= 0 makes the handler advance
+		// the clock by nest and deliver the same request again before
+		// answering.
+		var arrive func(step int, addr string, mid uint16, nest time.Duration)
+		arrive = func(step int, addr string, mid uint16, nest time.Duration) {
+			t.Helper()
+			req := &Message{Type: Confirmable, Code: CodeGET, MessageID: mid, Token: []byte{byte(step), byte(rng.Intn(4))}}
+			req.SetPath("r")
+			data, err := req.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, now := midKey{addr, mid}, k.Now()
+			want, hit := ref.lookup(key, now)
+			callsBefore := calls
+			if !hit && nest >= 0 {
+				reenter = func() {
+					k.RunFor(nest)
+					arrive(step, addr, mid, -1)
+				}
+			}
+			mark := len(tr.log)
+			tr.recv(addr, data)
+			reenter = nil
+			sent := tr.log[mark:]
+			if hit {
+				if calls != callsBefore || len(sent) != 1 || sent[0].addr != addr || !bytes.Equal(sent[0].data, want) {
+					t.Fatalf("seed %d step %d: duplicate CON %s/%d ran the handler %d times and sent %d datagrams, want a replay of %x",
+						seed, step, addr, mid, calls-callsBefore, len(sent), want)
+				}
+				tr.log = tr.log[:mark]
+				replays++
+				return
+			}
+			if calls == callsBefore || len(sent) == 0 {
+				t.Fatalf("seed %d step %d: fresh CON %s/%d was not answered", seed, step, addr, mid)
+			}
+			// A nested arrival's datagrams come first; this one's answer
+			// is last.
+			last := sent[len(sent)-1]
+			m, err := Unmarshal(last.data)
+			wantTok := req.Token
+			if answerNil {
+				wantTok = nil // an empty ACK
+			}
+			if err != nil || last.addr != addr || m.Type != Acknowledgement || m.MessageID != mid || !bytes.Equal(m.Token, wantTok) || (m.Code == CodeEmpty) != answerNil {
+				t.Fatalf("seed %d step %d: CON %s/%d answered with %x to %s", seed, step, addr, mid, last.data, last.addr)
+			}
+			if !answerNil {
+				ref.insert(key, now, last.data)
+				answers++
+			}
+			tr.log = tr.log[:mark]
+		}
+
+		for step := 0; step < steps; step++ {
+			var what string
+			switch op := rng.Intn(20); {
+			case op < 11:
+				what = "arrive"
+				addr, mid := addrs[rng.Intn(len(addrs))], mids[rng.Intn(len(mids))]
+				answerNil = rng.Intn(12) == 0
+				switch rng.Intn(4) {
+				case 0:
+					answerLen = 0
+				case 1:
+					answerLen = 1 + rng.Intn(16)
+				case 2:
+					answerLen = 1000 + rng.Intn(101)
+				default:
+					answerLen = rng.Intn(1101)
+				}
+				nest := time.Duration(-1)
+				if rng.Intn(8) == 0 {
+					what = "arrive re-entered"
+					nest = []time.Duration{0, time.Nanosecond, lifetime / 2}[rng.Intn(3)]
+				}
+				arrive(step, addr, mid, nest)
+			case op < 13:
+				what = "repeat"
+				if len(ref.q) > 0 {
+					f := ref.q[rng.Intn(len(ref.q))]
+					arrive(step, f.k.addr, f.k.mid, -1)
+				}
+			case op < 17:
+				what = "tick to an arrival's lifetime"
+				d := []time.Duration{time.Nanosecond, time.Millisecond, lifetime / 3}[rng.Intn(3)]
+				if len(ref.q) > 0 && rng.Intn(3) != 0 {
+					// Land exactly on ExchangeLifetime after some arrival, or
+					// 1 ns past it, when that is still ahead.
+					f := ref.q[rng.Intn(len(ref.q))]
+					if due := f.at + lifetime + time.Duration(rng.Intn(2)); due >= k.Now() {
+						d = due - k.Now()
+					}
+				}
+				k.RunFor(d)
+			case op < 18:
+				what = "tick past the lifetime"
+				k.RunFor(lifetime + time.Nanosecond)
+			case op < 19:
+				what = "reset"
+				conn.Reset()
+				ref.reset()
+			default:
+				what = "close"
+				_ = conn.Close()
+				open()
+			}
+			if len(tr.log) != 0 {
+				t.Fatalf("seed %d step %d (%s): %d unexpected datagrams", seed, step, what, len(tr.log))
+			}
+			if got := dedupLen(conn); got != len(ref.m) {
+				t.Fatalf("seed %d step %d (%s): Conn holds %d exchanges, reference %d", seed, step, what, got, len(ref.m))
+			}
+		}
+		_ = conn.Close()
+	}
+	t.Logf("%d replays, %d cached answers", replays, answers)
+}
