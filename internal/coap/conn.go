@@ -95,20 +95,6 @@ type reqState struct {
 	journey    uint64
 }
 
-type dedupEntry struct {
-	at       time.Duration
-	response []byte // cached ACK/response bytes for duplicate CONs
-}
-
-// dedupRef is one entry of the dedup expiry queue: insertion times are
-// monotonic, so expiry pops from the front instead of scanning the whole
-// map (which made every request O(table size)). The at field detects
-// refs made stale by a key being re-inserted with a fresher timestamp.
-type dedupRef struct {
-	k  midKey
-	at time.Duration
-}
-
 // midKey names a message-layer exchange: peer address and message ID.
 type midKey struct {
 	addr string
@@ -150,9 +136,7 @@ type Conn struct {
 	nextToken uint64
 	pending   map[midKey]*outCON
 	awaiting  map[tokenKey]*reqState
-	dedup     map[midKey]dedupEntry
-	dedupQ    []dedupRef // dedup keys in insertion (time) order
-	dedupHead int        // first live index of dedupQ
+	dedup     dedupLog // answered CONs, for duplicate detection
 	closed    bool
 
 	server atomic.Pointer[Server]
@@ -183,7 +167,6 @@ func NewConn(tr Transport, sched clock.Scheduler, cfg ConnConfig) *Conn {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		pending:  make(map[midKey]*outCON),
 		awaiting: make(map[tokenKey]*reqState),
-		dedup:    make(map[midKey]dedupEntry),
 	}
 	c.nextMID.Store(uint32(uint16(cfg.Seed)))
 	tr.SetReceiver(c.onDatagram)
@@ -255,11 +238,21 @@ func (c *Conn) Close() error {
 	}
 	c.pending = map[midKey]*outCON{}
 	c.awaiting = map[tokenKey]*reqState{}
+	c.dedup = dedupLog{}
 	c.mu.Unlock()
 	for _, fn := range fns {
 		fn(nil, ErrClosed)
 	}
 	return c.tr.Close()
+}
+
+// DedupStats reports the CON duplicate-detection cache: entries is the
+// number of (address, MID) pairs it answers for, bytes what its records
+// and their address and answer bytes hold (its index not counted).
+func (c *Conn) DedupStats() (entries, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dedup.live, c.dedup.held
 }
 
 // Exchanges reports the endpoint's in-flight exchange state: pending is
@@ -305,9 +298,7 @@ func (c *Conn) Reset() {
 	}
 	c.pending = make(map[midKey]*outCON)
 	c.awaiting = make(map[tokenKey]*reqState)
-	c.dedup = make(map[midKey]dedupEntry)
-	c.dedupQ = nil
-	c.dedupHead = 0
+	c.dedup = dedupLog{}
 	c.mu.Unlock()
 	for _, f := range fail {
 		f.st.fn(nil, ErrClosed)
@@ -616,22 +607,19 @@ func (c *Conn) handleResponse(from string, m *Message) {
 // are deduplicated (RFC 7252 §4.5): caching NON requests too would retain
 // a response per message for no replay benefit — and let a stale NON
 // entry alias a later CON that reuses the MID. So only a CON expires,
-// reads and fills the dedup cache, and a NON takes no Conn-wide lock.
+// reads and fills the dedup log, and a NON takes no Conn-wide lock.
 func (c *Conn) handleRequest(from string, m *Message) {
 	con := m.Type == Confirmable
-	k := midKey{from, m.MessageID}
 	var now time.Duration
 	if con {
 		now = c.sched.Now()
 		c.mu.Lock()
-		c.expireDedupLocked(now)
-		e, dup := c.dedup[k]
+		c.dedup.expire(now, c.cfg.ExchangeLifetime)
+		replay := c.dedup.lookup(from, m.MessageID)
 		c.mu.Unlock()
-		if dup {
+		if replay != nil {
 			// Replay the cached response for a repeated CON.
-			if e.response != nil {
-				_ = c.tr.Send(from, e.response)
-			}
+			_ = c.tr.Send(from, replay)
 			return
 		}
 	}
@@ -650,46 +638,22 @@ func (c *Conn) handleRequest(from string, m *Message) {
 		return
 	}
 	resp.Token = m.Token
+	var data []byte
+	var err error
 	if con {
 		resp.Type = Acknowledgement
 		resp.MessageID = m.MessageID
+		// Encoded once, into the dedup log, and sent from there.
+		c.mu.Lock()
+		data, err = c.dedup.add(from, m.MessageID, now, resp)
+		c.mu.Unlock()
 	} else {
 		resp.Type = NonConfirmable
 		resp.MessageID = c.newMID()
+		data, err = resp.Marshal()
 	}
-	data, err := resp.Marshal()
 	if err != nil {
 		return
 	}
-	if con {
-		c.mu.Lock()
-		c.dedup[k] = dedupEntry{at: now, response: data}
-		c.dedupQ = append(c.dedupQ, dedupRef{k: k, at: now})
-		c.mu.Unlock()
-	}
 	_ = c.tr.Send(from, data)
-}
-
-// expireDedupLocked drops dedup entries older than ExchangeLifetime.
-// Queue order is insertion order and timestamps are monotonic, so it
-// stops at the first live entry — amortized O(1) per request. Must be
-// called with c.mu held.
-func (c *Conn) expireDedupLocked(now time.Duration) {
-	for c.dedupHead < len(c.dedupQ) {
-		ref := c.dedupQ[c.dedupHead]
-		if e, ok := c.dedup[ref.k]; ok && e.at == ref.at {
-			if now-e.at <= c.cfg.ExchangeLifetime {
-				break
-			}
-			delete(c.dedup, ref.k)
-		}
-		c.dedupQ[c.dedupHead] = dedupRef{} // release the key string
-		c.dedupHead++
-	}
-	if c.dedupHead > 64 && c.dedupHead*2 >= len(c.dedupQ) {
-		n := copy(c.dedupQ, c.dedupQ[c.dedupHead:])
-		clear(c.dedupQ[n:])
-		c.dedupQ = c.dedupQ[:n]
-		c.dedupHead = 0
-	}
 }

@@ -252,6 +252,23 @@ func (m *Message) Marshal() ([]byte, error) {
 	if len(m.Token) > 8 {
 		return nil, ErrBadToken
 	}
+	return m.appendMarshal(make([]byte, 0, m.marshalSize())), nil
+}
+
+// marshalSize bounds the encoded length from above: an option's header
+// and extension bytes take at most 5.
+func (m *Message) marshalSize() int {
+	size := 4 + len(m.Token) + 1 + len(m.Payload)
+	for _, o := range m.Options {
+		size += 5 + len(o.Value)
+	}
+	return size
+}
+
+// appendMarshal appends the encoding Marshal returns to buf; the token
+// must be at most 8 bytes. With marshalSize bytes free in buf it does
+// not allocate.
+func (m *Message) appendMarshal(buf []byte) []byte {
 	// Options go out in ascending ID order with delta encoding. Most
 	// messages already hold them in order; otherwise a stable sort keeps
 	// repeated options (Uri-Path segments) in place, on a stack copy when
@@ -262,11 +279,6 @@ func (m *Message) Marshal() ([]byte, error) {
 		opts = append(stack[:0], opts...)
 		slices.SortStableFunc(opts, cmpOptionID)
 	}
-	size := 4 + len(m.Token) + 1 + len(m.Payload)
-	for _, o := range opts {
-		size += 5 + len(o.Value)
-	}
-	buf := make([]byte, 0, size)
 	buf = append(buf, version<<6|uint8(m.Type)<<4|uint8(len(m.Token)))
 	buf = append(buf, uint8(m.Code))
 	buf = binary.BigEndian.AppendUint16(buf, m.MessageID)
@@ -284,7 +296,7 @@ func (m *Message) Marshal() ([]byte, error) {
 		buf = append(buf, 0xFF)
 		buf = append(buf, m.Payload...)
 	}
-	return buf, nil
+	return buf
 }
 
 func cmpOptionID(a, b Option) int { return int(a.ID) - int(b.ID) }

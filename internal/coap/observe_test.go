@@ -623,9 +623,9 @@ func TestNotifyPoolBackpressure(t *testing.T) {
 }
 
 // TestDedupCONOnlyAndQueueExpiry pins the dedup-state rework: NON
-// requests leave no dedup entries, CON entries expire via the FIFO queue
-// (amortized O(1)) exactly as the old full scan did, and an expired
-// entry's MID can be reused.
+// requests leave no dedup entries, CON entries expire from the head of
+// the arrival-ordered log (amortized O(1)) exactly as the old full scan
+// did, and an expired entry's MID can be reused.
 func TestDedupCONOnlyAndQueueExpiry(t *testing.T) {
 	w := newWorld()
 	srvConn, _ := w.endpoint("srv", ConnConfig{ExchangeLifetime: 10 * time.Second})
@@ -645,10 +645,7 @@ func TestDedupCONOnlyAndQueueExpiry(t *testing.T) {
 		cli.send(t, "srv", m)
 	}
 	w.k.RunFor(time.Second)
-	srvConn.mu.Lock()
-	nd := len(srvConn.dedup)
-	srvConn.mu.Unlock()
-	if nd != 0 {
+	if nd, _ := srvConn.DedupStats(); nd != 0 {
 		t.Fatalf("dedup entries after NON requests = %d, want 0", nd)
 	}
 
@@ -665,8 +662,8 @@ func TestDedupCONOnlyAndQueueExpiry(t *testing.T) {
 		t.Fatalf("handler calls = %d, want %d (duplicate CON deduped)", calls, callsBefore+1)
 	}
 
-	// After ExchangeLifetime the entry expires (popped from the queue on
-	// the next request) and the same MID is served fresh.
+	// After ExchangeLifetime the entry expires (released from the log's
+	// head on the next request) and the same MID is served fresh.
 	w.k.RunFor(time.Minute)
 	cli.send(t, "srv", con)
 	w.k.RunFor(time.Second)
@@ -674,11 +671,11 @@ func TestDedupCONOnlyAndQueueExpiry(t *testing.T) {
 		t.Fatalf("handler calls = %d, want %d (entry expired)", calls, callsBefore+2)
 	}
 	srvConn.mu.Lock()
-	live := len(srvConn.dedup)
-	qlen := len(srvConn.dedupQ) - srvConn.dedupHead
+	live := srvConn.dedup.live
+	qlen := int(srvConn.dedup.next - srvConn.dedup.first)
 	srvConn.mu.Unlock()
 	if live != 1 || qlen > 2 {
-		t.Fatalf("dedup map=%d queue=%d, want the expired entry gone", live, qlen)
+		t.Fatalf("dedup entries=%d records=%d, want the expired entry gone", live, qlen)
 	}
 }
 

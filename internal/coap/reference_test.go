@@ -477,9 +477,8 @@ func (d *refDedup) reset() {
 
 // dedupLen reads how many (address, MID) pairs c's cache answers for.
 func dedupLen(c *Conn) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.dedup)
+	n, _ := c.DedupStats()
+	return n
 }
 
 // dedupAddr47 is a 47-byte peer address, the length of the longest
@@ -664,4 +663,208 @@ func TestDedupReferenceParity(t *testing.T) {
 		_ = conn.Close()
 	}
 	t.Logf("%d replays, %d cached answers", replays, answers)
+}
+
+// TestDedupLogReferenceParity drives the log itself beside refDedup
+// with what concurrent handlers can make of it: arrival times out of
+// order and repeated, a pair answered twice while its first record is
+// held (two copies of a CON that both missed), time steps landing exactly on
+// ExchangeLifetime past a record and 1 ns beyond, and Reset; half the
+// seeds start the sequence counter just below 2^32. After every step it
+// compares lookups and the number of pairs held.
+func TestDedupLogReferenceParity(t *testing.T) {
+	const lifetime, steps = 10 * time.Second, 600
+	addrs := []string{"a", "b7", dedupAddr47}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var log dedupLog
+		if seed%2 == 0 {
+			log.first = 1<<32 - 50
+			log.next = log.first
+		}
+		ref := newRefDedup(lifetime)
+		now := time.Duration(0)
+		for step := 0; step < steps; step++ {
+			key := midKey{addrs[rng.Intn(len(addrs))], uint16(rng.Intn(3))}
+			var what string
+			switch op := rng.Intn(10); {
+			case op < 4:
+				what = "lookup"
+				log.expire(now, lifetime)
+				got := log.lookup(key.addr, key.mid)
+				want, ok := ref.lookup(key, now)
+				if (got != nil) != ok || !bytes.Equal(got, want) {
+					t.Fatalf("seed %d step %d: lookup %s/%d = %x, reference %x (cached %v)", seed, step, key.addr, key.mid, got, want, ok)
+				}
+			case op < 7:
+				what = "add"
+				// A handler that looked the pair up earlier answers with
+				// that earlier time.
+				at := now
+				switch rng.Intn(4) {
+				case 0:
+					at -= time.Duration(rng.Int63n(int64(lifetime)/2 + 1))
+				case 1:
+					if len(ref.q) > 0 {
+						at = ref.q[rng.Intn(len(ref.q))].at
+					}
+				}
+				m := &Message{Type: Acknowledgement, Code: CodeContent, MessageID: key.mid, Token: []byte{byte(step)}, Payload: make([]byte, rng.Intn(1101))}
+				want, _ := m.Marshal()
+				got, err := log.add(key.addr, key.mid, at, m)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("seed %d step %d: add encoded %x (%v), Marshal %x", seed, step, got, err, want)
+				}
+				ref.insert(key, at, want)
+			case op < 9:
+				what = "tick"
+				d := []time.Duration{0, time.Nanosecond, lifetime / 4}[rng.Intn(3)]
+				if len(ref.q) > 0 && rng.Intn(2) == 0 {
+					f := ref.q[rng.Intn(len(ref.q))]
+					if due := f.at + lifetime + time.Duration(rng.Intn(2)); due >= now {
+						d = due - now
+					}
+				}
+				now += d
+			default:
+				what = "reset"
+				if rng.Intn(4) == 0 {
+					log = dedupLog{}
+					ref.reset()
+				}
+			}
+			if log.live != len(ref.m) {
+				t.Fatalf("seed %d step %d (%s): log holds %d pairs, reference %d", seed, step, what, log.live, len(ref.m))
+			}
+		}
+	}
+}
+
+// dedupServer is a Conn on virtual time whose resource "r" answers every
+// CON GET with a payload no other answer has; get delivers one and
+// returns what the Conn sent back and whether the handler ran.
+func dedupServer(t *testing.T, lifetime time.Duration) (*Conn, *sim.Kernel, func(addr string, mid uint16) ([]byte, bool)) {
+	t.Helper()
+	k := sim.New(1)
+	tr := &wireTransport{}
+	conn := NewConn(tr, clock.Kernel{K: k}, ConnConfig{ExchangeLifetime: lifetime})
+	calls := 0
+	srv := NewServer()
+	srv.Resource("r").Get(func(string, *Message) *Message {
+		calls++
+		return TextResponse(fmt.Sprint("answer ", calls))
+	})
+	conn.Serve(srv)
+	get := func(addr string, mid uint16) ([]byte, bool) {
+		t.Helper()
+		req := &Message{Type: Confirmable, Code: CodeGET, MessageID: mid, Token: []byte{1}}
+		req.SetPath("r")
+		data, err := req.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := calls
+		tr.recv(addr, data)
+		if len(tr.log) != 1 || tr.log[0].addr != addr {
+			t.Fatalf("CON %s/%d drew %d datagrams", addr, mid, len(tr.log))
+		}
+		out := tr.log[0].data
+		tr.log = tr.log[:0]
+		return out, calls != before
+	}
+	return conn, k, get
+}
+
+// TestDedupReferenceHashCollision finds two (address, MID) pairs whose
+// index hashes collide by birthday search and checks that each replays
+// its own answer, while both are held and after the older one expired
+// and was answered afresh on top of the other.
+func TestDedupReferenceHashCollision(t *testing.T) {
+	const mid, lifetime = 7, 10 * time.Second
+	seen := map[uint32]string{}
+	var a, b string
+	for i := 0; a == ""; i++ {
+		addr := fmt.Sprintf("10.0.%d.%d:5683", i>>8, i&0xFF)
+		h := dedupHash(addr, mid)
+		if other, ok := seen[h]; ok {
+			a, b = other, addr
+		}
+		seen[h] = addr
+	}
+	conn, k, get := dedupServer(t, lifetime)
+	defer conn.Close()
+	ansA, freshA := get(a, mid)
+	k.RunFor(lifetime / 2)
+	ansB, freshB := get(b, mid)
+	if !freshA || !freshB || bytes.Equal(ansA, ansB) {
+		t.Fatalf("colliding pairs %s and %s were not answered separately", a, b)
+	}
+	if n := len(conn.dedup.index); n != 1 || conn.dedup.live != 2 {
+		t.Fatalf("index holds %d hashes for %d pairs, want 1 hash chaining 2", n, conn.dedup.live)
+	}
+	for _, c := range []struct {
+		addr string
+		want []byte
+	}{{a, ansA}, {b, ansB}, {a, ansA}} {
+		if got, fresh := get(c.addr, mid); fresh || !bytes.Equal(got, c.want) {
+			t.Fatalf("duplicate from %s replayed %q (handler ran: %v), want %q", c.addr, got, fresh, c.want)
+		}
+	}
+	// a expires, b does not: a is answered afresh and chains on top of b.
+	k.RunFor(lifetime/2 + time.Nanosecond)
+	ansA2, fresh := get(a, mid)
+	if !fresh || bytes.Equal(ansA2, ansA) {
+		t.Fatalf("expired pair %s replayed %q, want a fresh answer", a, ansA2)
+	}
+	if got, fresh := get(b, mid); fresh || !bytes.Equal(got, ansB) {
+		t.Fatalf("duplicate from %s replayed %q (handler ran: %v), want %q", b, got, fresh, ansB)
+	}
+	if got, fresh := get(a, mid); fresh || !bytes.Equal(got, ansA2) {
+		t.Fatalf("duplicate from %s replayed %q (handler ran: %v), want %q", a, got, fresh, ansA2)
+	}
+}
+
+// TestDedupReferenceSequenceWrap starts a Conn's log just below 2^32, so
+// its first chunk ends at the wrap and the index chains across it, and
+// checks replays, expiry across the wrap and chunk release.
+func TestDedupReferenceSequenceWrap(t *testing.T) {
+	const lifetime = 20 * time.Second
+	conn, k, get := dedupServer(t, lifetime)
+	defer conn.Close()
+	conn.dedup.first = 1<<32 - 3
+	conn.dedup.next = conn.dedup.first
+	answers := map[midKey][]byte{}
+	for i := 0; i < 12; i++ {
+		key := midKey{fmt.Sprintf("c%d", i%4), uint16(i)}
+		ans, fresh := get(key.addr, key.mid)
+		if !fresh {
+			t.Fatalf("CON %d was replayed", i)
+		}
+		answers[key] = ans
+		k.RunFor(time.Second)
+	}
+	if conn.dedup.next != 9 || len(conn.dedup.chunks) < 2 {
+		t.Fatalf("sequence at %d over %d chunks, want 9 past the wrap over several chunks", conn.dedup.next, len(conn.dedup.chunks))
+	}
+	for key, want := range answers {
+		if got, fresh := get(key.addr, key.mid); fresh || !bytes.Equal(got, want) {
+			t.Fatalf("duplicate %s/%d replayed %q (handler ran: %v), want %q", key.addr, key.mid, got, fresh, want)
+		}
+	}
+	// The six oldest expire (the first chunk, across the wrap, goes with
+	// them); the six newest still replay.
+	k.RunFor(lifetime - 7*time.Second + time.Nanosecond)
+	for i := 11; i >= 0; i-- {
+		key := midKey{fmt.Sprintf("c%d", i%4), uint16(i)}
+		got, fresh := get(key.addr, key.mid)
+		if fresh != (i < 6) || (!fresh && !bytes.Equal(got, answers[key])) {
+			t.Fatalf("CON %d after expiry: handler ran %v, replay %q", i, fresh, got)
+		}
+	}
+	if conn.dedup.chunks[0].base == 1<<32-3 {
+		t.Fatal("the chunk before the wrap was not released")
+	}
+	if n, _ := conn.DedupStats(); n != 12 {
+		t.Fatalf("%d pairs held, want 12 (six re-answered, six replayed)", n)
+	}
 }
