@@ -217,6 +217,7 @@ func runGateway(o gwOptions) {
 	// Sampler: poll the legacy device and publish into the gateway —
 	// observers and the HTTP read path both feed from these pushes.
 	observers := mreg.Gauge("gw.observers")
+	dedupBytes := mreg.Gauge("gw.dedup_bytes")
 	sampleErrs := mreg.Counter("gw.sample_errors")
 	stop := make(chan struct{})
 	go func() {
@@ -233,7 +234,9 @@ func runGateway(o gwOptions) {
 					continue
 				}
 				gw.Publish("devices/press-1/temp", coap.FormatText, []byte(v))
-				observers.Set(float64(gw.Stats().Observers))
+				st := gw.Stats()
+				observers.Set(float64(st.Observers))
+				dedupBytes.Set(float64(st.DedupBytes))
 			}
 		}
 	}()

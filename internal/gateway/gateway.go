@@ -206,12 +206,18 @@ type Stats struct {
 	Coalesced    int64 `json:"coalesced"`
 	NotifyDrops  int64 `json:"notify_drops"`
 	CacheEntries int   `json:"cache_entries"`
+	// DedupEntries and DedupBytes are the endpoint's CON duplicate-
+	// detection log: (address, MID) pairs it answers for and the bytes it
+	// holds for them (coap.Conn.DedupStats).
+	DedupEntries int `json:"dedup_entries"`
+	DedupBytes   int `json:"dedup_bytes"`
 }
 
 // Stats sums gateway-wide counters (observers across all resources,
-// coalescer totals, backpressure drops).
+// coalescer totals, backpressure drops) and reads the dedup log's size.
 func (g *Gateway) Stats() Stats {
 	s := Stats{NotifyDrops: g.srv.NotifyDropped(), CacheEntries: g.cache.Len()}
+	s.DedupEntries, s.DedupBytes = g.conn.DedupStats()
 	for _, p := range g.srv.Paths() {
 		s.Resources++
 		s.Observers += g.srv.Resource(p).ObserverCount()
@@ -229,6 +235,6 @@ func (g *Gateway) Stats() Stats {
 
 // String renders a one-line census for logs.
 func (s Stats) String() string {
-	return fmt.Sprintf("resources=%d observers=%d published=%d offered=%d coalesced=%d drops=%d",
-		s.Resources, s.Observers, s.Published, s.Offered, s.Coalesced, s.NotifyDrops)
+	return fmt.Sprintf("resources=%d observers=%d published=%d offered=%d coalesced=%d drops=%d dedup=%d dedup_bytes=%d",
+		s.Resources, s.Observers, s.Published, s.Offered, s.Coalesced, s.NotifyDrops, s.DedupEntries, s.DedupBytes)
 }

@@ -304,6 +304,44 @@ func TestHTTPReadPath(t *testing.T) {
 	}
 }
 
+// TestStatsCountDedupLog checks that Stats and /v1/stats count the CON
+// exchanges the gateway's endpoint holds for duplicate detection, and
+// that both fields return to 0 once they have expired.
+func TestStatsCountDedupLog(t *testing.T) {
+	w := newVirtualWorld(t, Config{})
+	w.gw.AddResource("plant/temp", "iiot.s.temp", nil)
+	// A CON this resource leaves unanswered is ACKed empty and not
+	// cached, so it expires the log without adding to it.
+	w.gw.Server().Resource("quiet").Get(func(string, *coap.Message) *coap.Message { return nil })
+	w.gw.Publish("plant/temp", coap.FormatText, []byte("21.5"))
+	w.k.Run()
+	const gets = 3
+	for i := 0; i < gets; i++ {
+		w.client.Get("gw", "plant/temp", nil)
+	}
+	w.k.Run()
+	st := w.gw.Stats()
+	if st.DedupEntries != gets || st.DedupBytes <= 0 {
+		t.Fatalf("after %d CON GETs: dedup entries %d, bytes %d", gets, st.DedupEntries, st.DedupBytes)
+	}
+	rec := httptest.NewRecorder()
+	w.gw.HTTPHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+	var served map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if served["dedup_entries"] != float64(gets) || served["dedup_bytes"] != float64(st.DedupBytes) {
+		t.Fatalf("/v1/stats serves dedup_entries=%v dedup_bytes=%v, want %d and %d", served["dedup_entries"], served["dedup_bytes"], gets, st.DedupBytes)
+	}
+
+	w.k.RunFor(time.Minute + time.Nanosecond) // the default ExchangeLifetime
+	w.client.Get("gw", "quiet", nil)
+	w.k.Run()
+	if st := w.gw.Stats(); st.DedupEntries != 0 || st.DedupBytes != 0 {
+		t.Fatalf("after expiry: dedup entries %d, bytes %d, want 0 and 0", st.DedupEntries, st.DedupBytes)
+	}
+}
+
 func TestHTTPServerHasTimeouts(t *testing.T) {
 	s := NewHTTPServer(":0", nil)
 	if s.ReadTimeout == 0 || s.WriteTimeout == 0 || s.ReadHeaderTimeout == 0 || s.IdleTimeout == 0 {
