@@ -66,8 +66,10 @@ const (
 	dedupLenMask = dedupDead - 1
 	// dedupFirstRecs and dedupFirstBytes size the first chunk (records,
 	// buffer bytes per record), so a Conn that answers few CONs holds
-	// little; each later chunk doubles its records up to dedupMaxRecs
-	// and sizes its buffer by its predecessor's bytes per record.
+	// little. A later chunk takes as many records as the log holds, at
+	// least dedupFirstRecs and at most dedupMaxRecs, so what the chunks
+	// hold beyond the live records stays about one chunk; it sizes its
+	// buffer by its predecessor's bytes per record.
 	dedupFirstRecs  = 4
 	dedupFirstBytes = 64
 	dedupMaxRecs    = 1024
@@ -180,7 +182,7 @@ func (l *dedupLog) grow(need int) *dedupChunk {
 	recs, perRec := dedupFirstRecs, dedupFirstBytes
 	if n := len(l.chunks); n > 0 {
 		last := l.chunks[n-1]
-		recs = min(2*cap(last.recs), dedupMaxRecs)
+		recs = min(max(int(l.next-l.first), dedupFirstRecs), dedupMaxRecs)
 		perRec = (len(last.buf) + len(last.recs) - 1) / len(last.recs)
 	}
 	c := &dedupChunk{base: l.next, recs: make([]dedupRec, 0, recs), buf: make([]byte, 0, max(recs*perRec, need))}

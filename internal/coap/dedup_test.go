@@ -3,6 +3,8 @@ package coap
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,5 +111,130 @@ func TestCONRequestAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per CON GET", allocs)
 	if allocs > 4 {
 		t.Fatalf("a CON GET allocates %.0f times, want <= 4", allocs)
+	}
+}
+
+// pairTransport records, under a lock, what the Conn sends to whom.
+type pairTransport struct {
+	recvTransport
+	mu   sync.Mutex
+	sent []sentDatagram
+}
+
+func (p *pairTransport) Send(addr string, data []byte) error {
+	p.mu.Lock()
+	p.sent = append(p.sent, sentDatagram{addr, append([]byte(nil), data...)})
+	p.mu.Unlock()
+	return nil
+}
+
+// TestConcurrentCONDedup delivers every CON GET once from each of
+// several goroutines at once, while another goroutine reads DedupStats:
+// every answer goes to its own (address, MID), a replayed answer is one
+// the handler gave that pair, and afterwards every pair is held once and
+// a further duplicate is replayed without running the handler.
+func TestConcurrentCONDedup(t *testing.T) {
+	const workers, each = 4, 200
+	tr := &pairTransport{}
+	conn := NewConn(tr, &clock.System{}, ConnConfig{})
+	defer conn.Close()
+	var calls atomic.Int64
+	srv := NewServer()
+	srv.Resource("r").Get(func(string, *Message) *Message {
+		return &Message{Code: CodeContent, Payload: []byte(fmt.Sprint(calls.Add(1)))}
+	})
+	conn.Serve(srv)
+	req := func(mid uint16) []byte {
+		m := &Message{Type: Confirmable, Code: CodeGET, MessageID: mid, Token: []byte{1}}
+		m.SetPath("r")
+		data, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	keys := make([]midKey, 0, each)
+	for i := 0; i < each; i++ {
+		keys = append(keys, midKey{fmt.Sprintf("c%d", i%7), uint16(i)})
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				conn.DedupStats()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range keys {
+				k := keys[(i+w*each/workers)%len(keys)] // each worker starts elsewhere
+				tr.recv(k.addr, req(k.mid))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	answers := map[string]midKey{} // answer payload -> the pair it answered
+	for _, d := range tr.sent {
+		m, err := Unmarshal(d.data)
+		if err != nil || m.Type != Acknowledgement {
+			t.Fatalf("sent %x to %s", d.data, d.addr)
+		}
+		k := midKey{d.addr, m.MessageID}
+		if prev, ok := answers[string(m.Payload)]; ok && prev != k {
+			t.Fatalf("answer %q went to %v and to %v", m.Payload, prev, k)
+		}
+		answers[string(m.Payload)] = k
+	}
+	if n, _ := conn.DedupStats(); n != len(keys) {
+		t.Fatalf("%d pairs held, want %d", n, len(keys))
+	}
+	before := calls.Load()
+	tr.sent = nil
+	for _, k := range keys {
+		tr.recv(k.addr, req(k.mid))
+	}
+	for i, d := range tr.sent {
+		m, err := Unmarshal(d.data)
+		if err != nil || answers[string(m.Payload)] != keys[i] {
+			t.Fatalf("duplicate of %v replayed %x", keys[i], d.data)
+		}
+	}
+	if calls.Load() != before {
+		t.Fatalf("duplicates ran the handler %d times", calls.Load()-before)
+	}
+}
+
+// TestDedupSteadyChunks holds a Conn that answers one CON a second for
+// ten lifetimes, 61 live entries at a time, to chunks sized by what it
+// holds: at most 8 KB of records and bytes (7.2 KB on linux/amd64;
+// 46 KB when each chunk doubled its predecessor's size).
+func TestDedupSteadyChunks(t *testing.T) {
+	conn, tr, k, req := conGetServer(t)
+	defer conn.Close()
+	most := 0
+	for i := 0; i < 600; i++ {
+		req[2], req[3] = byte(i>>8), byte(i)
+		tr.recv("10.0.0.1:5683", req)
+		k.RunFor(time.Second)
+		_, held := conn.DedupStats()
+		most = max(most, held)
+	}
+	entries, _ := conn.DedupStats()
+	t.Logf("%d entries live, at most %d B held", entries, most)
+	if entries != 61 || most > 8<<10 {
+		t.Fatalf("%d entries live (want 61), at most %d B held (want <= 8 KB)", entries, most)
 	}
 }
