@@ -179,10 +179,10 @@ func (l *dedupLog) add(addr string, mid uint16, at time.Duration, m *Message) ([
 
 // grow appends a chunk with room for at least need bytes.
 func (l *dedupLog) grow(need int) *dedupChunk {
-	recs, perRec := dedupFirstRecs, dedupFirstBytes
+	recs := min(max(int(l.next-l.first), dedupFirstRecs), dedupMaxRecs)
+	perRec := dedupFirstBytes
 	if n := len(l.chunks); n > 0 {
 		last := l.chunks[n-1]
-		recs = min(max(int(l.next-l.first), dedupFirstRecs), dedupMaxRecs)
 		perRec = (len(last.buf) + len(last.recs) - 1) / len(last.recs)
 	}
 	c := &dedupChunk{base: l.next, recs: make([]dedupRec, 0, recs), buf: make([]byte, 0, max(recs*perRec, need))}
