@@ -3,6 +3,7 @@ package gossip
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
@@ -39,6 +40,11 @@ func TestExchangeLeavesBothSidesWithUnion(t *testing.T) {
 	if a.adopted != 1 || b.adopted != 1 {
 		t.Fatalf("adopted %d/%d elements, want 1/1", a.adopted, b.adopted)
 	}
+	// Each Delta is told whose summary it answers: b serves a's syn, a
+	// serves b's ack, in both rounds.
+	if got := fmt.Sprint(a.askedBy, b.askedBy); got != "[b b] [a a]" {
+		t.Fatalf("Delta was asked for peers %s, want [b b] [a a]", got)
+	}
 }
 
 // FuzzGossipFrame: whatever a peer sends, the engine neither panics nor
@@ -47,7 +53,7 @@ func TestExchangeLeavesBothSidesWithUnion(t *testing.T) {
 func FuzzGossipFrame(f *testing.F) {
 	src := newLogState()
 	src.write("x", 7)
-	delta, _ := src.Delta(nil, []byte("{}"))
+	delta, _ := src.Delta(nil, "y", []byte("{}"))
 	summary := src.Summary(nil)
 	f.Add(append([]byte{frameMagic, kindSyn}, summary...))
 	f.Add(append(append(binary.AppendUvarint([]byte{frameMagic, kindAck}, uint64(len(summary))), summary...), delta...))

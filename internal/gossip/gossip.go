@@ -39,9 +39,11 @@ type State interface {
 	// Summary appends a description of the local state, sufficient for
 	// a peer to work out what this side is missing.
 	Summary(dst []byte) []byte
-	// Delta appends what the local state holds beyond the peer's
-	// summary, and nothing when the peer is missing nothing.
-	Delta(dst, summary []byte) ([]byte, error)
+	// Delta appends what the local state holds beyond the summary peer
+	// sent, and nothing when the peer is missing nothing. A state may
+	// keep what each peer reports holding and drop what all of them
+	// hold; a summary that does not parse must record nothing.
+	Delta(dst []byte, peer string, summary []byte) ([]byte, error)
 	// Merge folds a peer's delta into the local state. A delta that
 	// does not parse must leave the state untouched.
 	Merge(delta []byte) error
@@ -222,13 +224,13 @@ func (e *Engine) onMessage(from string, data []byte) {
 		own := e.state.Summary(nil)
 		ack := binary.AppendUvarint([]byte{frameMagic, kindAck}, uint64(len(own)))
 		ack = append(ack, own...)
-		if ack, err = e.state.Delta(ack, summary); err != nil {
+		if ack, err = e.state.Delta(ack, from, summary); err != nil {
 			e.reject()
 			return
 		}
 		e.send(from, ack)
 	case kindAck:
-		fin, err := e.state.Delta([]byte{frameMagic, kindFin}, summary)
+		fin, err := e.state.Delta([]byte{frameMagic, kindFin}, from, summary)
 		if err != nil {
 			e.reject()
 			return

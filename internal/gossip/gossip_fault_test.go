@@ -89,6 +89,7 @@ var _ fault.MediumCtl = (*mediumAdapter)(nil)
 type logState struct {
 	logs    map[string][]int
 	adopted int
+	askedBy []string // the peer each Delta was asked for, in order
 }
 
 func newLogState() *logState { return &logState{logs: make(map[string][]int)} }
@@ -111,11 +112,12 @@ type logDelta struct {
 	Log  []int
 }
 
-func (s *logState) Delta(dst, summary []byte) ([]byte, error) {
+func (s *logState) Delta(dst []byte, peer string, summary []byte) ([]byte, error) {
 	var lens map[string]int
 	if err := json.Unmarshal(summary, &lens); err != nil {
 		return dst, err
 	}
+	s.askedBy = append(s.askedBy, peer)
 	delta := make(map[string]logDelta)
 	for origin, log := range s.logs {
 		if have := lens[origin]; have < len(log) {

@@ -32,7 +32,7 @@ func (s *counterState) value() uint64 {
 func (s *counterState) Summary(dst []byte) []byte { return dst }
 
 // The delta is uvarint(n) ( uvarint(len id) id uvarint(count) )*n.
-func (s *counterState) Delta(dst, _ []byte) ([]byte, error) {
+func (s *counterState) Delta(dst []byte, _ string, _ []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(s.counts)))
 	for id, n := range s.counts {
 		dst = binary.AppendUvarint(dst, uint64(len(id)))

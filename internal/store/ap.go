@@ -1,8 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,62 +22,116 @@ import (
 // changed) instead of O(everything stored).
 //
 // The prefix invariant rests on one writer per origin: only replica X
-// appends to X's order. (An origin that restarts empty must recover its
-// own ops from its peers before appending again.) Merge keeps it for
-// relayed ops by applying op i of an origin only when exactly i ops of
-// that origin are already held.
+// appends to X's order. Merge keeps it for relayed ops by applying op i
+// of an origin only when exactly i ops of that origin are already held.
 //
-// KV keys are LWW registers; time series are per-origin grow-only point
-// logs, with a per-series SeriesEngine holding the merged view for range
-// queries. A log is its ops' wire encodings back to back, so a delta
-// copies an op's bytes instead of encoding it again. Applying an op is
-// idempotent and ops of different origins commute, so merge order does
-// not matter.
+// KV keys are LWW registers; each series is a SeriesEngine holding the
+// merged view, and beside it how many of its points each origin
+// contributed. An origin's ops are held as their delta wire bytes back
+// to back, so a delta copies them instead of encoding them again, and
+// only as long as some peer may still need them: every summary a peer
+// sends records how many ops of each origin it holds, and the prefix
+// every peer has reported holding is dropped. A replica that lost its
+// state, or one that joins after a drop, therefore cannot be rebuilt
+// from ops: its peers hold the data but no longer the ops, so it needs
+// a state transfer (which does not exist yet), and an origin that
+// restarts empty cannot recover its own order from its peers. Summaries
+// are trusted: a peer that over-claims is never sent what it lacks.
+// Applying an op is idempotent and ops of different origins commute, so
+// merge order does not matter.
 type apState struct {
 	mu      sync.Mutex
 	regs    map[string]*lwwRegister
 	series  map[string]*apSeries
 	origins []*apOrigin // sorted by id
 	segSize int
+	peers   func() []string // the replicas whose reports gate a drop; nil: no peers, nothing dropped
 	onMerge func(series string, added int)
+	onStale func() // a summary asked for ops already dropped
 }
 
-// apSeries is one series: the merged engine and the logs it was merged
-// from, one per origin that ever appended, sorted by origin.
+// apSeries is one series: the merged engine, and the points each origin
+// that ever appended to it contributed.
 type apSeries struct {
 	name string
 	eng  *SeriesEngine
-	logs []apLog
+	held []apHeld // sorted by origin id
 }
 
-// apLog is one origin's points of a series: each op's appendPoints
-// stream, count included, in op order — n points in all.
-type apLog struct {
-	origin string
-	data   []byte
-	n      int
+// apHeld counts the points of a series that came from origin o.
+type apHeld struct {
+	o *apOrigin
+	n int
 }
 
-// apOrigin is one origin's op order, as far as this replica holds it.
+// apOrigin is one origin's op order, as far as this replica holds it:
+// ops before base are dropped, and op base+i is the wire bytes at
+// data[offs[i]:] up to the next op — str(key) opSeries points, or
+// str(key) opReg for a register write. A register op carries no value
+// of its own: what is shipped for it is the register as it stands,
+// which is that write or one that beat it.
 type apOrigin struct {
-	id  string
-	ops []apOp
+	id      string
+	base    uint64
+	data    []byte
+	offs    []uint32
+	reports map[string]uint64 // per peer, the most ops of this origin it has reported holding
 }
 
-// apOp is one op: the point stream starting at data[off] of the
-// origin's log of series key, or (off < 0) a write to register key. A
-// register op carries no value of its own: what is shipped for it is
-// the register as it stands, which is that write or one that beat it.
-type apOp struct {
-	key string
-	off int
+// count returns the ops of o this replica has held: the dropped ones
+// and the ones it still holds.
+func (o *apOrigin) count() uint64 { return o.base + uint64(len(o.offs)) }
+
+// startOp opens op count() at the end of data, with room for n bytes.
+func (o *apOrigin) startOp(n int) {
+	if uint64(len(o.data)) > math.MaxUint32 {
+		panic(fmt.Sprintf("store: origin %s holds %d B of undropped ops", o.id, len(o.data)))
+	}
+	o.offs = append(o.offs, uint32(len(o.data)))
+	o.data = reserve(o.data, n)
 }
 
-func newAPState(segSize int) *apState {
+// drop frees the ops every one of peers has reported holding, once
+// they take at least as many bytes as the ops kept: the bytes held stay
+// within twice what some peer still lacks, and each byte is copied at
+// most once per drop it survives.
+func (o *apOrigin) drop(peers []string) {
+	if len(peers) == 0 {
+		return
+	}
+	cut := o.count()
+	for _, p := range peers {
+		cut = min(cut, o.reports[p])
+	}
+	if cut <= o.base {
+		return
+	}
+	k := int(cut - o.base)
+	end := len(o.data)
+	if k < len(o.offs) {
+		end = int(o.offs[k])
+	}
+	if end < len(o.data)-end {
+		return
+	}
+	var data []byte
+	var offs []uint32
+	if kept := o.data[end:]; len(kept) > 0 {
+		data = append(reserve(nil, len(kept)), kept...)
+		offs = make([]uint32, len(o.offs)-k)
+		for i, off := range o.offs[k:] {
+			offs[i] = off - uint32(end)
+		}
+	}
+	o.base, o.data, o.offs = cut, data, offs
+}
+
+func newAPState(segSize int, peers func() []string) *apState {
 	return &apState{
 		regs:    make(map[string]*lwwRegister),
 		series:  make(map[string]*apSeries),
 		segSize: segSize,
+		peers:   peers,
 	}
 }
 
@@ -89,18 +146,18 @@ func (s *apState) seriesLocked(name string) *apSeries {
 	return ser
 }
 
-// log returns (creating if needed) origin's log of the series.
-func (ser *apSeries) log(origin string) *apLog {
+// add counts n more points of the series from origin o.
+func (ser *apSeries) add(o *apOrigin, n int) {
 	i := 0
-	for i < len(ser.logs) && ser.logs[i].origin < origin {
+	for i < len(ser.held) && ser.held[i].o.id < o.id {
 		i++
 	}
-	if i == len(ser.logs) || ser.logs[i].origin != origin {
-		ser.logs = append(ser.logs, apLog{})
-		copy(ser.logs[i+1:], ser.logs[i:])
-		ser.logs[i] = apLog{origin: origin}
+	if i == len(ser.held) || ser.held[i].o != o {
+		ser.held = append(ser.held, apHeld{})
+		copy(ser.held[i+1:], ser.held[i:])
+		ser.held[i] = apHeld{o: o}
 	}
-	return &ser.logs[i]
+	ser.held[i].n += n
 }
 
 // findOrigin returns the index of id in s.origins, or where it belongs.
@@ -124,16 +181,17 @@ func (s *apState) originLocked(id string) *apOrigin {
 }
 
 // appendSeriesLocked applies one series op of origin o. The op is
-// encoded here, whether it was appended locally or merged: a log holds
-// the canonical encoding of its points, never a peer's frame bytes.
+// encoded here, whether it was appended locally or merged: an origin
+// holds the canonical encoding of its points, never a peer's frame
+// bytes.
 func (s *apState) appendSeriesLocked(o *apOrigin, ser *apSeries, pts []Point) {
-	log := ser.log(o.id)
-	o.ops = append(o.ops, apOp{key: ser.name, off: len(log.data)})
 	w := workPool.Get().(*work)
-	w.enc = appendPoints(w.enc[:0], pts)
-	log.data = append(reserve(log.data, len(w.enc)), w.enc...)
+	w.enc = append(appendStr(w.enc[:0], ser.name), opSeries)
+	w.enc = appendPoints(w.enc, pts)
+	o.startOp(len(w.enc))
+	o.data = append(o.data, w.enc...)
 	workPool.Put(w)
-	log.n += len(pts)
+	ser.add(o, len(pts))
 	ser.eng.AppendBatch(pts)
 }
 
@@ -153,11 +211,16 @@ func (s *apState) regLocked(key string) *lwwRegister {
 	return reg
 }
 
+// appendRegOp records a write to register key as the next op of o.
+func appendRegOp[T ~string | ~[]byte](o *apOrigin, key T) {
+	o.startOp(binary.MaxVarintLen64 + len(key) + 1)
+	o.data = append(appendStr(o.data, key), opReg)
+}
+
 func (s *apState) setLocal(origin, key string, ts int64, val []byte) {
 	s.mu.Lock()
 	s.regLocked(key).set(ts, origin, val)
-	o := s.originLocked(origin)
-	o.ops = append(o.ops, apOp{key: key, off: -1})
+	appendRegOp(s.originLocked(origin), key)
 	s.mu.Unlock()
 }
 
@@ -190,6 +253,12 @@ func (s *apState) setMergeHook(fn func(series string, added int)) {
 	s.mu.Unlock()
 }
 
+func (s *apState) setStaleHook(fn func()) {
+	s.mu.Lock()
+	s.onStale = fn
+	s.mu.Unlock()
+}
+
 func (s *apState) localValue(key string) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,35 +285,35 @@ func (s *apState) visitEngines(fn func(name string, eng *SeriesEngine)) {
 	}
 }
 
-// digest folds the origin logs — the authoritative state: merged
-// engines may order equal timestamps differently per replica — into h,
-// series and origins in sorted order.
+// digest folds the series state into h, series in sorted order: per
+// series, the points each origin contributed, then the merged points in
+// canonical order. With every origin's ops held as a prefix of its
+// order, equal counts mean equal contributions, so two replicas'
+// digests are equal exactly when they hold the same ops.
 func (s *apState) digest(h uint64) uint64 {
+	w := workPool.Get().(*work)
+	defer workPool.Put(w)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, name := range sortedKeys(s.series) {
+		ser := s.series[name]
 		h = digestString(h, name)
-		for _, log := range s.series[name].logs {
-			h = digestString(h, log.origin)
-			h = log.digest(h)
+		for _, c := range ser.held {
+			h = digestString(h, c.o.id)
+			h = digestU64(h, uint64(c.n))
 		}
+		w.pts = ser.eng.appendAll(w.pts[:0])
+		slices.SortFunc(w.pts, byStampThenBits) // an engine keeps ties in arrival order, which differs per replica
+		h = digestPoints(h, w.pts)
 	}
 	return h
 }
 
-// digest folds the log's points into h as digestPoints folds them,
-// decoding its op streams one after another.
-func (log *apLog) digest(h uint64) uint64 {
-	h = digestU64(h, uint64(log.n))
-	for off := 0; off < len(log.data); {
-		r, err := newPointReader(log.data[off:])
-		if err != nil {
-			panic(fmt.Sprintf("store: corrupt origin log: %v", err)) // encode/decode are a closed pair
-		}
-		h = r.fold(h)
-		off += r.off
+func byStampThenBits(a, b Point) int {
+	if c := cmp.Compare(a.T, b.T); c != 0 {
+		return c
 	}
-	return h
+	return cmp.Compare(math.Float64bits(a.V), math.Float64bits(b.V))
 }
 
 // The anti-entropy wire format, carried inside gossip frames:
@@ -317,51 +386,85 @@ func (s *apState) Summary(dst []byte) []byte {
 	defer s.mu.Unlock()
 	for _, o := range s.origins {
 		dst = appendStr(dst, o.id)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(o.ops)))
+		dst = binary.LittleEndian.AppendUint64(dst, o.count())
 	}
 	return dst
 }
 
 // Delta implements gossip.State: for each origin, the ops past the
-// count the peer's summary reports (all of them for an origin it does
-// not list).
-func (s *apState) Delta(dst, summary []byte) ([]byte, error) {
+// count peer's summary reports (all of them for an origin it does not
+// list). A summary that parses is recorded as peer's report, when peer
+// is one of this replica's peers, and then every op all peers have
+// reported holding may be dropped; one that does not parse records
+// nothing. A peer that asks for ops already dropped is served from the
+// first op still held and counted (onStale): it cannot catch up by ops.
+func (s *apState) Delta(dst []byte, peer string, summary []byte) ([]byte, error) {
+	var peers []string
+	if s.peers != nil {
+		peers = s.peers()
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	held := make([]uint64, len(s.origins)) // what the peer holds of each origin known here
 	for r := (wireReader{data: summary}); len(r.data) > 0; {
 		id, n := r.str("summary origin"), r.u64("summary count")
 		if r.err != nil {
+			s.mu.Unlock()
 			return dst, r.err
 		}
 		if i, ok := s.findOrigin(string(id)); ok {
 			held[i] = n
 		}
 	}
+	known := slices.Contains(peers, peer)
+	stale := false
 	for i, o := range s.origins {
-		if held[i] >= uint64(len(o.ops)) {
-			continue
+		from := held[i]
+		if from < o.base {
+			from, stale = o.base, true
 		}
-		ops := o.ops[held[i]:]
-		dst = appendStr(dst, o.id)
-		dst = binary.AppendUvarint(dst, held[i])
-		dst = binary.AppendUvarint(dst, uint64(len(ops)))
-		for _, op := range ops {
-			dst = appendStr(dst, op.key)
-			if op.off < 0 {
-				reg := s.regs[op.key]
-				dst = append(dst, opReg)
-				dst = binary.AppendUvarint(dst, zigzag(reg.ts))
-				dst = appendStr(dst, reg.id)
-				dst = appendStr(dst, reg.val)
-				continue
+		if from < o.count() {
+			dst = s.appendOpsLocked(dst, o, from)
+		}
+		if known {
+			if o.reports == nil {
+				o.reports = make(map[string]uint64, len(peers))
 			}
-			dst = append(dst, opSeries)
-			stream := s.series[op.key].log(o.id).data[op.off:]
-			dst = append(dst, stream[:streamLen(stream)]...)
+			o.reports[peer] = max(o.reports[peer], held[i])
+			o.drop(peers)
 		}
 	}
+	hook := s.onStale
+	s.mu.Unlock()
+	if stale && hook != nil {
+		hook()
+	}
 	return dst, nil
+}
+
+// appendOpsLocked appends the delta block of o's ops from op from on:
+// the held wire bytes, with each register op's register as it stands
+// after it.
+func (s *apState) appendOpsLocked(dst []byte, o *apOrigin, from uint64) []byte {
+	offs := o.offs[from-o.base:]
+	dst = appendStr(dst, o.id)
+	dst = binary.AppendUvarint(dst, from)
+	dst = binary.AppendUvarint(dst, uint64(len(offs)))
+	copied := int(offs[0])
+	for _, off := range offs {
+		op := o.data[off:]
+		n, k := binary.Uvarint(op)
+		if op[k+int(n)] != opReg {
+			continue
+		}
+		end := int(off) + k + int(n) + 1
+		dst = append(dst, o.data[copied:end]...)
+		copied = end
+		reg := s.regs[string(op[k:k+int(n)])]
+		dst = binary.AppendUvarint(dst, zigzag(reg.ts))
+		dst = appendStr(dst, reg.id)
+		dst = appendStr(dst, reg.val)
+	}
+	return append(dst, o.data[copied:]...)
 }
 
 // apWireDelta is a parsed delta: ops[lo:hi] of a block are ops first,
@@ -460,7 +563,7 @@ func (s *apState) Merge(delta []byte) error {
 		id := string(blk.origin)
 		held := uint64(0)
 		if i, ok := s.findOrigin(id); ok {
-			held = uint64(len(s.origins[i].ops))
+			held = s.origins[i].count()
 		}
 		if blk.first > held || held-blk.first >= uint64(blk.hi-blk.lo) {
 			continue // a gap, or nothing new
@@ -469,7 +572,7 @@ func (s *apState) Merge(delta []byte) error {
 		for _, op := range d.ops[blk.lo+int(held-blk.first) : blk.hi] {
 			if op.kind == opReg {
 				s.regLocked(string(op.key)).merge(&lwwRegister{val: op.val, ts: op.ts, id: string(op.writer)})
-				o.ops = append(o.ops, apOp{key: string(op.key), off: -1})
+				appendRegOp(o, op.key)
 				continue
 			}
 			ser := s.series[string(op.key)]

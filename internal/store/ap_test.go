@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,24 +47,38 @@ func (w *wholeState) merge(remote *wholeState) {
 }
 
 // digest hashes the logs the way Replica.SeriesDigest does.
-func (w *wholeState) digest() uint64 {
+func (w *wholeState) digest() uint64 { return logsDigest(w.logs) }
+
+// logsDigest is the AP digest of per-series, per-origin point logs: per
+// series in sorted order, each origin's point count in origin order,
+// then every point of the series sorted by stamp and value bits.
+func logsDigest(logs map[string]map[string][]Point) uint64 {
 	h := uint64(fnvOffset)
-	names := make([]string, 0, len(w.logs))
-	for name := range w.logs {
+	names := make([]string, 0, len(logs))
+	for name := range logs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		h = digestString(h, name)
-		ids := make([]string, 0, len(w.logs[name]))
-		for id := range w.logs[name] {
+		ids := make([]string, 0, len(logs[name]))
+		for id := range logs[name] {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
+		var all []Point
 		for _, id := range ids {
 			h = digestString(h, id)
-			h = digestPoints(h, w.logs[name][id])
+			h = digestU64(h, uint64(len(logs[name][id])))
+			all = append(all, logs[name][id]...)
 		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].T != all[j].T {
+				return all[i].T < all[j].T
+			}
+			return math.Float64bits(all[i].V) < math.Float64bits(all[j].V)
+		})
+		h = digestPoints(h, all)
 	}
 	return h
 }
@@ -187,6 +203,13 @@ func apFingerprint(s *apState) string {
 	return fmt.Sprintf("%x %x %v %d/%d", s.digest(fnvOffset), s.Summary(nil), regs, len(s.series), points)
 }
 
+// Time bounds wide enough for any stamp a test draws, and stamps the
+// codec must carry.
+const (
+	minTime = time.Duration(-1 << 62)
+	maxTime = time.Duration(1 << 62)
+)
+
 // extremePoints are the values a codec gets wrong first.
 var extremePoints = []Point{
 	{T: minTime, V: math.NaN()},
@@ -202,7 +225,7 @@ var extremePoints = []Point{
 // apSource returns a state holding series ops and register writes of
 // origin id, extreme points among them.
 func apSource(id string) *apState {
-	s := newAPState(8)
+	s := newAPState(8, nil)
 	for i := 0; i < 6; i++ {
 		s.appendLocal(id, fmt.Sprintf("s%d", i%3), []Point{{T: secs(i), V: float64(i)}, {T: secs(i) / 2, V: -1}})
 		s.setLocal(id, fmt.Sprintf("k%d", i%2), int64(i), []byte{byte(i)})
@@ -211,22 +234,9 @@ func apSource(id string) *apState {
 	return s
 }
 
-// points decodes every op stream of the log.
-func (log *apLog) points() []Point {
-	var pts []Point
-	for off := 0; off < len(log.data); {
-		var used int
-		var err error
-		if pts, used, err = decodePoints(pts, log.data[off:]); err != nil {
-			panic(err)
-		}
-		off += used
-	}
-	return pts
-}
-
+// apDelta is what from sends to, a peer it does not know by name.
 func apDelta(t testing.TB, from, to *apState) []byte {
-	delta, err := from.Delta(nil, to.Summary(nil))
+	delta, err := from.Delta(nil, "peer", to.Summary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,20 +279,20 @@ func TestAPMergeIsAtomic(t *testing.T) {
 // replica's view of an origin is always a prefix of that origin's order.
 func TestAPMergeKeepsOriginPrefix(t *testing.T) {
 	src := apSource("a")
-	held := func(s *apState) int {
+	held := func(s *apState) uint64 {
 		if i, ok := s.findOrigin("a"); ok {
-			return len(s.origins[i].ops)
+			return s.origins[i].count()
 		}
 		return 0
 	}
-	whole := apDelta(t, src, newAPState(0))
+	whole := apDelta(t, src, newAPState(0, nil))
 
 	// Ops 5.. of a, offered to a replica that holds none of them.
-	gap, err := src.Delta(nil, append(appendStr(nil, "a"), 5, 0, 0, 0, 0, 0, 0, 0))
+	gap, err := src.Delta(nil, "peer", append(appendStr(nil, "a"), 5, 0, 0, 0, 0, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ahead := newAPState(0)
+	ahead := newAPState(0, nil)
 	if err := ahead.Merge(gap); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +302,7 @@ func TestAPMergeKeepsOriginPrefix(t *testing.T) {
 
 	// The same ops on top of a full copy are duplicates; twice the whole
 	// delta is the whole delta.
-	dst := newAPState(0)
+	dst := newAPState(0, nil)
 	for i := 0; i < 2; i++ {
 		if err := dst.Merge(whole); err != nil {
 			t.Fatal(err)
@@ -311,8 +321,8 @@ func TestAPMergeKeepsOriginPrefix(t *testing.T) {
 		t.Fatal("register did not arrive")
 	}
 	// Extreme values survive the wire bit for bit.
-	if got := dst.series["extreme"].logs[0].points(); !samePoints(got, extremePoints) {
-		t.Fatalf("extreme points arrived as %v", got)
+	if got, want := dst.series["extreme"].eng.appendAll(nil), src.series["extreme"].eng.appendAll(nil); len(got) != len(extremePoints) || !samePoints(got, want) {
+		t.Fatalf("extreme points arrived as %v, want %v", got, want)
 	}
 }
 
@@ -400,7 +410,7 @@ func FuzzAPDelta(f *testing.F) {
 			t.Fatalf("Merge failed (%v) but changed the state", err)
 		}
 
-		from, to := newAPState(4), newAPState(4)
+		from, to := newAPState(4, nil), newAPState(4, nil)
 		for i := 0; i+3 <= len(data); i += 3 {
 			key := fmt.Sprintf("k%d", data[i]%4)
 			if data[i]&0x80 != 0 {
@@ -421,6 +431,91 @@ func FuzzAPDelta(f *testing.F) {
 		}
 		if apFingerprint(from) != apFingerprint(to) {
 			t.Fatalf("states differ after a round trip:\n %s\n %s", apFingerprint(from), apFingerprint(to))
+		}
+	})
+}
+
+// summaryTarget returns a state holding ops of origins a and b whose
+// peers are p and q: q has reported holding every op, p all but the
+// last of each origin's, and those are dropped.
+func summaryTarget(t testing.TB) *apState {
+	s := apSource("a")
+	if err := s.Merge(apDelta(t, apSource("b"), s)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		s.appendLocal(id, "s0", []Point{{T: secs(9), V: 9}})
+	}
+	s.peers = func() []string { return []string{"p", "q"} }
+	var part []byte
+	for _, o := range s.origins {
+		part = appendStr(part, o.id)
+		part = binary.LittleEndian.AppendUint64(part, o.count()-1)
+	}
+	for peer, summary := range map[string][]byte{"q": s.Summary(nil), "p": part} {
+		if _, err := s.Delta(nil, peer, summary); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range s.origins {
+		if o.base != o.count()-1 {
+			t.Fatalf("origin %s: %d of %d ops dropped, want all but one", o.id, o.base, o.count())
+		}
+	}
+	return s
+}
+
+// opsRecord is what a summary may change: per origin, the ops dropped
+// and held, the bytes held and the peers' reports.
+func opsRecord(s *apState) string {
+	var b strings.Builder
+	for _, o := range s.origins {
+		fmt.Fprintf(&b, "%s base %d count %d bytes %d reports %v; ", o.id, o.base, o.count(), len(o.data), o.reports)
+	}
+	return b.String()
+}
+
+// FuzzAPSummary feeds Delta summary bytes from a named peer. It must not
+// panic. A stranger's summary, or one that does not parse, records
+// nothing and drops nothing. A summary that parses never drops an op
+// beyond the fewest any peer has reported holding, and yields a delta
+// that parses.
+func FuzzAPSummary(f *testing.F) {
+	full := summaryTarget(f).Summary(nil)
+	f.Add(full)
+	f.Add(full[:len(full)-3]) // the first origin parses, the second's count is cut short
+	f.Add(append(append(appendStr(nil, "a"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), 5, 'b'))
+	f.Add(append(appendStr(nil, "a"), 1, 0, 0, 0, 0, 0, 0, 0)) // below what is dropped
+	f.Add(append(append(appendStr(nil, "b"), 2, 0, 0, 0, 0, 0, 0, 0), full...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, summary []byte) {
+		s := summaryTarget(t)
+		before := opsRecord(s)
+		if _, err := s.Delta(nil, "stranger", summary); err == nil && opsRecord(s) != before {
+			t.Fatalf("a stranger's summary changed the ops held:\n %s\n %s", before, opsRecord(s))
+		}
+		delta, err := s.Delta(nil, "p", summary)
+		if err != nil {
+			if opsRecord(s) != before {
+				t.Fatalf("a summary that failed (%v) changed the ops held:\n %s\n %s", err, before, opsRecord(s))
+			}
+			return
+		}
+		// What p can have reported of each origin: its earlier report or
+		// any count this summary lists.
+		claimed := map[string]uint64{}
+		for r := (wireReader{data: summary}); len(r.data) > 0; {
+			id, n := r.str("origin"), r.u64("count")
+			claimed[string(id)] = max(claimed[string(id)], n)
+		}
+		for _, o := range s.origins {
+			p := max(claimed[o.id], o.count()-1)
+			if low := min(p, o.count()); o.base > low {
+				t.Fatalf("origin %s: %d ops dropped, but p reported at most %d", o.id, o.base, low)
+			}
+		}
+		if _, err := parseDelta(delta); err != nil {
+			t.Fatalf("the delta served does not parse: %v", err)
 		}
 	})
 }

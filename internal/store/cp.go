@@ -170,7 +170,7 @@ func (c *cpState) repair(r *Replica) {
 	pushes := make([]rpc, 0, len(c.series))
 	for _, name := range sortedKeys(c.series) {
 		st := c.series[name]
-		pushes = append(pushes, rpc{Kind: kindSyncReply, Key: name, Ver: st.ver, Pts: st.eng.AppendRange(nil, minTime, maxTime)})
+		pushes = append(pushes, rpc{Kind: kindSyncReply, Key: name, Ver: st.ver, Pts: st.eng.appendAll(nil)})
 	}
 	c.mu.Unlock()
 	for i := range pushes {
@@ -224,7 +224,7 @@ func (c *cpState) onMessage(r *Replica, from string, data []byte) {
 		c.mu.Lock()
 		st := c.seriesLocked(m.Key)
 		ver := st.ver
-		pts := st.eng.AppendRange(nil, minTime, maxTime)
+		pts := st.eng.appendAll(nil)
 		c.mu.Unlock()
 		r.send(from, &rpc{Kind: kindSyncReply, Key: m.Key, Ver: ver, Pts: pts})
 	case kindSyncReply:
@@ -280,3 +280,4 @@ func (c *cpState) digest(h uint64) uint64 {
 }
 
 func (c *cpState) setMergeHook(func(series string, added int)) {} // nothing merges in CP
+func (c *cpState) setStaleHook(func())                         {} // nor drops ops

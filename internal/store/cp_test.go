@@ -147,3 +147,45 @@ func deliver(t *testing.T, r *Replica, peer string, m *rpc) {
 	r.state.(*cpState).onMessage(r, peer, data)
 	release()
 }
+
+// TestCPRepairKeepsFarStamps: sync, repair and the digest read a whole
+// series, so a point stamped beyond any window a range could name
+// still counts against a replica that lacks it and still reaches it.
+func TestCPRepairKeepsFarStamps(t *testing.T) {
+	s, k := newSharded(t, 1, 3, ModeCP)
+	const far = time.Duration(1<<62 + 5)
+	held := func(want int) {
+		t.Helper()
+		for i, r := range s.Shard(0).Replicas {
+			if n := r.SeriesStats().Retained; n != want {
+				t.Fatalf("replica %d holds %d points, want %d", i, n, want)
+			}
+		}
+		if !s.Converged() {
+			t.Fatal("replicas holding the same points are not converged")
+		}
+	}
+	s.Ingest("s", []Point{{T: time.Second, V: 1}}, nil)
+	k.RunFor(time.Minute)
+	held(1)
+
+	s.PartitionReplica(2)
+	s.Ingest("s", []Point{{T: far, V: 2}}, nil)
+	k.RunFor(time.Minute)
+	if s.Converged() {
+		t.Fatal("a replica missing the far point counts as converged")
+	}
+	s.Heal()
+	s.Repair()
+	k.RunFor(time.Minute)
+	held(2)
+
+	// A version gap on the next append takes the sync path instead.
+	s.PartitionReplica(2)
+	s.Ingest("s", []Point{{T: far + 1, V: 3}}, nil)
+	k.RunFor(time.Minute)
+	s.Heal()
+	s.Ingest("s", []Point{{T: 2 * time.Second, V: 4}}, nil)
+	k.RunFor(time.Minute)
+	held(4)
+}

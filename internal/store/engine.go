@@ -296,17 +296,41 @@ func (e *SeriesEngine) appendRangeLocked(dst []Point, from, to time.Duration) []
 			dst = append(dst, p)
 		}
 	}
-	// Closed segments are internally sorted but may overlap each other
-	// (and the head) when arrivals were out of order; only then does a
-	// stable sort have to restore the global contract.
-	tail := dst[start:]
-	for i := 1; i < len(tail); i++ {
-		if tail[i].T < tail[i-1].T {
-			sortByTime(tail)
-			break
+	sortIfLate(dst[start:])
+	return dst
+}
+
+// appendAll appends every retained point onto dst in timestamp order —
+// the whole-series read sync, repair and the digests take. It reads no
+// window, so a point is returned whatever its stamp.
+func (e *SeriesEngine) appendAll(dst []Point) []Point {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.appendAllLocked(dst)
+}
+
+func (e *SeriesEngine) appendAllLocked(dst []Point) []Point {
+	start := len(dst)
+	for _, s := range e.closed {
+		dst = s.AppendAll(dst)
+	}
+	r := e.headReader()
+	dst = r.appendAll(dst)
+	sortIfLate(dst[start:])
+	return dst
+}
+
+// sortIfLate restores timestamp order to points gathered from closed
+// segments and the head: each is internally sorted but they may
+// overlap when arrivals were out of order, and only then does a stable
+// sort have to run.
+func sortIfLate(pts []Point) {
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T < pts[i-1].T {
+			sortByTime(pts)
+			return
 		}
 	}
-	return dst
 }
 
 // EngineStats is a point-in-time digest of an engine.
@@ -383,15 +407,14 @@ func digestPoints(h uint64, pts []Point) uint64 {
 
 // digest folds the retained point stream into an order-sensitive
 // FNV-1a hash — equal digests mean equal retained points, the hash
-// digestPoints gives AppendRange(nil, minTime, maxTime). It hashes
-// decoded points, not segment bytes, so replicas that closed or
-// compacted segments at different times still compare equal when their
-// data matches (the comparison the convergence checks rely on). The
-// canonical stream is built in w.pts, which the caller reuses across
-// series.
+// digestPoints gives appendAll(nil). It hashes decoded points, not
+// segment bytes, so replicas that closed or compacted segments at
+// different times still compare equal when their data matches (the
+// comparison the convergence checks rely on). The canonical stream is
+// built in w.pts, which the caller reuses across series.
 func (e *SeriesEngine) digest(h uint64, w *work) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	w.pts = e.appendRangeLocked(w.pts[:0], minTime, maxTime) // canonical: timestamp-sorted, arrival-stable
+	w.pts = e.appendAllLocked(w.pts[:0]) // canonical: timestamp-sorted, arrival-stable
 	return digestPoints(h, w.pts)
 }

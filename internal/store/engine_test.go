@@ -283,9 +283,10 @@ func TestEngineRetentionReleasesEvicted(t *testing.T) {
 	}
 }
 
-// TestEngineDigestMatchesRange: the digest is digestPoints over the
-// canonical Range answer, in order or not, and one work buffer reused
-// across engines (as cpState.digest reuses it) carries nothing over.
+// TestEngineDigestMatchesRange: the digest is digestPoints over every
+// appended point in canonical order — stamps outside any window
+// included — in order or not, and one work buffer reused across
+// engines (as cpState.digest reuses it) carries nothing over.
 func TestEngineDigestMatchesRange(t *testing.T) {
 	w := new(work)
 	histories := map[string][]Point{
@@ -309,7 +310,12 @@ func TestEngineDigestMatchesRange(t *testing.T) {
 					e.Flush()
 					e.Compact()
 				}
-				want := digestPoints(fnvOffset, e.AppendRange(nil, minTime, maxTime))
+				canon := append([]Point(nil), pts...)
+				sortByTime(canon)
+				if all := e.appendAll(nil); !samePoints(all, canon) {
+					t.Fatalf("segSize %d, %s, flushed %v: whole read %v, want %v", segSize, name, flush, all, canon)
+				}
+				want := digestPoints(fnvOffset, canon)
 				if got := e.digest(fnvOffset, w); got != want {
 					t.Fatalf("segSize %d, %s, flushed %v: digest %x, want %x", segSize, name, flush, got, want)
 				}

@@ -116,7 +116,13 @@ func (e *refEngine) appendRange(dst []Point, from, to time.Duration) []Point {
 }
 
 func (e *refEngine) digest(h uint64) uint64 {
-	return digestPoints(h, e.appendRange(nil, minTime, maxTime))
+	var all []Point
+	for _, s := range e.closed {
+		all, _, _ = decodePoints(all, s.data)
+	}
+	all = append(all, e.head...)
+	refSort(all)
+	return digestPoints(h, all)
 }
 
 // sameEngine reports where e and ref differ: closed-segment bytes and
@@ -332,25 +338,11 @@ func (s *refAP) merge(delta []byte, segSize int) error {
 }
 
 func (s *refAP) digest() uint64 {
-	h := fnvOffset
-	names := make([]string, 0, len(s.series))
-	for name := range s.series {
-		names = append(names, name)
+	logs := make(map[string]map[string][]Point, len(s.series))
+	for name, ser := range s.series {
+		logs[name] = ser.logs
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		h = digestString(h, name)
-		ids := make([]string, 0, len(s.series[name].logs))
-		for id := range s.series[name].logs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			h = digestString(h, id)
-			h = digestPoints(h, s.series[name].logs[id])
-		}
-	}
-	return h
+	return logsDigest(logs)
 }
 
 // nonMinimal encodes v as a uvarint one byte longer than it has to be —
@@ -384,24 +376,39 @@ func zDelta(key string, pts []Point, padded bool) []byte {
 	return dst
 }
 
-// TestAPReferenceParity: three replicas a, b, c with a and c cut from
-// each other, so everything between them is relayed by b, and beside
-// each a reference replica fed the same history — local appends from
-// every origin with late points, register writes, Flush and compaction
-// mid-head, and a frame from a peer that pads its varints. Every Delta
-// must be byte-for-byte the reference's, and Summary, digest, Range
-// answers and closed segments must match after every step; the padded
-// frame is relayed in canonical form.
+// TestAPReferenceParity: three replicas a, b, c, and beside each a
+// reference replica that keeps every op, fed the same history — local
+// appends from every origin with late points, register writes, Flush
+// and compaction mid-head, and a frame from a peer that pads its
+// varints. On odd seeds a and c are cut from each other, so everything
+// between them is relayed by b; on even seeds every pair exchanges, so
+// every replica drops the ops all its peers reported holding while
+// history is still being written. Every Delta must be byte-for-byte the
+// reference's, and Summary, digest, Range answers and closed segments
+// must match after every step; the padded frame is relayed in canonical
+// form.
 func TestAPReferenceParity(t *testing.T) {
 	const segSize = 16
 	ids := []string{"a", "b", "c"}
-	links := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}}
+	relay := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}}
+	mesh := append([][2]int{{0, 2}, {2, 0}}, relay...)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		links := relay
+		if seed%2 == 0 {
+			links = mesh
+		}
 		states := make([]*apState, len(ids))
 		refs := make([]*refAP, len(ids))
 		for i := range ids {
-			states[i], refs[i] = newAPState(segSize), newRefAP()
+			var peers []string
+			for _, id := range ids {
+				if id != ids[i] {
+					peers = append(peers, id)
+				}
+			}
+			states[i] = newAPState(segSize, func() []string { return peers })
+			refs[i] = newRefAP()
 		}
 		clocks := map[string]*time.Duration{}
 		padded := 60 + rng.Intn(100)
@@ -475,7 +482,7 @@ func TestAPReferenceParity(t *testing.T) {
 				what = "exchange"
 				l := links[rng.Intn(len(links))]
 				from, to := l[0], l[1]
-				got, err := states[from].Delta(nil, states[to].Summary(nil))
+				got, err := states[from].Delta(nil, ids[to], states[to].Summary(nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -491,10 +498,20 @@ func TestAPReferenceParity(t *testing.T) {
 			}
 			check(step, what)
 		}
-		// Heal nothing: the relay alone must carry a's ops to c and back.
+		dropped := uint64(0)
+		for _, st := range states {
+			for _, o := range st.origins {
+				dropped += o.base
+			}
+		}
+		if seed%2 == 0 && dropped == 0 {
+			t.Fatalf("seed %d: no replica dropped an op while a full mesh wrote its history", seed)
+		}
+		// Heal nothing: on odd seeds the relay alone must carry a's ops to
+		// c and back.
 		for round := 0; round < 4; round++ {
 			for _, l := range links {
-				d, err := states[l[0]].Delta(nil, states[l[1]].Summary(nil))
+				d, err := states[l[0]].Delta(nil, ids[l[1]], states[l[1]].Summary(nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -511,7 +528,7 @@ func TestAPReferenceParity(t *testing.T) {
 		}
 		check(-1, "settled")
 		if states[0].digest(fnvOffset) != states[2].digest(fnvOffset) {
-			t.Fatalf("seed %d: a and c did not converge through b", seed)
+			t.Fatalf("seed %d: a and c did not converge", seed)
 		}
 	}
 }

@@ -72,13 +72,6 @@ func (c *ReplicaConfig) applyDefaults() {
 	}
 }
 
-// Time bounds wide enough to cover any retained point; used for
-// whole-series ranges (sync, digests).
-const (
-	minTime = time.Duration(-1 << 62)
-	maxTime = time.Duration(1 << 62)
-)
-
 // modeState is a replica's consistency mode — the data it holds and how
 // an operation on it completes. A Replica has exactly one, chosen in
 // NewReplica: *cpState (cp.go) or *apState (ap.go). Operations take the
@@ -91,6 +84,7 @@ type modeState interface {
 	rangeSeries(r *Replica, series string, from, to time.Duration, done ptsDone)
 	repair(r *Replica)
 	setMergeHook(fn func(series string, added int))
+	setStaleHook(fn func())
 
 	localValue(key string) []byte
 	localSeriesRange(series string, from, to time.Duration) []Point
@@ -153,7 +147,7 @@ func NewReplica(msg gossip.Messenger, sched clock.Scheduler, cfg ReplicaConfig) 
 	cfg.applyDefaults()
 	r := &Replica{cfg: cfg, msg: msg, sched: sched, id: msg.Self()}
 	if cfg.Mode == ModeAP {
-		ap := newAPState(cfg.SegmentSize)
+		ap := newAPState(cfg.SegmentSize, msg.Peers)
 		r.state = ap
 		r.engine = gossip.New(msg, sched, ap, cfg.Gossip)
 		r.engine.Start()
@@ -182,6 +176,12 @@ func (r *Replica) Gossip() *gossip.Engine { return r.engine }
 // points into a series (AP mode only; added is the merged point count).
 // The sharded store uses it to emit trace events and metrics.
 func (r *Replica) SetMergeHook(fn func(series string, added int)) { r.state.setMergeHook(fn) }
+
+// SetStaleHook registers fn to be called when a peer's anti-entropy
+// summary asks for ops this replica has already dropped (AP mode only):
+// that peer cannot be brought up to date by ops and needs a state
+// transfer.
+func (r *Replica) SetStaleHook(fn func()) { r.state.setStaleHook(fn) }
 
 // Ops returns how many operations have completed successfully and how
 // many failed (CP quorum loss) — the CAP experiment's availability
@@ -241,8 +241,8 @@ func (r *Replica) Get(key string, done func(val []byte, err error)) {
 	r.state.get(r, key, done)
 }
 
-// AppendPoints ingests a batch into series. In AP mode the batch lands
-// in this replica's origin log (gossip spreads it); in CP mode it is
+// AppendPoints ingests a batch into series. In AP mode the batch is one
+// op of this replica's origin (gossip spreads it); in CP mode it is
 // applied locally and quorum-acknowledged — done receives
 // ErrUnavailable when a majority cannot be reached. CP appends for a
 // given series must all originate at one coordinator replica (the
@@ -294,10 +294,13 @@ func (r *Replica) SeriesNames() []string {
 
 // SeriesDigest folds the replica's time-series state into one hash;
 // equal digests across a replica group mean the group has converged.
-// AP hashes the CRDT origin logs (the authoritative state — merged
-// engines may order equal timestamps differently per replica); CP
-// hashes the canonical engine streams (single writer, same order
-// everywhere).
+// AP hashes, per series, the points each origin contributed and the
+// merged points with equal timestamps ordered by value (merged engines
+// keep them in arrival order, which differs per replica); CP hashes the
+// canonical engine streams (single writer, same order everywhere). An
+// AP replica holds each origin's ops only until every peer has reported
+// holding them, so a replica that lost its state, or joined after a
+// drop, cannot converge by anti-entropy: it needs a state transfer.
 func (r *Replica) SeriesDigest() uint64 { return r.state.digest(fnvOffset) }
 
 // SeriesStats sums the engine counters across the replica's series.

@@ -22,8 +22,8 @@ import (
 // The same point-stream encoding carries ingest batches on the CP
 // replication wire (rpc.go) and series ops in AP anti-entropy deltas
 // (ap.go), so a reading is encoded the same way at rest and in flight —
-// and held that way before it rests: an engine's open head and an AP
-// origin log are point streams too.
+// and held that way before it rests: an engine's open head is a point
+// stream too, and an AP origin's op log holds its series ops' streams.
 
 // zigzag folds a signed delta into an unsigned varint-friendly value.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -85,7 +85,7 @@ func (w *pointWriter) append(dst []byte, p Point) []byte {
 
 // reserve returns b with room for n more bytes. Where append would
 // double a slice, reserve grows it by an eighth: a stream held for the
-// life of a series — an open head, an origin log — costs about what it
+// life of a series — an open head, an origin's op log — costs about what it
 // holds, not up to twice that.
 func reserve(b []byte, n int) []byte {
 	if cap(b)-len(b) >= n {
@@ -93,18 +93,6 @@ func reserve(b []byte, n int) []byte {
 	}
 	grown := append([]byte(nil), make([]byte, len(b)+max(n, len(b)/8))...) // capacity rounded up to the allocation
 	return grown[:copy(grown, b)]
-}
-
-// streamLen returns the length of the point stream that starts data,
-// one this package encoded: its count and two varints per point.
-func streamLen(data []byte) int {
-	n, i := binary.Uvarint(data)
-	for left := 2 * n; left > 0; i++ {
-		if data[i] < 0x80 {
-			left--
-		}
-	}
-	return i
 }
 
 // pointReader walks one encoded point stream.
@@ -168,15 +156,6 @@ func (r *pointReader) appendAll(dst []Point) []Point {
 		dst = append(dst, r.mustNext())
 	}
 	return dst
-}
-
-// fold folds the points r has left into h, each as digestPoints folds
-// it.
-func (r *pointReader) fold(h uint64) uint64 {
-	for r.left > 0 {
-		h = digestPoint(h, r.mustNext())
-	}
-	return h
 }
 
 // sortByTime stable-sorts pts by timestamp: late arrivals move to their

@@ -95,6 +95,7 @@ type Shard struct {
 	mPoints  *metrics.Counter
 	mUnavail *metrics.Counter
 	mMerge   *metrics.Counter
+	mStale   *metrics.Counter
 	mFlush   *metrics.Counter
 	mCompact *metrics.Counter
 }
@@ -131,6 +132,7 @@ func NewSharded(sched clock.Scheduler, cfg ShardedConfig) *Sharded {
 			sh.mPoints = reg.CounterWith("store_ingest_points", lbl, mode)
 			sh.mUnavail = reg.CounterWith("store_unavail_ops", lbl, mode)
 			sh.mMerge = reg.CounterWith("store_merge_points", lbl, mode)
+			sh.mStale = reg.CounterWith("store_stale_summaries", lbl, mode)
 			sh.mFlush = reg.CounterWith("store_flush_points", lbl, mode)
 			sh.mCompact = reg.CounterWith("store_compactions", lbl, mode)
 		}
@@ -154,6 +156,11 @@ func NewSharded(sched clock.Scheduler, cfg ShardedConfig) *Sharded {
 					s.rec.Emit(s.node, trace.StoreAntiEntropy, shard, int64(added), 0, 0)
 					if sh.mMerge != nil {
 						sh.mMerge.Add(float64(added))
+					}
+				})
+				rep.SetStaleHook(func() {
+					if sh.mStale != nil {
+						sh.mStale.Inc()
 					}
 				})
 			}

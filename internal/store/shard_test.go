@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
+	"iiotds/internal/gossip"
 	"iiotds/internal/metrics"
 	"iiotds/internal/sim"
 	"iiotds/internal/trace"
@@ -359,6 +360,44 @@ func TestShardedTraceAndMetrics(t *testing.T) {
 	}
 	if total != 400 {
 		t.Fatalf("store_ingest_points = %v, want 400", total)
+	}
+}
+
+// TestStaleSummaryCounted: once an AP group has dropped the ops every
+// replica reported holding, a replica that joins empty asks for ops
+// that are gone. Each summary like that is counted on
+// store_stale_summaries, and the joiner does not converge: it needs a
+// state transfer, not ops.
+func TestStaleSummaryCounted(t *testing.T) {
+	k := sim.New(3)
+	reg := metrics.NewRegistry()
+	s := NewSharded(clock.Kernel{K: k}, ShardedConfig{
+		Policy:  ShardPolicy{Mode: ModeAP, Replicas: 3},
+		Seed:    3,
+		Metrics: reg,
+		Node:    -1,
+	})
+	defer s.Stop()
+	stale := reg.CounterWith("store_stale_summaries", metrics.L("shard", "0"), metrics.L("mode", "AP"))
+	ingestN(s, testSeries(4), 100)
+	k.RunFor(20 * time.Second)
+	sh := s.Shard(0)
+	if !s.Converged() || opLogBytes(s) != 0 {
+		t.Fatalf("converged %v with %d B of op logs held, want a converged group holding none", s.Converged(), opLogBytes(s))
+	}
+	if v := stale.Value(); v != 0 {
+		t.Fatalf("store_stale_summaries = %v before anyone fell behind", v)
+	}
+	joiner := NewReplica(sh.Net.Attach("s0/r3"), clock.Kernel{K: k}, ReplicaConfig{
+		Mode: ModeAP, ClusterSize: 4, Gossip: gossip.Config{Interval: time.Second, Seed: 9},
+	})
+	defer joiner.Stop()
+	k.RunFor(20 * time.Second)
+	if v := stale.Value(); v == 0 {
+		t.Fatal("summaries asking for dropped ops were not counted")
+	}
+	if joiner.SeriesDigest() == sh.Coordinator().SeriesDigest() {
+		t.Fatal("a replica that joined after the drop was rebuilt from ops")
 	}
 }
 
