@@ -37,7 +37,7 @@ type Link struct {
 	mac       mac.MAC
 	id        radio.NodeID
 	handlers  map[Protocol]Handler
-	neighbors *Table
+	neighbors Table
 	rec       *trace.Recorder
 }
 
@@ -45,10 +45,9 @@ type Link struct {
 // the MAC's receive handler.
 func New(id radio.NodeID, m mac.MAC) *Link {
 	l := &Link{
-		mac:       m,
-		id:        id,
-		handlers:  make(map[Protocol]Handler),
-		neighbors: NewTable(),
+		mac:      m,
+		id:       id,
+		handlers: make(map[Protocol]Handler),
 	}
 	m.OnReceive(l.onReceive)
 	return l
@@ -58,7 +57,7 @@ func New(id radio.NodeID, m mac.MAC) *Link {
 func (l *Link) ID() radio.NodeID { return l.id }
 
 // Neighbors returns the neighbor table.
-func (l *Link) Neighbors() *Table { return l.neighbors }
+func (l *Link) Neighbors() *Table { return &l.neighbors }
 
 // SetRecorder installs the flight recorder ARQ outcomes are traced into.
 func (l *Link) SetRecorder(rec *trace.Recorder) { l.rec = rec }
@@ -69,7 +68,7 @@ func (l *Link) SetRecorder(rec *trace.Recorder) { l.rec = rec }
 // registered — the stack object survives, only its volatile state is
 // lost, as a real node's RAM would be.
 func (l *Link) Reboot() {
-	l.neighbors = NewTable()
+	l.neighbors = Table{}
 	l.mac.Reboot()
 }
 

@@ -65,8 +65,8 @@ func TestETXTracksLinkQuality(t *testing.T) {
 	etx := l1.Neighbors().ETX(2)
 	// With MAC retries most sends succeed; ETX should stay near 1, and
 	// the entry must exist with transmissions recorded.
-	e := l1.Neighbors().Lookup(2)
-	if e == nil || e.TxCount == 0 {
+	e, ok := l1.Neighbors().Lookup(2)
+	if !ok || e.TxCount == 0 {
 		t.Fatal("no tx outcomes recorded")
 	}
 	if etx < 1 || etx > maxETX {
@@ -92,8 +92,8 @@ func TestRecordRxCreatesEntry(t *testing.T) {
 	l2.Handle(ProtoApp, func(radio.NodeID, []byte) {})
 	l1.Send(2, ProtoApp, []byte("x"), nil)
 	k.RunFor(time.Second)
-	e := l2.Neighbors().Lookup(1)
-	if e == nil || e.RxCount == 0 {
+	e, ok := l2.Neighbors().Lookup(1)
+	if !ok {
 		t.Fatal("receiver did not record the sender as neighbor")
 	}
 	// Rx-only neighbor: the skeptical prior, ~1.43.
@@ -102,25 +102,36 @@ func TestRecordRxCreatesEntry(t *testing.T) {
 	}
 }
 
-func TestTableIDsSortedByETX(t *testing.T) {
-	tab := NewTable()
-	tab.RecordTx(5, true)
-	tab.RecordTx(5, true)
-	for i := 0; i < 10; i++ {
-		tab.RecordTx(7, false)
+// TestTableOutOfOrderInserts fills the table in a scrambled order,
+// forgets every third neighbour, and checks that each remaining one keeps
+// its own estimate: entries are sorted by ID and moved on insert.
+func TestTableOutOfOrderInserts(t *testing.T) {
+	var tab Table
+	for i := 0; i < 64; i++ {
+		id := radio.NodeID(i * 37 % 64)
+		for j := 0; j <= int(id)%4; j++ {
+			tab.RecordTx(id, false)
+		}
 	}
-	tab.RecordRx(9)
-	ids := tab.IDs()
-	if len(ids) != 3 || ids[0] != 5 || ids[2] != 7 {
-		t.Fatalf("IDs() = %v, want best-first [5 9 7]", ids)
+	for id := radio.NodeID(0); id < 64; id += 3 {
+		tab.Forget(id)
+	}
+	for id := radio.NodeID(0); id < 64; id++ {
+		e, ok := tab.Lookup(id)
+		if ok != (id%3 != 0) {
+			t.Fatalf("neighbour %d present = %v", id, ok)
+		}
+		if ok && e.TxCount != uint32(id%4)+1 {
+			t.Fatalf("neighbour %d TxCount = %d, want %d", id, e.TxCount, id%4+1)
+		}
 	}
 }
 
 func TestForget(t *testing.T) {
-	tab := NewTable()
+	var tab Table
 	tab.RecordRx(3)
 	tab.Forget(3)
-	if tab.Len() != 0 || tab.Lookup(3) != nil {
+	if _, ok := tab.Lookup(3); ok {
 		t.Fatal("Forget did not remove entry")
 	}
 	if tab.ETX(3) != maxETX {
@@ -133,13 +144,13 @@ func TestBroadcastDoesNotPolluteETX(t *testing.T) {
 	l2.Handle(ProtoApp, func(radio.NodeID, []byte) {})
 	l1.Broadcast(ProtoApp, []byte("b"))
 	k.RunFor(time.Second)
-	if e := l1.Neighbors().Lookup(radio.Broadcast); e != nil {
+	if _, ok := l1.Neighbors().Lookup(radio.Broadcast); ok {
 		t.Fatal("broadcast outcome recorded as a neighbor")
 	}
 }
 
 func TestEntryETXSingleFailureNotPegged(t *testing.T) {
-	tab := NewTable()
+	var tab Table
 	tab.RecordTx(1, false)
 	if etx := tab.ETX(1); etx >= maxETX {
 		t.Fatalf("single failure ETX = %v, want < cap", etx)

@@ -1,8 +1,8 @@
 package link
 
 import (
-	"math"
-	"sort"
+	"cmp"
+	"slices"
 
 	"iiotds/internal/radio"
 )
@@ -20,43 +20,46 @@ const priorSuccessRate = 0.7
 // arithmetic over path costs stays finite.
 const maxETX = 16.0
 
-// Entry is the state tracked for one neighbor.
+// Entry is the state tracked for one neighbor: 16 bytes, held by value.
 type Entry struct {
-	ID radio.NodeID
+	id int32
+	// TxCount is the lifetime count of unicast outcomes folded in.
+	TxCount uint32
 	// SuccessRate is an EWMA of unicast delivery outcomes in [0,1].
 	SuccessRate float64
-	// TxCount and RxCount are lifetime counters.
-	TxCount uint64
-	RxCount uint64
 }
 
 // ETX returns the expected number of transmissions for one delivery over
 // this link (1/SuccessRate), capped at maxETX.
-func (e *Entry) ETX() float64 {
+func (e Entry) ETX() float64 {
 	if e.SuccessRate <= 1/maxETX {
 		return maxETX
 	}
 	return 1 / e.SuccessRate
 }
 
-// Table tracks link-quality state per neighbor. It is not safe for
-// concurrent use; the simulation is single-threaded.
+// Table tracks link-quality state per neighbor: one Entry per neighbor
+// heard, sorted by ID and found by binary search. It is not safe for
+// concurrent use; the simulation is single-threaded. The zero Table is
+// empty and ready to use.
 type Table struct {
-	entries map[radio.NodeID]*Entry
+	entries []Entry
 }
 
-// NewTable returns an empty neighbor table.
-func NewTable() *Table {
-	return &Table{entries: make(map[radio.NodeID]*Entry)}
+// find returns where id's entry is, or would be inserted, and whether it
+// is there.
+func (t *Table) find(id radio.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(t.entries, int32(id), func(e Entry, id int32) int { return cmp.Compare(e.id, id) })
 }
 
+// get returns id's entry, creating it at the prior. The pointer is valid
+// until the next insertion.
 func (t *Table) get(id radio.NodeID) *Entry {
-	e, ok := t.entries[id]
+	i, ok := t.find(id)
 	if !ok {
-		e = &Entry{ID: id, SuccessRate: priorSuccessRate}
-		t.entries[id] = e
+		t.entries = slices.Insert(t.entries, i, Entry{id: int32(id), SuccessRate: priorSuccessRate})
 	}
-	return e
+	return &t.entries[i]
 }
 
 // RecordTx folds a unicast outcome into the neighbor's estimate.
@@ -71,42 +74,28 @@ func (t *Table) RecordTx(id radio.NodeID, ok bool) {
 }
 
 // RecordRx notes that a frame was heard from the neighbor.
-func (t *Table) RecordRx(id radio.NodeID) {
-	t.get(id).RxCount++
-}
+func (t *Table) RecordRx(id radio.NodeID) { t.get(id) }
 
-// Lookup returns the entry for id, or nil if the neighbor is unknown.
-func (t *Table) Lookup(id radio.NodeID) *Entry {
-	return t.entries[id]
+// Lookup returns a copy of the entry for id, and whether the neighbor is
+// known.
+func (t *Table) Lookup(id radio.NodeID) (Entry, bool) {
+	if i, ok := t.find(id); ok {
+		return t.entries[i], true
+	}
+	return Entry{}, false
 }
 
 // ETX returns the ETX toward id; unknown neighbors cost maxETX.
 func (t *Table) ETX(id radio.NodeID) float64 {
-	e := t.entries[id]
-	if e == nil {
-		return maxETX
+	if i, ok := t.find(id); ok {
+		return t.entries[i].ETX()
 	}
-	return e.ETX()
-}
-
-// Len returns the number of known neighbors.
-func (t *Table) Len() int { return len(t.entries) }
-
-// IDs returns known neighbor IDs sorted by ascending ETX (ties by ID).
-func (t *Table) IDs() []radio.NodeID {
-	ids := make([]radio.NodeID, 0, len(t.entries))
-	for id := range t.entries {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := t.entries[ids[i]].ETX(), t.entries[ids[j]].ETX()
-		if math.Abs(a-b) > 1e-9 {
-			return a < b
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
+	return maxETX
 }
 
 // Forget drops a neighbor (e.g., after prolonged silence).
-func (t *Table) Forget(id radio.NodeID) { delete(t.entries, id) }
+func (t *Table) Forget(id radio.NodeID) {
+	if i, ok := t.find(id); ok {
+		t.entries = slices.Delete(t.entries, i, i+1)
+	}
+}

@@ -25,7 +25,7 @@ type chassis struct {
 	handler Handler
 	q       sendq
 	seq     uint16
-	dedup   *dedup
+	dedup   dedup
 
 	// Instruments the event path moves, resolved once: a registry or
 	// ledger lookup is a mutex and a map.
@@ -50,7 +50,6 @@ type chassis struct {
 
 func (c *chassis) init(m *radio.Medium, id radio.NodeID, name string, common *Config) {
 	c.m, c.k, c.id, c.name, c.common = m, m.Kernel(), id, name, common
-	c.dedup = newDedup()
 	c.led = m.Energy().Ledger(int(id))
 	c.cTxFailed = c.counter("mac.tx_failed")
 }

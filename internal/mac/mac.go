@@ -24,8 +24,10 @@
 package mac
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"iiotds/internal/netbuf"
@@ -184,30 +186,46 @@ func copyIn(p *netbuf.Pool, payload []byte) *netbuf.Buffer {
 }
 
 // dedup suppresses consecutive duplicate data frames per neighbor, which
-// ARQ retransmissions produce.
+// ARQ retransmissions produce. It holds the last sequence number heard
+// from each neighbor, sorted by ID; a neighbor is present once heard from.
+// The zero dedup is empty.
 type dedup struct {
-	last map[radio.NodeID]uint16 // a neighbor is present once heard from
+	last []lastSeq
 }
 
-func newDedup() *dedup {
-	return &dedup{last: make(map[radio.NodeID]uint16)}
+type lastSeq struct {
+	id  int32
+	seq uint16
+}
+
+func (d *dedup) find(from radio.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(d.last, int32(from), func(l lastSeq, id int32) int { return cmp.Compare(l.id, id) })
 }
 
 // fresh records (from, seq) and reports whether it was not a duplicate of
 // the previous frame from that neighbor.
 func (d *dedup) fresh(from radio.NodeID, seq uint16) bool {
-	if last, seen := d.last[from]; seen && last == seq {
+	i, seen := d.find(from)
+	switch {
+	case !seen:
+		d.last = slices.Insert(d.last, i, lastSeq{id: int32(from), seq: seq})
+	case d.last[i].seq == seq:
 		return false
+	default:
+		d.last[i].seq = seq
 	}
-	d.last[from] = seq
 	return true
 }
 
 // forget drops the entry for one neighbor (see MAC.ForgetNeighbor).
-func (d *dedup) forget(from radio.NodeID) { delete(d.last, from) }
+func (d *dedup) forget(from radio.NodeID) {
+	if i, seen := d.find(from); seen {
+		d.last = slices.Delete(d.last, i, i+1)
+	}
+}
 
 // reset drops all entries (a device reboot).
-func (d *dedup) reset() { d.last = make(map[radio.NodeID]uint16) }
+func (d *dedup) reset() { d.last = nil }
 
 // Config carries the knobs common to all MACs.
 type Config struct {

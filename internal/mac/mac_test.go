@@ -31,7 +31,7 @@ func TestDecodeShortFrame(t *testing.T) {
 }
 
 func TestDedup(t *testing.T) {
-	d := newDedup()
+	var d dedup
 	if !d.fresh(1, 10) {
 		t.Fatal("first frame should be fresh")
 	}

@@ -335,22 +335,11 @@ func (g *parityRig) unicast(to radio.NodeID, proto link.Protocol, acked bool, do
 	return called && got == acked
 }
 
-// routeOf and the ETX/presence reads are the test's only view into the
-// real tables.
-func routeOf(r *Router, dst radio.NodeID) (radio.NodeID, bool) {
-	e := r.lookupRoute(dst)
-	if e == nil {
-		return NoParent, false
-	}
-	return e.nextHop, true
-}
-
+// txCountOf, ETX and lookupRoute are the test's only view into the real
+// tables.
 func txCountOf(l *link.Link, id radio.NodeID) (uint64, bool) {
-	e := l.Neighbors().Lookup(id)
-	if e == nil {
-		return 0, false
-	}
-	return uint64(e.TxCount), true
+	e, ok := l.Neighbors().Lookup(id)
+	return uint64(e.TxCount), ok
 }
 
 // compare checks every id's ETX and table presence, the parent and rank,
@@ -374,7 +363,7 @@ func (g *parityRig) compare(ref *refNode) error {
 		return fmt.Errorf("RouteCount = %d, reference %d", got, want)
 	}
 	for dst := radio.NodeID(0); dst <= maxNeighbour+3; dst++ {
-		hop, ok := routeOf(g.root, dst)
+		hop, ok := g.root.lookupRoute(dst)
 		refHop, refOK := ref.lookupRoute(dst)
 		if hop != refHop || ok != refOK {
 			return fmt.Errorf("lookupRoute(%d) = %d,%v, reference %d,%v", dst, hop, ok, refHop, refOK)

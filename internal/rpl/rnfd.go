@@ -139,7 +139,7 @@ func (f *RNFD) check() {
 		// the estimate is past its optimistic prior. Gray-region nodes
 		// that briefly latch onto the root fail this before their ETX
 		// estimate catches up with reality.
-		if e := f.r.lnk.Neighbors().Lookup(f.r.root); e != nil &&
+		if e, ok := f.r.lnk.Neighbors().Lookup(f.r.root); ok &&
 			e.TxCount >= sentinelMinTx && e.ETX() < sentinelETXGate {
 			if !f.wasChild {
 				f.r.rec.Emit(int32(f.r.id), trace.RNFDSentinel, int64(e.TxCount), 0, e.ETX(), 0)

@@ -1,8 +1,10 @@
 package rpl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"iiotds/internal/link"
@@ -71,14 +73,20 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// candidate is a neighbor that advertised a rank in this node's DODAG
+// version: 16 bytes, held by value in a slice sorted by id.
 type candidate struct {
+	id        int32
 	rank      uint16
 	version   uint8
 	lastHeard sim.Time
 }
 
+// routeEntry is a downward route learnt from a DAO: 16 bytes, held by
+// value in a slice sorted by target.
 type routeEntry struct {
-	nextHop   radio.NodeID
+	target    int32
+	nextHop   int32
 	refreshed sim.Time
 }
 
@@ -99,9 +107,9 @@ type Router struct {
 	rank    uint16
 	parent  radio.NodeID
 
-	candidates map[radio.NodeID]*candidate
+	candidates []candidate // sorted by id
 	trickle    *Trickle
-	downRoutes map[radio.NodeID]*routeEntry
+	downRoutes []routeEntry // sorted by target
 	handlers   map[lowpan.Proto]DeliverFunc
 
 	daoSeq      uint16
@@ -133,19 +141,17 @@ func NewRouter(k *sim.Kernel, lnk *link.Link, isRoot bool, root radio.NodeID, cf
 		reg = metrics.NewRegistry()
 	}
 	r := &Router{
-		k:          k,
-		lnk:        lnk,
-		adapt:      lowpan.NewAdaptation(lowpan.Config{}),
-		cfg:        cfg,
-		reg:        reg,
-		id:         lnk.ID(),
-		isRoot:     isRoot,
-		root:       root,
-		rank:       InfiniteRank,
-		parent:     NoParent,
-		candidates: make(map[radio.NodeID]*candidate),
-		downRoutes: make(map[radio.NodeID]*routeEntry),
-		handlers:   make(map[lowpan.Proto]DeliverFunc),
+		k:        k,
+		lnk:      lnk,
+		adapt:    lowpan.NewAdaptation(lowpan.Config{}),
+		cfg:      cfg,
+		reg:      reg,
+		id:       lnk.ID(),
+		isRoot:   isRoot,
+		root:     root,
+		rank:     InfiniteRank,
+		parent:   NoParent,
+		handlers: make(map[lowpan.Proto]DeliverFunc),
 	}
 	if isRoot && root != r.id {
 		panic(fmt.Sprintf("rpl: root router id %d != root %d", r.id, root))
@@ -258,8 +264,8 @@ func (r *Router) Stop() {
 // survivors of the old incarnation rejoin cleanly.
 func (r *Router) Restart() {
 	r.Stop()
-	r.candidates = make(map[radio.NodeID]*candidate)
-	r.downRoutes = make(map[radio.NodeID]*routeEntry)
+	r.candidates = r.candidates[:0]
+	r.downRoutes = r.downRoutes[:0]
 	r.parent = NoParent
 	r.rank = InfiniteRank
 	r.parentFails = 0
@@ -348,7 +354,9 @@ func (r *Router) noteParentTx(parent radio.NodeID, ok bool) {
 	r.parentFails++
 	if r.parentFails >= parentFailThreshold {
 		r.reg.Counter("rpl.parent_lost").Inc()
-		delete(r.candidates, parent)
+		if i, ok := r.findCandidate(parent); ok {
+			r.candidates = slices.Delete(r.candidates, i, i+1)
+		}
 		r.parentFails = 0
 	}
 	r.recomputeParent()
@@ -398,7 +406,7 @@ func (r *Router) onDIO(from radio.NodeID, d dio) {
 	if d.Version > r.version {
 		// Global repair: restart participation under the new version.
 		r.version = d.Version
-		r.candidates = make(map[radio.NodeID]*candidate)
+		r.candidates = r.candidates[:0]
 		r.setParent(NoParent, InfiniteRank)
 		r.trickle.Reset()
 	} else if d.Version < r.version {
@@ -408,10 +416,11 @@ func (r *Router) onDIO(from radio.NodeID, d dio) {
 	if r.rnfd != nil && from == r.root {
 		r.rnfd.rootHeard()
 	}
+	i, known := r.findCandidate(from)
 	if d.Rank == InfiniteRank {
 		// Poison: the neighbor detached.
-		if _, was := r.candidates[from]; was {
-			delete(r.candidates, from)
+		if known {
+			r.candidates = slices.Delete(r.candidates, i, i+1)
 			if from == r.parent {
 				r.trickle.Reset()
 			}
@@ -419,10 +428,11 @@ func (r *Router) onDIO(from radio.NodeID, d dio) {
 		}
 		return
 	}
-	if c, ok := r.candidates[from]; ok {
-		c.rank, c.version, c.lastHeard = d.Rank, d.Version, r.k.Now()
+	c := candidate{id: int32(from), rank: d.Rank, version: d.Version, lastHeard: r.k.Now()}
+	if known {
+		r.candidates[i] = c
 	} else {
-		r.candidates[from] = &candidate{rank: d.Rank, version: d.Version, lastHeard: r.k.Now()}
+		r.candidates = slices.Insert(r.candidates, i, c)
 	}
 	wasDetached := r.parent == NoParent
 	r.recomputeParent()
@@ -437,7 +447,12 @@ func (r *Router) onDAO(from radio.NodeID, d dao) {
 	if r.parent == NoParent && !r.isRoot {
 		return // cannot forward; drop
 	}
-	r.downRoutes[d.Target] = &routeEntry{nextHop: from, refreshed: r.k.Now()}
+	e := routeEntry{target: int32(d.Target), nextHop: int32(from), refreshed: r.k.Now()}
+	if i, ok := r.findRoute(d.Target); ok {
+		r.downRoutes[i] = e
+	} else {
+		r.downRoutes = slices.Insert(r.downRoutes, i, e)
+	}
 	if !r.isRoot {
 		parent := r.parent
 		r.lnk.Send(parent, link.ProtoRouting, d.encode(), func(ok bool) {
@@ -459,18 +474,27 @@ func (r *Router) rankStep(etx float64) uint16 {
 	return uint16(steps) * minHopRankIncrease
 }
 
-// recomputeParent runs MRHOF-style parent selection over fresh candidates.
+// findCandidate returns where id's candidate is, or would be inserted,
+// and whether it is there.
+func (r *Router) findCandidate(id radio.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(r.candidates, int32(id), func(c candidate, id int32) int { return cmp.Compare(c.id, id) })
+}
+
+// recomputeParent runs MRHOF-style parent selection over fresh
+// candidates, in one pass that also drops the stale ones.
 func (r *Router) recomputeParent() {
 	now := r.k.Now()
-	for id, c := range r.candidates {
-		if now-c.lastHeard > neighborStale {
-			delete(r.candidates, id)
-		}
-	}
 	bestID := NoParent
 	bestRank := InfiniteRank
 	attached := r.rank != InfiniteRank
-	for id, c := range r.candidates {
+	curRank32, haveCur := uint32(0), false
+	kept := r.candidates[:0]
+	for _, c := range r.candidates {
+		if now-c.lastHeard > neighborStale {
+			continue
+		}
+		kept = append(kept, c)
+		id := radio.NodeID(c.id)
 		// Loop avoidance (RPL's rank rule): while attached, only
 		// neighbors with strictly lower rank are eligible as new
 		// parents; picking an equal-or-deeper neighbor is how
@@ -480,14 +504,16 @@ func (r *Router) recomputeParent() {
 			continue
 		}
 		pr32 := uint32(c.rank) + uint32(r.rankStep(r.lnk.Neighbors().ETX(id)))
-		if pr32 >= uint32(InfiniteRank) {
-			continue
+		if id == r.parent {
+			curRank32, haveCur = pr32, true
 		}
-		pr := uint16(pr32)
-		if pr < bestRank || (pr == bestRank && (bestID == NoParent || id < bestID)) {
-			bestID, bestRank = id, pr
+		// Candidates come in ascending id, so the first of equal ranks
+		// is the lowest id: ties go to it.
+		if pr32 < uint32(bestRank) {
+			bestID, bestRank = id, uint16(pr32)
 		}
 	}
+	r.candidates = kept
 	if bestID == NoParent {
 		r.detach()
 		return
@@ -495,14 +521,8 @@ func (r *Router) recomputeParent() {
 	// Hysteresis: only switch away from a live parent for a clear
 	// improvement; otherwise keep the parent and float our rank with
 	// its advertisements.
-	if r.parent != NoParent && bestID != r.parent {
-		cur, ok := r.candidates[r.parent]
-		if ok {
-			curRank32 := uint32(cur.rank) + uint32(r.rankStep(r.lnk.Neighbors().ETX(r.parent)))
-			if uint32(bestRank)+uint32(parentHysteresis) >= curRank32 && curRank32 < uint32(InfiniteRank) {
-				bestID, bestRank = r.parent, uint16(curRank32)
-			}
-		}
+	if haveCur && bestID != r.parent && uint32(bestRank)+uint32(parentHysteresis) >= curRank32 && curRank32 < uint32(InfiniteRank) {
+		bestID, bestRank = r.parent, uint16(curRank32)
 	}
 	r.adoptRank(bestID, bestRank)
 }
@@ -610,10 +630,8 @@ func (r *Router) route(d *lowpan.Datagram) error {
 		r.deliver(d)
 		return nil
 	}
-	next := NoParent
-	if e := r.lookupRoute(d.Dst); e != nil {
-		next = e.nextHop
-	} else if !r.isRoot && r.parent != NoParent {
+	next, ok := r.lookupRoute(d.Dst)
+	if !ok && !r.isRoot && r.parent != NoParent {
 		next = r.parent
 	}
 	if next == NoParent {
@@ -642,25 +660,31 @@ func (r *Router) route(d *lowpan.Datagram) error {
 	return nil
 }
 
-func (r *Router) lookupRoute(dst radio.NodeID) *routeEntry {
-	e, ok := r.downRoutes[dst]
+// findRoute returns where dst's route is, or would be inserted, and
+// whether it is there.
+func (r *Router) findRoute(dst radio.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(r.downRoutes, int32(dst), func(e routeEntry, dst int32) int { return cmp.Compare(e.target, dst) })
+}
+
+// lookupRoute returns the next hop of a live downward route to dst, and
+// drops the route if it has expired.
+func (r *Router) lookupRoute(dst radio.NodeID) (radio.NodeID, bool) {
+	i, ok := r.findRoute(dst)
 	if !ok {
-		return nil
+		return NoParent, false
 	}
-	if r.k.Now()-e.refreshed > routeLifetimeDAOs*r.cfg.DAOInterval {
-		delete(r.downRoutes, dst)
-		return nil
+	if r.k.Now()-r.downRoutes[i].refreshed > routeLifetimeDAOs*r.cfg.DAOInterval {
+		r.downRoutes = slices.Delete(r.downRoutes, i, i+1)
+		return NoParent, false
 	}
-	return e
+	return radio.NodeID(r.downRoutes[i].nextHop), true
 }
 
 func (r *Router) sweepRoutes() {
 	now := r.k.Now()
-	for dst, e := range r.downRoutes {
-		if now-e.refreshed > routeLifetimeDAOs*r.cfg.DAOInterval {
-			delete(r.downRoutes, dst)
-		}
-	}
+	r.downRoutes = slices.DeleteFunc(r.downRoutes, func(e routeEntry) bool {
+		return now-e.refreshed > routeLifetimeDAOs*r.cfg.DAOInterval
+	})
 }
 
 func (r *Router) onNet(from radio.NodeID, frame []byte) {

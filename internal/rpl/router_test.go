@@ -393,7 +393,7 @@ func TestRouteExpiry(t *testing.T) {
 	// Kill a leaf; its route must eventually expire at the root.
 	net.kill(3)
 	net.k.RunFor(2 * time.Minute)
-	if r := net.routers[0].lookupRoute(3); r != nil {
+	if _, ok := net.routers[0].lookupRoute(3); ok {
 		t.Fatal("route to dead node did not expire")
 	}
 }
