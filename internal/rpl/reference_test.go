@@ -27,7 +27,6 @@ type refLink struct {
 
 type refCandidate struct {
 	rank      uint16
-	version   uint8
 	lastHeard sim.Time
 }
 
@@ -135,7 +134,7 @@ func (n *refNode) dio(from radio.NodeID, d dio) {
 		}
 		return
 	}
-	n.cand[from] = &refCandidate{rank: d.Rank, version: d.Version, lastHeard: n.k.Now()}
+	n.cand[from] = &refCandidate{rank: d.Rank, lastHeard: n.k.Now()}
 	n.recompute()
 }
 

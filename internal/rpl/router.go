@@ -74,11 +74,11 @@ func (c *Config) applyDefaults() {
 }
 
 // candidate is a neighbor that advertised a rank in this node's DODAG
-// version: 16 bytes, held by value in a slice sorted by id.
+// version (a newer version clears them all): 16 bytes, held by value in
+// a slice sorted by id.
 type candidate struct {
 	id        int32
 	rank      uint16
-	version   uint8
 	lastHeard sim.Time
 }
 
@@ -428,7 +428,7 @@ func (r *Router) onDIO(from radio.NodeID, d dio) {
 		}
 		return
 	}
-	c := candidate{id: int32(from), rank: d.Rank, version: d.Version, lastHeard: r.k.Now()}
+	c := candidate{id: int32(from), rank: d.Rank, lastHeard: r.k.Now()}
 	if known {
 		r.candidates[i] = c
 	} else {
