@@ -57,10 +57,9 @@ type metricSpec struct {
 
 // resultLine is the benchmark's last output line.
 type resultLine struct {
-	Correct   bool  `json:"correct"`
-	Attempted int64 `json:"attempted"`
-	Failed    int64 `json:"failed"`
-	Metrics   map[string]struct {
+	Correct bool  `json:"correct"`
+	Failed  int64 `json:"failed"`
+	Metrics map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
@@ -110,7 +109,6 @@ func main() {
 	var (
 		base      = flag.String("base", "HEAD~1", "base revision, exported from the repository")
 		head      = flag.String("head", "", "change revision; empty means the working tree")
-		repo      = flag.String("repo", ".", "repository root (holds BENCHMARK.json and ./benchmark)")
 		workloads = flag.String("workloads", "", "comma-separated workloads; empty means every one in BENCHMARK.json")
 		pairs     = flag.Int("pairs", 10, "alternated pairs per workload")
 		seed      = flag.Int64("seed", 7, "workload seed, the same on both sides")
@@ -122,7 +120,7 @@ func main() {
 	if *pairs < 1 {
 		fail(2, "benchpair: -pairs must be at least 1")
 	}
-	if err := mainErr(*repo, *base, *head, *workloads, *pairs, *seed, *seconds, *aa, *out); err != nil {
+	if err := mainErr(*base, *head, *workloads, *pairs, *seed, *seconds, *aa, *out); err != nil {
 		fail(1, "benchpair: %v", err)
 	}
 }
@@ -132,11 +130,12 @@ func fail(code int, format string, args ...any) {
 	os.Exit(code)
 }
 
-func mainErr(repo, base, head, workloads string, pairs int, seed int64, seconds float64, aa bool, out string) error {
-	repo, err := filepath.Abs(repo)
+func mainErr(base, head, workloads string, pairs int, seed int64, seconds float64, aa bool, out string) error {
+	top, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
 	if err != nil {
-		return err
+		return fmt.Errorf("find the repository root: %w", err)
 	}
+	repo := strings.TrimSpace(string(top))
 	raw, err := os.ReadFile(filepath.Join(repo, "BENCHMARK.json"))
 	if err != nil {
 		return err
@@ -161,7 +160,6 @@ func mainErr(repo, base, head, workloads string, pairs int, seed int64, seconds 
 	if err != nil {
 		return err
 	}
-	bins := map[string]string{}
 	baseDir := filepath.Join(tmp, "base")
 	if err := export(repo, baseRev, baseDir); err != nil {
 		return err
@@ -176,17 +174,20 @@ func mainErr(repo, base, head, workloads string, pairs int, seed int64, seconds 
 			return err
 		}
 	}
-	sides := []struct{ name, dir string }{{"base", baseDir}, {"head", headDir}}
+	// Each side's binary runs in its own source tree, so that anything a
+	// run reads or leaves behind stays on its side.
+	dirs := map[string]string{"base": baseDir, "head": headDir, "aa_base": baseDir, "aa_copy": baseDir}
+	builds := []string{"base", "head"}
 	if aa {
-		sides = append(sides, struct{ name, dir string }{"aa_copy", baseDir})
+		builds = append(builds, "aa_copy")
 	}
-	for _, s := range sides {
-		bin := filepath.Join(tmp, s.name+".bin")
-		logf("building %s (%s)", s.name, s.dir)
-		if err := build(s.dir, bin); err != nil {
-			return fmt.Errorf("build %s: %w", s.name, err)
+	bins := map[string]string{}
+	for _, side := range builds {
+		bins[side] = filepath.Join(tmp, side+".bin")
+		logf("building %s (%s)", side, dirs[side])
+		if err := build(dirs[side], bins[side]); err != nil {
+			return fmt.Errorf("build %s: %w", side, err)
 		}
-		bins[s.name] = bin
 	}
 	bins["aa_base"] = bins["base"]
 
@@ -206,7 +207,7 @@ func mainErr(repo, base, head, workloads string, pairs int, seed int64, seconds 
 				order[0], order[1] = b, a
 			}
 			for _, side := range order {
-				r, err := runOnce(bins[side], baseDirFor(side, baseDir, headDir), args(w))
+				r, err := runOnce(bins[side], dirs[side], args(w))
 				if err != nil {
 					return fmt.Errorf("%s %s pair %d: %w", w, side, i, err)
 				}
@@ -242,15 +243,6 @@ func mainErr(repo, base, head, workloads string, pairs int, seed int64, seconds 
 		return err
 	}
 	return os.WriteFile(out, enc, 0o644)
-}
-
-// baseDirFor is the directory a side's binary runs in: its own source
-// tree, so that anything a run reads or leaves behind stays on its side.
-func baseDirFor(side, baseDir, headDir string) string {
-	if side == "head" {
-		return headDir
-	}
-	return baseDir
 }
 
 // summarize compares one metric across the A/B pairs, and judges the
