@@ -41,7 +41,7 @@ import (
 	"time"
 )
 
-// benchmarkFile is the part of BENCHMARK.json the driver reads.
+// benchmarkFile is the part of BENCHMARK.json benchpair reads.
 type benchmarkFile struct {
 	Workloads []struct {
 		Name string `json:"name"`
