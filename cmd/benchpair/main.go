@@ -5,20 +5,22 @@
 // It exports the base revision (default HEAD~1) into a temporary
 // directory, builds ./benchmark there and in the change's tree (the
 // working tree, or -head REV exported the same way), and builds the base
-// a second time for an A/A control. For every workload it runs -pairs
-// pairs of `-workload W -seed S -seconds T -trace 0`, alternating which
-// side runs first, each A/B pair followed by one A/A pair, and reads the
-// JSON result line each run prints last. Per end-to-end metric it
-// reports q1/median/q3 per side, wins per pair, the exact two-sided
-// sign-test p and a verdict: a change that is not significant, or whose
-// median moved less than the A/A control's own spread, is noise. The
-// metrics, their direction and their bounds come from BENCHMARK.json.
+// a second time for an A/A control. For every workload it runs ten pairs
+// of `-workload W -seed S -trace 0`, alternating which side runs first,
+// each A/B pair followed by one A/A pair, and reads the JSON result line
+// each run prints last. Every run lasts its own benchmark's run length.
+// Per end-to-end metric it reports q1/median/q3 per side, wins per pair,
+// the exact two-sided sign-test p and a verdict: a change that is not
+// significant, or whose median moved less than the A/A control's own
+// spread, is noise, and a change whose runs fail their checks, or fail a
+// larger share of operations than the base, is failed-checks whatever
+// its metrics read. The metrics, their direction and their bounds come
+// from BENCHMARK.json.
 //
 // Examples:
 //
 //	go run ./cmd/benchpair -workloads fig1-uplink -out pair.json
 //	go run ./cmd/benchpair -base 4097ecd -head 1d83fb3 -workloads store-fleet
-//	go run ./cmd/benchpair -pairs 4 -aa=false -seconds 5 -workloads mesh-probe
 //
 // Run nothing else on the host meanwhile: the pairs share its CPUs with
 // whatever else is running, and wall-time metrics move with it.
@@ -57,18 +59,20 @@ type metricSpec struct {
 
 // resultLine is the benchmark's last output line.
 type resultLine struct {
-	Correct bool  `json:"correct"`
-	Failed  int64 `json:"failed"`
-	Metrics map[string]struct {
+	Correct   bool  `json:"correct"`
+	Attempted int64 `json:"attempted"`
+	Failed    int64 `json:"failed"`
+	Metrics   map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
 
 // run is one benchmark process's outcome.
 type run struct {
-	Correct bool               `json:"correct"`
-	Failed  int64              `json:"failed"`
-	Metrics map[string]float64 `json:"metrics"`
+	Correct   bool               `json:"correct"`
+	Attempted int64              `json:"attempted"`
+	Failed    int64              `json:"failed"`
+	Metrics   map[string]float64 `json:"metrics"`
 }
 
 // metricSummary is one metric of one workload.
@@ -83,24 +87,22 @@ type metricSummary struct {
 	Losses  int     `json:"losses"`
 	Ties    int     `json:"ties"`
 	P       float64 `json:"sign_p"`
-	AABand  float64 `json:"aa_band,omitempty"`
-	AAP     float64 `json:"aa_sign_p,omitempty"`
+	AABand  float64 `json:"aa_band"`
+	AAP     float64 `json:"aa_sign_p"`
 	Verdict string  `json:"verdict"`
 }
 
 type workloadSummary struct {
 	Workload string           `json:"workload"`
 	Metrics  []metricSummary  `json:"metrics"`
-	Runs     map[string][]run `json:"runs"` // base, head, and with the control aa_base, aa_copy
+	Runs     map[string][]run `json:"runs"` // base, head, aa_base, aa_copy
 }
 
 type summary struct {
 	Base      string            `json:"base"`
 	Head      string            `json:"head"`
 	Seed      int64             `json:"seed"`
-	Seconds   float64           `json:"seconds"`
 	Pairs     int               `json:"pairs"`
-	AAControl bool              `json:"aa_control"`
 	Host      map[string]string `json:"host"`
 	Workloads []workloadSummary `json:"workloads"`
 }
@@ -110,27 +112,17 @@ func main() {
 		base      = flag.String("base", "HEAD~1", "base revision, exported from the repository")
 		head      = flag.String("head", "", "change revision; empty means the working tree")
 		workloads = flag.String("workloads", "", "comma-separated workloads; empty means every one in BENCHMARK.json")
-		pairs     = flag.Int("pairs", 10, "alternated pairs per workload")
 		seed      = flag.Int64("seed", 7, "workload seed, the same on both sides")
-		seconds   = flag.Float64("seconds", 15, "length of each run's measured phase")
-		aa        = flag.Bool("aa", true, "also run an A/A control: the base against a second build of the base")
 		out       = flag.String("out", "", "write the JSON summary here instead of stdout")
 	)
 	flag.Parse()
-	if *pairs < 1 {
-		fail(2, "benchpair: -pairs must be at least 1")
-	}
-	if err := mainErr(*base, *head, *workloads, *pairs, *seed, *seconds, *aa, *out); err != nil {
-		fail(1, "benchpair: %v", err)
+	if err := mainErr(*base, *head, *workloads, *seed, *out); err != nil {
+		fmt.Fprintf(os.Stderr, "benchpair: %v\n", err)
+		os.Exit(1)
 	}
 }
 
-func fail(code int, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(code)
-}
-
-func mainErr(base, head, workloads string, pairs int, seed int64, seconds float64, aa bool, out string) error {
+func mainErr(base, head, workloads string, seed int64, out string) error {
 	top, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
 	if err != nil {
 		return fmt.Errorf("find the repository root: %w", err)
@@ -177,12 +169,8 @@ func mainErr(base, head, workloads string, pairs int, seed int64, seconds float6
 	// Each side's binary runs in its own source tree, so that anything a
 	// run reads or leaves behind stays on its side.
 	dirs := map[string]string{"base": baseDir, "head": headDir, "aa_base": baseDir, "aa_copy": baseDir}
-	builds := []string{"base", "head"}
-	if aa {
-		builds = append(builds, "aa_copy")
-	}
 	bins := map[string]string{}
-	for _, side := range builds {
+	for _, side := range []string{"base", "head", "aa_copy"} {
 		bins[side] = filepath.Join(tmp, side+".bin")
 		logf("building %s (%s)", side, dirs[side])
 		if err := build(dirs[side], bins[side]); err != nil {
@@ -192,12 +180,11 @@ func mainErr(base, head, workloads string, pairs int, seed int64, seconds float6
 	bins["aa_base"] = bins["base"]
 
 	sum := summary{
-		Base: baseRev, Head: headRev, Seed: seed, Seconds: seconds, Pairs: pairs, AAControl: aa,
+		Base: baseRev, Head: headRev, Seed: seed, Pairs: minPairs,
 		Host: map[string]string{"goos": runtime.GOOS, "goarch": runtime.GOARCH, "cpus": strconv.Itoa(runtime.NumCPU())},
 	}
 	args := func(w string) []string {
-		return []string{"-workload", w, "-seed", strconv.FormatInt(seed, 10),
-			"-seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "-trace", "0"}
+		return []string{"-workload", w, "-seed", strconv.FormatInt(seed, 10), "-trace", "0"}
 	}
 	for _, w := range names {
 		runs := map[string][]run{}
@@ -215,20 +202,18 @@ func mainErr(base, head, workloads string, pairs int, seed int64, seconds float6
 			}
 			return nil
 		}
-		for i := 0; i < pairs; i++ {
-			logf("%s: pair %d/%d", w, i+1, pairs)
+		for i := 0; i < minPairs; i++ {
+			logf("%s: pair %d/%d", w, i+1, minPairs)
 			if err := pair(i, "base", "head"); err != nil {
 				return err
 			}
-			if aa {
-				if err := pair(i, "aa_base", "aa_copy"); err != nil {
-					return err
-				}
+			if err := pair(i, "aa_base", "aa_copy"); err != nil {
+				return err
 			}
 		}
 		ws := workloadSummary{Workload: w, Runs: runs}
 		for _, m := range bf.EndToEnd {
-			ws.Metrics = append(ws.Metrics, summarize(m, runs, aa))
+			ws.Metrics = append(ws.Metrics, summarize(m, runs))
 		}
 		sum.Workloads = append(sum.Workloads, ws)
 	}
@@ -246,8 +231,8 @@ func mainErr(base, head, workloads string, pairs int, seed int64, seconds float6
 }
 
 // summarize compares one metric across the A/B pairs, and judges the
-// change against the A/A control when there is one.
-func summarize(m metricSpec, runs map[string][]run, aa bool) metricSummary {
+// change against the A/A control and the checks of both sides' runs.
+func summarize(m metricSpec, runs map[string][]run) metricSummary {
 	col := func(side string) []float64 {
 		var xs []float64
 		for _, r := range runs[side] {
@@ -262,13 +247,11 @@ func summarize(m metricSpec, runs map[string][]run, aa bool) metricSummary {
 	}
 	s.Wins, s.Losses, s.Ties = tally(b, h, m.Better)
 	s.P = signTestP(s.Wins, s.Losses)
-	if aa {
-		a1, a2 := col("aa_base"), col("aa_copy")
-		s.AABand = aaBand(quartiles(a1), quartiles(a2))
-		w, l, _ := tally(a1, a2, m.Better)
-		s.AAP = signTestP(w, l)
-	}
-	s.Verdict = verdict(s.Base, s.Head, s.Wins, s.Losses, s.Ties, s.P, s.AABand, m.Bound, m.Better)
+	a1, a2 := col("aa_base"), col("aa_copy")
+	s.AABand = aaBand(quartiles(a1), quartiles(a2))
+	w, l, _ := tally(a1, a2, m.Better)
+	s.AAP = signTestP(w, l)
+	s.Verdict = verdict(s, checksHold(runs["base"], runs["head"]))
 	return s
 }
 
@@ -285,7 +268,7 @@ func runOnce(bin, dir string, args []string) (run, error) {
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rl); err != nil {
 		return run{}, fmt.Errorf("no result line (%v): %w", runErr, err)
 	}
-	r := run{Correct: rl.Correct, Failed: rl.Failed, Metrics: map[string]float64{}}
+	r := run{Correct: rl.Correct && runErr == nil, Attempted: rl.Attempted, Failed: rl.Failed, Metrics: map[string]float64{}}
 	for k, v := range rl.Metrics {
 		r.Metrics[k] = v.Value
 	}

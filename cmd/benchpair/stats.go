@@ -82,46 +82,74 @@ func tally(base, head []float64, better string) (wins, losses, ties int) {
 
 // Verdicts a metric can get.
 const (
-	verdictIdentical = "identical" // every pair read the same value
-	verdictNoise     = "noise"     // not significant, or inside the A/A band
-	verdictBetter    = "better"
-	verdictWorse     = "worse"      // significant, inside the bound
-	verdictOverBound = "over-bound" // median worse than the bound allows
-	significance     = 0.05         // sign-test level for better/worse
+	verdictFailedChecks = "failed-checks" // the change's runs failed checks or operations
+	verdictIdentical    = "identical"     // every pair read the same value
+	verdictNoise        = "noise"         // too few pairs, not significant, or inside the A/A band
+	verdictBetter       = "better"
+	verdictWorse        = "worse"      // significant, inside the bound
+	verdictOverBound    = "over-bound" // median worse than the bound allows
+	significance        = 0.05         // sign-test level for better/worse
+	minPairs            = 10           // pairs a better or worse verdict needs, and the pairs benchpair runs
 )
 
-// verdict judges a metric's change. A change counts as better or worse
-// only when it is significant under the sign test, goes the same way in
-// at least nine tenths of all pairs (ties count for neither side), and
-// moves the median by more than the noise: the wider of the base's own
-// distance between quartiles and noiseBand, the A/A control's band in the
-// metric's units (see aaBand; 0 without a control). bound is
+// verdict judges a metric's change from its summary. A change whose runs
+// do not all pass their checks, or that fails a larger share of
+// operations than the base (checksOK false), is failed-checks: no metric
+// of it counts. Otherwise a change counts as better or worse only when
+// at least minPairs pairs were run, it is significant under the sign
+// test, goes the same way in at least nine tenths of all pairs (ties
+// count for neither side), and moves the median by more than the noise:
+// the wider of the base's own distance between quartiles and the A/A
+// control's band in the metric's units (see aaBand). The bound is
 // BENCHMARK.json's relative bound: a median worse by more than it is
 // reported as such whatever the sign test says, since that is what
 // rejects a change.
-func verdict(base, head spread, wins, losses, ties int, p, noiseBand, bound float64, better string) string {
-	if wins == 0 && losses == 0 && ties > 0 {
+func verdict(s metricSummary, checksOK bool) string {
+	if !checksOK {
+		return verdictFailedChecks
+	}
+	if s.Wins == 0 && s.Losses == 0 && s.Ties > 0 {
 		return verdictIdentical
 	}
-	delta := head.Median - base.Median
+	delta := s.Head.Median - s.Base.Median
 	worse := delta > 0
-	if better == "higher" {
+	if s.Better == "higher" {
 		worse = delta < 0
 	}
-	if worse && bound > 0 && base.Median != 0 && math.Abs(delta)/math.Abs(base.Median) > bound {
+	if worse && s.Bound > 0 && s.Base.Median != 0 && math.Abs(delta)/math.Abs(s.Base.Median) > s.Bound {
 		return verdictOverBound
 	}
-	agree := wins
+	agree, n := s.Wins, s.Wins+s.Losses+s.Ties
 	if worse {
-		agree = losses
+		agree = s.Losses
 	}
-	if p >= significance || 10*agree < 9*(wins+losses+ties) || math.Abs(delta) <= max(noiseBand, base.iqr()) {
+	if n < minPairs || s.P >= significance || 10*agree < 9*n || math.Abs(delta) <= max(s.AABand, s.Base.iqr()) {
 		return verdictNoise
 	}
 	if worse {
 		return verdictWorse
 	}
 	return verdictBetter
+}
+
+// checksHold reports whether every one of the change's runs passed its
+// checks and the change failed no larger share of its operations than
+// the base did.
+func checksHold(base, head []run) bool {
+	share := func(rs []run) float64 {
+		var failed, attempted int64
+		for _, r := range rs {
+			failed += r.Failed
+			attempted += r.Attempted
+		}
+		return float64(failed) / float64(max(attempted, 1))
+	}
+	for _, r := range head {
+		if !r.Correct {
+			return false
+		}
+	}
+	return share(head) <= share(base)
 }
 
 // aaBand is how far two builds of the same source read apart on this

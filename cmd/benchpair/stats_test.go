@@ -73,21 +73,28 @@ func TestVerdict(t *testing.T) {
 		head               spread
 		wins, losses, ties int
 		band, bound        float64
-		better, want       string
+		better             string
+		checksOK           bool
+		want               string
 	}{
-		{"clear gain", spread{31, 32, 33}, 10, 0, 0, 1.5, 0.25, "lower", verdictBetter},
-		{"inside the A/A band", spread{35.5, 36, 36.5}, 10, 0, 0, 1.5, 0.25, "lower", verdictNoise},
-		{"not significant", spread{31, 32, 33}, 8, 2, 0, 1.5, 0.25, "lower", verdictNoise},
-		{"significant, under nine tenths", spread{31, 32, 33}, 17, 3, 0, 1.5, 0.25, "lower", verdictNoise},
-		{"nine tenths of twenty", spread{31, 32, 33}, 18, 2, 0, 1.5, 0.25, "lower", verdictBetter},
-		{"inside the base's own spread", spread{35, 35.5, 36}, 10, 0, 0, 0, 0.25, "lower", verdictNoise},
-		{"significant loss", spread{39, 40, 41}, 0, 10, 0, 1.5, 0.25, "lower", verdictWorse},
-		{"past the bound", spread{49, 50, 51}, 4, 6, 0, 1.5, 0.25, "lower", verdictOverBound},
-		{"higher is better", spread{39, 40, 41}, 10, 0, 0, 1.5, 0.25, "higher", verdictBetter},
-		{"all tied", base, 0, 0, 10, 0, 0.06, "higher", verdictIdentical},
+		{"clear gain", spread{31, 32, 33}, 10, 0, 0, 1.5, 0.25, "lower", true, verdictBetter},
+		{"clear gain, failed checks", spread{31, 32, 33}, 10, 0, 0, 1.5, 0.25, "lower", false, verdictFailedChecks},
+		{"six of six, too few pairs", spread{31, 32, 33}, 6, 0, 0, 1.5, 0.25, "lower", true, verdictNoise},
+		{"nine pairs, too few", spread{31, 32, 33}, 9, 0, 0, 1.5, 0.25, "lower", true, verdictNoise},
+		{"inside the A/A band", spread{35.5, 36, 36.5}, 10, 0, 0, 1.5, 0.25, "lower", true, verdictNoise},
+		{"not significant", spread{31, 32, 33}, 8, 2, 0, 1.5, 0.25, "lower", true, verdictNoise},
+		{"significant, under nine tenths", spread{31, 32, 33}, 17, 3, 0, 1.5, 0.25, "lower", true, verdictNoise},
+		{"nine tenths of twenty", spread{31, 32, 33}, 18, 2, 0, 1.5, 0.25, "lower", true, verdictBetter},
+		{"inside the base's own spread", spread{35, 35.5, 36}, 10, 0, 0, 0, 0.25, "lower", true, verdictNoise},
+		{"significant loss", spread{39, 40, 41}, 0, 10, 0, 1.5, 0.25, "lower", true, verdictWorse},
+		{"past the bound", spread{49, 50, 51}, 4, 6, 0, 1.5, 0.25, "lower", true, verdictOverBound},
+		{"higher is better", spread{39, 40, 41}, 10, 0, 0, 1.5, 0.25, "higher", true, verdictBetter},
+		{"all tied", base, 0, 0, 10, 0, 0.06, "higher", true, verdictIdentical},
 	}
 	for _, c := range cases {
-		if got := verdict(base, c.head, c.wins, c.losses, c.ties, signTestP(c.wins, c.losses), c.band, c.bound, c.better); got != c.want {
+		s := metricSummary{Better: c.better, Bound: c.bound, Base: base, Head: c.head,
+			Wins: c.wins, Losses: c.losses, Ties: c.ties, P: signTestP(c.wins, c.losses), AABand: c.band}
+		if got := verdict(s, c.checksOK); got != c.want {
 			t.Errorf("%s: verdict = %s, want %s", c.name, got, c.want)
 		}
 	}
@@ -99,5 +106,24 @@ func TestVerdict(t *testing.T) {
 	}
 	if b := aaBand(spread{1, 2, 4}, spread{2, 2.5, 3}); b != 3 {
 		t.Errorf("aaBand = %v, want the wider IQR, 3", b)
+	}
+}
+
+func TestChecksHold(t *testing.T) {
+	ok := func(attempted, failed int64) run { return run{Correct: true, Attempted: attempted, Failed: failed} }
+	for _, c := range []struct {
+		name       string
+		base, head []run
+		want       bool
+	}{
+		{"clean on both sides", []run{ok(100, 0), ok(100, 0)}, []run{ok(100, 0), ok(100, 0)}, true},
+		{"same failed share", []run{ok(100, 2), ok(100, 0)}, []run{ok(200, 1), ok(200, 1)}, true},
+		{"one head run fails its checks", []run{ok(100, 0)}, []run{ok(100, 0), {Attempted: 100}}, false},
+		{"head fails a larger share", []run{ok(100, 1), ok(100, 1)}, []run{ok(100, 2), ok(100, 1)}, false},
+		{"a failed base run is the base's problem", []run{{Attempted: 100, Failed: 9}}, []run{ok(100, 0)}, true},
+	} {
+		if got := checksHold(c.base, c.head); got != c.want {
+			t.Errorf("%s: checksHold = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // and settled for 30 virtual seconds, as the benchmark does before its
 // traffic starts. Most of it is per-node protocol state: the link
 // table, the MAC's dedup state, the candidate parents and the root's
-// downward routes, for about 60 heard neighbours a node.
+// downward routes, for about 31 heard neighbours a node.
 //
 // History (linux/amd64, go1.24): 8777 B per node with those four as
 // maps (three of them of heap pointers), 6115 B with them as value
