@@ -3,12 +3,15 @@
 // summary that a perf claim can quote.
 //
 // It exports the base revision (default HEAD~1) into a temporary
-// directory, builds ./benchmark there and in the change's tree (the
-// working tree, or -head REV exported the same way), and builds the base
-// a second time for an A/A control. For every workload it runs ten pairs
-// of `-workload W -seed S -trace 0`, alternating which side runs first,
-// each A/B pair followed by one A/A pair, and reads the JSON result line
-// each run prints last. Every run lasts its own benchmark's run length.
+// directory twice, once for the base and once for an A/A control; the
+// change is the working tree, or -head REV exported the same way. Every
+// run is BENCHMARK.json's command (`go run ./benchmark`) with
+// `-workload W -seed S -trace 0`, started in its side's checkout, so it
+// measures what the pipeline measures, the go command's resident-set
+// floor in peak_rss_mb included. For every workload it runs ten pairs,
+// alternating which side runs first, each A/B pair followed by one A/A
+// pair, and reads the JSON result line each run prints last. Every run
+// lasts its own benchmark's run length.
 // Per end-to-end metric it reports q1/median/q3 per side, wins per pair,
 // the exact two-sided sign-test p and a verdict: a change that is not
 // significant, or whose median moved less than the A/A control's own
@@ -38,6 +41,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -45,6 +49,7 @@ import (
 
 // benchmarkFile is the part of BENCHMARK.json benchpair reads.
 type benchmarkFile struct {
+	Command   []string `json:"command"`
 	Workloads []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
@@ -136,6 +141,9 @@ func mainErr(base, head, workloads string, seed int64, out string) error {
 	if err := json.Unmarshal(raw, &bf); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
+	if len(bf.Command) == 0 {
+		return errors.New("BENCHMARK.json: no command")
+	}
 	names := strings.FieldsFunc(workloads, func(r rune) bool { return r == ',' || r == ' ' })
 	if len(names) == 0 {
 		for _, w := range bf.Workloads {
@@ -152,9 +160,11 @@ func mainErr(base, head, workloads string, seed int64, out string) error {
 	if err != nil {
 		return err
 	}
-	baseDir := filepath.Join(tmp, "base")
-	if err := export(repo, baseRev, baseDir); err != nil {
-		return err
+	baseDir, aaDir := filepath.Join(tmp, "base"), filepath.Join(tmp, "aa_copy")
+	for _, dir := range []string{baseDir, aaDir} {
+		if err := export(repo, baseRev, dir); err != nil {
+			return err
+		}
 	}
 	headDir, headRev := repo, "working tree"
 	if head != "" {
@@ -166,25 +176,13 @@ func mainErr(base, head, workloads string, seed int64, out string) error {
 			return err
 		}
 	}
-	// Each side's binary runs in its own source tree, so that anything a
-	// run reads or leaves behind stays on its side.
-	dirs := map[string]string{"base": baseDir, "head": headDir, "aa_base": baseDir, "aa_copy": baseDir}
-	bins := map[string]string{}
-	for _, side := range []string{"base", "head", "aa_copy"} {
-		bins[side] = filepath.Join(tmp, side+".bin")
-		logf("building %s (%s)", side, dirs[side])
-		if err := build(dirs[side], bins[side]); err != nil {
-			return fmt.Errorf("build %s: %w", side, err)
-		}
-	}
-	bins["aa_base"] = bins["base"]
+	// Each side runs in its own checkout, so that what a run reads or
+	// leaves behind stays on its side.
+	dirs := map[string]string{"base": baseDir, "head": headDir, "aa_base": baseDir, "aa_copy": aaDir}
 
 	sum := summary{
 		Base: baseRev, Head: headRev, Seed: seed, Pairs: minPairs,
 		Host: map[string]string{"goos": runtime.GOOS, "goarch": runtime.GOARCH, "cpus": strconv.Itoa(runtime.NumCPU())},
-	}
-	args := func(w string) []string {
-		return []string{"-workload", w, "-seed", strconv.FormatInt(seed, 10), "-trace", "0"}
 	}
 	for _, w := range names {
 		runs := map[string][]run{}
@@ -194,7 +192,7 @@ func mainErr(base, head, workloads string, seed int64, out string) error {
 				order[0], order[1] = b, a
 			}
 			for _, side := range order {
-				r, err := runOnce(bins[side], dirs[side], args(w))
+				r, err := runOnce(dirs[side], runArgv(bf.Command, w, seed))
 				if err != nil {
 					return fmt.Errorf("%s %s pair %d: %w", w, side, i, err)
 				}
@@ -255,9 +253,15 @@ func summarize(m metricSpec, runs map[string][]run) metricSummary {
 	return s
 }
 
-// runOnce runs one benchmark process and parses its last output line.
-func runOnce(bin, dir string, args []string) (run, error) {
-	cmd := exec.Command(bin, args...)
+// runArgv is the argv of one run: BENCHMARK.json's command, then the
+// workload, its seed, and no tracing.
+func runArgv(command []string, workload string, seed int64) []string {
+	return append(slices.Clone(command), "-workload", workload, "-seed", strconv.FormatInt(seed, 10), "-trace", "0")
+}
+
+// runOnce runs argv in dir and parses the benchmark's last output line.
+func runOnce(dir string, argv []string) (run, error) {
+	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Dir = dir
 	var stdout bytes.Buffer
 	cmd.Stdout = &stdout
@@ -340,13 +344,6 @@ func untar(r io.Reader, dir string) error {
 			}
 		}
 	}
-}
-
-func build(dir, bin string) error {
-	cmd := exec.Command("go", "build", "-buildvcs=false", "-o", bin, "./benchmark")
-	cmd.Dir = dir
-	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	return cmd.Run()
 }
 
 func logf(format string, args ...any) {

@@ -505,33 +505,94 @@ func (c *Conn) ackReceived(addr string, mid uint16) {
 	c.mu.Unlock()
 }
 
-// onDatagram is the transport receive callback.
-func (c *Conn) onDatagram(from string, data []byte) {
-	m, err := Unmarshal(data)
-	if err != nil {
-		return // RFC: silently ignore garbage
-	}
-	switch m.Type {
+// reqScratch is what one inbound datagram borrows from reqPool while it
+// is handled: the decoded message, its options and its one copy of the
+// datagram, the answer the server builds, and the answer's encoding.
+// Nothing in it outlives the datagram's callback.
+type reqScratch struct {
+	msg  Message
+	opts [16]Option
+	data []byte // the datagram's copy; msg's fields are sub-slices of it
+
+	resp     Message
+	respOpts [8]Option
+	uints    [2][4]byte // the values of the options the server adds to resp
+	out      []byte     // a NON answer's encoding
+}
+
+var reqPool = sync.Pool{New: func() any { return new(reqScratch) }}
+
+// decode decodes data into sc.msg, copying it into sc.data.
+func (sc *reqScratch) decode(data []byte) error {
+	var err error
+	sc.data, sc.msg.Options, err = sc.msg.unmarshalInto(data, sc.data, sc.opts[:0])
+	return err
+}
+
+// answer copies m, which may be shared, into sc.resp and returns the copy
+// for the server and the message layer to stamp.
+func (sc *reqScratch) answer(m *Message) *Message {
+	sc.resp = *m
+	sc.resp.Options = append(sc.respOpts[:0], m.Options...)
+	return &sc.resp
+}
+
+// release drops the answer's references to bytes the handler owns and
+// hands sc back to reqPool.
+func (sc *reqScratch) release() {
+	sc.resp = Message{}
+	reqPool.Put(sc)
+}
+
+// isResponse reports whether a message of type t and code code goes to
+// handleResponse: an ACK that carries a code, or a CON or NON response.
+func isResponse(t Type, code Code) bool {
+	switch t {
 	case Acknowledgement:
-		c.ackReceived(from, m.MessageID)
-		if m.Code != CodeEmpty {
-			c.handleResponse(from, m)
-		}
+		return code != CodeEmpty
 	case Reset:
+		return false
+	default:
+		return code.IsResponse()
+	}
+}
+
+// onDatagram is the transport receive callback; data is borrowed for the
+// call. A response is decoded onto the heap, because its ResponseFunc
+// may keep it. Anything else is decoded into a scratch borrowed from
+// reqPool and handed back when it has been handled, so a request and
+// everything it references is valid only while its handler runs.
+func (c *Conn) onDatagram(from string, data []byte) {
+	if len(data) >= 2 && isResponse(Type(data[0]>>4&0x3), Code(data[1])) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			return // RFC: silently ignore garbage
+		}
+		if m.Type == Acknowledgement {
+			c.ackReceived(from, m.MessageID)
+		} else if m.Type == Confirmable {
+			c.sendEmpty(Acknowledgement, from, m.MessageID)
+		}
+		c.handleResponse(from, m)
+		return
+	}
+	sc := reqPool.Get().(*reqScratch)
+	defer sc.release()
+	if sc.decode(data) != nil {
+		return
+	}
+	m := &sc.msg
+	switch {
+	case m.Type == Acknowledgement:
+		c.ackReceived(from, m.MessageID)
+	case m.Type == Reset:
 		c.ackReceived(from, m.MessageID)
 		c.handleReset(from, m)
-	case Confirmable, NonConfirmable:
-		if m.Code.IsRequest() {
-			c.handleRequest(from, m)
-		} else if m.Code.IsResponse() {
-			if m.Type == Confirmable {
-				c.sendEmpty(Acknowledgement, from, m.MessageID)
-			}
-			c.handleResponse(from, m)
-		} else if m.Type == Confirmable {
-			// CON ping: answer with RST per RFC 7252 §4.3.
-			c.sendEmpty(Reset, from, m.MessageID)
-		}
+	case m.Code.IsRequest():
+		c.handleRequest(from, sc)
+	case m.Type == Confirmable:
+		// CON ping: answer with RST per RFC 7252 §4.3.
+		c.sendEmpty(Reset, from, m.MessageID)
 	}
 }
 
@@ -603,12 +664,14 @@ func (c *Conn) handleResponse(from string, m *Message) {
 	fn(m, nil)
 }
 
-// handleRequest dispatches an inbound request to the server. Only CONs
-// are deduplicated (RFC 7252 §4.5): caching NON requests too would retain
-// a response per message for no replay benefit — and let a stale NON
-// entry alias a later CON that reuses the MID. So only a CON expires,
-// reads and fills the dedup log, and a NON takes no Conn-wide lock.
-func (c *Conn) handleRequest(from string, m *Message) {
+// handleRequest dispatches the request in sc to the server and sends
+// the answer it builds there. Only CONs are deduplicated (RFC 7252
+// §4.5): caching NON requests too would retain a response per message
+// for no replay benefit — and let a stale NON entry alias a later CON
+// that reuses the MID. So only a CON expires, reads and fills the dedup
+// log, and a NON takes no Conn-wide lock.
+func (c *Conn) handleRequest(from string, sc *reqScratch) {
+	m := &sc.msg
 	con := m.Type == Confirmable
 	var now time.Duration
 	if con {
@@ -626,9 +689,9 @@ func (c *Conn) handleRequest(from string, m *Message) {
 
 	var resp *Message
 	if server := c.server.Load(); server == nil {
-		resp = &Message{Code: CodeNotImplemented}
+		resp = sc.answer(&Message{Code: CodeNotImplemented})
 	} else {
-		resp = server.handle(from, m)
+		resp = server.handle(from, m, sc)
 	}
 	if resp == nil {
 		// Server chose not to respond (e.g., observe dereg via RST).
@@ -639,21 +702,22 @@ func (c *Conn) handleRequest(from string, m *Message) {
 	}
 	resp.Token = m.Token
 	var data []byte
-	var err error
 	if con {
 		resp.Type = Acknowledgement
 		resp.MessageID = m.MessageID
 		// Encoded once, into the dedup log, and sent from there.
+		var err error
 		c.mu.Lock()
 		data, err = c.dedup.add(from, m.MessageID, now, resp)
 		c.mu.Unlock()
+		if err != nil {
+			return
+		}
 	} else {
 		resp.Type = NonConfirmable
 		resp.MessageID = c.newMID()
-		data, err = resp.Marshal()
-	}
-	if err != nil {
-		return
+		sc.out = resp.appendMarshal(sc.out[:0])
+		data = sc.out
 	}
 	_ = c.tr.Send(from, data)
 }

@@ -93,8 +93,11 @@ func TestDedupHeldBytes(t *testing.T) {
 
 // TestCONRequestAllocs is the alloc gate on a CON request answered by a
 // handler: parsing it, the handler's response and caching the answer
-// cost at most 4 allocations (5 while the answer was marshalled into its
-// own buffer before being cached). Run without -race.
+// cost one allocation, the handler's own &Message (5 while the answer
+// was marshalled into its own buffer before being cached; 4 while the
+// request was decoded onto the heap). The bound holds under -race too,
+// where sync.Pool drops a random quarter of the pooled request scratch
+// and the count averages 1.5.
 func TestCONRequestAllocs(t *testing.T) {
 	const n = 10000
 	conn, tr, _, req := conGetServer(t)
@@ -109,8 +112,8 @@ func TestCONRequestAllocs(t *testing.T) {
 		t.Fatalf("%d answers sent, want %d", got, n+1)
 	}
 	t.Logf("%.0f allocations per CON GET", allocs)
-	if allocs > 4 {
-		t.Fatalf("a CON GET allocates %.0f times, want <= 4", allocs)
+	if allocs > 1 {
+		t.Fatalf("a CON GET allocates %.0f times, want <= 1", allocs)
 	}
 }
 

@@ -2,6 +2,10 @@ package coap
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -61,14 +65,9 @@ func cloneMessage(m *Message) *Message {
 // field (each is capped at its length). Whatever parses is a fixed point:
 // Marshal's output re-parses to an equal message.
 func FuzzUnmarshal(f *testing.F) {
-	for _, s := range fuzzSeedMessages(f) {
+	for _, s := range unmarshalSeeds(f) {
 		f.Add(s)
-		f.Add(s[:len(s)-1])
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x40})
-	f.Add([]byte{0x4F, 0x01, 0x00, 0x01}) // token length 15 (reserved)
-	f.Add([]byte{0x40, 0x01, 0x00, 0x01, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
@@ -105,6 +104,85 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !sameMessage(m, m2) {
 			t.Fatalf("round trip changed message:\n first %+v\nsecond %+v", m, m2)
+		}
+	})
+}
+
+// unmarshalSeeds is FuzzUnmarshal's seed corpus: the seed messages and
+// each without its last byte, a few malformed headers, and the inputs
+// kept under testdata/fuzz/FuzzUnmarshal.
+func unmarshalSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
+	for _, s := range fuzzSeedMessages(f) {
+		seeds = append(seeds, s, s[:len(s)-1])
+	}
+	seeds = append(seeds,
+		[]byte{},
+		[]byte{0x40},
+		[]byte{0x4F, 0x01, 0x00, 0x01}, // token length 15 (reserved)
+		[]byte{0x40, 0x01, 0x00, 0x01, 0xFF},
+	)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzUnmarshal", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// "go test fuzz v1" then one []byte("...") literal.
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		v, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			f.Fatalf("%s: not a []byte corpus entry", name)
+		}
+		seeds = append(seeds, []byte(v))
+	}
+	return seeds
+}
+
+// FuzzDecodeReuse holds the request path's reused decoder and encoder to
+// the heap ones. It decodes data into a scratch that already holds
+// another decoded message (prev) and requires what Unmarshal returns:
+// the same error, or the same fields with the options in the same order.
+// An accepted message encoded by appendMarshal after other bytes, and
+// into the scratch's reused output buffer, must add exactly Marshal's
+// bytes.
+func FuzzDecodeReuse(f *testing.F) {
+	seeds := unmarshalSeeds(f)
+	for i, s := range seeds {
+		f.Add(seeds[(i+1)%len(seeds)], s)
+	}
+
+	f.Fuzz(func(t *testing.T, prev, data []byte) {
+		var sc reqScratch
+		if sc.decode(prev) == nil {
+			sc.out = sc.msg.appendMarshal(sc.out[:0])
+		}
+		err := sc.decode(data)
+		want, wantErr := Unmarshal(data)
+		if err != wantErr {
+			t.Fatalf("reused decoder: %v, Unmarshal: %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !sameMessage(&sc.msg, want) {
+			t.Fatalf("reused decoder\n got %+v\nwant %+v", &sc.msg, want)
+		}
+		enc, err := want.Marshal()
+		if err != nil {
+			t.Fatalf("accepted message failed to marshal: %v", err)
+		}
+		prefix := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+		if got := sc.msg.appendMarshal(bytes.Clone(prefix)); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], enc) {
+			t.Fatalf("appendMarshal after %x\n got %x\nwant %x", prefix, got, enc)
+		}
+		if sc.out = sc.msg.appendMarshal(sc.out[:0]); !bytes.Equal(sc.out, enc) {
+			t.Fatalf("appendMarshal into a reused buffer\n got %x\nwant %x", sc.out, enc)
 		}
 	})
 }

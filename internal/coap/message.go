@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -139,18 +140,17 @@ func (o Option) Uint() uint32 {
 
 // uintBytes encodes v in the minimal big-endian form (empty for zero).
 func uintBytes(v uint32) []byte {
-	switch {
-	case v == 0:
+	if v == 0 {
 		return nil
-	case v < 1<<8:
-		return []byte{byte(v)}
-	case v < 1<<16:
-		return []byte{byte(v >> 8), byte(v)}
-	case v < 1<<24:
-		return []byte{byte(v >> 16), byte(v >> 8), byte(v)}
-	default:
-		return []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 	}
+	return uintValue(new([4]byte), v)
+}
+
+// uintValue encodes v into b in uintBytes's form and returns the bytes
+// used, so an option value can live in a caller's array.
+func uintValue(b *[4]byte, v uint32) []byte {
+	binary.BigEndian.PutUint32(b[:], v)
+	return b[4-(bits.Len32(v)+7)/8:]
 }
 
 // Message is one CoAP message.
@@ -330,22 +330,43 @@ func appendOptExt(b []byte, v int) []byte {
 // its own length so an append to one never writes into another. data is
 // never aliased — transports reuse their inbound buffers.
 func Unmarshal(data []byte) (*Message, error) {
+	m := new(Message)
+	var stack [16]Option
+	_, opts, err := m.unmarshalInto(data, nil, stack[:0])
+	if err != nil {
+		return nil, err
+	}
+	if len(opts) > 0 {
+		m.Options = append(make([]Option, 0, len(opts)), opts...)
+	}
+	return m, nil
+}
+
+// unmarshalInto decodes data into m, replacing every field but Options.
+// It copies data once, into buf's storage (grown when too small), and
+// appends the options to opts; it returns the copy and the options, for
+// the caller to install in m. Token, option values and Payload are
+// sub-slices of the copy, each capped at its own length.
+func (m *Message) unmarshalInto(data, buf []byte, opts []Option) ([]byte, []Option, error) {
 	if len(data) < 4 {
-		return nil, ErrTruncated
+		return buf, opts, ErrTruncated
 	}
 	if data[0]>>6 != version {
-		return nil, ErrBadVersion
+		return buf, opts, ErrBadVersion
 	}
 	tkl := int(data[0] & 0x0F)
 	if tkl > 8 {
-		return nil, ErrBadToken
+		return buf, opts, ErrBadToken
 	}
 	p := 4
 	if len(data) < p+tkl {
-		return nil, ErrTruncated
+		return buf, opts, ErrTruncated
 	}
-	data = append(make([]byte, 0, len(data)), data...)
-	m := &Message{
+	if buf == nil {
+		buf = make([]byte, 0, len(data))
+	}
+	data = append(buf[:0], data...)
+	*m = Message{
 		Type:      Type(data[0] >> 4 & 0x3),
 		Code:      Code(data[1]),
 		MessageID: binary.BigEndian.Uint16(data[2:4]),
@@ -355,14 +376,12 @@ func Unmarshal(data []byte) (*Message, error) {
 	}
 	p += tkl
 
-	var stack [16]Option
-	opts := stack[:0]
 	prev := OptionID(0)
 	for p < len(data) {
 		if data[p] == 0xFF {
 			p++
 			if p >= len(data) {
-				return nil, ErrFormat // payload marker with empty payload
+				return data, opts, ErrFormat // payload marker with empty payload
 			}
 			m.Payload = data[p:]
 			break
@@ -372,22 +391,22 @@ func Unmarshal(data []byte) (*Message, error) {
 		p++
 		delta, n, err := optExt(data, p, db)
 		if err != nil {
-			return nil, err
+			return data, opts, err
 		}
 		p = n
 		length, n, err := optExt(data, p, lb)
 		if err != nil {
-			return nil, err
+			return data, opts, err
 		}
 		p = n
 		if len(data) < p+length {
-			return nil, ErrTruncated
+			return data, opts, ErrTruncated
 		}
 		// Option numbers are 16-bit; a cumulative delta past 65535 would
 		// silently wrap OptionID to a smaller number, breaking the
 		// ascending-order invariant Marshal relies on.
 		if int(prev)+delta > 0xFFFF {
-			return nil, ErrBadOption
+			return data, opts, ErrBadOption
 		}
 		prev += OptionID(delta)
 		o := Option{ID: prev}
@@ -397,10 +416,7 @@ func Unmarshal(data []byte) (*Message, error) {
 		opts = append(opts, o)
 		p += length
 	}
-	if len(opts) > 0 {
-		m.Options = append(make([]Option, 0, len(opts)), opts...)
-	}
-	return m, nil
+	return data, opts, nil
 }
 
 func optExt(data []byte, p, nibble int) (value, next int, err error) {

@@ -8,13 +8,18 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"iiotds/internal/netbuf"
 )
 
 // HandlerFunc serves one request method on one resource. It returns the
 // response message (Code, Payload, Options); the message layer fills in
 // type, token, and IDs. Returning nil suppresses the response.
+//
+// req and everything it references (token, option values, payload) are
+// borrowed for the call: the next request reuses their memory once the
+// handler returns, so a handler that keeps any of it copies it first.
+// The server copies the returned message before it adds Observe, Block2
+// and the header fields, so a handler may return a shared message, as
+// long as nothing modifies it while requests may be reading it.
 type HandlerFunc func(from string, req *Message) *Message
 
 // DefaultMaxObservers bounds observer state per resource when the server
@@ -330,15 +335,9 @@ type notifyEncoder struct {
 // appendUintOpt appends one option with delta < 13 and a uint value.
 func appendUintOpt(b []byte, delta int, v uint32) []byte {
 	var vb [4]byte
-	n := 0
-	for x := v; x > 0; x >>= 8 {
-		n++
-	}
-	for i := 0; i < n; i++ {
-		vb[i] = byte(v >> (8 * (n - 1 - i)))
-	}
-	b = append(b, byte(delta)<<4|byte(n))
-	return append(b, vb[:n]...)
+	val := uintValue(&vb, v)
+	b = append(b, byte(delta)<<4|byte(len(val)))
+	return append(b, val...)
 }
 
 // prepare encodes the shared body: Observe (6) and Content-Format (12)
@@ -525,25 +524,26 @@ func (s *Server) linkFormat() []byte {
 	return []byte(sb.String())
 }
 
-// handle dispatches one request and returns the response (nil = silent).
-func (s *Server) handle(from string, req *Message) *Message {
+// handle dispatches one request and returns its answer, built in sc's
+// answer slot (nil = silent).
+func (s *Server) handle(from string, req *Message, sc *reqScratch) *Message {
 	var buf [64]byte
 	path := req.appendPath(buf[:0])
 	if string(path) == ".well-known/core" && req.Code == CodeGET {
-		resp := &Message{Code: CodeContent, Payload: s.linkFormat()}
-		resp.AddUintOption(OptContentFormat, FormatLinkFormat)
+		resp := sc.answer(&Message{Code: CodeContent, Payload: s.linkFormat()})
+		resp.AddOption(OptContentFormat, uintValue(&sc.uints[0], FormatLinkFormat))
 		return resp
 	}
 	r, ok := (*s.resources.Load())[string(path)]
 	if !ok {
-		return &Message{Code: CodeNotFound}
+		return sc.answer(&Message{Code: CodeNotFound})
 	}
 	r.mu.Lock()
 	fn, ok := r.handlers[req.Code]
 	observable := r.observable
 	r.mu.Unlock()
 	if !ok {
-		return &Message{Code: CodeMethodNotAllowed}
+		return sc.answer(&Message{Code: CodeMethodNotAllowed})
 	}
 
 	// Observe intent (RFC 7641). Deregistration (Observe=1) takes effect
@@ -562,29 +562,30 @@ func (s *Server) handle(from string, req *Message) *Message {
 		}
 	}
 
-	resp := fn(from, req)
-	if resp == nil {
+	handled := fn(from, req)
+	if handled == nil {
 		return nil
 	}
+	resp := sc.answer(handled)
 	if register && resp.Code.IsSuccess() {
 		if err := r.addObserver(from, req.Token); err != nil {
 			// Admission reject: 5.03, with a retry hint when configured.
-			reject := &Message{Code: CodeServiceUnavailable}
+			resp = sc.answer(&Message{Code: CodeServiceUnavailable})
 			if age := s.rejectMaxAge.Load(); age > 0 {
-				reject.AddUintOption(OptMaxAge, uint32(age))
+				resp.AddOption(OptMaxAge, uintValue(&sc.uints[0], uint32(age)))
 			}
-			return reject
+			return resp
 		}
-		resp.AddUintOption(OptObserve, r.obsSeq.Add(1))
+		resp.AddOption(OptObserve, uintValue(&sc.uints[0], r.obsSeq.Add(1)))
 	}
-	s.applyBlock2(req, resp)
+	s.applyBlock2(req, resp, &sc.uints[1])
 	return resp
 }
 
 // applyBlock2 slices large response payloads per RFC 7959 (stateless
 // server: the handler regenerates the full representation each time and
-// the requested window is cut here).
-func (s *Server) applyBlock2(req, resp *Message) {
+// the requested window is cut here). The Block2 value goes into val.
+func (s *Server) applyBlock2(req, resp *Message, val *[4]byte) {
 	if !resp.Code.IsSuccess() || s.conn == nil {
 		return
 	}
@@ -617,9 +618,9 @@ func (s *Server) applyBlock2(req, resp *Message) {
 	} else {
 		end = len(resp.Payload)
 	}
-	resp.Payload = netbuf.CloneBytes(resp.Payload[off:end])
+	resp.Payload = resp.Payload[off:end]
 	resp.RemoveOption(OptBlock2)
-	resp.AddUintOption(OptBlock2, num<<4|more|szx)
+	resp.AddOption(OptBlock2, uintValue(val, num<<4|more|szx))
 }
 
 // TextResponse builds a 2.05 Content response with text payload.

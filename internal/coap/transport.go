@@ -18,7 +18,10 @@ type Transport interface {
 	// keeps it, copies first.
 	Send(addr string, data []byte) error
 	// SetReceiver installs the inbound datagram callback. It must be
-	// called exactly once, before any datagram arrives.
+	// called exactly once, before any datagram arrives. data is valid
+	// only for the call: the transport may reuse it once fn returns, so
+	// a receiver that keeps any of it copies it first (Conn does, once,
+	// as it decodes).
 	SetReceiver(fn func(from string, data []byte))
 	// LocalAddr returns this endpoint's address.
 	LocalAddr() string
@@ -63,9 +66,7 @@ func (t *UDPTransport) readLoop() {
 		recv := t.recv
 		t.mu.Unlock()
 		if recv != nil {
-			data := make([]byte, n)
-			copy(data, buf[:n])
-			recv(from.String(), data)
+			recv(from.String(), buf[:n])
 		}
 	}
 }

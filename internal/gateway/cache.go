@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
+	"iiotds/internal/coap"
 	"iiotds/internal/netbuf"
 )
 
@@ -18,6 +19,11 @@ type Entry struct {
 	ContentFormat uint32
 	Seq           uint64        // monotonically increasing per path
 	At            time.Duration // scheduler time of the Set
+
+	// resp is the 2.05 every cache-served CoAP GET of this
+	// representation returns, built once by Set and shared: the server
+	// copies it before stamping.
+	resp coap.Message
 }
 
 // Cache is the gateway's last-value store: one entry per resource path,
@@ -41,32 +47,37 @@ func NewCache(sched clock.Scheduler) *Cache {
 
 // Set stores the latest representation for path (payload is copied).
 func (c *Cache) Set(path string, contentFormat uint32, payload []byte) {
-	now := c.sched.Now()
+	e := &Entry{Payload: netbuf.CloneBytes(payload), ContentFormat: contentFormat, At: c.sched.Now()}
+	e.resp = coap.Message{Code: coap.CodeContent, Payload: e.Payload}
+	e.resp.AddUintOption(coap.OptContentFormat, contentFormat)
 	c.mu.Lock()
-	var seq uint64 = 1
+	e.Seq = 1
 	if old, ok := c.m[path]; ok {
-		seq = old.Seq + 1
+		e.Seq = old.Seq + 1
 	}
-	c.m[path] = &Entry{
-		Payload:       netbuf.CloneBytes(payload),
-		ContentFormat: contentFormat,
-		Seq:           seq,
-		At:            now,
-	}
+	c.m[path] = e
 	c.mu.Unlock()
 }
 
 // Get returns the cached representation for path.
 func (c *Cache) Get(path string) (Entry, bool) {
+	if e := c.entry(path); e != nil {
+		return *e, true
+	}
+	return Entry{}, false
+}
+
+// entry returns the stored entry for path, or nil, counting the read.
+func (c *Cache) entry(path string) *Entry {
 	c.mu.RLock()
-	e, ok := c.m[path]
+	e := c.m[path]
 	c.mu.RUnlock()
-	if !ok {
+	if e == nil {
 		c.misses.Add(1)
-		return Entry{}, false
+		return nil
 	}
 	c.hits.Add(1)
-	return *e, true
+	return e
 }
 
 // Age reports how long ago the entry was stored.

@@ -15,9 +15,7 @@
 package gateway
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -122,33 +120,20 @@ func (g *Gateway) Cache() *Cache { return g.cache }
 func (g *Gateway) AddResource(path, rt string, fallback coap.HandlerFunc) *coap.Resource {
 	r := g.srv.Resource(path).ResourceType(rt).Observable()
 	r.Get(func(from string, req *coap.Message) *coap.Message {
-		if e, ok := g.cache.Get(path); ok {
-			return newCachedResponse(e)
+		if e := g.cache.entry(path); e != nil {
+			return &e.resp
 		}
 		if fallback != nil {
 			return fallback(from, req)
 		}
-		return &coap.Message{Code: coap.CodeServiceUnavailable}
+		return &coldAnswer
 	})
 	return r
 }
 
-// cachedResponse is a cache-served 2.05 with its options in one
-// allocation: Content-Format, and room for the Observe option the server
-// adds to a registration's answer.
-type cachedResponse struct {
-	msg  coap.Message
-	opts [2]coap.Option
-	cf   [4]byte
-}
-
-func newCachedResponse(e Entry) *coap.Message {
-	c := &cachedResponse{}
-	binary.BigEndian.PutUint32(c.cf[:], e.ContentFormat)
-	c.opts[0] = coap.Option{ID: coap.OptContentFormat, Value: c.cf[4-(bits.Len32(e.ContentFormat)+7)/8:]}
-	c.msg = coap.Message{Code: coap.CodeContent, Payload: e.Payload, Options: c.opts[:1]}
-	return &c.msg
-}
+// coldAnswer is the 5.03 a read gets before the first publish; the
+// server copies it, so it is shared.
+var coldAnswer = coap.Message{Code: coap.CodeServiceUnavailable}
 
 // Publish offers a new representation for path: it lands in the
 // last-value cache and — subject to coalescing — fans out to every

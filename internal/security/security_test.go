@@ -8,7 +8,7 @@ import (
 	"iiotds/internal/netbuf"
 )
 
-func pair(t *testing.T) (*Channel, *Channel) {
+func pair(t testing.TB) (*Channel, *Channel) {
 	t.Helper()
 	ks := NewKeyStore()
 	if err := ks.Set(1, bytes.Repeat([]byte{7}, 16)); err != nil {
