@@ -272,17 +272,15 @@ func ExampleDeployment() {
 }
 
 // TestDeployedHeaderFormPinned pins which 6LoWPAN header a built stack
-// puts on the air. Today it is the uncompressed 40-byte one: rpl.NewRouter
-// passes the zero lowpan.Config, and no option reaches it. Turning
-// IPHC-style compression on (ROADMAP) is a one-line edit there, but it
-// changes airtime and fragment counts behind every E-table, so it has
-// to be a deliberate change — this constant is the line that moves with
-// it (to 9).
+// puts on the air: the IPHC-style 9-byte one, and no option reaches it.
+// The header sets airtime and fragment counts behind every E-table, so
+// a change to it has to be a deliberate one — this constant is the line
+// that moves with it.
 func TestDeployedHeaderFormPinned(t *testing.T) {
 	const (
-		deployedHeader = 40 // lowpan's uncompressed form; the IPHC-style one is 9
+		deployedHeader = 9 // src, dst, proto, hop limit, seq and a version byte
 		framing        = 5  // MAC header 3 + link protocol 1 + 6LoWPAN dispatch 1
-		payload        = 50 // one frame under either form, and larger than any routing frame
+		payload        = 50 // one frame, and larger than any routing frame
 		sniffer        = radio.NodeID(1000)
 	)
 	d := smallGrid(4, Profile{})

@@ -148,10 +148,9 @@ type Config struct {
 	// 802.15.4-class after MAC overhead).
 	MTU int
 	// Compress selects the IPHC-like 9-byte header over the padded
-	// 40-byte one. It is off unless set, and nothing outside the tests
-	// and the ablation benchmark sets it: rpl.NewRouter passes the zero
-	// Config, so every deployed node emits the uncompressed form
-	// (core's TestDeployedHeaderFormPinned; the flip is a ROADMAP item).
+	// 40-byte one. It is off unless set; rpl.NewRouter sets it, so every
+	// deployed node emits the compressed form (core's
+	// TestDeployedHeaderFormPinned).
 	Compress bool
 	// ReassemblyTimeout is how long partial datagrams are kept
 	// (default 5 s).

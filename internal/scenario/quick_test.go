@@ -55,8 +55,8 @@ func TestQuickProperty(t *testing.T) {
 // quickDigests pins Quick{Seed: 11}'s summary digest per sweep size: the
 // tier-1 smoke and CI's scenario-property job.
 var quickDigests = map[int]string{
-	50:  "b0f4aef82fc58765",
-	500: "c67ba8cd6db60ec7",
+	50:  "5f7971d9887464b2",
+	500: "4cd66b5a982d41cc",
 }
 
 func TestQuickGenSpecsValidate(t *testing.T) {
