@@ -82,7 +82,7 @@ func BenchmarkCoAPUnmarshal(b *testing.B) {
 }
 
 func BenchmarkLowpanFragmentReassemble(b *testing.B) {
-	a := lowpan.NewAdaptation(lowpan.Config{Compress: true})
+	a := lowpan.NewAdaptation(lowpan.Config{})
 	a.UsePool(netbuf.NewPool())
 	payload := make([]byte, 512)
 	d := &lowpan.Datagram{Src: 1, Dst: 2, Proto: lowpan.ProtoCoAP, Payload: payload}
@@ -132,40 +132,6 @@ func BenchmarkAdapterModbusDecode(b *testing.B) {
 }
 
 // --- ablation benchmarks for design choices DESIGN.md calls out ---
-
-// BenchmarkAblationHeaderCompression quantifies what IPHC-style header
-// compression buys per datagram: bytes on the wire and frame count for a
-// typical CoAP-sized payload.
-func BenchmarkAblationHeaderCompression(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"compressed", true}, {"uncompressed", false}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			a := lowpan.NewAdaptation(lowpan.Config{Compress: mode.compress})
-			a.UsePool(netbuf.NewPool())
-			d := &lowpan.Datagram{Src: 1, Dst: 2, Proto: lowpan.ProtoCoAP, Payload: make([]byte, 80)}
-			var bytesOut, frames int
-			var scratch []*netbuf.Buffer
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fs, err := a.Encode(d, scratch[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				scratch = fs[:0]
-				frames += len(fs)
-				for _, f := range fs {
-					bytesOut += len(f.Bytes())
-					f.Release()
-				}
-			}
-			b.ReportMetric(float64(bytesOut)/float64(b.N), "bytes/datagram")
-			b.ReportMetric(float64(frames)/float64(b.N), "frames/datagram")
-		})
-	}
-}
 
 // BenchmarkAblationAEADOverhead quantifies the per-frame cost of link
 // protection (E11's overhead, isolated from the radio).

@@ -278,7 +278,7 @@ func ExampleDeployment() {
 // that moves with it.
 func TestDeployedHeaderFormPinned(t *testing.T) {
 	const (
-		deployedHeader = 9 // src, dst, proto, hop limit, seq and a version byte
+		deployedHeader = 9  // src, dst, proto, hop limit, seq and a version byte
 		framing        = 5  // MAC header 3 + link protocol 1 + 6LoWPAN dispatch 1
 		payload        = 50 // one frame, and larger than any routing frame
 		sniffer        = radio.NodeID(1000)

@@ -9,17 +9,17 @@ import (
 
 // FuzzEncodeFeedRoundTrip drives the adaptation layer end to end:
 // whatever datagram we can Encode must reassemble via Feed into the
-// identical datagram, under both header-compression modes. The seed
-// corpus covers the unfragmented, two-fragment, and max-size paths, so
-// plain `go test` already exercises all three.
+// identical datagram. The seed corpus covers the unfragmented,
+// three-fragment, and max-size paths, so plain `go test` already
+// exercises all three.
 func FuzzEncodeFeedRoundTrip(f *testing.F) {
-	f.Add(uint16(1), uint16(2), byte(ProtoCoAP), byte(64), uint16(7), []byte("hello"), true)
-	f.Add(uint16(3), uint16(4), byte(ProtoGossip), byte(1), uint16(0), make([]byte, 200), false)
-	f.Add(uint16(5), uint16(6), byte(ProtoRaw), byte(255), uint16(65535), make([]byte, MaxDatagramSize-compressedHeaderLen), true)
-	f.Add(uint16(0), uint16(0), byte(0), byte(0), uint16(0), []byte{}, false)
+	f.Add(uint16(1), uint16(2), byte(ProtoCoAP), byte(64), uint16(7), []byte("hello"))
+	f.Add(uint16(3), uint16(4), byte(ProtoGossip), byte(1), uint16(0), make([]byte, 200))
+	f.Add(uint16(5), uint16(6), byte(ProtoRaw), byte(255), uint16(65535), make([]byte, MaxDatagramSize-headerLen))
+	f.Add(uint16(0), uint16(0), byte(0), byte(0), uint16(0), []byte{})
 
-	f.Fuzz(func(t *testing.T, src, dst uint16, proto, hopLimit byte, seq uint16, payload []byte, compress bool) {
-		a := NewAdaptation(Config{Compress: compress})
+	f.Fuzz(func(t *testing.T, src, dst uint16, proto, hopLimit byte, seq uint16, payload []byte) {
+		a := NewAdaptation(Config{})
 		d := &Datagram{
 			Src:      radio.NodeID(src),
 			Dst:      radio.NodeID(dst),
@@ -66,8 +66,9 @@ func FuzzEncodeFeedRoundTrip(f *testing.F) {
 // whatever arrives from the radio.
 func FuzzFeedArbitrary(f *testing.F) {
 	// Seeds: a valid unfragmented frame, a valid FRAG1, truncated
-	// variants, and hostile size/offset fields.
-	a := NewAdaptation(Config{Compress: true})
+	// variants, hostile size/offset fields, and an unfragmented frame
+	// carrying the retired padded header (version 0x01, 40 bytes).
+	a := NewAdaptation(Config{})
 	frames, err := encodeBytes(a, &Datagram{Src: 1, Dst: 2, Proto: ProtoCoAP, Payload: make([]byte, 300)})
 	if err != nil {
 		f.Fatal(err)
@@ -80,9 +81,12 @@ func FuzzFeedArbitrary(f *testing.F) {
 	f.Add([]byte{dispUnfrag})
 	f.Add([]byte{dispFrag1, 0xFF, 0xFF, 0, 1})
 	f.Add([]byte{dispFragN, 0xFF, 0xFF, 0, 1, 0xFF})
+	padded := make([]byte, 1+40+8)
+	padded[0], padded[1] = dispUnfrag, 0x01
+	f.Add(padded)
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		a := NewAdaptation(Config{Compress: true})
+		a := NewAdaptation(Config{})
 		d, err := a.Feed(0, 1, frame)
 		if err != nil {
 			return

@@ -1,8 +1,8 @@
 // Package lowpan is the adaptation layer between network-layer datagrams
 // and small link frames, modeled on 6LoWPAN (RFC 4944, paper ref [12]):
-// it compresses the network header and fragments datagrams that exceed
-// the link MTU, with fragment offsets in 8-byte units and lazy reassembly
-// expiry.
+// it carries the network header in one compressed 9-byte form and
+// fragments datagrams that exceed the link MTU, with fragment offsets in
+// 8-byte units and lazy reassembly expiry.
 //
 // Without this layer the stack could not carry CoAP messages (up to ~1 KB
 // with block transfers) over 802.15.4-class frames (~100 B of payload),
@@ -58,15 +58,13 @@ type Datagram struct {
 	Journey uint64
 }
 
-// Header sizes. The uncompressed form models a full IPv6 header (40
-// bytes); the compressed form is an IPHC-like 9 bytes. The difference is
-// what header compression buys on constrained links.
+// The datagram header is IPHC-like and 9 bytes long, where a full IPv6
+// header takes 40: a version byte, then source, destination, protocol,
+// hop limit and sequence number. The version byte is 0x81 (version 1,
+// compressed); a header that starts with any other byte is refused.
 const (
-	compressedHeaderLen   = 9
-	uncompressedHeaderLen = 40
-
-	flagCompressed = 0x80
-	headerVersion  = 0x01
+	headerLen     = 9
+	headerVersion = 0x81
 )
 
 // dispatch bytes for link frames.
@@ -92,54 +90,31 @@ const MaxDatagramSize = 1280
 // ErrTooLarge is returned when a datagram exceeds MaxDatagramSize.
 var ErrTooLarge = errors.New("lowpan: datagram exceeds maximum size")
 
-// headerLen returns the serialized header size under compress.
-func headerLen(compress bool) int {
-	if compress {
-		return compressedHeaderLen
-	}
-	return uncompressedHeaderLen
-}
-
 // encodeHeaderInto serializes the datagram header into buf, which must be
-// headerLen(compress) bytes of zeroed scratch.
-func encodeHeaderInto(buf []byte, d *Datagram, compress bool) {
+// headerLen bytes.
+func encodeHeaderInto(buf []byte, d *Datagram) {
 	buf[0] = headerVersion
-	if compress {
-		buf[0] |= flagCompressed
-	}
 	binary.BigEndian.PutUint16(buf[1:3], uint16(d.Src))
 	binary.BigEndian.PutUint16(buf[3:5], uint16(d.Dst))
 	buf[5] = byte(d.Proto)
 	buf[6] = d.HopLimit
 	binary.BigEndian.PutUint16(buf[7:9], d.Seq)
-	// Uncompressed headers carry the same information padded to IPv6
-	// size; the padding is what compression removes.
-	for i := compressedHeaderLen; i < len(buf); i++ {
-		buf[i] = 0
-	}
 }
 
-// decodeHeader parses a datagram header, returning the header length.
-func decodeHeader(raw []byte) (d Datagram, hlen int, err error) {
-	if len(raw) < compressedHeaderLen {
-		return d, 0, fmt.Errorf("lowpan: header too short (%d bytes)", len(raw))
+// decodeHeader parses a datagram header; the payload follows it.
+func decodeHeader(raw []byte) (d Datagram, err error) {
+	if len(raw) < headerLen {
+		return d, fmt.Errorf("lowpan: header too short (%d bytes)", len(raw))
 	}
-	if raw[0]&^flagCompressed != headerVersion {
-		return d, 0, fmt.Errorf("lowpan: unknown header version %#x", raw[0])
-	}
-	hlen = uncompressedHeaderLen
-	if raw[0]&flagCompressed != 0 {
-		hlen = compressedHeaderLen
-	}
-	if len(raw) < hlen {
-		return d, 0, fmt.Errorf("lowpan: truncated header (%d < %d)", len(raw), hlen)
+	if raw[0] != headerVersion {
+		return d, fmt.Errorf("lowpan: unknown header version %#x", raw[0])
 	}
 	d.Src = radio.NodeID(binary.BigEndian.Uint16(raw[1:3]))
 	d.Dst = radio.NodeID(binary.BigEndian.Uint16(raw[3:5]))
 	d.Proto = Proto(raw[5])
 	d.HopLimit = raw[6]
 	d.Seq = binary.BigEndian.Uint16(raw[7:9])
-	return d, hlen, nil
+	return d, nil
 }
 
 // Config configures an Adaptation.
@@ -147,11 +122,6 @@ type Config struct {
 	// MTU is the maximum link-frame payload (default 100 bytes,
 	// 802.15.4-class after MAC overhead).
 	MTU int
-	// Compress selects the IPHC-like 9-byte header over the padded
-	// 40-byte one. It is off unless set; rpl.NewRouter sets it, so every
-	// deployed node emits the compressed form (core's
-	// TestDeployedHeaderFormPinned).
-	Compress bool
 	// ReassemblyTimeout is how long partial datagrams are kept
 	// (default 5 s).
 	ReassemblyTimeout time.Duration
@@ -188,8 +158,8 @@ type reasmBuf struct {
 	have     fragBitmap // fragment offsets seen, in 8-byte slots
 }
 
-// NewAdaptation returns an adaptation layer; header compression is as
-// cfg.Compress says, i.e. off for the zero Config.
+// NewAdaptation returns an adaptation layer; zero fields of cfg take
+// their defaults.
 func NewAdaptation(cfg Config) *Adaptation {
 	if cfg.MTU == 0 {
 		cfg.MTU = 100
@@ -225,13 +195,12 @@ func (a *Adaptation) get() *netbuf.Buffer {
 // are impossible because each fragment's header would overwrite the
 // neighboring chunk's trailing bytes.
 func (a *Adaptation) Encode(d *Datagram, frames []*netbuf.Buffer) ([]*netbuf.Buffer, error) {
-	hlen := headerLen(a.cfg.Compress)
-	if hlen+len(d.Payload) > MaxDatagramSize {
+	if headerLen+len(d.Payload) > MaxDatagramSize {
 		return frames, ErrTooLarge
 	}
 	whole := a.get()
 	whole.SetJourney(d.Journey)
-	encodeHeaderInto(whole.Extend(hlen), d, a.cfg.Compress)
+	encodeHeaderInto(whole.Extend(headerLen), d)
 	whole.Append(d.Payload)
 	size := whole.Len()
 	if 1+size <= a.cfg.MTU {
@@ -338,11 +307,11 @@ func (a *Adaptation) feedFragment(now time.Duration, from radio.NodeID, frame []
 }
 
 func (a *Adaptation) finish(whole []byte) (*Datagram, error) {
-	d, hlen, err := decodeHeader(whole)
+	d, err := decodeHeader(whole)
 	if err != nil {
 		return nil, err
 	}
-	d.Payload = whole[hlen:]
+	d.Payload = whole[headerLen:]
 	return &d, nil
 }
 
@@ -356,12 +325,3 @@ func (a *Adaptation) expire(now time.Duration) {
 
 // PendingReassemblies returns the number of incomplete datagrams held.
 func (a *Adaptation) PendingReassemblies() int { return len(a.reasm) }
-
-// HeaderOverhead returns the per-datagram header bytes under the current
-// compression setting — the quantity header compression reduces.
-func (a *Adaptation) HeaderOverhead() int {
-	if a.cfg.Compress {
-		return compressedHeaderLen
-	}
-	return uncompressedHeaderLen
-}

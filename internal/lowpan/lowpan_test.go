@@ -57,7 +57,7 @@ func equal(a, b *Datagram) bool {
 }
 
 func TestSingleFrameRoundTrip(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	d := &Datagram{Src: 3, Dst: 9, Proto: ProtoCoAP, HopLimit: 16, Seq: 77, Payload: []byte("small")}
 	got := roundTrip(t, a, d)
 	if !equal(d, got) {
@@ -66,7 +66,7 @@ func TestSingleFrameRoundTrip(t *testing.T) {
 }
 
 func TestFragmentedRoundTrip(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	payload := make([]byte, 700)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -91,7 +91,7 @@ func TestFragmentedRoundTrip(t *testing.T) {
 }
 
 func TestOutOfOrderFragments(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	payload := make([]byte, 300)
 	for i := range payload {
 		payload[i] = byte(i * 7)
@@ -118,7 +118,7 @@ func TestOutOfOrderFragments(t *testing.T) {
 }
 
 func TestDuplicateFragmentsHarmless(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	payload := make([]byte, 250)
 	d := &Datagram{Src: 1, Dst: 2, Proto: ProtoRaw, Payload: payload}
 	frames, _ := encodeBytes(a, d)
@@ -144,7 +144,7 @@ func TestDuplicateFragmentsHarmless(t *testing.T) {
 }
 
 func TestInterleavedSourcesDoNotMix(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	mk := func(fill byte) *Datagram {
 		p := make([]byte, 300)
 		for i := range p {
@@ -178,7 +178,7 @@ func TestInterleavedSourcesDoNotMix(t *testing.T) {
 }
 
 func TestReassemblyExpiry(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true, ReassemblyTimeout: time.Second})
+	a := NewAdaptation(Config{ReassemblyTimeout: time.Second})
 	payload := make([]byte, 300)
 	d := &Datagram{Src: 1, Dst: 2, Proto: ProtoRaw, Payload: payload}
 	frames, _ := encodeBytes(a, d)
@@ -199,35 +199,74 @@ func TestReassemblyExpiry(t *testing.T) {
 	}
 }
 
+// TestCompressionSavesBytes pins what the compressed header buys on the
+// air: an 80-byte CoAP datagram goes out as one 90-byte frame (dispatch
+// byte, 9-byte header, payload), where a 40-byte IPv6 header would not
+// fit the default 100-byte MTU and would need two fragments.
 func TestCompressionSavesBytes(t *testing.T) {
-	c := NewAdaptation(Config{Compress: true})
-	u := NewAdaptation(Config{Compress: false})
-	d := &Datagram{Src: 1, Dst: 2, Proto: ProtoCoAP, Payload: []byte("x")}
-	fc, _ := encodeBytes(c, d)
-	fu, _ := encodeBytes(u, d)
-	if len(fc) != 1 || len(fu) != 1 {
-		t.Fatal("tiny datagram fragmented")
+	const ipv6HeaderLen = 40
+	a := NewAdaptation(Config{})
+	d := &Datagram{Src: 1, Dst: 2, Proto: ProtoCoAP, Payload: make([]byte, 80)}
+	frames, err := encodeBytes(a, d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	saved := len(fu[0]) - len(fc[0])
-	if saved != uncompressedHeaderLen-compressedHeaderLen {
-		t.Fatalf("compression saved %d bytes, want %d", saved, uncompressedHeaderLen-compressedHeaderLen)
+	if len(frames) != 1 || len(frames[0]) != 90 {
+		sizes := make([]int, len(frames))
+		for i, f := range frames {
+			sizes[i] = len(f)
+		}
+		t.Fatalf("80-byte datagram went on the air as frames %v, want one of 90 bytes", sizes)
 	}
-	if c.HeaderOverhead() >= u.HeaderOverhead() {
-		t.Fatal("HeaderOverhead ordering wrong")
+	if 1+ipv6HeaderLen+len(d.Payload) <= a.cfg.MTU {
+		t.Fatal("an IPv6-size header would fit the same frame; the test no longer shows a saving")
 	}
 }
 
-func TestUncompressedRoundTrip(t *testing.T) {
-	a := NewAdaptation(Config{Compress: false})
-	d := &Datagram{Src: 100, Dst: 200, Proto: ProtoCoAP, HopLimit: 3, Seq: 500, Payload: []byte("legacy")}
-	got := roundTrip(t, a, d)
-	if !equal(d, got) {
-		t.Fatal("uncompressed round trip mismatch")
+// TestPaddedHeaderRefused feeds the retired padded header: the same seven
+// fields behind version byte 0x01, zero-padded to 40 bytes. The decoder
+// accepts only the 9-byte form, so the frame is refused whether it
+// arrives whole or in fragments, and no reassembly state is left behind.
+func TestPaddedHeaderRefused(t *testing.T) {
+	padded := func(payload int) []byte {
+		b := make([]byte, 40+payload)
+		b[0] = 0x01
+		b[2], b[4], b[5], b[6] = 1, 2, byte(ProtoCoAP), 64
+		return b
+	}
+	a := NewAdaptation(Config{})
+	if _, err := a.Feed(0, 1, append([]byte{dispUnfrag}, padded(20)...)); err == nil {
+		t.Fatal("unfragmented frame with the padded header accepted")
+	}
+	// Fragment a padded 300-byte datagram the way the old encoder did.
+	whole := padded(300)
+	frag := func(disp byte, offset, end int) []byte {
+		f := []byte{disp, byte(len(whole) >> 8), byte(len(whole)), 0, 9}
+		if disp == dispFragN {
+			f = append(f, byte(offset/8))
+		}
+		return append(f, whole[offset:end]...)
+	}
+	frames := [][]byte{frag(dispFrag1, 0, 88)}
+	for off := 88; off < len(whole); off += 88 {
+		frames = append(frames, frag(dispFragN, off, min(off+88, len(whole))))
+	}
+	var err error
+	for _, f := range frames {
+		if _, err = a.Feed(0, 1, f); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		t.Fatal("fragmented datagram with the padded header accepted")
+	}
+	if n := a.PendingReassemblies(); n != 0 {
+		t.Fatalf("refused datagram left %d reassemblies pending", n)
 	}
 }
 
 func TestTooLarge(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	d := &Datagram{Payload: make([]byte, MaxDatagramSize+1)}
 	if _, err := encodeBytes(a, d); err != ErrTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
@@ -235,7 +274,7 @@ func TestTooLarge(t *testing.T) {
 }
 
 func TestGarbageFrames(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	for _, frame := range [][]byte{
 		nil,
 		{},
@@ -251,7 +290,7 @@ func TestGarbageFrames(t *testing.T) {
 }
 
 func TestFragmentOverrunRejected(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	// FRAGN claiming size 16 with offset 8 and 100 bytes of chunk.
 	f := make([]byte, fragNHeaderLen+100)
 	f[0] = dispFragN
@@ -264,10 +303,10 @@ func TestFragmentOverrunRejected(t *testing.T) {
 }
 
 func TestPropertyRoundTripAnyPayload(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	f := func(src, dst uint16, proto, hop byte, seq uint16, payload []byte) bool {
-		if len(payload) > MaxDatagramSize-compressedHeaderLen {
-			payload = payload[:MaxDatagramSize-compressedHeaderLen]
+		if len(payload) > MaxDatagramSize-headerLen {
+			payload = payload[:MaxDatagramSize-headerLen]
 		}
 		d := &Datagram{
 			Src: int16ID(src), Dst: int16ID(dst), Proto: Proto(proto),
@@ -312,7 +351,7 @@ func int16ID(v uint16) radio.NodeID { return radio.NodeID(v) }
 // reassembles from a fresh buffer rather than inheriting stale bitmap
 // state from the evicted one.
 func TestEvictionThenRetransmitCompletes(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true, ReassemblyTimeout: time.Second})
+	a := NewAdaptation(Config{ReassemblyTimeout: time.Second})
 	payload := make([]byte, 300)
 	for i := range payload {
 		payload[i] = byte(i * 3)
@@ -356,7 +395,7 @@ func TestEvictionThenRetransmitCompletes(t *testing.T) {
 // the mismatched size must restart the buffer, and the new datagram must
 // reassemble cleanly.
 func TestTagReuseDifferentSizeRestarts(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
+	a := NewAdaptation(Config{})
 	old := &Datagram{Src: 7, Dst: 2, Proto: ProtoRaw, Payload: make([]byte, 500)}
 	oldFrames, err := encodeBytes(a, old)
 	if err != nil {
@@ -367,7 +406,7 @@ func TestTagReuseDifferentSizeRestarts(t *testing.T) {
 	}
 
 	// Same tag, different size: a fresh Adaptation re-issues tag 1.
-	b := NewAdaptation(Config{Compress: true})
+	b := NewAdaptation(Config{})
 	payload := make([]byte, 260)
 	for i := range payload {
 		payload[i] = byte(255 - i)
@@ -398,8 +437,8 @@ func TestTagReuseDifferentSizeRestarts(t *testing.T) {
 // TestMaxSizeDatagramUsesTopBitmapSlot reassembles a MaxDatagramSize
 // datagram, driving the fragment bitmap to its highest slot.
 func TestMaxSizeDatagramUsesTopBitmapSlot(t *testing.T) {
-	a := NewAdaptation(Config{Compress: true})
-	payload := make([]byte, MaxDatagramSize-compressedHeaderLen)
+	a := NewAdaptation(Config{})
+	payload := make([]byte, MaxDatagramSize-headerLen)
 	for i := range payload {
 		payload[i] = byte(i * 11)
 	}

@@ -143,7 +143,7 @@ func NewRouter(k *sim.Kernel, lnk *link.Link, isRoot bool, root radio.NodeID, cf
 	r := &Router{
 		k:        k,
 		lnk:      lnk,
-		adapt:    lowpan.NewAdaptation(lowpan.Config{Compress: true}),
+		adapt:    lowpan.NewAdaptation(lowpan.Config{}),
 		cfg:      cfg,
 		reg:      reg,
 		id:       lnk.ID(),
