@@ -223,42 +223,29 @@ func TestCompressionSavesBytes(t *testing.T) {
 	}
 }
 
-// TestPaddedHeaderRefused feeds the retired padded header: the same seven
-// fields behind version byte 0x01, zero-padded to 40 bytes. The decoder
-// accepts only the 9-byte form, so the frame is refused whether it
-// arrives whole or in fragments, and no reassembly state is left behind.
+// TestPaddedHeaderRefused feeds the retired padded header, whose version
+// byte is 0x01: the decoder accepts only the 9-byte form, so the
+// datagram is refused whether it arrives whole or in fragments, and no
+// reassembly state is left behind.
 func TestPaddedHeaderRefused(t *testing.T) {
-	padded := func(payload int) []byte {
-		b := make([]byte, 40+payload)
-		b[0] = 0x01
-		b[2], b[4], b[5], b[6] = 1, 2, byte(ProtoCoAP), 64
-		return b
-	}
 	a := NewAdaptation(Config{})
-	if _, err := a.Feed(0, 1, append([]byte{dispUnfrag}, padded(20)...)); err == nil {
+	padded := make([]byte, 1+40+20)
+	padded[0], padded[1] = dispUnfrag, 0x01
+	if _, err := a.Feed(0, 1, padded); err == nil {
 		t.Fatal("unfragmented frame with the padded header accepted")
 	}
-	// Fragment a padded 300-byte datagram the way the old encoder did.
-	whole := padded(300)
-	frag := func(disp byte, offset, end int) []byte {
-		f := []byte{disp, byte(len(whole) >> 8), byte(len(whole)), 0, 9}
-		if disp == dispFragN {
-			f = append(f, byte(offset/8))
-		}
-		return append(f, whole[offset:end]...)
+	frames, err := encodeBytes(a, &Datagram{Src: 1, Dst: 2, Proto: ProtoCoAP, Payload: make([]byte, 300)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	frames := [][]byte{frag(dispFrag1, 0, 88)}
-	for off := 88; off < len(whole); off += 88 {
-		frames = append(frames, frag(dispFragN, off, min(off+88, len(whole))))
-	}
-	var err error
+	frames[0][frag1HeaderLen] = 0x01 // the datagram header's version byte
 	for _, f := range frames {
 		if _, err = a.Feed(0, 1, f); err != nil {
 			break
 		}
 	}
 	if err == nil {
-		t.Fatal("fragmented datagram with the padded header accepted")
+		t.Fatal("fragmented datagram with the padded header's version byte accepted")
 	}
 	if n := a.PendingReassemblies(); n != 0 {
 		t.Fatalf("refused datagram left %d reassemblies pending", n)
