@@ -217,11 +217,19 @@ func (n *Node) onFlood(from radio.NodeID, raw []byte) {
 	if err := json.Unmarshal(raw[2:], &fm); err != nil {
 		return
 	}
+	// A query RunQuery would never have sent is dropped: a zero epoch
+	// divides by zero in scheduleEpoch, a depth bound below 1 puts
+	// slotOffset's denominator at zero, and a depth below 1 (a negative
+	// or overflowing count) is no hop count.
+	depth := fm.Depth + 1
+	if fm.Query.Epoch <= 0 || fm.Query.MaxDepth < 1 || depth < 1 {
+		return
+	}
 	if n.seenQ[fm.Query.ID] {
 		return
 	}
-	n.install(fm.Query, fm.Depth+1)
-	n.flood(fm.Query, fm.Depth+1)
+	n.install(fm.Query, depth)
+	n.flood(fm.Query, depth)
 }
 
 func (n *Node) install(q Query, depth int) {
@@ -250,6 +258,13 @@ func (n *Node) scheduleEpoch(st *queryState) {
 	if at <= now {
 		at += epoch
 		st.epochNo++
+	}
+	if at <= now {
+		// Only an epoch or depth bound near the int64 limit overflows
+		// here; firing again at this instant would never let the
+		// kernel advance, so the query stops instead.
+		delete(n.queries, st.q.ID)
+		return
 	}
 	st.timer = n.k.At(at, func() { n.fireEpoch(st) })
 }

@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -221,5 +223,49 @@ func TestLateRecordsFoldForward(t *testing.T) {
 	k.RunFor(60 * time.Second)
 	if total == 0 {
 		t.Fatal("no records collected")
+	}
+}
+
+// floodBytes encodes the flood a node forwarding q at depth would send.
+func floodBytes(t testing.TB, q Query, depth int) []byte {
+	t.Helper()
+	data, err := json.Marshal(floodMsg{Query: q, Depth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.BigEndian.AppendUint16(nil, q.ID), data...)
+}
+
+// advancesPast reports whether k gets past instant at within limit
+// events; an event that reschedules itself at at forever holds it there.
+func advancesPast(k *sim.Kernel, at sim.Time, limit int) bool {
+	for i := 0; i < limit && k.Now() <= at; i++ {
+		if !k.Step() {
+			return true
+		}
+	}
+	return k.Now() > at
+}
+
+func TestFloodWithZeroEpochDropped(t *testing.T) {
+	k, nodes, _ := buildAggNet(t, 2)
+	k.RunUntil(5 * time.Second)
+	nodes[1].onFlood(0, floodBytes(t, Query{ID: 7, Fn: Avg, Attr: "temp", MaxDepth: 4}, 0))
+	if _, ok := nodes[1].queries[7]; ok {
+		t.Fatal("a query with a zero epoch was installed")
+	}
+	k.RunFor(10 * time.Second)
+}
+
+func TestFloodWithNegativeDepthBoundLetsKernelAdvance(t *testing.T) {
+	k, nodes, _ := buildAggNet(t, 2)
+	k.RunUntil(5 * time.Second)
+	at := k.Now()
+	nodes[1].onFlood(0, floodBytes(t, Query{ID: 7, Fn: Avg, Attr: "temp", Epoch: 10 * time.Second, MaxDepth: -2}, 0))
+	if !advancesPast(k, at, 10000) {
+		t.Fatalf("kernel still at %v after 10000 events", at)
+	}
+	if _, ok := nodes[1].queries[7]; ok {
+		t.Fatal("a query with a negative depth bound was installed")
 	}
 }

@@ -136,12 +136,6 @@ func (l *Link) Broadcast(proto Protocol, payload []byte) {
 	l.Send(radio.Broadcast, proto, payload, nil)
 }
 
-// BroadcastBuf transmits b to all neighbors under proto, taking
-// ownership of the caller's reference.
-func (l *Link) BroadcastBuf(proto Protocol, b *netbuf.Buffer) {
-	l.SendBuf(radio.Broadcast, proto, b, nil)
-}
-
 func (l *Link) onReceive(from radio.NodeID, raw []byte) {
 	if len(raw) < 1 {
 		return

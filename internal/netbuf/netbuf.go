@@ -188,13 +188,6 @@ func (b *Buffer) Len() int { b.check(); return b.end - b.off }
 // Headroom returns how many bytes Prepend can claim without growing.
 func (b *Buffer) Headroom() int { b.check(); return b.off }
 
-// Tailroom returns how many bytes Append/Extend can claim without
-// growing.
-func (b *Buffer) Tailroom() int { b.check(); return len(b.data) - b.end }
-
-// Refs returns the current reference count.
-func (b *Buffer) Refs() int { return b.refs }
-
 // Generation returns the buffer's pool-reuse generation. It increments
 // every time the buffer is returned to its pool, so a holder of a
 // stale reference can detect that the struct now carries a different
@@ -244,11 +237,6 @@ func (b *Buffer) TrimFront(n int) {
 // Append copies p onto the end of the window, growing if needed.
 func (b *Buffer) Append(p []byte) {
 	copy(b.Extend(len(p)), p)
-}
-
-// AppendByte appends a single byte.
-func (b *Buffer) AppendByte(c byte) {
-	b.Extend(1)[0] = c
 }
 
 // Extend grows the window n bytes at the tail and returns the new tail
