@@ -29,6 +29,7 @@ import (
 
 	"iiotds/internal/exp"
 	"iiotds/internal/trace"
+	"iiotds/internal/trial"
 )
 
 // report is the -json output document.
@@ -53,7 +54,6 @@ func run() int {
 	markdown := flag.Bool("markdown", false, "emit markdown (EXPERIMENTS.md body) instead of tables")
 	jsonOut := flag.Bool("json", false, "emit a JSON report (tables + kernel stats + wall times)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "trial worker goroutines per experiment (<=1 = sequential)")
-	shards := flag.Int("shards", 0, "worker threads the sharded experiments (E15) fan one deployment's stripes across (<=0 = one per stripe); tables are byte-identical at every setting")
 	events := flag.String("events", "", "enable the flight recorder and write every trial's events (JSONL) to this file")
 	eventsCap := flag.Int("events-capacity", 1<<16, "flight-recorder ring capacity per trial (giving it explicitly turns recording on even without -events)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -71,8 +71,7 @@ func run() int {
 		return 2
 	}
 
-	exp.SetParallelism(*parallel)
-	exp.SetShardWorkers(*shards)
+	trial.SetParallelism(*parallel)
 
 	var runners []exp.Runner
 	if *only == "" {
@@ -155,17 +154,17 @@ func run() int {
 		bw := bufio.NewWriter(f)
 		defer bw.Flush()
 		trace.SetDefaultCapacity(*eventsCap)
-		exp.SetTraceSink(func(i int, rec *trace.Recorder) {
+		trial.SetTraceSink(func(i int, rec *trace.Recorder) {
 			fmt.Fprintf(bw, "{\"experiment\":%q,\"trial\":%d,\"events\":%d,\"dropped\":%d}\n",
 				curID, i, rec.Total(), rec.Dropped())
 			if err := rec.WriteJSONL(bw, trace.All()); err != nil {
 				fmt.Fprintf(os.Stderr, "iiotbench: writing %s: %v\n", *events, err)
 			}
 		})
-		defer exp.SetTraceSink(nil)
+		defer trial.SetTraceSink(nil)
 	}
 
-	rep := report{Scale: *scaleFlag, Parallel: exp.Parallelism(), GoMaxProcs: runtime.GOMAXPROCS(0)}
+	rep := report{Scale: *scaleFlag, Parallel: trial.Parallelism(), GoMaxProcs: runtime.GOMAXPROCS(0)}
 	start := time.Now()
 	for _, r := range runners {
 		curID = r.ID
@@ -196,7 +195,7 @@ func run() int {
 	}
 	if !*markdown {
 		fmt.Printf("ran %d experiments at scale=%s parallel=%d in %.1fs\n",
-			len(rep.Experiments), *scaleFlag, exp.Parallelism(), rep.WallSeconds)
+			len(rep.Experiments), *scaleFlag, trial.Parallelism(), rep.WallSeconds)
 	}
 	return 0
 }

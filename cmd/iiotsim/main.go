@@ -55,6 +55,7 @@ func main() {
 	storeShards := flag.Int("store-shards", 0, "attach a partitioned time-series store (DESIGN.md §10) at the border router with this many shards and ingest every node's reading each -epoch into it (0 = no storage tier)")
 	storeModeFlag := flag.String("store-mode", "ap", "replication mode for -store-shards: ap (CRDT + anti-entropy) or cp (quorum)")
 	flag.Parse()
+	avgTemp := agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: *epoch, MaxDepth: 12}
 
 	// Flags are outside input: refuse, before anything is built, what
 	// would panic deep in a constructor or be silently ignored.
@@ -71,6 +72,8 @@ func main() {
 		usage("-nodes %d: need the border router and at least one node", *nodes)
 	case *epoch <= 0:
 		usage("-epoch %v: must be positive", *epoch)
+	case *query && avgTemp.Validate() != nil:
+		usage("-epoch %v: %v", *epoch, avgTemp.Validate())
 	case *duration <= 0:
 		usage("-duration %v: must be positive", *duration)
 	case *spacing <= 0:
@@ -164,7 +167,7 @@ func main() {
 	// Workload: the query lives on the border router's kernel and each
 	// sampler draws its noise from its own node's.
 	if *query {
-		scenario.StartAgg(f, agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: *epoch, MaxDepth: 12},
+		scenario.StartAgg(f, avgTemp,
 			func(n *core.Node) float64 { return 20 + float64(n.ID%7) + f.Kernel(n.ID).Rand().Float64() },
 			func(r agg.Result) {
 				fmt.Printf("t=%8v  epoch %4d  %s(%s) = %6.2f over %d nodes\n",

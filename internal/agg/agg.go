@@ -65,6 +65,38 @@ type Query struct {
 	MaxDepth int           `json:"max_depth"` // scheduling horizon (tree depth bound)
 }
 
+// minSlot is the shortest depth slot, Epoch/(MaxDepth+2), a query may
+// have: one PSR exchange between a node and its parent must fit in it
+// at worst, which on the default CSMA MAC is
+// (MaxRetries+1) × (airtime of the largest PSR frame + ACK timeout + backoff)
+// with
+//   - MaxRetries 3 (the mac.Config default): 4 attempts;
+//   - the largest PSR frame one link-MTU fragment: 100 B of 6LoWPAN, the
+//     link's protocol byte and the 3-byte MAC header, 104 B, which with
+//     the radio's 11 B of PHY overhead take 3.68 ms at 250 kbit/s;
+//   - the 5 ms ACK timeout (the mac.Config default);
+//   - the widest backoff window, 32 slots of 320 µs: 10.24 ms.
+//
+// 4 × (3.68 + 5 + 10.24) ms = 75.68 ms, rounded up.
+const minSlot = 76 * time.Millisecond
+
+// Validate reports why q cannot run: an epoch that is not positive, a
+// depth bound below 1, or a depth slot shorter than one worst-case PSR
+// exchange (minSlot). RunQuery panics on such a query and a node drops
+// it when it is flooded.
+func (q Query) Validate() error {
+	switch {
+	case q.Epoch <= 0:
+		return fmt.Errorf("agg: query epoch %v is not positive", q.Epoch)
+	case q.MaxDepth < 1:
+		return fmt.Errorf("agg: query depth bound %d is below 1", q.MaxDepth)
+	case q.Epoch/minSlot-2 < time.Duration(q.MaxDepth):
+		// Epoch/(MaxDepth+2) < minSlot, without forming MaxDepth+2.
+		return fmt.Errorf("agg: query epoch %v over depth bound %d leaves slots shorter than %v", q.Epoch, q.MaxDepth, minSlot)
+	}
+	return nil
+}
+
 // PSR is a partial state record: the mergeable aggregate state.
 type PSR struct {
 	QueryID uint16  `json:"q"`
@@ -179,11 +211,11 @@ func (n *Node) RunQuery(q Query) {
 	if !n.r.IsRoot() {
 		panic("agg: RunQuery on non-root")
 	}
-	if q.Epoch <= 0 {
-		panic("agg: query epoch must be positive")
-	}
 	if q.MaxDepth <= 0 {
 		q.MaxDepth = 10
+	}
+	if err := q.Validate(); err != nil {
+		panic(err)
 	}
 	n.install(q, 0)
 	n.flood(q, 0)
@@ -219,10 +251,11 @@ func (n *Node) onFlood(from radio.NodeID, raw []byte) {
 	}
 	// A query RunQuery would never have sent is dropped: a zero epoch
 	// divides by zero in scheduleEpoch, a depth bound below 1 puts
-	// slotOffset's denominator at zero, and a depth below 1 (a negative
-	// or overflowing count) is no hop count.
+	// slotOffset's denominator at zero, a slot shorter than a PSR
+	// exchange fires faster than the mesh can carry, and a depth below 1
+	// (a negative or overflowing count) is no hop count.
 	depth := fm.Depth + 1
-	if fm.Query.Epoch <= 0 || fm.Query.MaxDepth < 1 || depth < 1 {
+	if fm.Query.Validate() != nil || depth < 1 {
 		return
 	}
 	if n.seenQ[fm.Query.ID] {

@@ -269,3 +269,39 @@ func TestFloodWithNegativeDepthBoundLetsKernelAdvance(t *testing.T) {
 		t.Fatal("a query with a negative depth bound was installed")
 	}
 }
+
+// A flooded query whose depth slot is shorter than a PSR exchange is
+// dropped: a 1 ns epoch would otherwise fire the node once per virtual
+// nanosecond.
+func TestFloodWithSlotBelowFloorDropped(t *testing.T) {
+	k, nodes, _ := buildAggNet(t, 2)
+	k.RunUntil(5 * time.Second)
+	nodes[1].onFlood(0, floodBytes(t, Query{ID: 7, Fn: Avg, Attr: "temp", Epoch: 1, MaxDepth: 4}, 0))
+	before := k.Stats().Fired
+	k.RunFor(time.Millisecond)
+	if fired := k.Stats().Fired - before; fired >= 100 {
+		t.Fatalf("%d events in one virtual millisecond after a 1 ns-epoch flood", fired)
+	}
+	if _, ok := nodes[1].queries[7]; ok {
+		t.Fatal("a query with a 1 ns epoch was installed")
+	}
+}
+
+func TestQueryValidateSlotFloor(t *testing.T) {
+	for _, c := range []struct {
+		q  Query
+		ok bool
+	}{
+		{Query{Epoch: 10 * time.Second, MaxDepth: 16}, true}, // 555 ms slots: scenario.Run
+		{Query{Epoch: 18 * minSlot, MaxDepth: 16}, true},
+		{Query{Epoch: 18*minSlot - 1, MaxDepth: 16}, false},
+		{Query{Epoch: time.Second, MaxDepth: 12}, false},
+		{Query{Epoch: math.MaxInt64, MaxDepth: math.MaxInt}, false},
+		{Query{Epoch: 0, MaxDepth: 4}, false},
+		{Query{Epoch: time.Second, MaxDepth: 0}, false},
+	} {
+		if err := c.q.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v: Validate() = %v, want ok %v", c.q, err, c.ok)
+		}
+	}
+}

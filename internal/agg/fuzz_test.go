@@ -26,7 +26,7 @@ func FuzzFlood(f *testing.F) {
 		at := k.Now()
 		nodes[1].onFlood(0, raw)
 		for id, st := range nodes[1].queries {
-			if st.q.Epoch <= 0 || st.q.MaxDepth < 1 || st.depth < 1 {
+			if st.q.Validate() != nil || st.depth < 1 {
 				t.Fatalf("installed query %d: %+v at depth %d", id, st.q, st.depth)
 			}
 		}

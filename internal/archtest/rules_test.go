@@ -114,6 +114,25 @@ var rules = []rule{
 		bad:   plant{"cmd/iiotsim/main.go", "var s = core.Stack{}"},
 	},
 	{
+		name:  "exp-builds-fleets-from-a-spec",
+		files: src("internal/exp"),
+		check: none(literal("core.Stack")),
+		bad:   plant{"internal/exp/e5.go", "var s = core.Stack{}"},
+	},
+	{
+		name:  "exp-keeps-no-runner-copy",
+		files: all("internal/exp"),
+		check: deleted("Trial", "RunStats", "SetParallelism", "Parallelism", "SetTraceSink", "RunTrials", "Sweep",
+			"SetShardWorkers", "shardWorkers", "e15Workers"),
+		bad: plant{"internal/exp/runner.go", "func SetShardWorkers(n int) {}"},
+	},
+	{
+		name:  "router-defaults-live-in-rpl",
+		files: all("internal/core"),
+		check: deleted("Stack.Router"),
+		bad:   plant{"internal/core/profile.go", "type Stack struct{ Router int }"},
+	},
+	{
 		name:  "injector-schedules-through-the-kernel",
 		files: all("internal/fault/..."),
 		check: deleted("Injector.*At"),

@@ -47,9 +47,9 @@ type Profile struct {
 	// Channel tunes this class's radios; Tenant tags its frames (§IV-C).
 	Channel uint8
 	Tenant  string
-	// Router, when non-nil, overrides the deployment-wide rpl.Config for
-	// this class (e.g. mains-powered backbone routers can afford faster
-	// beaconing than duty-cycled leaves).
+	// Router, when non-nil, tunes this class's RPL instance (e.g.
+	// mains-powered backbone routers can afford faster beaconing than
+	// duty-cycled leaves); nil runs rpl's defaults.
 	Router *rpl.Config
 	// RNFD, when non-nil, attaches the root-failure detector to this
 	// class's non-root nodes.
@@ -130,9 +130,6 @@ var mediumParams = radio.DefaultParams()
 type Stack struct {
 	// Seed drives all simulation randomness.
 	Seed int64
-	// Router is the deployment-wide RPL configuration; a profile's
-	// Router field overrides it per class.
-	Router rpl.Config
 	// Profiles are the device classes; Topology references them by name.
 	Profiles []Profile
 	// Topology binds each node to a position and a profile; index 0 is
@@ -145,11 +142,10 @@ type Stack struct {
 	Factories Factories
 }
 
-// applyDefaults validates the stack description and fills layer
-// defaults, panicking with the offending field's name on structural
-// errors. It is the single defaulting point for the core layer; the
-// MAC/RPL layers apply their own applyDefaults in their constructors.
-func (s *Stack) applyDefaults() {
+// validate panics with the offending field's name on a structural error
+// in the stack description. Defaults are the layers' own: the MAC and
+// RPL constructors fill every zero field.
+func (s *Stack) validate() {
 	if len(s.Topology) == 0 {
 		panic("core: Stack.Topology is empty")
 	}
@@ -172,18 +168,17 @@ func (s *Stack) applyDefaults() {
 			panic(fmt.Sprintf("core: Stack.Topology[%d].Profile %q is not in Stack.Profiles", i, ns.Profile))
 		}
 	}
-	applyRouterDefaults(&s.Router, "Stack.Router")
 	for i := range s.Profiles {
 		if r := s.Profiles[i].Router; r != nil {
-			applyRouterDefaults(r, fmt.Sprintf("Stack.Profiles[%d].Router", i))
+			checkRouter(r, fmt.Sprintf("Stack.Profiles[%d].Router", i))
 		}
 	}
 }
 
-// applyRouterDefaults fills the deployment-wide fast-converging RPL
-// defaults (the rpl layer's own zero-value defaults are tuned for
-// standalone use and converge more slowly).
-func applyRouterDefaults(c *rpl.Config, field string) {
+// checkRouter refuses a negative duration in a profile's RPL
+// configuration, naming the field. The defaults themselves are rpl's
+// (rpl.NewRouter fills every zero field).
+func checkRouter(c *rpl.Config, field string) {
 	if c.Trickle.Imin < 0 {
 		panic("core: " + field + ".Trickle.Imin is negative")
 	}
@@ -193,19 +188,10 @@ func applyRouterDefaults(c *rpl.Config, field string) {
 	if c.ParentProbeInterval < 0 {
 		panic("core: " + field + ".ParentProbeInterval is negative")
 	}
-	if c.Trickle.Imin == 0 {
-		c.Trickle = rpl.TrickleConfig{Imin: 500 * time.Millisecond, Doublings: 5, K: 3}
-	}
-	if c.DAOInterval == 0 {
-		c.DAOInterval = 15 * time.Second
-	}
-	if c.ParentProbeInterval == 0 {
-		c.ParentProbeInterval = 10 * time.Second
-	}
 }
 
 // profileIn returns the named profile from a stack description; the
-// name is known valid after applyDefaults.
+// name is known valid after validate.
 func profileIn(s *Stack, name string) *Profile {
 	for i := range s.Profiles {
 		if s.Profiles[i].Name == name {
@@ -242,7 +228,7 @@ func buildNode(f *Fleet, fac Factories, i int) *Node {
 	n.MAC = fac.MAC(m, id, p)
 	n.Link = link.New(id, n.MAC)
 	n.Link.SetRecorder(rec)
-	rcfg := f.stack.Router
+	var rcfg rpl.Config
 	if p.Router != nil {
 		rcfg = *p.Router
 	}
@@ -283,7 +269,7 @@ func buildNode(f *Fleet, fac Factories, i int) *Node {
 // stack is composed per its profile through the factories, on
 // one shared medium.
 func NewStack(cfg Stack) *Deployment {
-	cfg.applyDefaults()
+	cfg.validate()
 
 	k := sim.New(cfg.Seed)
 	reg := metrics.NewRegistry()

@@ -112,7 +112,7 @@ func stackPanic(t *testing.T, s Stack) string {
 }
 
 // TestStackValidationNamesField checks that every structural panic names
-// the offending field, per the centralized-defaulting contract.
+// the offending field, as Stack.validate promises.
 func TestStackValidationNamesField(t *testing.T) {
 	cases := []struct {
 		name string
@@ -124,7 +124,9 @@ func TestStackValidationNamesField(t *testing.T) {
 		{"unnamed profile", func(s *Stack) { s.Profiles[1].Name = "" }, "Stack.Profiles[1].Name"},
 		{"duplicate profile", func(s *Stack) { s.Profiles[1].Name = "backbone" }, "Stack.Profiles[1].Name"},
 		{"unknown binding", func(s *Stack) { s.Topology[2].Profile = "ghost" }, `Stack.Topology[2].Profile "ghost"`},
-		{"negative trickle", func(s *Stack) { s.Router.Trickle.Imin = -time.Second }, "Stack.Router.Trickle.Imin"},
+		{"negative trickle", func(s *Stack) {
+			s.Profiles[0].Router = &rpl.Config{Trickle: rpl.TrickleConfig{Imin: -time.Second}}
+		}, "Stack.Profiles[0].Router.Trickle.Imin"},
 		{"negative profile trickle", func(s *Stack) {
 			s.Profiles[1].Router.Trickle.Imin = -time.Second
 		}, "Stack.Profiles[1].Router.Trickle.Imin"},

@@ -77,7 +77,7 @@ func NewShardedStack(cfg Stack, stripes int) *ShardedDeployment {
 	if stripes < 1 {
 		panic("core: NewShardedStack needs at least one stripe")
 	}
-	cfg.applyDefaults()
+	cfg.validate()
 	if cfg.TraceCapacity > 0 {
 		panic("core: sharded stacks do not support tracing")
 	}

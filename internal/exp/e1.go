@@ -6,6 +6,7 @@ import (
 
 	"iiotds/internal/adapter"
 	"iiotds/internal/registry"
+	"iiotds/internal/trial"
 )
 
 // e1Family bundles one protocol family's fixtures.
@@ -103,7 +104,7 @@ func E1Interop(s Scale) *Table {
 	// One trial per family fixture: each owns its emulator, and the mux's
 	// adapter tables are immutable once built, so the trials fan out
 	// cleanly across workers.
-	perFam, rs := Sweep(fams, func(_ *Trial, f e1Family) stats {
+	perFam, rs := trial.Sweep(fams, func(_ *trial.Trial, f e1Family) stats {
 		var st stats
 		for r := 0; r < rounds/perFamily; r++ {
 			for i, c := range f.caps {

@@ -7,11 +7,12 @@ import (
 	"iiotds/internal/core"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
+	"iiotds/internal/scenario"
+	"iiotds/internal/trial"
 )
 
 // e10Run is one self-healing measurement.
 type e10Run struct {
-	variant     string
 	reconverged bool
 	reconvTime  time.Duration
 	controlMsgs float64 // routing control messages per node-minute, steady state
@@ -21,13 +22,12 @@ type e10Run struct {
 // runE10 converges an n-node grid, measures steady-state control
 // overhead, kills `kills` non-root nodes at once, and measures the time
 // until every survivor is joined again.
-func runE10(tr *Trial, n int, seed int64, trickle rpl.TrickleConfig, kills []int, observe time.Duration) e10Run {
-	d := core.NewStack(core.Stack{
+func runE10(tr *trial.Trial, n int, seed int64, trickle rpl.TrickleConfig, kills []int, observe time.Duration) e10Run {
+	d := scenario.Build(scenario.Spec{
 		Seed:     seed,
-		Router:   rpl.Config{Trickle: trickle},
-		Profiles: []core.Profile{{Name: core.DefaultProfile}},
-		Topology: core.Uniform(core.DefaultProfile, radio.GridTopology(n, 15)),
-	})
+		Topo:     scenario.TopoSpec{Kind: scenario.TopoGrid, N: n},
+		Profiles: []core.Profile{{Name: core.DefaultProfile, Router: &rpl.Config{Trickle: trickle}}},
+	}).D
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
 	d.RunUntilConverged(3 * time.Minute)
@@ -87,38 +87,23 @@ func E10SelfHealing(s Scale) *Table {
 		Columns: []string{"beaconing", "killed", "reconverged", "repair time", "DIOs/node/min", "parent switches"},
 	}
 
-	variants := []struct {
-		name string
-		cfg  rpl.TrickleConfig
-	}{{"trickle (adaptive)", adaptive}, {"fixed-rate", fixed}}
-	rows, rs := Sweep(variants, func(tr *Trial, v struct {
-		name string
-		cfg  rpl.TrickleConfig
-	}) e10Run {
-		r := runE10(tr, n, 1001, v.cfg, kills, observe)
-		r.variant = v.name
-		return r
+	names := []string{"trickle (adaptive)", "fixed-rate"}
+	rows, rs := trial.Sweep([]rpl.TrickleConfig{adaptive, fixed}, func(tr *trial.Trial, cfg rpl.TrickleConfig) e10Run {
+		return runE10(tr, n, 1001, cfg, kills, observe)
 	})
 	t.Stats = rs
-	for _, r := range rows {
+	for i, r := range rows {
 		repair := "never"
 		if r.reconverged {
 			repair = fmt.Sprintf("%.0f s", r.reconvTime.Seconds())
 		}
-		t.AddRow(r.variant, di(len(kills)), fmt.Sprintf("%v", r.reconverged), repair,
+		t.AddRow(names[i], di(len(kills)), fmt.Sprintf("%v", r.reconverged), repair,
 			f2(r.controlMsgs), f1(r.switches))
 	}
 
 	t.Finding = fmt.Sprintf(
 		"the network healed %d simultaneous failures in %.0f s unattended; trickle beacons %.1f DIOs/node/min in steady state vs %.1f for fixed-rate beaconing (%.0fx less)",
 		len(kills), rows[0].reconvTime.Seconds(), rows[0].controlMsgs, rows[1].controlMsgs,
-		rows[1].controlMsgs/maxf(rows[0].controlMsgs, 0.01))
+		rows[1].controlMsgs/max(rows[0].controlMsgs, 0.01))
 	return t
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

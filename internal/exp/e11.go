@@ -10,6 +10,7 @@ import (
 	"iiotds/internal/radio"
 	"iiotds/internal/security"
 	"iiotds/internal/sim"
+	"iiotds/internal/trial"
 )
 
 // e11Run measures one protection mode over a one-hop link.
@@ -27,7 +28,7 @@ type e11Run struct {
 // optionally AEAD-protected, while an attacker node replays and tampers
 // frames at the application layer. It returns delivery, overhead, and
 // attack outcomes.
-func runE11(tr *Trial, secured bool, msgs int, seed int64) e11Run {
+func runE11(tr *trial.Trial, secured bool, msgs int, seed int64) e11Run {
 	k := sim.New(seed)
 	tr.Observe(k)
 	m := radio.NewMedium(k, radio.DefaultParams(), nil)
@@ -160,7 +161,7 @@ func E11Security(s Scale) *Table {
 		msgs = 500
 	}
 
-	runs, rs := Sweep([]bool{false, true}, func(tr *Trial, secured bool) e11Run {
+	runs, rs := trial.Sweep([]bool{false, true}, func(tr *trial.Trial, secured bool) e11Run {
 		return runE11(tr, secured, msgs, 1101)
 	})
 	plain, sec := runs[0], runs[1]

@@ -11,6 +11,7 @@ import (
 	"iiotds/internal/rpl"
 	"iiotds/internal/scenario"
 	"iiotds/internal/sim"
+	"iiotds/internal/trial"
 )
 
 // e13Fleet names one fleet composition under test.
@@ -73,7 +74,7 @@ type e13Run struct {
 // it, then has every leaf push one reading upward per period for
 // window; it measures delivery, end-to-end latency, and the per-class
 // radio-on fraction over the window.
-func runE13(tr *Trial, fleet e13Fleet, spine, leaves int, seed int64, period, window time.Duration) e13Run {
+func runE13(tr *trial.Trial, fleet e13Fleet, spine, leaves int, seed int64, period, window time.Duration) e13Run {
 	d := scenario.Build(scenario.Spec{
 		Seed:     seed,
 		Topo:     scenario.TopoSpec{Kind: scenario.TopoCluster, Heads: spine, Members: leaves},
@@ -177,7 +178,7 @@ func E13MixedFleet(s Scale) *Table {
 	}
 
 	fleets := e13Fleets(wake)
-	runs, rs := Sweep(fleets, func(tr *Trial, f e13Fleet) e13Run {
+	runs, rs := trial.Sweep(fleets, func(tr *trial.Trial, f e13Fleet) e13Run {
 		return runE13(tr, f, spine, leaves, 1301, period, window)
 	})
 	t.Stats = rs
@@ -198,9 +199,9 @@ func E13MixedFleet(s Scale) *Table {
 		"the mixed fleet delivers leaf readings in %.0f ms (all-LPL: %.0f ms, %.1fx slower) while its leaves keep a %.1f%% duty cycle (all-CSMA leaves: %.0f%%); on one medium the classes diverge %.0fx in radio-on time (backbone %.0f%% vs leaf %.1f%%)",
 		float64(mixed.leaf.meanLat.Milliseconds()),
 		float64(lpl.leaf.meanLat.Milliseconds()),
-		float64(lpl.leaf.meanLat)/maxf(float64(mixed.leaf.meanLat), 1),
+		float64(lpl.leaf.meanLat)/max(float64(mixed.leaf.meanLat), 1),
 		mixed.leaf.radioOn*100, csma.leaf.radioOn*100,
-		mixed.backbone.radioOn/maxf(mixed.leaf.radioOn, 1e-9),
+		mixed.backbone.radioOn/max(mixed.leaf.radioOn, 1e-9),
 		mixed.backbone.radioOn*100, mixed.leaf.radioOn*100)
 	return t
 }

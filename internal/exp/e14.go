@@ -6,6 +6,7 @@ import (
 
 	"iiotds/internal/radio"
 	"iiotds/internal/scenario"
+	"iiotds/internal/trial"
 )
 
 // e14Run is one churn-soak measurement: a fleet held under sustained,
@@ -42,7 +43,7 @@ type e14Params struct {
 // engine's own seeded generator, every poll iterates the churn-node
 // slice (never a map), and per-node ledger stats are folded in sorted
 // Components() order — so the row is byte-identical at any -parallel.
-func runE14(tr *Trial, p e14Params) e14Run {
+func runE14(tr *trial.Trial, p e14Params) e14Run {
 	b := scenario.Build(scenario.Spec{
 		Seed:     p.seed,
 		Topo:     scenario.TopoSpec{Kind: scenario.TopoGrid, N: p.n},
@@ -180,7 +181,7 @@ func E14ChurnSoak(s Scale) *Table {
 		Columns: []string{"nodes", "cycles", "MTTF", "MTTR", "availability", "rejoined", "rejoin mean/max", "CoAP success"},
 	}
 
-	rows, rs := Sweep(sizes, func(tr *Trial, n int) e14Run {
+	rows, rs := trial.Sweep(sizes, func(tr *trial.Trial, n int) e14Run {
 		return runE14(tr, e14Params{
 			n:        n,
 			seed:     1501 + int64(n),
@@ -209,6 +210,6 @@ func E14ChurnSoak(s Scale) *Table {
 	t.Finding = fmt.Sprintf(
 		"across %d crash/recover cycles at %d nodes, %d/%d recovered nodes rejoined the DODAG unattended (mean %.1f s); fleet availability %.3f with end-to-end CoAP success %.1f%% under sustained churn",
 		last.cycles, last.nodes, last.rejoins, last.recoveries, last.meanRejoin.Seconds(),
-		last.avail, 100*float64(last.coapOK)/maxf(float64(last.coapOK+last.coapFail), 1))
+		last.avail, 100*float64(last.coapOK)/max(float64(last.coapOK+last.coapFail), 1))
 	return t
 }

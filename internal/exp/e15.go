@@ -9,31 +9,19 @@ import (
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
 	"iiotds/internal/scenario"
+	"iiotds/internal/trial"
 )
 
-// E15 runs one deployment across several simulation kernels (the
-// DESIGN.md §9 sharded engine) instead of fanning trials. One
-// process-wide knob configures the engine without touching results:
-// the worker count is pure execution policy (byte-identical tables at
-// any setting — the CI shards-1-vs-4 gate).
-
-// shardWorkers is the worker-thread count for sharded experiments;
-// <= 0 means one worker per stripe.
-var shardWorkers = 0
-
 // e15BruteForce runs E15 on the radio's reference O(N) rescan per send
-// instead of the kept link lists. Only the determinism test sets it, to
+// instead of the kept link lists. Only TestAllExperimentsQuick sets it, to
 // check the table against the oracle.
 var e15BruteForce = false
 
-// SetShardWorkers sets how many OS threads a sharded experiment fans
-// its stripes across. n <= 0 restores the default (one per stripe).
-// Execution policy only: tables are byte-identical at any setting.
-func SetShardWorkers(n int) { shardWorkers = n }
-
 // e15Stripes is the stripe count — a MODEL parameter (it decides which
 // frames cross a shard barrier), fixed so every E15 row names one
-// reproducible system regardless of the worker knob.
+// reproducible system. The stripes run on up to one worker each, held
+// to GOMAXPROCS (sim.ShardGroup.Workers); the worker count is execution
+// policy and never reaches a table.
 const e15Stripes = 8
 
 // e15Params sizes one city-scale run.
@@ -61,13 +49,14 @@ type e15Run struct {
 	windows    uint64
 	simFor     time.Duration // total virtual time advanced
 	wall       time.Duration // wall clock for the same span (Notes only)
+	workers    int           // stripe workers the run used (Notes only)
 }
 
 // runE15 builds an RGG fleet striped over e15Stripes kernels, converges
 // it under a budget, then drives a CoAP probe + raw heartbeat workload
 // through it. Every row cell is deterministic (virtual-time protocol
 // outcomes); wall-clock throughput goes to Table.Notes.
-func runE15(tr *Trial, p e15Params) e15Run {
+func runE15(tr *trial.Trial, p e15Params) e15Run {
 	// HopLimit 255: at city scale the DODAG is ~40-100 hops deep, far
 	// past the 32-hop default meant for room-sized fleets.
 	b := scenario.BuildSharded(scenario.Spec{
@@ -80,7 +69,7 @@ func runE15(tr *Trial, p e15Params) e15Run {
 		}},
 	}, e15Stripes)
 	sd := b.D
-	sd.G.SetWorkers(e15Workers())
+	sd.G.SetWorkers(e15Stripes)
 	if e15BruteForce {
 		for _, sh := range sd.Shards {
 			sh.M.SetBruteForce(true)
@@ -88,7 +77,7 @@ func runE15(tr *Trial, p e15Params) e15Run {
 	}
 	tr.Observe(sd.Kernels()...)
 
-	out := e15Run{nodes: p.n}
+	out := e15Run{nodes: p.n, workers: sd.G.Workers()}
 	start := time.Now()
 	simStart := sd.G.Now()
 	out.converged, out.convIn = sd.RunUntilConverged(p.converge)
@@ -129,14 +118,6 @@ func runE15(tr *Trial, p e15Params) e15Run {
 	return out
 }
 
-// e15Workers resolves the worker knob to an effective count.
-func e15Workers() int {
-	if shardWorkers <= 0 {
-		return e15Stripes
-	}
-	return shardWorkers
-}
-
 // E15CityScale tests §IV scalability in size at deployment scale: a
 // 10k-node random-geometric city fleet striped over eight simulation
 // kernels, converging one DODAG and carrying CoAP + heartbeat traffic
@@ -166,11 +147,10 @@ func E15CityScale(s Scale) *Table {
 		Columns: []string{"nodes", "stripes", "converged", "conv frac", "conv time", "heartbeats", "probe ok/fail", "handoffs", "windows"},
 	}
 
-	rows, rs := Sweep(params, func(tr *Trial, p e15Params) e15Run {
+	rows, rs := trial.Sweep(params, func(tr *trial.Trial, p e15Params) e15Run {
 		return runE15(tr, p)
 	})
 	t.Stats = rs
-	t.Note("engine", fmt.Sprintf("stripes=%d workers=%d", e15Stripes, e15Workers()))
 	for _, r := range rows {
 		t.AddRow(di(r.nodes), di(e15Stripes),
 			fmt.Sprintf("%v", r.converged),
@@ -180,13 +160,14 @@ func E15CityScale(s Scale) *Table {
 			fmt.Sprintf("%d/%d", r.probeOK, r.probeFail),
 			fmt.Sprintf("%d", r.handoffs),
 			fmt.Sprintf("%d", r.windows))
-		rate := float64(r.nodes) * r.simFor.Seconds() / maxf(r.wall.Seconds(), 1e-9)
+		rate := float64(r.nodes) * r.simFor.Seconds() / max(r.wall.Seconds(), 1e-9)
 		t.Note(fmt.Sprintf("rate_n%d", r.nodes),
 			fmt.Sprintf("%.0f node-sim-seconds/wall-second (sim %.0f s in wall %.2f s)",
 				rate, r.simFor.Seconds(), r.wall.Seconds()))
 	}
 
 	last := rows[len(rows)-1]
+	t.Note("engine", fmt.Sprintf("stripes=%d workers=%d", e15Stripes, last.workers))
 	hbPct := 0.0
 	if last.heartbeats > 0 {
 		hbPct = 100 * float64(last.delivered) / float64(last.heartbeats)

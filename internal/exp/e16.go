@@ -7,6 +7,7 @@ import (
 	"iiotds/internal/clock"
 	"iiotds/internal/sim"
 	"iiotds/internal/store"
+	"iiotds/internal/trial"
 )
 
 // E16 drives the partitioned time-series store (DESIGN.md §10) through
@@ -51,7 +52,7 @@ type e16Run struct {
 // per-shard coordinator partition, heal (+ repair push for CP), then a
 // poll until every shard's replicas report equal series digests. All
 // row cells derive from virtual time and deterministic counters.
-func runE16(tr *Trial, p e16Params) e16Run {
+func runE16(tr *trial.Trial, p e16Params) e16Run {
 	start := time.Now()
 	k := sim.New(p.seed)
 	tr.Observe(k)
@@ -150,7 +151,7 @@ func E16StoreIngest(s Scale) *Table {
 		Columns: []string{"mode", "shards×R", "acked batches", "failed batches", "ops ok/failed", "recovered", "conv after heal"},
 	}
 
-	rows, rs := Sweep(params, func(tr *Trial, p e16Params) e16Run {
+	rows, rs := trial.Sweep(params, func(tr *trial.Trial, p e16Params) e16Run {
 		return runE16(tr, p)
 	})
 	t.Stats = rs

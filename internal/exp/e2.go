@@ -12,6 +12,7 @@ import (
 	"iiotds/internal/metrics"
 	"iiotds/internal/radio"
 	"iiotds/internal/scenario"
+	"iiotds/internal/trial"
 )
 
 // collectStats summarizes one collection run.
@@ -31,7 +32,7 @@ type collectStats struct {
 // per-node pushes or through in-network aggregation. It returns per-run
 // statistics. It is one trial: the whole run lives on its own kernel,
 // registered with tr for stats aggregation.
-func runCollection(tr *Trial, n int, seed int64, useAgg bool, epoch, dur time.Duration) collectStats {
+func runCollection(tr *trial.Trial, n int, seed int64, useAgg bool, epoch, dur time.Duration) collectStats {
 	d := scenario.Build(scenario.Spec{
 		Seed: seed,
 		Topo: scenario.TopoSpec{Kind: scenario.TopoGrid, N: n},
@@ -121,7 +122,7 @@ func E2SizeScalability(s Scale) *Table {
 	for _, n := range sizes {
 		pts = append(pts, e2Point{n, false}, e2Point{n, true})
 	}
-	runs, rs := Sweep(pts, func(tr *Trial, p e2Point) collectStats {
+	runs, rs := trial.Sweep(pts, func(tr *trial.Trial, p e2Point) collectStats {
 		return runCollection(tr, p.n, 101, p.useAgg, epoch, dur)
 	})
 	t.Stats = rs

@@ -7,12 +7,13 @@ import (
 	"iiotds/internal/mac"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
+	"iiotds/internal/trial"
 )
 
 // chainLatency measures mean end-to-end latency of packets forwarded hop
 // by hop along an (hops+1)-node chain under the given MAC factory, plus
 // the per-node radio-on fraction.
-func chainLatency(tr *Trial, hops int, seed int64, packets int, mk func(m *radio.Medium, id radio.NodeID, idx, n int) mac.MAC) (mean time.Duration, radioOnFrac float64, delivered int) {
+func chainLatency(tr *trial.Trial, hops int, seed int64, packets int, mk func(m *radio.Medium, id radio.NodeID, idx, n int) mac.MAC) (mean time.Duration, radioOnFrac float64, delivered int) {
 	n := hops + 1
 	k := sim.New(seed)
 	tr.Observe(k)
@@ -145,7 +146,7 @@ func E3DutyCycleLatency(s Scale) *Table {
 		on   float64
 		got  int
 	}
-	runs, rs := Sweep(pts, func(tr *Trial, p e3Point) e3Run {
+	runs, rs := trial.Sweep(pts, func(tr *trial.Trial, p e3Point) e3Run {
 		mean, on, got := chainLatency(tr, p.hops, 301, packets, p.mk)
 		return e3Run{mean, on, got}
 	})

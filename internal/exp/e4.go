@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"iiotds/internal/trial"
 )
 
 // E4Funneling tests §IV-B's funneling claim: the nodes within one hop of
@@ -19,7 +21,7 @@ func E4Funneling(s Scale) *Table {
 	}
 	const epoch = 10 * time.Second
 
-	runs, rs := Sweep([]bool{false, true}, func(tr *Trial, useAgg bool) collectStats {
+	runs, rs := trial.Sweep([]bool{false, true}, func(tr *trial.Trial, useAgg bool) collectStats {
 		return runCollection(tr, n, 401, useAgg, epoch, dur)
 	})
 	raw, ag := runs[0], runs[1]

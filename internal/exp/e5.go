@@ -9,7 +9,9 @@ import (
 	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
+	"iiotds/internal/scenario"
 	"iiotds/internal/sim"
+	"iiotds/internal/trial"
 )
 
 // e5Result summarizes one detector run.
@@ -23,16 +25,16 @@ type e5Result struct {
 
 // runE5 builds an n-node grid, kills the root at killAt, and measures how
 // the chosen detector spreads awareness.
-func runE5(tr *Trial, n int, seed int64, useRNFD bool, probeEvery time.Duration, suspectTimeout time.Duration, observe time.Duration) e5Result {
+func runE5(tr *trial.Trial, n int, seed int64, useRNFD bool, probeEvery time.Duration, suspectTimeout time.Duration, observe time.Duration) e5Result {
 	p := core.Profile{Name: core.DefaultProfile}
 	if useRNFD {
 		p.RNFD = &rpl.RNFDConfig{SuspectTimeout: suspectTimeout, Quorum: 2}
 	}
-	d := core.NewStack(core.Stack{
+	d := scenario.Build(scenario.Spec{
 		Seed:     seed,
+		Topo:     scenario.TopoSpec{Kind: scenario.TopoGrid, N: n},
 		Profiles: []core.Profile{p},
-		Topology: core.Uniform(core.DefaultProfile, radio.GridTopology(n, 15)),
-	})
+	}).D
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
 	d.RunUntilConverged(3 * time.Minute)
@@ -148,7 +150,7 @@ func E5RNFD(s Scale) *Table {
 		observe = 6 * time.Minute
 	}
 
-	runs, rs := Sweep([]bool{true, false}, func(tr *Trial, useRNFD bool) e5Result {
+	runs, rs := trial.Sweep([]bool{true, false}, func(tr *trial.Trial, useRNFD bool) e5Result {
 		if useRNFD {
 			return runE5(tr, n, 501, true, 0, 25*time.Second, observe)
 		}

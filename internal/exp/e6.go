@@ -10,6 +10,7 @@ import (
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
 	"iiotds/internal/spectrum"
+	"iiotds/internal/trial"
 )
 
 // e6Regime is one coexistence strategy.
@@ -44,7 +45,7 @@ type e6Tenant struct {
 // runE6 colocates k tenants (one sink + leaves each) in the same space —
 // the construction-site scenario of §IV-C — and measures delivery under
 // the given regime for dur.
-func runE6(tr *Trial, kTenants, leaves int, regime e6Regime, seed int64, dur time.Duration) (delivery float64, crossCollisions float64, retriesPerMsg float64, hops int) {
+func runE6(tr *trial.Trial, kTenants, leaves int, regime e6Regime, seed int64, dur time.Duration) (delivery float64, crossCollisions float64, retriesPerMsg float64, hops int) {
 	k := sim.New(seed)
 	tr.Observe(k)
 	reg := metrics.NewRegistry()
@@ -184,7 +185,7 @@ func E6Coexistence(s Scale) *Table {
 		del, cross, retries float64
 		hops                int
 	}
-	runs, rs := Sweep(pts, func(tr *Trial, p e6Point) e6Run {
+	runs, rs := trial.Sweep(pts, func(tr *trial.Trial, p e6Point) e6Run {
 		del, cross, retries, hops := runE6(tr, p.kT, leaves, p.regime, 601, dur)
 		return e6Run{del, cross, retries, hops}
 	})

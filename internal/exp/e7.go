@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"iiotds/internal/redundancy"
+	"iiotds/internal/trial"
 )
 
 // E7Redundancy tests §V-A: the three redundancy types each buy
@@ -40,7 +41,7 @@ func E7Redundancy(s Scale) *Table {
 		arqRate, arqTries, arqMissRate float64
 		physRate                       float64
 	}
-	runs, rs := Sweep(lossRates, func(_ *Trial, loss float64) e7Run {
+	runs, rs := trial.Sweep(lossRates, func(_ *trial.Trial, loss float64) e7Run {
 		rng := rand.New(rand.NewSource(701))
 		lk := redundancy.LinkFunc(func([]byte) bool { return rng.Float64() >= loss })
 		var r e7Run

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iiotds/internal/hvac"
+	"iiotds/internal/trial"
 )
 
 // E8HVAC runs the paper's §V-B worked example: three control policies on
@@ -27,7 +28,7 @@ func E8HVAC(s Scale) *Table {
 
 	// hvac.Simulate is self-contained (its RNG comes from cfg.Seed), so
 	// the three policies run as parallel trials.
-	results, rs := Sweep(hvac.Controllers(), func(_ *Trial, c hvac.Controller) hvac.Result {
+	results, rs := trial.Sweep(hvac.Controllers(), func(_ *trial.Trial, c hvac.Controller) hvac.Result {
 		return hvac.Simulate(c, cfg)
 	})
 	t.Stats = rs

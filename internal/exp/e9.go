@@ -9,6 +9,7 @@ import (
 	"iiotds/internal/gossip"
 	"iiotds/internal/sim"
 	"iiotds/internal/store"
+	"iiotds/internal/trial"
 )
 
 // e9Run exercises one consistency mode through a partition episode.
@@ -21,7 +22,7 @@ type e9Run struct {
 	convergenceTime time.Duration
 }
 
-func runE9(tr *Trial, mode store.Mode, seed int64, opsPerSec int, partitionLen time.Duration) e9Run {
+func runE9(tr *trial.Trial, mode store.Mode, seed int64, opsPerSec int, partitionLen time.Duration) e9Run {
 	const n = 5
 	k := sim.New(seed)
 	tr.Observe(k)
@@ -134,7 +135,7 @@ func E9Partitions(s Scale) *Table {
 		Columns: []string{"mode", "ops ok (healthy)", "ops ok (partition)", "minority ops ok", "converged after heal", "convergence"},
 	}
 	modes := []store.Mode{store.ModeCP, store.ModeAP}
-	runs, rs := Sweep(modes, func(tr *Trial, mode store.Mode) e9Run {
+	runs, rs := trial.Sweep(modes, func(tr *trial.Trial, mode store.Mode) e9Run {
 		return runE9(tr, mode, 901, ops, partitionLen)
 	})
 	t.Stats = rs

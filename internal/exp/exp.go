@@ -12,6 +12,8 @@ package exp
 import (
 	"fmt"
 	"strings"
+
+	"iiotds/internal/trial"
 )
 
 // Scale selects experiment sizing.
@@ -39,7 +41,7 @@ type Table struct {
 	// depth). It is reported by iiotbench -json but is not part of the
 	// rendered table, so String()/Markdown() output stays byte-identical
 	// across runner configurations.
-	Stats RunStats `json:"stats"`
+	Stats trial.RunStats `json:"stats"`
 	// Notes carries side measurements that are real results but not
 	// deterministic — wall-clock throughput, engine configuration. Like
 	// Stats, Notes is reported by iiotbench -json only and never rendered
@@ -134,6 +136,17 @@ func All() []Runner {
 		{"E16", E16StoreIngest},
 		{"F1", F1ThreeTier},
 	}
+}
+
+// ByID returns the experiment with the given ID (case-insensitive) and
+// whether it exists.
+func ByID(id string) (Runner, bool) {
+	for _, r := range All() {
+		if strings.EqualFold(r.ID, id) {
+			return r, true
+		}
+	}
+	return Runner{}, false
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

@@ -1,17 +1,101 @@
 package exp
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"iiotds/internal/trace"
+	"iiotds/internal/trial"
 )
 
-// TestAllExperimentsQuick runs every harness at Quick scale and checks
-// the tables are well-formed. Individual shape assertions follow below.
+// leg is one configuration every experiment runs under. The runner's
+// parallelism, the Go scheduler's thread count and the flight recorder
+// are execution policy: none of them may move a table byte.
+type leg struct {
+	parallel   int
+	gomaxprocs int // 0 leaves the process setting alone
+	traced     bool
+}
+
+// legs are the matrix: untraced at parallelism 1 and 8, then traced at
+// 1 and 8. The untraced pair also runs at GOMAXPROCS 1 and 4, which
+// holds E15's stripe workers at one and four.
+var legs = []leg{{1, 1, false}, {8, 4, false}, {1, 0, true}, {8, 0, true}}
+
+// withKernels are the experiments whose trials run a simulation kernel.
+var withKernels = map[string]bool{
+	"E2": true, "E3": true, "E4": true, "E5": true, "E6": true,
+	"E9": true, "E10": true, "E11": true, "E13": true, "E14": true,
+	"E15": true, "E16": true, "F1": true,
+}
+
+// render flattens a table to the exact bytes a user sees; byte equality
+// of this string is the determinism contract under test.
+func render(t *Table) string { return t.String() + "\n" + t.Markdown() }
+
+// runLeg runs one experiment at Quick scale under l, restoring every
+// process-wide setting it changes. A traced leg also returns the JSONL
+// stream of every trial, drained in trial order.
+func runLeg(t *testing.T, r Runner, l leg) (*Table, string) {
+	trial.SetParallelism(l.parallel)
+	defer trial.SetParallelism(0)
+	if l.gomaxprocs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(l.gomaxprocs))
+	}
+	if !l.traced {
+		return r.Run(Quick), ""
+	}
+	old := trace.DefaultCapacity()
+	trace.SetDefaultCapacity(1 << 15)
+	defer trace.SetDefaultCapacity(old)
+	var buf bytes.Buffer
+	trial.SetTraceSink(func(i int, rec *trace.Recorder) {
+		fmt.Fprintf(&buf, "# trial %d\n", i)
+		if err := rec.WriteJSONL(&buf, trace.All()); err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
+		}
+	})
+	defer trial.SetTraceSink(nil)
+	return r.Run(Quick), buf.String()
+}
+
+// same fails the test if a and b differ, showing both around the first
+// differing byte.
+func same(t *testing.T, what, a, b string) {
+	t.Helper()
+	if a == b {
+		return
+	}
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := max(0, i-200)
+	t.Errorf("%s differ at byte %d:\n--- first ---\n%s\n--- second ---\n%s",
+		what, i, a[lo:min(len(a), i+200)], b[lo:min(len(b), i+200)])
+}
+
+// TestAllExperimentsQuick runs every experiment at Quick scale once per
+// leg and holds it to the DESIGN.md §5 determinism contract: a
+// well-formed table, kernel stats where kernels run, and the same table
+// bytes on every leg — with the same Stats on the untraced legs and the
+// same event stream on the traced ones. E15 must also match the radio's
+// brute-force fan-out, and E9 its committed golden.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, r := range All() {
-		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			tab := r.Run(Quick)
+			tabs := make([]*Table, len(legs))
+			streams := make([]string, len(legs))
+			for i, l := range legs {
+				tabs[i], streams[i] = runLeg(t, r, l)
+			}
+
+			tab := tabs[0]
 			if tab.ID != r.ID {
 				t.Fatalf("table ID = %q, want %q", tab.ID, r.ID)
 			}
@@ -26,13 +110,42 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if tab.Finding == "" {
 				t.Fatal("no finding")
 			}
-			if !strings.Contains(tab.String(), tab.ID) {
-				t.Fatal("String() missing ID")
+			if !strings.Contains(tab.String(), tab.ID) || !strings.Contains(tab.Markdown(), "|") {
+				t.Fatalf("a render lacks the ID or the table:\n%s", render(tab))
 			}
-			if !strings.Contains(tab.Markdown(), "|") {
-				t.Fatal("Markdown() missing table")
+			if tab.Stats.Trials == 0 {
+				t.Error("no trials reported")
 			}
-			t.Log("\n" + tab.String())
+			if withKernels[r.ID] && tab.Stats.Events.Fired == 0 {
+				t.Errorf("expected kernel events, stats = %+v", tab.Stats)
+			}
+
+			same(t, "tables at parallelism 1 and 8", render(tabs[0]), render(tabs[1]))
+			if !reflect.DeepEqual(tabs[0].Stats, tabs[1].Stats) {
+				t.Errorf("stats at parallelism 1 %+v differ from parallelism 8 %+v", tabs[0].Stats, tabs[1].Stats)
+			}
+			same(t, "traced runs at parallelism 1 and 8",
+				streams[2]+"\n"+render(tabs[2]), streams[3]+"\n"+render(tabs[3]))
+			same(t, "untraced and traced tables", render(tabs[0]), render(tabs[2]))
+
+			switch r.ID {
+			case "E15":
+				// Kept link lists are an optimization, not a model change.
+				e15BruteForce = true
+				brute := r.Run(Quick)
+				e15BruteForce = false
+				same(t, "tables with indexed and brute-force fan-out", render(tab), render(brute))
+			case "E9":
+				// What `iiotbench -only E9` prints, minus its wall-time lines.
+				golden, err := os.ReadFile("testdata/e9_golden.txt")
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, "E9 table and testdata/e9_golden.txt", tab.String()+"\n\n", string(golden))
+			}
+			if !t.Failed() {
+				t.Log("\n" + tab.String())
+			}
 		})
 	}
 }

@@ -7,8 +7,9 @@ import (
 
 	"iiotds/internal/coap"
 	"iiotds/internal/core"
-	"iiotds/internal/radio"
+	"iiotds/internal/scenario"
 	"iiotds/internal/store"
+	"iiotds/internal/trial"
 )
 
 // F1ThreeTier exercises Fig. 1 end to end as one coherent system: a
@@ -27,7 +28,7 @@ func F1ThreeTier(s Scale) *Table {
 	// F1's rounds share one deployment, so it is a single trial — wrapped
 	// in the runner anyway so its kernel stats are reported like every
 	// other experiment's.
-	tables, rs := RunTrials(1, func(tr *Trial) *Table {
+	tables, rs := trial.RunTrials(1, func(tr *trial.Trial) *Table {
 		return runF1(tr, rounds)
 	})
 	t := tables[0]
@@ -35,12 +36,12 @@ func F1ThreeTier(s Scale) *Table {
 	return t
 }
 
-func runF1(tr *Trial, rounds int) *Table {
-	d := core.NewStack(core.Stack{
+func runF1(tr *trial.Trial, rounds int) *Table {
+	d := scenario.Build(scenario.Spec{
 		Seed:     1201,
+		Topo:     scenario.TopoSpec{Kind: scenario.TopoGrid, N: 16},
 		Profiles: []core.Profile{{Name: core.DefaultProfile, WithCoAP: true}},
-		Topology: core.Uniform(core.DefaultProfile, radio.GridTopology(16, 15)),
-	})
+	}).D
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
 	be := d.AttachBackend(store.ShardedConfig{})

@@ -21,8 +21,8 @@ import (
 type TrickleConfig struct {
 	// Imin is the minimum interval (default 500 ms).
 	Imin time.Duration
-	// Doublings is how many times the interval may double (default 6,
-	// i.e. Imax = 32 s with the default Imin).
+	// Doublings is how many times the interval may double (default 5,
+	// i.e. Imax = 16 s with the default Imin).
 	Doublings int
 	// K is the redundancy constant: transmission is suppressed when K
 	// or more consistent messages were heard in the interval (default 3).
@@ -34,7 +34,7 @@ func (c *TrickleConfig) applyDefaults() {
 		c.Imin = 500 * time.Millisecond
 	}
 	if c.Doublings == 0 {
-		c.Doublings = 6
+		c.Doublings = 5
 	}
 	if c.K == 0 {
 		c.K = 3

@@ -148,7 +148,7 @@ func (b *built) Run(tr *trial.Trial) Result {
 
 	// --- aggregation workload ---
 	if epoch := spec.Workload.AggEpoch; epoch > 0 {
-		StartAgg(f, agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: epoch, MaxDepth: 16},
+		StartAgg(f, aggQuery(epoch),
 			func(n *core.Node) float64 { return 20 + float64((n.ID-1)%10) },
 			func(agg.Result) { res.AggEpochs++ })
 	}

@@ -331,6 +331,11 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: negative duration in spec")
 		}
 	}
+	if e := s.Workload.AggEpoch; e > 0 {
+		if err := aggQuery(e).Validate(); err != nil {
+			return fmt.Errorf("scenario: aggregation workload: %w", err)
+		}
+	}
 	if s.Workload.ProbeEvery > 0 && !s.WithCoAP {
 		return fmt.Errorf("scenario: probe workload requires WithCoAP")
 	}

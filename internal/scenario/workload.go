@@ -73,6 +73,12 @@ func StartAgg(f *core.Fleet, q agg.Query, sample func(n *core.Node) float64, onR
 	f.Root().Agg.RunQuery(q)
 }
 
+// aggQuery is the aggregation workload's query: AVG(temp) every epoch
+// over a 16-hop horizon.
+func aggQuery(epoch time.Duration) agg.Query {
+	return agg.Query{ID: 1, Fn: agg.Avg, Attr: "temp", Epoch: epoch, MaxDepth: 16}
+}
+
 // scenarioPSK is the fleet-wide pre-shared key the heartbeat sessions
 // derive from. A fixed key is fine: the invariant observes counter
 // discipline, not key secrecy.

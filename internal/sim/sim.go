@@ -157,7 +157,7 @@ func (q *eventQueue) remove(i int) slot {
 }
 
 // Stats are the kernel's scheduling counters. Trials report them through
-// exp.RunStats so the experiment runner can account for the event load
+// trial.RunStats so the experiment runner can account for the event load
 // behind every table.
 type Stats struct {
 	// Scheduled counts events accepted by Schedule/At/Every.
@@ -187,7 +187,7 @@ func (s *Stats) Add(o Stats) {
 // Kernel is a discrete-event scheduler with a virtual clock.
 // It is not safe for concurrent use: the simulation is single-threaded by
 // construction, which is what makes runs reproducible. Parallelism lives
-// one layer up (exp.RunTrials), where independent trials each own a
+// one layer up (trial.RunTrials), where independent trials each own a
 // kernel.
 type Kernel struct {
 	now   Time
