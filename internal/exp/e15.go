@@ -13,8 +13,8 @@ import (
 )
 
 // e15BruteForce runs E15 on the radio's reference O(N) rescan per send
-// instead of the kept link lists. Only TestAllExperimentsQuick sets it, to
-// check the table against the oracle.
+// instead of the kept link lists. Only the tests' shared matrix sets it, so
+// that TestShardWorkerInvariance can check the table against the oracle.
 var e15BruteForce = false
 
 // e15Stripes is the stripe count — a MODEL parameter (it decides which
