@@ -145,10 +145,10 @@ var rules = []rule{
 		bad:   plant{"internal/store/ap.go", "type apLog struct{}"},
 	},
 	{
-		name:  "coap-observer-is-a-map-slot",
+		name:  "coap-observer-is-a-table-record",
 		files: src("internal/coap"),
-		check: deleted("observer"),
-		bad:   plant{"internal/coap/server.go", "type observer struct{}"},
+		check: deleted("observer", "obsShard.m"),
+		bad:   plant{"internal/coap/observers.go", "type obsShard struct{ m map[tokenKey]uint32 }"},
 	},
 	{
 		name:  "coap-dedup-is-one-log",

@@ -325,10 +325,10 @@ func (c *captureTransport) Send(addr string, data []byte) error {
 // to (address, token): a client holding several registrations on one
 // resource (legal under RFC 7641) must get its notifications — and so
 // their message IDs — in the same order every round and every run,
-// whatever the observer maps' iteration order. Every 8th round is
+// whatever the order of the shards' records. Every 8th round is
 // confirmable, so both kinds of send are covered.
 func TestNotifyInlineOrderTwoTokensOneAddress(t *testing.T) {
-	const rounds, tokens = 50, 40 // 40 tokens over 16 shards: several share a map
+	const rounds, tokens = 50, 40 // 40 tokens at one address: one shard, one probe run
 	type reg struct {
 		addr  string
 		token byte
@@ -489,7 +489,7 @@ func TestNotifyNONHotPathZeroAllocs(t *testing.T) {
 		}
 	}
 	var enc notifyEncoder
-	var scratch []tokenKey
+	var scratch []obsRec
 	payload := []byte("21.53")
 	allocs := testing.AllocsPerRun(100, func() {
 		seq := temp.obsSeq.Add(1)
@@ -504,10 +504,13 @@ func TestNotifyNONHotPathZeroAllocs(t *testing.T) {
 
 // TestObserverHeldBytes gates what the registry holds per observer:
 // 200 000 registrations over 16 resources may grow the live heap by at
-// most 72 B each, the address strings allocated before the baseline. An
-// observer is its map slot, key and last MID by value (63 B on
-// linux/amd64; 111 B while each slot pointed at a separate heap object).
-// Run without -race.
+// most 52 B each. The address strings are allocated before the baseline,
+// but the registry keeps its own copy of every address in its shard's
+// arena, so the gate counts the address bytes it owns: 13-14 here. An
+// observer is a 16-byte record, its address, and its index slots (46.4 B
+// on linux/amd64; 63 B plus the caller's address string as a map slot,
+// 111 B while each slot pointed at a separate heap object). Run without
+// -race.
 func TestObserverHeldBytes(t *testing.T) {
 	const n, resources = 200_000, 16
 	srv := NewServer()
@@ -533,8 +536,8 @@ func TestObserverHeldBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
 	t.Logf("%.1f B of live heap per observer (%d observers over %d resources)", per, n, resources)
-	if per > 72 {
-		t.Fatalf("registry holds %.1f B per observer, want <= 72", per)
+	if per > 52 {
+		t.Fatalf("registry holds %.1f B per observer, want <= 52", per)
 	}
 	runtime.KeepAlive(addrs)
 	runtime.KeepAlive(srv)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,19 +154,59 @@ func (w *wireTransport) take(t *testing.T) ([]string, []*Message) {
 }
 
 // registryOf reads the server's registry: every observer of r with the
-// MID of the last notification it was sent, refNone for none.
-func registryOf(r *Resource) map[tokenKey]int {
+// MID of the last notification it was sent, refNone for none. Each shard
+// is checked against itself (tableOf) and must hold only addresses that
+// hash to it.
+func registryOf(t *testing.T, r *Resource) map[tokenKey]int {
+	t.Helper()
 	out := map[tokenKey]int{}
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		for k, last := range sh.m {
-			out[k] = int(last)
-			if last == noMID {
-				out[k] = refNone
+		for k, last := range tableOf(t, sh) {
+			if r.shardOf(addrHash(k.addr)) != sh {
+				t.Errorf("shard %d holds %q, which hashes elsewhere", i, k.addr)
 			}
+			out[k] = last
 		}
 		sh.mu.Unlock()
+	}
+	return out
+}
+
+// tableOf reads one shard's table, held locked, as registryOf does, after
+// checking it: every record is found through the index by its own
+// address and token, the index points at nothing else, the count is the
+// record count, and the arena's dead bytes are what the records leave.
+func tableOf(t *testing.T, sh *obsShard) map[tokenKey]int {
+	t.Helper()
+	slots := 0
+	for _, v := range sh.index {
+		if v != 0 {
+			slots++
+		}
+	}
+	if slots != len(sh.recs) || int(sh.n.Load()) != len(sh.recs) {
+		t.Fatalf("%d index slots and count %d for %d records", slots, sh.n.Load(), len(sh.recs))
+	}
+	out := map[tokenKey]int{}
+	used := 0
+	for ri := range sh.recs {
+		o := &sh.recs[ri]
+		addr := o.addr(sh.arena)
+		if _, found := sh.find(addr, addrHash(addr), o); found != int32(ri) {
+			t.Fatalf("record %d (%q/%x) is found at %d", ri, addr, o.token(), found)
+		}
+		from, _, end := o.span(sh.arena)
+		used += end - from
+		k := newTokenKey(addr, o.token())
+		out[k] = refNone
+		if o.tl&obsNotified != 0 {
+			out[k] = int(o.mid)
+		}
+	}
+	if used+sh.dead != len(sh.arena) {
+		t.Fatalf("records use %d arena bytes and %d are dead, the arena holds %d", used, sh.dead, len(sh.arena))
 	}
 	return out
 }
@@ -179,7 +220,7 @@ func registryOf(r *Resource) map[tokenKey]int {
 // everything it sent with the reference model's.
 func TestObserveReferenceParity(t *testing.T) {
 	const resources, limit, steps = 3, 5, 300
-	addrs := []string{"c1", "c12", "c2", "c3", "d"}
+	addrs := []string{"c1", "c12", "c2", "c3", "d", strings.Repeat("long.", 60)} // 300 B: a length-prefixed address
 	tokens := [][]byte{nil, {1}, {1, 2}, {2}, {0xFF, 0, 1, 2, 3, 4, 5, 6}}
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -299,7 +340,7 @@ func TestObserveReferenceParity(t *testing.T) {
 		check := func(step int, what string) {
 			t.Helper()
 			for ri, r := range res {
-				got, want := registryOf(r), ref.obs[ri]
+				got, want := registryOf(t, r), ref.obs[ri]
 				if len(got) != len(want) || r.ObserverCount() != len(want) {
 					t.Fatalf("seed %d step %d (%s): r%d holds %d observers (count %d), reference %d", seed, step, what, ri, len(got), r.ObserverCount(), len(want))
 				}

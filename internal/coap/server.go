@@ -32,23 +32,10 @@ const DefaultMaxObservers = 64
 const defaultConfirmEvery = 8
 
 // obsShards is the number of observer shards per resource. Sharding keys
-// on the (addr, token) registration key, so lock contention and fan-out
-// work spread evenly; it must be a power of two.
+// on the observer's address (addrHash), so lock contention and fan-out
+// work spread evenly and every observer of one address is in one shard;
+// it must be a power of two.
 const obsShards = 16
-
-// noMID is the registry value of an observer that has been sent no
-// notification: it lies outside the 16-bit MID space, so no RST matches it.
-const noMID = 1 << 16
-
-// obsShard is one lock-striped slice of a resource's observer table. An
-// observer is held by value: its registration key maps to the message ID
-// of the last notification it was sent, or noMID. Fan-out stamps that MID
-// and RST handling reads it, both under mu.
-type obsShard struct {
-	mu sync.Mutex
-	m  map[tokenKey]uint32
-	n  atomic.Int64 // len(m), readable without the lock
-}
 
 // Resource is one node in the server's resource tree.
 type Resource struct {
@@ -199,20 +186,9 @@ func (r *Resource) maxObservers() int64 {
 // ObserverCount returns the number of registered observers.
 func (r *Resource) ObserverCount() int { return int(r.nobs.Load()) }
 
-// shardOf maps a registration key onto its shard (FNV-1a over the
-// address, then the token).
-func shardOf(k *tokenKey) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.addr); i++ {
-		h ^= uint32(k.addr[i])
-		h *= 16777619
-	}
-	for _, b := range k.token() {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return int(h & (obsShards - 1))
-}
+// shardOf returns the shard of the observers at the address whose
+// addrHash is h.
+func (r *Resource) shardOf(h uint32) *obsShard { return &r.shards[h&(obsShards-1)] }
 
 // Notify pushes a new representation to every observer. Without a notify
 // pool (Server.StartNotifyPool) the fan-out runs inline on the caller —
@@ -234,69 +210,78 @@ func (r *Resource) Notify(contentFormat uint32, payload []byte) {
 }
 
 // notifyAll is the inline (deterministic) fan-out: observers across all
-// shards, sorted by (address, token), one message-ID block for the whole
-// batch, each observer's MID stamped under its shard's lock.
+// shards, copied out with their addresses and sorted by (address,
+// token), one message-ID block for the whole batch, each observer's MID
+// stamped under its shard's lock.
 func (r *Resource) notifyAll(seq, contentFormat uint32, payload []byte) {
-	var keys []tokenKey
+	var recs []obsRec
+	var arena []byte
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		for k := range sh.m {
-			keys = append(keys, k)
+		for _, o := range sh.recs {
+			from, _, end := o.span(sh.arena)
+			o.off = uint32(len(arena))
+			arena = append(arena, sh.arena[from:end]...)
+			recs = append(recs, o)
 		}
 		sh.mu.Unlock()
 	}
-	if len(keys) == 0 {
+	if len(recs) == 0 {
 		return
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].addr != keys[j].addr {
-			return keys[i].addr < keys[j].addr
+	sort.Slice(recs, func(i, j int) bool {
+		if a, b := recs[i].addr(arena), recs[j].addr(arena); a != b {
+			return a < b
 		}
-		return bytes.Compare(keys[i].token(), keys[j].token()) < 0
+		return bytes.Compare(recs[i].token(), recs[j].token()) < 0
 	})
-	mid := r.server.conn.allocMIDs(len(keys))
-	for i := range keys {
-		k := &keys[i]
-		sh := &r.shards[shardOf(k)]
+	mid := r.server.conn.allocMIDs(len(recs))
+	for i := range recs {
+		addr := recs[i].addr(arena)
+		h := addrHash(addr)
+		sh := r.shardOf(h)
 		sh.mu.Lock()
-		if _, ok := sh.m[*k]; ok { // not if it left since it was gathered
-			sh.m[*k] = uint32(mid + uint16(i))
+		if _, ri := sh.find(addr, h, &recs[i]); ri >= 0 { // not if it left since it was gathered
+			sh.recs[ri].mid = mid + uint16(i)
+			sh.recs[ri].tl |= obsNotified
 		}
 		sh.mu.Unlock()
 	}
 	var enc notifyEncoder
-	r.fanOut(keys, mid, seq, contentFormat, payload, &enc)
+	r.fanOut(recs, arena, mid, seq, contentFormat, payload, &enc)
 }
 
 // notifyShard fans one notification out to one observer shard — the
 // gateway hot path, zero allocations per observer at steady state
-// (CI-gated). Under the shard lock it draws the MID block and stamps each
-// observer's MID as it copies the keys into scratch, the caller's reused
-// slice; it sends after unlocking and returns the (possibly grown) slice.
-func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte, enc *notifyEncoder, scratch []tokenKey) []tokenKey {
-	scratch = scratch[:0]
+// (CI-gated). Under the shard lock it draws the MID block, stamps each
+// record in order and copies the records into scratch, the caller's
+// reused slice; it sends after unlocking, reading addresses from the
+// arena as it was then, and returns the (possibly grown) slice.
+func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte, enc *notifyEncoder, scratch []obsRec) []obsRec {
 	sh := &r.shards[si]
 	sh.mu.Lock()
-	if len(sh.m) == 0 {
+	if len(sh.recs) == 0 {
 		sh.mu.Unlock()
-		return scratch
+		return scratch[:0]
 	}
-	mid := r.server.conn.allocMIDs(len(sh.m))
-	for k := range sh.m {
-		sh.m[k] = uint32(mid + uint16(len(scratch)))
-		scratch = append(scratch, k)
+	mid := r.server.conn.allocMIDs(len(sh.recs))
+	for i := range sh.recs {
+		sh.recs[i].mid = mid + uint16(i)
+		sh.recs[i].tl |= obsNotified
 	}
+	scratch = append(scratch[:0], sh.recs...)
+	arena := sh.arena
 	sh.mu.Unlock()
-	r.fanOut(scratch, mid, seq, contentFormat, payload, enc)
+	r.fanOut(scratch, arena, mid, seq, contentFormat, payload, enc)
 	return scratch
 }
 
-// fanOut sends one notification to keys, in order, with consecutive
-// message IDs from mid; for a NON round the message body (options +
-// payload) is encoded once and per-observer packets are assembled in
-// enc's reused buffer.
-func (r *Resource) fanOut(keys []tokenKey, mid uint16, seq, contentFormat uint32, payload []byte, enc *notifyEncoder) {
+// fanOut sends one notification to recs, whose addresses are in arena,
+// in order, with consecutive message IDs from mid; for a NON round the
+// message body (options + payload) is encoded once and per-observer
+// packets are assembled in enc's reused buffer.
+func (r *Resource) fanOut(recs []obsRec, arena []byte, mid uint16, seq, contentFormat uint32, payload []byte, enc *notifyEncoder) {
 	c := r.server.conn
 	con := false
 	if ce := r.server.confirmEveryVal(); ce > 0 {
@@ -305,20 +290,20 @@ func (r *Resource) fanOut(keys []tokenKey, mid uint16, seq, contentFormat uint32
 	if !con {
 		enc.prepare(seq, contentFormat, payload)
 	}
-	for i := range keys {
+	for i := range recs {
 		m := mid + uint16(i)
+		addr := recs[i].addr(arena) // stays valid: arena bytes are never rewritten
 		if con {
-			k := keys[i] // the failure callback outlives the caller's slice
-			msg := &Message{Type: Confirmable, Code: CodeContent, Token: k.token(), Payload: payload, MessageID: m}
+			o := recs[i] // the failure callback outlives the caller's slice
+			msg := &Message{Type: Confirmable, Code: CodeContent, Token: o.token(), Payload: payload, MessageID: m}
 			msg.AddUintOption(OptObserve, seq)
 			msg.AddUintOption(OptContentFormat, contentFormat)
-			c.send(k.addr, msg, func(error) {
+			c.send(addr, msg, func(error) {
 				// Unreachable observer: drop the registration.
-				r.removeObserver(k.addr, k.token())
+				r.removeObserver(addr, o.token())
 			})
 		} else {
-			k := &keys[i]
-			_ = c.tr.Send(k.addr, enc.packet(m, k.token()))
+			_ = c.tr.Send(addr, enc.packet(m, recs[i].token()))
 		}
 	}
 }
@@ -429,7 +414,7 @@ func (p *notifyPool) stop() {
 func (p *notifyPool) worker(i int) {
 	defer p.wg.Done()
 	var enc notifyEncoder
-	var scratch []tokenKey
+	var scratch []obsRec
 	for job := range p.queues[i] {
 		scratch = job.r.notifyShard(i, job.seq, job.cf, job.payload, &enc, scratch)
 	}
@@ -450,54 +435,48 @@ func (p *notifyPool) dispatch(r *Resource, seq, cf uint32, payload []byte) {
 }
 
 func (r *Resource) addObserver(addr string, token []byte) error {
-	k := newTokenKey(addr, token)
-	sh := &r.shards[shardOf(&k)]
+	h, key := addrHash(addr), obsKey(token)
+	sh := r.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.m[k]; ok {
+	slot, ri := sh.find(addr, h, &key)
+	if ri >= 0 {
 		return nil // re-registration with the same token refreshes in place
 	}
 	if r.nobs.Add(1) > r.maxObservers() {
 		r.nobs.Add(-1)
 		return ErrTooManyObservers
 	}
-	if sh.m == nil {
-		sh.m = make(map[tokenKey]uint32)
-	}
-	sh.m[k] = noMID
-	sh.n.Store(int64(len(sh.m)))
+	sh.insert(addr, h, key, slot)
 	return nil
 }
 
 func (r *Resource) removeObserver(addr string, token []byte) {
-	k := newTokenKey(addr, token)
-	sh := &r.shards[shardOf(&k)]
+	h, key := addrHash(addr), obsKey(token)
+	sh := r.shardOf(h)
 	sh.mu.Lock()
-	if _, ok := sh.m[k]; ok {
-		delete(sh.m, k)
-		sh.n.Store(int64(len(sh.m)))
+	if slot, ri := sh.find(addr, h, &key); ri >= 0 {
+		sh.remove(slot, ri)
 		r.nobs.Add(-1)
 	}
 	sh.mu.Unlock()
 }
 
 // removeObserverByMID drops whatever observer at addr last received the
-// notification with the given MID (RST handling).
-func (s *Server) removeObserverByMID(addr string, mid uint16) {
+// notification with the given MID (RST handling). It walks addr's probe
+// run in one shard of each resource and returns how many records it
+// compared.
+func (s *Server) removeObserverByMID(addr string, mid uint16) (compared int) {
+	h := addrHash(addr)
 	for _, r := range *s.resources.Load() {
-		for i := range r.shards {
-			sh := &r.shards[i]
-			sh.mu.Lock()
-			for k, last := range sh.m {
-				if last == uint32(mid) && k.addr == addr {
-					delete(sh.m, k)
-					sh.n.Store(int64(len(sh.m)))
-					r.nobs.Add(-1)
-				}
-			}
-			sh.mu.Unlock()
-		}
+		sh := r.shardOf(h)
+		sh.mu.Lock()
+		removed, c := sh.dropMID(addr, h, mid)
+		r.nobs.Add(-int64(removed))
+		sh.mu.Unlock()
+		compared += c
 	}
+	return compared
 }
 
 // linkFormat renders the CoRE link-format discovery document.

@@ -5,9 +5,10 @@ import "testing"
 // TestE16CAPDifferential pins E16's shape: every row recovers after the
 // heal, AP rows ack every batch, and CP rows lose writes for the span
 // of the coordinator partition — the availability split the experiment
-// exists to demonstrate.
+// exists to demonstrate. It reads the shared matrix's first-leg table,
+// so E16 runs no more often than any other experiment.
 func TestE16CAPDifferential(t *testing.T) {
-	tab := E16StoreIngest(Quick)
+	tab := matrixFor(t, byID(t, "E16")).tabs[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("expected 4 rows (2 modes × {1, sharded}), got %d", len(tab.Rows))
 	}
