@@ -235,6 +235,12 @@ var rules = []rule{
 		bad:   plant{"internal/radio/sharded.go", "func nearActive() {}"},
 	},
 	{
+		name:  "radio-collisions-read-receiver-state",
+		files: src("internal/radio/..."),
+		check: deleted("nearActive", "flight", "hears", "Medium.nearTx", "transmission.epoch"),
+		bad:   plant{"internal/radio/radio.go", "func (m *Medium) nearActive() {}"},
+	},
+	{
 		name:  "radio-keeps-one-receiver-list",
 		files: all("internal/radio/..."),
 		check: deleted("candCache"),

@@ -63,11 +63,14 @@ func BenchmarkSend(b *testing.B) {
 
 // TestSendFanoutAllocFree is the CI gate for the satellite requirement:
 // the indexed delivery path allocates nothing in steady state. The
-// first sends warm the transmission pool, the per-node energy ledgers
-// and every sender's link list; after that Send + completion must be
-// 0 allocs/op — also when a move voids every list and each is rebuilt
-// into the capacity it has, and for a sender another shard hosts from
-// its second announcement on.
+// first sends warm the transmission pool, the per-node energy ledgers,
+// every sender's link list and the hearing state of both channels;
+// after that Send + completion must be 0 allocs/op — also when a move
+// voids every list and each is rebuilt into the capacity it has, when a
+// move under a frame on the air rebuilds the hearing state, when a send
+// spoils the copy a live flight's receiver was decoding, on the second
+// channel, and for a sender another shard hosts from its second
+// announcement on.
 func TestSendFanoutAllocFree(t *testing.T) {
 	const n, walker = 500, NodeID(7)
 	k, m := benchMedium(n, false)
@@ -99,16 +102,43 @@ func TestSendFanoutAllocFree(t *testing.T) {
 		k.Run()
 	}
 	announce() // the first announcement builds the foreign sender's list
+	// Two neighbours' frames overlap: the second spoils the copies of the
+	// first that their common neighbours were decoding.
+	near := m.NeighborsOf(walker)[0]
+	overlap := func(mid func()) {
+		m.Send(Frame{From: walker, To: Broadcast, Size: 30})
+		mid()
+		m.Send(Frame{From: near, To: Broadcast, Size: 30})
+		k.Run()
+		i++
+	}
+	spoil := func() { overlap(func() {}) }
+	moveMidFlight := func() { overlap(func() { m.SetPosition(walker, spots[i%2]) }) }
+	second := func() {
+		m.Send(Frame{From: NodeID(i % n), To: Broadcast, Channel: 1, Size: 30})
+		k.Run()
+		i++
+	}
+	second()
+	collisions := m.Registry().Counter("radio.collisions")
 	for _, c := range []struct {
-		name string
-		fn   func()
+		name     string
+		fn       func()
+		collides bool
 	}{
-		{"a warmed link list", send},
-		{"a rebuild after a move that grows no list", step},
-		{"a foreign sender's second announcement", announce},
+		{"a warmed link list", send, false},
+		{"a rebuild after a move that grows no list", step, false},
+		{"a send that spoils a live flight's copies", spoil, true},
+		{"a hearing rebuild after a move under a live flight", moveMidFlight, true},
+		{"a send on a second channel", second, false},
+		{"a foreign sender's second announcement", announce, false},
 	} {
+		before := collisions.Value()
 		if avg := testing.AllocsPerRun(300, c.fn); avg != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, avg)
+		}
+		if c.collides && collisions.Value() == before {
+			t.Errorf("%s: nothing collided", c.name)
 		}
 	}
 	if m.Registry().Counter("radio.rx_frames").Value() == 0 {

@@ -144,10 +144,10 @@ func (tw *twins) requireSame(t *testing.T, ctx string) {
 			t.Fatalf("%s: %s indexed %v != brute %v", ctx, name, a, b)
 		}
 	}
-	for _, id := range tw.m[1].NodeIDs() {
+	for _, n := range tw.m[1].ordered {
 		for _, st := range []metrics.RadioState{metrics.StateTx, metrics.StateRx} {
-			if a, b := tw.m[0].Energy().Ledger(int(id)).Duration(st), tw.m[1].Energy().Ledger(int(id)).Duration(st); a != b {
-				t.Fatalf("%s: node %d state %v indexed %v != brute %v", ctx, id, st, a, b)
+			if a, b := tw.m[0].Energy().Ledger(int(n.id)).Duration(st), tw.m[1].Energy().Ledger(int(n.id)).Duration(st); a != b {
+				t.Fatalf("%s: node %d state %v indexed %v != brute %v", ctx, n.id, st, a, b)
 			}
 		}
 	}
@@ -180,9 +180,9 @@ func (m *Medium) audible(from, to NodeID) bool {
 // that is up, listening on ch and audible(from, it).
 func audibleByPredicate(m *Medium, from NodeID, ch uint8) []NodeID {
 	var out []NodeID
-	for _, id := range m.NodeIDs() {
-		if !m.Down(id) && m.Listening(id) && m.ChannelOf(id) == ch && m.audible(from, id) {
-			out = append(out, id)
+	for _, n := range m.ordered {
+		if !n.down && n.listening && n.channel == ch && m.audible(from, n.id) {
+			out = append(out, n.id)
 		}
 	}
 	return out

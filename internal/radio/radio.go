@@ -11,8 +11,10 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,7 +121,49 @@ type nodeState struct {
 	// recognizes: the receiver ignores unicasts addressed to another
 	// node (SetAddressRecognition), so complete need not hand them over.
 	recognizes bool
-	links      linkList // whom this node's frames reach
+	links      linkList  // whom this node's frames reach
+	hear       []hearing // what it hears, per channel slot (Medium.slots)
+}
+
+// hearing is what one node hears on one channel: until, the latest end
+// among the live flights audible here, and the one clean copy the node
+// is decoding — delivery del of flight rx, while the flight's end rxEnd
+// is still ahead. Transmissions are pooled, but only completion at its
+// end recycles one, so a future rxEnd also proves that rx is still the
+// flight it was. Launch keeps it as it walks the sender's links
+// (DESIGN.md §9).
+type hearing struct {
+	until sim.Time
+	rxEnd sim.Time
+	rx    *transmission
+	del   int32
+}
+
+// note is a trace event a traced launch holds back until it has walked
+// every link. The marks on older flights' copies go out first, sorted
+// by flight (launch serial, the order of m.active) and delivery del, and
+// the frame's own events after them in link order, as the scan of live
+// flights emitted them.
+type note struct {
+	serial uint64
+	del    int32
+	node   int32
+	typ    trace.Type
+	a, b   int64
+	j      uint64
+}
+
+// spoil corrupts the clean copy h holds, if its flight is still on the
+// air, and returns that flight.
+func (h *hearing) spoil(now sim.Time) *transmission {
+	if h.rxEnd <= now {
+		return nil
+	}
+	o := h.rx
+	o.dels[h.del].corrupted = true
+	o.clean--
+	h.rxEnd = 0
+	return o
 }
 
 // link is one receiver a sender's frames reach, with the PRR its loss
@@ -159,7 +203,7 @@ type transmission struct {
 	end      sim.Time
 	srcPos   Position   // sender position at Send time
 	src      *nodeState // local sender; nil for a foreign one (sharded.go)
-	epoch    uint64     // medium layoutGen when the flight started
+	serial   uint64     // launch serial; m.active is in its order
 	stateGen uint64     // medium stateGen when the flight started
 	dels     []delivery
 	// clean counts the deliveries not (yet) corrupted; takers indexes
@@ -168,14 +212,6 @@ type transmission struct {
 	clean      int
 	takers     []int32
 	completeFn func() // prebuilt m.complete(tx) closure
-}
-
-// flight is a live co-channel transmission near a new one, with what the
-// new one's collision checks read of it resolved once per launch.
-type flight struct {
-	tx   *transmission
-	from NodeID
-	pos  Position // the sender's current position
 }
 
 // Medium is the shared wireless channel set. It is single-threaded and
@@ -203,8 +239,7 @@ type Medium struct {
 	// layoutGen counts Attach and SetPosition calls. A link list holds
 	// exact distances between its sender and every receiver, so any move
 	// and any newcomer voids all of them; a static fleet builds each
-	// sender's list once. It also dates flights for the collision
-	// pruning below.
+	// sender's list once.
 	layoutGen uint64
 	// stateGen counts SetListening, SetDown, SetChannel and
 	// SetAddressRecognition calls. While it has not moved since a flight
@@ -213,15 +248,24 @@ type Medium struct {
 	stateGen uint64
 	foreign  map[NodeID]*linkList // lists of senders other shards host
 	linkBuf  []link               // collectLinks' scratch
-	// Collision-check pruning (DESIGN.md §9). Two transmissions can only
-	// interact when their senders are within 2·RangeMax: every receiver
-	// sits strictly inside RangeMax of its sender whenever no PRR
-	// override is installed. nearTx is the per-send scratch holding the
-	// live co-channel transmissions that pass the bound; flights that
-	// overlap a layoutGen step fall back to the unpruned loop (a moved
-	// receiver may have left its sender's disk, voiding the bound).
-	nearTx []flight
-	brute  bool // rescan on every send, never prune (oracle/baseline)
+	brute    bool                 // rescan links on every send (oracle/baseline)
+
+	// Hearing state (DESIGN.md §9). slots maps a channel to 1 + its index
+	// in every node's hear, 0 until a flight first uses it; nslots counts
+	// them. stale says that who hears whom changed (Attach, SetPosition,
+	// SetLinkFilter, SetLinkPRR) since every until was last right: the
+	// next launch or CarrierSense rebuilds them from the live flights.
+	slots  [256]uint16
+	nslots int
+	stale  bool
+	serial uint64 // launches so far
+	// tenant is the first launch's tenant; mixed says another one has
+	// launched since, so collisions need attributing to a flight.
+	tenant string
+	mixed  bool
+	// A traced launch's held-back events: marks on older flights, and
+	// the frame's own.
+	marks, notes []note
 
 	// announce, when set, observes every accepted transmission so a
 	// sharded deployment can mirror border traffic into neighbor shards
@@ -304,7 +348,7 @@ func (m *Medium) Attach(id NodeID, pos Position, recv Receiver) {
 	if recv == nil {
 		panic("radio: Attach with nil receiver")
 	}
-	n := &nodeState{id: id, pos: pos, recv: recv}
+	n := &nodeState{id: id, pos: pos, recv: recv, hear: make([]hearing, m.nslots)}
 	m.energy.Ledger(int(id)).Link(&n.air)
 	m.nodes[id] = n
 	at := sort.Search(len(m.ordered), func(i int) bool { return m.ordered[i].id > id })
@@ -312,23 +356,23 @@ func (m *Medium) Attach(id NodeID, pos Position, recv Receiver) {
 	copy(m.ordered[at+1:], m.ordered[at:])
 	m.ordered[at] = n
 	m.layoutGen++
+	m.stale = true
 }
 
 // SetPosition moves a node (e.g., a mobile asset tag). Any move voids
-// every sender's link list (layoutGen).
+// every sender's link list (layoutGen) and the hearing state.
 func (m *Medium) SetPosition(id NodeID, pos Position) {
 	m.mustNode(id).pos = pos
 	m.layoutGen++
+	m.stale = true
 }
 
 // SetBruteForce forces (true) or restores (false) the reference O(N)
 // medium: every send rescans all nodes for its links instead of keeping
-// the sender's link list, and collision loops run unpruned over every
-// active transmission instead of the 2·RangeMax sender-distance cut.
-// Both visit the same receivers in the same ID order and corrupt the
-// same deliveries — the list and pruning invariants DESIGN.md §9 proves
-// — so results are byte-identical; only wall-clock time differs. Tests
-// use the brute path as the oracle and benchmarks as the baseline.
+// the sender's link list. Both visit the same receivers in the same ID
+// order — the list invariant DESIGN.md §9 proves — so results are
+// byte-identical; only wall-clock time differs. Tests use the brute
+// path as the oracle and benchmarks as the baseline.
 func (m *Medium) SetBruteForce(on bool) { m.brute = on }
 
 // PositionOf returns a node's position.
@@ -363,9 +407,6 @@ func (m *Medium) SetAddressRecognition(id NodeID, on bool) {
 // AddressRecognition reports whether the node declared it.
 func (m *Medium) AddressRecognition(id NodeID) bool { return m.mustNode(id).recognizes }
 
-// Listening reports whether a node's receiver is on.
-func (m *Medium) Listening(id NodeID) bool { return m.mustNode(id).listening }
-
 // SetDown marks a node crashed (true) or recovered (false). Down nodes
 // neither send nor receive.
 func (m *Medium) SetDown(id NodeID, down bool) {
@@ -377,7 +418,10 @@ func (m *Medium) SetDown(id NodeID, down bool) {
 func (m *Medium) Down(id NodeID) bool { return m.mustNode(id).down }
 
 // SetLinkFilter installs a delivery veto; nil removes it.
-func (m *Medium) SetLinkFilter(f LinkFilter) { m.filter = f }
+func (m *Medium) SetLinkFilter(f LinkFilter) {
+	m.filter = f
+	m.stale = true
+}
 
 // SetLinkPRR overrides the distance-based PRR for the directed link
 // from->to with a fixed value in [0,1]. Use a negative value to remove the
@@ -397,15 +441,7 @@ func (m *Medium) SetLinkPRR(from, to NodeID, prr float64) {
 	if ll := m.foreign[from]; ll != nil {
 		ll.gen = 0
 	}
-}
-
-// NodeIDs returns all attached node IDs in ascending order.
-func (m *Medium) NodeIDs() []NodeID {
-	ids := make([]NodeID, len(m.ordered))
-	for i, n := range m.ordered {
-		ids[i] = n.id
-	}
-	return ids
+	m.stale = true
 }
 
 func (m *Medium) mustNode(id NodeID) *nodeState {
@@ -450,15 +486,61 @@ func (m *Medium) Airtime(sizeBytes int) time.Duration {
 func (m *Medium) CarrierSense(id NodeID) bool {
 	n := m.mustNode(id)
 	now := m.k.Now()
-	for _, tx := range m.active {
-		if tx.end <= now || tx.frame.Channel != n.channel {
-			continue
-		}
-		if m.txAudible(tx, n) {
-			return true
+	if m.stale {
+		m.rebuildHearing(now)
+	}
+	s := m.slots[n.channel]
+	return s > 0 && n.hear[s-1].until > now
+}
+
+// slotOf returns ch's index in every node's hear, giving every node a
+// hearing for it on the channel's first flight.
+func (m *Medium) slotOf(ch uint8) int {
+	if s := m.slots[ch]; s > 0 {
+		return int(s) - 1
+	}
+	for _, n := range m.ordered {
+		n.hear = append(n.hear, hearing{})
+	}
+	m.nslots++
+	m.slots[ch] = uint16(m.nslots)
+	return m.nslots - 1
+}
+
+// rebuildHearing sets every node's until afresh from the flights on the
+// air, asking audibleAt at today's positions, filter and overrides
+// (foreign senders at their announced positions). O(live flights × N),
+// paid once per change of who hears whom. A held copy stays held: it is
+// what it is whoever moved, and the next flight its node hears spoils it.
+func (m *Medium) rebuildHearing(now sim.Time) {
+	m.stale = false
+	for _, n := range m.ordered {
+		for i := range n.hear {
+			n.hear[i].until = 0
 		}
 	}
-	return false
+	for _, o := range m.active {
+		if o.end <= now {
+			continue
+		}
+		s := m.slots[o.frame.Channel] - 1
+		for _, n := range m.ordered {
+			if h := &n.hear[s]; o.end > h.until && m.txAudible(o, n) {
+				h.until = o.end
+			}
+		}
+	}
+}
+
+// firstHeard is the first flight in m.active, still on the air on
+// channel ch, that n hears: the one a collision at n is attributed to.
+func (m *Medium) firstHeard(n *nodeState, ch uint8, now sim.Time) *transmission {
+	for _, o := range m.active {
+		if o.end > now && o.frame.Channel == ch && m.txAudible(o, n) {
+			return o
+		}
+	}
+	return nil
 }
 
 // getTx pops a recycled transmission or creates one with its
@@ -522,51 +604,6 @@ func (m *Medium) txAudible(tx *transmission, dst *nodeState) bool {
 		pos = tx.src.pos
 	}
 	return m.audibleAt(tx.frame.From, pos, dst)
-}
-
-// hears is audibleAt for the fan-out: plain says that no filter and no
-// override is installed, so distance alone decides.
-func (m *Medium) hears(from NodeID, pos Position, dst *nodeState, plain bool) bool {
-	if !plain {
-		return m.audibleAt(from, pos, dst)
-	}
-	return from != dst.id && pos.Distance(dst.pos) < m.params.RangeMax
-}
-
-// nearActive collects the live co-channel transmissions that could
-// possibly interact with a frame sent from pos, into a reused scratch
-// slice (valid until the next call), each with the position txAudible
-// would judge it from. A transmission is skipped only when the
-// 2·RangeMax sender-distance bound proves no shared audible point exists
-// — and only when that bound actually holds: no PRR override installed
-// (overrides are distance-free) and no node moved since the flight
-// started (layoutGen match; a moved receiver may have left its sender's
-// disk). Iterating the pruned list is therefore decision-for-decision
-// identical to iterating m.active: everything dropped would have failed
-// the audibility predicate anyway.
-func (m *Medium) nearActive(pos Position, ch uint8, now sim.Time) []flight {
-	near := m.nearTx[:0]
-	limit := 2 * m.params.RangeMax
-	prune := !m.brute && len(m.prrOver) == 0
-	for _, other := range m.active {
-		if other.end <= now || other.frame.Channel != ch {
-			continue
-		}
-		if prune && other.epoch == m.layoutGen {
-			// No movement since this flight started, so its send-time
-			// position is current for the sender and every receiver.
-			if pos.Distance(other.srcPos) >= limit {
-				continue
-			}
-		}
-		fl := flight{tx: other, from: other.frame.From, pos: other.srcPos}
-		if other.src != nil {
-			fl.pos = other.src.pos
-		}
-		near = append(near, fl)
-	}
-	m.nearTx = near
-	return near
 }
 
 // collectLinks finds the links of a sender at pos (see linkList) by one
@@ -670,87 +707,111 @@ func (m *Medium) Send(f Frame) time.Duration {
 // start/end, srcPos and, for a local sender, src; everything decided
 // here is decided from those, so both kinds of sender collide, fade
 // and deliver alike.
+//
+// Collisions are decided in the same walk of the sender's link list,
+// from each audible node's hearing on the frame's channel: the node
+// loses the clean copy it was decoding, and its copy of this frame is
+// corrupted too if it already hears a flight on the air (until > now).
 func (m *Medium) launch(tx *transmission) {
 	f := tx.frame
-	pos := tx.srcPos
 	air := tx.end - tx.start
-	tx.epoch, tx.stateGen = m.layoutGen, m.stateGen
+	now := m.k.Now()
+	m.serial++
+	tx.serial, tx.stateGen = m.serial, m.stateGen
+	if m.serial == 1 {
+		m.tenant = f.Tenant
+	} else if f.Tenant != m.tenant {
+		m.mixed = true
+	}
+	if m.stale {
+		m.rebuildHearing(now)
+	}
+	s := m.slotOf(f.Channel)
+	links := m.linksOf(f.From, tx.srcPos, tx.src)
 	filter := m.filter
-	plain := filter == nil && len(m.prrOver) == 0
 	// Tallied here and added to the counters once: integers in a float64
 	// sum exactly, in any grouping.
 	var collisions, crossTenant, lost int
 
-	// Mark collisions: any receiver that can hear both this frame and an
-	// already-active co-channel frame decodes neither. Only the spatially
-	// near transmissions (nearActive) can have such a receiver.
-	near := m.nearActive(pos, f.Channel, m.k.Now())
-	for _, other := range near {
-		o := other.tx
-		// Only a clean delivery can be marked, and o.clean counts them.
-		for i := 0; i < len(o.dels) && o.clean > 0; i++ {
-			d := &o.dels[i]
-			if !d.corrupted && m.hears(f.From, pos, d.n, plain) {
-				d.corrupted = true
-				o.clean--
-				collisions++
-				if o.frame.Tenant != f.Tenant {
-					crossTenant++
-				}
-				m.rec.Emit(int32(d.n.id), trace.RadioCollision, int64(other.from), int64(f.From), 0, payloadJourney(o.frame.Payload))
-			}
-		}
-	}
-
-	// The fan-out walks the sender's link list. What the list does not
-	// remember, because it changes without the medium being told, is
-	// checked here, per send: radio state, and the link filter.
+	// What the link list does not remember, because it changes without
+	// the medium being told, is checked here, per send: the link filter
+	// and radio state. Hearing does not depend on radio state.
 	dels, takers := tx.dels, tx.takers
 	rng, jid := m.k.Rand(), payloadJourney(f.Payload)
-	for _, l := range m.linksOf(f.From, pos, tx.src) {
+	attribute := m.rec != nil || m.mixed
+	for _, l := range links {
 		n := l.n
-		if n.down || !n.listening || n.channel != f.Channel {
+		if filter != nil && !filter(f.From, n.id) {
 			continue
 		}
-		if filter != nil && !filter(f.From, n.id) {
+		h := &n.hear[s]
+		if del, o := h.del, h.spoil(now); o != nil {
+			collisions++
+			if o.frame.Tenant != f.Tenant {
+				crossTenant++
+			}
+			if m.rec != nil {
+				m.marks = append(m.marks, note{o.serial, del, int32(n.id), trace.RadioCollision, int64(o.frame.From), int64(f.From), payloadJourney(o.frame.Payload)})
+			}
+		}
+		heard := h.until > now
+		if h.until < tx.end {
+			h.until = tx.end
+		}
+		if n.down || !n.listening || n.channel != f.Channel {
 			continue
 		}
 		// The receiver's radio is busy for the whole frame either way.
 		n.air.Rx += air
-		dels = append(dels, delivery{n: n})
-		d := &dels[len(dels)-1]
-		// Collision with other concurrently active frames audible here.
-		for _, other := range near {
-			if m.hears(other.from, other.pos, n, plain) {
-				d.corrupted = true
-				collisions++
-				if other.tx.frame.Tenant != f.Tenant {
+		dels = append(dels, delivery{n: n, corrupted: heard})
+		switch {
+		case heard:
+			collisions++
+			if attribute {
+				o := m.firstHeard(n, f.Channel, now)
+				if o.frame.Tenant != f.Tenant {
 					crossTenant++
 				}
-				m.rec.Emit(int32(n.id), trace.RadioCollision, int64(other.from), int64(f.From), 0, jid)
-				break
+				m.hold(n, trace.RadioCollision, int64(o.frame.From), int64(f.From), jid)
 			}
-		}
-		// Stochastic loss from link quality.
-		if !d.corrupted && rng.Float64() >= l.prr {
-			d.corrupted = true
+		case rng.Float64() >= l.prr: // stochastic loss from link quality
+			dels[len(dels)-1].corrupted = true
 			lost++
-			m.rec.Emit(int32(n.id), trace.RadioLoss, int64(f.From), int64(f.Size), 0, jid)
-		}
-		if !d.corrupted {
+			m.hold(n, trace.RadioLoss, int64(f.From), int64(f.Size), jid)
+		default:
 			tx.clean++
+			h.rx, h.rxEnd, h.del = tx, tx.end, int32(len(dels)-1)
 			if f.To == Broadcast || f.To == n.id || !n.recognizes {
 				takers = append(takers, int32(len(dels)-1))
 			}
 		}
 	}
 	tx.dels, tx.takers = dels, takers
+	if m.rec != nil {
+		slices.SortFunc(m.marks, func(a, b note) int {
+			return cmp.Or(cmp.Compare(a.serial, b.serial), cmp.Compare(a.del, b.del))
+		})
+		for _, held := range [2][]note{m.marks, m.notes} {
+			for _, nt := range held {
+				m.rec.Emit(nt.node, nt.typ, nt.a, nt.b, 0, nt.j)
+			}
+		}
+		m.marks, m.notes = m.marks[:0], m.notes[:0]
+	}
 	m.cCollisions.Add(float64(collisions))
 	m.cCollXTen.Add(float64(crossTenant))
 	m.cDropLoss.Add(float64(lost))
 
 	m.active = append(m.active, tx)
 	m.k.At(tx.end, tx.completeFn)
+}
+
+// hold keeps one of the frame's own trace events at n back for the end
+// of the launch (see note); untraced, there is none.
+func (m *Medium) hold(n *nodeState, typ trace.Type, a, b int64, j uint64) {
+	if m.rec != nil {
+		m.notes = append(m.notes, note{node: int32(n.id), typ: typ, a: a, b: b, j: j})
+	}
 }
 
 // payloadJourney reads the journey ID off a frame payload; control

@@ -12,14 +12,15 @@ import (
 	"iiotds/internal/trace"
 )
 
-// The reference medium: Send, ApplyForeign, launch, nearActive and
-// complete as they were before the fan-out walked a link list and
-// completion jumped from taker to taker — every attached node asked,
-// in ID order, whether it hears the frame (audibleAt, then the override
-// PRR or the distance PRR), every receiver visited again at completion,
-// energy charged through the ledger. It reads no link list, so it does
-// not share what it checks. TestFanOutReferenceParity drives it beside
-// the medium under test.
+// The reference medium: Send, ApplyForeign, launch, complete and
+// CarrierSense as they were before the fan-out walked a link list,
+// completion jumped from taker to taker and nodes kept hearing state —
+// every attached node asked, in ID order, whether it hears the frame
+// (audibleAt, then the override PRR or the distance PRR), collisions
+// found by asking every live co-channel flight, every receiver visited
+// again at completion, energy charged through the ledger. It reads no
+// link list and no hearing state, so it does not share what it checks.
+// TestFanOutReferenceParity drives it beside the medium under test.
 
 func (m *Medium) refSend(f Frame) time.Duration {
 	src := m.mustNode(f.From)
@@ -68,18 +69,11 @@ func (m *Medium) refApplyForeign(a Announcement) {
 	m.refLaunch(tx)
 }
 
-func (m *Medium) refNearActive(pos Position, ch uint8, now sim.Time) []*transmission {
+func (m *Medium) refNearActive(ch uint8, now sim.Time) []*transmission {
 	var near []*transmission
-	limit := 2 * m.params.RangeMax
-	prune := !m.brute && len(m.prrOver) == 0
 	for _, other := range m.active {
 		if other.end <= now || other.frame.Channel != ch {
 			continue
-		}
-		if prune && other.epoch == m.layoutGen {
-			if pos.Distance(other.srcPos) >= limit {
-				continue
-			}
 		}
 		near = append(near, other)
 	}
@@ -90,10 +84,9 @@ func (m *Medium) refLaunch(tx *transmission) {
 	f := tx.frame
 	pos := tx.srcPos
 	air := tx.end - tx.start
-	tx.epoch = m.layoutGen
 	var collisions, crossTenant, lost int
 
-	near := m.refNearActive(pos, f.Channel, m.k.Now())
+	near := m.refNearActive(f.Channel, m.k.Now())
 	for _, other := range near {
 		for i := range other.dels {
 			d := &other.dels[i]
@@ -142,6 +135,18 @@ func (m *Medium) refLaunch(tx *transmission) {
 
 	m.active = append(m.active, tx)
 	m.k.At(tx.end, func() { m.refComplete(tx) })
+}
+
+// refCarrierSense is CarrierSense as a scan of every live co-channel
+// flight.
+func (m *Medium) refCarrierSense(id NodeID) bool {
+	n := m.mustNode(id)
+	for _, tx := range m.refNearActive(n.channel, m.k.Now()) {
+		if m.txAudible(tx, n) {
+			return true
+		}
+	}
+	return false
 }
 
 func (m *Medium) refComplete(tx *transmission) {
@@ -212,16 +217,20 @@ func (s *fanSide) applyForeign(a Announcement) {
 }
 
 // referenceSequence draws a program and runs it on the medium under test
-// and on the reference, seeded alike: local broadcasts and unicasts, to
-// receivers with and without address recognition; PRR overrides and a
-// link filter; foreign senders; moves; radios going down, deaf, to
-// another channel or deaf to others' unicasts — between sends and from
-// inside receive handlers while a completion is walking its deliveries;
+// and on the reference, seeded alike: local broadcasts and unicasts of
+// two tenants, to receivers with and without address recognition; PRR
+// overrides and a link filter; foreign senders; moves; nodes attached
+// while frames are on the air; radios going down, deaf, to another
+// channel or deaf to others' unicasts — between sends and from inside
+// receive handlers while a completion is walking its deliveries;
 // replies sent from handlers; the recorder attached and detached. Both
 // must hand over the same frames in the same order and leave the same
-// counters, trace events, ledgers and random generator position.
+// counters, trace events, ledgers and random generator position, and
+// before and after every step each node must sense the carrier as the
+// reference's scan of the live flights does.
 func referenceSequence(t *testing.T, seed int64, nodes int) {
 	rng := rand.New(rand.NewSource(seed))
+	ctx := fmt.Sprintf("seed %d, %d nodes", seed, nodes)
 	var sides [2]*fanSide
 	for i := range sides {
 		k := sim.New(seed)
@@ -254,7 +263,7 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 				other := NodeID(h % int(next))
 				switch h % 13 {
 				case 0:
-					s.m.SetListening(other, !s.m.Listening(other))
+					s.m.SetListening(other, !s.m.mustNode(other).listening)
 				case 1:
 					s.m.SetDown(other, !s.m.Down(other))
 				case 2:
@@ -265,7 +274,7 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 					if len(p) == 1 { // reply, but never to a reply
 						b := s.m.Buffers().Get()
 						b.Append([]byte{p[0], 0xAC})
-						s.send(Frame{From: id, To: f.From, Channel: s.m.ChannelOf(id), Size: 12, Payload: b})
+						s.send(Frame{From: id, To: f.From, Channel: s.m.ChannelOf(id), Tenant: f.Tenant, Size: 12, Payload: b})
 						b.Release()
 					}
 				}
@@ -279,23 +288,34 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 		attach()
 	}
 	any := func() NodeID { return ids[rng.Intn(len(ids))] }
+	tenant := func() string { return []string{"plant", "hvac"}[rng.Intn(2)] }
 	foreignAt := map[NodeID]Position{}
 	payload := byte(0)
+	send := func() { // a local send, broadcast or unicast
+		from, to, ch, ten := any(), Broadcast, uint8(rng.Intn(2)), tenant()
+		if rng.Intn(3) > 0 {
+			to = any()
+		}
+		payload++
+		p := payload
+		each(func(s *fanSide) {
+			b := s.m.Buffers().Get()
+			b.Append([]byte{p})
+			s.send(Frame{From: from, To: to, Channel: ch, Tenant: ten, Size: 10 + int(p%40), Payload: b})
+			b.Release()
+		})
+	}
+	sense := func(step int, when string) {
+		for _, id := range ids {
+			if x, y := sides[0].m.CarrierSense(id), sides[1].m.refCarrierSense(id); x != y {
+				t.Fatalf("%s: %s step %d, node %d senses the carrier %v, reference %v", ctx, when, step, id, x, y)
+			}
+		}
+	}
 	for step := 0; step < 60+2*nodes; step++ {
 		switch op := rng.Intn(24); {
-		case op < 10: // a local send, broadcast or unicast
-			from, to, ch := any(), Broadcast, uint8(rng.Intn(2))
-			if rng.Intn(3) > 0 {
-				to = any()
-			}
-			payload++
-			p := payload
-			each(func(s *fanSide) {
-				b := s.m.Buffers().Get()
-				b.Append([]byte{p})
-				s.send(Frame{From: from, To: to, Channel: ch, Size: 10 + int(p%40), Payload: b})
-				b.Release()
-			})
+		case op < 10:
+			send()
 		case op < 12: // a sender another stripe hosts
 			from := NodeID(1000 + rng.Intn(3))
 			pos, known := foreignAt[from]
@@ -303,7 +323,7 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 				pos = spot()
 				foreignAt[from] = pos
 			}
-			to := Broadcast
+			to, ten := Broadcast, tenant()
 			if rng.Intn(2) == 0 {
 				to = any()
 			}
@@ -311,9 +331,10 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 			p := payload
 			each(func(s *fanSide) {
 				now := s.k.Now()
-				s.applyForeign(Announcement{From: from, To: to, Pos: pos, Size: 20, Start: now, End: now + s.m.Airtime(20), Payload: []byte{p}})
+				s.applyForeign(Announcement{From: from, To: to, Pos: pos, Tenant: ten, Size: 20, Start: now, End: now + s.m.Airtime(20), Payload: []byte{p}})
 			})
-		case op < 13:
+		case op < 13: // a newcomer, while at least one frame is on the air
+			send()
 			attach()
 		case op < 15: // a move: a small step, or a jump
 			id := any()
@@ -359,12 +380,13 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 				}
 			})
 		}
+		sense(step, "after")
 		d := time.Duration(rng.Intn(1500)) * time.Microsecond
 		each(func(s *fanSide) { s.k.RunFor(d) })
+		sense(step, "a while after")
 	}
 	each(func(s *fanSide) { s.k.Run() })
 
-	ctx := fmt.Sprintf("seed %d, %d nodes", seed, nodes)
 	a, b := sides[0], sides[1]
 	if !reflect.DeepEqual(a.log, b.log) {
 		t.Fatalf("%s: hand-overs differ:\n under test %v\n reference  %v", ctx, a.log, b.log)
