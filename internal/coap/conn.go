@@ -248,11 +248,13 @@ func (c *Conn) Close() error {
 
 // DedupStats reports the CON duplicate-detection cache: entries is the
 // number of (address, MID) pairs it answers for, bytes what its records
-// and their address and answer bytes hold (its index not counted).
-func (c *Conn) DedupStats() (entries, bytes int) {
+// and their address and answer bytes hold (its index not counted), and
+// evicted how many pairs the 1 MiB bound dropped before their exchange
+// lifetime since the endpoint was made or last Reset.
+func (c *Conn) DedupStats() (entries, bytes int, evicted int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dedup.live, c.dedup.held
+	return c.dedup.live, c.dedup.held, c.dedup.evicted
 }
 
 // Exchanges reports the endpoint's in-flight exchange state: pending is

@@ -1,7 +1,9 @@
 package coap
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,16 +47,17 @@ func conGetServer(t testing.TB) (*Conn, *recvTransport, *sim.Kernel, []byte) {
 }
 
 // TestDedupHeldBytes gates what the CON duplicate-detection cache holds
-// per answered CON: 200 000 CON GETs from distinct addresses, each
-// answered with a 16-byte payload, may grow the live heap by at most
-// 80 B each, the address strings allocated before the baseline (144 B,
-// and the caller's address string kept alive, while the cache was a map
-// of keys to separately allocated answers plus a FIFO of keys). Once
-// they have all expired, one more CON must leave at most 1 MB held: a
-// burst must not pin its memory in a long-running gateway. Run without
-// -race.
+// per answered CON, and what the bound lets it hold. 13 000 CON GETs from
+// distinct addresses, each answered with a 16-byte payload, fit under
+// the 1 MiB bound and may grow the live heap by at most 80 B each, the
+// address strings allocated before the baseline (144 B, and the caller's
+// address string kept alive, while the cache was a map of keys to
+// separately allocated answers plus a FIFO of keys). 200 000 CONs within
+// the lifetime then hold at most 1 MiB plus one chunk. Once they have all
+// expired, one more CON must leave at most 1 MB held: a burst must not
+// pin its memory in a long-running gateway. Run without -race.
 func TestDedupHeldBytes(t *testing.T) {
-	const n = 200_000
+	const fit, n = 13_000, 200_000
 	conn, tr, k, req := conGetServer(t)
 	defer conn.Close()
 	addrs := make([]string, n+1)
@@ -64,19 +67,35 @@ func TestDedupHeldBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i, a := range addrs[:n] {
+	for i, a := range addrs[:fit] {
 		req[2], req[3] = byte(i>>8), byte(i)
 		tr.recv(a, req)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	if _, _, evicted := conn.DedupStats(); evicted != 0 {
+		t.Fatalf("%d CONs evicted %d, want a burst that fits under the bound", fit, evicted)
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / fit
+	t.Logf("%.1f B of live heap per cached CON (%d CONs)", per, fit)
+	if per > 80 {
+		t.Fatalf("dedup cache holds %.1f B per CON, want <= 80", per)
+	}
+
+	most, bound := 0, 0
+	for i := fit; i < n; i++ {
+		req[2], req[3] = byte(i>>8), byte(i)
+		tr.recv(addrs[i], req)
+		_, held, _ := conn.DedupStats()
+		most, bound = max(most, held), max(bound, heldBound(&conn.dedup))
+	}
 	if got := tr.sent.Load(); got != n {
 		t.Fatalf("%d answers sent, want %d", got, n)
 	}
-	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
-	t.Logf("%.1f B of live heap per cached CON (%d CONs)", per, n)
-	if per > 80 {
-		t.Fatalf("dedup cache holds %.1f B per CON, want <= 80", per)
+	_, _, evicted := conn.DedupStats()
+	t.Logf("%d CONs within the lifetime: at most %d B held (bound %d B), %d evicted", n, most, bound, evicted)
+	if most > bound || evicted == 0 {
+		t.Fatalf("%d CONs within the lifetime held up to %d B (want <= %d) and evicted %d (want > 0)", n, most, bound, evicted)
 	}
 
 	k.RunFor(conn.cfg.ExchangeLifetime + time.Nanosecond)
@@ -89,6 +108,166 @@ func TestDedupHeldBytes(t *testing.T) {
 		t.Fatalf("%d B still held after every cached CON expired, want <= 1 MB", held)
 	}
 	runtime.KeepAlive(addrs)
+}
+
+// heldBound is what the bound lets l hold: dedupMaxHeld plus its largest
+// chunk.
+func heldBound(l *dedupLog) int {
+	most := 0
+	for _, c := range l.chunks {
+		most = max(most, c.size())
+	}
+	return dedupMaxHeld + most
+}
+
+// TestDedupOverload offers one Conn fresh CON GETs on virtual time, at
+// 1 000/s and at 20 000/s, for two exchange lifetimes of 10 s each. At
+// both rates the log holds at most 1 MiB plus one chunk. The lower rate
+// fits a whole lifetime under the bound and evicts nothing; the higher
+// one evicts.
+func TestDedupOverload(t *testing.T) {
+	const lifetime = 10 * time.Second
+	addrs := make([]string, 4096)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("10.0.%d.%d:5683", i>>8, i&0xFF)
+	}
+	for _, c := range []struct {
+		rate   int
+		evicts bool
+	}{{1_000, false}, {20_000, true}} {
+		conn, tr, k, req := conGetServer(t)
+		conn.cfg.ExchangeLifetime = lifetime
+		most, bound, i := 0, 0, 0
+		for ms := 0; ms < int(2*lifetime/time.Millisecond); ms++ {
+			for j := 0; j < c.rate/1000; j++ {
+				mid := i / len(addrs) // no pair repeats: every CON is fresh
+				req[2], req[3] = byte(mid>>8), byte(mid)
+				tr.recv(addrs[i%len(addrs)], req)
+				i++
+			}
+			_, held, _ := conn.DedupStats()
+			most, bound = max(most, held), max(bound, heldBound(&conn.dedup))
+			k.RunFor(time.Millisecond)
+		}
+		entries, _, evicted := conn.DedupStats()
+		conn.Close()
+		t.Logf("%d CONs/s: at most %d B held (bound %d B), %d entries at the end, %d evicted", c.rate, most, bound, entries, evicted)
+		if most > bound {
+			t.Errorf("%d CONs/s: %d B held, want <= %d", c.rate, most, bound)
+		}
+		if (evicted > 0) != c.evicts || !c.evicts && entries < c.rate*int(lifetime/time.Second) {
+			t.Errorf("%d CONs/s: %d evicted with %d entries held, want evictions: %v (and a whole lifetime held without)", c.rate, evicted, entries, c.evicts)
+		}
+	}
+}
+
+// TestDedupBoundEvictsOldestFirst drives the log alone past its bound
+// over drawn sequences: 256 pairs (some with 47-byte addresses), answers
+// of 500 to 1 100 B, a pair often answered again while older records of
+// it are held (some at the same instant), arrival times in order as one
+// Conn gives them, mostly 1 ms apart and now and then a third of a
+// lifetime, and half the seeds starting the sequence counter just below
+// 2^32. A drawn lookup must replay the newest answer of its pair. After
+// every expiry that releases records it looks every pair up and checks
+// that each replay is its pair's newest answer and within its lifetime,
+// that every pair lost before its lifetime arrived before every pair
+// still held, and that the eviction counter equals the pairs lost early.
+func TestDedupBoundEvictsOldestFirst(t *testing.T) {
+	const lifetime, steps = 10 * time.Second, 6000
+	addrs := make([]string, 64)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("10.0.0.%d:5683", i)
+		if i%8 == 0 {
+			addrs[i] = dedupAddr47[:47-len(fmt.Sprint(i))] + fmt.Sprint(i)
+		}
+	}
+	// answer is a pair's newest answer; seq numbers the pair's arrival
+	// at that instant, the one its head record stands for.
+	type answer struct {
+		data []byte
+		at   time.Duration
+		seq  int
+		lost bool // missed before its lifetime
+	}
+	aged := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var log dedupLog
+		if seed%2 == 0 {
+			log.first = 1<<32 - 500
+			log.next = log.first
+		}
+		newest := map[midKey]*answer{}
+		lost := 0
+		now := time.Duration(0)
+		for step := 0; step < steps; step++ {
+			first := log.first
+			log.expire(now, lifetime)
+			if log.held > heldBound(&log) {
+				t.Fatalf("seed %d step %d: %d B held, want <= %d", seed, step, log.held, heldBound(&log))
+			}
+			if log.first != first {
+				lastLost, firstHeld := -1, steps
+				for k, a := range newest {
+					got := log.lookup(k.addr, k.mid)
+					switch {
+					case got != nil:
+						if !bytes.Equal(got, a.data) || now-a.at > lifetime {
+							t.Fatalf("seed %d step %d: %s/%d replays %x, want its newest answer %x of %v ago within %v", seed, step, k.addr, k.mid, got, a.data, now-a.at, lifetime)
+						}
+						firstHeld = min(firstHeld, a.seq)
+					case now-a.at <= lifetime:
+						if !a.lost {
+							a.lost = true
+							lost++
+						}
+						lastLost = max(lastLost, a.seq)
+					default:
+						delete(newest, k)
+						aged++
+					}
+				}
+				if lastLost > firstHeld {
+					t.Fatalf("seed %d step %d: the pair that arrived %d was evicted while the one that arrived %d is held", seed, step, lastLost, firstHeld)
+				}
+				if log.evicted != int64(lost) {
+					t.Fatalf("seed %d step %d: %d evictions counted, %d pairs lost early", seed, step, log.evicted, lost)
+				}
+			}
+			key := midKey{addrs[rng.Intn(len(addrs))], uint16(rng.Intn(4))}
+			switch op := rng.Intn(10); {
+			case op < 3:
+				got := log.lookup(key.addr, key.mid)
+				if a := newest[key]; got != nil && (a == nil || !bytes.Equal(got, a.data) || now-a.at > lifetime) {
+					t.Fatalf("seed %d step %d: %s/%d replays %x, want its newest answer within its lifetime", seed, step, key.addr, key.mid, got)
+				}
+			case op < 9:
+				m := &Message{Type: Acknowledgement, Code: CodeContent, MessageID: key.mid, Token: []byte{byte(step), byte(step >> 8)}, Payload: make([]byte, 500+rng.Intn(601))}
+				data, err := log.add(key.addr, key.mid, now, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := &answer{data: data, at: now, seq: step}
+				if old := newest[key]; old != nil && old.at == now && !old.lost {
+					a.seq = old.seq
+				}
+				newest[key] = a
+			}
+			switch {
+			case rng.Intn(1500) == 0:
+				now += lifetime / 3
+			case rng.Intn(4) != 0:
+				now += time.Millisecond
+			}
+		}
+		if log.evicted == 0 {
+			t.Fatalf("seed %d: the bound never bound", seed)
+		}
+		t.Logf("seed %d: %d pairs evicted", seed, log.evicted)
+	}
+	if aged == 0 {
+		t.Fatal("no pair ever expired by age")
+	}
 }
 
 // TestCONRequestAllocs is the alloc gate on a CON request answered by a
@@ -201,7 +380,7 @@ func TestConcurrentCONDedup(t *testing.T) {
 		}
 		answers[string(m.Payload)] = k
 	}
-	if n, _ := conn.DedupStats(); n != len(keys) {
+	if n, _, _ := conn.DedupStats(); n != len(keys) {
 		t.Fatalf("%d pairs held, want %d", n, len(keys))
 	}
 	before := calls.Load()
@@ -232,10 +411,10 @@ func TestDedupSteadyChunks(t *testing.T) {
 		req[2], req[3] = byte(i>>8), byte(i)
 		tr.recv("10.0.0.1:5683", req)
 		k.RunFor(time.Second)
-		_, held := conn.DedupStats()
+		_, held, _ := conn.DedupStats()
 		most = max(most, held)
 	}
-	entries, _ := conn.DedupStats()
+	entries, _, _ := conn.DedupStats()
 	t.Logf("%d entries live, at most %d B held", entries, most)
 	if entries != 61 || most > 8<<10 {
 		t.Fatalf("%d entries live (want 61), at most %d B held (want <= 8 KB)", entries, most)

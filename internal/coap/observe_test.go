@@ -648,7 +648,7 @@ func TestDedupCONOnlyAndQueueExpiry(t *testing.T) {
 		cli.send(t, "srv", m)
 	}
 	w.k.RunFor(time.Second)
-	if nd, _ := srvConn.DedupStats(); nd != 0 {
+	if nd, _, _ := srvConn.DedupStats(); nd != 0 {
 		t.Fatalf("dedup entries after NON requests = %d, want 0", nd)
 	}
 

@@ -23,15 +23,18 @@ import (
 //
 // index is an open-addressed hash of the addresses (addrHash, linear
 // probing, power-of-two size, at most three quarters full). A slot
-// holds a record's position + 1, 0 is empty; deletion shifts the rest of
-// the run back, so no tombstones build up. All observers of one address
-// share one probe run, and a lookup compares the token along it.
+// holds a record's position + 1 in its low 24 bits and the top 8 bits of
+// the record's addrHash above them; 0 is empty. A probe passes a slot
+// with another hash's bits without reading recs or arena. Deletion
+// shifts the rest of the run back, so no tombstones build up. All
+// observers of one address share one probe run, and a lookup compares
+// the token along it.
 type obsShard struct {
 	mu    sync.Mutex
 	recs  []obsRec
 	arena []byte
 	dead  int          // arena bytes no record points at
-	index []int32      // record position + 1 per slot, 0 = empty
+	index []uint32     // hash bits | record position + 1 per slot, 0 = empty
 	shift uint8        // 32 - log2(len(index)): home slots take the top bits
 	n     atomic.Int64 // len(recs), readable without the lock
 }
@@ -56,6 +59,11 @@ const (
 	obsLongAddr = 0xff
 	// obsMinIndex is the size of a shard's first index.
 	obsMinIndex = 8
+	// obsPosMask is the position part of an index slot; the bits above
+	// it are the top bits of the record's addrHash. It also bounds a
+	// shard: position + 1 must fit, so a shard holds at most obsPosMask
+	// records (about 16.7 M).
+	obsPosMask = 1<<24 - 1
 	// obsArenaSlack is the dead arena bytes compaction leaves alone
 	// however few are live, so one observer that comes and goes does not
 	// copy the arena on every departure.
@@ -113,6 +121,9 @@ func (o *obsRec) addr(arena []byte) string {
 
 func (sh *obsShard) home(h uint32) int { return int((h * 0x9E3779B1) >> sh.shift) }
 
+// obsSlot is the index slot value of record ri, whose addrHash is h.
+func obsSlot(h uint32, ri int) uint32 { return h&^obsPosMask | uint32(ri+1) }
+
 // find returns the index slot of the observer (addr, key's token) and
 // its record position, or the empty slot that ends addr's probe run and
 // -1. h is addrHash(addr).
@@ -120,20 +131,22 @@ func (sh *obsShard) find(addr string, h uint32, key *obsRec) (int, int32) {
 	if len(sh.index) == 0 {
 		return -1, -1
 	}
-	mask := len(sh.index) - 1
+	mask, tag := len(sh.index)-1, h&^obsPosMask
 	s := sh.home(h)
 	for ; sh.index[s] != 0; s = (s + 1) & mask {
-		ri := sh.index[s] - 1
-		if o := &sh.recs[ri]; o.sameToken(key) && o.addr(sh.arena) == addr {
-			return s, ri
+		if v := sh.index[s]; v&^obsPosMask == tag {
+			ri := int32(v&obsPosMask) - 1
+			if o := &sh.recs[ri]; o.sameToken(key) && o.addr(sh.arena) == addr {
+				return s, ri
+			}
 		}
 	}
 	return s, -1
 }
 
-// probe returns the first slot of h's probe run that holds v: a record
-// position + 1, or 0 for the empty slot that ends the run.
-func (sh *obsShard) probe(h uint32, v int32) int {
+// probe returns the first slot of h's probe run that holds v: a record's
+// obsSlot, or 0 for the empty slot that ends the run.
+func (sh *obsShard) probe(h uint32, v uint32) int {
 	mask := len(sh.index) - 1
 	s := sh.home(h)
 	for sh.index[s] != v {
@@ -158,17 +171,18 @@ func (sh *obsShard) insert(addr string, h uint32, key obsRec, slot int) {
 	}
 	sh.arena = append(sh.arena, addr...)
 	sh.recs = append(sh.recs, key)
-	sh.index[slot] = int32(len(sh.recs))
+	sh.index[slot] = obsSlot(h, len(sh.recs)-1)
 	sh.n.Store(int64(len(sh.recs)))
 }
 
 // grow doubles the index and re-homes every record.
 func (sh *obsShard) grow() {
 	size := max(obsMinIndex, 2*len(sh.index))
-	sh.index = make([]int32, size)
+	sh.index = make([]uint32, size)
 	sh.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	for i := range sh.recs {
-		sh.index[sh.probe(addrHash(sh.recs[i].addr(sh.arena)), 0)] = int32(i + 1)
+		h := addrHash(sh.recs[i].addr(sh.arena))
+		sh.index[sh.probe(h, 0)] = obsSlot(h, i)
 	}
 }
 
@@ -180,7 +194,8 @@ func (sh *obsShard) remove(slot int, ri int32) {
 	sh.unlink(slot)
 	last := int32(len(sh.recs) - 1)
 	if ri != last {
-		sh.index[sh.probe(addrHash(sh.recs[last].addr(sh.arena)), last+1)] = ri + 1
+		h := addrHash(sh.recs[last].addr(sh.arena))
+		sh.index[sh.probe(h, obsSlot(h, int(last)))] = obsSlot(h, int(ri))
 		sh.recs[ri] = sh.recs[last]
 	}
 	sh.recs = sh.recs[:last]
@@ -196,7 +211,7 @@ func (sh *obsShard) unlink(s int) {
 	mask := len(sh.index) - 1
 	for j := (s + 1) & mask; sh.index[j] != 0; j = (j + 1) & mask {
 		v := sh.index[j]
-		if h := sh.home(addrHash(sh.recs[v-1].addr(sh.arena))); (j-h)&mask >= (j-s)&mask {
+		if h := sh.home(addrHash(sh.recs[v&obsPosMask-1].addr(sh.arena))); (j-h)&mask >= (j-s)&mask {
 			sh.index[s] = v
 			s = j
 		}
@@ -223,14 +238,20 @@ func (sh *obsShard) compact() {
 // dropMID removes every observer at addr whose last notification had
 // MID mid, in one walk of addr's probe run. (One shard's MIDs repeat only
 // when a fan-out block outruns the 16-bit MID space.) It returns how many
-// observers it removed and how many records it compared.
+// observers it removed and how many records it compared: those whose
+// slot carries addr's hash bits.
 func (sh *obsShard) dropMID(addr string, h uint32, mid uint16) (removed, compared int) {
 	if len(sh.index) == 0 {
 		return 0, 0
 	}
-	mask := len(sh.index) - 1
+	mask, tag := len(sh.index)-1, h&^obsPosMask
 	for s := sh.home(h); sh.index[s] != 0; {
-		ri := sh.index[s] - 1
+		v := sh.index[s]
+		if v&^obsPosMask != tag {
+			s = (s + 1) & mask
+			continue
+		}
+		ri := int32(v&obsPosMask) - 1
 		o := &sh.recs[ri]
 		compared++
 		if o.tl&obsNotified != 0 && o.mid == mid && o.addr(sh.arena) == addr {

@@ -518,7 +518,7 @@ func (d *refDedup) reset() {
 
 // dedupLen reads how many (address, MID) pairs c's cache answers for.
 func dedupLen(c *Conn) int {
-	n, _ := c.DedupStats()
+	n, _, _ := c.DedupStats()
 	return n
 }
 
@@ -905,7 +905,7 @@ func TestDedupReferenceSequenceWrap(t *testing.T) {
 	if conn.dedup.chunks[0].base == 1<<32-3 {
 		t.Fatal("the chunk before the wrap was not released")
 	}
-	if n, _ := conn.DedupStats(); n != 12 {
+	if n, _, _ := conn.DedupStats(); n != 12 {
 		t.Fatalf("%d pairs held, want 12 (six re-answered, six replayed)", n)
 	}
 }

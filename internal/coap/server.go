@@ -443,6 +443,9 @@ func (r *Resource) addObserver(addr string, token []byte) error {
 	if ri >= 0 {
 		return nil // re-registration with the same token refreshes in place
 	}
+	if len(sh.recs) == obsPosMask { // a full shard: no position left in the index
+		return ErrTooManyObservers
+	}
 	if r.nobs.Add(1) > r.maxObservers() {
 		r.nobs.Add(-1)
 		return ErrTooManyObservers

@@ -191,18 +191,20 @@ type Stats struct {
 	Coalesced    int64 `json:"coalesced"`
 	NotifyDrops  int64 `json:"notify_drops"`
 	CacheEntries int   `json:"cache_entries"`
-	// DedupEntries and DedupBytes are the endpoint's CON duplicate-
-	// detection log: (address, MID) pairs it answers for and the bytes it
-	// holds for them (coap.Conn.DedupStats).
-	DedupEntries int `json:"dedup_entries"`
-	DedupBytes   int `json:"dedup_bytes"`
+	// DedupEntries, DedupBytes and DedupEvicted are the endpoint's CON
+	// duplicate-detection log: (address, MID) pairs it answers for, the
+	// bytes it holds for them, and the pairs its 1 MiB bound dropped
+	// before their exchange lifetime (coap.Conn.DedupStats).
+	DedupEntries int   `json:"dedup_entries"`
+	DedupBytes   int   `json:"dedup_bytes"`
+	DedupEvicted int64 `json:"dedup_evicted"`
 }
 
 // Stats sums gateway-wide counters (observers across all resources,
 // coalescer totals, backpressure drops) and reads the dedup log's size.
 func (g *Gateway) Stats() Stats {
 	s := Stats{NotifyDrops: g.srv.NotifyDropped(), CacheEntries: g.cache.Len()}
-	s.DedupEntries, s.DedupBytes = g.conn.DedupStats()
+	s.DedupEntries, s.DedupBytes, s.DedupEvicted = g.conn.DedupStats()
 	for _, p := range g.srv.Paths() {
 		s.Resources++
 		s.Observers += g.srv.Resource(p).ObserverCount()
@@ -220,6 +222,6 @@ func (g *Gateway) Stats() Stats {
 
 // String renders a one-line census for logs.
 func (s Stats) String() string {
-	return fmt.Sprintf("resources=%d observers=%d published=%d offered=%d coalesced=%d drops=%d dedup=%d dedup_bytes=%d",
-		s.Resources, s.Observers, s.Published, s.Offered, s.Coalesced, s.NotifyDrops, s.DedupEntries, s.DedupBytes)
+	return fmt.Sprintf("resources=%d observers=%d published=%d offered=%d coalesced=%d drops=%d dedup=%d dedup_bytes=%d dedup_evicted=%d",
+		s.Resources, s.Observers, s.Published, s.Offered, s.Coalesced, s.NotifyDrops, s.DedupEntries, s.DedupBytes, s.DedupEvicted)
 }

@@ -2,7 +2,9 @@ package gateway
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -330,8 +332,11 @@ func TestStatsCountDedupLog(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if served["dedup_entries"] != float64(gets) || served["dedup_bytes"] != float64(st.DedupBytes) {
-		t.Fatalf("/v1/stats serves dedup_entries=%v dedup_bytes=%v, want %d and %d", served["dedup_entries"], served["dedup_bytes"], gets, st.DedupBytes)
+	if served["dedup_entries"] != float64(gets) || served["dedup_bytes"] != float64(st.DedupBytes) || served["dedup_evicted"] != float64(0) {
+		t.Fatalf("/v1/stats serves dedup_entries=%v dedup_bytes=%v dedup_evicted=%v, want %d, %d and 0", served["dedup_entries"], served["dedup_bytes"], served["dedup_evicted"], gets, st.DedupBytes)
+	}
+	if line := st.String(); !strings.Contains(line, " dedup_evicted=0") {
+		t.Fatalf("Stats.String() = %q, want it to name dedup_evicted", line)
 	}
 
 	w.k.RunFor(time.Minute + time.Nanosecond) // the default ExchangeLifetime
@@ -342,9 +347,44 @@ func TestStatsCountDedupLog(t *testing.T) {
 	}
 }
 
+// TestHTTPServerHasTimeouts checks the server's timeouts, and, served on
+// a loopback listener, that a 16 KiB request header is refused with 431
+// and a POST with 405.
 func TestHTTPServerHasTimeouts(t *testing.T) {
 	s := NewHTTPServer(":0", nil)
 	if s.ReadTimeout == 0 || s.WriteTimeout == 0 || s.ReadHeaderTimeout == 0 || s.IdleTimeout == 0 {
 		t.Fatalf("missing timeouts: %+v", s)
+	}
+
+	w := newVirtualWorld(t, Config{})
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = NewHTTPServer("", w.gw.HTTPHandler())
+	ts.Start()
+	defer ts.Close()
+	do := func(method, header string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+"/v1/stats", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Pad", header)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, c := range []struct {
+		method, header string
+		want           int
+	}{
+		{"GET", "x", http.StatusOK},
+		{"GET", strings.Repeat("x", 16<<10), http.StatusRequestHeaderFieldsTooLarge},
+		{"POST", "x", http.StatusMethodNotAllowed},
+	} {
+		if got := do(c.method, c.header); got != c.want {
+			t.Errorf("%s with a %d-byte header: status %d, want %d", c.method, len(c.header), got, c.want)
+		}
 	}
 }

@@ -43,7 +43,9 @@ func textFormat(cf uint32) bool {
 //	GET /v1/stats                 gateway-wide counters
 //
 // Every response is served from gateway memory — polling clients never
-// reach the CoAP side, let alone the mesh.
+// reach the CoAP side, let alone the mesh. Any method but GET is answered
+// 405. No handler reads a request body, so there is no body limit: it
+// would guard nothing.
 func (g *Gateway) HTTPHandler() http.Handler {
 	var requests *metrics.Counter
 	var cacheServed *metrics.Counter
@@ -52,10 +54,20 @@ func (g *Gateway) HTTPHandler() http.Handler {
 		cacheServed = g.reg.Counter("gw.http.cache_served")
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/last/", func(w http.ResponseWriter, r *http.Request) {
-		if requests != nil {
-			requests.Inc()
-		}
+	get := func(pattern string, fn http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet {
+				w.Header().Set("Allow", http.MethodGet)
+				http.Error(w, `{"error":"method not allowed"}`, http.StatusMethodNotAllowed)
+				return
+			}
+			if requests != nil {
+				requests.Inc()
+			}
+			fn(w, r)
+		})
+	}
+	get("/v1/last/", func(w http.ResponseWriter, r *http.Request) {
 		path := strings.Trim(strings.TrimPrefix(r.URL.Path, "/v1/last/"), "/")
 		e, ok := g.cache.Get(path)
 		if !ok {
@@ -78,10 +90,7 @@ func (g *Gateway) HTTPHandler() http.Handler {
 		}
 		writeJSON(w, doc)
 	})
-	mux.HandleFunc("/v1/resources", func(w http.ResponseWriter, r *http.Request) {
-		if requests != nil {
-			requests.Inc()
-		}
+	get("/v1/resources", func(w http.ResponseWriter, r *http.Request) {
 		out := make([]resourceInfo, 0)
 		for _, p := range g.srv.Paths() {
 			_, cached := g.cache.Get(p)
@@ -93,10 +102,7 @@ func (g *Gateway) HTTPHandler() http.Handler {
 		}
 		writeJSON(w, out)
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if requests != nil {
-			requests.Inc()
-		}
+	get("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, g.Stats())
 	})
 	return mux
@@ -111,7 +117,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // NewHTTPServer wraps h in an http.Server with read/write/idle timeouts
 // set, so a slow or stalled client cannot pin a gateway goroutine
-// forever (the default http.Server has no timeouts at all).
+// forever (the default http.Server has no timeouts at all), and request
+// headers capped at 8 KiB (the default is 1 MiB per connection); a
+// larger header is answered 431.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
@@ -120,5 +128,6 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 		ReadTimeout:       5 * time.Second,
 		WriteTimeout:      10 * time.Second,
 		IdleTimeout:       60 * time.Second,
+		MaxHeaderBytes:    8 << 10,
 	}
 }
