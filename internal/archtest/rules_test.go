@@ -157,6 +157,12 @@ var rules = []rule{
 		bad:   plant{"internal/coap/conn.go", "type Conn struct{ dedupQ []int }"},
 	},
 	{
+		name:  "coap-notify-is-one-fan-out",
+		files: src("internal/coap"),
+		check: deleted("Resource.notifyAll"),
+		bad:   plant{"internal/coap/server.go", "func (r *Resource) notifyAll() {}"},
+	},
+	{
 		name:  "options-nobody-set-stay-constants",
 		files: all("internal/...", "cmd/...", "examples/..."),
 		check: deleted("AckRandomFactor", "MaxBackoffExp", "BackoffSlot", "StrobeGap", "CheckDuration", "NeighborStale",

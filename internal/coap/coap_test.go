@@ -652,6 +652,39 @@ func TestCloseFailsOutstanding(t *testing.T) {
 	}
 }
 
+// TestCloseFailureOrder: Close fails outstanding requests in Reset's
+// order, the byte order of "addr|hex(token)", so two runs fail them
+// alike. Close once failed them in map order.
+func TestCloseFailureOrder(t *testing.T) {
+	run := func(teardown func(*Conn)) []string {
+		w := newWorld()
+		cli, _ := w.endpoint("cli", ConnConfig{})
+		var got []string
+		for _, addr := range []string{"2", "12", "1"} {
+			for tok := 7; tok >= 0; tok-- {
+				label := fmt.Sprintf("%s|%x", addr, bytes.Repeat([]byte{byte(tok)}, tok))
+				m := &Message{Type: Confirmable, Code: CodeGET, Token: bytes.Repeat([]byte{byte(tok)}, tok)}
+				m.SetPath("x")
+				cli.Request(addr, m, func(_ *Message, err error) {
+					if err != ErrClosed {
+						t.Errorf("%s: err = %v, want ErrClosed", label, err)
+					}
+					got = append(got, label)
+				})
+			}
+		}
+		teardown(cli)
+		return got
+	}
+	closed := run(func(c *Conn) { _ = c.Close() })
+	if len(closed) != 24 || !sort.StringsAreSorted(closed) {
+		t.Fatalf("Close failed %d requests in order\n%q\nwant 24 in byte order", len(closed), closed)
+	}
+	if again, reset := run(func(c *Conn) { _ = c.Close() }), run((*Conn).Reset); !reflect.DeepEqual(again, closed) || !reflect.DeepEqual(reset, closed) {
+		t.Fatalf("Close failed requests in order\n%q\nthen\n%q\nand Reset in\n%q", closed, again, reset)
+	}
+}
+
 func TestUDPTransportEndToEnd(t *testing.T) {
 	srvTr, err := NewUDPTransport("127.0.0.1:0")
 	if err != nil {

@@ -216,33 +216,18 @@ func (c *Conn) Serve(s *Server) {
 // LocalAddr returns the transport address.
 func (c *Conn) LocalAddr() string { return c.tr.LocalAddr() }
 
-// Close shuts the endpoint down; outstanding requests fail with ErrClosed.
+// Close shuts the endpoint down: it marks it closed, so requests fail
+// at once, drops the exchange state with Reset, failing outstanding
+// requests with ErrClosed in Reset's order, and closes the transport.
 func (c *Conn) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.closed = true
+	c.mu.Unlock()
+	if closed {
 		return nil
 	}
-	c.closed = true
-	for _, p := range c.pending {
-		if p.cancel != nil {
-			p.cancel()
-		}
-	}
-	var fns []ResponseFunc
-	for _, r := range c.awaiting {
-		if r.timer != nil {
-			r.timer()
-		}
-		fns = append(fns, r.fn)
-	}
-	c.pending = map[midKey]*outCON{}
-	c.awaiting = map[tokenKey]*reqState{}
-	c.dedup = dedupLog{}
-	c.mu.Unlock()
-	for _, fn := range fns {
-		fn(nil, ErrClosed)
-	}
+	c.Reset()
 	return c.tr.Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,34 +322,54 @@ func (c *captureTransport) Send(addr string, data []byte) error {
 	return nil
 }
 
-// TestNotifyInlineOrderTwoTokensOneAddress pins the inline fan-out order
-// to (address, token): a client holding several registrations on one
-// resource (legal under RFC 7641) must get its notifications — and so
-// their message IDs — in the same order every round and every run,
-// whatever the order of the shards' records. Every 8th round is
-// confirmable, so both kinds of send are covered.
-func TestNotifyInlineOrderTwoTokensOneAddress(t *testing.T) {
-	const rounds, tokens = 50, 40 // 40 tokens at one address: one shard, one probe run
+// TestNotifyInlineOrderIsShardThenRegistration pins the inline fan-out
+// order: by shard index, then in each shard's record order, which is
+// registration order except that a removal moves the shard's last record
+// into the removed one's place. The registrations go in neither address
+// nor shard order (tokens descending, addresses "d", "c", "a" last), and
+// two addresses share a shard, so only that rule gives the order. Every
+// round must go out in it as one consecutive MID block, and two runs must
+// send the same bytes. Every 8th round is confirmable, so both kinds of
+// send are covered.
+func TestNotifyInlineOrderIsShardThenRegistration(t *testing.T) {
+	const rounds = 50
 	type reg struct {
 		addr  string
 		token byte
 	}
-	want := []reg{{"a", 9}}
-	for tok := 0; tok < tokens; tok++ {
-		want = append(want, reg{"b", byte(tok)})
+	var regs []reg // in registration order
+	for tok := 19; tok >= 0; tok-- {
+		regs = append(regs, reg{"b", byte(tok)}, reg{"2", byte(tok)}) // one shard
 	}
-	want = append(want, reg{"c", 0})
+	regs = append(regs, reg{"d", 7}, reg{"c", 0}, reg{"a", 9})
+	gone := reg{"b", 15} // deregistered before the first round
+
+	var shards [obsShards][]reg
+	for _, g := range regs {
+		si := addrHash(g.addr) & (obsShards - 1)
+		shards[si] = append(shards[si], g)
+	}
+	sh := &shards[addrHash(gone.addr)&(obsShards-1)]
+	last := len(*sh) - 1
+	(*sh)[slices.Index(*sh, gone)] = (*sh)[last]
+	*sh = (*sh)[:last]
+	var want []reg
+	for _, sh := range shards {
+		want = append(want, sh...)
+	}
+
 	run := func() []sentDatagram {
 		tr := &captureTransport{}
 		conn := NewConn(tr, clock.Kernel{K: sim.New(1)}, ConnConfig{Seed: 7})
 		srv := NewServer()
 		temp := srv.Resource("temp").Observable()
 		conn.Serve(srv)
-		for i := len(want) - 1; i >= 0; i-- { // registration order is not send order
-			if err := temp.addObserver(want[i].addr, []byte{want[i].token}); err != nil {
+		for _, g := range regs {
+			if err := temp.addObserver(g.addr, []byte{g.token}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		temp.removeObserver(gone.addr, []byte{gone.token})
 		for i := 0; i < rounds; i++ {
 			temp.Notify(FormatText, []byte{byte('0' + i%10)})
 		}
@@ -364,12 +385,18 @@ func TestNotifyInlineOrderTwoTokensOneAddress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("datagram %d: %v", i, err)
 		}
-		w := want[i%len(want)]
-		if sent.addr != w.addr || len(m.Token) != 1 || m.Token[0] != w.token {
-			t.Fatalf("round %d: datagram %d went to %s token %x, want %s token %02x", i/len(want), i%len(want), sent.addr, m.Token, w.addr, w.token)
+		round, w := i/len(want), want[i%len(want)]
+		typ := NonConfirmable
+		if (round+1)%defaultConfirmEvery == 0 {
+			typ = Confirmable
+		}
+		if sent.addr != w.addr || len(m.Token) != 1 || m.Token[0] != w.token || m.Type != typ {
+			t.Fatalf("round %d: datagram %d went to %s token %x as %v, want %s token %02x as %v",
+				round, i%len(want), sent.addr, m.Token, m.Type, w.addr, w.token, typ)
 		}
 		if i > 0 && m.MessageID != prevMID+1 {
-			t.Fatalf("datagram %d: MID %d after %d, want one block in send order", i, m.MessageID, prevMID)
+			t.Fatalf("round %d: datagram %d has MID %d after %d, want one block per round, rounds back to back",
+				round, i%len(want), m.MessageID, prevMID)
 		}
 		prevMID = m.MessageID
 	}
@@ -473,9 +500,14 @@ func TestNotifyEncoderMatchesMarshal(t *testing.T) {
 }
 
 // TestNotifyNONHotPathZeroAllocs is the CI alloc gate on the NON-notify
-// hot path: per-shard fan-out with the reused encoder and scratch slice
-// must not allocate per observer (or per shard) at steady state.
+// hot path: an inline Notify round over 512 observers — the per-shard
+// fan-out with its pooled encoder and scratch — must not allocate per
+// observer, per shard or per round at steady state. Under -race sync.Pool
+// drops a quarter of the scratch it is handed back, and rebuilding one
+// costs a few allocations, so there the gate allows 8 per round: a round
+// that allocated per observer would still fail it 64 times over.
 func TestNotifyNONHotPathZeroAllocs(t *testing.T) {
+	const observers = 512
 	conn := NewConn(&sinkTransport{}, &clock.System{}, ConnConfig{})
 	defer conn.Close()
 	srv := NewServer()
@@ -483,22 +515,22 @@ func TestNotifyNONHotPathZeroAllocs(t *testing.T) {
 	srv.SetConfirmEvery(-1)
 	temp := srv.Resource("temp").Observable()
 	conn.Serve(srv)
-	for i := 0; i < 512; i++ {
+	for i := 0; i < observers; i++ {
 		if err := temp.addObserver(fmt.Sprintf("client-%05d", i), []byte{byte(i >> 8), byte(i), 9, 9}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var enc notifyEncoder
-	var scratch []obsRec
 	payload := []byte("21.53")
 	allocs := testing.AllocsPerRun(100, func() {
-		seq := temp.obsSeq.Add(1)
-		for si := 0; si < obsShards; si++ {
-			scratch = temp.notifyShard(si, seq, FormatText, payload, &enc, scratch)
-		}
+		temp.Notify(FormatText, payload)
 	})
-	if allocs != 0 {
-		t.Fatalf("NON-notify hot path allocates %.1f/op, want 0", allocs)
+	t.Logf("%.2f allocs per inline Notify round over %d observers", allocs, observers)
+	bound := 0.0
+	if raceEnabled {
+		bound = 8
+	}
+	if allocs > bound {
+		t.Fatalf("an inline NON Notify round over %d observers allocates %.2f/op, want <= %v", observers, allocs, bound)
 	}
 }
 

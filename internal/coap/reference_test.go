@@ -16,10 +16,11 @@ import (
 
 // This file keeps the observe registry's reference model: per resource,
 // a plain map from (address, token) to the MID of the last notification
-// that observer was sent, with register, deregister, RST, cap and
-// CON-timeout rules written out once, sequentially, without shards,
-// pools or atomics. TestObserveReferenceParity drives it beside a real
-// Server over drawn op sequences.
+// that observer was sent, and per shard a plain list of keys in send
+// order, with register, deregister, RST, cap and CON-timeout rules
+// written out once, sequentially, without pools, atomics or an index.
+// TestObserveReferenceParity drives it beside a real Server over drawn op
+// sequences.
 
 // refNone marks an observer that has been sent no notification.
 const refNone = -1
@@ -33,17 +34,38 @@ type refCON struct {
 
 type refRegistry struct {
 	limit   int
-	obs     []map[tokenKey]int // per resource: key -> last notification MID or refNone
+	obs     []map[tokenKey]int      // per resource: key -> last notification MID or refNone
+	order   [][obsShards][]tokenKey // per resource and shard: keys in send order
 	pending []refCON
 	nextMID uint16 // last MID the server's Conn handed out
 }
 
 func newRefRegistry(resources, limit int, seed int64) *refRegistry {
-	m := &refRegistry{limit: limit, obs: make([]map[tokenKey]int, resources), nextMID: uint16(seed)}
+	m := &refRegistry{limit: limit, obs: make([]map[tokenKey]int, resources),
+		order: make([][obsShards][]tokenKey, resources), nextMID: uint16(seed)}
 	for i := range m.obs {
 		m.obs[i] = map[tokenKey]int{}
 	}
 	return m
+}
+
+// shard returns resource res's key list for addr's shard: its observers
+// in registration order, but for each removal, which moves the list's
+// last key into the removed one's place.
+func (m *refRegistry) shard(res int, addr string) *[]tokenKey {
+	return &m.order[res][addrHash(addr)&(obsShards-1)]
+}
+
+// drop deregisters k from resource res, if it is registered.
+func (m *refRegistry) drop(res int, k tokenKey) {
+	if _, ok := m.obs[res][k]; !ok {
+		return
+	}
+	delete(m.obs[res], k)
+	keys := m.shard(res, k.addr)
+	i, last := slices.Index(*keys, k), len(*keys)-1
+	(*keys)[i] = (*keys)[last]
+	*keys = (*keys)[:last]
 }
 
 // request answers one GET on resource res, observe is the Observe
@@ -53,7 +75,7 @@ func newRefRegistry(resources, limit int, seed int64) *refRegistry {
 func (m *refRegistry) request(res int, k tokenKey, observe uint32, fail bool) (Code, bool) {
 	m.nextMID++
 	if observe == 1 {
-		delete(m.obs[res], k) // deregistration holds whatever the handler answers
+		m.drop(res, k) // deregistration holds whatever the handler answers
 	}
 	if fail {
 		return CodeInternalServerError, false
@@ -66,28 +88,22 @@ func (m *refRegistry) request(res int, k tokenKey, observe uint32, fail bool) (C
 			return CodeServiceUnavailable, false
 		}
 		m.obs[res][k] = refNone
+		*m.shard(res, k.addr) = append(*m.shard(res, k.addr), k)
 	}
 	return CodeContent, true
 }
 
-// notify sends one notification round on resource res: every observer
-// in (address, token) order, one consecutive MID each.
+// notify sends one notification round on resource res: every observer,
+// shard by shard in index order and in each shard's list order, one
+// consecutive MID each.
 func (m *refRegistry) notify(res int, con bool) []refCON {
-	keys := make([]tokenKey, 0, len(m.obs[res]))
-	for k := range m.obs[res] {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].addr != keys[j].addr {
-			return keys[i].addr < keys[j].addr
+	var sent []refCON
+	for _, keys := range m.order[res] {
+		for _, k := range keys {
+			m.nextMID++
+			m.obs[res][k] = int(m.nextMID)
+			sent = append(sent, refCON{res, k, m.nextMID})
 		}
-		return bytes.Compare(keys[i].token(), keys[j].token()) < 0
-	})
-	sent := make([]refCON, len(keys))
-	for i, k := range keys {
-		m.nextMID++
-		m.obs[res][k] = int(m.nextMID)
-		sent[i] = refCON{res, k, m.nextMID}
 	}
 	if con {
 		m.pending = append(m.pending, sent...)
@@ -104,20 +120,26 @@ func (m *refRegistry) ack(addr string, mid uint16) {
 // observer at addr, on any resource, whose last notification had mid.
 func (m *refRegistry) rst(addr string, mid uint16) {
 	m.ack(addr, mid)
-	for _, obs := range m.obs {
-		for k, last := range obs {
-			if k.addr == addr && last == int(mid) {
-				delete(obs, k)
+	for res, obs := range m.obs {
+		for _, k := range slices.Clone(*m.shard(res, addr)) {
+			if k.addr == addr && obs[k] == int(mid) {
+				m.drop(res, k)
 			}
 		}
 	}
 }
 
 // timeout lets every pending CON run out of retransmissions: each drops
-// its registration key, whoever holds it now.
-func (m *refRegistry) timeout() {
+// its registration key, whoever holds it now. The exchanges fail in the
+// order of their Conn-drawn timeouts, which is the order of their last
+// retransmissions: last maps each pending (address, MID) to its last
+// retransmission's place on the wire.
+func (m *refRegistry) timeout(last map[midKey]int) {
+	slices.SortFunc(m.pending, func(a, b refCON) int {
+		return last[midKey{a.k.addr, a.mid}] - last[midKey{b.k.addr, b.mid}]
+	})
 	for _, p := range m.pending {
-		delete(m.obs[p.res], p.k)
+		m.drop(p.res, p.k)
 	}
 	m.pending = nil
 }
@@ -174,6 +196,18 @@ func registryOf(t *testing.T, r *Resource) map[tokenKey]int {
 	return out
 }
 
+// shardOrder reads the keys of shard si of r in record order.
+func shardOrder(r *Resource, si int) []tokenKey {
+	sh := &r.shards[si]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var out []tokenKey
+	for i := range sh.recs {
+		out = append(out, newTokenKey(sh.recs[i].addr(sh.arena), sh.recs[i].token()))
+	}
+	return out
+}
+
 // tableOf reads one shard's table, held locked, as registryOf does, after
 // checking it: every record is found through the index by its own
 // address and token, the index points at nothing else, the count is the
@@ -216,8 +250,9 @@ func tableOf(t *testing.T, sh *obsShard) map[tokenKey]int {
 // notification rounds, ACKs, an RST of an observer's last notification
 // MID, an RST of a MID never sent to that address, the cap boundary and
 // CON-notification timeout — and after every step compares the server's
-// registry, its observer counts, its pending CON exchanges and
-// everything it sent with the reference model's.
+// registry, each shard's record order, its observer counts, its pending
+// CON exchanges and everything it sent, datagram by datagram in send
+// order, with the reference model's.
 func TestObserveReferenceParity(t *testing.T) {
 	const resources, limit, steps = 3, 5, 300
 	addrs := []string{"c1", "c12", "c2", "c3", "d", strings.Repeat("long.", 60)} // 300 B: a length-prefixed address
@@ -353,6 +388,11 @@ func TestObserveReferenceParity(t *testing.T) {
 						t.Fatalf("seed %d step %d (%s): r%d observer %s/%x last MID %d, reference %d", seed, step, what, ri, k.addr, k.token(), last, mid)
 					}
 				}
+				for si, want := range ref.order[ri] {
+					if got := shardOrder(r, si); !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d (%s): r%d shard %d holds %v, reference %v", seed, step, what, ri, si, got, want)
+					}
+				}
 			}
 			if pending, _ := conn.Exchanges(); pending != len(ref.pending) {
 				t.Fatalf("seed %d step %d (%s): %d CON notifications pending, reference %d", seed, step, what, pending, len(ref.pending))
@@ -446,13 +486,18 @@ func TestObserveReferenceParity(t *testing.T) {
 				what = "CON timeout"
 				k.RunFor(10 * time.Minute)
 				to, msgs := tr.take(t)
+				last := map[midKey]int{}
 				for i, m := range msgs {
 					retransmit := func(p refCON) bool { return p.k.addr == to[i] && p.mid == m.MessageID }
 					if m.Type != Confirmable || !slices.ContainsFunc(ref.pending, retransmit) {
 						t.Fatalf("seed %d step %d: %v mid %d to %s while awaiting timeouts", seed, step, m.Type, m.MessageID, to[i])
 					}
+					last[midKey{to[i], m.MessageID}] = i
 				}
-				ref.timeout()
+				if len(last) != len(ref.pending) {
+					t.Fatalf("seed %d step %d: %d of %d pending CONs retransmitted", seed, step, len(last), len(ref.pending))
+				}
+				ref.timeout(last)
 			}
 			if _, msgs := tr.take(t); len(msgs) != 0 {
 				t.Fatalf("seed %d step %d (%s): %d unexpected datagrams", seed, step, what, len(msgs))

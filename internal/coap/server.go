@@ -1,7 +1,6 @@
 package coap
 
 import (
-	"bytes"
 	"fmt"
 	"maps"
 	"sort"
@@ -191,11 +190,16 @@ func (r *Resource) ObserverCount() int { return int(r.nobs.Load()) }
 func (r *Resource) shardOf(h uint32) *obsShard { return &r.shards[h&(obsShards-1)] }
 
 // Notify pushes a new representation to every observer. Without a notify
-// pool (Server.StartNotifyPool) the fan-out runs inline on the caller —
-// deterministic, in ascending (address, token) order, which is what the
-// simulation relies on. With a pool, each observer shard is dispatched to
-// its own worker through a bounded queue; a full queue drops that shard's
-// push (backpressure — the next notification carries the newer state).
+// pool (Server.StartNotifyPool) the fan-out runs on the caller, one
+// notifyShard per shard in index order, so observers are sent to in a
+// deterministic order, which the simulation relies on: by shard index,
+// then in the shard's record order (registration order, except that a
+// removed record's place is taken by its shard's last record). Each shard
+// takes one consecutive message-ID block, so a round that nothing
+// interleaves is one block. With a pool, each observer shard is
+// dispatched to its own worker through a bounded queue; a full queue
+// drops that shard's push (backpressure — the next notification carries
+// the newer state).
 func (r *Resource) Notify(contentFormat uint32, payload []byte) {
 	srv := r.server
 	if srv == nil || srv.conn == nil {
@@ -206,75 +210,46 @@ func (r *Resource) Notify(contentFormat uint32, payload []byte) {
 		p.dispatch(r, seq, contentFormat, payload)
 		return
 	}
-	r.notifyAll(seq, contentFormat, payload)
+	// A scratch per call, not per resource: an observer's transport may
+	// notify again from inside Send.
+	sc := notifyScratchPool.Get().(*notifyScratch)
+	for si := range r.shards {
+		r.notifyShard(si, seq, contentFormat, payload, sc)
+	}
+	notifyScratchPool.Put(sc)
 }
 
-// notifyAll is the inline (deterministic) fan-out: observers across all
-// shards, copied out with their addresses and sorted by (address,
-// token), one message-ID block for the whole batch, each observer's MID
-// stamped under its shard's lock.
-func (r *Resource) notifyAll(seq, contentFormat uint32, payload []byte) {
-	var recs []obsRec
-	var arena []byte
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, o := range sh.recs {
-			from, _, end := o.span(sh.arena)
-			o.off = uint32(len(arena))
-			arena = append(arena, sh.arena[from:end]...)
-			recs = append(recs, o)
-		}
-		sh.mu.Unlock()
-	}
-	if len(recs) == 0 {
-		return
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if a, b := recs[i].addr(arena), recs[j].addr(arena); a != b {
-			return a < b
-		}
-		return bytes.Compare(recs[i].token(), recs[j].token()) < 0
-	})
-	mid := r.server.conn.allocMIDs(len(recs))
-	for i := range recs {
-		addr := recs[i].addr(arena)
-		h := addrHash(addr)
-		sh := r.shardOf(h)
-		sh.mu.Lock()
-		if _, ri := sh.find(addr, h, &recs[i]); ri >= 0 { // not if it left since it was gathered
-			sh.recs[ri].mid = mid + uint16(i)
-			sh.recs[ri].tl |= obsNotified
-		}
-		sh.mu.Unlock()
-	}
-	var enc notifyEncoder
-	r.fanOut(recs, arena, mid, seq, contentFormat, payload, &enc)
+// notifyScratch is what a fan-out reuses from shard to shard and round
+// to round: the NON encoder and the copy of one shard's records.
+type notifyScratch struct {
+	enc  notifyEncoder
+	recs []obsRec
 }
 
-// notifyShard fans one notification out to one observer shard — the
-// gateway hot path, zero allocations per observer at steady state
-// (CI-gated). Under the shard lock it draws the MID block, stamps each
-// record in order and copies the records into scratch, the caller's
-// reused slice; it sends after unlocking, reading addresses from the
-// arena as it was then, and returns the (possibly grown) slice.
-func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte, enc *notifyEncoder, scratch []obsRec) []obsRec {
+var notifyScratchPool = sync.Pool{New: func() any { return new(notifyScratch) }}
+
+// notifyShard fans one notification out to one observer shard — the one
+// fan-out, run by the pool's workers and by inline Notify, zero
+// allocations per observer at steady state (CI-gated). Under the shard
+// lock it draws the MID block, stamps each record in order and copies the
+// records into sc; it sends after unlocking, reading addresses from the
+// arena as it was then.
+func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte, sc *notifyScratch) {
 	sh := &r.shards[si]
 	sh.mu.Lock()
 	if len(sh.recs) == 0 {
 		sh.mu.Unlock()
-		return scratch[:0]
+		return
 	}
 	mid := r.server.conn.allocMIDs(len(sh.recs))
 	for i := range sh.recs {
 		sh.recs[i].mid = mid + uint16(i)
 		sh.recs[i].tl |= obsNotified
 	}
-	scratch = append(scratch[:0], sh.recs...)
+	sc.recs = append(sc.recs[:0], sh.recs...)
 	arena := sh.arena
 	sh.mu.Unlock()
-	r.fanOut(scratch, arena, mid, seq, contentFormat, payload, enc)
-	return scratch
+	r.fanOut(sc.recs, arena, mid, seq, contentFormat, payload, &sc.enc)
 }
 
 // fanOut sends one notification to recs, whose addresses are in arena,
@@ -413,10 +388,9 @@ func (p *notifyPool) stop() {
 
 func (p *notifyPool) worker(i int) {
 	defer p.wg.Done()
-	var enc notifyEncoder
-	var scratch []obsRec
+	var sc notifyScratch
 	for job := range p.queues[i] {
-		scratch = job.r.notifyShard(i, job.seq, job.cf, job.payload, &enc, scratch)
+		job.r.notifyShard(i, job.seq, job.cf, job.payload, &sc)
 	}
 }
 

@@ -69,7 +69,9 @@ func (f *Fleet) AttachBackend(cfg store.ShardedConfig) *Backend {
 	b.app = b.Store.NewAppender()
 	// Inline fan-out on a synchronous in-memory transport: a Publish
 	// reaches every observer before it returns, at the same virtual
-	// instant, which keeps the deployment deterministic (DESIGN.md §5).
+	// instant and in coap.Resource.Notify's fixed order (shard index,
+	// then registration), which keeps the deployment deterministic
+	// (DESIGN.md §5).
 	b.net = gossip.NewNetwork()
 	srv := coap.NewConn(b.net.Attach(gatewayAddr), sched, coap.ConnConfig{Seed: f.stack.Seed})
 	b.gw = gateway.New(srv, gateway.Config{Inline: true, Sched: sched, Metrics: m.Registry()})

@@ -3,7 +3,6 @@ package gateway
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iiotds/internal/clock"
@@ -35,9 +34,6 @@ type Cache struct {
 
 	mu sync.RWMutex
 	m  map[string]*Entry
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // NewCache returns an empty cache stamped by sched.
@@ -67,16 +63,11 @@ func (c *Cache) Get(path string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// entry returns the stored entry for path, or nil, counting the read.
+// entry returns the stored entry for path, or nil.
 func (c *Cache) entry(path string) *Entry {
 	c.mu.RLock()
 	e := c.m[path]
 	c.mu.RUnlock()
-	if e == nil {
-		c.misses.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
 	return e
 }
 
@@ -100,9 +91,4 @@ func (c *Cache) Paths() []string {
 	c.mu.RUnlock()
 	sort.Strings(out)
 	return out
-}
-
-// HitsMisses reports read-path counters.
-func (c *Cache) HitsMisses() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

@@ -24,10 +24,6 @@ type Coalescer struct {
 	hasPending bool
 	pendingCF  uint32
 	pending    []byte
-
-	offered   int64
-	pushed    int64
-	coalesced int64
 }
 
 // NewCoalescer builds a coalescer pushing through out. min <= 0 disables
@@ -37,42 +33,33 @@ func NewCoalescer(sched clock.Scheduler, min time.Duration, out func(cf uint32, 
 }
 
 // Offer submits a new representation. The payload is copied when held;
-// when pushed through immediately it is handed to out as-is.
-func (co *Coalescer) Offer(contentFormat uint32, payload []byte) {
+// when pushed through immediately it is handed to out as-is. Offer
+// reports whether the representation replaced a held one that was never
+// pushed (coalesced).
+func (co *Coalescer) Offer(contentFormat uint32, payload []byte) (coalesced bool) {
 	if co.min <= 0 {
-		co.mu.Lock()
-		co.offered++
-		co.pushed++
-		co.mu.Unlock()
 		co.out(contentFormat, payload)
-		return
+		return false
 	}
 	now := co.sched.Now()
 	co.mu.Lock()
-	co.offered++
 	if !co.hasPending && (!co.started || now-co.last >= co.min) {
 		co.started = true
 		co.last = now
-		co.pushed++
 		co.mu.Unlock()
 		co.out(contentFormat, payload)
-		return
+		return false
 	}
-	if co.hasPending {
-		co.coalesced++
-	}
+	coalesced = co.hasPending
 	co.pendingCF = contentFormat
 	co.pending = append(co.pending[:0], payload...)
-	arm := !co.hasPending
 	co.hasPending = true
 	delay := co.last + co.min - now
 	co.mu.Unlock()
-	if arm {
-		if delay < 0 {
-			delay = 0
-		}
-		co.sched.Schedule(delay, co.Flush)
+	if !coalesced { // the first held offer arms the trailing push
+		co.sched.Schedule(max(delay, 0), co.Flush)
 	}
+	return coalesced
 }
 
 // Flush pushes the pending representation now, if any.
@@ -88,15 +75,6 @@ func (co *Coalescer) Flush() {
 	// next held offer allocates a fresh one.
 	co.pending = nil
 	co.last = co.sched.Now()
-	co.pushed++
 	co.mu.Unlock()
 	co.out(cf, p)
-}
-
-// Counts reports (offered, pushed, coalesced) totals. coalesced counts
-// offers whose representation was overwritten before ever being pushed.
-func (co *Coalescer) Counts() (offered, pushed, coalesced int64) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.offered, co.pushed, co.coalesced
 }

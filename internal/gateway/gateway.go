@@ -44,9 +44,10 @@ type Config struct {
 	// <= 0 selects the coap default.
 	QueueLen int
 	// Inline disables the parallel fan-out pool: Notify delivers
-	// synchronously, in deterministic (address-sorted) order. Required
-	// when the gateway runs on virtual time inside a simulation — pool
-	// workers are real goroutines and would race the virtual clock.
+	// synchronously, in the deterministic order coap.Resource.Notify
+	// states. Required when the gateway runs on virtual time inside a
+	// simulation — pool workers are real goroutines and would race the
+	// virtual clock.
 	Inline bool
 	// Sched drives coalescer timers; nil selects the system clock.
 	Sched clock.Scheduler
@@ -65,10 +66,12 @@ type Gateway struct {
 	mu sync.Mutex
 	co map[string]*Coalescer
 
-	reg       *metrics.Registry
+	reg *metrics.Registry
+	// The notify counters, registered in reg when it is set; Stats reads
+	// them either way.
 	published *metrics.Counter // representation pushes that reached Notify
 	offered   *metrics.Counter // Publish calls
-	coalesced *metrics.Counter // offers absorbed into a pending push
+	coalesced *metrics.Counter // offers that replaced a held, never pushed one
 }
 
 // New wires a Gateway onto conn: it installs a coap.Server configured
@@ -93,6 +96,10 @@ func New(conn *coap.Conn, cfg Config) *Gateway {
 		cache: NewCache(sched),
 		co:    make(map[string]*Coalescer),
 		reg:   cfg.Metrics,
+
+		published: new(metrics.Counter),
+		offered:   new(metrics.Counter),
+		coalesced: new(metrics.Counter),
 	}
 	if g.reg != nil {
 		g.published = g.reg.Counter("gw.notify.published")
@@ -139,10 +146,10 @@ var coldAnswer = coap.Message{Code: coap.CodeServiceUnavailable}
 // last-value cache and — subject to coalescing — fans out to every
 // observer. The payload is copied; callers may reuse the slice.
 func (g *Gateway) Publish(path string, contentFormat uint32, payload []byte) {
-	if g.offered != nil {
-		g.offered.Inc()
+	g.offered.Inc()
+	if g.coalescer(path).Offer(contentFormat, payload) {
+		g.coalesced.Inc()
 	}
-	g.coalescer(path).Offer(contentFormat, payload)
 }
 
 func (g *Gateway) coalescer(path string) *Coalescer {
@@ -153,9 +160,7 @@ func (g *Gateway) coalescer(path string) *Coalescer {
 		r := g.srv.Resource(path)
 		co = NewCoalescer(g.sched, g.cfg.Coalesce, func(cf uint32, p []byte) {
 			g.cache.Set(path, cf, p)
-			if g.published != nil {
-				g.published.Inc()
-			}
+			g.published.Inc()
 			r.Notify(cf, p)
 		})
 		g.co[path] = co
@@ -200,23 +205,22 @@ type Stats struct {
 	DedupEvicted int64 `json:"dedup_evicted"`
 }
 
-// Stats sums gateway-wide counters (observers across all resources,
-// coalescer totals, backpressure drops) and reads the dedup log's size.
+// Stats sums observers across all resources, reads the notify counters
+// (the ones /metrics exposes), the backpressure drops and the dedup log's
+// size.
 func (g *Gateway) Stats() Stats {
-	s := Stats{NotifyDrops: g.srv.NotifyDropped(), CacheEntries: g.cache.Len()}
+	s := Stats{
+		Published:    int64(g.published.Value()),
+		Offered:      int64(g.offered.Value()),
+		Coalesced:    int64(g.coalesced.Value()),
+		NotifyDrops:  g.srv.NotifyDropped(),
+		CacheEntries: g.cache.Len(),
+	}
 	s.DedupEntries, s.DedupBytes, s.DedupEvicted = g.conn.DedupStats()
 	for _, p := range g.srv.Paths() {
 		s.Resources++
 		s.Observers += g.srv.Resource(p).ObserverCount()
 	}
-	g.mu.Lock()
-	for _, co := range g.co {
-		off, pushed, coal := co.Counts()
-		s.Offered += off
-		s.Coalesced += coal
-		s.Published += pushed
-	}
-	g.mu.Unlock()
 	return s
 }
 
