@@ -36,7 +36,7 @@ type Handler func(from radio.NodeID, payload []byte)
 type Link struct {
 	mac       mac.MAC
 	id        radio.NodeID
-	handlers  map[Protocol]Handler
+	handlers  []protoHandler // a few; found by a scan, with no hashing
 	neighbors Table
 	rec       *trace.Recorder
 }
@@ -45,9 +45,8 @@ type Link struct {
 // the MAC's receive handler.
 func New(id radio.NodeID, m mac.MAC) *Link {
 	l := &Link{
-		mac:      m,
-		id:       id,
-		handlers: make(map[Protocol]Handler),
+		mac: m,
+		id:  id,
 	}
 	m.OnReceive(l.onReceive)
 	return l
@@ -84,10 +83,26 @@ func (l *Link) ForgetNeighbor(id radio.NodeID) {
 // Handle registers the handler for proto. Registering twice panics: each
 // protocol has exactly one owner.
 func (l *Link) Handle(proto Protocol, h Handler) {
-	if _, dup := l.handlers[proto]; dup {
+	if _, dup := l.handler(proto); dup {
 		panic(fmt.Sprintf("link: handler for protocol %d registered twice", proto))
 	}
-	l.handlers[proto] = h
+	l.handlers = append(l.handlers, protoHandler{proto, h})
+}
+
+// protoHandler is one registered protocol and its handler.
+type protoHandler struct {
+	proto Protocol
+	h     Handler
+}
+
+// handler returns proto's handler, and whether one is registered.
+func (l *Link) handler(proto Protocol) (Handler, bool) {
+	for _, ph := range l.handlers {
+		if ph.proto == proto {
+			return ph.h, true
+		}
+	}
+	return nil, false
 }
 
 // Buffers returns the packet-buffer pool of the underlying stack, for
@@ -141,7 +156,7 @@ func (l *Link) onReceive(from radio.NodeID, raw []byte) {
 		return
 	}
 	l.neighbors.RecordRx(from)
-	if h, ok := l.handlers[Protocol(raw[0])]; ok {
+	if h, ok := l.handler(Protocol(raw[0])); ok {
 		h(from, raw[1:])
 	}
 }

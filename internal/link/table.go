@@ -1,7 +1,6 @@
 package link
 
 import (
-	"cmp"
 	"slices"
 
 	"iiotds/internal/radio"
@@ -49,7 +48,16 @@ type Table struct {
 // find returns where id's entry is, or would be inserted, and whether it
 // is there.
 func (t *Table) find(id radio.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(t.entries, int32(id), func(e Entry, id int32) int { return cmp.Compare(e.id, id) })
+	e, key := t.entries, int32(id)
+	lo, hi := 0, len(e)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); e[mid].id < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(e) && e[lo].id == key
 }
 
 // get returns id's entry, creating it at the prior. The pointer is valid

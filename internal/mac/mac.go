@@ -24,7 +24,6 @@
 package mac
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -199,7 +198,16 @@ type lastSeq struct {
 }
 
 func (d *dedup) find(from radio.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(d.last, int32(from), func(l lastSeq, id int32) int { return cmp.Compare(l.id, id) })
+	l, key := d.last, int32(from)
+	lo, hi := 0, len(l)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); l[mid].id < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(l) && l[lo].id == key
 }
 
 // fresh records (from, seq) and reports whether it was not a duplicate of

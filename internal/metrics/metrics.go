@@ -24,10 +24,15 @@ type Counter struct {
 	bits atomic.Uint64
 }
 
-// Add increments the counter by d, which must be non-negative.
+// Add increments the counter by d, which must be non-negative. Adding 0
+// changes nothing and skips the CAS: the radio adds per-frame tallies
+// that are mostly 0.
 func (c *Counter) Add(d float64) {
-	if d < 0 {
-		panic(fmt.Sprintf("metrics: Counter.Add(%v) with negative delta", d))
+	if d <= 0 {
+		if d < 0 {
+			panic(fmt.Sprintf("metrics: Counter.Add(%v) with negative delta", d))
+		}
+		return
 	}
 	for {
 		old := c.bits.Load()

@@ -9,19 +9,19 @@ import (
 	"iiotds/internal/sim"
 )
 
-// benchMedium builds an N-node medium. dense packs everyone into one
-// RangeMax-sized square (every node hears every other — the worst case
-// for fan-out work); sparse spreads nodes at roughly uniform density ~6
-// neighbors each, the regime a city-scale fleet lives in and where a
-// kept link list pays off against the O(N) rescan.
-func benchMedium(n int, dense bool) (*sim.Kernel, *Medium) {
+// benchMedium builds an N-node medium whose nodes are spread uniformly
+// over a square sized so that about degree others lie within RangeMax
+// of a point. Degree 0 packs everyone into one 30-m square instead:
+// every node hears every other, the worst case for fan-out work. Degree
+// 6 is the regime a city-scale fleet lives in, where a kept link list
+// pays off against the O(N) rescan; 40 is fig1-uplink's.
+func benchMedium(n int, degree float64) (*sim.Kernel, *Medium) {
 	k := sim.New(1)
 	m := NewMedium(k, DefaultParams(), nil)
 	rng := rand.New(rand.NewSource(7))
 	span := 30.0 // everyone within range of everyone
-	if !dense {
-		// Area giving ~6 expected nodes within RangeMax of a point.
-		span = DefaultParams().RangeMax * math.Sqrt(math.Pi*float64(n)/6)
+	if degree > 0 {
+		span = DefaultParams().RangeMax * math.Sqrt(math.Pi*float64(n)/degree)
 	}
 	for i := 0; i < n; i++ {
 		m.Attach(NodeID(i), Position{X: rng.Float64() * span, Y: rng.Float64() * span}, ReceiverFunc(func(Frame) {}))
@@ -35,13 +35,16 @@ func benchMedium(n int, dense bool) (*sim.Kernel, *Medium) {
 // from every sender the timed loop uses before the timer starts, so the
 // figure is a send's and not a list build's; brute is the reference
 // O(N) rescan on every send. BENCH_spatial.json records the
-// before/after.
+// before/after. degree40 is the per-link case (sendDegree40).
 func BenchmarkSend(b *testing.B) {
-	for _, density := range []string{"dense", "sparse"} {
+	for _, density := range []struct {
+		name   string
+		degree float64
+	}{{"dense", 0}, {"sparse", 6}} {
 		for _, n := range []int{100, 1000, 10000} {
 			for _, mode := range []string{"indexed", "brute"} {
-				b.Run(fmt.Sprintf("%s/n=%d/%s", density, n, mode), func(b *testing.B) {
-					k, m := benchMedium(n, density == "dense")
+				b.Run(fmt.Sprintf("%s/n=%d/%s", density.name, n, mode), func(b *testing.B) {
+					k, m := benchMedium(n, density.degree)
 					m.SetBruteForce(mode == "brute")
 					send := func(i int) {
 						m.Send(Frame{From: NodeID(i % n), To: Broadcast, Size: 30})
@@ -59,6 +62,43 @@ func BenchmarkSend(b *testing.B) {
 			}
 		}
 	}
+	b.Run("degree40/n=1000/indexed", sendDegree40)
+}
+
+// sendDegree40 measures the per-link cost of a fan-out at
+// fig1-uplink's degree: 1000 nodes, about 40 listening to each frame.
+// An op is two broadcasts half an airtime apart, from a node and from
+// its nearest neighbour, so the receivers they share already hear the
+// first frame when the second reaches them (the collision path), and
+// their completions. It reports ns per frame.
+func sendDegree40(b *testing.B) {
+	const n = 1000
+	k, m := benchMedium(n, 40)
+	next := make([]NodeID, n)
+	for i := range next {
+		next[i] = m.NeighborsOf(NodeID(i))[0]
+	}
+	half := m.Airtime(30) / 2
+	op := func(i int) {
+		from := NodeID(i % n)
+		m.Send(Frame{From: from, To: Broadcast, Size: 30})
+		k.RunFor(half)
+		m.Send(Frame{From: next[from], To: Broadcast, Size: 30})
+		k.Run()
+	}
+	for i := 0; i < n; i++ { // build every list the timed loop uses
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/frame")
+	if m.Registry().Counter("radio.collisions").Value() == 0 {
+		b.Fatal("no frame found a receiver already hearing a flight")
+	}
 }
 
 // TestSendFanoutAllocFree is the CI gate for the satellite requirement:
@@ -73,7 +113,7 @@ func BenchmarkSend(b *testing.B) {
 // announcement on.
 func TestSendFanoutAllocFree(t *testing.T) {
 	const n, walker = 500, NodeID(7)
-	k, m := benchMedium(n, false)
+	k, m := benchMedium(n, 6)
 	i := 0
 	send := func() {
 		m.Send(Frame{From: NodeID(i % n), To: Broadcast, Size: 30})

@@ -237,7 +237,7 @@ func paritySequence(t *testing.T, seed int64, nodes int) {
 				}
 				var got []NodeID
 				for _, d := range m.active[len(m.active)-1].dels {
-					got = append(got, d.n.id)
+					got = append(got, NodeID(d.id))
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d (brute=%v): send from %d fanned out to %v, the predicates say %v", step, m.brute, from, got, want)

@@ -110,20 +110,43 @@ func DefaultParams() Params {
 	}
 }
 
+// nodeState is one attached node's record. Its first 64 bytes hold all
+// that launch reads or writes for a receiver: slot 0's hearing, the
+// airtime it charges and the radio state it checks. A medium keeps its
+// records side by side in chunks (Medium.newNode) and a record is three
+// cache lines, so with the chunk aligned those 64 bytes are one line and
+// a link visit misses at most once (DESIGN.md §9).
 type nodeState struct {
-	id        NodeID
-	pos       Position
-	recv      Receiver
+	hear0     hearing         // what it hears on channel slot 0
 	air       metrics.Airtime // rx/tx time; the node's ledger adds it in on read
+	id        NodeID
 	channel   uint8
 	listening bool
 	down      bool
 	// recognizes: the receiver ignores unicasts addressed to another
 	// node (SetAddressRecognition), so complete need not hand them over.
 	recognizes bool
-	links      linkList  // whom this node's frames reach
-	hear       []hearing // what it hears, per channel slot (Medium.slots)
+
+	pos   Position
+	recv  Receiver
+	links linkList  // whom this node's frames reach
+	hearX []hearing // what it hears on channel slots 1, 2, ... (Medium.slots)
+	_     [24]byte  // pads the record to 192 bytes
 }
+
+// hearOn returns n's hearing on channel slot s.
+func (n *nodeState) hearOn(s int) *hearing {
+	if s == 0 {
+		return &n.hear0
+	}
+	return &n.hearX[s-1]
+}
+
+// nodeChunk is how many records newNode allocates at a time: 48 KiB,
+// past the allocator's 32 KiB small-object limit, so a chunk gets pages
+// of its own and starts on one, with no header in front of its first
+// record.
+const nodeChunk = 256
 
 // hearing is what one node hears on one channel: until, the latest end
 // among the live flights audible here, and the one clean copy the node
@@ -139,18 +162,23 @@ type hearing struct {
 	del   int32
 }
 
-// note is a trace event a traced launch holds back until it has walked
-// every link. The marks on older flights' copies go out first, sorted
-// by flight (launch serial, the order of m.active) and delivery del, and
-// the frame's own events after them in link order, as the scan of live
-// flights emitted them.
-type note struct {
-	serial uint64
-	del    int32
-	node   int32
-	typ    trace.Type
-	a, b   int64
-	j      uint64
+// A traced launch that may spoil a live flight's copy holds its trace
+// events back until it has walked every link: the marks on older
+// flights' copies go out first, sorted by flight (launch serial, the
+// order of m.active) and delivery del, and the frame's own events after
+// them in link order, as the scan of live flights emitted them. A mark
+// is the spoiled delivery at node; an own event is a collision
+// attributed to the flight sent by from, or a loss. The frame supplies
+// everything else.
+type mark struct {
+	o    *transmission
+	del  int32
+	node int32
+}
+
+type own struct {
+	node, from int32
+	typ        trace.Type
 }
 
 // spoil corrupts the clean copy h holds, if its flight is still on the
@@ -185,11 +213,11 @@ type linkList struct {
 	links []link
 }
 
-// delivery is one in-flight frame copy headed to one receiver. The
-// resolved receiver pointer rides along so the fan-out and completion
-// never go back through the node map.
+// delivery is one in-flight frame copy headed to one receiver, node id
+// (Medium.nodes). It holds no pointer, so launch appends it without a
+// write barrier.
 type delivery struct {
-	n         *nodeState
+	id        int32
 	corrupted bool
 }
 
@@ -219,14 +247,13 @@ type transmission struct {
 type Medium struct {
 	k      *sim.Kernel
 	params Params
-	nodes  map[NodeID]*nodeState
-	// ordered mirrors nodes sorted by ID. Delivery fan-out must walk
-	// nodes in a fixed order: each audible receiver consumes a PRR draw
-	// from the kernel's single RNG, so iterating the map directly would
-	// make loss patterns depend on Go's randomized map order and break
-	// run-to-run determinism (DESIGN.md §5). A link list is one scan of
-	// it, so it is in this order too.
+	nodes  []*nodeState // indexed by NodeID; nil where none is attached
+	// ordered holds the attached nodes sorted by ID. Delivery fan-out
+	// must walk nodes in a fixed order: each audible receiver consumes a
+	// PRR draw from the kernel's single RNG (DESIGN.md §5). A link list
+	// is one scan of it, so it is in this order too.
 	ordered []*nodeState
+	chunk   []nodeState // newNode's current chunk of records
 	active  []*transmission
 	txFree  []*transmission // recycled transmission structs
 	pool    *netbuf.Pool    // packet buffers for this medium's stack
@@ -250,8 +277,8 @@ type Medium struct {
 	linkBuf  []link               // collectLinks' scratch
 	brute    bool                 // rescan links on every send (oracle/baseline)
 
-	// Hearing state (DESIGN.md §9). slots maps a channel to 1 + its index
-	// in every node's hear, 0 until a flight first uses it; nslots counts
+	// Hearing state (DESIGN.md §9). slots maps a channel to 1 + its slot
+	// (nodeState.hearOn), 0 until a flight first uses it; nslots counts
 	// them. stale says that who hears whom changed (Attach, SetPosition,
 	// SetLinkFilter, SetLinkPRR) since every until was last right: the
 	// next launch or CarrierSense rebuilds them from the live flights.
@@ -265,7 +292,9 @@ type Medium struct {
 	mixed  bool
 	// A traced launch's held-back events: marks on older flights, and
 	// the frame's own.
-	marks, notes []note
+	marks   []mark
+	owns    []own
+	holding bool // the launch under way holds its own events back
 
 	// announce, when set, observes every accepted transmission so a
 	// sharded deployment can mirror border traffic into neighbor shards
@@ -299,7 +328,6 @@ func NewMedium(k *sim.Kernel, p Params, reg *metrics.Registry) *Medium {
 	return &Medium{
 		k:         k,
 		params:    p,
-		nodes:     make(map[NodeID]*nodeState),
 		pool:      netbuf.NewPool(),
 		energy:    metrics.NewEnergySet(metrics.DefaultPowerProfile()),
 		reg:       reg,
@@ -342,14 +370,24 @@ func (m *Medium) Energy() *metrics.EnergySet { return m.energy }
 // Attach registers a node at pos with the given receiver. The node starts
 // on channel 0 with its radio off.
 func (m *Medium) Attach(id NodeID, pos Position, recv Receiver) {
-	if _, dup := m.nodes[id]; dup {
+	if id < 0 {
+		panic(fmt.Sprintf("radio: node id %d is negative", id))
+	}
+	if m.node(id) != nil {
 		panic(fmt.Sprintf("radio: node %d attached twice", id))
 	}
 	if recv == nil {
 		panic("radio: Attach with nil receiver")
 	}
-	n := &nodeState{id: id, pos: pos, recv: recv, hear: make([]hearing, m.nslots)}
+	n := m.newNode()
+	n.id, n.pos, n.recv = id, pos, recv
+	if m.nslots > 1 {
+		n.hearX = make([]hearing, m.nslots-1)
+	}
 	m.energy.Ledger(int(id)).Link(&n.air)
+	for int(id) >= len(m.nodes) {
+		m.nodes = append(m.nodes, nil)
+	}
 	m.nodes[id] = n
 	at := sort.Search(len(m.ordered), func(i int) bool { return m.ordered[i].id > id })
 	m.ordered = append(m.ordered, nil)
@@ -357,6 +395,17 @@ func (m *Medium) Attach(id NodeID, pos Position, recv Receiver) {
 	m.ordered[at] = n
 	m.layoutGen++
 	m.stale = true
+}
+
+// newNode returns a zeroed record from the current chunk, starting a
+// new chunk when it is full. A chunk never grows in place, so records do
+// not move, and each starts on a cache line.
+func (m *Medium) newNode() *nodeState {
+	if len(m.chunk) == cap(m.chunk) {
+		m.chunk = make([]nodeState, 0, nodeChunk)
+	}
+	m.chunk = m.chunk[:len(m.chunk)+1]
+	return &m.chunk[len(m.chunk)-1]
 }
 
 // SetPosition moves a node (e.g., a mobile asset tag). Any move voids
@@ -435,7 +484,7 @@ func (m *Medium) SetLinkPRR(from, to NodeID, prr float64) {
 	} else {
 		m.prrOver[key] = prr
 	}
-	if n, ok := m.nodes[from]; ok {
+	if n := m.node(from); n != nil {
 		n.links.gen = 0
 	}
 	if ll := m.foreign[from]; ll != nil {
@@ -444,9 +493,17 @@ func (m *Medium) SetLinkPRR(from, to NodeID, prr float64) {
 	m.stale = true
 }
 
+// node returns the record of node id, or nil if none is attached.
+func (m *Medium) node(id NodeID) *nodeState {
+	if uint(id) < uint(len(m.nodes)) {
+		return m.nodes[id]
+	}
+	return nil
+}
+
 func (m *Medium) mustNode(id NodeID) *nodeState {
-	n, ok := m.nodes[id]
-	if !ok {
+	n := m.node(id)
+	if n == nil {
 		panic(fmt.Sprintf("radio: unknown node %d", id))
 	}
 	return n
@@ -490,17 +547,19 @@ func (m *Medium) CarrierSense(id NodeID) bool {
 		m.rebuildHearing(now)
 	}
 	s := m.slots[n.channel]
-	return s > 0 && n.hear[s-1].until > now
+	return s > 0 && n.hearOn(int(s)-1).until > now
 }
 
-// slotOf returns ch's index in every node's hear, giving every node a
-// hearing for it on the channel's first flight.
+// slotOf returns ch's slot, giving every node a hearing for it on the
+// channel's first flight.
 func (m *Medium) slotOf(ch uint8) int {
 	if s := m.slots[ch]; s > 0 {
 		return int(s) - 1
 	}
-	for _, n := range m.ordered {
-		n.hear = append(n.hear, hearing{})
+	if m.nslots > 0 {
+		for _, n := range m.ordered {
+			n.hearX = append(n.hearX, hearing{})
+		}
 	}
 	m.nslots++
 	m.slots[ch] = uint16(m.nslots)
@@ -515,17 +574,18 @@ func (m *Medium) slotOf(ch uint8) int {
 func (m *Medium) rebuildHearing(now sim.Time) {
 	m.stale = false
 	for _, n := range m.ordered {
-		for i := range n.hear {
-			n.hear[i].until = 0
+		n.hear0.until = 0
+		for i := range n.hearX {
+			n.hearX[i].until = 0
 		}
 	}
 	for _, o := range m.active {
 		if o.end <= now {
 			continue
 		}
-		s := m.slots[o.frame.Channel] - 1
+		s := int(m.slots[o.frame.Channel]) - 1
 		for _, n := range m.ordered {
-			if h := &n.hear[s]; o.end > h.until && m.txAudible(o, n) {
+			if h := n.hearOn(s); o.end > h.until && m.txAudible(o, n) {
 				h.until = o.end
 			}
 		}
@@ -563,7 +623,6 @@ func (m *Medium) putTx(tx *transmission) {
 	tx.frame = Frame{}
 	tx.srcPos = Position{}
 	tx.src = nil
-	clear(tx.dels)
 	tx.dels = tx.dels[:0]
 	tx.clean = 0
 	tx.takers = tx.takers[:0]
@@ -737,21 +796,24 @@ func (m *Medium) launch(tx *transmission) {
 	// the medium being told, is checked here, per send: the link filter
 	// and radio state. Hearing does not depend on radio state.
 	dels, takers := tx.dels, tx.takers
-	rng, jid := m.k.Rand(), payloadJourney(f.Payload)
 	attribute := m.rec != nil || m.mixed
+	// Only a copy of a flight still on the air on this channel can be
+	// spoiled; without one, no mark goes out and the frame's own events
+	// need not wait for any.
+	m.holding = m.rec != nil && m.liveOn(f.Channel, now)
 	for _, l := range links {
 		n := l.n
 		if filter != nil && !filter(f.From, n.id) {
 			continue
 		}
-		h := &n.hear[s]
+		h := n.hearOn(s)
 		if del, o := h.del, h.spoil(now); o != nil {
 			collisions++
 			if o.frame.Tenant != f.Tenant {
 				crossTenant++
 			}
-			if m.rec != nil {
-				m.marks = append(m.marks, note{o.serial, del, int32(n.id), trace.RadioCollision, int64(o.frame.From), int64(f.From), payloadJourney(o.frame.Payload)})
+			if m.holding {
+				m.marks = append(m.marks, mark{o, del, int32(n.id)})
 			}
 		}
 		heard := h.until > now
@@ -763,40 +825,50 @@ func (m *Medium) launch(tx *transmission) {
 		}
 		// The receiver's radio is busy for the whole frame either way.
 		n.air.Rx += air
-		dels = append(dels, delivery{n: n, corrupted: heard})
-		switch {
-		case heard:
+		i := int32(len(dels))
+		dels = append(dels, delivery{int32(n.id), heard})
+		if heard {
 			collisions++
 			if attribute {
 				o := m.firstHeard(n, f.Channel, now)
 				if o.frame.Tenant != f.Tenant {
 					crossTenant++
 				}
-				m.hold(n, trace.RadioCollision, int64(o.frame.From), int64(f.From), jid)
+				if m.rec != nil {
+					m.hold(tx, own{int32(n.id), int32(o.frame.From), trace.RadioCollision})
+				}
 			}
-		case rng.Float64() >= l.prr: // stochastic loss from link quality
-			dels[len(dels)-1].corrupted = true
-			lost++
-			m.hold(n, trace.RadioLoss, int64(f.From), int64(f.Size), jid)
-		default:
-			tx.clean++
-			h.rx, h.rxEnd, h.del = tx, tx.end, int32(len(dels)-1)
-			if f.To == Broadcast || f.To == n.id || !n.recognizes {
-				takers = append(takers, int32(len(dels)-1))
-			}
+			continue
+		}
+		// The loss draw's outcome is a coin toss for the branch predictor,
+		// so both outcomes are written without a branch. spoil has left h
+		// holding no copy; a lost one keeps it so (rxEnd 0) and adds no
+		// taker.
+		loss := m.k.Float64() >= l.prr // stochastic loss from link quality
+		dels[len(dels)-1].corrupted = loss
+		clean := b2i(!loss)
+		lost += 1 - clean
+		tx.clean += clean
+		h.rx, h.rxEnd, h.del = tx, tx.end*sim.Time(clean), i
+		takers = append(takers, i)
+		takers = takers[:len(takers)-1+(clean&b2i(f.To == Broadcast || f.To == n.id || !n.recognizes))]
+		if m.rec != nil && loss {
+			m.hold(tx, own{node: int32(n.id), typ: trace.RadioLoss})
 		}
 	}
 	tx.dels, tx.takers = dels, takers
-	if m.rec != nil {
-		slices.SortFunc(m.marks, func(a, b note) int {
-			return cmp.Or(cmp.Compare(a.serial, b.serial), cmp.Compare(a.del, b.del))
+	if m.holding {
+		slices.SortFunc(m.marks, func(a, b mark) int {
+			return cmp.Or(cmp.Compare(a.o.serial, b.o.serial), cmp.Compare(a.del, b.del))
 		})
-		for _, held := range [2][]note{m.marks, m.notes} {
-			for _, nt := range held {
-				m.rec.Emit(nt.node, nt.typ, nt.a, nt.b, 0, nt.j)
-			}
+		for _, mk := range m.marks {
+			m.rec.Emit(mk.node, trace.RadioCollision, int64(mk.o.frame.From), int64(f.From), 0, payloadJourney(mk.o.frame.Payload))
 		}
-		m.marks, m.notes = m.marks[:0], m.notes[:0]
+		m.holding = false
+		for _, e := range m.owns {
+			m.hold(tx, e)
+		}
+		m.marks, m.owns = m.marks[:0], m.owns[:0]
 	}
 	m.cCollisions.Add(float64(collisions))
 	m.cCollXTen.Add(float64(crossTenant))
@@ -806,12 +878,35 @@ func (m *Medium) launch(tx *transmission) {
 	m.k.At(tx.end, tx.completeFn)
 }
 
-// hold keeps one of the frame's own trace events at n back for the end
-// of the launch (see note); untraced, there is none.
-func (m *Medium) hold(n *nodeState, typ trace.Type, a, b int64, j uint64) {
-	if m.rec != nil {
-		m.notes = append(m.notes, note{node: int32(n.id), typ: typ, a: a, b: b, j: j})
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
+}
+
+// hold emits one of tx's own trace events, or keeps it back for the end
+// of the launch while m.holding (see mark).
+func (m *Medium) hold(tx *transmission, e own) {
+	switch f := &tx.frame; {
+	case m.holding:
+		m.owns = append(m.owns, e)
+	case e.typ == trace.RadioCollision:
+		m.rec.Emit(e.node, e.typ, int64(e.from), int64(f.From), 0, payloadJourney(f.Payload))
+	default:
+		m.rec.Emit(e.node, e.typ, int64(f.From), int64(f.Size), 0, payloadJourney(f.Payload))
+	}
+}
+
+// liveOn reports whether a flight on channel ch is still on the air.
+func (m *Medium) liveOn(ch uint8, now sim.Time) bool {
+	for _, o := range m.active {
+		if o.end > now && o.frame.Channel == ch {
+			return true
+		}
+	}
+	return false
 }
 
 // payloadJourney reads the journey ID off a frame payload; control
@@ -849,13 +944,13 @@ func (m *Medium) complete(tx *transmission) {
 		d := &tx.dels[tx.takers[t]]
 		next = int(tx.takers[t]) + 1
 		if !d.corrupted {
-			handOver(f, d.n)
+			handOver(f, m.nodes[d.id])
 		}
 	}
 	if m.stateGen != tx.stateGen || m.rec != nil {
 		for i := next; i < len(tx.dels); i++ {
 			d := &tx.dels[i]
-			n := d.n
+			n := m.nodes[d.id]
 			if n.down || !n.listening || n.channel != f.Channel {
 				// Receiver went away mid-frame.
 				gone++

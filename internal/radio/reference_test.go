@@ -90,13 +90,13 @@ func (m *Medium) refLaunch(tx *transmission) {
 	for _, other := range near {
 		for i := range other.dels {
 			d := &other.dels[i]
-			if !d.corrupted && m.audibleAt(f.From, pos, d.n) {
+			if n := m.nodes[d.id]; !d.corrupted && m.audibleAt(f.From, pos, n) {
 				d.corrupted = true
 				collisions++
 				if other.frame.Tenant != f.Tenant {
 					crossTenant++
 				}
-				m.rec.Emit(int32(d.n.id), trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(other.frame.Payload))
+				m.rec.Emit(d.id, trace.RadioCollision, int64(other.frame.From), int64(f.From), 0, payloadJourney(other.frame.Payload))
 			}
 		}
 	}
@@ -110,7 +110,7 @@ func (m *Medium) refLaunch(tx *transmission) {
 			prr = m.prrAtDistance(pos.Distance(n.pos))
 		}
 		m.energy.Ledger(int(n.id)).Spend(metrics.StateRx, air)
-		tx.dels = append(tx.dels, delivery{n: n})
+		tx.dels = append(tx.dels, delivery{id: int32(n.id)})
 		d := &tx.dels[len(tx.dels)-1]
 		for _, other := range near {
 			if m.txAudible(other, n) {
@@ -160,7 +160,7 @@ func (m *Medium) refComplete(tx *transmission) {
 	var gone, rx int
 	for i := range tx.dels {
 		d := &tx.dels[i]
-		n := d.n
+		n := m.nodes[d.id]
 		if n.down || !n.listening || n.channel != f.Channel {
 			gone++
 			continue

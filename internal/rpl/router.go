@@ -1,7 +1,6 @@
 package rpl
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -100,6 +99,11 @@ type Router struct {
 	cfg   Config
 	reg   *metrics.Registry
 
+	// The registry counters the router increments per event, resolved
+	// on first use (count). The rare ones go to the registry each time.
+	cDIOSent, cDAOSent, cProbeSent, cDAOFwd             *metrics.Counter
+	cParentSwitches, cLinkDrops, cForwarded, cDelivered *metrics.Counter
+
 	id      radio.NodeID
 	isRoot  bool
 	root    radio.NodeID
@@ -130,6 +134,17 @@ type Router struct {
 	fscratch []*netbuf.Buffer // reused frame slice for route()
 
 	rec *trace.Recorder
+}
+
+// count increments the registry counter *c names, resolving it on
+// first use: Registry.Counter takes a lock, sorts labels and looks up a
+// map, too much to pay per event, and a counter the router never
+// increments must stay unregistered.
+func (r *Router) count(c **metrics.Counter, name string) {
+	if *c == nil {
+		*c = r.reg.Counter(name)
+	}
+	(*c).Inc()
 }
 
 // NewRouter creates a router for the node behind lnk. If isRoot is true
@@ -294,14 +309,14 @@ func (r *Router) sendDIO() {
 		return
 	}
 	d := dio{Version: r.version, Rank: r.rank, Root: r.root}
-	r.reg.Counter("rpl.dio_sent").Inc()
+	r.count(&r.cDIOSent, "rpl.dio_sent")
 	r.rec.Emit(int32(r.id), trace.RPLDIOSent, int64(radio.Broadcast), int64(r.rank), 0, 0)
 	r.lnk.Broadcast(link.ProtoRouting, d.encode())
 }
 
 func (r *Router) sendDIOTo(to radio.NodeID) {
 	d := dio{Version: r.version, Rank: r.rank, Root: r.root}
-	r.reg.Counter("rpl.dio_sent").Inc()
+	r.count(&r.cDIOSent, "rpl.dio_sent")
 	r.rec.Emit(int32(r.id), trace.RPLDIOSent, int64(to), int64(r.rank), 0, 0)
 	r.lnk.Send(to, link.ProtoRouting, d.encode(), nil)
 }
@@ -312,7 +327,7 @@ func (r *Router) sendDAO() {
 	}
 	r.daoSeq++
 	d := dao{Target: r.id, Seq: r.daoSeq}
-	r.reg.Counter("rpl.dao_sent").Inc()
+	r.count(&r.cDAOSent, "rpl.dao_sent")
 	r.rec.Emit(int32(r.id), trace.RPLDAOSent, int64(r.parent), int64(r.daoSeq), 0, 0)
 	parent := r.parent
 	r.lnk.Send(parent, link.ProtoRouting, d.encode(), func(ok bool) {
@@ -332,7 +347,7 @@ func (r *Router) probeParent() {
 	r.lnk.Send(parent, link.ProtoRouting, []byte{byte(msgDIS)}, func(ok bool) {
 		r.noteParentTx(parent, ok)
 	})
-	r.reg.Counter("rpl.probe_sent").Inc()
+	r.count(&r.cProbeSent, "rpl.probe_sent")
 }
 
 // noteParentTx folds a transmission outcome toward the (then-)parent into
@@ -458,7 +473,7 @@ func (r *Router) onDAO(from radio.NodeID, d dao) {
 		r.lnk.Send(parent, link.ProtoRouting, d.encode(), func(ok bool) {
 			r.noteParentTx(parent, ok)
 		})
-		r.reg.Counter("rpl.dao_fwd").Inc()
+		r.count(&r.cDAOFwd, "rpl.dao_fwd")
 	}
 }
 
@@ -477,7 +492,16 @@ func (r *Router) rankStep(etx float64) uint16 {
 // findCandidate returns where id's candidate is, or would be inserted,
 // and whether it is there.
 func (r *Router) findCandidate(id radio.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(r.candidates, int32(id), func(c candidate, id int32) int { return cmp.Compare(c.id, id) })
+	c, key := r.candidates, int32(id)
+	lo, hi := 0, len(c)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); c[mid].id < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(c) && c[lo].id == key
 }
 
 // recomputeParent runs MRHOF-style parent selection over fresh
@@ -576,7 +600,7 @@ func (r *Router) setParent(p radio.NodeID, rank uint16) {
 	r.rank = rank
 	r.parentFails = 0
 	if changed {
-		r.reg.Counter("rpl.parent_switches").Inc()
+		r.count(&r.cParentSwitches, "rpl.parent_switches")
 		r.rec.Emit(int32(r.id), trace.RPLParentSwitch, int64(old), int64(p), 0, 0)
 		if p != NoParent {
 			if !r.joined {
@@ -651,11 +675,11 @@ func (r *Router) route(d *lowpan.Datagram) error {
 				r.noteParentTx(nh, ok)
 			}
 			if !ok {
-				r.reg.Counter("rpl.link_drops").Inc()
+				r.count(&r.cLinkDrops, "rpl.link_drops")
 			}
 		})
 	}
-	r.reg.Counter("rpl.datagrams_forwarded").Inc()
+	r.count(&r.cForwarded, "rpl.datagrams_forwarded")
 	r.rec.Emit(int32(r.id), trace.RPLForward, int64(next), int64(d.Dst), 0, d.Journey)
 	return nil
 }
@@ -663,7 +687,16 @@ func (r *Router) route(d *lowpan.Datagram) error {
 // findRoute returns where dst's route is, or would be inserted, and
 // whether it is there.
 func (r *Router) findRoute(dst radio.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(r.downRoutes, int32(dst), func(e routeEntry, dst int32) int { return cmp.Compare(e.target, dst) })
+	e, key := r.downRoutes, int32(dst)
+	lo, hi := 0, len(e)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); e[mid].target < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(e) && e[lo].target == key
 }
 
 // lookupRoute returns the next hop of a live downward route to dst, and
@@ -713,7 +746,7 @@ func (r *Router) onNet(from radio.NodeID, frame []byte) {
 }
 
 func (r *Router) deliver(d *lowpan.Datagram) {
-	r.reg.Counter("rpl.delivered").Inc()
+	r.count(&r.cDelivered, "rpl.delivered")
 	r.rec.Emit(int32(r.id), trace.RPLDeliver, int64(d.Src), int64(d.Proto), 0, d.Journey)
 	if h, ok := r.handlers[d.Proto]; ok {
 		// The handler runs in this packet's journey context so that a

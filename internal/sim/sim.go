@@ -193,16 +193,20 @@ type Kernel struct {
 	now   Time
 	queue eventQueue
 	seq   uint64
-	rng   *rand.Rand
+	rng   *rand.Rand // draws from src
 	free  []*event
 	stats Stats
+	src   source
 }
 
 // New returns a kernel whose random generator is seeded with seed.
 // Two kernels constructed with the same seed and driven by the same
 // event program produce identical executions.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{}
+	k.src.Seed(seed)
+	k.rng = rand.New(&k.src)
+	return k
 }
 
 // Now returns the current virtual time.
@@ -211,6 +215,17 @@ func (k *Kernel) Now() Time { return k.now }
 // Rand returns the kernel's deterministic random generator. All simulated
 // randomness (link loss, jitter, workload arrivals) must come from here.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
+
+// Float64 draws what Rand().Float64() would draw, from the same stream,
+// without going through the Source interface.
+func (k *Kernel) Float64() float64 {
+again:
+	f := float64(k.src.Int63()) / (1 << 63)
+	if f == 1 {
+		goto again // as math/rand does
+	}
+	return f
+}
 
 // Fired returns the number of events executed so far; useful for tests and
 // runaway detection.
