@@ -119,7 +119,7 @@ func BenchmarkAdapterModbusDecode(b *testing.B) {
 	}
 	mb.RegisterModel("plc-7", mbMap)
 	dev := &registry.Device{ID: "d", Model: "plc-7", Protocol: adapter.ProtocolModbus}
-	emu := adapter.NewModbusEmulator(dev, mbMap)
+	emu := adapter.NewModbusEmulator(mbMap)
 	emu.SetState("temp", 36.5)
 	emu.SetState("rpm", 900)
 	frame := emu.Frame()

@@ -148,7 +148,7 @@ func runGateway(o gwOptions) {
 			{Name: "setpoint", Kind: registry.KindActuator, Unit: "C"},
 		},
 	}
-	emu := adapter.NewModbusEmulator(dev, mbMap)
+	emu := adapter.NewModbusEmulator(mbMap)
 	emu.SetState("temp", 36.5)
 	emu.SetState("setpoint", 40)
 	reg := registry.New()

@@ -57,7 +57,7 @@ func main() {
 		ID: "press-7", Vendor: "Siematic", Model: "press-ctl",
 		Protocol: adapter.ProtocolModbus, Tenant: "plant-a",
 	}
-	pressEmu := adapter.NewModbusEmulator(press, mbMap)
+	pressEmu := adapter.NewModbusEmulator(mbMap)
 
 	// Mesh sensors: vibration per zone.
 	for i := 1; i < 25; i++ {

@@ -90,8 +90,6 @@ func sortObs(obs []registry.Observation) {
 // protocol frames and applies raw command frames, exactly as the physical
 // device would.
 type Emulator interface {
-	// Device returns the canonical description.
-	Device() *registry.Device
 	// Frame renders the device's current state as a protocol frame.
 	Frame() []byte
 	// Apply executes a raw command frame against the device state.

@@ -67,9 +67,9 @@ func newFixtures() *fixtures {
 		mux:  NewMux(mb, ga, vt),
 		devs: map[string]*registry.Device{"modbus": mbDev, "blegatt": gaDev, "vendortlv": vtDev},
 		emus: map[string]Emulator{
-			"modbus":    NewModbusEmulator(mbDev, mbMap),
-			"blegatt":   NewGattEmulator(gaDev, gaMap),
-			"vendortlv": NewVendorTLVEmulator(vtDev, vtMap),
+			"modbus":    NewModbusEmulator(mbMap),
+			"blegatt":   NewGattEmulator(gaMap),
+			"vendortlv": NewVendorTLVEmulator(vtMap),
 		},
 	}
 }
@@ -228,34 +228,20 @@ func TestPropertyVendorCommandRoundTrip(t *testing.T) {
 func TestRegistryIntegration(t *testing.T) {
 	f := newFixtures()
 	reg := registry.New()
-	registered := 0
-	reg.OnRegister(func(*registry.Device) { registered++ })
 	for _, d := range f.devs {
 		if err := reg.Register(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if reg.Len() != 3 || registered != 3 {
-		t.Fatalf("Len=%d hooks=%d", reg.Len(), registered)
-	}
 	if err := reg.Register(f.devs["modbus"]); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if got := reg.ByProtocol(ProtocolModbus); len(got) != 1 || got[0].ID != "press-1" {
-		t.Fatalf("ByProtocol = %v", got)
+	byID := map[registry.DeviceID]*registry.Device{}
+	for _, d := range reg.All() {
+		byID[d.ID] = d
 	}
-	d, err := reg.Lookup("tag-42")
-	if err != nil || d.Vendor != "Nordic-ish" {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if _, ok := d.Capability("humidity"); !ok {
-		t.Fatal("capability lookup failed")
-	}
-	if err := reg.Deregister("tag-42"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Lookup("tag-42"); err == nil {
-		t.Fatal("lookup after deregister succeeded")
+	if len(byID) != 3 || byID["press-1"].Protocol != ProtocolModbus || byID["tag-42"].Vendor != "Nordic-ish" {
+		t.Fatalf("All = %v", reg.All())
 	}
 	o := registry.Observation{Device: "press-1", Cap: "temp"}
 	if o.Topic() != "obs/press-1/temp" {

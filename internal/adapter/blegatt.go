@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"iiotds/internal/registry"
 )
 
 // ProtocolBLEGatt names the BLE-GATT-like TLV protocol: characteristics
@@ -99,9 +97,9 @@ func NewGattAdapter() *GattAdapter { return newFamily(gattCodec) }
 // GattEmulator is a synthetic BLE-GATT-like peripheral.
 type GattEmulator = emulator[GattChar]
 
-// NewGattEmulator creates an emulator for dev with characteristic map m.
-func NewGattEmulator(dev *registry.Device, m GattMap) *GattEmulator {
-	return newEmulator(gattCodec, dev, m)
+// NewGattEmulator creates an emulator with characteristic map m.
+func NewGattEmulator(m GattMap) *GattEmulator {
+	return newEmulator(gattCodec, m)
 }
 
 var (

@@ -166,20 +166,16 @@ func (f *family[P]) EncodeCommand(dev *registry.Device, cmd registry.Command) ([
 // emulator is the one synthetic field device; a family's codec gives it
 // its wire format.
 type emulator[P point] struct {
-	c   *codec[P]
-	dev *registry.Device
-	t   table[P]
+	c *codec[P]
+	t table[P]
 
 	mu    sync.Mutex
 	state map[string]float64
 }
 
-func newEmulator[P point](c *codec[P], dev *registry.Device, m map[string]P) *emulator[P] {
-	return &emulator[P]{c: c, dev: dev, t: newTable(m), state: make(map[string]float64)}
+func newEmulator[P point](c *codec[P], m map[string]P) *emulator[P] {
+	return &emulator[P]{c: c, t: newTable(m), state: make(map[string]float64)}
 }
-
-// Device implements Emulator.
-func (e *emulator[P]) Device() *registry.Device { return e.dev }
 
 // Frame implements Emulator.
 func (e *emulator[P]) Frame() []byte {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"iiotds/internal/registry"
 )
 
 // ProtocolModbus names the Modbus-like register protocol.
@@ -107,9 +105,9 @@ func NewModbusAdapter() *ModbusAdapter { return newFamily(modbusCodec) }
 // ModbusEmulator is a synthetic Modbus-like device.
 type ModbusEmulator = emulator[ModbusPoint]
 
-// NewModbusEmulator creates an emulator for dev using register map m.
-func NewModbusEmulator(dev *registry.Device, m ModbusMap) *ModbusEmulator {
-	return newEmulator(modbusCodec, dev, m)
+// NewModbusEmulator creates an emulator with register map m.
+func NewModbusEmulator(m ModbusMap) *ModbusEmulator {
+	return newEmulator(modbusCodec, m)
 }
 
 var (

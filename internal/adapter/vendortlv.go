@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"iiotds/internal/registry"
 )
 
 // ProtocolVendorTLV names the proprietary ASCII-TLV protocol: the kind of
@@ -101,9 +99,9 @@ func NewVendorTLVAdapter() *VendorTLVAdapter { return newFamily(vendorCodec) }
 // VendorTLVEmulator is a synthetic vendor-protocol device.
 type VendorTLVEmulator = emulator[VendorPoint]
 
-// NewVendorTLVEmulator creates an emulator for dev with tag map m.
-func NewVendorTLVEmulator(dev *registry.Device, m VendorMap) *VendorTLVEmulator {
-	return newEmulator(vendorCodec, dev, m)
+// NewVendorTLVEmulator creates an emulator with tag map m.
+func NewVendorTLVEmulator(m VendorMap) *VendorTLVEmulator {
+	return newEmulator(vendorCodec, m)
 }
 
 var (

@@ -221,15 +221,6 @@ func (n *Node) RunQuery(q Query) {
 	n.flood(q, 0)
 }
 
-// StopQuery cancels a query locally (results stop; dissemination of the
-// stop is by epoch timeout in a full system and omitted here).
-func (n *Node) StopQuery(id uint16) {
-	if st, ok := n.queries[id]; ok {
-		st.timer.Cancel()
-		delete(n.queries, id)
-	}
-}
-
 func (n *Node) flood(q Query, depth int) {
 	data, err := json.Marshal(floodMsg{Query: q, Depth: depth})
 	if err != nil {

@@ -2,8 +2,9 @@
 // what stays deleted, what is written once, which imports a file may
 // not take, that no protocol layer prints or drops a packet's journey,
 // that no internal package lives for its tests alone, that CI's test
-// selections name real tests, and that every peer-facing decoder has a
-// fuzz target. The rules read the parsed source, not its text: a
+// selections name real tests, that every peer-facing decoder has a
+// fuzz target, and that every function under internal/ is linked into
+// some binary (this rule builds the binaries and reads go tool nm). The rules read the parsed source, not its text: a
 // comment naming a deleted identifier passes, a declaration of it
 // fails. Each rule row carries a planted violation the rule must flag,
 // so no rule can pass by matching nothing.
@@ -46,6 +47,7 @@ type tree struct {
 	fset   *token.FileSet
 	files  []*srcFile
 	ci     string
+	nm     string // a planted go tool nm listing
 }
 
 var (
@@ -112,8 +114,12 @@ type plant struct{ path, src string }
 // with returns a copy of the tree with p planted in it.
 func (tr *tree) with(p plant) (*tree, error) {
 	out := *tr
-	if p.path == ciPath {
+	switch p.path {
+	case ciPath:
 		out.ci = p.src
+		return &out, nil
+	case nmPath:
+		out.nm = p.src
 		return &out, nil
 	}
 	src := p.src
@@ -195,6 +201,7 @@ type rule struct {
 	files fileSet
 	check func(tr *tree, files []*srcFile) []string // the violations
 	bad   plant
+	more  []plant // further violations, each flagged on its own
 }
 
 // TestRules holds the tree to every rule, and every rule to its planted
@@ -216,12 +223,14 @@ func TestRules(t *testing.T) {
 			for _, v := range r.check(tr, r.files.of(tr)) {
 				t.Error(v)
 			}
-			bad, err := tr.with(r.bad)
-			if err != nil {
-				t.Fatalf("planted %s: %v", r.bad.path, err)
-			}
-			if len(r.check(bad, r.files.of(bad))) == 0 {
-				t.Errorf("the violation planted in %s is not flagged:\n%s", r.bad.path, r.bad.src)
+			for _, p := range append([]plant{r.bad}, r.more...) {
+				bad, err := tr.with(p)
+				if err != nil {
+					t.Fatalf("planted %s: %v", p.path, err)
+				}
+				if len(r.check(bad, r.files.of(bad))) == 0 {
+					t.Errorf("the violation planted in %s is not flagged:\n%s", p.path, p.src)
+				}
 			}
 		})
 	}

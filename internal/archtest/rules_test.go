@@ -44,7 +44,6 @@ var peerDecoders = []decoder{
 	{"internal/coap", "Unmarshal"},
 	{"internal/coap", "reqScratch.decode"},
 	{"internal/security", "Channel.Open"},
-	{"internal/security", "Channel.OpenBuffer"},
 	{"internal/core", "Backend.handOff"},
 	{"internal/adapter", "Mux.Decode"},
 	{"internal/adapter", "emulator.Apply"},

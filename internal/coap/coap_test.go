@@ -250,9 +250,34 @@ func newWorld() *world {
 	return &world{k: sim.New(1), board: gossip.NewNetwork()}
 }
 
-func (w *world) endpoint(addr string, cfg ConnConfig) (*Conn, *gossip.Port) {
-	tr := w.board.Attach(addr)
+func (w *world) endpoint(addr string, cfg ConnConfig) (*Conn, *lossyPort) {
+	tr := &lossyPort{Port: w.board.Attach(addr)}
 	return NewConn(tr, clock.Kernel{K: w.k}, cfg), tr
+}
+
+// lossyPort is a board port with a deterministic drop schedule: it
+// loses its next dropFirst datagrams, and every dropEvery-th one, and
+// counts every Send, lost ones included.
+type lossyPort struct {
+	*gossip.Port
+	dropEvery, dropFirst, sent int
+}
+
+func (p *lossyPort) SetDropFirst(k int) { p.dropFirst = k }
+func (p *lossyPort) SetDropEvery(k int) { p.dropEvery = k }
+func (p *lossyPort) Sent() int          { return p.sent }
+
+func (p *lossyPort) Send(to string, data []byte) error {
+	p.sent++
+	lost := p.dropEvery > 0 && p.sent%p.dropEvery == 0
+	if p.dropFirst > 0 {
+		p.dropFirst--
+		lost = true
+	}
+	if lost {
+		return nil
+	}
+	return p.Port.Send(to, data)
 }
 
 func newServerConn(w *world, addr string) (*Conn, *Server) {
@@ -448,7 +473,7 @@ func TestServerDedupRepliesFromCache(t *testing.T) {
 	// Drop the server's first response so the client retransmits the
 	// same MID; the handler must run once and the cached response must
 	// be replayed.
-	srvTr := srvConn.tr.(*gossip.Port)
+	srvTr := srvConn.tr.(*lossyPort)
 	srvTr.SetDropFirst(1)
 	var resp *Message
 	cli.Get("srv", "count", func(m *Message, err error) { resp = m })

@@ -315,7 +315,7 @@ func (c *Conn) newToken() []byte {
 // is Confirmable, the message layer retransmits with exponential backoff.
 // Responses carrying Block2 with the "more" flag are fetched and
 // reassembled transparently. If the request carries Observe=0, fn fires
-// once per notification until CancelObserve.
+// once per notification for as long as the registration lasts.
 func (c *Conn) Request(addr string, req *Message, fn ResponseFunc) {
 	if fn == nil {
 		fn = func(*Message, error) {} // fire-and-forget request
@@ -381,7 +381,7 @@ func (c *Conn) Post(addr, path string, contentFormat uint32, payload []byte, fn 
 }
 
 // Observe registers for notifications of path at addr. The returned token
-// identifies the registration for CancelObserve.
+// identifies the registration.
 func (c *Conn) Observe(addr, path string, fn ResponseFunc) []byte {
 	m := &Message{Type: Confirmable, Code: CodeGET}
 	m.SetPath(path)
@@ -392,21 +392,6 @@ func (c *Conn) Observe(addr, path string, fn ResponseFunc) []byte {
 	m.Token = tok
 	c.Request(addr, m, fn)
 	return tok
-}
-
-// CancelObserve deregisters a previous Observe (RFC 7641 §3.6, with
-// Observe=1).
-func (c *Conn) CancelObserve(addr string, token []byte, path string) {
-	c.mu.Lock()
-	delete(c.awaiting, newTokenKey(addr, token))
-	c.mu.Unlock()
-	m := &Message{Type: NonConfirmable, Code: CodeGET, Token: token, MessageID: c.newMID()}
-	m.SetPath(path)
-	m.AddUintOption(OptObserve, 1)
-	data, err := m.Marshal()
-	if err == nil {
-		_ = c.tr.Send(addr, data)
-	}
 }
 
 // failRequest finishes a pending request with an error.

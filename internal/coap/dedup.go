@@ -79,10 +79,13 @@ const (
 	// little. A later chunk takes as many records as the log holds, at
 	// least dedupFirstRecs and at most dedupMaxRecs, so what the chunks
 	// hold beyond the live records stays about one chunk; it sizes its
-	// buffer by its predecessor's bytes per record.
+	// buffer by its predecessor's bytes per record, and takes no more
+	// records than fit dedupChunkBytes at that rate (at least one), so a
+	// chunk of long answers stays small too.
 	dedupFirstRecs  = 4
 	dedupFirstBytes = 64
 	dedupMaxRecs    = 1024
+	dedupChunkBytes = 64 << 10
 	// dedupMaxHeld bounds held: 1 MiB is about 13 700 answers, 3.3 s of
 	// history at 4 200 CONs/s, still longer than a CON's first
 	// retransmission timeout (2-3 s).
@@ -193,12 +196,12 @@ func (l *dedupLog) add(addr string, mid uint16, at time.Duration, m *Message) ([
 
 // grow appends a chunk with room for at least need bytes.
 func (l *dedupLog) grow(need int) *dedupChunk {
-	recs := min(max(int(l.next-l.first), dedupFirstRecs), dedupMaxRecs)
 	perRec := dedupFirstBytes
 	if n := len(l.chunks); n > 0 {
 		last := l.chunks[n-1]
 		perRec = (len(last.buf) + len(last.recs) - 1) / len(last.recs)
 	}
+	recs := min(max(int(l.next-l.first), dedupFirstRecs), dedupMaxRecs, max(dedupChunkBytes/perRec, 1))
 	c := &dedupChunk{base: l.next, recs: make([]dedupRec, 0, recs), buf: make([]byte, 0, max(recs*perRec, need))}
 	l.chunks = append(l.chunks, c)
 	l.held += c.size()

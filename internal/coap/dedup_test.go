@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"iiotds/internal/clock"
 	"iiotds/internal/sim"
@@ -172,8 +173,12 @@ func TestDedupOverload(t *testing.T) {
 // that each replay is its pair's newest answer and within its lifetime,
 // that every pair lost before its lifetime arrived before every pair
 // still held, and that the eviction counter equals the pairs lost early.
+// The log holds at most 1 MiB plus the chunk it fills: a chunk of such
+// long answers takes no more than its 64 KiB buffer, its record array
+// and room for one answer.
 func TestDedupBoundEvictsOldestFirst(t *testing.T) {
 	const lifetime, steps = 10 * time.Second, 6000
+	const bound = dedupMaxHeld + dedupChunkBytes + dedupChunkBytes/500*int(unsafe.Sizeof(dedupRec{})) + 1200
 	addrs := make([]string, 64)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("10.0.0.%d:5683", i)
@@ -203,8 +208,8 @@ func TestDedupBoundEvictsOldestFirst(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			first := log.first
 			log.expire(now, lifetime)
-			if log.held > heldBound(&log) {
-				t.Fatalf("seed %d step %d: %d B held, want <= %d", seed, step, log.held, heldBound(&log))
+			if log.held > bound {
+				t.Fatalf("seed %d step %d: %d B held, want <= %d", seed, step, log.held, bound)
 			}
 			if log.first != first {
 				lastLost, firstHeld := -1, steps
@@ -246,6 +251,9 @@ func TestDedupBoundEvictsOldestFirst(t *testing.T) {
 				data, err := log.add(key.addr, key.mid, now, m)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if log.held > bound {
+					t.Fatalf("seed %d step %d: %d B held after an answer, want <= %d", seed, step, log.held, bound)
 				}
 				a := &answer{data: data, at: now, seq: step}
 				if old := newest[key]; old != nil && old.at == now && !old.lost {

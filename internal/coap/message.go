@@ -208,9 +208,6 @@ func (m *Message) SetPath(path string) {
 	}
 }
 
-// Path reassembles the Uri-Path options into a "/"-separated path.
-func (m *Message) Path() string { return string(m.appendPath(nil)) }
-
 // appendPath appends the "/"-separated path to b, which must be empty;
 // the server resolves a request into a stack buffer this way.
 func (m *Message) appendPath(b []byte) []byte {
@@ -223,17 +220,6 @@ func (m *Message) appendPath(b []byte) []byte {
 		}
 	}
 	return b
-}
-
-// Queries returns all Uri-Query option values.
-func (m *Message) Queries() []string {
-	var out []string
-	for _, o := range m.Options {
-		if o.ID == OptURIQuery {
-			out = append(out, string(o.Value))
-		}
-	}
-	return out
 }
 
 // Marshaling errors.

@@ -209,7 +209,7 @@ func TestLPLDeploymentConverges(t *testing.T) {
 	ok, _ := d.RunUntilConverged(5 * time.Minute)
 	if !ok {
 		for i, n := range d.Nodes {
-			t.Logf("node %d rank=%d parent=%d", i, n.Router.Rank(), n.Router.Parent())
+			t.Logf("node %d parent=%d", i, n.Router.Parent())
 		}
 		t.Fatal("LPL deployment did not converge")
 	}
@@ -231,7 +231,7 @@ func TestRIMACDeploymentConverges(t *testing.T) {
 	ok, _ := d.RunUntilConverged(5 * time.Minute)
 	if !ok {
 		for i, n := range d.Nodes {
-			t.Logf("node %d rank=%d parent=%d", i, n.Router.Rank(), n.Router.Parent())
+			t.Logf("node %d parent=%d", i, n.Router.Parent())
 		}
 		t.Fatal("RI-MAC deployment did not converge")
 	}

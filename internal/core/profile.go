@@ -81,15 +81,6 @@ func Uniform(profile string, positions radio.Topology) Topology {
 	return t
 }
 
-// Positions strips the profile bindings back to radio positions.
-func (t Topology) Positions() radio.Topology {
-	out := make(radio.Topology, len(t))
-	for i, ns := range t {
-		out[i] = ns.Pos
-	}
-	return out
-}
-
 // Factories are the construction hooks NewStack composes each node's
 // stack through. A nil field means the default construction; tests can
 // interpose wrappers (e.g. a MAC that drops every third frame) without

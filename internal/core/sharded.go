@@ -207,9 +207,6 @@ func (sd *ShardedDeployment) announces(s, t int, pos radio.Position) bool {
 	return pos.X > lo-r && pos.X < hi+r
 }
 
-// Stripes returns the stripe count.
-func (sd *ShardedDeployment) Stripes() int { return len(sd.Shards) }
-
 // StripeOf returns the stripe that owns node id.
 func (sd *ShardedDeployment) StripeOf(id radio.NodeID) int { return sd.stripeOf[int(id)] }
 

@@ -2,9 +2,8 @@
 // components — the maintainability gap §V-D calls out ("little work has
 // been done on automated diagnosis of sensing and actuation components").
 // Detectors watch observation streams for the classic field failure
-// modes: stuck-at sensors, out-of-physical-range readings, drift away
-// from spatially correlated peers, and actuators whose commands have no
-// observable effect.
+// modes: stuck-at sensors, out-of-physical-range readings, and drift
+// away from spatially correlated peers.
 package diag
 
 import (
@@ -22,7 +21,6 @@ const (
 	FaultStuck FaultType = iota
 	FaultRange
 	FaultDrift
-	FaultActuator
 )
 
 // String names the fault type.
@@ -34,8 +32,6 @@ func (f FaultType) String() string {
 		return "out-of-range"
 	case FaultDrift:
 		return "drift"
-	case FaultActuator:
-		return "actuator-no-effect"
 	default:
 		return fmt.Sprintf("FaultType(%d)", int(f))
 	}
@@ -164,57 +160,6 @@ func median(vals []float64) float64 {
 	return s[mid-1] + (s[mid]-s[mid-1])/2
 }
 
-// ActuatorVerifier checks that commands have observable effects: after a
-// command, the controlled quantity must move in the expected direction
-// by MinEffect within Deadline.
-type ActuatorVerifier struct {
-	MinEffect float64
-	Deadline  time.Duration
-
-	pending   bool
-	issuedAt  time.Duration
-	baseline  float64
-	direction float64 // +1 expects increase, -1 decrease
-}
-
-// NewActuatorVerifier returns a verifier (defaults: effect 0.2 units
-// within 15 min).
-func NewActuatorVerifier(minEffect float64, deadline time.Duration) *ActuatorVerifier {
-	if minEffect == 0 {
-		minEffect = 0.2
-	}
-	if deadline == 0 {
-		deadline = 15 * time.Minute
-	}
-	return &ActuatorVerifier{MinEffect: minEffect, Deadline: deadline}
-}
-
-// Command records that an actuation was issued at time at while the
-// controlled value read baseline; direction is +1 or -1.
-func (a *ActuatorVerifier) Command(at time.Duration, baseline, direction float64) {
-	a.pending = true
-	a.issuedAt = at
-	a.baseline = baseline
-	a.direction = direction
-}
-
-// Observe feeds the controlled quantity; it returns true exactly when
-// the deadline passes without the expected effect.
-func (a *ActuatorVerifier) Observe(at time.Duration, v float64) bool {
-	if !a.pending {
-		return false
-	}
-	if (v-a.baseline)*a.direction >= a.MinEffect {
-		a.pending = false // effect observed
-		return false
-	}
-	if at-a.issuedAt > a.Deadline {
-		a.pending = false
-		return true
-	}
-	return false
-}
-
 // Engine runs the full detector suite over named sensor streams and
 // collects findings.
 type Engine struct {
@@ -274,15 +219,4 @@ func (e *Engine) Observe(sensor string, at time.Duration, v float64, peers []flo
 			Detail: fmt.Sprintf("deviates >%v from peer median", dd.Threshold),
 		})
 	}
-}
-
-// FindingsFor returns the findings for one sensor.
-func (e *Engine) FindingsFor(sensor string) []Finding {
-	var out []Finding
-	for _, f := range e.Findings {
-		if f.Sensor == sensor {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -86,35 +86,6 @@ func TestDriftDetectorNoPeers(t *testing.T) {
 	}
 }
 
-func TestActuatorVerifier(t *testing.T) {
-	v := NewActuatorVerifier(0.5, 10*time.Minute)
-	v.Command(0, 20, +1) // heater on at 20 °C
-	// Effect arrives: no fault.
-	if v.Observe(5*time.Minute, 20.7) {
-		t.Fatal("working actuator flagged")
-	}
-	// After success the verifier is idle.
-	if v.Observe(time.Hour, 20.7) {
-		t.Fatal("idle verifier flagged")
-	}
-	// Broken actuator: no effect by the deadline.
-	v.Command(2*time.Hour, 20, +1)
-	if v.Observe(2*time.Hour+5*time.Minute, 20.1) {
-		t.Fatal("flagged before deadline")
-	}
-	if !v.Observe(2*time.Hour+11*time.Minute, 20.1) {
-		t.Fatal("broken actuator not flagged")
-	}
-}
-
-func TestActuatorVerifierCoolingDirection(t *testing.T) {
-	v := NewActuatorVerifier(0.5, 10*time.Minute)
-	v.Command(0, 25, -1)
-	if v.Observe(5*time.Minute, 24.3) {
-		t.Fatal("working cooler flagged")
-	}
-}
-
 func TestEngineDetectsSeededFaults(t *testing.T) {
 	e := NewEngine(-40, 85)
 	rng := rand.New(rand.NewSource(4))
@@ -134,27 +105,38 @@ func TestEngineDetectsSeededFaults(t *testing.T) {
 		}
 		e.Observe("s3", at, v, peerVals)
 	}
-	if len(e.FindingsFor("s0")) != 0 {
-		t.Fatalf("healthy sensor flagged: %+v", e.FindingsFor("s0"))
+	if len(findingsFor(e, "s0")) != 0 {
+		t.Fatalf("healthy sensor flagged: %+v", findingsFor(e, "s0"))
 	}
 	assertHas := func(sensor string, ft FaultType) {
 		t.Helper()
-		for _, f := range e.FindingsFor(sensor) {
+		for _, f := range findingsFor(e, sensor) {
 			if f.Type == ft {
 				return
 			}
 		}
-		t.Fatalf("%s: no %v finding; got %+v", sensor, ft, e.FindingsFor(sensor))
+		t.Fatalf("%s: no %v finding; got %+v", sensor, ft, findingsFor(e, sensor))
 	}
 	assertHas("s1", FaultStuck)
 	assertHas("s2", FaultDrift)
 	assertHas("s3", FaultRange)
 }
 
+// findingsFor returns e's findings for one sensor.
+func findingsFor(e *Engine, sensor string) []Finding {
+	var out []Finding
+	for _, f := range e.Findings {
+		if f.Sensor == sensor {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 func TestFaultTypeString(t *testing.T) {
 	for ft, want := range map[FaultType]string{
 		FaultStuck: "stuck-at", FaultRange: "out-of-range",
-		FaultDrift: "drift", FaultActuator: "actuator-no-effect",
+		FaultDrift: "drift",
 	} {
 		if ft.String() != want {
 			t.Errorf("%d = %q", ft, ft.String())

@@ -49,7 +49,7 @@ func e1Fixtures(devicesPerFamily int) (*adapter.Mux, []e1Family) {
 		}
 		fams = append(fams, e1Family{
 			name: adapter.ProtocolModbus, dev: mbDev,
-			emu:  adapter.NewModbusEmulator(mbDev, mbMap),
+			emu:  adapter.NewModbusEmulator(mbMap),
 			caps: []string{"temp", "setpoint"}, wcap: "setpoint",
 		})
 		gaDev := &registry.Device{
@@ -58,7 +58,7 @@ func e1Fixtures(devicesPerFamily int) (*adapter.Mux, []e1Family) {
 		}
 		fams = append(fams, e1Family{
 			name: adapter.ProtocolBLEGatt, dev: gaDev,
-			emu:  adapter.NewGattEmulator(gaDev, gaMap),
+			emu:  adapter.NewGattEmulator(gaMap),
 			caps: []string{"humidity", "led"}, wcap: "led",
 		})
 		vtDev := &registry.Device{
@@ -67,7 +67,7 @@ func e1Fixtures(devicesPerFamily int) (*adapter.Mux, []e1Family) {
 		}
 		fams = append(fams, e1Family{
 			name: adapter.ProtocolVendorTLV, dev: vtDev,
-			emu:  adapter.NewVendorTLVEmulator(vtDev, vtMap),
+			emu:  adapter.NewVendorTLVEmulator(vtMap),
 			caps: []string{"flow", "valve"}, wcap: "valve",
 		})
 	}

@@ -117,9 +117,6 @@ func New(conn *coap.Conn, cfg Config) *Gateway {
 // handlers, discovery attributes).
 func (g *Gateway) Server() *coap.Server { return g.srv }
 
-// Cache exposes the last-value cache (the HTTP read path serves from it).
-func (g *Gateway) Cache() *Cache { return g.cache }
-
 // AddResource registers an observable resource whose GET serves from the
 // last-value cache. fallback, when non-nil, answers reads while the
 // cache is still cold (e.g. a synchronous device-adapter read); without

@@ -60,26 +60,17 @@ type Port struct {
 	net  *Network
 	name string
 	recv func(from string, data []byte)
-
-	dropEvery, dropFirst, sent int
 }
 
 // Send delivers a copy of data to the port named to, inside the call.
-// A datagram lost to this port's drop schedule or to a partition is
-// lost silently, as on a real link; only an unknown destination is an
-// error.
+// A datagram lost to a partition is lost silently, as on a real link;
+// only an unknown destination is an error.
 func (p *Port) Send(to string, data []byte) error {
 	n := p.net
 	n.mu.Lock()
-	p.sent++
-	lost := p.dropEvery > 0 && p.sent%p.dropEvery == 0
-	if p.dropFirst > 0 {
-		p.dropFirst--
-		lost = true
-	}
-	if !lost && n.partition[p.name] != n.partition[to] {
+	lost := n.partition[p.name] != n.partition[to]
+	if lost {
 		n.Dropped++
-		lost = true
 	}
 	var recv func(string, []byte)
 	dst, ok := n.ports[to]
@@ -103,28 +94,6 @@ func (p *Port) SetReceiver(fn func(from string, data []byte)) {
 	p.net.mu.Lock()
 	p.recv = fn
 	p.net.mu.Unlock()
-}
-
-// SetDropEvery makes the port lose every k-th outbound datagram
-// (deterministic loss for retransmission tests); 0 turns it off.
-func (p *Port) SetDropEvery(k int) {
-	p.net.mu.Lock()
-	p.dropEvery = k
-	p.net.mu.Unlock()
-}
-
-// SetDropFirst makes the port lose its next k outbound datagrams.
-func (p *Port) SetDropFirst(k int) {
-	p.net.mu.Lock()
-	p.dropFirst = k
-	p.net.mu.Unlock()
-}
-
-// Sent returns the number of Send calls, lost ones included.
-func (p *Port) Sent() int {
-	p.net.mu.Lock()
-	defer p.net.mu.Unlock()
-	return p.sent
 }
 
 // Self implements Messenger.

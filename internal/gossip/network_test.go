@@ -46,9 +46,8 @@ func TestPortIsTransportAndMessenger(t *testing.T) {
 	}
 }
 
-// Both fault surfaces work on one network, and each counts its own
-// losses: a port's drop schedule is checked first and is not a
-// partition drop.
+// A partition drops what crosses it and counts each drop; a send inside
+// a group is delivered, and Heal restores the rest.
 func TestPartitionAndDropOnSameNetwork(t *testing.T) {
 	n := NewNetwork()
 	a, _ := inbox(n, "a")
@@ -56,22 +55,13 @@ func TestPartitionAndDropOnSameNetwork(t *testing.T) {
 	_, gotC := inbox(n, "c")
 
 	n.SetPartition([]string{"c"})
-	a.SetDropEvery(3)
 	for i := 0; i < 4; i++ {
-		_ = a.Send("b", []byte{'0' + byte(i)}) // sends 1, 3, 5, 7: the 3rd is lost to the schedule
-		_ = a.Send("c", []byte{'0' + byte(i)}) // sends 2, 4, 6, 8: the 6th to the schedule, the rest to the partition
+		_ = a.Send("b", []byte{'0' + byte(i)})
+		_ = a.Send("c", []byte{'0' + byte(i)})
 	}
-	if want := []string{"a:0", "a:2", "a:3"}; !reflect.DeepEqual(*gotB, want) {
+	if want := []string{"a:0", "a:1", "a:2", "a:3"}; !reflect.DeepEqual(*gotB, want) {
 		t.Fatalf("b received %v, want %v", *gotB, want)
 	}
-	if len(*gotC) != 0 || n.Dropped != 3 || a.Sent() != 8 {
-		t.Fatalf("c received %v, Dropped %d, Sent %d; want nothing, 3, 8", *gotC, n.Dropped, a.Sent())
-	}
-
-	a.SetDropEvery(0)
-	a.SetDropFirst(1)
-	_ = a.Send("c", []byte("x")) // dropFirst
-	_ = a.Send("c", []byte("y")) // partition
 	if len(*gotC) != 0 || n.Dropped != 4 {
 		t.Fatalf("c received %v, Dropped %d; want nothing and 4", *gotC, n.Dropped)
 	}

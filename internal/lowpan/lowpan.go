@@ -322,6 +322,3 @@ func (a *Adaptation) expire(now time.Duration) {
 		}
 	}
 }
-
-// PendingReassemblies returns the number of incomplete datagrams held.
-func (a *Adaptation) PendingReassemblies() int { return len(a.reasm) }

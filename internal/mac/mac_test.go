@@ -14,7 +14,8 @@ import (
 
 func TestFrameDecodeRoundTrip(t *testing.T) {
 	f := func(kind byte, seq uint16, payload []byte) bool {
-		b := netbuf.FromBytes(payload)
+		b := netbuf.New()
+		b.Append(payload)
 		frame(b, Kind(kind), seq)
 		k, s, p, err := decode(b.Bytes())
 		return err == nil && k == Kind(kind) && s == seq && bytes.Equal(p, payload)

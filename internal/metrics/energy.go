@@ -27,24 +27,6 @@ const (
 	numStates
 )
 
-// String returns the state name.
-func (s RadioState) String() string {
-	switch s {
-	case StateSleep:
-		return "sleep"
-	case StateListen:
-		return "listen"
-	case StateRx:
-		return "rx"
-	case StateTx:
-		return "tx"
-	case StateCPU:
-		return "cpu"
-	default:
-		return fmt.Sprintf("RadioState(%d)", int(s))
-	}
-}
-
 // PowerProfile gives the power draw, in watts, of each radio state.
 type PowerProfile struct {
 	Sleep  float64
@@ -157,20 +139,6 @@ func (l *EnergyLedger) Duration(s RadioState) time.Duration {
 // (listen + rx + tx) — the quantity duty-cycling minimizes.
 func (l *EnergyLedger) RadioOn() time.Duration {
 	return l.Duration(StateListen) + l.Duration(StateRx) + l.Duration(StateTx)
-}
-
-// DutyCycle returns the fraction of total accounted time with the radio
-// powered. It returns 0 when nothing has been accounted.
-func (l *EnergyLedger) DutyCycle() float64 {
-	var total time.Duration
-	for s := RadioState(0); s < numStates; s++ {
-		total += l.Duration(s)
-	}
-	if total == 0 {
-		return 0
-	}
-	on := l.RadioOn()
-	return float64(on) / float64(total)
 }
 
 // EnergySet tracks ledgers for a population of nodes keyed by an integer

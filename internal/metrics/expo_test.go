@@ -29,15 +29,26 @@ func TestLabeledSeriesIdentity(t *testing.T) {
 	}
 }
 
+// Two label sets of one counter name are one family in the exposition:
+// each distinct name gets one TYPE line.
 func TestCounterNamesDistinct(t *testing.T) {
 	r := NewRegistry()
 	r.CounterWith("mac.retries", L("mac", "csma")).Inc()
 	r.CounterWith("mac.retries", L("mac", "lpl")).Inc()
 	r.Counter("radio.tx_frames").Inc()
-	names := r.CounterNames()
-	want := []string{"mac.retries", "radio.tx_frames"}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names = append(names, f)
+		}
+	}
+	want := []string{"mac_retries counter", "radio_tx_frames counter"}
 	if len(names) != 2 || names[0] != want[0] || names[1] != want[1] {
-		t.Fatalf("CounterNames() = %v, want %v", names, want)
+		t.Fatalf("TYPE lines = %v, want %v", names, want)
 	}
 }
 

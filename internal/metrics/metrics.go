@@ -63,13 +63,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add adjusts the gauge by d (which may be negative).
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
-	g.mu.Unlock()
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	g.mu.Lock()
@@ -99,32 +92,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration sample in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the sample mean, or 0 if empty. Empty histograms yield
-// defined values (not NaN) so report formatting and JSON encoding never
-// have to special-case missing data.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sum / float64(len(h.samples))
-}
-
 func (h *Histogram) sortLocked() {
 	if !h.sorted {
 		sort.Float64s(h.samples)
@@ -153,33 +120,6 @@ func (h *Histogram) stddevLocked() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / n)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank. An
-// empty histogram returns 0; a single sample is every quantile.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.rankLocked(q)
-}
-
-// Min returns the smallest sample, or 0 if empty.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
-
-// Max returns the largest sample, or 0 if empty.
-func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Stddev returns the population standard deviation, or 0 if empty.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.stddevLocked()
 }
 
 // HistStats is a point-in-time digest of a histogram, computed in one
@@ -217,15 +157,6 @@ func (h *Histogram) Stats() HistStats {
 		P90:    h.rankLocked(0.9),
 		P99:    h.rankLocked(0.99),
 	}
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = true
-	h.mu.Unlock()
 }
 
 // Label is one key=value dimension of a metric series. A metric name
@@ -357,20 +288,4 @@ func (r *Registry) Histogram(name string) *Histogram { return r.HistogramWith(na
 // creating it if needed.
 func (r *Registry) HistogramWith(name string, labels ...Label) *Histogram {
 	return lookup[Histogram](r, KindHistogram, name, labels)
-}
-
-// CounterNames returns the sorted distinct names of all counter series.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	var names []string
-	for _, s := range r.table {
-		if s.m[KindCounter] != nil && !seen[s.name] {
-			seen[s.name] = true
-			names = append(names, s.name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

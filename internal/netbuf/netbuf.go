@@ -114,14 +114,6 @@ func (j *Journeys) SetCurrent(id uint64) (prev uint64) {
 // deterministically instead of silently observing the next packet.
 func (p *Pool) SetPoison(on bool) { p.poison = on }
 
-// Stats returns a snapshot of the pool counters.
-func (p *Pool) Stats() Stats {
-	s := p.stats
-	s.Free = len(p.free)
-	s.Live = int(s.Gets) - int(s.Puts)
-	return s
-}
-
 // Get returns an empty buffer with DefaultHeadroom reserved and
 // refcount 1. The caller owns the sole reference.
 func (p *Pool) Get() *Buffer {
@@ -152,7 +144,7 @@ func (p *Pool) put(b *Buffer) {
 }
 
 // Buffer is a refcounted window over a backing array. The zero value
-// is not usable; obtain buffers from a Pool, New, or FromBytes.
+// is not usable; obtain buffers from a Pool or New.
 type Buffer struct {
 	data     []byte
 	off, end int
@@ -168,14 +160,6 @@ func New() *Buffer {
 	return &Buffer{data: make([]byte, defaultSize), off: DefaultHeadroom, end: DefaultHeadroom, refs: 1}
 }
 
-// FromBytes returns an unpooled buffer whose content is a copy of p,
-// with DefaultHeadroom reserved in front. Convenient in tests.
-func FromBytes(p []byte) *Buffer {
-	b := New()
-	b.Append(p)
-	return b
-}
-
 func (b *Buffer) check() {
 	if b.refs <= 0 {
 		panic("netbuf: use of released buffer")
@@ -185,19 +169,10 @@ func (b *Buffer) check() {
 // Len returns the number of payload bytes in the window.
 func (b *Buffer) Len() int { b.check(); return b.end - b.off }
 
-// Headroom returns how many bytes Prepend can claim without growing.
-func (b *Buffer) Headroom() int { b.check(); return b.off }
-
-// Generation returns the buffer's pool-reuse generation. It increments
-// every time the buffer is returned to its pool, so a holder of a
-// stale reference can detect that the struct now carries a different
-// packet.
-func (b *Buffer) Generation() uint64 { return b.gen }
-
 // Journey returns the ID of the logical packet this buffer carries, or
 // 0 if none was assigned. The ID is sideband metadata — it never goes
 // on the air — stamped by 6LoWPAN encoding and preserved across
-// Prepend/TrimFront/Clone/retransmit so flight-recorder events emitted
+// Prepend/Clone/retransmit so flight-recorder events emitted
 // anywhere along the path correlate to one journey.
 func (b *Buffer) Journey() uint64 { b.check(); return b.journey }
 
@@ -205,7 +180,7 @@ func (b *Buffer) Journey() uint64 { b.check(); return b.journey }
 func (b *Buffer) SetJourney(id uint64) { b.check(); b.journey = id }
 
 // Bytes returns the payload window. The slice is a view into the
-// buffer: it is invalidated by Prepend/TrimFront/grow and must not be
+// buffer: it is invalidated by Prepend/grow and must not be
 // retained past Release.
 func (b *Buffer) Bytes() []byte { b.check(); return b.data[b.off:b.end] }
 
@@ -222,16 +197,6 @@ func (b *Buffer) Prepend(n int) []byte {
 	}
 	b.off -= n
 	return b.data[b.off : b.off+n]
-}
-
-// TrimFront shrinks the window n bytes at the front — the receive-side
-// inverse of Prepend, used by each layer to strip its header in place.
-func (b *Buffer) TrimFront(n int) {
-	b.check()
-	if n < 0 || n > b.Len() {
-		panic("netbuf: TrimFront out of range")
-	}
-	b.off += n
 }
 
 // Append copies p onto the end of the window, growing if needed.
@@ -251,15 +216,6 @@ func (b *Buffer) Extend(n int) []byte {
 	}
 	b.end += n
 	return b.data[b.end-n : b.end]
-}
-
-// Truncate shrinks the window to n bytes, dropping the tail.
-func (b *Buffer) Truncate(n int) {
-	b.check()
-	if n < 0 || n > b.Len() {
-		panic("netbuf: Truncate out of range")
-	}
-	b.end = b.off + n
 }
 
 // Reset empties the buffer and restores DefaultHeadroom.

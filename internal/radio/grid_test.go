@@ -139,10 +139,8 @@ func (tw *twins) requireSame(t *testing.T, ctx string) {
 	if !reflect.DeepEqual(tw.log[0], tw.log[1]) {
 		t.Fatalf("%s: delivery logs differ:\n indexed %v\n brute   %v", ctx, tw.log[0], tw.log[1])
 	}
-	for _, name := range tw.m[1].Registry().CounterNames() {
-		if a, b := tw.m[0].Registry().Counter(name).Value(), tw.m[1].Registry().Counter(name).Value(); a != b {
-			t.Fatalf("%s: %s indexed %v != brute %v", ctx, name, a, b)
-		}
+	if a, b := counterPoints(tw.m[0].Registry()), counterPoints(tw.m[1].Registry()); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: counters differ:\n indexed %v\n brute   %v", ctx, a, b)
 	}
 	for _, n := range tw.m[1].ordered {
 		for _, st := range []metrics.RadioState{metrics.StateTx, metrics.StateRx} {
@@ -154,6 +152,17 @@ func (tw *twins) requireSame(t *testing.T, ctx string) {
 	if a, b := tw.k[0].Rand().Int63(), tw.k[1].Rand().Int63(); a != b {
 		t.Fatalf("%s: the kernels' next random draw differs: %d != %d", ctx, a, b)
 	}
+}
+
+// counterPoints returns the counter series of r, in Snapshot order.
+func counterPoints(r *metrics.Registry) []metrics.Point {
+	var out []metrics.Point
+	for _, p := range r.Snapshot() {
+		if p.Kind == metrics.KindCounter {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // audible reports whether from's signal carries to to at all (within

@@ -408,14 +408,6 @@ func (m *Medium) newNode() *nodeState {
 	return &m.chunk[len(m.chunk)-1]
 }
 
-// SetPosition moves a node (e.g., a mobile asset tag). Any move voids
-// every sender's link list (layoutGen) and the hearing state.
-func (m *Medium) SetPosition(id NodeID, pos Position) {
-	m.mustNode(id).pos = pos
-	m.layoutGen++
-	m.stale = true
-}
-
 // SetBruteForce forces (true) or restores (false) the reference O(N)
 // medium: every send rescans all nodes for its links instead of keeping
 // the sender's link list. Both visit the same receivers in the same ID

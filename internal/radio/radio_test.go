@@ -39,7 +39,8 @@ func TestDeliveryInRange(t *testing.T) {
 	k, m := newTestMedium(t)
 	attach(m, 1, 0, 0)
 	c2 := attach(m, 2, 10, 0)
-	pl := netbuf.FromBytes([]byte("hello"))
+	pl := netbuf.New()
+	pl.Append([]byte("hello"))
 	m.Send(Frame{From: 1, To: 2, Payload: pl, Size: 20})
 	pl.Release() // the medium's flight reference keeps it alive
 	k.Run()

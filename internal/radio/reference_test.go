@@ -391,10 +391,8 @@ func referenceSequence(t *testing.T, seed int64, nodes int) {
 	if !reflect.DeepEqual(a.log, b.log) {
 		t.Fatalf("%s: hand-overs differ:\n under test %v\n reference  %v", ctx, a.log, b.log)
 	}
-	for _, name := range b.m.Registry().CounterNames() {
-		if x, y := a.m.Registry().Counter(name).Value(), b.m.Registry().Counter(name).Value(); x != y {
-			t.Fatalf("%s: %s under test %v != reference %v", ctx, name, x, y)
-		}
+	if x, y := counterPoints(a.m.Registry()), counterPoints(b.m.Registry()); !reflect.DeepEqual(x, y) {
+		t.Fatalf("%s: counters differ:\n under test %v\n reference  %v", ctx, x, y)
 	}
 	if x, y := a.rec.Events(), b.rec.Events(); !reflect.DeepEqual(x, y) {
 		t.Fatalf("%s: trace events differ (%d under test, %d reference)", ctx, len(x), len(y))

@@ -50,16 +50,6 @@ type Device struct {
 	Caps     []Capability
 }
 
-// Capability returns the named capability.
-func (d *Device) Capability(name string) (Capability, bool) {
-	for _, c := range d.Caps {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Capability{}, false
-}
-
 // Observation is a canonical sensor reading.
 type Observation struct {
 	Device DeviceID
@@ -81,17 +71,13 @@ type Command struct {
 	Value  float64
 }
 
-// Registry errors.
-var (
-	ErrDuplicate = errors.New("registry: device already registered")
-	ErrNotFound  = errors.New("registry: device not found")
-)
+// ErrDuplicate is Register's answer to an ID already registered.
+var ErrDuplicate = errors.New("registry: device already registered")
 
 // Registry tracks registered devices. Safe for concurrent use.
 type Registry struct {
 	mu      sync.Mutex
 	devices map[DeviceID]*Device
-	hooks   []func(*Device)
 }
 
 // New returns an empty registry.
@@ -105,47 +91,12 @@ func (r *Registry) Register(d *Device) error {
 		return errors.New("registry: empty device ID")
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if _, dup := r.devices[d.ID]; dup {
-		r.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDuplicate, d.ID)
 	}
 	r.devices[d.ID] = d
-	hooks := make([]func(*Device), len(r.hooks))
-	copy(hooks, r.hooks)
-	r.mu.Unlock()
-	for _, h := range hooks {
-		h(d)
-	}
 	return nil
-}
-
-// Deregister removes a device.
-func (r *Registry) Deregister(id DeviceID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.devices[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	delete(r.devices, id)
-	return nil
-}
-
-// Lookup returns the device with the given ID.
-func (r *Registry) Lookup(id DeviceID) (*Device, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, ok := r.devices[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return d, nil
-}
-
-// OnRegister adds a hook called for each newly registered device.
-func (r *Registry) OnRegister(h func(*Device)) {
-	r.mu.Lock()
-	r.hooks = append(r.hooks, h)
-	r.mu.Unlock()
 }
 
 // All returns all devices sorted by ID.
@@ -158,33 +109,4 @@ func (r *Registry) All() []*Device {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// ByProtocol returns devices speaking the given protocol, sorted by ID.
-func (r *Registry) ByProtocol(proto string) []*Device {
-	var out []*Device
-	for _, d := range r.All() {
-		if d.Protocol == proto {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// ByTenant returns devices of one administrative domain, sorted by ID.
-func (r *Registry) ByTenant(tenant string) []*Device {
-	var out []*Device
-	for _, d := range r.All() {
-		if d.Tenant == tenant {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Len returns the number of registered devices.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.devices)
 }

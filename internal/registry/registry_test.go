@@ -21,21 +21,11 @@ func TestRegisterLookupDeregister(t *testing.T) {
 	if err := r.Register(device("d1")); err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Lookup("d1")
-	if err != nil || d.Vendor != "v" {
-		t.Fatalf("Lookup: %v", err)
+	if all := r.All(); len(all) != 1 || all[0].Vendor != "v" {
+		t.Fatalf("All = %v", all)
 	}
 	if err := r.Register(device("d1")); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate err = %v", err)
-	}
-	if err := r.Deregister("d1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Lookup("d1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("post-deregister err = %v", err)
-	}
-	if err := r.Deregister("d1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double deregister err = %v", err)
 	}
 }
 
@@ -43,17 +33,6 @@ func TestRegisterValidation(t *testing.T) {
 	r := New()
 	if err := r.Register(&Device{}); err == nil {
 		t.Fatal("empty ID accepted")
-	}
-}
-
-func TestHooksFireOnRegister(t *testing.T) {
-	r := New()
-	var got []DeviceID
-	r.OnRegister(func(d *Device) { got = append(got, d.ID) })
-	_ = r.Register(device("a"))
-	_ = r.Register(device("b"))
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("hooks = %v", got)
 	}
 }
 
@@ -70,28 +49,8 @@ func TestQueriesSortedAndFiltered(t *testing.T) {
 	if len(all) != 3 || all[0].ID != "a" || all[2].ID != "c" {
 		t.Fatalf("All = %v", all)
 	}
-	if got := r.ByProtocol("modbus"); len(got) != 2 {
-		t.Fatalf("ByProtocol = %d", len(got))
-	}
-	if got := r.ByTenant("globex"); len(got) != 1 || got[0].ID != "c" {
-		t.Fatalf("ByTenant = %v", got)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-}
-
-func TestCapabilityLookup(t *testing.T) {
-	d := device("x")
-	c, ok := d.Capability("valve")
-	if !ok || c.Kind != KindActuator {
-		t.Fatalf("Capability = %+v ok=%v", c, ok)
-	}
-	if _, ok := d.Capability("ghost"); ok {
-		t.Fatal("phantom capability")
-	}
-	if KindSensor.String() != "sensor" || KindActuator.String() != "actuator" {
-		t.Fatal("kind strings wrong")
+	if all[2].Protocol != "blegatt" || all[2].Tenant != "globex" {
+		t.Fatalf("All()[2] = %+v", all[2])
 	}
 }
 
@@ -99,5 +58,8 @@ func TestObservationTopic(t *testing.T) {
 	o := Observation{Device: "press-1", Cap: "temp", Value: 20, At: time.Second}
 	if o.Topic() != "obs/press-1/temp" {
 		t.Fatalf("Topic = %q", o.Topic())
+	}
+	if KindSensor.String() != "sensor" || KindActuator.String() != "actuator" {
+		t.Fatal("kind strings wrong")
 	}
 }

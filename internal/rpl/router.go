@@ -188,23 +188,11 @@ func NewRouter(k *sim.Kernel, lnk *link.Link, isRoot bool, root radio.NodeID, cf
 	return r
 }
 
-// ID returns this node's ID.
-func (r *Router) ID() radio.NodeID { return r.id }
-
-// Rank returns the node's current rank (InfiniteRank when detached).
-func (r *Router) Rank() uint16 { return r.rank }
-
 // Parent returns the preferred parent, or NoParent.
 func (r *Router) Parent() radio.NodeID { return r.parent }
 
-// Root returns the DODAG root's node ID.
-func (r *Router) Root() radio.NodeID { return r.root }
-
 // IsRoot reports whether this node is the DODAG root.
 func (r *Router) IsRoot() bool { return r.isRoot }
-
-// Version returns the DODAG version this node participates in.
-func (r *Router) Version() uint8 { return r.version }
 
 // Joined reports whether the node has ever joined the DODAG, and at what
 // time it first did.
@@ -218,15 +206,9 @@ func (r *Router) Partitioned() bool { return !r.isRoot && r.parent == NoParent }
 // root failed.
 func (r *Router) RootDead() bool { return r.rootDead }
 
-// Trickle exposes the DIO trickle timer (for overhead accounting).
-func (r *Router) Trickle() *Trickle { return r.trickle }
-
 // SetRecorder installs the flight recorder routing events are traced
 // into. RNFD (if enabled) shares the router's recorder.
 func (r *Router) SetRecorder(rec *trace.Recorder) { r.rec = rec }
-
-// RouteCount returns the number of stored downward routes.
-func (r *Router) RouteCount() int { return len(r.downRoutes) }
 
 // Handle registers the delivery handler for proto.
 func (r *Router) Handle(proto lowpan.Proto, h DeliverFunc) {
@@ -289,16 +271,6 @@ func (r *Router) Restart() {
 		r.version++
 	}
 	r.Start()
-}
-
-// GlobalRepair (root only) bumps the DODAG version, forcing the whole
-// network to rebuild — RPL's heavyweight repair.
-func (r *Router) GlobalRepair() {
-	if !r.isRoot {
-		panic("rpl: GlobalRepair on non-root")
-	}
-	r.version++
-	r.trickle.Reset()
 }
 
 // --- control plane ---

@@ -445,7 +445,10 @@ func TestRNFDVerdictVisibleInTrace(t *testing.T) {
 	// Every node that emitted a verdict must report the root dead, and
 	// at least one must exist.
 	verdictNodes := 0
-	rec.Each(trace.All().ByType(trace.RNFDVerdict), func(e trace.Event) {
+	rec.Each(trace.All(), func(e trace.Event) {
+		if e.Type != trace.RNFDVerdict {
+			return
+		}
 		verdictNodes++
 		if !net.routers[e.Node].RootDead() {
 			t.Errorf("node %d emitted a verdict but RootDead() is false", e.Node)

@@ -109,9 +109,6 @@ func (t *Trickle) Reset() {
 	t.beginInterval()
 }
 
-// Interval returns the current interval length.
-func (t *Trickle) Interval() time.Duration { return t.interval }
-
 func (t *Trickle) beginInterval() {
 	t.counter = 0
 	// Fire at a uniformly random point in the second half of the interval.

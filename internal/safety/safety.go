@@ -9,7 +9,6 @@ package safety
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -155,34 +154,6 @@ func (m *Monitor) ReportOf(rule string) Report {
 		SoftTime:       st.softTime,
 		SoftSeverity:   st.softIntegal,
 	}
-}
-
-// Rules returns all rule names, sorted.
-func (m *Monitor) Rules() []string {
-	out := make([]string, 0, len(m.rules))
-	for r := range m.rules {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Revenue models the §V-B provider contract: reward for energy saved
-// against a baseline, penalties proportional to soft-violation severity
-// and per hard violation.
-type Revenue struct {
-	// EnergyPrice is revenue per joule saved vs. the baseline.
-	EnergyPrice float64
-	// SoftPenalty is cost per unit·second of soft-band severity.
-	SoftPenalty float64
-	// HardPenalty is cost per hard violation episode.
-	HardPenalty float64
-}
-
-// Evaluate computes the provider's net revenue.
-func (r Revenue) Evaluate(baselineEnergy, actualEnergy float64, rep Report) float64 {
-	saved := baselineEnergy - actualEnergy
-	return r.EnergyPrice*saved - r.SoftPenalty*rep.SoftSeverity - r.HardPenalty*float64(rep.HardViolations)
 }
 
 // ComfortBand builds a temperature band around a setpoint: soft margin

@@ -120,13 +120,3 @@ func TestRulesSorted(t *testing.T) {
 		t.Fatalf("Rules = %v", rules)
 	}
 }
-
-func TestRevenue(t *testing.T) {
-	r := Revenue{EnergyPrice: 2, SoftPenalty: 0.5, HardPenalty: 100}
-	rep := Report{SoftSeverity: 10, HardViolations: 1}
-	// saved = 50 J → 100 revenue − 5 soft − 100 hard = −5.
-	got := r.Evaluate(150, 100, rep)
-	if got != -5 {
-		t.Fatalf("revenue = %v, want -5", got)
-	}
-}

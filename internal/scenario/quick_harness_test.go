@@ -1,5 +1,8 @@
 package scenario
 
+// The property harness: Quick draws random specs, runs them through Run
+// and shrinks each failure to a one-line reproducer. Only tests sweep.
+
 import (
 	"fmt"
 	"hash/fnv"

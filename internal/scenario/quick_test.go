@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"iiotds/internal/trial"
 )
 
 func TestQuickCleanFleetPasses(t *testing.T) {
@@ -144,5 +146,32 @@ func TestShrinkPrefersSimplerSpecs(t *testing.T) {
 	}
 	if shrunk.Topo.Nodes() >= spec.Topo.Nodes() {
 		t.Errorf("shrink did not reduce the fleet: %d vs %d", shrunk.Topo.Nodes(), spec.Topo.Nodes())
+	}
+}
+
+// TestScenarioQuickDeterminism pins the property harness to the same
+// parallelism contract as the experiment tables: a fixed-seed
+// scenario.Quick sweep produces a byte-identical report log (including
+// the FNV digest over every trial's full Result) on one worker and on
+// eight. The harness fans triples across the same trial runner the
+// experiments use, so this is the end-to-end proof that a CI property
+// failure replays identically on a laptop at any -parallel.
+func TestScenarioQuickDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment suite")
+	}
+	cfg := QuickConfig{Triples: 12, Seed: 5}
+	trial.SetParallelism(1)
+	seq := Quick(cfg)
+	trial.SetParallelism(8)
+	par := Quick(cfg)
+	trial.SetParallelism(0)
+	defer trial.SetParallelism(0)
+	if seq.Log != par.Log {
+		t.Fatalf("scenario.Quick log at -parallel 8 differs from -parallel 1:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+			seq.Log, par.Log)
+	}
+	if seq.Failed() {
+		t.Fatalf("clean stack failed the property sweep:\n%s", seq.Log)
 	}
 }

@@ -193,40 +193,6 @@ func (c *Channel) SealBuffer(b *netbuf.Buffer, aad []byte) {
 	binary.BigEndian.PutUint64(h[1:headerLen], c.ctr)
 }
 
-// OpenBuffer verifies and decrypts a sealed frame in place, trimming
-// the header and tag so b holds exactly the plaintext on success. On
-// error b's contents are undefined and the caller should Release it.
-func (c *Channel) OpenBuffer(b *netbuf.Buffer, aad []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b.Len() < headerLen+tagSize {
-		c.RejectedFrames++
-		return ErrTooShort
-	}
-	frame := b.Bytes()
-	if frame[0] != c.keyID {
-		c.RejectedFrames++
-		return fmt.Errorf("%w: id %d", ErrNoKey, frame[0])
-	}
-	ctr := binary.BigEndian.Uint64(frame[1:headerLen])
-	b.TrimFront(headerLen)
-	ct := b.Bytes()
-	binary.BigEndian.PutUint64(c.nbuf[4:], ctr)
-	plain, err := c.aead.Open(ct[:0], c.nbuf[:], ct, aad)
-	if err != nil {
-		c.RejectedFrames++
-		return ErrAuth
-	}
-	b.Truncate(len(plain))
-	// Replay check after authentication: only genuine frames may
-	// advance the window.
-	if !c.replay.Check(ctr) {
-		c.RejectedFrames++
-		return ErrReplay
-	}
-	return nil
-}
-
 // Open verifies and decrypts a frame, enforcing key ID, authenticity,
 // and replay freshness.
 func (c *Channel) Open(frame, aad []byte) ([]byte, error) {

@@ -229,8 +229,8 @@ func TestPropertySealOpenAnyPayload(t *testing.T) {
 
 // TestSealBufferMatchesSeal pins the in-place buffer path to the slice
 // path byte for byte: two channels with the same key and counter state
-// must produce identical on-air frames, and OpenBuffer must recover the
-// plaintext in place (header and tag trimmed).
+// must produce identical on-air frames, and Open must recover the
+// plaintext.
 func TestSealBufferMatchesSeal(t *testing.T) {
 	txA, _ := pair(t)
 	txB, rx := pair(t)
@@ -248,63 +248,10 @@ func TestSealBufferMatchesSeal(t *testing.T) {
 			t.Fatalf("round %d: SealBuffer %x != Seal %x", i, b.Bytes(), want)
 		}
 
-		if err := rx.OpenBuffer(b, aad); err != nil {
-			t.Fatalf("round %d: OpenBuffer: %v", i, err)
-		}
-		if !bytes.Equal(b.Bytes(), pt) {
-			t.Fatalf("round %d: OpenBuffer left %x, want %x", i, b.Bytes(), pt)
+		if got, err := rx.Open(b.Bytes(), aad); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("round %d: Open = %x, %v, want %x", i, got, err, pt)
 		}
 		b.Release()
-	}
-}
-
-// TestOpenBufferRejections mirrors Open's error contract on the in-place
-// path: short frames, wrong key IDs, tampered bytes, and replays.
-func TestOpenBufferRejections(t *testing.T) {
-	tx, rx := pair(t)
-	pool := netbuf.NewPool()
-
-	short := pool.Get()
-	short.Append([]byte{1, 2, 3})
-	if err := rx.OpenBuffer(short, nil); err != ErrTooShort {
-		t.Fatalf("short frame: %v", err)
-	}
-	short.Release()
-
-	mk := func(pt []byte) *netbuf.Buffer {
-		b := pool.Get()
-		b.Append(pt)
-		tx.SealBuffer(b, nil)
-		return b
-	}
-
-	wrong := mk([]byte("x"))
-	wrong.Bytes()[0] ^= 0xFF // wrong key ID
-	if err := rx.OpenBuffer(wrong, nil); err == nil {
-		t.Fatal("wrong key ID accepted")
-	}
-	wrong.Release()
-
-	tampered := mk([]byte("y"))
-	tampered.Bytes()[tampered.Len()-1] ^= 1
-	if err := rx.OpenBuffer(tampered, nil); err != ErrAuth {
-		t.Fatalf("tampered frame: %v", err)
-	}
-	tampered.Release()
-
-	fresh := mk([]byte("z"))
-	replay := fresh.Clone()
-	if err := rx.OpenBuffer(fresh, nil); err != nil {
-		t.Fatal(err)
-	}
-	fresh.Release()
-	if err := rx.OpenBuffer(replay, nil); err != ErrReplay {
-		t.Fatalf("replayed frame: %v", err)
-	}
-	replay.Release()
-
-	if rx.RejectedFrames != 4 {
-		t.Fatalf("RejectedFrames = %d, want 4", rx.RejectedFrames)
 	}
 }
 

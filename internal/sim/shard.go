@@ -109,15 +109,6 @@ func NewShardGroup(lookahead Time, kernels ...*Kernel) *ShardGroup {
 	return &ShardGroup{kernels: kernels, lookahead: lookahead, workers: 1, out: queues(), due: queues(), ctl: New(0)}
 }
 
-// Kernels returns the stripes in index order.
-func (g *ShardGroup) Kernels() []*Kernel { return g.kernels }
-
-// Kernel returns stripe i's kernel.
-func (g *ShardGroup) Kernel(i int) *Kernel { return g.kernels[i] }
-
-// Stripes returns the stripe count.
-func (g *ShardGroup) Stripes() int { return len(g.kernels) }
-
 // Lookahead returns the group's conservative lookahead.
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
@@ -169,8 +160,8 @@ func (g *ShardGroup) PostBatch(src, dst int, apply func() int) {
 // driver goroutine at their exact instant — windows are cut short to
 // land a barrier there — after that barrier's handoffs and before any
 // stripe event at that instant. Schedule on it and cancel freely, but
-// only the group advances it. It is not one of Kernels(), and its
-// events are not in Stats().
+// only the group advances it. It is not one of the stripe kernels, and
+// its events are not in Stats().
 func (g *ShardGroup) Control() *Kernel { return g.ctl }
 
 // nextEvent returns the earliest queued event across all stripes.

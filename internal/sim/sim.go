@@ -46,10 +46,6 @@ type Event struct {
 	at  Time
 }
 
-// At returns the virtual time at which the event fires (or fired, or
-// would have fired if canceled).
-func (ev Event) At() Time { return ev.at }
-
 // live reports whether the handle still refers to a queued event.
 func (ev Event) live() bool {
 	return ev.e != nil && ev.e.gen == ev.gen && ev.e.index >= 0
@@ -68,9 +64,6 @@ func (ev Event) Cancel() bool {
 	e.k.recycle(e)
 	return true
 }
-
-// Pending reports whether the event is still queued.
-func (ev Event) Pending() bool { return ev.live() }
 
 // slot is one heap entry. The ordering key sits inline beside the event
 // pointer, so a sift compares slots without chasing a pointer per step.
@@ -226,10 +219,6 @@ again:
 	}
 	return f
 }
-
-// Fired returns the number of events executed so far; useful for tests and
-// runaway detection.
-func (k *Kernel) Fired() uint64 { return k.stats.Fired }
 
 // Stats returns a snapshot of the kernel's scheduling counters.
 func (k *Kernel) Stats() Stats { return k.stats }

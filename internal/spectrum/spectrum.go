@@ -11,7 +11,6 @@
 package spectrum
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -55,23 +54,6 @@ func (p Plan) ChannelOf(tenant string) uint8 {
 		return ch
 	}
 	return DefaultChannel
-}
-
-// String renders the plan.
-func (p Plan) String() string {
-	tenants := make([]string, 0, len(p))
-	for t := range p {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	s := ""
-	for i, t := range tenants {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s:ch%d", t, p[t])
-	}
-	return s
 }
 
 // Retuner is what a hopper adjusts: typically the deployment layer,
@@ -147,14 +129,6 @@ func (h *Hopper) Start() {
 	}
 	h.lastSeen = h.counter.Value()
 	h.rep = h.k.Every(h.cfg.Interval, h.cfg.Interval/4, h.evaluate)
-}
-
-// Stop halts evaluation.
-func (h *Hopper) Stop() {
-	if h.rep != nil {
-		h.rep.Stop()
-		h.rep = nil
-	}
 }
 
 func (h *Hopper) evaluate() {

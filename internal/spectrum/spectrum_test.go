@@ -50,9 +50,6 @@ func TestUncoordinatedPlanCollapsesToDefault(t *testing.T) {
 	if p.ChannelOf("unknown") != DefaultChannel {
 		t.Fatal("unknown tenant not defaulted")
 	}
-	if len(p.String()) == 0 {
-		t.Fatal("empty String()")
-	}
 }
 
 func TestHopperHopsOnCollisions(t *testing.T) {
@@ -87,11 +84,5 @@ func TestHopperStaysOnQuietChannel(t *testing.T) {
 	k.RunUntil(5 * time.Minute)
 	if h.Hops != 0 || h.Current() != 15 {
 		t.Fatalf("hopper moved without collisions: hops=%d ch=%d", h.Hops, h.Current())
-	}
-	h.Stop()
-	counter.Add(1000)
-	k.RunUntil(10 * time.Minute)
-	if h.Hops != 0 {
-		t.Fatal("stopped hopper hopped")
 	}
 }

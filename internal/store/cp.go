@@ -247,15 +247,6 @@ func (c *cpState) localValue(key string) []byte {
 	return netbuf.CloneBytes(c.kv[key].Val)
 }
 
-func (c *cpState) localSeriesRange(series string, from, to time.Duration) []Point {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st, ok := c.series[series]; ok {
-		return st.eng.Range(from, to)
-	}
-	return nil
-}
-
 func (c *cpState) visitEngines(fn func(name string, eng *SeriesEngine)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -93,22 +93,6 @@ type work struct {
 
 var workPool = sync.Pool{New: func() any { return new(work) }}
 
-// SetRetention bounds the closed segments retained; the oldest segment
-// is evicted when the bound is exceeded (0 = keep everything).
-func (e *SeriesEngine) SetRetention(maxClosedSegments int) {
-	e.mu.Lock()
-	e.maxSegs = maxClosedSegments
-	e.enforceRetention()
-	e.mu.Unlock()
-}
-
-// Append records one point.
-func (e *SeriesEngine) Append(p Point) {
-	e.mu.Lock()
-	e.append(p)
-	e.mu.Unlock()
-}
-
 // AppendBatch records a batch of points under one lock acquisition —
 // the ingest hot path: each point is encoded onto the open head. It
 // does not retain pts.
@@ -196,16 +180,6 @@ func (e *SeriesEngine) mergeFrom(start int) {
 	e.compactions++
 }
 
-// Compact force-merges every closed segment into one — the maintenance
-// entry point the sharded store schedules in the background.
-func (e *SeriesEngine) Compact() {
-	e.mu.Lock()
-	if len(e.closed) > 1 {
-		e.mergeFrom(0)
-	}
-	e.mu.Unlock()
-}
-
 // enforceRetention drops the oldest closed segments past the bound. It
 // shifts the survivors down and clears the freed slot: re-slicing past
 // the evicted segment would keep it reachable through the backing array.
@@ -242,28 +216,6 @@ func (e *SeriesEngine) retainedLocked() int {
 		n += s.Count()
 	}
 	return n
-}
-
-// Total returns the number of points ever appended.
-func (e *SeriesEngine) Total() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.total
-}
-
-// OutOfOrder returns how many appended points arrived with a timestamp
-// earlier than a previously appended one.
-func (e *SeriesEngine) OutOfOrder() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ooo
-}
-
-// Last returns the most recently appended point, if any.
-func (e *SeriesEngine) Last() (Point, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hw.last(), e.total > e.evicted
 }
 
 // Range returns the retained points with from <= T < to in timestamp

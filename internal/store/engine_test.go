@@ -8,18 +8,18 @@ import (
 )
 
 func TestSeriesAppendAndLast(t *testing.T) {
-	e := NewSeriesEngine(2) // the second append closes a segment: Last must not depend on the head
-	if _, ok := e.Last(); ok {
-		t.Fatal("empty series has a last point")
+	e := NewSeriesEngine(2) // the second append closes a segment: the last point must not depend on the head
+	if pts := e.Range(0, secs(10)); len(pts) != 0 {
+		t.Fatalf("empty series holds %+v", pts)
 	}
 	for i := 1; i <= 3; i++ {
 		e.Append(Point{T: secs(i), V: float64(i)})
-		if last, ok := e.Last(); !ok || last.V != float64(i) {
-			t.Fatalf("after %d appends Last = %+v, %v", i, last, ok)
+		if pts := e.Range(0, secs(10)); len(pts) != i || pts[i-1].V != float64(i) {
+			t.Fatalf("after %d appends the series reads %+v", i, pts)
 		}
 	}
-	if e.Len() != 3 || e.Total() != 3 {
-		t.Fatalf("Len/Total = %d/%d", e.Len(), e.Total())
+	if st := e.Stats(); e.Len() != 3 || st.Points != 3 {
+		t.Fatalf("Len/Points = %d/%d", e.Len(), st.Points)
 	}
 }
 
@@ -29,11 +29,12 @@ func TestSeriesOutOfOrderDetected(t *testing.T) {
 	e.Append(Point{T: secs(3), V: 3})
 	e.Append(Point{T: secs(2), V: 2}) // late
 	e.Append(Point{T: secs(3), V: 3.5})
-	if e.OutOfOrder() != 1 {
-		t.Fatalf("OutOfOrder = %d, want 1 (equal timestamps are in order)", e.OutOfOrder())
+	st := e.Stats()
+	if st.OutOfOrder != 1 {
+		t.Fatalf("OutOfOrder = %d, want 1 (equal timestamps are in order)", st.OutOfOrder)
 	}
-	if e.Total() != 4 || e.Len() != 4 {
-		t.Fatalf("late sample dropped: Total=%d Len=%d", e.Total(), e.Len())
+	if st.Points != 4 || e.Len() != 4 {
+		t.Fatalf("late sample dropped: Points=%d Len=%d", st.Points, e.Len())
 	}
 }
 
@@ -42,8 +43,8 @@ func TestEngineAppendRangeAcrossSegments(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Append(Point{T: secs(i), V: float64(i)})
 	}
-	if e.Len() != 10 || e.Total() != 10 {
-		t.Fatalf("Len/Total = %d/%d", e.Len(), e.Total())
+	if e.Len() != 10 || e.Stats().Points != 10 {
+		t.Fatalf("Len/Points = %d/%d", e.Len(), e.Stats().Points)
 	}
 	st := e.Stats()
 	if st.ClosedSegs != 2 || st.OpenPoints != 2 {
@@ -66,8 +67,8 @@ func TestEngineOutOfOrderCountedAndSorted(t *testing.T) {
 	for _, i := range times {
 		e.Append(Point{T: secs(i), V: float64(i)})
 	}
-	if e.OutOfOrder() != 4 {
-		t.Fatalf("OutOfOrder = %d, want 4", e.OutOfOrder())
+	if n := e.Stats().OutOfOrder; n != 4 {
+		t.Fatalf("OutOfOrder = %d, want 4", n)
 	}
 	got := e.Range(0, time.Hour)
 	for i, p := range got {

@@ -46,7 +46,12 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // ErrUnavailable is returned by CP operations that cannot reach a quorum
-// — Brewer's CAP trade-off made concrete (paper ref [43]).
+// — Brewer's CAP trade-off made concrete (paper ref [43]). For a write it
+// means "not acknowledged", not "not applied": the coordinator applies a
+// CP write locally before its quorum round, so a Put or AppendPoints
+// that returned ErrUnavailable may still take effect — a later quorum
+// read that reaches the coordinator returns it, and the coordinator's
+// repair pushes its series to the peers once the partition heals.
 var ErrUnavailable = errors.New("store: quorum unavailable")
 
 // ReplicaConfig tunes a replica.
@@ -87,7 +92,6 @@ type modeState interface {
 	setStaleHook(fn func())
 
 	localValue(key string) []byte
-	localSeriesRange(series string, from, to time.Duration) []Point
 	// visitEngines calls fn for every series, in no particular order,
 	// with the state locked.
 	visitEngines(fn func(name string, eng *SeriesEngine))
@@ -129,7 +133,10 @@ func (d ptsDone) complete(res opResult, err error) { d(res.pts, err) }
 
 // Replica is one node of the replicated store: a key-value map (the
 // original E9 surface) plus the partitioned time-series ingest surface
-// (AppendPoints/RangeSeries) the sharded store builds on.
+// (AppendPoints/RangeSeries) the sharded store builds on. An acked CP
+// write is in RAM on a quorum (nothing is written to disk), and a write
+// that failed with ErrUnavailable may still become visible (see
+// ErrUnavailable).
 type Replica struct {
 	cfg    ReplicaConfig
 	msg    gossip.Messenger
@@ -165,9 +172,6 @@ func (r *Replica) Stop() {
 		r.engine.Stop()
 	}
 }
-
-// Mode returns the replica's mode.
-func (r *Replica) Mode() Mode { return r.cfg.Mode }
 
 // Gossip returns the AP anti-entropy engine (nil in CP mode).
 func (r *Replica) Gossip() *gossip.Engine { return r.engine }
@@ -230,7 +234,10 @@ func (r *Replica) send(to string, m *rpc) {
 	release()
 }
 
-// Put stores key=val. done receives nil on success or ErrUnavailable.
+// Put stores key=val. done receives nil once a quorum holds it in RAM,
+// or ErrUnavailable in CP mode without one; the write is then applied
+// at this coordinator all the same and may still take effect (see
+// ErrUnavailable).
 func (r *Replica) Put(key string, val []byte, done func(err error)) {
 	r.state.put(r, key, val, done)
 }
@@ -243,8 +250,10 @@ func (r *Replica) Get(key string, done func(val []byte, err error)) {
 
 // AppendPoints ingests a batch into series. In AP mode the batch is one
 // op of this replica's origin (gossip spreads it); in CP mode it is
-// applied locally and quorum-acknowledged — done receives
-// ErrUnavailable when a majority cannot be reached. CP appends for a
+// applied locally and quorum-acknowledged — done receives nil once a
+// majority holds it in RAM, or ErrUnavailable when a majority cannot be
+// reached; the batch stays applied here then, and repair can push it to
+// the peers after the heal (see ErrUnavailable). CP appends for a
 // given series must all originate at one coordinator replica (the
 // sharded store routes them through replica 0 of the owning shard).
 // The batch is not retained; an empty one is not an operation.
@@ -276,21 +285,6 @@ func (r *Replica) Repair() { r.state.repair(r) }
 // LocalValue returns the replica's local view of key (either mode),
 // bypassing quorum — used to check convergence in experiments.
 func (r *Replica) LocalValue(key string) []byte { return r.state.localValue(key) }
-
-// LocalSeriesRange returns the replica's local view of series points
-// with from <= T < to, bypassing quorum — convergence checks and the
-// scenario invariant read this.
-func (r *Replica) LocalSeriesRange(series string, from, to time.Duration) []Point {
-	return r.state.localSeriesRange(series, from, to)
-}
-
-// SeriesNames returns the locally known series, sorted.
-func (r *Replica) SeriesNames() []string {
-	var names []string
-	r.state.visitEngines(func(name string, _ *SeriesEngine) { names = append(names, name) })
-	sort.Strings(names)
-	return names
-}
 
 // SeriesDigest folds the replica's time-series state into one hash;
 // equal digests across a replica group mean the group has converged.
@@ -325,11 +319,6 @@ func (r *Replica) SeriesStats() EngineStats {
 // segments.
 func (r *Replica) FlushSeries() {
 	r.state.visitEngines(func(_ string, eng *SeriesEngine) { eng.Flush() })
-}
-
-// CompactSeries force-merges every series' closed segments.
-func (r *Replica) CompactSeries() {
-	r.state.visitEngines(func(_ string, eng *SeriesEngine) { eng.Compact() })
 }
 
 // sortedKeys returns m's keys in sorted order — the order anything a

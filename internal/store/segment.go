@@ -54,11 +54,6 @@ type pointWriter struct {
 	prevBits         uint64
 }
 
-// last returns the last point written.
-func (w *pointWriter) last() Point {
-	return Point{T: time.Duration(w.prevT), V: math.Float64frombits(w.prevBits)}
-}
-
 // append encodes p onto dst as the next point of w's stream.
 func (w *pointWriter) append(dst []byte, p Point) []byte {
 	t := int64(p.T)
@@ -235,12 +230,6 @@ func (s *Segment) reader() pointReader {
 
 // Count returns the number of points in the segment.
 func (s *Segment) Count() int { return s.n }
-
-// MinT returns the earliest timestamp in the segment.
-func (s *Segment) MinT() time.Duration { return s.minT }
-
-// MaxT returns the latest timestamp in the segment.
-func (s *Segment) MaxT() time.Duration { return s.maxT }
 
 // SizeBytes returns the encoded size.
 func (s *Segment) SizeBytes() int { return len(s.data) }

@@ -84,8 +84,8 @@ func TestDecodePointsTruncated(t *testing.T) {
 func TestSegmentRange(t *testing.T) {
 	pts := []Point{{T: secs(1), V: 1}, {T: secs(2), V: 2}, {T: secs(3), V: 3}, {T: secs(4), V: 4}}
 	seg, _ := newSegment(pts, nil)
-	if seg.Count() != 4 || seg.MinT() != secs(1) || seg.MaxT() != secs(4) {
-		t.Fatalf("bounds: n=%d min=%v max=%v", seg.Count(), seg.MinT(), seg.MaxT())
+	if seg.Count() != 4 || seg.minT != secs(1) || seg.maxT != secs(4) {
+		t.Fatalf("bounds: n=%d min=%v max=%v", seg.Count(), seg.minT, seg.maxT)
 	}
 	got := seg.AppendRange(nil, secs(2), secs(4)) // half-open: [2s, 4s)
 	if len(got) != 2 || got[0].V != 2 || got[1].V != 3 {

@@ -43,8 +43,8 @@ func TestEngineRangeOutOfOrderFixtures(t *testing.T) {
 				t.Fatalf("segSize %d: in-order Range reordered: %+v", segSize, got)
 			}
 		}
-		if e.OutOfOrder() != 0 {
-			t.Fatalf("segSize %d: OutOfOrder = %d on in-order input", segSize, e.OutOfOrder())
+		if n := e.Stats().OutOfOrder; n != 0 {
+			t.Fatalf("segSize %d: OutOfOrder = %d on in-order input", segSize, n)
 		}
 	}
 }

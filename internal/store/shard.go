@@ -247,29 +247,6 @@ func (s *Sharded) Flush() {
 	}
 }
 
-// Compact force-merges closed segments across all replicas.
-func (s *Sharded) Compact() {
-	for _, sh := range s.shards {
-		before := 0
-		for _, r := range sh.Replicas {
-			before += r.SeriesStats().ClosedSegs
-		}
-		for _, r := range sh.Replicas {
-			r.CompactSeries()
-		}
-		after := 0
-		for _, r := range sh.Replicas {
-			after += r.SeriesStats().ClosedSegs
-		}
-		if merged := before - after; merged > 0 {
-			s.rec.Emit(s.node, trace.StoreCompact, int64(sh.Index), int64(merged), 0, 0)
-			if sh.mCompact != nil {
-				sh.mCompact.Add(float64(merged))
-			}
-		}
-	}
-}
-
 // PartitionReplica cuts replica j out of every shard's fabric — the
 // zone-cut fault the E16 experiment injects. Partitioning replica 0
 // isolates every coordinator (CP ingest goes unavailable); a nonzero j

@@ -343,7 +343,6 @@ func TestShardedTraceAndMetrics(t *testing.T) {
 	ingestN(s, series, 100)
 	k.RunFor(20 * time.Second)
 	s.Flush()
-	s.Compact()
 	if n := rec.Count(trace.StoreAppend); n == 0 {
 		t.Fatal("no StoreAppend events")
 	}

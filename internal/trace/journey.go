@@ -93,16 +93,6 @@ type Journey struct {
 // Duration returns the journey's total virtual-time span.
 func (j *Journey) Duration() time.Duration { return j.End - j.Start }
 
-// IsCoAP reports whether the journey carries a CoAP exchange.
-func (j *Journey) IsCoAP() bool {
-	for _, e := range j.Events {
-		if e.Type == CoAPRequest {
-			return true
-		}
-	}
-	return false
-}
-
 // Journeys reconstructs every journey present in events (typically
 // Recorder.Events() or ReadJSONL output). Events with J == 0 are
 // ignored. The result is sorted by ascending journey ID — which, IDs

@@ -149,16 +149,16 @@ func TestObserveJourneys(t *testing.T) {
 	if got := reg.CounterWith("journey.count", metrics.L("outcome", "no_route")).Value(); got != 1 {
 		t.Errorf("no_route count = %v, want 1", got)
 	}
-	if got := reg.Histogram("journey.hops").Count(); got != 2 {
+	if got := reg.Histogram("journey.hops").Stats().Count; got != 2 {
 		t.Errorf("hops histogram count = %d, want 2", got)
 	}
-	if got := reg.Histogram("journey.hops").Max(); got != 4 {
+	if got := reg.Histogram("journey.hops").Stats().Max; got != 4 {
 		t.Errorf("hops histogram max = %v, want 4", got)
 	}
-	if got := reg.Histogram("journey.hop_latency_seconds").Count(); got != 4 {
+	if got := reg.Histogram("journey.hop_latency_seconds").Stats().Count; got != 4 {
 		t.Errorf("hop latency samples = %d, want 4 (dead hops excluded)", got)
 	}
-	if got := reg.Histogram("journey.duration_seconds").Max(); got != 0.016 {
+	if got := reg.Histogram("journey.duration_seconds").Stats().Max; got != 0.016 {
 		t.Errorf("max duration = %v, want 0.016", got)
 	}
 }

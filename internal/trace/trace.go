@@ -273,9 +273,6 @@ func (t Type) String() string {
 	return "?"
 }
 
-// NumTypes returns the number of defined event types.
-func NumTypes() int { return int(numTypes) }
-
 // Event is one recorded occurrence. It is a fixed-size scalar record so
 // the ring never allocates per event. The meaning of A, B, and F is
 // documented per Type.
@@ -342,14 +339,6 @@ func (r *Recorder) Emit(node int32, typ Type, a, b int64, f float64, j uint64) {
 	r.counts[typ]++
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Total returns the number of events emitted since creation (including
 // events the ring has since dropped).
 func (r *Recorder) Total() uint64 {
@@ -399,11 +388,11 @@ func (r *Recorder) Reset() {
 }
 
 // Filter selects events for query and export. The zero Filter (also
-// available as All()) matches everything; restrict it with the ByNode /
-// ByLayer / ByLayers / ByType combinators. Each combinator *replaces*
-// any prior restriction on its dimension, so ByLayer(LayerAny) or
-// ByType(TypeAny) on an already-restricted filter lifts the restriction
-// cleanly (no stale state survives).
+// available as All()) matches everything; restrict it with the ByNode
+// and ByLayers combinators (tests also restrict by type). Each
+// combinator *replaces* any prior restriction on its dimension, so
+// ByLayers(LayerAny) on an already-restricted filter lifts the
+// restriction cleanly (no stale state survives).
 type Filter struct {
 	node      int32
 	hasNode   bool
@@ -422,12 +411,6 @@ func (f Filter) ByNode(node int32) Filter {
 	return f
 }
 
-// ByLayer returns a copy of f restricted to one layer (LayerAny lifts
-// any existing layer restriction).
-func (f Filter) ByLayer(l Layer) Filter {
-	return f.ByLayers(l)
-}
-
 // ByLayers returns a copy of f restricted to the union of the given
 // layers, replacing any prior layer restriction. Passing no layers, or
 // LayerAny anywhere in the list, lifts the restriction.
@@ -440,17 +423,6 @@ func (f Filter) ByLayers(layers ...Layer) Filter {
 		}
 		f.layerMask |= 1 << l
 	}
-	return f
-}
-
-// ByType returns a copy of f restricted to one event type (TypeAny lifts
-// the restriction).
-func (f Filter) ByType(t Type) Filter {
-	if t == TypeAny {
-		f.typ, f.typeSet = 0, false
-		return f
-	}
-	f.typ, f.typeSet = t, true
 	return f
 }
 

@@ -106,13 +106,6 @@ type RunStats struct {
 	Trace trace.Summary `json:"trace"`
 }
 
-// Add merges o into s.
-func (s *RunStats) Add(o RunStats) {
-	s.Trials += o.Trials
-	s.Events.Add(o.Events)
-	s.Trace.Add(o.Trace)
-}
-
 // traceSink, when set, receives every observed recorder during the
 // merge phase of RunTrials, in (trial index, registration order). It
 // runs on the caller's goroutine after all workers have drained, so the
