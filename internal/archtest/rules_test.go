@@ -168,6 +168,26 @@ var rules = []rule{
 			"RouteLifetime", "ParentHysteresis", "ParentFailThreshold", "MaxRankIncrease", "MinHopRankIncrease", "ExpvarFunc"),
 		bad: plant{"internal/coap/config.go", "type Config struct{ AckRandomFactor float64 }"},
 	},
+	{
+		name:  "fields-nobody-sets-stay-deleted",
+		files: all("internal/...", "cmd/...", "examples/..."),
+		check: deleted("Profile.CSMA", "Profile.Sampler", "ShardedConfig.SegmentSize", "Shard.mCompact"),
+		bad:   plant{"internal/store/shard.go", "type Shard struct{ mCompact int }"},
+	},
+	{
+		name:  "trace-filter-restricts-no-type",
+		files: all("internal/trace/..."),
+		check: deleted("Filter.typ", "Filter.typeSet", "Filter.ByType", "TypeAny"),
+		bad:   plant{"internal/trace/trace.go", "type Filter struct{ typ uint8; typeSet bool }"},
+	},
+	{
+		name:  "scenario-grammar-is-one-table",
+		files: all("internal/scenario/..."),
+		check: deleted("formatTopo", "formatSel", "ff", "parseDur", "parseFloat", "subfields", "parseTopo", "parseClasses",
+			"parseSel", "parseLink", "parsePeriod", "parseChurn", "parseFlap", "parseGE", "parseStore", "parsePart",
+			"FaultSpec.validate"),
+		bad: plant{"internal/scenario/encode.go", "func parseGE(val string) error { return nil }"},
+	},
 
 	// Written once: what every discipline, engine or mode shares lives in
 	// one place, and a per-type copy growing back is the maintenance

@@ -33,15 +33,15 @@ const DefaultProfile = "default"
 // Profile describes one device class: the MAC discipline and its tuning,
 // the channel and administrative tenant the class operates under, an
 // optional per-class router configuration, and the class's roles (CoAP
-// endpoint, RNFD sentinel duty, default sampler). Nodes of different
+// endpoint, RNFD sentinel duty). Nodes of different
 // profiles share one medium and one DODAG — heterogeneity lives below
 // the network layer, interoperation above it.
 type Profile struct {
 	// Name is the profile's identity; Topology entries reference it.
 	Name string
-	// MAC selects the discipline; the matching config below tunes it.
+	// MAC selects the discipline; the matching config below tunes a
+	// duty-cycled one (CSMA runs mac's defaults).
 	MAC   MACKind
-	CSMA  mac.CSMAConfig
 	LPL   mac.LPLConfig
 	RIMAC mac.RIMACConfig
 	// Channel tunes this class's radios; Tenant tags its frames (§IV-C).
@@ -56,9 +56,6 @@ type Profile struct {
 	RNFD *rpl.RNFDConfig
 	// WithCoAP attaches a CoAP endpoint (server+client) to this class.
 	WithCoAP bool
-	// Sampler, when non-nil, is the class-wide default sensor; a
-	// per-node Node.SetSampler overrides it.
-	Sampler agg.Sampler
 }
 
 // NodeSpec places one node and names the device class it instantiates.
@@ -105,7 +102,7 @@ func DefaultMAC(m *radio.Medium, id radio.NodeID, p *Profile) mac.MAC {
 		stamp(&cfg.Config)
 		return mac.NewRIMAC(m, id, cfg)
 	default:
-		cfg := p.CSMA
+		var cfg mac.CSMAConfig
 		stamp(&cfg.Config)
 		return mac.NewCSMA(m, id, cfg)
 	}
@@ -231,7 +228,6 @@ func buildNode(f *Fleet, fac Factories, i int) *Node {
 		}
 		return n.sampler(attr)
 	})
-	n.sampler = p.Sampler
 	if p.WithCoAP {
 		tr := &meshTransport{node: n}
 		n.Router.Handle(lowpan.ProtoCoAP, func(src radio.NodeID, payload []byte) {

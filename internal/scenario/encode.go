@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -22,7 +24,9 @@ import (
 //	flap=1-2:every=60s:prr=0.2;ge=5-8:pgb=0.1:pbg=0.3:bad=0.3:step=5s;
 //	part=farhalf:every=2m30s:hold=10s;trace=65536
 //
-// Workload and fault fields are omitted when disabled; durations use
+// The grammar is one table, fields: Format and Parse walk it, and
+// Spec.Validate applies each value's rule to a Go-built spec. Workload
+// and fault fields are omitted when disabled; durations use
 // time.Duration.String(); floats use the shortest exact decimal; list
 // selectors use `.`-separated IDs (`list(1.3.5)`). The Profiles and
 // Factories expert seams are deliberately not representable — specs
@@ -30,6 +34,86 @@ import (
 
 // codecVersion tags the reproducer grammar.
 const codecVersion = "scn1"
+
+// field is one `key=value` entry of the grammar. A top-level field's
+// value is followed by its `:k=v` subfields, which are fields too.
+type field struct {
+	key  string
+	v    value
+	subs []field // the subfields Parse allows, in Format's order
+	full bool    // Parse requires every subfield
+	omit bool    // Format leaves the field out
+}
+
+// value is one typed slot of the Spec: Set reads Parse's spelling,
+// String writes Format's. A value whose slot a Go-built spec can hold
+// out of range also has Validate's rule, check (spec.go).
+type value interface {
+	Set(string) error
+	String() string
+}
+
+// fields is the grammar over s, in Format's order. Topo's subfields
+// depend on its kind, so that irrelevant parameters (which Format would
+// drop) cannot smuggle into a parsed spec and break round-trip
+// stability.
+func fields(s *Spec) []field {
+	t, w, st, f := &s.Topo, &s.Workload, &s.Store, &s.Faults
+	topo := []field{{key: "n", v: integer{&t.N}}, {key: "sp", v: float{&t.Spacing, 1e6}}}
+	switch t.Kind {
+	case TopoCluster:
+		topo = []field{
+			{key: "heads", v: integer{&t.Heads}}, {key: "mem", v: integer{&t.Members}},
+			{key: "hs", v: float{&t.HeadSpacing, 1e6}}, {key: "dy", v: float{&t.MemberDY, 1e6}},
+			{key: "dx", v: float{&t.MemberDX, 1e6}},
+		}
+	case TopoRGG:
+		// Density is recorded for provenance — the canonical spec
+		// already has Area filled from it, so replay does not depend
+		// on re-deriving the area.
+		topo = []field{
+			{key: "n", v: integer{&t.N}}, {key: "area", v: float{&t.Area, 1e6}},
+			{key: "link", v: float{&t.MaxLink, 1e6}}, {key: "dens", v: float{&t.Density, 1e6}, omit: !(t.Density > 0)},
+		}
+	}
+	return []field{
+		{key: "seed", v: seed{&s.Seed}},
+		{key: "topo", v: text{(*string)(&t.Kind)}, subs: topo},
+		{key: "classes", v: classes{&s.Classes}},
+		{key: "coap", v: flag{&s.WithCoAP}, omit: !s.WithCoAP},
+		{key: "conv", v: dur{p: &s.Converge}},
+		{key: "soak", v: dur{p: &s.Soak}},
+		{key: "drain", v: dur{p: &s.Drain}},
+		{key: "check", v: dur{p: &s.CheckEvery}},
+		{key: "probe", v: dur{p: &w.ProbeEvery}, omit: w.ProbeEvery <= 0},
+		{key: "push", v: dur{p: &w.PushEvery}, omit: w.PushEvery <= 0},
+		{key: "agg", v: dur{p: &w.AggEpoch}, omit: w.AggEpoch <= 0},
+		{key: "hb", v: dur{p: &w.HeartbeatEvery}, omit: w.HeartbeatEvery <= 0},
+		{key: "ingest", v: dur{p: &w.IngestEvery}, omit: w.IngestEvery <= 0},
+		// The canonical spec always has the store section filled when
+		// ingest is on, so the field is written in full.
+		{key: "store", v: text{&st.Mode}, subs: []field{
+			{key: "shards", v: count{&st.Shards}}, {key: "rep", v: count{&st.Replicas}},
+			{key: "part", v: dur{p: &st.PartAt}, omit: st.PartHold <= 0},
+			{key: "hold", v: dur{p: &st.PartHold, period: true}, omit: st.PartHold <= 0},
+		}, omit: w.IngestEvery <= 0},
+		{key: "churn", v: sel{&f.Churn}, subs: []field{
+			{key: "up", v: dur{p: &f.MeanUp}}, {key: "minup", v: dur{p: &f.MinUp}},
+			{key: "down", v: dur{p: &f.MeanDown}}, {key: "mindown", v: dur{p: &f.MinDown}},
+		}, omit: f.Churn.Kind == ""},
+		{key: "flap", v: pair{&f.FlapLink}, subs: []field{
+			{key: "every", v: dur{p: &f.FlapEvery, period: true}}, {key: "prr", v: prob{float{&f.FlapPRR, 1}}},
+		}, full: true, omit: f.FlapEvery <= 0 || f.FlapLink == [2]int{}},
+		{key: "ge", v: pair{&f.GELink}, subs: []field{
+			{key: "pgb", v: prob{float{&f.GEPGoodBad, 1}}}, {key: "pbg", v: prob{float{&f.GEPBadGood, 1}}},
+			{key: "bad", v: prob{float{&f.GEBadPRR, 1}}}, {key: "step", v: dur{p: &f.GEStep, period: true}},
+		}, full: true, omit: f.GEStep <= 0 || f.GELink == [2]int{}},
+		{key: "part", v: sel{&f.Part}, subs: []field{
+			{key: "every", v: dur{p: &f.PartEvery, period: true}}, {key: "hold", v: dur{p: &f.PartHold}},
+		}, full: true, omit: f.PartEvery <= 0 || f.Part.Kind == ""},
+		{key: "trace", v: integer{&s.TraceCapacity}, omit: s.TraceCapacity == 0},
+	}
+}
 
 // Format renders the spec as a reproducer string. The spec is
 // canonicalized (defaults applied) first, so the output names a
@@ -42,105 +126,19 @@ func Format(s Spec) string {
 	s.applyDefaults()
 	var b strings.Builder
 	b.WriteString(codecVersion)
-	fmt.Fprintf(&b, ";seed=%d", s.Seed)
-	b.WriteString(";topo=")
-	b.WriteString(formatTopo(s.Topo))
-	b.WriteString(";classes=")
-	for i, c := range s.Classes {
-		if i > 0 {
-			b.WriteByte('+')
+	for _, f := range fields(&s) {
+		if f.omit {
+			continue
 		}
-		kind := c.Kind
-		if kind == "" {
-			kind = "csma"
+		b.WriteString(";" + f.key + "=" + f.v.String())
+		for _, sf := range f.subs {
+			if !sf.omit {
+				b.WriteString(":" + sf.key + "=" + sf.v.String())
+			}
 		}
-		b.WriteString(kind)
-		if c.Wake > 0 {
-			b.WriteByte('@')
-			b.WriteString(c.Wake.String())
-		}
-	}
-	if s.WithCoAP {
-		b.WriteString(";coap=1")
-	}
-	fmt.Fprintf(&b, ";conv=%s;soak=%s;drain=%s;check=%s", s.Converge, s.Soak, s.Drain, s.CheckEvery)
-	if d := s.Workload.ProbeEvery; d > 0 {
-		fmt.Fprintf(&b, ";probe=%s", d)
-	}
-	if d := s.Workload.PushEvery; d > 0 {
-		fmt.Fprintf(&b, ";push=%s", d)
-	}
-	if d := s.Workload.AggEpoch; d > 0 {
-		fmt.Fprintf(&b, ";agg=%s", d)
-	}
-	if d := s.Workload.HeartbeatEvery; d > 0 {
-		fmt.Fprintf(&b, ";hb=%s", d)
-	}
-	if d := s.Workload.IngestEvery; d > 0 {
-		fmt.Fprintf(&b, ";ingest=%s", d)
-		// The canonical spec always has the store section filled when
-		// ingest is on, so the field is written in full.
-		fmt.Fprintf(&b, ";store=%s:shards=%d:rep=%d", s.Store.Mode, s.Store.Shards, s.Store.Replicas)
-		if s.Store.PartHold > 0 {
-			fmt.Fprintf(&b, ":part=%s:hold=%s", s.Store.PartAt, s.Store.PartHold)
-		}
-	}
-	f := s.Faults
-	if f.Churn.Kind != "" {
-		fmt.Fprintf(&b, ";churn=%s:up=%s:minup=%s:down=%s:mindown=%s",
-			formatSel(f.Churn), f.MeanUp, f.MinUp, f.MeanDown, f.MinDown)
-	}
-	if f.FlapEvery > 0 && f.FlapLink != [2]int{} {
-		fmt.Fprintf(&b, ";flap=%d-%d:every=%s:prr=%s",
-			f.FlapLink[0], f.FlapLink[1], f.FlapEvery, ff(f.FlapPRR))
-	}
-	if f.GEStep > 0 && f.GELink != [2]int{} {
-		fmt.Fprintf(&b, ";ge=%d-%d:pgb=%s:pbg=%s:bad=%s:step=%s",
-			f.GELink[0], f.GELink[1], ff(f.GEPGoodBad), ff(f.GEPBadGood), ff(f.GEBadPRR), f.GEStep)
-	}
-	if f.PartEvery > 0 && f.Part.Kind != "" {
-		fmt.Fprintf(&b, ";part=%s:every=%s:hold=%s", formatSel(f.Part), f.PartEvery, f.PartHold)
-	}
-	if s.TraceCapacity != 0 {
-		fmt.Fprintf(&b, ";trace=%d", s.TraceCapacity)
 	}
 	return b.String()
 }
-
-// formatTopo renders the topology subfields for the spec's kind.
-func formatTopo(t TopoSpec) string {
-	switch t.Kind {
-	case TopoCluster:
-		return fmt.Sprintf("cluster:heads=%d:mem=%d:hs=%s:dy=%s:dx=%s",
-			t.Heads, t.Members, ff(t.HeadSpacing), ff(t.MemberDY), ff(t.MemberDX))
-	case TopoRGG:
-		s := fmt.Sprintf("rgg:n=%d:area=%s:link=%s", t.N, ff(t.Area), ff(t.MaxLink))
-		if t.Density > 0 {
-			// Density is recorded for provenance — the canonical spec
-			// already has Area filled from it, so replay does not depend
-			// on re-deriving the area.
-			s += ":dens=" + ff(t.Density)
-		}
-		return s
-	default:
-		return fmt.Sprintf("%s:n=%d:sp=%s", t.Kind, t.N, ff(t.Spacing))
-	}
-}
-
-// formatSel renders a node selector.
-func formatSel(s NodeSel) string {
-	if s.Kind != "list" {
-		return s.Kind
-	}
-	parts := make([]string, len(s.IDs))
-	for i, id := range s.IDs {
-		parts[i] = strconv.Itoa(id)
-	}
-	return "list(" + strings.Join(parts, ".") + ")"
-}
-
-// ff renders a float with the shortest exact decimal.
-func ff(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Parse reads a reproducer string back into a validated, canonical
 // Spec. It is the inverse of Format and the fuzzing surface: any input
@@ -148,67 +146,21 @@ func ff(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // never panic.
 func Parse(in string) (Spec, error) {
 	var s Spec
-	fields := strings.Split(in, ";")
-	if fields[0] != codecVersion {
+	entries := strings.Split(in, ";")
+	if entries[0] != codecVersion {
 		return s, fmt.Errorf("scenario: not a %s reproducer string", codecVersion)
 	}
 	seen := map[string]bool{}
-	for _, field := range fields[1:] {
-		key, val, ok := strings.Cut(field, "=")
+	for _, entry := range entries[1:] {
+		key, val, ok := strings.Cut(entry, "=")
 		if !ok || val == "" {
-			return s, fmt.Errorf("scenario: malformed field %q", field)
+			return s, fmt.Errorf("scenario: malformed field %q", entry)
 		}
 		if seen[key] {
 			return s, fmt.Errorf("scenario: duplicate field %q", key)
 		}
 		seen[key] = true
-		var err error
-		switch key {
-		case "seed":
-			s.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "topo":
-			s.Topo, err = parseTopo(val)
-		case "classes":
-			s.Classes, err = parseClasses(val)
-		case "coap":
-			if val != "1" {
-				err = fmt.Errorf("scenario: coap must be 1, got %q", val)
-			}
-			s.WithCoAP = true
-		case "conv":
-			s.Converge, err = parseDur(val)
-		case "soak":
-			s.Soak, err = parseDur(val)
-		case "drain":
-			s.Drain, err = parseDur(val)
-		case "check":
-			s.CheckEvery, err = parseDur(val)
-		case "probe":
-			s.Workload.ProbeEvery, err = parseDur(val)
-		case "push":
-			s.Workload.PushEvery, err = parseDur(val)
-		case "agg":
-			s.Workload.AggEpoch, err = parseDur(val)
-		case "hb":
-			s.Workload.HeartbeatEvery, err = parseDur(val)
-		case "ingest":
-			s.Workload.IngestEvery, err = parseDur(val)
-		case "store":
-			err = parseStore(val, &s.Store)
-		case "churn":
-			err = parseChurn(val, &s.Faults)
-		case "flap":
-			err = parseFlap(val, &s.Faults)
-		case "ge":
-			err = parseGE(val, &s.Faults)
-		case "part":
-			err = parsePart(val, &s.Faults)
-		case "trace":
-			s.TraceCapacity, err = strconv.Atoi(val)
-		default:
-			err = fmt.Errorf("scenario: unknown field %q", key)
-		}
-		if err != nil {
+		if err := s.set(key, val); err != nil {
 			return Spec{}, err
 		}
 	}
@@ -222,277 +174,218 @@ func Parse(in string) (Spec, error) {
 	return s, nil
 }
 
-// parseDur parses a non-negative, finite duration.
-func parseDur(val string) (time.Duration, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: bad duration %q", val)
+// set reads one field's value, `head:k=v:…`, into the spec.
+func (s *Spec) set(key, val string) error {
+	rows := fields(s)
+	i := slices.IndexFunc(rows, func(f field) bool { return f.key == key })
+	if i < 0 {
+		return fmt.Errorf("scenario: unknown field %q", key)
 	}
-	if d < 0 {
-		return 0, fmt.Errorf("scenario: negative duration %q", val)
-	}
-	return d, nil
-}
-
-// parseFloat parses a float in [0, max].
-func parseFloat(val string, max float64) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || !finite(f) || f < 0 || f > max {
-		return 0, fmt.Errorf("scenario: bad value %q", val)
-	}
-	return f, nil
-}
-
-// subfields splits a `:`-separated value into its head and a k=v map,
-// rejecting malformed or duplicate entries and keys outside allowed.
-func subfields(val string, allowed ...string) (head string, kv map[string]string, err error) {
 	parts := strings.Split(val, ":")
-	head = parts[0]
-	kv = make(map[string]string, len(parts)-1)
+	if err := rows[i].v.Set(parts[0]); err != nil {
+		return err
+	}
+	f := fields(s)[i] // topo's subfields follow the kind just read
+	given := map[string]bool{}
 	for _, p := range parts[1:] {
 		k, v, ok := strings.Cut(p, "=")
-		if !ok || v == "" {
-			return "", nil, fmt.Errorf("scenario: malformed subfield %q", p)
+		j := slices.IndexFunc(f.subs, func(sf field) bool { return sf.key == k })
+		switch {
+		case !ok || v == "":
+			return fmt.Errorf("scenario: malformed subfield %q", p)
+		case given[k]:
+			return fmt.Errorf("scenario: duplicate subfield %q", k)
+		case j < 0:
+			return fmt.Errorf("scenario: unknown subfield %q", k)
 		}
-		if _, dup := kv[k]; dup {
-			return "", nil, fmt.Errorf("scenario: duplicate subfield %q", k)
+		given[k] = true
+		if err := f.subs[j].v.Set(v); err != nil {
+			return err
 		}
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return "", nil, fmt.Errorf("scenario: unknown subfield %q", k)
-		}
-		kv[k] = v
 	}
-	return head, kv, nil
+	if f.full && len(given) < len(f.subs) {
+		return fmt.Errorf("scenario: field %q needs every subfield", key)
+	}
+	return nil
 }
 
-// parseTopo reads the topo field. The allowed subfields depend on the
-// kind so that irrelevant parameters (which Format would drop) cannot
-// smuggle into a parsed spec and break round-trip stability.
-func parseTopo(val string) (TopoSpec, error) {
-	var allowed []string
-	switch head, _, _ := strings.Cut(val, ":"); TopoKind(head) {
-	case TopoCluster:
-		allowed = []string{"heads", "mem", "hs", "dy", "dx"}
-	case TopoRGG:
-		allowed = []string{"n", "area", "link", "dens"}
-	default:
-		allowed = []string{"n", "sp"}
+// seed is the run seed.
+type seed struct{ p *int64 }
+
+func (v seed) Set(s string) (err error) {
+	*v.p, err = strconv.ParseInt(s, 10, 64)
+	return err
+}
+func (v seed) String() string { return strconv.FormatInt(*v.p, 10) }
+
+// integer is an int Validate bounds elsewhere (topology sizes, the
+// trace capacity).
+type integer struct{ p *int }
+
+func (v integer) Set(s string) (err error) {
+	*v.p, err = strconv.Atoi(s)
+	return err
+}
+func (v integer) String() string { return strconv.Itoa(*v.p) }
+
+// count is an int of at least 1: an explicit zero must not be
+// conflated with "unset", which applyDefaults would fill.
+type count struct{ p *int }
+
+func (v count) Set(s string) error {
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		return fmt.Errorf("scenario: bad count %q", s)
 	}
-	kind, kv, err := subfields(val, allowed...)
-	if err != nil {
-		return TopoSpec{}, err
-	}
-	t := TopoSpec{Kind: TopoKind(kind)}
-	getInt := func(key string, dst *int) {
-		if err != nil || kv[key] == "" {
-			return
-		}
-		*dst, err = strconv.Atoi(kv[key])
-	}
-	getF := func(key string, dst *float64) {
-		if err != nil || kv[key] == "" {
-			return
-		}
-		*dst, err = parseFloat(kv[key], 1e6)
-	}
-	getInt("n", &t.N)
-	getInt("heads", &t.Heads)
-	getInt("mem", &t.Members)
-	getF("sp", &t.Spacing)
-	getF("hs", &t.HeadSpacing)
-	getF("dy", &t.MemberDY)
-	getF("dx", &t.MemberDX)
-	getF("area", &t.Area)
-	getF("dens", &t.Density)
-	getF("link", &t.MaxLink)
-	if err != nil {
-		return TopoSpec{}, err
-	}
-	return t, nil
+	*v.p = n
+	return nil
+}
+func (v count) String() string { return strconv.Itoa(*v.p) }
+
+// dur is a non-negative duration. A period must also be non-zero: the
+// fault sections are only encoded while active, so a zero period would
+// not round-trip.
+type dur struct {
+	p      *time.Duration
+	period bool
 }
 
-// parseClasses reads the `+`-separated class list.
-func parseClasses(val string) ([]ClassSpec, error) {
+func (v dur) Set(s string) error {
+	d, err := time.ParseDuration(s)
+	switch {
+	case err != nil:
+		return fmt.Errorf("scenario: bad duration %q", s)
+	case d < 0:
+		return fmt.Errorf("scenario: negative duration %q", s)
+	case d == 0 && v.period:
+		return fmt.Errorf("scenario: zero period %q", s)
+	}
+	*v.p = d
+	return nil
+}
+func (v dur) String() string { return v.p.String() }
+
+// float is a finite float in [0, max]. TopoSpec.validate holds a
+// Go-built spec's geometry to its own rule.
+type float struct {
+	p   *float64
+	max float64
+}
+
+func (v float) Set(s string) error {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !finite(f) || f < 0 || f > v.max {
+		return fmt.Errorf("scenario: bad value %q", s)
+	}
+	*v.p = f
+	return nil
+}
+func (v float) String() string { return strconv.FormatFloat(*v.p, 'g', -1, 64) }
+
+// prob is a probability: a float in [0,1], in a Go-built spec too.
+type prob struct{ float }
+
+// text is a word Validate checks elsewhere (the topology kind, the
+// store mode).
+type text struct{ p *string }
+
+func (v text) Set(s string) error { *v.p = s; return nil }
+func (v text) String() string     { return *v.p }
+
+// flag is an on switch, spelled 1; Format omits it when off.
+type flag struct{ p *bool }
+
+func (v flag) Set(s string) error {
+	if s != "1" {
+		return fmt.Errorf("scenario: flag must be 1, got %q", s)
+	}
+	*v.p = true
+	return nil
+}
+func (v flag) String() string { return "1" }
+
+// sel is a node selector: odd, even, farhalf or list(1.3.5).
+type sel struct{ p *NodeSel }
+
+func (v sel) Set(s string) error {
+	switch s {
+	case "odd", "even", "farhalf":
+		*v.p = NodeSel{Kind: s}
+		return nil
+	}
+	ids, list := strings.CutPrefix(s, "list(")
+	ids, closed := strings.CutSuffix(ids, ")")
+	if !list || !closed {
+		return fmt.Errorf("scenario: unknown selector %q", s)
+	}
+	out := NodeSel{Kind: "list"}
+	for _, p := range strings.Split(ids, ".") {
+		id, err := strconv.Atoi(p)
+		if err != nil {
+			return fmt.Errorf("scenario: bad selector ID %q", p)
+		}
+		out.IDs = append(out.IDs, id)
+	}
+	*v.p = out
+	return nil
+}
+
+func (v sel) String() string {
+	if v.p.Kind != "list" {
+		return v.p.Kind
+	}
+	ids := make([]string, len(v.p.IDs))
+	for i, id := range v.p.IDs {
+		ids[i] = strconv.Itoa(id)
+	}
+	return "list(" + strings.Join(ids, ".") + ")"
+}
+
+// pair is a link between two distinct nodes, `a-b`; the zero pair
+// disables its fault.
+type pair struct{ p *[2]int }
+
+func (v pair) Set(s string) error {
+	a, b, ok := strings.Cut(s, "-")
+	ai, err1 := strconv.Atoi(a)
+	bi, err2 := strconv.Atoi(b)
+	if !ok || err1 != nil || err2 != nil || ai == bi {
+		return fmt.Errorf("scenario: malformed link %q", s)
+	}
+	*v.p = [2]int{ai, bi}
+	return nil
+}
+func (v pair) String() string { return fmt.Sprintf("%d-%d", v.p[0], v.p[1]) }
+
+// classes is the `+`-separated device class list, each `kind[@wake]`.
+type classes struct{ p *[]ClassSpec }
+
+func (v classes) Set(s string) error {
 	var out []ClassSpec
-	for _, part := range strings.Split(val, "+") {
+	for _, part := range strings.Split(s, "+") {
 		kind, wake, hasWake := strings.Cut(part, "@")
 		c := ClassSpec{Kind: kind}
 		if _, err := c.macKind(); err != nil || kind == "" {
-			return nil, fmt.Errorf("scenario: bad class %q", part)
+			return fmt.Errorf("scenario: bad class %q", part)
 		}
 		if hasWake {
-			d, err := parseDur(wake)
-			if err != nil {
-				return nil, err
+			if err := (dur{p: &c.Wake}).Set(wake); err != nil {
+				return err
 			}
-			c.Wake = d
 		}
 		out = append(out, c)
 	}
-	return out, nil
-}
-
-// parseSel reads a node selector head.
-func parseSel(head string) (NodeSel, error) {
-	if ids, ok := strings.CutPrefix(head, "list("); ok {
-		ids, ok = strings.CutSuffix(ids, ")")
-		if !ok {
-			return NodeSel{}, fmt.Errorf("scenario: malformed selector %q", head)
-		}
-		sel := NodeSel{Kind: "list"}
-		for _, p := range strings.Split(ids, ".") {
-			id, err := strconv.Atoi(p)
-			if err != nil {
-				return NodeSel{}, fmt.Errorf("scenario: bad selector ID %q", p)
-			}
-			sel.IDs = append(sel.IDs, id)
-		}
-		return sel, nil
-	}
-	switch head {
-	case "odd", "even", "farhalf":
-		return NodeSel{Kind: head}, nil
-	}
-	return NodeSel{}, fmt.Errorf("scenario: unknown selector %q", head)
-}
-
-// parseLink reads an `a-b` node pair.
-func parseLink(head string) ([2]int, error) {
-	a, b, ok := strings.Cut(head, "-")
-	if !ok {
-		return [2]int{}, fmt.Errorf("scenario: malformed link %q", head)
-	}
-	ai, err1 := strconv.Atoi(a)
-	bi, err2 := strconv.Atoi(b)
-	if err1 != nil || err2 != nil || ai == bi {
-		return [2]int{}, fmt.Errorf("scenario: malformed link %q", head)
-	}
-	return [2]int{ai, bi}, nil
-}
-
-// parsePeriod parses a strictly positive duration — the fault sections
-// below are only encoded when active, so a zero period would not
-// round-trip.
-func parsePeriod(val string) (time.Duration, error) {
-	d, err := parseDur(val)
-	if err == nil && d == 0 {
-		err = fmt.Errorf("scenario: zero fault period")
-	}
-	return d, err
-}
-
-// parseChurn reads the churn field into the fault spec.
-func parseChurn(val string, f *FaultSpec) error {
-	head, kv, err := subfields(val, "up", "minup", "down", "mindown")
-	if err != nil {
-		return err
-	}
-	if f.Churn, err = parseSel(head); err != nil {
-		return err
-	}
-	for key, dst := range map[string]*time.Duration{
-		"up": &f.MeanUp, "minup": &f.MinUp, "down": &f.MeanDown, "mindown": &f.MinDown,
-	} {
-		if kv[key] == "" {
-			continue
-		}
-		if *dst, err = parseDur(kv[key]); err != nil {
-			return err
-		}
-	}
+	*v.p = out
 	return nil
 }
 
-// parseFlap reads the flap field into the fault spec.
-func parseFlap(val string, f *FaultSpec) error {
-	head, kv, err := subfields(val, "every", "prr")
-	if err != nil {
-		return err
-	}
-	if f.FlapLink, err = parseLink(head); err != nil {
-		return err
-	}
-	if f.FlapEvery, err = parsePeriod(kv["every"]); err != nil {
-		return err
-	}
-	f.FlapPRR, err = parseFloat(kv["prr"], 1)
-	return err
-}
-
-// parseGE reads the Gilbert–Elliott field into the fault spec.
-func parseGE(val string, f *FaultSpec) error {
-	head, kv, err := subfields(val, "pgb", "pbg", "bad", "step")
-	if err != nil {
-		return err
-	}
-	if f.GELink, err = parseLink(head); err != nil {
-		return err
-	}
-	if f.GEPGoodBad, err = parseFloat(kv["pgb"], 1); err != nil {
-		return err
-	}
-	if f.GEPBadGood, err = parseFloat(kv["pbg"], 1); err != nil {
-		return err
-	}
-	if f.GEBadPRR, err = parseFloat(kv["bad"], 1); err != nil {
-		return err
-	}
-	f.GEStep, err = parsePeriod(kv["step"])
-	return err
-}
-
-// parseStore reads the store field (mode head, shard/replica counts,
-// optional partition episode) into the store spec.
-func parseStore(val string, st *StoreSpec) error {
-	head, kv, err := subfields(val, "shards", "rep", "part", "hold")
-	if err != nil {
-		return err
-	}
-	st.Mode = head
-	// Explicit zero must not be conflated with "unset" (which
-	// applyDefaults would fill), so non-positive counts fail here.
-	if kv["shards"] != "" {
-		if st.Shards, err = strconv.Atoi(kv["shards"]); err != nil || st.Shards < 1 {
-			return fmt.Errorf("scenario: bad store shards %q", kv["shards"])
+func (v classes) String() string {
+	parts := make([]string, len(*v.p))
+	for i, c := range *v.p {
+		parts[i] = cmp.Or(c.Kind, "csma")
+		if c.Wake > 0 {
+			parts[i] += "@" + c.Wake.String()
 		}
 	}
-	if kv["rep"] != "" {
-		if st.Replicas, err = strconv.Atoi(kv["rep"]); err != nil || st.Replicas < 1 {
-			return fmt.Errorf("scenario: bad store replicas %q", kv["rep"])
-		}
-	}
-	if kv["part"] != "" {
-		if st.PartAt, err = parseDur(kv["part"]); err != nil {
-			return err
-		}
-	}
-	if kv["hold"] != "" {
-		if st.PartHold, err = parsePeriod(kv["hold"]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parsePart reads the partition field into the fault spec.
-func parsePart(val string, f *FaultSpec) error {
-	head, kv, err := subfields(val, "every", "hold")
-	if err != nil {
-		return err
-	}
-	if f.Part, err = parseSel(head); err != nil {
-		return err
-	}
-	if f.PartEvery, err = parsePeriod(kv["every"]); err != nil {
-		return err
-	}
-	f.PartHold, err = parseDur(kv["hold"])
-	return err
+	return strings.Join(parts, "+")
 }

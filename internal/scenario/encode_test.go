@@ -141,3 +141,110 @@ func TestFormatPanicsOnExpertSeams(t *testing.T) {
 	s.Factories.MAC = func(*radio.Medium, radio.NodeID, *core.Profile) mac.MAC { return nil }
 	Format(s)
 }
+
+// TestPublishedReproducers pins every runnable reproducer the repo
+// publishes — CI's scenario steps, README, iiotsim's doc comment and
+// ROADMAP's two routing-loop records — to its canonical Format output,
+// so a codec change that would make a published line replay a
+// different run (or stop parsing) fails here.
+func TestPublishedReproducers(t *testing.T) {
+	for _, c := range []struct{ in, canon string }{
+		{ // ci.yml scenario smoke
+			"scn1;seed=42;topo=grid:n=9;soak=45s;hb=5s;churn=odd:up=25s:minup=20s:down=6s:mindown=5s",
+			"scn1;seed=42;topo=grid:n=9:sp=15;classes=csma;conv=3m0s;soak=45s;drain=1m0s;check=10s;hb=5s;churn=odd:up=25s:minup=20s:down=6s:mindown=5s",
+		},
+		{ // ci.yml journey coverage gate
+			"scn1;seed=7;topo=grid:n=16;coap=1;conv=3m;soak=2m;drain=1m;probe=5s",
+			"scn1;seed=7;topo=grid:n=16:sp=15;classes=csma;coap=1;conv=3m0s;soak=2m0s;drain=1m0s;check=10s;probe=5s",
+		},
+		{ // ci.yml store smoke, README
+			"scn1;seed=9;topo=grid:n=9;soak=1m0s;ingest=2s;store=ap:shards=2:rep=3:part=20s:hold=20s",
+			"scn1;seed=9;topo=grid:n=9:sp=15;classes=csma;conv=3m0s;soak=1m0s;drain=1m0s;check=10s;ingest=2s;store=ap:shards=2:rep=3:part=20s:hold=20s",
+		},
+		{ // README, iiotsim doc comment
+			"scn1;seed=42;topo=grid:n=16;hb=5s;churn=odd:up=25s:minup=20s:down=6s:mindown=5s",
+			"scn1;seed=42;topo=grid:n=16:sp=15;classes=csma;conv=3m0s;soak=2m0s;drain=1m0s;check=10s;hb=5s;churn=odd:up=25s:minup=20s:down=6s:mindown=5s",
+		},
+		{ // README journey coverage gate
+			"scn1;seed=7;topo=grid:n=16;coap=1;probe=5s",
+			"scn1;seed=7;topo=grid:n=16:sp=15;classes=csma;coap=1;conv=3m0s;soak=2m0s;drain=1m0s;check=10s;probe=5s",
+		},
+		{ // ROADMAP routing loop (i)
+			"scn1;seed=1152403590140416644;topo=pipeline:n=8:sp=15;classes=csma+lpl@250ms;conv=3m0s;soak=50s;drain=2m0s;check=10s;push=11s;churn=even:up=29s:minup=27s:down=8s:mindown=5s;flap=0-5:every=43s:prr=0.3",
+			"scn1;seed=1152403590140416644;topo=pipeline:n=8:sp=15;classes=csma+lpl@250ms;conv=3m0s;soak=50s;drain=2m0s;check=10s;push=11s;churn=even:up=29s:minup=27s:down=8s:mindown=5s;flap=0-5:every=43s:prr=0.3",
+		},
+		{ // ROADMAP routing loop (ii)
+			"scn1;seed=3157067258645533430;topo=grid:n=16:sp=15;classes=csma+lpl@250ms;coap=1;conv=3m0s;soak=53s;drain=30s;check=10s;push=8s;hb=7s;ingest=2s;store=cp:shards=3:rep=3:part=5s:hold=13s",
+			"scn1;seed=3157067258645533430;topo=grid:n=16:sp=15;classes=csma+lpl@250ms;coap=1;conv=3m0s;soak=53s;drain=30s;check=10s;push=8s;hb=7s;ingest=2s;store=cp:shards=3:rep=3:part=5s:hold=13s",
+		},
+	} {
+		s, err := Parse(c.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.in, err)
+			continue
+		}
+		if got := Format(s); got != c.canon {
+			t.Errorf("Format(Parse(%q)):\n got:  %s\n want: %s", c.in, got, c.canon)
+		}
+	}
+}
+
+// TestGrammarReachesEveryField fails when Spec or a type inside it
+// gains a field that no row of the grammar reads and writes, so a new
+// workload or fault cannot ship without its codec key. Profiles and
+// Factories are the expert seams the codec leaves out on purpose.
+func TestGrammarReachesEveryField(t *testing.T) {
+	var s Spec
+	reached := map[uintptr][]reflect.Type{} // slot address → the types values point at there
+	for _, kind := range []TopoKind{TopoGrid, TopoPipeline, TopoCluster, TopoRGG} {
+		s.Topo.Kind = kind
+		for _, row := range fields(&s) {
+			for _, f := range append([]field{row}, row.subs...) {
+				p := reflect.ValueOf(f.v)
+				for p.Kind() == reflect.Struct {
+					p = p.Field(0)
+				}
+				reached[p.Pointer()] = append(reached[p.Pointer()], p.Type().Elem())
+			}
+		}
+	}
+	// sel and classes spell NodeSel and ClassSpec whole: a field added
+	// to either must be taught to their Set and String, then listed here.
+	whole := map[reflect.Type][]string{
+		reflect.TypeOf(NodeSel{}):   {"Kind", "IDs"},
+		reflect.TypeOf(ClassSpec{}): {"Kind", "Wake"},
+	}
+	for typ, want := range whole {
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s has fields %v; sel/classes spell %v", typ.Name(), got, want)
+		}
+	}
+	hit := func(f reflect.Value) bool {
+		for _, typ := range reached[f.Addr().Pointer()] {
+			// A struct shares its address with its first field, so only
+			// its own type reaches it; the topology kind is read as text.
+			if typ == f.Type() || typ.Kind() == f.Kind() && f.Kind() != reflect.Struct {
+				return true
+			}
+		}
+		return false
+	}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch {
+			case name == "Profiles" || name == "Factories" || hit(f):
+			case f.Kind() == reflect.Struct && whole[f.Type()] == nil:
+				walk(f, name+".")
+			default:
+				t.Errorf("Spec.%s is reached by no grammar row", name)
+			}
+		}
+	}
+	walk(reflect.ValueOf(&s).Elem(), "")
+}

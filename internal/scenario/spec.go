@@ -195,41 +195,6 @@ func (f FaultSpec) storms() bool { return f.PartEvery > 0 && f.Part.Kind != "" }
 // enabled reports whether any fault generator is configured.
 func (f FaultSpec) enabled() bool { return f.churns() || f.flaps() || f.bursts() || f.storms() }
 
-// validate checks the fault schedule against an n-node fleet.
-func (f FaultSpec) validate(n int) error {
-	if err := f.Churn.validate(n); err != nil {
-		return err
-	}
-	if err := f.Part.validate(n); err != nil {
-		return err
-	}
-	for _, d := range []time.Duration{
-		f.MeanUp, f.MinUp, f.MeanDown, f.MinDown,
-		f.FlapEvery, f.GEStep, f.PartEvery, f.PartHold,
-	} {
-		if d < 0 {
-			return fmt.Errorf("scenario: negative fault duration")
-		}
-	}
-	for _, p := range []float64{f.FlapPRR, f.GEPGoodBad, f.GEPBadGood, f.GEBadPRR} {
-		if p < 0 || p > 1 || !finite(p) {
-			return fmt.Errorf("scenario: fault probability %v out of [0,1]", p)
-		}
-	}
-	for _, l := range [][2]int{f.FlapLink, f.GELink} {
-		if l == [2]int{} {
-			continue
-		}
-		if l[0] < 0 || l[0] >= n || l[1] < 0 || l[1] >= n || l[0] == l[1] {
-			return fmt.Errorf("scenario: fault link %d-%d invalid for %d nodes", l[0], l[1], n)
-		}
-	}
-	if f.churns() && f.MeanDown == 0 && f.MinDown == 0 {
-		return fmt.Errorf("scenario: churn with no recovery delay")
-	}
-	return nil
-}
-
 // Spec is one declarative scenario: a generated topology, the device
 // classes deployed on it, the workload and fault schedules, and the
 // run phase durations. Together with its Seed it names exactly one
@@ -313,22 +278,13 @@ func (s Spec) Validate() error {
 		return err
 	}
 	n := s.Topo.Nodes()
-	for _, c := range s.Classes {
-		if _, err := c.macKind(); err != nil {
-			return err
-		}
-		if c.Wake < 0 {
-			return fmt.Errorf("scenario: negative class wake interval")
-		}
-	}
-	for _, d := range []time.Duration{
-		s.Converge, s.Soak, s.Drain, s.CheckEvery,
-		s.Workload.ProbeEvery, s.Workload.PushEvery,
-		s.Workload.AggEpoch, s.Workload.HeartbeatEvery,
-		s.Workload.IngestEvery, s.Store.PartAt, s.Store.PartHold,
-	} {
-		if d < 0 {
-			return fmt.Errorf("scenario: negative duration in spec")
+	for _, row := range fields(&s) {
+		for _, f := range append([]field{row}, row.subs...) {
+			if c, ok := f.v.(interface{ check(n int) error }); ok {
+				if err := c.check(n); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	if e := s.Workload.AggEpoch; e > 0 {
@@ -342,7 +298,49 @@ func (s Spec) Validate() error {
 	if err := s.Store.validate(s.Workload, s.Soak); err != nil {
 		return err
 	}
-	return s.Faults.validate(n)
+	if f := s.Faults; f.churns() && f.MeanDown == 0 && f.MinDown == 0 {
+		return fmt.Errorf("scenario: churn with no recovery delay")
+	}
+	return nil
+}
+
+// The check methods are Validate's rules for the grammar's values
+// (encode.go) that a Go-built spec can hold out of Parse's range, for an
+// n-node fleet. A zero period passes: in a Go-built spec it disables its
+// section.
+func (v dur) check(int) error {
+	if *v.p < 0 {
+		return fmt.Errorf("scenario: negative duration %s in spec", *v.p)
+	}
+	return nil
+}
+
+func (v prob) check(int) error {
+	if p := *v.p; p < 0 || p > 1 || !finite(p) {
+		return fmt.Errorf("scenario: fault probability %v out of [0,1]", p)
+	}
+	return nil
+}
+
+func (v sel) check(n int) error { return v.p.validate(n) }
+
+func (v pair) check(n int) error {
+	if l := *v.p; l != [2]int{} && (l[0] < 0 || l[0] >= n || l[1] < 0 || l[1] >= n || l[0] == l[1]) {
+		return fmt.Errorf("scenario: fault link %d-%d invalid for %d nodes", l[0], l[1], n)
+	}
+	return nil
+}
+
+func (v classes) check(int) error {
+	for _, c := range *v.p {
+		if _, err := c.macKind(); err != nil {
+			return err
+		}
+		if c.Wake < 0 {
+			return fmt.Errorf("scenario: negative class wake interval")
+		}
+	}
+	return nil
 }
 
 // validate checks the store section against the workload and soak.

@@ -54,9 +54,6 @@ type ShardedConfig struct {
 	// deployment can keep, say, billing-critical partitions CP while
 	// the telemetry firehose runs AP.
 	PerShard map[int]ShardPolicy
-	// SegmentSize is the series-engine points-per-segment
-	// (0 = DefaultSegmentSize).
-	SegmentSize int
 	// QuorumTimeout bounds CP operations (default 2 s).
 	QuorumTimeout time.Duration
 	// GossipInterval is the AP anti-entropy period (default 1 s).
@@ -97,7 +94,6 @@ type Shard struct {
 	mMerge   *metrics.Counter
 	mStale   *metrics.Counter
 	mFlush   *metrics.Counter
-	mCompact *metrics.Counter
 }
 
 // Coordinator returns the shard's replica 0 — the replica every append
@@ -134,13 +130,11 @@ func NewSharded(sched clock.Scheduler, cfg ShardedConfig) *Sharded {
 			sh.mMerge = reg.CounterWith("store_merge_points", lbl, mode)
 			sh.mStale = reg.CounterWith("store_stale_summaries", lbl, mode)
 			sh.mFlush = reg.CounterWith("store_flush_points", lbl, mode)
-			sh.mCompact = reg.CounterWith("store_compactions", lbl, mode)
 		}
 		rcfg := ReplicaConfig{
 			Mode:          policy.Mode,
 			ClusterSize:   policy.Replicas,
 			QuorumTimeout: cfg.QuorumTimeout,
-			SegmentSize:   cfg.SegmentSize,
 		}
 		for j := 0; j < policy.Replicas; j++ {
 			port := sh.Net.Attach(fmt.Sprintf("s%d/r%d", i, j))

@@ -19,17 +19,6 @@ func (f Filter) ByLayer(l Layer) Filter {
 	return f.ByLayers(l)
 }
 
-// ByType returns a copy of f restricted to one event type (TypeAny lifts
-// the restriction).
-func (f Filter) ByType(t Type) Filter {
-	if t == TypeAny {
-		f.typ, f.typeSet = 0, false
-		return f
-	}
-	f.typ, f.typeSet = t, true
-	return f
-}
-
 // IsCoAP reports whether the journey carries a CoAP exchange.
 func (j *Journey) IsCoAP() bool {
 	for _, e := range j.Events {

@@ -86,10 +86,10 @@ func TestResetThenReEmit(t *testing.T) {
 }
 
 // TestFilterCombinatorComposition is the table test pinning Filter's
-// replace-not-accumulate semantics: ByLayer(LayerAny) / ByType(TypeAny)
-// applied after a restriction lift it cleanly, later restrictions
-// replace earlier ones on the same dimension, and multi-layer unions
-// via ByLayers compose with the other dimensions.
+// replace-not-accumulate semantics: ByLayer(LayerAny) applied after a
+// restriction lifts it cleanly, a later layer restriction replaces an
+// earlier one, and multi-layer unions via ByLayers compose with the
+// node dimension.
 func TestFilterCombinatorComposition(t *testing.T) {
 	var now time.Duration
 	r := New(16, fixedClock(&now))
@@ -113,17 +113,13 @@ func TestFilterCombinatorComposition(t *testing.T) {
 		{"all", All(), 6},
 		{"one layer", All().ByLayer(LayerRadio), 2},
 		{"restrict then lift layer", All().ByLayer(LayerRadio).ByLayer(LayerAny), 6},
-		{"restrict then lift type", All().ByType(MACTx).ByType(TypeAny), 6},
-		{"lift both after both", All().ByLayer(LayerMAC).ByType(MACTx).ByLayer(LayerAny).ByType(TypeAny), 6},
 		{"later layer replaces earlier", All().ByLayer(LayerRadio).ByLayer(LayerMAC), 1},
-		{"later type replaces earlier", All().ByType(RadioTx).ByType(CoAPRequest), 1},
 		{"multi-layer union", All().ByLayers(LayerRadio, LayerMAC), 3},
 		{"union replaced by single", All().ByLayers(LayerRadio, LayerMAC).ByLayer(LayerCoAP), 1},
 		{"single replaced by union", All().ByLayer(LayerCoAP).ByLayers(LayerRadio, LayerFault), 3},
 		{"ByLayers() lifts", All().ByLayer(LayerRadio).ByLayers(), 6},
 		{"LayerAny inside union lifts", All().ByLayers(LayerRadio, LayerAny), 6},
 		{"union + node", All().ByLayers(LayerRadio, LayerMAC).ByNode(1), 2},
-		{"union + type", All().ByLayers(LayerRadio, LayerMAC).ByType(RadioDeliver), 1},
 		{"fault layer reachable", All().ByLayer(LayerFault), 1},
 	}
 	for _, c := range cases {

@@ -207,8 +207,6 @@ const (
 	StoreUnavail
 
 	numTypes
-	// TypeAny matches every type in a Filter.
-	TypeAny Type = 0xff
 )
 
 // typeInfo maps each Type to its layer and wire name.
@@ -389,7 +387,7 @@ func (r *Recorder) Reset() {
 
 // Filter selects events for query and export. The zero Filter (also
 // available as All()) matches everything; restrict it with the ByNode
-// and ByLayers combinators (tests also restrict by type). Each
+// and ByLayers combinators. Each
 // combinator *replaces* any prior restriction on its dimension, so
 // ByLayers(LayerAny) on an already-restricted filter lifts the
 // restriction cleanly (no stale state survives).
@@ -397,8 +395,6 @@ type Filter struct {
 	node      int32
 	hasNode   bool
 	layerMask uint16 // one bit per Layer; 0 = no layer restriction
-	typ       Type
-	typeSet   bool
 }
 
 // All returns the filter that matches every event.
@@ -436,9 +432,6 @@ func (f Filter) match(e Event) bool {
 		if l >= numLayers || f.layerMask&(1<<l) == 0 {
 			return false
 		}
-	}
-	if f.typeSet && e.Type != f.typ {
-		return false
 	}
 	return true
 }

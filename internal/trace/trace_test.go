@@ -77,14 +77,11 @@ func TestFilter(t *testing.T) {
 	if got := count(All().ByLayer(LayerRPL)); got != 2 {
 		t.Errorf("ByLayer(rpl) matched %d, want 2", got)
 	}
-	if got := count(All().ByType(StoreAppend)); got != 1 {
-		t.Errorf("ByType(append) matched %d, want 1", got)
-	}
 	if got := count(All().ByNode(1).ByLayer(LayerMAC)); got != 1 {
 		t.Errorf("node 1 + mac matched %d, want 1", got)
 	}
-	if got := count(All().ByLayer(LayerAny).ByType(TypeAny)); got != 4 {
-		t.Errorf("Any restrictions matched %d, want 4", got)
+	if got := count(All().ByLayer(LayerAny)); got != 4 {
+		t.Errorf("Any restriction matched %d, want 4", got)
 	}
 }
 
