@@ -372,10 +372,10 @@ var rules = []rule{
 		bad:   plant{"internal/metrics/energy.go", `import "sync/atomic"`},
 	},
 	{
-		name:  "kernel-queue-is-its-own-heap",
-		files: src("internal/sim/sim.go"),
+		name:  "kernel-queue-is-its-own-radix-queue",
+		files: src("internal/sim/sim.go", "internal/sim/queue.go"),
 		check: noImport("container/heap"),
-		bad:   plant{"internal/sim/sim.go", `import "container/heap"`},
+		bad:   plant{"internal/sim/queue.go", `import "container/heap"`},
 	},
 	{
 		name:  "coap-exchange-keys-are-not-formatted",

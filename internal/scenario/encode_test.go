@@ -102,6 +102,7 @@ func TestParseErrors(t *testing.T) {
 		"scn1;seed=1;topo=grid:n=9;ingest=5s;store=ap:shards=2:rep=9",   // replicas out of range
 		"scn1;seed=1;topo=grid:n=9;ingest=5s;store=ap:hold=0s",          // zero episode hold
 		"scn1;seed=1;topo=grid:n=9;ingest=5s;store=ap:part=10m:hold=5s", // episode past soak
+		"scn1;seed=1;topo=rgg:n=96:dens=0.000000001",                    // area from dens above the grammar's 1e6 m
 	}
 	for _, in := range cases {
 		if _, err := Parse(in); err == nil {

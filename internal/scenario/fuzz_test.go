@@ -21,6 +21,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("scn1;seed=3;topo=pipeline:n=5;flap=1-2:every=45s:prr=0.25;trace=-1")
 	f.Add("scn1;seed=4;topo=rgg:n=96:area=100:link=18:dens=6;hb=15s")
 	f.Add("scn1;seed=5;topo=grid:n=9;ingest=5s;store=cp:shards=4:rep=3:part=30s:hold=20s")
+	f.Add("scn1;seed=1;topo=rgg:n=96:dens=0.000000001") // once parsed, Format wrote an area Parse refused
 	f.Fuzz(func(t *testing.T, in string) {
 		s, err := Parse(in)
 		if err != nil {

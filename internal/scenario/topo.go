@@ -130,6 +130,11 @@ func (ts TopoSpec) validate() error {
 		!finite(ts.Spacing, ts.HeadSpacing, ts.MemberDX, ts.MemberDY, ts.Area, ts.Density, ts.MaxLink) {
 		return fmt.Errorf("scenario: topo %s has negative or non-finite geometry", ts.Kind)
 	}
+	// The grammar's bound on area=, checked after a density sized it:
+	// a larger area would Format into a line Parse refuses.
+	if ts.Kind == TopoRGG && ts.Area > 1e6 {
+		return fmt.Errorf("scenario: topo rgg area %g m exceeds 1e6 m", ts.Area)
+	}
 	return nil
 }
 

@@ -8,15 +8,18 @@
 // scheduling order, and no component may consult the wall clock.
 //
 // Scheduling is allocation-light: fired and canceled events return their
-// backing structs to a kernel-local free pool, and canceled events are
-// removed from the heap eagerly so their slots are reused instead of
-// lingering as tombstones. Handles returned by the Schedule family are
-// generation-checked values — operating on a handle whose event has
-// already fired (or whose slot was recycled) is a safe no-op.
+// backing structs to a kernel-local free pool at once, and the event
+// queue (queue.go, a monotone radix queue) reuses its chunks. A canceled
+// event leaves a tombstone in the queue that is dropped when the queue
+// reaches it; Pending and Stats count live events only. Handles returned
+// by the Schedule family are generation-checked values — operating on a
+// handle whose event has already fired (or whose slot was recycled) is a
+// safe no-op.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -30,7 +33,7 @@ type Time = time.Duration
 // list and its generation advances, invalidating outstanding handles.
 type event struct {
 	k     *Kernel
-	index int // heap index, -1 when not queued
+	index int // queue position (see eventQueue.file), -1 when not queued
 	fn    func()
 	gen   uint64
 }
@@ -59,94 +62,10 @@ func (ev Event) Cancel() bool {
 		return false
 	}
 	e := ev.e
-	e.k.queue.remove(e.index)
+	e.k.queue.cancel(e.index)
 	e.k.stats.Canceled++
 	e.k.recycle(e)
 	return true
-}
-
-// slot is one heap entry. The ordering key sits inline beside the event
-// pointer, so a sift compares slots without chasing a pointer per step.
-type slot struct {
-	at  Time
-	seq uint64
-	e   *event
-}
-
-func (s slot) before(o slot) bool {
-	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
-}
-
-// eventQueue is a 4-ary min-heap ordered by (at, seq). seq is unique per
-// kernel, so the order is total: which event pops next does not depend
-// on the heap's shape, only on what is queued.
-type eventQueue []slot
-
-const heapArity = 4
-
-// up places s at hole i or above it, moving larger parents down.
-func (q eventQueue) up(i int, s slot) {
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !s.before(q[p]) {
-			break
-		}
-		q[i] = q[p]
-		q[i].e.index = i
-		i = p
-	}
-	q[i] = s
-	s.e.index = i
-}
-
-// down places s at hole i or below it, moving the smallest child up.
-func (q eventQueue) down(i int, s slot) {
-	for {
-		c := heapArity*i + 1
-		if c >= len(q) {
-			break
-		}
-		least := c
-		for j := c + 1; j < c+heapArity && j < len(q); j++ {
-			if q[j].before(q[least]) {
-				least = j
-			}
-		}
-		if !q[least].before(s) {
-			break
-		}
-		q[i] = q[least]
-		q[i].e.index = i
-		i = least
-	}
-	q[i] = s
-	s.e.index = i
-}
-
-func (q *eventQueue) push(s slot) {
-	*q = append(*q, s)
-	q.up(len(*q)-1, s)
-}
-
-// remove takes slot i out of the heap (0 pops the minimum) and returns
-// it; the last slot fills the hole and sifts whichever way it must.
-func (q *eventQueue) remove(i int) slot {
-	h := *q
-	out := h[i]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = slot{}
-	h = h[:n]
-	*q = h
-	if i < n {
-		if i > 0 && last.before(h[(i-1)/heapArity]) {
-			h.up(i, last)
-		} else {
-			h.down(i, last)
-		}
-	}
-	out.e.index = -1
-	return out
 }
 
 // Stats are the kernel's scheduling counters. Trials report them through
@@ -185,7 +104,6 @@ func (s *Stats) Add(o Stats) {
 type Kernel struct {
 	now   Time
 	queue eventQueue
-	seq   uint64
 	rng   *rand.Rand // draws from src
 	free  []*event
 	stats Stats
@@ -261,10 +179,9 @@ func (k *Kernel) At(t Time, fn func()) Event {
 		e = &event{k: k}
 	}
 	e.fn = fn
-	k.queue.push(slot{at: t, seq: k.seq, e: e})
-	k.seq++
+	k.queue.push(t, e)
 	k.stats.Scheduled++
-	if d := len(k.queue); d > k.stats.MaxHeapDepth {
+	if d := k.queue.live; d > k.stats.MaxHeapDepth {
 		k.stats.MaxHeapDepth = d
 	}
 	return Event{e: e, gen: e.gen, at: t}
@@ -325,11 +242,14 @@ func (r *Repeater) Stop() {
 
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
-func (k *Kernel) Step() bool {
-	if len(k.queue) == 0 {
+func (k *Kernel) Step() bool { return k.step(math.MaxInt64) }
+
+// step executes the next event if it is due at or before limit.
+func (k *Kernel) step(limit Time) bool {
+	s, ok := k.queue.pop(limit)
+	if !ok {
 		return false
 	}
-	s := k.queue.remove(0)
 	e := s.e
 	k.now = s.at
 	k.stats.Fired++
@@ -350,8 +270,7 @@ func (k *Kernel) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t (even if the queue drained earlier or later events remain).
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.queue) > 0 && k.queue[0].at <= t {
-		k.Step()
+	for k.step(t) {
 	}
 	if k.now < t {
 		k.now = t
@@ -368,10 +287,9 @@ func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 // barrier, so events AT the barrier instant run in the following window
 // after cross-shard handoffs have been applied.
 func (k *Kernel) RunBefore(t Time) {
-	for len(k.queue) > 0 && k.queue[0].at < t {
-		k.Step()
-	}
-	if k.now < t {
+	if k.now < t { // else nothing queued is before t
+		for k.step(t - 1) {
+		}
 		k.now = t
 	}
 }
@@ -379,13 +297,9 @@ func (k *Kernel) RunBefore(t Time) {
 // NextEventAt returns the timestamp of the earliest queued event, and
 // whether one exists. The shard scheduler uses it to size adaptive
 // synchronization windows without popping anything.
-func (k *Kernel) NextEventAt() (Time, bool) {
-	if len(k.queue) == 0 {
-		return 0, false
-	}
-	return k.queue[0].at, true
-}
+func (k *Kernel) NextEventAt() (Time, bool) { return k.queue.peek() }
 
-// Pending returns the number of queued events. Canceled events are
-// removed eagerly, so this counts only events that will still fire.
-func (k *Kernel) Pending() int { return len(k.queue) }
+// Pending returns the number of queued events. It counts only events
+// that will still fire: a canceled one is not counted, though its slot
+// may linger in the queue until the queue reaches it.
+func (k *Kernel) Pending() int { return k.queue.live }

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -323,88 +320,6 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 	e.Cancel()
 	if k.Pending() != 1 {
 		t.Fatalf("Pending after cancel = %d, want 1 (eager removal)", k.Pending())
-	}
-}
-
-// TestHeapFiresInKeyOrder runs drawn programs — schedules with many
-// equal timestamps, cancels of the root, of the last slot, of an only
-// element and of anything pending, and callbacks that schedule and
-// cancel in their turn — and requires the events that survive to fire in
-// exactly the order a sort by (at, seq) puts them in: the order is the
-// key's, whatever shape the heap is in.
-func TestHeapFiresInKeyOrder(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k := New(1)
-		type planned struct {
-			at       Time
-			canceled bool
-		}
-		var plan []planned // index = scheduling order = seq
-		var handles []Event
-		var fired []int
-		cancel := func(id int) {
-			if handles[id].Cancel() {
-				plan[id].canceled = true
-			}
-		}
-		// idAt names the event in heap slot i.
-		idAt := func(i int) int {
-			for id, h := range handles {
-				if h.e == k.queue[i].e && h.live() {
-					return id
-				}
-			}
-			t.Fatalf("seed %d: slot %d holds no live event", seed, i)
-			return -1
-		}
-		var schedule func(at Time)
-		schedule = func(at Time) {
-			id := len(plan)
-			plan = append(plan, planned{at: at})
-			handles = append(handles, k.At(at, func() {
-				fired = append(fired, id)
-				if len(plan) < 400 && rng.Intn(3) == 0 {
-					schedule(k.Now() + Time(rng.Intn(20)))
-				}
-				if k.Pending() > 0 && rng.Intn(4) == 0 {
-					cancel(idAt(rng.Intn(k.Pending())))
-				}
-			}))
-		}
-
-		schedule(5)
-		cancel(0) // an only element
-		if k.Pending() != 0 {
-			t.Fatalf("seed %d: canceling the only event left %d pending", seed, k.Pending())
-		}
-		for step := 0; step < 200; step++ {
-			switch op := rng.Intn(10); {
-			case op < 7 || k.Pending() == 0:
-				schedule(Time(rng.Intn(30)))
-			case op == 7:
-				cancel(idAt(0)) // the root
-			case op == 8:
-				cancel(idAt(k.Pending() - 1)) // the last slot
-			default:
-				cancel(idAt(rng.Intn(k.Pending())))
-			}
-		}
-		k.Run()
-
-		var want []int
-		for id, p := range plan {
-			if !p.canceled {
-				want = append(want, id)
-			}
-		}
-		sort.SliceStable(want, func(i, j int) bool { return plan[want[i]].at < plan[want[j]].at })
-		if !reflect.DeepEqual(fired, want) {
-			t.Fatalf("seed %d: fired %v, want %v", seed, fired, want)
-		}
-		if st := k.Stats(); int(st.Fired) != len(want) || int(st.Fired+st.Canceled) != len(plan) {
-			t.Fatalf("seed %d: stats %+v for %d planned, %d surviving", seed, st, len(plan), len(want))
-		}
 	}
 }
 
